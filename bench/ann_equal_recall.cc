@@ -8,15 +8,13 @@
 // result). Runs once per descriptor codec (exact 20 B/rec and lvq4
 // 10 B/rec, the quantized store through the fused gather kernels).
 //
-// tools/run_benchmarks.sh invokes this with --out BENCH_ann.json; the
-// host ISA / selected-kernel attribution rides in through the
-// S3VCD_BENCH_HOST_ISA / S3VCD_BENCH_SELECTED_KERNEL environment
-// variables the script exports.
+// tools/run_benchmarks.sh invokes this with --out BENCH_ann.json and adds
+// its host fingerprint to the "host" block; the scan kernel recorded there
+// is the one the library dispatches to (core::ActiveScanKernelName()).
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -64,24 +62,6 @@ struct CodecRun {
 
 uint64_t TruthKey(uint32_t id, uint32_t time_code) {
   return (static_cast<uint64_t>(id) << 32) | time_code;
-}
-
-std::string JsonEscapeList(const std::string& space_separated) {
-  // "a b c" -> "\"a\", \"b\", \"c\"" (empty input -> empty output).
-  std::string out;
-  size_t start = 0;
-  while (start < space_separated.size()) {
-    const size_t end = space_separated.find(' ', start);
-    const std::string token = space_separated.substr(
-        start, end == std::string::npos ? std::string::npos : end - start);
-    if (!token.empty()) {
-      if (!out.empty()) out += ", ";
-      out += "\"" + token + "\"";
-    }
-    if (end == std::string::npos) break;
-    start = end + 1;
-  }
-  return out;
 }
 
 int Main(int argc, char** argv) {
@@ -266,8 +246,6 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "failed to open %s\n", out_path.c_str());
       return 1;
     }
-    const char* isa = std::getenv("S3VCD_BENCH_HOST_ISA");
-    const char* kernel = std::getenv("S3VCD_BENCH_SELECTED_KERNEL");
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"benchmark\": \"ann_equal_recall\",\n");
     std::fprintf(
@@ -287,12 +265,8 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "  \"truth_pairs\": %llu,\n",
                  static_cast<unsigned long long>(truth_pairs));
     std::fprintf(f, "  \"host\": {\n");
-    std::fprintf(f, "    \"isa_flags\": [%s],\n",
-                 JsonEscapeList(isa == nullptr ? "" : isa).c_str());
-    std::fprintf(f, "    \"selected_scan_kernel\": \"%s\",\n",
-                 kernel == nullptr ? "unknown" : kernel);
-    std::fprintf(f, "    \"active_gather_kernel\": \"%s\"\n",
-                 core::ScanKernelName(core::ActiveScanKernel()));
+    std::fprintf(f, "    \"selected_scan_kernel\": \"%s\"\n",
+                 core::ActiveScanKernelName());
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"exact_baseline\": {\n");
     std::fprintf(f, "    \"backend\": \"s3\",\n");

@@ -33,8 +33,6 @@ const char* DescriptorCodecName(DescriptorCodecKind kind) {
   switch (kind) {
     case DescriptorCodecKind::kExactU8:
       return "exact";
-    case DescriptorCodecKind::kLvq8:
-      return "lvq8";
     case DescriptorCodecKind::kLvq4:
       return "lvq4";
   }
@@ -45,8 +43,6 @@ bool DescriptorCodecFromName(const std::string& name,
                              DescriptorCodecKind* kind) {
   if (name == "exact") {
     *kind = DescriptorCodecKind::kExactU8;
-  } else if (name == "lvq8") {
-    *kind = DescriptorCodecKind::kLvq8;
   } else if (name == "lvq4") {
     *kind = DescriptorCodecKind::kLvq4;
   } else {
@@ -55,7 +51,7 @@ bool DescriptorCodecFromName(const std::string& name,
   return true;
 }
 
-std::string DescriptorCodecNamesCsv() { return "exact, lvq4, lvq8"; }
+std::string DescriptorCodecNamesCsv() { return "exact, lvq4"; }
 
 size_t DescriptorCodeBytes(DescriptorCodecKind kind) {
   return kind == DescriptorCodecKind::kLvq4 ? fp::kDims / 2 : fp::kDims;
@@ -140,12 +136,6 @@ void EncodeDescriptor(const DescriptorCodec& codec, const uint8_t* src,
     case DescriptorCodecKind::kExactU8:
       std::memcpy(dst, src, fp::kDims);
       return;
-    case DescriptorCodecKind::kLvq8:
-      for (int j = 0; j < fp::kDims; ++j) {
-        dst[j] = static_cast<uint8_t>(
-            EncodeAxis(src[j], codec.lo[j], codec.step16[j], 255u));
-      }
-      return;
     case DescriptorCodecKind::kLvq4:
       for (int j = 0; j < fp::kDims; j += 2) {
         const uint32_t even =
@@ -163,12 +153,6 @@ void DecodeDescriptor(const DescriptorCodec& codec, const uint8_t* src,
   switch (codec.kind) {
     case DescriptorCodecKind::kExactU8:
       std::memcpy(dst, src, fp::kDims);
-      return;
-    case DescriptorCodecKind::kLvq8:
-      for (int j = 0; j < fp::kDims; ++j) {
-        dst[j] = static_cast<uint8_t>(
-            DecodeAxis(src[j], codec.lo[j], codec.step16[j]));
-      }
       return;
     case DescriptorCodecKind::kLvq4:
       for (int j = 0; j < fp::kDims; j += 2) {

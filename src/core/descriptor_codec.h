@@ -20,42 +20,43 @@ namespace s3vcd::core {
 ///
 /// Codecs:
 ///   exact  20 B/record, bit-identical roundtrip, the default everywhere.
-///   lvq8   20 B/record, LVQ-style per-axis scale+bias u8 scalar codes
-///          (lossless on u8 sources whose per-axis range is full; at most
-///          off-by-rounding otherwise — axis_error pins the exact bound).
-///   lvq4   10 B/record, 4-bit codes, two axes per byte (even axis in the
-///          low nibble): the 2x byte-reduction codec. Reconstruction error
-///          per axis is bounded by the trained step (~range/15).
+///   lvq4   10 B/record, LVQ-style per-axis scale+bias 4-bit codes, two
+///          axes per byte (even axis in the low nibble): the 2x
+///          byte-reduction codec. Reconstruction error per axis is bounded
+///          by the trained step (~range/15).
+/// On-disk tag 1 belonged to a retired 8-bit codec (20 B/record like exact,
+/// and slower to scan); segment readers refuse it as unknown.
 ///
 /// Distance semantics on a quantized view: the kernels compute the exact
 /// integer squared distance between the query and the *decoded* record
 /// v̂ = min(255, lo_j + ((c * step16_j + 128) >> 8)) — deterministic pure
-/// integer arithmetic, so every kernel variant (scalar/AVX2/AVX-512)
-/// returns bitwise-identical distances. Radius tests are inflated by the
-/// codec's max reconstruction error E = sqrt(sum_j e_j^2), which makes the
+/// integer arithmetic, so every kernel variant (scalar/SSE2/AVX2) returns
+/// bitwise-identical distances. Radius tests are inflated by the codec's
+/// max reconstruction error E = sqrt(sum_j e_j^2), which makes the
 /// quantized match set a guaranteed superset of the exact one (recall 1.0
 /// with respect to membership; reported distances are the decoded-point
 /// distances). The exact path — memtable, exact segments, all in-memory
 /// backends — re-ranks those candidates for free because it scans exact
 /// bytes.
+///
+/// The enum values are the on-disk codec tags of `.s3seg` files.
 enum class DescriptorCodecKind : uint8_t {
   kExactU8 = 0,  ///< packed exact bytes, the historical layout
-  kLvq8 = 1,     ///< 8-bit per-axis scale+bias scalar quantization
   kLvq4 = 2,     ///< 4-bit codes, two axes per byte
 };
 
-/// Display/parse name: "exact", "lvq8", "lvq4".
+/// Display/parse name: "exact", "lvq4".
 const char* DescriptorCodecName(DescriptorCodecKind kind);
 /// Parses a codec name; returns false (and leaves *kind alone) on unknown
 /// names.
 bool DescriptorCodecFromName(const std::string& name,
                              DescriptorCodecKind* kind);
-/// "exact, lvq4, lvq8" — for error messages and usage lines.
+/// "exact, lvq4" — for error messages and usage lines.
 std::string DescriptorCodecNamesCsv();
 
-/// Encoded bytes per record: 20 / 20 / 10.
+/// Encoded bytes per record: 20 / 10.
 size_t DescriptorCodeBytes(DescriptorCodecKind kind);
-/// Largest code value per axis: 255 / 255 / 15.
+/// Largest code value per axis: 255 / 15.
 uint32_t DescriptorCodecMaxCode(DescriptorCodecKind kind);
 
 /// A trained codec: kind + per-axis parameters + the exact reconstruction

@@ -20,6 +20,7 @@ namespace s3vcd::core {
 
 namespace {
 
+using internal::kCodedRecordBytes;
 using internal::MakeQuantQuery;
 using internal::QuantQuery;
 using internal::SqDistBatchFn;
@@ -154,7 +155,7 @@ __attribute__((target("avx2"))) void SqDistGatherAvx2(
 // Expands 10 packed nibble bytes (two axes per byte, even axis in the low
 // nibble — the lvq4 layout of core/descriptor_codec.cc) into 20 u8 codes:
 // bytes 0..7 become axes 0..15, bytes 8..9 become axes 16..19 (upper
-// output bytes zero). Pure SSE2, callable from any kernel.
+// output bytes zero). Pure SSE2.
 inline void ExpandNibbles(const uint8_t* p, __m128i* codes016,
                           __m128i* codes_tail) {
   const __m128i mask = _mm_set1_epi8(0x0F);
@@ -213,28 +214,16 @@ __attribute__((target("avx2"))) inline __m128i DecodeU16x4(__m128i c,
   return _mm_min_epu16(v, _mm_set1_epi16(255));
 }
 
-// One coded record of the AVX2 fused kernel.
+// One lvq4 record of the AVX2 fused kernel.
 __attribute__((target("avx2"))) inline uint32_t SqDistCodedOneAvx2(
-    const uint8_t* p, bool nibble, const QuantU16& w) {
-  __m256i c016;
-  __m128i ctail;
-  if (nibble) {
-    __m128i c8, t8;
-    ExpandNibbles(p, &c8, &t8);
-    c016 = _mm256_cvtepu8_epi16(c8);
-    ctail = _mm_cvtepu8_epi16(t8);
-  } else {
-    c016 = _mm256_cvtepu8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-    uint32_t tail_bits;
-    std::memcpy(&tail_bits, p + 16, 4);
-    ctail =
-        _mm_cvtepu8_epi16(_mm_cvtsi32_si128(static_cast<int>(tail_bits)));
-  }
-  const __m256i diff =
-      _mm256_sub_epi16(DecodeU16x16(c016, w.s016, w.l016), w.q016);
+    const uint8_t* p, const QuantU16& w) {
+  __m128i c8, t8;
+  ExpandNibbles(p, &c8, &t8);
+  const __m256i diff = _mm256_sub_epi16(
+      DecodeU16x16(_mm256_cvtepu8_epi16(c8), w.s016, w.l016), w.q016);
   const __m256i acc = _mm256_madd_epi16(diff, diff);
-  const __m128i dt = _mm_sub_epi16(DecodeU16x4(ctail, w.st, w.lt), w.qt);
+  const __m128i dt =
+      _mm_sub_epi16(DecodeU16x4(_mm_cvtepu8_epi16(t8), w.st, w.lt), w.qt);
   __m128i sum = _mm_add_epi32(_mm256_castsi256_si128(acc),
                               _mm256_extracti128_si256(acc, 1));
   sum = _mm_add_epi32(sum, _mm_madd_epi16(dt, dt));
@@ -246,9 +235,8 @@ __attribute__((target("avx2"))) inline uint32_t SqDistCodedOneAvx2(
 __attribute__((target("avx2"))) void SqDistCodedBatchAvx2(
     const uint8_t* codes, size_t n, const QuantQuery& q, uint32_t* out) {
   const QuantU16 w = WidenQuant(q);
-  const size_t code_bytes = q.nibble ? fp::kDims / 2 : fp::kDims;
   for (size_t i = 0; i < n; ++i) {
-    out[i] = SqDistCodedOneAvx2(codes + i * code_bytes, q.nibble, w);
+    out[i] = SqDistCodedOneAvx2(codes + i * kCodedRecordBytes, w);
   }
 }
 
@@ -256,79 +244,15 @@ __attribute__((target("avx2"))) void SqDistCodedGatherAvx2(
     const uint8_t* codes, const uint32_t* indices, size_t k,
     const QuantQuery& q, uint32_t* out) {
   const QuantU16 w = WidenQuant(q);
-  const size_t code_bytes = q.nibble ? fp::kDims / 2 : fp::kDims;
   for (size_t i = 0; i < k; ++i) {
     if (i + kGatherPrefetchAhead < k) {
       __builtin_prefetch(
           codes + static_cast<size_t>(indices[i + kGatherPrefetchAhead]) *
-                      code_bytes,
+                      kCodedRecordBytes,
           0, 3);
     }
     out[i] = SqDistCodedOneAvx2(
-        codes + static_cast<size_t>(indices[i]) * code_bytes, q.nibble, w);
-  }
-}
-
-// One coded record of the AVX-512 fused kernel: one whole record per zmm,
-// 20 u16 lanes decode + subtract + madd, the masked-off lanes all zero on
-// both sides.
-__attribute__((target("avx512f,avx512bw,avx512vl"))) inline uint32_t
-SqDistCodedOneAvx512(const uint8_t* p, bool nibble, __m512i qv, __m512i sv,
-                     __m512i lv, __m512i half, __m512i cap) {
-  const __mmask32 k20 = 0xFFFFF;
-  __m256i c8;
-  if (nibble) {
-    __m128i lo16, t4;
-    ExpandNibbles(p, &lo16, &t4);
-    c8 = _mm256_set_m128i(t4, lo16);
-  } else {
-    c8 = _mm256_maskz_loadu_epi8(k20, p);
-  }
-  const __m512i c = _mm512_cvtepu8_epi16(c8);
-  const __m512i prod = _mm512_add_epi16(_mm512_mullo_epi16(c, sv), half);
-  const __m512i v = _mm512_min_epu16(
-      _mm512_add_epi16(_mm512_srli_epi16(prod, 8), lv), cap);
-  const __m512i diff = _mm512_sub_epi16(v, qv);
-  return static_cast<uint32_t>(
-      _mm512_reduce_add_epi32(_mm512_madd_epi16(diff, diff)));
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vl"))) void
-SqDistCodedBatchAvx512(const uint8_t* codes, size_t n, const QuantQuery& q,
-                       uint32_t* out) {
-  const __mmask32 k20 = 0xFFFFF;
-  const __m512i qv = _mm512_maskz_loadu_epi16(k20, q.query);
-  const __m512i sv = _mm512_maskz_loadu_epi16(k20, q.step16);
-  const __m512i lv = _mm512_maskz_loadu_epi16(k20, q.lo);
-  const __m512i half = _mm512_set1_epi16(128);
-  const __m512i cap = _mm512_set1_epi16(255);
-  const size_t code_bytes = q.nibble ? fp::kDims / 2 : fp::kDims;
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = SqDistCodedOneAvx512(codes + i * code_bytes, q.nibble, qv, sv,
-                                  lv, half, cap);
-  }
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vl"))) void
-SqDistCodedGatherAvx512(const uint8_t* codes, const uint32_t* indices,
-                        size_t k, const QuantQuery& q, uint32_t* out) {
-  const __mmask32 k20 = 0xFFFFF;
-  const __m512i qv = _mm512_maskz_loadu_epi16(k20, q.query);
-  const __m512i sv = _mm512_maskz_loadu_epi16(k20, q.step16);
-  const __m512i lv = _mm512_maskz_loadu_epi16(k20, q.lo);
-  const __m512i half = _mm512_set1_epi16(128);
-  const __m512i cap = _mm512_set1_epi16(255);
-  const size_t code_bytes = q.nibble ? fp::kDims / 2 : fp::kDims;
-  for (size_t i = 0; i < k; ++i) {
-    if (i + kGatherPrefetchAhead < k) {
-      __builtin_prefetch(
-          codes + static_cast<size_t>(indices[i + kGatherPrefetchAhead]) *
-                      code_bytes,
-          0, 3);
-    }
-    out[i] = SqDistCodedOneAvx512(
-        codes + static_cast<size_t>(indices[i]) * code_bytes, q.nibble, qv,
-        sv, lv, half, cap);
+        codes + static_cast<size_t>(indices[i]) * kCodedRecordBytes, w);
   }
 }
 
@@ -343,16 +267,9 @@ SqDistBatchFn KernelFn(ScanKernelKind kind) {
       return &SqDistBatchSse2;
     case ScanKernelKind::kAvx2:
       return &SqDistBatchAvx2;
-    case ScanKernelKind::kAvx512:
-      // The VNNI u8-dot variant when the CPU has it, the u16-madd variant
-      // otherwise; both compute the exact integer distance.
-      return internal::Avx512VnniAvailable()
-                 ? &internal::SqDistBatchAvx512Vnni
-                 : &internal::SqDistBatchAvx512Bw;
 #else
     case ScanKernelKind::kSse2:
     case ScanKernelKind::kAvx2:
-    case ScanKernelKind::kAvx512:
       break;
 #endif
   }
@@ -360,18 +277,14 @@ SqDistBatchFn KernelFn(ScanKernelKind kind) {
 }
 
 SqDistCodedBatchFn CodedKernelFn(ScanKernelKind kind) {
-  switch (kind) {
 #ifdef S3VCD_X86
-    case ScanKernelKind::kAvx2:
-      return &SqDistCodedBatchAvx2;
-    case ScanKernelKind::kAvx512:
-      return &SqDistCodedBatchAvx512;
-#endif
-    default:
-      // Scalar and SSE2 share the reference fused loop: the nibble/decode
-      // shuffle work leaves no profitable pure-SSE2 variant.
-      return &SqDistCodedBatchScalar;
+  if (kind == ScanKernelKind::kAvx2) {
+    return &SqDistCodedBatchAvx2;
   }
+#endif
+  // Scalar and SSE2 share the reference fused loop: the nibble/decode
+  // shuffle work leaves no profitable pure-SSE2 variant.
+  return &SqDistCodedBatchScalar;
 }
 
 internal::SqDistGatherFn GatherKernelFn(ScanKernelKind kind) {
@@ -383,14 +296,9 @@ internal::SqDistGatherFn GatherKernelFn(ScanKernelKind kind) {
       return &SqDistGatherSse2;
     case ScanKernelKind::kAvx2:
       return &SqDistGatherAvx2;
-    case ScanKernelKind::kAvx512:
-      return internal::Avx512VnniAvailable()
-                 ? &internal::SqDistGatherAvx512Vnni
-                 : &internal::SqDistGatherAvx512Bw;
 #else
     case ScanKernelKind::kSse2:
     case ScanKernelKind::kAvx2:
-    case ScanKernelKind::kAvx512:
       break;
 #endif
   }
@@ -398,46 +306,36 @@ internal::SqDistGatherFn GatherKernelFn(ScanKernelKind kind) {
 }
 
 internal::SqDistCodedGatherFn CodedGatherKernelFn(ScanKernelKind kind) {
-  switch (kind) {
 #ifdef S3VCD_X86
-    case ScanKernelKind::kAvx2:
-      return &SqDistCodedGatherAvx2;
-    case ScanKernelKind::kAvx512:
-      return &SqDistCodedGatherAvx512;
-#endif
-    default:
-      return &internal::SqDistCodedGatherScalar;
+  if (kind == ScanKernelKind::kAvx2) {
+    return &SqDistCodedGatherAvx2;
   }
+#endif
+  return &internal::SqDistCodedGatherScalar;
 }
 
-// The widest kernel this CPU/build can run, in dispatch-preference order.
-ScanKernelKind WidestKernel() {
-#ifdef S3VCD_X86
-  if (ScanKernelAvailable(ScanKernelKind::kAvx512)) {
-    return ScanKernelKind::kAvx512;
-  }
-  if (__builtin_cpu_supports("avx2")) {
+// The measured-fastest kernel this CPU/build can run: AVX2 when present,
+// else the x86-64 SSE2 baseline, else the portable loop.
+ScanKernelKind DefaultKernel() {
+  if (ScanKernelAvailable(ScanKernelKind::kAvx2)) {
     return ScanKernelKind::kAvx2;
   }
-  return ScanKernelKind::kSse2;  // baseline on x86-64
-#else
+  if (ScanKernelAvailable(ScanKernelKind::kSse2)) {
+    return ScanKernelKind::kSse2;
+  }
   return ScanKernelKind::kScalar;
-#endif
 }
 
 bool KernelFromName(const char* name, ScanKernelKind* kind) {
-  if (std::strcmp(name, "scalar") == 0) {
-    *kind = ScanKernelKind::kScalar;
-  } else if (std::strcmp(name, "sse2") == 0) {
-    *kind = ScanKernelKind::kSse2;
-  } else if (std::strcmp(name, "avx2") == 0) {
-    *kind = ScanKernelKind::kAvx2;
-  } else if (std::strcmp(name, "avx512") == 0) {
-    *kind = ScanKernelKind::kAvx512;
-  } else {
-    return false;
+  for (const ScanKernelKind k :
+       {ScanKernelKind::kScalar, ScanKernelKind::kSse2,
+        ScanKernelKind::kAvx2}) {
+    if (std::strcmp(name, ScanKernelName(k)) == 0) {
+      *kind = k;
+      return true;
+    }
   }
-  return true;
+  return false;
 }
 
 ScanKernelKind DetectKernel() {
@@ -447,22 +345,18 @@ ScanKernelKind DetectKernel() {
     if (!KernelFromName(named, &kind)) {
       std::fprintf(stderr,
                    "s3vcd: unknown S3VCD_SCAN_KERNEL '%s' (expected "
-                   "scalar|sse2|avx2|avx512); falling back to detection\n",
+                   "scalar|sse2|avx2); using the default kernel\n",
                    named);
     } else if (!ScanKernelAvailable(kind)) {
       std::fprintf(stderr,
                    "s3vcd: S3VCD_SCAN_KERNEL=%s is not available on this "
-                   "CPU/build; falling back to detection\n",
+                   "CPU/build; using the default kernel\n",
                    named);
     } else {
       return kind;
     }
   }
-  const char* no_simd = std::getenv("S3VCD_NO_SIMD");
-  if (no_simd != nullptr && no_simd[0] == '1') {
-    return ScanKernelKind::kScalar;
-  }
-  return WidestKernel();
+  return DefaultKernel();
 }
 
 std::atomic<int>& ActiveKernelSlot() {
@@ -471,120 +365,6 @@ std::atomic<int>& ActiveKernelSlot() {
 }
 
 }  // namespace
-
-#ifdef S3VCD_X86
-namespace internal {
-
-__attribute__((target("avx512f,avx512bw,avx512vl"))) void SqDistBatchAvx512Bw(
-    const uint8_t* desc, size_t n, const uint8_t* query, uint32_t* out) {
-  // Masked 20-byte loads never touch bytes past the record, so the kernel
-  // is safe on the last record of a mapped segment; the masked-off lanes
-  // are zero on both sides and contribute nothing.
-  const __mmask32 k20 = 0xFFFFF;
-  const __m512i q = _mm512_cvtepu8_epi16(_mm256_maskz_loadu_epi8(k20, query));
-  for (size_t i = 0; i < n; ++i) {
-    const __m512i d = _mm512_cvtepu8_epi16(
-        _mm256_maskz_loadu_epi8(k20, desc + i * fp::kDims));
-    const __m512i diff = _mm512_sub_epi16(d, q);
-    out[i] = static_cast<uint32_t>(
-        _mm512_reduce_add_epi32(_mm512_madd_epi16(diff, diff)));
-  }
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni"))) void
-SqDistBatchAvx512Vnni(const uint8_t* desc, size_t n, const uint8_t* query,
-                      uint32_t* out) {
-  const __mmask32 k20 = 0xFFFFF;
-  const __m256i q = _mm256_maskz_loadu_epi8(k20, query);
-  const __m256i zero = _mm256_setzero_si256();
-  for (size_t i = 0; i < n; ++i) {
-    const __m256i d = _mm256_maskz_loadu_epi8(k20, desc + i * fp::kDims);
-    const __m256i diff =
-        _mm256_or_si256(_mm256_subs_epu8(d, q), _mm256_subs_epu8(q, d));
-    // vpdpbusd multiplies u8 (first operand) by *signed* i8 (second): a
-    // lane with diff >= 128 contributes diff * (diff - 256) = diff^2 -
-    // 256*diff. Recover the exact square by adding 256 * sum(diff over
-    // those lanes), which a sign-masked SAD against zero produces. All
-    // arithmetic is mod-2^32 exact and the true value fits uint32_t.
-    const __m256i acc = _mm256_dpbusd_epi32(zero, diff, diff);
-    const __m256i high =
-        _mm256_maskz_mov_epi8(_mm256_movepi8_mask(diff), diff);
-    const __m256i sad = _mm256_sad_epu8(high, zero);
-    __m128i sum = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                                _mm256_extracti128_si256(acc, 1));
-    sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(1, 0, 3, 2)));
-    sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(2, 3, 0, 1)));
-    const __m128i s64 = _mm_add_epi64(_mm256_castsi256_si128(sad),
-                                      _mm256_extracti128_si256(sad, 1));
-    const uint32_t corr = static_cast<uint32_t>(
-        static_cast<uint64_t>(_mm_cvtsi128_si64(s64)) +
-        static_cast<uint64_t>(_mm_extract_epi64(s64, 1)));
-    out[i] = static_cast<uint32_t>(_mm_cvtsi128_si32(sum)) + 256u * corr;
-  }
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vl"))) void
-SqDistGatherAvx512Bw(const uint8_t* desc, const uint32_t* indices, size_t k,
-                     const uint8_t* query, uint32_t* out) {
-  const __mmask32 k20 = 0xFFFFF;
-  const __m512i q = _mm512_cvtepu8_epi16(_mm256_maskz_loadu_epi8(k20, query));
-  for (size_t i = 0; i < k; ++i) {
-    if (i + kGatherPrefetchAhead < k) {
-      __builtin_prefetch(
-          desc + static_cast<size_t>(indices[i + kGatherPrefetchAhead]) *
-                     fp::kDims,
-          0, 3);
-    }
-    const __m512i d = _mm512_cvtepu8_epi16(_mm256_maskz_loadu_epi8(
-        k20, desc + static_cast<size_t>(indices[i]) * fp::kDims));
-    const __m512i diff = _mm512_sub_epi16(d, q);
-    out[i] = static_cast<uint32_t>(
-        _mm512_reduce_add_epi32(_mm512_madd_epi16(diff, diff)));
-  }
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni"))) void
-SqDistGatherAvx512Vnni(const uint8_t* desc, const uint32_t* indices,
-                       size_t k, const uint8_t* query, uint32_t* out) {
-  const __mmask32 k20 = 0xFFFFF;
-  const __m256i q = _mm256_maskz_loadu_epi8(k20, query);
-  const __m256i zero = _mm256_setzero_si256();
-  for (size_t i = 0; i < k; ++i) {
-    if (i + kGatherPrefetchAhead < k) {
-      __builtin_prefetch(
-          desc + static_cast<size_t>(indices[i + kGatherPrefetchAhead]) *
-                     fp::kDims,
-          0, 3);
-    }
-    const __m256i d = _mm256_maskz_loadu_epi8(
-        k20, desc + static_cast<size_t>(indices[i]) * fp::kDims);
-    const __m256i diff =
-        _mm256_or_si256(_mm256_subs_epu8(d, q), _mm256_subs_epu8(q, d));
-    // Same signed-operand correction as SqDistBatchAvx512Vnni above.
-    const __m256i acc = _mm256_dpbusd_epi32(zero, diff, diff);
-    const __m256i high =
-        _mm256_maskz_mov_epi8(_mm256_movepi8_mask(diff), diff);
-    const __m256i sad = _mm256_sad_epu8(high, zero);
-    __m128i sum = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                                _mm256_extracti128_si256(acc, 1));
-    sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(1, 0, 3, 2)));
-    sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(2, 3, 0, 1)));
-    const __m128i s64 = _mm_add_epi64(_mm256_castsi256_si128(sad),
-                                      _mm256_extracti128_si256(sad, 1));
-    const uint32_t corr = static_cast<uint32_t>(
-        static_cast<uint64_t>(_mm_cvtsi128_si64(s64)) +
-        static_cast<uint64_t>(_mm_extract_epi64(s64, 1)));
-    out[i] = static_cast<uint32_t>(_mm_cvtsi128_si32(sum)) + 256u * corr;
-  }
-}
-
-bool Avx512VnniAvailable() {
-  return ScanKernelAvailable(ScanKernelKind::kAvx512) &&
-         __builtin_cpu_supports("avx512vnni");
-}
-
-}  // namespace internal
-#endif  // S3VCD_X86
 
 GatherScorer::GatherScorer(const uint8_t* query, const DescriptorView& view)
     : descriptors_(view.descriptors),
@@ -619,8 +399,6 @@ const char* ScanKernelName(ScanKernelKind kind) {
       return "sse2";
     case ScanKernelKind::kAvx2:
       return "avx2";
-    case ScanKernelKind::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }
@@ -647,14 +425,6 @@ bool ScanKernelAvailable(ScanKernelKind kind) {
     case ScanKernelKind::kAvx2:
 #ifdef S3VCD_X86
       return __builtin_cpu_supports("avx2");
-#else
-      return false;
-#endif
-    case ScanKernelKind::kAvx512:
-#ifdef S3VCD_X86
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512bw") &&
-             __builtin_cpu_supports("avx512vl");
 #else
       return false;
 #endif

@@ -27,36 +27,36 @@ namespace s3vcd::core {
 ///
 /// ScanRecords runs a blocked kernel over the structure-of-arrays
 /// DescriptorBlock layout: a strip of packed descriptors at a time,
-/// u8-difference -> i32-accumulate squared distances, through one of four
-/// runtime-dispatched variants (portable scalar, SSE2, AVX2, AVX-512)
-/// selected at startup from CPU features. The integer arithmetic is exact,
-/// so every variant returns bitwise-identical distances (asserted by
-/// tests/scan_kernel_test.cc). When the view carries a quantized codec
+/// u8-difference -> i32-accumulate squared distances, through one of three
+/// runtime-dispatched variants (portable scalar, SSE2, AVX2). The integer
+/// arithmetic is exact, so every variant returns bitwise-identical
+/// distances (asserted by tests/scan_kernel_test.cc) and a variant earns
+/// its place only by speed. The default is the measured-fastest kernel the
+/// CPU supports, not the widest ISA: AVX2 where present (it outran the
+/// retired AVX-512 kernels on every BENCH_scan path), SSE2 on other
+/// x86-64 hosts, scalar elsewhere. When the view carries the lvq4 codec
 /// (core/descriptor_codec.h) the kernels fuse the integer decode into the
 /// distance accumulation and inflate radius tests by the codec's
 /// reconstruction error bound, so the quantized match set is a superset of
 /// the exact one.
 ///
-/// Environment overrides:
-///   S3VCD_SCAN_KERNEL=scalar|sse2|avx2|avx512  pin a specific kernel
-///     (falls back to the widest available one, with a warning, if the
-///     requested kernel cannot run on this CPU/build);
-///   S3VCD_NO_SIMD=1  force the scalar kernel (kept for compatibility;
-///     S3VCD_SCAN_KERNEL wins when both are set).
+/// Environment override:
+///   S3VCD_SCAN_KERNEL=scalar|sse2|avx2  pin a specific kernel. An unknown
+///     name (a retired kernel's included) or a kernel this CPU/build
+///     cannot run prints a warning and keeps the default.
 
-/// The available kernel implementations, in dispatch-preference order.
+/// The available kernel implementations.
 enum class ScanKernelKind {
   kScalar = 0,  ///< portable reference loop (always available)
   kSse2 = 1,    ///< x86-64 baseline SIMD
-  kAvx2 = 2,    ///< 32-byte SIMD, used when the CPU supports it
-  kAvx512 = 3,  ///< 64-byte SIMD (F+BW+VL; VNNI u8-dot when available)
+  kAvx2 = 2,    ///< 32-byte SIMD, the default when the CPU supports it
 };
 
-/// Display name of a kernel: "scalar", "sse2", "avx2", "avx512".
+/// Display name of a kernel: "scalar", "sse2", "avx2".
 const char* ScanKernelName(ScanKernelKind kind);
 
-/// The kernel ScanRecords currently dispatches to. Defaults to the widest
-/// variant this CPU supports; see the environment overrides above.
+/// The kernel ScanRecords currently dispatches to. Defaults to the
+/// measured-fastest variant this CPU supports; see the override above.
 ScanKernelKind ActiveScanKernel();
 
 /// Whether this build/CPU can run `kind`.
@@ -191,8 +191,8 @@ inline void ScanRecords(const fp::Fingerprint& query,
 /// quantized view, the codec tables) once and resolves the dispatched
 /// kernel; each Score() call then computes the exact integer squared
 /// byte-space distances of K arbitrary record indices in a single kernel
-/// call (scalar/SSE2/AVX2/AVX-512 variants, decode fused for lvq8/lvq4
-/// views, software prefetch of the descriptor lines a few gathers ahead).
+/// call (scalar/SSE2/AVX2 variants, decode fused for lvq4 views, software
+/// prefetch of the descriptor lines a few gathers ahead).
 /// The distances are the same integers the strip kernels produce — bitwise
 /// identical across every variant (pinned by tests/scan_kernel_test.cc).
 /// The view's arrays must outlive the scorer; a scorer is cheap enough to

@@ -27,21 +27,9 @@ using SqDistBatchFn = void (*)(const uint8_t* desc, size_t n,
 void SqDistBatchScalar(const uint8_t* desc, size_t n, const uint8_t* query,
                        uint32_t* out);
 
-/// The AVX-512 exact kernels (defined in scan_kernel.cc behind runtime
-/// dispatch; only callable on CPUs where ScanKernelAvailable(kAvx512)).
-/// Two variants cover the same contract: the BW path widens to u16 and
-/// uses madd, the VNNI path runs the u8 dot product through vpdpbusd with
-/// the signed-operand correction. Declared here so the parity test can
-/// pin both against the scalar reference even though dispatch picks only
-/// one at runtime.
-#if defined(__x86_64__) || defined(__i386__)
-void SqDistBatchAvx512Bw(const uint8_t* desc, size_t n, const uint8_t* query,
-                         uint32_t* out);
-void SqDistBatchAvx512Vnni(const uint8_t* desc, size_t n,
-                           const uint8_t* query, uint32_t* out);
-/// Whether the VNNI variant can run on this CPU (implies kAvx512).
-bool Avx512VnniAvailable();
-#endif
+/// Bytes per coded record: the fused kernels read lvq4 codes, two axes
+/// per byte with the even axis in the low nibble.
+inline constexpr size_t kCodedRecordBytes = fp::kDims / 2;
 
 /// Per-scan precomputation of a quantized sweep: the query and the codec
 /// parameters widened to u16 so the fused decode+distance kernels index
@@ -51,15 +39,15 @@ struct QuantQuery {
   uint16_t query[fp::kDims];   ///< exact query, widened
   uint16_t step16[fp::kDims];  ///< codec fixed-point steps
   uint16_t lo[fp::kDims];      ///< codec biases, widened
-  bool nibble = false;         ///< 4-bit codes, two axes per byte
 };
 
 /// Builds a QuantQuery from the query bytes and a (quantized) codec.
 QuantQuery MakeQuantQuery(const uint8_t* query, const DescriptorCodec& codec);
 
 /// Batch fused decode + squared distance over packed *coded* records
-/// (code_bytes each, back to back): out[i] = sum_j (decode(c_ij) - q_j)^2
-/// with the decode formula of core/descriptor_codec.h. Pure integer
+/// (kCodedRecordBytes each, back to back):
+/// out[i] = sum_j (decode(c_ij) - q_j)^2 with the decode formula of
+/// core/descriptor_codec.h. Pure integer
 /// arithmetic — every variant is bitwise identical (pinned by
 /// tests/descriptor_codec_test.cc).
 using SqDistCodedBatchFn = void (*)(const uint8_t* codes, size_t n,
@@ -84,8 +72,8 @@ using SqDistGatherFn = void (*)(const uint8_t* desc, const uint32_t* indices,
 void SqDistGatherScalar(const uint8_t* desc, const uint32_t* indices,
                         size_t k, const uint8_t* query, uint32_t* out);
 
-/// Gathered fused decode + distance over coded records (code_bytes
-/// per record derived from q.nibble, exactly like SqDistCodedBatchFn).
+/// Gathered fused decode + distance over coded records (kCodedRecordBytes
+/// per record, exactly like SqDistCodedBatchFn).
 using SqDistCodedGatherFn = void (*)(const uint8_t* codes,
                                      const uint32_t* indices, size_t k,
                                      const QuantQuery& q, uint32_t* out);
@@ -93,15 +81,6 @@ using SqDistCodedGatherFn = void (*)(const uint8_t* codes,
 /// Scalar coded gather reference (scan_kernel_scalar.cc).
 void SqDistCodedGatherScalar(const uint8_t* codes, const uint32_t* indices,
                              size_t k, const QuantQuery& q, uint32_t* out);
-
-#if defined(__x86_64__) || defined(__i386__)
-/// The two AVX-512 exact gather variants, declared like the strip kernels
-/// above so the parity test can pin both even though dispatch installs one.
-void SqDistGatherAvx512Bw(const uint8_t* desc, const uint32_t* indices,
-                          size_t k, const uint8_t* query, uint32_t* out);
-void SqDistGatherAvx512Vnni(const uint8_t* desc, const uint32_t* indices,
-                            size_t k, const uint8_t* query, uint32_t* out);
-#endif
 
 }  // namespace s3vcd::core::internal
 

@@ -46,19 +46,16 @@ QuantQuery MakeQuantQuery(const uint8_t* query,
     q.step16[j] = codec.step16[j];
     q.lo[j] = codec.lo[j];
   }
-  q.nibble = codec.kind == DescriptorCodecKind::kLvq4;
   return q;
 }
 
 void SqDistCodedBatchScalar(const uint8_t* codes, size_t n,
                             const QuantQuery& q, uint32_t* out) {
-  const size_t code_bytes = q.nibble ? fp::kDims / 2 : fp::kDims;
   for (size_t i = 0; i < n; ++i) {
-    const uint8_t* c = codes + i * code_bytes;
+    const uint8_t* c = codes + i * kCodedRecordBytes;
     uint32_t acc = 0;
     for (int j = 0; j < fp::kDims; ++j) {
-      const uint32_t code =
-          q.nibble ? ((j & 1) ? (c[j / 2] >> 4) : (c[j / 2] & 0x0F)) : c[j];
+      const uint32_t code = (j & 1) ? (c[j / 2] >> 4) : (c[j / 2] & 0x0F);
       // The decode formula of core/descriptor_codec.h, in u16-safe
       // integer steps (the SIMD variants mirror these exact operations).
       uint32_t v = q.lo[j] + ((code * q.step16[j] + 128u) >> 8);
@@ -87,13 +84,12 @@ void SqDistGatherScalar(const uint8_t* desc, const uint32_t* indices,
 
 void SqDistCodedGatherScalar(const uint8_t* codes, const uint32_t* indices,
                              size_t k, const QuantQuery& q, uint32_t* out) {
-  const size_t code_bytes = q.nibble ? fp::kDims / 2 : fp::kDims;
   for (size_t i = 0; i < k; ++i) {
-    const uint8_t* c = codes + static_cast<size_t>(indices[i]) * code_bytes;
+    const uint8_t* c =
+        codes + static_cast<size_t>(indices[i]) * kCodedRecordBytes;
     uint32_t acc = 0;
     for (int j = 0; j < fp::kDims; ++j) {
-      const uint32_t code =
-          q.nibble ? ((j & 1) ? (c[j / 2] >> 4) : (c[j / 2] & 0x0F)) : c[j];
+      const uint32_t code = (j & 1) ? (c[j / 2] >> 4) : (c[j / 2] & 0x0F);
       uint32_t v = q.lo[j] + ((code * q.step16[j] + 128u) >> 8);
       if (v > 255u) {
         v = 255u;

@@ -84,7 +84,7 @@ struct QueryRequest {
 };
 
 /// Name of the refinement kernel ScanRecords currently dispatches to
-/// ("scalar", "sse2", "avx2", "avx512") — see core/scan_kernel.h. Declared
+/// ("scalar", "sse2", "avx2") — see core/scan_kernel.h. Declared
 /// here so SearcherStats can carry it without a header cycle.
 const char* ActiveScanKernelName();
 
@@ -222,7 +222,7 @@ struct SearcherConfig {
   int segment_tier_fanin = 4;
   bool segment_use_mmap = true;
   /// segment: descriptor codec newly written segments are encoded with
-  /// ("exact", "lvq8", "lvq4" — see core/descriptor_codec.h). Existing
+  /// ("exact", "lvq4" — see core/descriptor_codec.h). Existing
   /// segments keep whatever codec they were written with.
   std::string segment_codec = "exact";
   /// vamana: graph out-degree bound R, build beam L_build, query beam L,

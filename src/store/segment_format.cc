@@ -316,12 +316,15 @@ Status SegmentReader::Init(const std::string& path,
   order_ = static_cast<int>(order);
   count_ = GetU64(header + 16);
   segment_id_ = GetU64(header + 24);
-  const uint8_t codec_tag = header[kHeaderCodecOff];
-  if (codec_tag > static_cast<uint8_t>(core::DescriptorCodecKind::kLvq4)) {
+  // Known tags are exact (0) and lvq4 (2); tag 1, the retired 8-bit codec,
+  // is refused like any other unknown tag.
+  const auto codec_kind =
+      static_cast<core::DescriptorCodecKind>(header[kHeaderCodecOff]);
+  if (codec_kind != core::DescriptorCodecKind::kExactU8 &&
+      codec_kind != core::DescriptorCodecKind::kLvq4) {
     return Status::Corruption("segment descriptor codec tag unknown: " +
                               path);
   }
-  const auto codec_kind = static_cast<core::DescriptorCodecKind>(codec_tag);
 
   if (GetU32(footer + 0) != kNumSections) {
     return Status::Corruption("segment section count mismatch: " + path);

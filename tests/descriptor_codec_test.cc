@@ -40,27 +40,24 @@ class ScopedKernel {
 
 TEST(DescriptorCodecTest, NamesRoundTrip) {
   EXPECT_STREQ(DescriptorCodecName(DescriptorCodecKind::kExactU8), "exact");
-  EXPECT_STREQ(DescriptorCodecName(DescriptorCodecKind::kLvq8), "lvq8");
   EXPECT_STREQ(DescriptorCodecName(DescriptorCodecKind::kLvq4), "lvq4");
   for (DescriptorCodecKind kind :
-       {DescriptorCodecKind::kExactU8, DescriptorCodecKind::kLvq8,
-        DescriptorCodecKind::kLvq4}) {
+       {DescriptorCodecKind::kExactU8, DescriptorCodecKind::kLvq4}) {
     DescriptorCodecKind parsed;
     ASSERT_TRUE(DescriptorCodecFromName(DescriptorCodecName(kind), &parsed));
     EXPECT_EQ(parsed, kind);
   }
-  DescriptorCodecKind parsed = DescriptorCodecKind::kLvq8;
+  DescriptorCodecKind parsed = DescriptorCodecKind::kLvq4;
   EXPECT_FALSE(DescriptorCodecFromName("bogus", &parsed));
-  EXPECT_EQ(parsed, DescriptorCodecKind::kLvq8);  // left alone on failure
+  EXPECT_EQ(parsed, DescriptorCodecKind::kLvq4);  // left alone on failure
   EXPECT_FALSE(DescriptorCodecFromName("", &parsed));
+  EXPECT_EQ(DescriptorCodecNamesCsv(), "exact, lvq4");
 }
 
 TEST(DescriptorCodecTest, CodeBytesAndMaxCodes) {
   EXPECT_EQ(DescriptorCodeBytes(DescriptorCodecKind::kExactU8), 20u);
-  EXPECT_EQ(DescriptorCodeBytes(DescriptorCodecKind::kLvq8), 20u);
   EXPECT_EQ(DescriptorCodeBytes(DescriptorCodecKind::kLvq4), 10u);
   EXPECT_EQ(DescriptorCodecMaxCode(DescriptorCodecKind::kExactU8), 255u);
-  EXPECT_EQ(DescriptorCodecMaxCode(DescriptorCodecKind::kLvq8), 255u);
   EXPECT_EQ(DescriptorCodecMaxCode(DescriptorCodecKind::kLvq4), 15u);
 }
 
@@ -147,69 +144,43 @@ void CheckRoundtripBounds(DescriptorCodecKind kind, uint64_t seed) {
   EXPECT_DOUBLE_EQ(codec.max_error, std::sqrt(sum_sq));
 }
 
-TEST(DescriptorCodecTest, Lvq8RoundtripWithinTrainedBounds) {
-  CheckRoundtripBounds(DescriptorCodecKind::kLvq8, 2);
-}
-
 TEST(DescriptorCodecTest, Lvq4RoundtripWithinTrainedBounds) {
   CheckRoundtripBounds(DescriptorCodecKind::kLvq4, 3);
 }
 
-// lvq8 on a full-range axis trains step16 = 256 (step exactly 1.0), which
-// makes the 8-bit codec lossless — the property that lets a full-range
-// corpus migrate to lvq8 with zero recall risk.
-TEST(DescriptorCodecTest, Lvq8IsLosslessOnFullRangeAxes) {
-  std::vector<uint8_t> data(2 * fp::kDims, 0);
-  for (int j = 0; j < fp::kDims; ++j) {
-    data[fp::kDims + j] = 255;  // second record pins the max
-  }
-  const DescriptorCodec codec =
-      TrainDescriptorCodec(DescriptorCodecKind::kLvq8, data.data(), 2);
-  EXPECT_EQ(codec.max_error, 0.0);
-  uint8_t src[fp::kDims];
-  uint8_t coded[fp::kDims];
-  uint8_t decoded[fp::kDims];
-  for (int v = 0; v <= 255; ++v) {
-    for (int j = 0; j < fp::kDims; ++j) {
-      src[j] = static_cast<uint8_t>(v);
-    }
-    EncodeDescriptor(codec, src, coded);
-    DecodeDescriptor(codec, coded, decoded);
-    EXPECT_EQ(std::memcmp(src, decoded, fp::kDims), 0) << "value " << v;
-  }
-}
-
 TEST(DescriptorCodecTest, SerializationRoundTripsAndValidates) {
   const std::vector<uint8_t> data = MakeDescriptors(256, 4);
-  for (DescriptorCodecKind kind :
-       {DescriptorCodecKind::kLvq8, DescriptorCodecKind::kLvq4}) {
-    const DescriptorCodec codec = TrainDescriptorCodec(kind, data.data(), 256);
-    uint8_t params[kDescriptorCodecParamsBytes];
-    SerializeCodecParams(codec, params);
+  const DescriptorCodec codec =
+      TrainDescriptorCodec(DescriptorCodecKind::kLvq4, data.data(), 256);
+  uint8_t params[kDescriptorCodecParamsBytes];
+  SerializeCodecParams(codec, params);
 
-    DescriptorCodec restored;
-    ASSERT_TRUE(DeserializeCodecParams(kind, params, &restored));
-    EXPECT_EQ(restored.kind, codec.kind);
-    EXPECT_EQ(restored.lo, codec.lo);
-    EXPECT_EQ(restored.step16, codec.step16);
-    EXPECT_EQ(restored.axis_error, codec.axis_error);
-    EXPECT_DOUBLE_EQ(restored.max_error, codec.max_error);
+  DescriptorCodec restored;
+  ASSERT_TRUE(
+      DeserializeCodecParams(DescriptorCodecKind::kLvq4, params, &restored));
+  EXPECT_EQ(restored.kind, codec.kind);
+  EXPECT_EQ(restored.lo, codec.lo);
+  EXPECT_EQ(restored.step16, codec.step16);
+  EXPECT_EQ(restored.axis_error, codec.axis_error);
+  EXPECT_DOUBLE_EQ(restored.max_error, codec.max_error);
 
-    // A zeroed step is structurally invalid (decode would divide the
-    // range into nothing); the reader must refuse it.
-    uint8_t zero_step[kDescriptorCodecParamsBytes];
-    std::memcpy(zero_step, params, sizeof(params));
-    zero_step[0] = 0;
-    zero_step[1] = 0;
-    EXPECT_FALSE(DeserializeCodecParams(kind, zero_step, &restored));
+  // A zeroed step is structurally invalid (decode would divide the range
+  // into nothing); the reader must refuse it.
+  uint8_t zero_step[kDescriptorCodecParamsBytes];
+  std::memcpy(zero_step, params, sizeof(params));
+  zero_step[0] = 0;
+  zero_step[1] = 0;
+  EXPECT_FALSE(
+      DeserializeCodecParams(DescriptorCodecKind::kLvq4, zero_step, &restored));
 
-    // Params of one codec family must not deserialize as the other: the
-    // maxcode byte pins the family.
-    const DescriptorCodecKind other = kind == DescriptorCodecKind::kLvq8
-                                          ? DescriptorCodecKind::kLvq4
-                                          : DescriptorCodecKind::kLvq8;
-    EXPECT_FALSE(DeserializeCodecParams(other, params, &restored));
-  }
+  // Params of another code width must not deserialize as lvq4: the maxcode
+  // byte pins the family, so a blob claiming 8-bit codes (maxcode 255) is
+  // refused even with valid steps.
+  uint8_t wide[kDescriptorCodecParamsBytes];
+  std::memcpy(wide, params, sizeof(params));
+  wide[4 * fp::kDims] = 255;
+  EXPECT_FALSE(
+      DeserializeCodecParams(DescriptorCodecKind::kLvq4, wide, &restored));
 }
 
 TEST(CodedDescriptorBlockTest, EncodesWithTheExpectedByteReduction) {
@@ -219,13 +190,9 @@ TEST(CodedDescriptorBlockTest, EncodesWithTheExpectedByteReduction) {
     block.Append(UniformRandomFingerprint(&rng), static_cast<uint32_t>(i),
                  static_cast<uint32_t>(i), 0.5f, 0.25f);
   }
-  const CodedDescriptorBlock lvq8 =
-      CodedDescriptorBlock::Encode(DescriptorCodecKind::kLvq8, block);
   const CodedDescriptorBlock lvq4 =
       CodedDescriptorBlock::Encode(DescriptorCodecKind::kLvq4, block);
-  EXPECT_EQ(lvq8.size(), block.size());
   EXPECT_EQ(lvq4.size(), block.size());
-  EXPECT_EQ(lvq8.coded_descriptor_bytes(), block.size() * 20u);
   EXPECT_EQ(lvq4.coded_descriptor_bytes(), block.size() * 10u);
   const DescriptorView view = lvq4.View();
   EXPECT_EQ(view.desc_bytes, 10u);
@@ -291,34 +258,30 @@ TEST(CodedScanTest, FusedKernelsMatchScalarBitwise) {
       {RefinementMode::kRadiusFilter, 90.0, nullptr},
       {RefinementMode::kNormalizedRadiusFilter, 4.5, &model},
   };
-  for (DescriptorCodecKind kind :
-       {DescriptorCodecKind::kLvq8, DescriptorCodecKind::kLvq4}) {
-    const CodedDescriptorBlock coded =
-        CodedDescriptorBlock::Encode(kind, block);
-    for (const auto& c : cases) {
-      const RefineSpec spec(c.mode, c.radius, c.model);
-      QueryResult scalar;
-      {
-        ScopedKernel guard(ScanKernelKind::kScalar);
-        ScanRecords(query, coded.View(), 0, coded.size(), spec, &scalar);
+  const CodedDescriptorBlock coded =
+      CodedDescriptorBlock::Encode(DescriptorCodecKind::kLvq4, block);
+  for (const auto& c : cases) {
+    const RefineSpec spec(c.mode, c.radius, c.model);
+    QueryResult scalar;
+    {
+      ScopedKernel guard(ScanKernelKind::kScalar);
+      ScanRecords(query, coded.View(), 0, coded.size(), spec, &scalar);
+    }
+    // The blocked scan must also agree with the per-record refine loop.
+    QueryResult reference;
+    for (size_t i = 0; i < coded.size(); ++i) {
+      RefineRecord(query, coded.View(), i, spec, &reference);
+    }
+    ExpectSameResults(scalar, reference, "refine-loop");
+    for (ScanKernelKind kernel :
+         {ScanKernelKind::kSse2, ScanKernelKind::kAvx2}) {
+      if (!ScanKernelAvailable(kernel)) {
+        continue;
       }
-      // The blocked scan must also agree with the per-record refine loop.
-      QueryResult reference;
-      for (size_t i = 0; i < coded.size(); ++i) {
-        RefineRecord(query, coded.View(), i, spec, &reference);
-      }
-      ExpectSameResults(scalar, reference, "refine-loop");
-      for (ScanKernelKind kernel :
-           {ScanKernelKind::kSse2, ScanKernelKind::kAvx2,
-            ScanKernelKind::kAvx512}) {
-        if (!ScanKernelAvailable(kernel)) {
-          continue;
-        }
-        ScopedKernel guard(kernel);
-        QueryResult simd;
-        ScanRecords(query, coded.View(), 0, coded.size(), spec, &simd);
-        ExpectSameResults(scalar, simd, ScanKernelName(kernel));
-      }
+      ScopedKernel guard(kernel);
+      QueryResult simd;
+      ScanRecords(query, coded.View(), 0, coded.size(), spec, &simd);
+      ExpectSameResults(scalar, simd, ScanKernelName(kernel));
     }
   }
 }
@@ -370,38 +333,34 @@ TEST(CodedScanTest, QuantizedRecallOnLargeCorpus) {
       {"range", RefinementMode::kRadiusFilter, 90.0, nullptr},
       {"stat", RefinementMode::kNormalizedRadiusFilter, 4.5, &model},
   };
-  for (DescriptorCodecKind kind :
-       {DescriptorCodecKind::kLvq8, DescriptorCodecKind::kLvq4}) {
-    const CodedDescriptorBlock coded =
-        CodedDescriptorBlock::Encode(kind, block);
-    size_t exact_total = 0;
-    size_t recovered_total = 0;
-    for (const auto& m : modes) {
-      const RefineSpec spec(m.mode, m.radius, m.model);
-      for (const fp::Fingerprint& query : queries) {
-        QueryResult exact;
-        ScanRecords(query, block, 0, block.size(), spec, &exact);
-        QueryResult quant;
-        ScanRecords(query, coded.View(), 0, coded.size(), spec, &quant);
-        std::set<std::pair<uint32_t, uint32_t>> quant_keys;
-        for (const auto& match : quant.matches) {
-          quant_keys.emplace(match.id, match.time_code);
-        }
-        exact_total += exact.matches.size();
-        for (const auto& match : exact.matches) {
-          recovered_total +=
-              quant_keys.count({match.id, match.time_code}) ? 1 : 0;
-        }
+  const CodedDescriptorBlock coded =
+      CodedDescriptorBlock::Encode(DescriptorCodecKind::kLvq4, block);
+  size_t exact_total = 0;
+  size_t recovered_total = 0;
+  for (const auto& m : modes) {
+    const RefineSpec spec(m.mode, m.radius, m.model);
+    for (const fp::Fingerprint& query : queries) {
+      QueryResult exact;
+      ScanRecords(query, block, 0, block.size(), spec, &exact);
+      QueryResult quant;
+      ScanRecords(query, coded.View(), 0, coded.size(), spec, &quant);
+      std::set<std::pair<uint32_t, uint32_t>> quant_keys;
+      for (const auto& match : quant.matches) {
+        quant_keys.emplace(match.id, match.time_code);
+      }
+      exact_total += exact.matches.size();
+      for (const auto& match : exact.matches) {
+        recovered_total +=
+            quant_keys.count({match.id, match.time_code}) ? 1 : 0;
       }
     }
-    ASSERT_GT(exact_total, 0u) << DescriptorCodecName(kind);
-    const double recall =
-        static_cast<double>(recovered_total) / exact_total;
-    EXPECT_GE(recall, 0.99) << DescriptorCodecName(kind);
-    // The inflated radius makes the quantized set a strict superset, so
-    // recall is in fact exactly 1.0.
-    EXPECT_DOUBLE_EQ(recall, 1.0) << DescriptorCodecName(kind);
   }
+  ASSERT_GT(exact_total, 0u);
+  const double recall = static_cast<double>(recovered_total) / exact_total;
+  EXPECT_GE(recall, 0.99);
+  // The inflated radius makes the quantized set a strict superset, so
+  // recall is in fact exactly 1.0.
+  EXPECT_DOUBLE_EQ(recall, 1.0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests of the shared refinement kernel (core/scan_kernel): runtime
-// dispatch and the S3VCD_NO_SIMD override, the RefineSpec weight table,
+// dispatch and the S3VCD_SCAN_KERNEL override, the RefineSpec weight table,
 // the pinned Match.distance semantics of normalized mode, bitwise parity
 // of the SIMD kernels against the scalar reference, ScanRecords vs the
 // per-record RefineRecord loop, and a property test of the curve-key
@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,7 +18,6 @@
 
 #include "core/descriptor_block.h"
 #include "core/descriptor_codec.h"
-#include "core/scan_kernel_internal.h"
 #include "core/distortion_model.h"
 #include "core/synthetic_db.h"
 #include "fingerprint/fingerprint.h"
@@ -41,29 +40,50 @@ class ScopedKernel {
   ScanKernelKind previous_;
 };
 
-// First test in the binary: the startup detection has not been overridden
-// yet, so the active kernel is exactly what DetectKernel chose. The
-// scan_kernel_test_nosimd ctest entry runs this same binary with
-// S3VCD_NO_SIMD=1, which must force the scalar kernel, and the
-// scan_kernel_test_forced_scalar entry runs it with
-// S3VCD_SCAN_KERNEL=scalar, the explicit selector that outranks both the
-// detection and S3VCD_NO_SIMD.
+// The kernel dispatch must pick when no valid override is set: the
+// measured-fastest one this CPU supports, not the widest ISA.
+ScanKernelKind ExpectedDefaultKernel() {
+  if (ScanKernelAvailable(ScanKernelKind::kAvx2)) {
+    return ScanKernelKind::kAvx2;
+  }
+  if (ScanKernelAvailable(ScanKernelKind::kSse2)) {
+    return ScanKernelKind::kSse2;
+  }
+  return ScanKernelKind::kScalar;
+}
+
+// First test in the binary: the kernel is detected on the first
+// ActiveScanKernel() call, so this test sees exactly what DetectKernel
+// chose and what it printed. The scan_kernel_test_forced_scalar ctest
+// entry runs this same binary with S3VCD_SCAN_KERNEL=scalar, which must
+// force the scalar kernel; scan_kernel_test_retired_avx512 runs it with
+// S3VCD_SCAN_KERNEL=avx512, a retired name that must warn and leave the
+// default in place.
 TEST(ScanKernelDispatchTest, EnvOverrideForcesScalar) {
-  const char* forced = std::getenv("S3VCD_SCAN_KERNEL");
-  const char* no_simd = std::getenv("S3VCD_NO_SIMD");
-  if (forced != nullptr && std::strcmp(forced, "scalar") == 0) {
-    EXPECT_EQ(ActiveScanKernel(), ScanKernelKind::kScalar);
-  } else if (forced == nullptr && no_simd != nullptr && no_simd[0] == '1') {
-    EXPECT_EQ(ActiveScanKernel(), ScanKernelKind::kScalar);
+  testing::internal::CaptureStderr();
+  const ScanKernelKind active = ActiveScanKernel();
+  const std::string warning = testing::internal::GetCapturedStderr();
+  const char* env = std::getenv("S3VCD_SCAN_KERNEL");
+  const std::string forced = env != nullptr ? env : "";
+  if (forced == "scalar") {
+    EXPECT_EQ(active, ScanKernelKind::kScalar);
+    EXPECT_EQ(warning, "");
+  } else if (forced.empty()) {
+    EXPECT_EQ(active, ExpectedDefaultKernel());  // kAvx2 whenever available
+    EXPECT_EQ(warning, "");
+  } else if (forced == "avx512") {
+    EXPECT_EQ(active, ExpectedDefaultKernel());
+    EXPECT_NE(warning.find("unknown S3VCD_SCAN_KERNEL 'avx512'"),
+              std::string::npos)
+        << warning;
   } else {
-    EXPECT_TRUE(ScanKernelAvailable(ActiveScanKernel()));
+    EXPECT_TRUE(ScanKernelAvailable(active));
   }
   EXPECT_TRUE(ScanKernelAvailable(ScanKernelKind::kScalar));
   EXPECT_STREQ(ScanKernelName(ScanKernelKind::kScalar), "scalar");
   EXPECT_STREQ(ScanKernelName(ScanKernelKind::kSse2), "sse2");
   EXPECT_STREQ(ScanKernelName(ScanKernelKind::kAvx2), "avx2");
-  EXPECT_STREQ(ScanKernelName(ScanKernelKind::kAvx512), "avx512");
-  EXPECT_STREQ(ActiveScanKernelName(), ScanKernelName(ActiveScanKernel()));
+  EXPECT_STREQ(ActiveScanKernelName(), ScanKernelName(active));
 }
 
 TEST(ScanKernelDispatchTest, SetScanKernelForTestRoundTrips) {
@@ -255,8 +275,7 @@ TEST(ScanRecordsTest, SimdKernelsMatchScalarBitwise) {
       ScanRecords(query, block, 0, block.size(), spec, &scalar);
     }
     for (ScanKernelKind kind :
-         {ScanKernelKind::kSse2, ScanKernelKind::kAvx2,
-          ScanKernelKind::kAvx512}) {
+         {ScanKernelKind::kSse2, ScanKernelKind::kAvx2}) {
       if (!ScanKernelAvailable(kind)) {
         continue;
       }
@@ -267,38 +286,6 @@ TEST(ScanRecordsTest, SimdKernelsMatchScalarBitwise) {
     }
   }
 }
-
-#if defined(__x86_64__) || defined(__i386__)
-// Dispatch only ever installs one AVX-512 variant (VNNI when the CPU has
-// it, the BW widening path otherwise), so pin BOTH directly against the
-// scalar reference: every variant computes the exact integer squared
-// distance, element for element.
-TEST(ScanKernelTest, Avx512VariantsMatchScalarReference) {
-  if (!ScanKernelAvailable(ScanKernelKind::kAvx512)) {
-    GTEST_SKIP() << "AVX-512 unavailable on this CPU";
-  }
-  Rng rng(15);
-  const fp::Fingerprint query = UniformRandomFingerprint(&rng);
-  const DescriptorBlock block = MakeTestBlock(query, 1537, &rng);
-  std::vector<uint32_t> reference(block.size());
-  std::vector<uint32_t> bw(block.size());
-  internal::SqDistBatchScalar(block.descriptors(), block.size(), query.data(),
-                              reference.data());
-  internal::SqDistBatchAvx512Bw(block.descriptors(), block.size(),
-                                query.data(), bw.data());
-  for (size_t i = 0; i < block.size(); ++i) {
-    ASSERT_EQ(reference[i], bw[i]) << "BW record " << i;
-  }
-  if (internal::Avx512VnniAvailable()) {
-    std::vector<uint32_t> vnni(block.size());
-    internal::SqDistBatchAvx512Vnni(block.descriptors(), block.size(),
-                                    query.data(), vnni.data());
-    for (size_t i = 0; i < block.size(); ++i) {
-      ASSERT_EQ(reference[i], vnni[i]) << "VNNI record " << i;
-    }
-  }
-}
-#endif  // x86
 
 // --- Gather kernels (GatherScorer) --------------------------------------
 
@@ -336,8 +323,8 @@ TEST(GatherScorerTest, ExactViewMatchesSquaredDistanceU32Bitwise) {
   const DescriptorView view = block.View();
   const auto sets = MakeIndexSets(block.size(), &rng);
   for (ScanKernelKind kind :
-       {ScanKernelKind::kScalar, ScanKernelKind::kSse2, ScanKernelKind::kAvx2,
-        ScanKernelKind::kAvx512}) {
+       {ScanKernelKind::kScalar, ScanKernelKind::kSse2,
+        ScanKernelKind::kAvx2}) {
     if (!ScanKernelAvailable(kind)) {
       continue;
     }
@@ -358,78 +345,38 @@ TEST(GatherScorerTest, ExactViewMatchesSquaredDistanceU32Bitwise) {
   }
 }
 
-// On quantized views every kernel returns the exact integer distance to
-// the *decoded* record — bitwise identical to decoding with
-// DecodeDescriptor and running SquaredDistanceU32, and identical across
-// scalar/SSE2/AVX2/AVX-512.
+// On lvq4 views every kernel returns the exact integer distance to the
+// *decoded* record — bitwise identical to decoding with DecodeDescriptor
+// and running SquaredDistanceU32, and identical across scalar/SSE2/AVX2.
 TEST(GatherScorerTest, CodedViewsMatchDecodedReferenceBitwise) {
   Rng rng(17);
   const fp::Fingerprint query = UniformRandomFingerprint(&rng);
   const DescriptorBlock block = MakeTestBlock(query, 1999, &rng);
-  for (DescriptorCodecKind codec :
-       {DescriptorCodecKind::kLvq8, DescriptorCodecKind::kLvq4}) {
-    const CodedDescriptorBlock coded =
-        CodedDescriptorBlock::Encode(codec, block);
-    const DescriptorView view = coded.View();
-    const auto sets = MakeIndexSets(coded.size(), &rng);
-    for (ScanKernelKind kind :
-         {ScanKernelKind::kScalar, ScanKernelKind::kSse2,
-          ScanKernelKind::kAvx2, ScanKernelKind::kAvx512}) {
-      if (!ScanKernelAvailable(kind)) {
-        continue;
-      }
-      ScopedKernel guard(kind);
-      const GatherScorer scorer(query, view);
-      EXPECT_EQ(scorer.desc_bytes(), coded.codec().code_bytes());
-      for (const auto& ids : sets) {
-        std::vector<uint32_t> out(ids.size());
-        scorer.Score(ids.data(), ids.size(), out.data());
-        for (size_t i = 0; i < ids.size(); ++i) {
-          uint8_t decoded[fp::kDims];
-          DecodeDescriptor(coded.codec(), view.descriptor(ids[i]), decoded);
-          ASSERT_EQ(out[i], SquaredDistanceU32(query.data(), decoded))
-              << DescriptorCodecName(codec) << " " << ScanKernelName(kind)
-              << " index " << ids[i];
-        }
-      }
+  const CodedDescriptorBlock coded =
+      CodedDescriptorBlock::Encode(DescriptorCodecKind::kLvq4, block);
+  const DescriptorView view = coded.View();
+  const auto sets = MakeIndexSets(coded.size(), &rng);
+  for (ScanKernelKind kind :
+       {ScanKernelKind::kScalar, ScanKernelKind::kSse2,
+        ScanKernelKind::kAvx2}) {
+    if (!ScanKernelAvailable(kind)) {
+      continue;
     }
-  }
-}
-
-#if defined(__x86_64__) || defined(__i386__)
-// Dispatch installs only one AVX-512 gather variant at a time, so pin
-// both (the BW widening path and the VNNI u8-dot path) directly against
-// the scalar gather reference.
-TEST(GatherScorerTest, Avx512GatherVariantsMatchScalarReference) {
-  if (!ScanKernelAvailable(ScanKernelKind::kAvx512)) {
-    GTEST_SKIP() << "AVX-512 unavailable on this CPU";
-  }
-  Rng rng(18);
-  const fp::Fingerprint query = UniformRandomFingerprint(&rng);
-  const DescriptorBlock block = MakeTestBlock(query, 1201, &rng);
-  const auto sets = MakeIndexSets(block.size(), &rng);
-  for (const auto& ids : sets) {
-    std::vector<uint32_t> reference(ids.size());
-    std::vector<uint32_t> bw(ids.size());
-    internal::SqDistGatherScalar(block.descriptors(), ids.data(), ids.size(),
-                                 query.data(), reference.data());
-    internal::SqDistGatherAvx512Bw(block.descriptors(), ids.data(),
-                                   ids.size(), query.data(), bw.data());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      ASSERT_EQ(reference[i], bw[i]) << "BW gather " << i;
-    }
-    if (internal::Avx512VnniAvailable()) {
-      std::vector<uint32_t> vnni(ids.size());
-      internal::SqDistGatherAvx512Vnni(block.descriptors(), ids.data(),
-                                       ids.size(), query.data(),
-                                       vnni.data());
+    ScopedKernel guard(kind);
+    const GatherScorer scorer(query, view);
+    EXPECT_EQ(scorer.desc_bytes(), coded.codec().code_bytes());
+    for (const auto& ids : sets) {
+      std::vector<uint32_t> out(ids.size());
+      scorer.Score(ids.data(), ids.size(), out.data());
       for (size_t i = 0; i < ids.size(); ++i) {
-        ASSERT_EQ(reference[i], vnni[i]) << "VNNI gather " << i;
+        uint8_t decoded[fp::kDims];
+        DecodeDescriptor(coded.codec(), view.descriptor(ids[i]), decoded);
+        ASSERT_EQ(out[i], SquaredDistanceU32(query.data(), decoded))
+            << ScanKernelName(kind) << " index " << ids[i];
       }
     }
   }
 }
-#endif  // x86
 
 TEST(ScanKernelTest, SquaredDistanceU32MatchesFingerprintDistance) {
   Rng rng(13);

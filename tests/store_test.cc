@@ -80,7 +80,8 @@ std::multiset<std::string> RecordSet(const SegmentStore& store) {
       const core::FingerprintRecord r = segment->Record(i);
       std::string repr(reinterpret_cast<const char*>(r.descriptor.data()),
                        r.descriptor.size());
-      repr += "/" + std::to_string(r.id) + "/" + std::to_string(r.time_code);
+      repr.append("/").append(std::to_string(r.id));
+      repr.append("/").append(std::to_string(r.time_code));
       out.insert(repr);
     }
   }
@@ -152,51 +153,40 @@ TEST(SegmentFormatTest, QuantizedRoundtripDecodesWithinCodecErrorBounds) {
   core::DescriptorBlock block;
   std::vector<BitKey> keys;
   MakeSortedRun(500, 17, 3, &block, &keys);
-  for (const auto codec_kind :
-       {core::DescriptorCodecKind::kLvq8, core::DescriptorCodecKind::kLvq4}) {
-    const std::string path = dir.path() + "/seg-" +
-                             core::DescriptorCodecName(codec_kind) + ".s3seg";
-    SegmentWriteOptions write_options;
-    write_options.codec = codec_kind;
-    ASSERT_TRUE(WriteSegmentFile(path, 7, kOrder, block, keys, write_options)
-                    .ok());
+  const std::string path = dir.path() + "/seg-lvq4.s3seg";
+  SegmentWriteOptions write_options;
+  write_options.codec = core::DescriptorCodecKind::kLvq4;
+  ASSERT_TRUE(
+      WriteSegmentFile(path, 7, kOrder, block, keys, write_options).ok());
 
-    auto reader = SegmentReader::Open(path);
-    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    const SegmentReader& seg = **reader;
-    EXPECT_EQ(seg.codec_kind(), codec_kind);
-    EXPECT_EQ(seg.descriptor_code_bytes(),
-              core::DescriptorCodeBytes(codec_kind));
-    const core::DescriptorCodec& codec = seg.codec();
-    if (codec_kind == core::DescriptorCodecKind::kLvq4) {
-      // Wide random u8 axes are lossy under 4-bit codes; lvq8 is lossless
-      // on (near-)full-range axes by construction, so no bound there.
-      EXPECT_GT(codec.max_error, 0.0);
-    }
-    // The scan view routes through the fused decode kernels: narrow rows
-    // plus the trained codec.
-    const core::DescriptorView view = seg.View();
-    EXPECT_EQ(view.desc_bytes, core::DescriptorCodeBytes(codec_kind));
-    ASSERT_NE(view.codec, nullptr);
-    EXPECT_EQ(view.codec->kind, codec_kind);
-    // Every record decodes within the codec's exhaustively computed
-    // per-axis error bound; metadata roundtrips exactly.
-    ASSERT_EQ(seg.size(), block.size());
-    for (size_t i = 0; i < seg.size(); ++i) {
-      const core::FingerprintRecord got = seg.Record(i);
-      const core::FingerprintRecord want = block.Record(i);
-      EXPECT_EQ(got.id, want.id);
-      EXPECT_EQ(got.time_code, want.time_code);
-      for (size_t j = 0; j < fp::kDims; ++j) {
-        EXPECT_LE(std::abs(static_cast<int>(got.descriptor[j]) -
-                           static_cast<int>(want.descriptor[j])),
-                  static_cast<int>(codec.axis_error[j]))
-            << "record " << i << " axis " << j;
-      }
-    }
-    // The 4-bit codec is the 2x byte reduction the quantized store buys.
-    if (codec_kind == core::DescriptorCodecKind::kLvq4) {
-      EXPECT_EQ(seg.descriptor_code_bytes() * 2, fp::kDims);
+  auto reader = SegmentReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const SegmentReader& seg = **reader;
+  EXPECT_EQ(seg.codec_kind(), core::DescriptorCodecKind::kLvq4);
+  // The 4-bit codec is the 2x byte reduction the quantized store buys.
+  EXPECT_EQ(seg.descriptor_code_bytes() * 2, fp::kDims);
+  const core::DescriptorCodec& codec = seg.codec();
+  // Wide random u8 axes are lossy under 4-bit codes.
+  EXPECT_GT(codec.max_error, 0.0);
+  // The scan view routes through the fused decode kernels: narrow rows
+  // plus the trained codec.
+  const core::DescriptorView view = seg.View();
+  EXPECT_EQ(view.desc_bytes, seg.descriptor_code_bytes());
+  ASSERT_NE(view.codec, nullptr);
+  EXPECT_EQ(view.codec->kind, core::DescriptorCodecKind::kLvq4);
+  // Every record decodes within the codec's exhaustively computed per-axis
+  // error bound; metadata roundtrips exactly.
+  ASSERT_EQ(seg.size(), block.size());
+  for (size_t i = 0; i < seg.size(); ++i) {
+    const core::FingerprintRecord got = seg.Record(i);
+    const core::FingerprintRecord want = block.Record(i);
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.time_code, want.time_code);
+    for (size_t j = 0; j < fp::kDims; ++j) {
+      EXPECT_LE(std::abs(static_cast<int>(got.descriptor[j]) -
+                         static_cast<int>(want.descriptor[j])),
+                static_cast<int>(codec.axis_error[j]))
+          << "record " << i << " axis " << j;
     }
   }
 }
@@ -389,29 +379,55 @@ TEST_F(SegmentCorruptionTest, ExactSegmentRefusesToDecodeAsLvq4) {
   ExpectCorrupt("exact segment relabeled lvq4");
 }
 
+TEST_F(SegmentCorruptionTest, RetiredLvq8CodecTagIsRejected) {
+  // Tag 1 belonged to the retired 8-bit codec (lvq8). A segment carrying
+  // it, even with a resealed header, is refused as an unknown tag rather
+  // than decoded under a guessed codec.
+  bytes_[kHeaderCodecOff] = 1;
+  ResealHeader();
+  ExpectCorrupt("retired codec tag 1");
+}
+
 TEST_F(SegmentCorruptionTest, QuantizedSegmentRefusesToDecodeAsExact) {
-  // lvq8 and exact share the 20 B row width, so this row exercises the
-  // params-section length check instead (96 B present, 0 B expected).
-  WriteWithCodec(core::DescriptorCodecKind::kLvq8);
+  // lvq4 rows are 10 B, so relabelled exact the descriptor section length
+  // (300 * 10 B) no longer matches the claimed 20 B rows.
+  WriteWithCodec(core::DescriptorCodecKind::kLvq4);
   bytes_[kHeaderCodecOff] =
       static_cast<uint8_t>(core::DescriptorCodecKind::kExactU8);
   ResealHeader();
-  ExpectCorrupt("lvq8 segment relabeled exact");
+  ExpectCorrupt("lvq4 segment relabeled exact");
+}
+
+TEST_F(SegmentCorruptionTest, ExactSegmentClaimingCodecParamsIsRejected) {
+  // The params-section length check on its own: an exact segment whose
+  // resealed section table claims a 96 B params section (0 B expected).
+  uint64_t params_length = core::kDescriptorCodecParamsBytes;
+  std::memcpy(footer() + 4 + 6 * 24 + 8, &params_length, 8);
+  ResealFooter();
+  ExpectCorrupt("exact segment with a params section");
 }
 
 TEST_F(SegmentCorruptionTest, QuantizedSegmentRefusesOtherQuantizedCodec) {
-  WriteWithCodec(core::DescriptorCodecKind::kLvq8);
-  bytes_[kHeaderCodecOff] =
-      static_cast<uint8_t>(core::DescriptorCodecKind::kLvq4);
-  ResealHeader();
-  ExpectCorrupt("lvq8 segment relabeled lvq4");
+  // An lvq4 segment whose params blob claims another code width (maxcode
+  // 255, 8-bit codes), with the section CRC and footer resealed: the
+  // params must not decode as lvq4.
+  WriteWithCodec(core::DescriptorCodecKind::kLvq4);
+  uint64_t params_offset = 0, params_length = 0;
+  std::memcpy(&params_offset, footer() + 4 + 6 * 24, 8);
+  std::memcpy(&params_length, footer() + 4 + 6 * 24 + 8, 8);
+  ASSERT_EQ(params_length, core::kDescriptorCodecParamsBytes);
+  bytes_[params_offset + 4 * fp::kDims] = 255;
+  const uint32_t crc = Crc32(bytes_.data() + params_offset, params_length);
+  std::memcpy(footer() + 4 + 6 * 24 + 16, &crc, 4);
+  ResealFooter();
+  ExpectCorrupt("lvq4 segment with 8-bit codec params");
 }
 
 TEST_F(SegmentCorruptionTest, CorruptCodecParamsAreRejected) {
   // Zero out the trained parameters of a quantized segment (step16 == 0 is
   // structurally invalid) and reseal the section CRC and footer, so the
   // params validation itself fires rather than a checksum.
-  WriteWithCodec(core::DescriptorCodecKind::kLvq8);
+  WriteWithCodec(core::DescriptorCodecKind::kLvq4);
   uint64_t params_offset = 0, params_length = 0;
   std::memcpy(&params_offset, footer() + 4 + 6 * 24, 8);
   std::memcpy(&params_length, footer() + 4 + 6 * 24 + 8, 8);

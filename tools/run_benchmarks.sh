@@ -2,11 +2,11 @@
 # Runs the refine-kernel micro benchmark (BM_RefineScan: a full seqscan
 # sweep of the shared 200k-record corpus per iteration) and distills the
 # result into a machine-readable BENCH_scan.json: records/sec per scan
-# kernel (scalar / sse2 / avx2 / avx512) plus the SIMD-over-scalar
-# speedup. The scalar leg is a genuinely scalar loop (its TU is built with
+# kernel (scalar / sse2 / avx2) plus the SIMD-over-scalar speedup. The
+# scalar leg is a genuinely scalar loop (its TU is built with
 # auto-vectorization off), so the speedup is kernel work, not compiler
-# luck. The quantized stanza (BM_CodedRefineScan) adds the lvq8/lvq4
-# descriptor codecs: records/sec through the fused decode+distance
+# luck. The quantized stanza (BM_CodedRefineScan) adds the lvq4
+# descriptor codec: records/sec through the fused decode+distance
 # kernels, bytes per stored descriptor, the byte reduction over the exact
 # 20-byte layout, and the recall of the exact match set. The gather stanza
 # (BM_BatchedDistance) adds the graph-traversal distance path: one
@@ -22,17 +22,17 @@
 #
 # Also runs the segment-store scan benchmark (BM_SegmentScan: the same
 # full-corpus refine sweep served off an on-disk .s3seg segment, mapped
-# and resident, written with each descriptor codec) and writes
-# BENCH_store.json: records/sec per read mode, each mode's ratio to the
-# in-memory sweep from the scan run above, the mmap-over-resident ratio,
-# and a quantized stanza with the per-codec throughput and stored
-# descriptor bytes.
+# and resident, written with each descriptor codec, on the default
+# kernel) and writes BENCH_store.json: records/sec per read mode, each
+# mode's ratio to the in-memory sweep of the same kernel from the scan run
+# above, the mmap-over-resident ratio, and a quantized stanza with the
+# per-codec throughput and stored descriptor bytes.
 #
-# Every BENCH_*.json carries a "host" object: the machine's x86 SIMD
-# capability flags (from /proc/cpuinfo) and the scan kernel the runtime
-# dispatcher selects on this host (honouring S3VCD_SCAN_KERNEL /
-# S3VCD_NO_SIMD), so archived numbers are attributable to the ISA that
-# produced them.
+# Every BENCH_*.json carries a "host" object: the CPU model, the CPUs
+# this process may run on, the x86 SIMD capability flags (from
+# /proc/cpuinfo) and the scan kernel the library dispatched to in that
+# run (honouring S3VCD_SCAN_KERNEL), so archived numbers are attributable
+# to the hardware and kernel that produced them.
 #
 # Finally drives the query service through the loadgen ramp (calibrated
 # open loop over a 200k-record database) and writes BENCH_service.json:
@@ -65,34 +65,35 @@ if [[ ! -x "${build_dir}/bench/micro_benchmarks" ]]; then
   cmake --build "${build_dir}" --target micro_benchmarks -j"$(nproc)"
 fi
 
-# Host ISA capabilities and the kernel the runtime dispatcher selects here
-# (mirrors core::DetectKernel: S3VCD_SCAN_KERNEL wins, then S3VCD_NO_SIMD,
-# then the widest available instruction set).
-host_isa_flags=""
-for flag in sse2 ssse3 sse4_1 sse4_2 avx avx2 avx512f avx512bw avx512vl avx512vnni; do
-  if grep -m1 '^flags' /proc/cpuinfo 2>/dev/null | grep -qw "${flag}"; then
-    host_isa_flags="${host_isa_flags} ${flag}"
-  fi
-done
-host_isa_flags="${host_isa_flags# }"
-if [[ -n "${S3VCD_SCAN_KERNEL:-}" ]]; then
-  selected_kernel="${S3VCD_SCAN_KERNEL}"
-elif [[ -n "${S3VCD_NO_SIMD:-}" ]]; then
-  selected_kernel="scalar"
-elif [[ " ${host_isa_flags} " == *" avx512f "* && \
-        " ${host_isa_flags} " == *" avx512bw "* && \
-        " ${host_isa_flags} " == *" avx512vl "* ]]; then
-  selected_kernel="avx512"
-elif [[ " ${host_isa_flags} " == *" avx2 "* ]]; then
-  selected_kernel="avx2"
-elif [[ " ${host_isa_flags} " == *" sse2 "* ]]; then
-  selected_kernel="sse2"
-else
-  selected_kernel="scalar"
-fi
-export S3VCD_BENCH_HOST_ISA="${host_isa_flags}"
-export S3VCD_BENCH_SELECTED_KERNEL="${selected_kernel}"
-echo "host ISA: ${host_isa_flags} (dispatcher selects ${selected_kernel})" >&2
+# Host fingerprint shared by every BENCH file. The scan kernel is not
+# derived here: each stanza reads the one the library dispatched to from
+# its own run (the micro benchmarks' "scan_kernel" context, the loadgen
+# report, the ANN harness's host block).
+S3VCD_BENCH_HOST="$(python3 - <<'PY'
+import json
+import os
+
+model, flags = "unknown", set()
+try:
+    with open("/proc/cpuinfo") as f:
+        for line in f:
+            key, _, value = line.partition(":")
+            if key.strip() == "model name" and model == "unknown":
+                model = value.strip()
+            elif key.strip() == "flags" and not flags:
+                flags = set(value.split())
+except OSError:
+    pass
+print(json.dumps({
+    "cpu_model": model,
+    "nproc": len(os.sched_getaffinity(0)),
+    "isa_flags": [f for f in ("sse2", "ssse3", "sse4_1", "sse4_2", "avx",
+                              "avx2") if f in flags],
+}))
+PY
+)"
+export S3VCD_BENCH_HOST
+echo "host: ${S3VCD_BENCH_HOST}" >&2
 
 raw_json="$(mktemp)"
 trap 'rm -f "${raw_json}"' EXIT
@@ -112,11 +113,8 @@ raw_path, out_path = sys.argv[1], sys.argv[2]
 with open(raw_path) as f:
     raw = json.load(f)
 
-host = {
-    "isa_flags": os.environ.get("S3VCD_BENCH_HOST_ISA", "").split(),
-    "selected_scan_kernel":
-        os.environ.get("S3VCD_BENCH_SELECTED_KERNEL", "unknown"),
-}
+host = dict(json.loads(os.environ["S3VCD_BENCH_HOST"]),
+            selected_scan_kernel=raw.get("context", {}).get("scan_kernel"))
 
 EXACT_BYTES = 20.0
 kernels = {}
@@ -193,7 +191,7 @@ result = {
     "benchmark": "BM_RefineScan / BM_CodedRefineScan",
     "description": ("seqscan refine sweep over 200000 records, "
                     "kRadiusFilter mode, records/sec per scan kernel; "
-                    "'quantized' covers the lvq8/lvq4 descriptor codecs "
+                    "'quantized' covers the lvq4 descriptor codec "
                     "through the fused decode+distance kernels (recall is "
                     "of the exact-codec match set, measured on the same "
                     "corpus and query); 'gather' is the graph-traversal "
@@ -252,11 +250,8 @@ raw_path, out_path = sys.argv[1], sys.argv[2]
 with open(raw_path) as f:
     raw = json.load(f)
 
-host = {
-    "isa_flags": os.environ.get("S3VCD_BENCH_HOST_ISA", "").split(),
-    "selected_scan_kernel":
-        os.environ.get("S3VCD_BENCH_SELECTED_KERNEL", "unknown"),
-}
+host = dict(json.loads(os.environ["S3VCD_BENCH_HOST"]),
+            selected_scan_kernel=raw.get("context", {}).get("scan_kernel"))
 
 # Labels: "stat:table:d12" / "stat:reference:d12" / "range:d12".
 statistical = {}
@@ -321,14 +316,11 @@ raw_path, scan_path, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
 with open(raw_path) as f:
     raw = json.load(f)
 
-host = {
-    "isa_flags": os.environ.get("S3VCD_BENCH_HOST_ISA", "").split(),
-    "selected_scan_kernel":
-        os.environ.get("S3VCD_BENCH_SELECTED_KERNEL", "unknown"),
-}
+host = dict(json.loads(os.environ["S3VCD_BENCH_HOST"]),
+            selected_scan_kernel=raw.get("context", {}).get("scan_kernel"))
 
-# Labels: "segment:<mode>" for the exact codec, "segment:<mode>:<codec>"
-# for the quantized ones.
+# Labels: "segment:<mode>:<kernel>" for the exact codec,
+# "segment:<mode>:<codec>:<kernel>" for the quantized ones.
 EXACT_BYTES = 20.0
 modes = {}
 quantized = {}
@@ -340,10 +332,11 @@ for b in raw.get("benchmarks", []):
         continue
     parts = label.split(":")
     entry = {
+        "kernel": parts[-1],
         "records_per_second": b.get("items_per_second", 0.0),
         "ns_per_sweep": b.get("real_time", 0.0),
     }
-    if len(parts) == 2:
+    if len(parts) == 3:
         modes[parts[1]] = entry
     else:
         mode, codec = parts[1], parts[2]
@@ -354,22 +347,30 @@ for b in raw.get("benchmarks", []):
             "modes": {},
         })["modes"][mode] = entry
 
-# Ratio to the in-memory sweep of the same corpus (best kernel from the
-# BM_RefineScan run written just before this stanza).
-memory_rps = 0.0
+# Ratio to the in-memory sweep of the same corpus on the same kernel and
+# codec (BM_RefineScan / BM_CodedRefineScan, written just before this
+# stanza), so the ratio is the cost of serving from the store alone.
 try:
     with open(scan_path) as f:
         scan = json.load(f)
-    best = scan.get("best_simd_kernel")
-    memory_rps = (scan.get("kernels", {})
-                  .get(best, {})
-                  .get("records_per_second", 0.0))
 except (OSError, json.JSONDecodeError):
-    pass
-for entry in modes.values():
-    entry["fraction_of_memory_sweep"] = (
-        entry["records_per_second"] / memory_rps if memory_rps > 0 else None)
+    scan = {}
 
+
+def memory_rps(kernels, kernel):
+    return kernels.get(kernel, {}).get("records_per_second", 0.0)
+
+
+for entry in modes.values():
+    rps = memory_rps(scan.get("kernels", {}), entry["kernel"])
+    entry["fraction_of_memory_sweep"] = (
+        entry["records_per_second"] / rps if rps > 0 else None)
+for codec, q in quantized.items():
+    kernels = scan.get("quantized", {}).get(codec, {}).get("kernels", {})
+    for entry in q["modes"].values():
+        rps = memory_rps(kernels, entry["kernel"])
+        entry["fraction_of_memory_sweep"] = (
+            entry["records_per_second"] / rps if rps > 0 else None)
 mmap_rps = modes.get("mmap", {}).get("records_per_second", 0.0)
 resident_rps = modes.get("resident", {}).get("records_per_second", 0.0)
 
@@ -377,16 +378,19 @@ result = {
     "benchmark": "BM_SegmentScan",
     "description": ("refine sweep over a 200000-record on-disk .s3seg "
                     "segment, kRadiusFilter mode, records/sec per read "
-                    "mode (mmap vs resident copy); fraction_of_memory_sweep "
-                    "compares against BM_RefineScan's in-memory corpus; "
+                    "mode (mmap vs resident copy) on the default kernel; "
+                    "fraction_of_memory_sweep compares against the "
+                    "in-memory sweep of the same kernel and codec; "
                     "'quantized' covers segments written with the "
-                    "lvq8/lvq4 descriptor codecs, scanned through the "
+                    "lvq4 descriptor codec, scanned through the "
                     "fused decode kernels straight off the store"),
     "sweep_records": 200000,
     "host": host,
     "modes": modes,
     "quantized": quantized,
-    "memory_sweep_records_per_second": memory_rps or None,
+    "memory_sweep_records_per_second":
+        memory_rps(scan.get("kernels", {}), host["selected_scan_kernel"])
+        or None,
     "mmap_over_resident":
         (mmap_rps / resident_rps) if resident_rps > 0 else None,
     "context": raw.get("context", {}),
@@ -472,11 +476,8 @@ def load_cmp(name):
 unhedged_runs = [load_cmp("u1.json"), load_cmp("u2.json")]
 hedged_runs = [load_cmp("h1.json"), load_cmp("h2.json")]
 
-host = {
-    "isa_flags": os.environ.get("S3VCD_BENCH_HOST_ISA", "").split(),
-    "selected_scan_kernel":
-        os.environ.get("S3VCD_BENCH_SELECTED_KERNEL", "unknown"),
-}
+host = dict(json.loads(os.environ["S3VCD_BENCH_HOST"]),
+            selected_scan_kernel=raw.get("scan_kernel"))
 
 phases = raw.get("phases", [])
 ramp = [p for p in phases if not p.get("calibration")]
@@ -605,11 +606,23 @@ echo "Wrote ${service_json}"
 # Equal-recall ANN harness: the vamana graph backend against the exact S3
 # range query on the same 200k-record corpus, the beam width swept until
 # each target recall is matched. The binary writes the JSON itself (sweep
-# + operating points) and picks the host attribution up from the
-# S3VCD_BENCH_* environment exported above.
+# + operating points, with the scan kernel it ran on); the host
+# fingerprint is merged into its "host" block afterwards.
 if [[ ! -x "${build_dir}/bench/ann_equal_recall" ]]; then
   cmake --build "${build_dir}" --target ann_equal_recall -j"$(nproc)"
 fi
 "${build_dir}/bench/ann_equal_recall" --out "${ann_json}" >&2
+python3 - "${ann_json}" <<'PY'
+import json
+import os
+import sys
+
+with open(sys.argv[1]) as f:
+    ann = json.load(f)
+ann["host"] = dict(json.loads(os.environ["S3VCD_BENCH_HOST"]), **ann["host"])
+with open(sys.argv[1], "w") as f:
+    json.dump(ann, f, indent=2)
+    f.write("\n")
+PY
 
 echo "Wrote ${ann_json}"

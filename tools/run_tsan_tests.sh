@@ -34,7 +34,7 @@ cmake --build "${build_dir}" --target obs_test parallel_test service_test \
   cd "${build_dir}"
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure \
-    -R '^(obs_test|parallel_test|service_test|backend_parity_test|scan_kernel_test|scan_kernel_test_nosimd|scan_kernel_test_forced_scalar|filter_table_test|store_test|segment_parity_test|descriptor_codec_test)$'
+    -R '^(obs_test|parallel_test|service_test|backend_parity_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|filter_table_test|store_test|segment_parity_test|descriptor_codec_test)$'
 )
 echo "TSan run passed."
 
@@ -54,6 +54,6 @@ cmake --build "${ubsan_dir}" --target scan_kernel_test store_test \
   cd "${ubsan_dir}"
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --output-on-failure \
-    -R '^(scan_kernel_test|scan_kernel_test_nosimd|scan_kernel_test_forced_scalar|store_test|segment_parity_test|descriptor_codec_test|service_test|backend_parity_test)$'
+    -R '^(scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|descriptor_codec_test|service_test|backend_parity_test)$'
 )
 echo "UBSan run passed."

@@ -8,9 +8,9 @@
 //   s3vcd_tool query       --db DB [--backend NAME] [--alpha A] [--sigma S]
 //                          [--depth P] [--count N] [--seed S]
 //                          [--pseudo-disk R] [--store-dir DIR]
-//                          [--codec exact|lvq4|lvq8]
+//                          [--codec exact|lvq4]
 //                          [--metrics-out FILE] [--trace-out FILE]
-//   s3vcd_tool compact     --store-dir DIR [--codec exact|lvq4|lvq8]
+//   s3vcd_tool compact     --store-dir DIR [--codec exact|lvq4]
 //   s3vcd_tool monitor     --db DB [--backend NAME] [--stream-frames F]
 //                          [--alpha A] [--sigma S] [--threshold T] [--seed S]
 //                          [--metrics-out FILE] [--trace-out FILE]
@@ -196,7 +196,7 @@ const std::vector<CommandSpec>& Commands() {
         {"pseudo-disk", "also replay via pseudo-disk with 2^R sections"},
         {"store-dir", "segment backend: persistent store directory"},
         {"codec", "segment/vamana backends: descriptor codec "
-                  "(exact, lvq4, lvq8; default exact)"},
+                  "(exact, lvq4; default exact)"},
         {"graph-degree", "vamana backend: graph out-degree bound R "
                          "(default 32)"},
         {"beam-width", "vamana backend: query beam width L (default 64)"},
@@ -206,7 +206,7 @@ const std::vector<CommandSpec>& Commands() {
        "compact a persistent segment store to a steady state",
        {{"store-dir", "segment store directory (required)"},
         {"codec", "re-encode compaction output with this descriptor codec "
-                  "(exact, lvq4, lvq8; default exact)"}}},
+                  "(exact, lvq4; default exact)"}}},
       {"monitor",
        "watch a synthetic stream with an embedded copy",
        {{"db", "database path (required)"},
@@ -577,6 +577,13 @@ int CmdQuery(const Flags& flags) {
   if (!ValidateBackend("query", backend)) {
     return 2;
   }
+  const std::string codec = flags.Get("codec", "exact");
+  core::DescriptorCodecKind codec_kind;
+  if (!core::DescriptorCodecFromName(codec, &codec_kind)) {
+    std::fprintf(stderr, "query: unknown --codec '%s' (expected %s)\n",
+                 codec.c_str(), core::DescriptorCodecNamesCsv().c_str());
+    return 2;
+  }
   const std::string path = flags.Get("db", "");
   auto db = core::FingerprintDatabase::LoadFromFile(path);
   if (!db.ok()) {
@@ -622,7 +629,7 @@ int CmdQuery(const Flags& flags) {
   // corpus above). A fresh --store-dir ingests the database once.
   core::SearcherConfig config;
   config.segment_store_dir = flags.Get("store-dir", "");
-  config.segment_codec = flags.Get("codec", "exact");
+  config.segment_codec = codec;
   config.vamana_codec = config.segment_codec;
   ApplyVamanaFlags(flags, &config);
   if (backend == "vamana") {
@@ -630,15 +637,6 @@ int CmdQuery(const Flags& flags) {
     // instead of rebuilding (invalidated automatically when the records
     // or the build options change — see core/vamana.h).
     config.vamana_graph_path = path + ".vamana";
-  }
-  {
-    core::DescriptorCodecKind parsed;
-    if (!core::DescriptorCodecFromName(config.segment_codec, &parsed)) {
-      std::fprintf(stderr, "query: unknown --codec '%s' (expected %s)\n",
-                   config.segment_codec.c_str(),
-                   core::DescriptorCodecNamesCsv().c_str());
-      return 2;
-    }
   }
   core::FingerprintDatabase backend_db = std::move(*db);
   if (!config.segment_store_dir.empty() &&
