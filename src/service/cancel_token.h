@@ -1,53 +1,41 @@
 #ifndef S3VCD_SERVICE_CANCEL_TOKEN_H_
 #define S3VCD_SERVICE_CANCEL_TOKEN_H_
 
-#include <atomic>
 #include <chrono>
-#include <memory>
 
 namespace s3vcd::service {
 
-/// Cooperative stop signal for one execution attempt of a batch.
+/// Cooperative stop signal of one batch: its deadline.
 ///
-/// A token folds the two reasons an attempt should stop early into one
-/// cheap check: an explicit Cancel() (the hedged duplicate lost the race
-/// — its work is pure waste) and the batch deadline (the caller stopped
-/// caring). Execution loops poll ShouldStop() between queries / scan
-/// tasks; already-running per-shard scans finish, so the overshoot is
-/// bounded by one scan's latency.
+/// Execution loops poll ShouldStop() between queries / scan tasks;
+/// already-running per-shard scans finish, so the overshoot is bounded by
+/// one scan's latency. A default-constructed token never stops.
 ///
-/// Thread model: Cancel() may be called from any thread (typically the
-/// winning attempt's worker) while the owning attempt polls; the flag is
-/// a relaxed atomic — cancellation is advisory, not a synchronization
-/// edge, and the winner never reads the loser's partial results.
+/// Thread model: immutable after construction, so any number of fan-out
+/// tasks may poll it concurrently.
 class CancelToken {
  public:
   CancelToken() = default;
   explicit CancelToken(std::chrono::steady_clock::time_point deadline)
       : has_deadline_(true), deadline_(deadline) {}
 
-  void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed);
+  /// True when the token has a deadline and `now` is at or past it.
+  bool ExpiredAt(std::chrono::steady_clock::time_point now) const {
+    return has_deadline_ && now >= deadline_;
   }
 
-  /// True when the attempt should stop: explicitly cancelled, or past the
-  /// deadline this token was armed with.
+  /// True when the batch should stop: past the deadline this token was
+  /// armed with.
   bool ShouldStop() const {
-    return cancelled() ||
-           (has_deadline_ && std::chrono::steady_clock::now() >= deadline_);
+    return ExpiredAt(std::chrono::steady_clock::now());
   }
 
   bool has_deadline() const { return has_deadline_; }
 
  private:
-  std::atomic<bool> cancelled_{false};
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
 };
-
-using CancelTokenPtr = std::shared_ptr<CancelToken>;
 
 }  // namespace s3vcd::service
 

@@ -428,9 +428,6 @@ std::string PhaseToJson(const PhaseReport& p) {
   out += ", \"completed_interactive\": " +
          std::to_string(p.completed_interactive);
   out += ", \"completed_bulk\": " + std::to_string(p.completed_bulk);
-  out += ", \"hedges_fired\": " + std::to_string(p.hedges_fired);
-  out += ", \"hedge_wins\": " + std::to_string(p.hedge_wins);
-  out += ", \"cancelled_queries\": " + std::to_string(p.cancelled_queries);
   out += ", \"offered_qps\": " + FormatDouble(p.offered_qps);
   out += ", \"goodput_qps\": " + FormatDouble(p.goodput_qps);
   out += ", \"reject_rate\": " + FormatDouble(p.reject_rate);
@@ -467,9 +464,6 @@ std::string LoadGenReport::ToJson() const {
   out += "  \"base_clients\": " + std::to_string(base_clients) + ",\n";
   out += "  \"deadline_ms\": " + FormatDouble(deadline_ms) + ",\n";
   out += "  \"seed\": " + std::to_string(seed) + ",\n";
-  out += "  \"replicas\": " + std::to_string(replicas) + ",\n";
-  out += "  \"hedge_delay_ms\": " + FormatDouble(hedge_delay_ms) + ",\n";
-  out += "  \"hedge_quantile\": " + FormatDouble(hedge_quantile) + ",\n";
   out += "  \"scan_kernel\": \"" + scan_kernel + "\",\n";
   out += "  \"codec\": \"" + codec + "\",\n";
   out += "  \"phases\": [\n";
@@ -491,9 +485,6 @@ LoadGenReport RunLoadGen(QueryService& service,
   report.base_clients = options.base_clients;
   report.deadline_ms = options.deadline_ms;
   report.seed = options.seed;
-  report.replicas = service.num_replicas();
-  report.hedge_delay_ms = service.options().hedge_delay_ms;
-  report.hedge_quantile = service.options().hedge_quantile;
   report.scan_kernel = core::ActiveScanKernelName();
   if (service.searcher() != nullptr && service.searcher()->num_shards() > 0) {
     // Shards share one SearcherConfig, so shard 0's codec speaks for all.
@@ -508,28 +499,13 @@ LoadGenReport RunLoadGen(QueryService& service,
           : core::EqualExpectationRadius(
                 model, service.options().query.filter.alpha);
 
-  // Per-phase hedge deltas: the service counters are monotonic, so each
-  // phase's duplicate-work bill is the before/after difference.
-  const auto with_hedge_delta = [&service](auto run_phase) {
-    const QueryService::HedgeStats before = service.hedge_stats();
-    PhaseReport phase = run_phase();
-    const QueryService::HedgeStats after = service.hedge_stats();
-    phase.hedges_fired = after.fired - before.fired;
-    phase.hedge_wins = after.wins - before.wins;
-    phase.cancelled_queries =
-        after.cancelled_queries - before.cancelled_queries;
-    return phase;
-  };
-
   double base_qps = options.base_qps;
   if (options.mode == LoadMode::kOpenLoop && base_qps <= 0) {
     // Calibrate: a short closed-loop run measures sustained capacity, so
     // the ramp multipliers straddle the knee instead of guessing at it.
-    PhaseReport calibration = with_hedge_delta([&] {
-      return RunClosedLoopPhase(
-          service, query_pool, options, epsilon, 1.0,
-          std::max(0.5, options.calibrate_seconds), options.seed + 1);
-    });
+    PhaseReport calibration = RunClosedLoopPhase(
+        service, query_pool, options, epsilon, 1.0,
+        std::max(0.5, options.calibrate_seconds), options.seed + 1);
     calibration.calibration = true;
     base_qps = std::max(1.0, calibration.goodput_qps);
     report.phases.push_back(std::move(calibration));
@@ -539,15 +515,14 @@ LoadGenReport RunLoadGen(QueryService& service,
   for (size_t i = 0; i < options.ramp.size(); ++i) {
     const double multiplier = options.ramp[i];
     const uint64_t phase_seed = options.seed + 100 * (i + 1);
-    report.phases.push_back(with_hedge_delta([&] {
-      return options.mode == LoadMode::kOpenLoop
-                 ? RunOpenLoopPhase(service, query_pool, options, epsilon,
-                                    multiplier, base_qps * multiplier,
-                                    options.phase_seconds, phase_seed)
-                 : RunClosedLoopPhase(service, query_pool, options,
-                                      epsilon, multiplier,
-                                      options.phase_seconds, phase_seed);
-    }));
+    report.phases.push_back(
+        options.mode == LoadMode::kOpenLoop
+            ? RunOpenLoopPhase(service, query_pool, options, epsilon,
+                               multiplier, base_qps * multiplier,
+                               options.phase_seconds, phase_seed)
+            : RunClosedLoopPhase(service, query_pool, options, epsilon,
+                                 multiplier, options.phase_seconds,
+                                 phase_seed));
   }
   return report;
 }

@@ -140,11 +140,6 @@ struct PhaseReport {
   /// Lane split of completed-OK batches.
   uint64_t completed_interactive = 0;
   uint64_t completed_bulk = 0;
-  /// Service hedge-machinery deltas over this phase (zero when hedging
-  /// is off or the service has a single replica).
-  uint64_t hedges_fired = 0;
-  uint64_t hedge_wins = 0;
-  uint64_t cancelled_queries = 0;
 
   double offered_qps = 0;    ///< offered / duration_s
   double goodput_qps = 0;    ///< completed_ok / elapsed_s
@@ -163,11 +158,6 @@ struct LoadGenReport {
   int base_clients = 0;
   double deadline_ms = 0;
   uint64_t seed = 0;
-  /// Service topology / tail-control configuration (from the service the
-  /// run drove), so a saved report is attributable to it.
-  int replicas = 1;
-  double hedge_delay_ms = 0;
-  double hedge_quantile = 0;
   /// Dispatched refinement kernel (core::ActiveScanKernelName()) and the
   /// descriptor codec of shard 0's backend — recorded so a saved report is
   /// attributable to the ISA/codec configuration that produced it.

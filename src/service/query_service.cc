@@ -59,7 +59,7 @@ obs::Histogram* const g_stage_refine_us =
     obs::MetricsRegistry::Global().GetHistogram("service.stage_refine_us");
 obs::Histogram* const g_stage_other_us =
     obs::MetricsRegistry::Global().GetHistogram("service.stage_other_us");
-// Lane / quota / hedge accounting (docs/query_service.md).
+// Lane / quota accounting (docs/query_service.md).
 obs::Counter* const g_lane_submitted[2] = {
     obs::MetricsRegistry::Global().GetCounter(
         "service.lane_interactive_submitted"),
@@ -79,24 +79,6 @@ obs::Gauge* const g_lane_depth[2] = {
 };
 obs::Counter* const g_quota_rejects =
     obs::MetricsRegistry::Global().GetCounter("service.quota_rejects");
-obs::Counter* const g_hedges_armed =
-    obs::MetricsRegistry::Global().GetCounter("service.hedges_armed");
-obs::Counter* const g_hedges_fired =
-    obs::MetricsRegistry::Global().GetCounter("service.hedges_fired");
-obs::Counter* const g_hedge_wins =
-    obs::MetricsRegistry::Global().GetCounter("service.hedge_wins");
-obs::Counter* const g_hedge_cancelled_queries =
-    obs::MetricsRegistry::Global().GetCounter(
-        "service.hedge_cancelled_queries");
-
-// End-to-end samples retained for the hedge-delay quantile; recomputed
-// every kRequantileEvery completions (a 256-sample nth_element is
-// microseconds, not worth paying per batch).
-constexpr size_t kLatencyRing = 256;
-constexpr size_t kRequantileEvery = 16;
-// Completions required before the quantile trigger arms.
-constexpr size_t kQuantileArmAfter = 32;
-
 double MillisSince(Clock::time_point since, Clock::time_point now) {
   return std::chrono::duration<double, std::milli>(now - since).count();
 }
@@ -126,7 +108,7 @@ bool BatchHandle::done() const {
 void BatchHandle::Complete(BatchResult result) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    assert(!done_ && "batch completed twice — TryClaim contract violated");
+    assert(!done_ && "batch completed twice");
     result_ = std::move(result);
     done_ = true;
   }
@@ -136,29 +118,11 @@ void BatchHandle::Complete(BatchResult result) {
 QueryService::QueryService(const ShardedSearcher* searcher,
                            const core::DistortionModel* model,
                            const QueryServiceOptions& options)
-    : replicas_{searcher}, model_(model), options_(options) {
-  Start();
-}
-
-QueryService::QueryService(const ReplicatedSearcher* replicas,
-                           const core::DistortionModel* model,
-                           const QueryServiceOptions& options)
-    : model_(model), options_(options) {
-  replicas_.reserve(static_cast<size_t>(replicas->num_replicas()));
-  for (int r = 0; r < replicas->num_replicas(); ++r) {
-    replicas_.push_back(&replicas->replica(r));
-  }
-  Start();
-}
-
-void QueryService::Start() {
+    : searcher_(searcher), model_(model), options_(options) {
   options_.num_workers = std::max(1, options_.num_workers);
   options_.threads_per_batch = std::max(1, options_.threads_per_batch);
   options_.max_queue_depth = std::max<size_t>(1, options_.max_queue_depth);
   options_.bulk_queue_depth = std::max<size_t>(1, options_.bulk_queue_depth);
-  hedging_enabled_ =
-      replicas_.size() > 1 &&
-      (options_.hedge_delay_ms > 0 || options_.hedge_quantile > 0);
   if (options_.cache_capacity > 0) {
     cache_ = std::make_unique<SelectionCache>(options_.cache_capacity);
   }
@@ -168,18 +132,9 @@ void QueryService::Start() {
         options_.slow_batch_threshold_ms, options_.slow_log_capacity);
   }
   paused_ = options_.start_paused;
-  run_queues_.resize(replicas_.size());
-  replica_load_.assign(replicas_.size(), 0);
-  workers_.reserve(replicas_.size() *
-                   static_cast<size_t>(options_.num_workers));
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    for (int i = 0; i < options_.num_workers; ++i) {
-      workers_.emplace_back(
-          [this, r] { WorkerLoop(static_cast<int>(r)); });
-    }
-  }
-  if (hedging_enabled_) {
-    hedge_thread_ = std::thread([this] { HedgeLoop(); });
+  workers_.reserve(static_cast<size_t>(options_.num_workers));
+  for (int i = 0; i < options_.num_workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -187,24 +142,25 @@ QueryService::~QueryService() { Shutdown(); }
 
 Result<BatchTicket> QueryService::Submit(std::vector<fp::Fingerprint> queries,
                                          const BatchOptions& options) {
+  if (options.paradigm == core::SearchParadigm::kRange &&
+      !(std::isfinite(options.epsilon) && options.epsilon >= 0)) {
+    // A worker would abort on the filter's epsilon >= 0 check; reject here
+    // instead, before the batch takes a quota token or an admission slot.
+    return Status::InvalidArgument(
+        "range batch epsilon must be finite and >= 0, got " +
+        std::to_string(options.epsilon));
+  }
   const auto now = Clock::now();
   auto ticket = std::make_shared<BatchHandle>();
   ticket->queries_ = std::move(queries);
   ticket->options_ = options;
   ticket->submit_time_ = now;
-  ticket->has_deadline_ = options.deadline_ms > 0;
-  if (ticket->has_deadline_) {
-    ticket->deadline_ = now + MillisDuration(options.deadline_ms);
-    ticket->tokens_ = {std::make_shared<CancelToken>(ticket->deadline_),
-                       std::make_shared<CancelToken>(ticket->deadline_)};
-  } else {
-    ticket->tokens_ = {std::make_shared<CancelToken>(),
-                       std::make_shared<CancelToken>()};
+  if (options.deadline_ms > 0) {
+    ticket->token_ = CancelToken(now + MillisDuration(options.deadline_ms));
   }
   const int lane = static_cast<int>(options.lane);
   std::vector<BatchTicket> expired;
   Status reject = Status::OK();
-  bool armed_hedge = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!accepting_) {
@@ -237,13 +193,13 @@ Result<BatchTicket> QueryService::Submit(std::vector<fp::Fingerprint> queries,
       bucket.tokens -= 1.0;
     }
     // Expired-but-queued batches are dead weight: fail them now so they
-    // stop holding admission slots (the satellite-1 bug was exactly that
-    // they were only discovered at pop time, causing spurious
-    // kUnavailable rejects under saturation).
+    // stop holding admission slots (found only at pop time, they cause
+    // spurious kUnavailable rejects under saturation).
     PurgeExpiredLocked(now, &expired);
+    auto& queue = queues_[static_cast<size_t>(lane)];
     const size_t bound = lane == 0 ? options_.max_queue_depth
                                    : options_.bulk_queue_depth;
-    if (lane_depth_[static_cast<size_t>(lane)] >= bound) {
+    if (queue.size() >= bound) {
       g_admission_rejects->Increment();
       g_lane_rejects[lane]->Increment();
       reject = Status::Unavailable(
@@ -251,36 +207,9 @@ Result<BatchTicket> QueryService::Submit(std::vector<fp::Fingerprint> queries,
           " lane, depth " + std::to_string(bound) +
           "); retry after draining");
     } else {
-      const int primary = PickReplicaLocked(/*exclude=*/-1);
-      next_replica_ = (next_replica_ + 1) % replicas_.size();
-      ticket->primary_replica_ = primary;
-      run_queues_[static_cast<size_t>(primary)][static_cast<size_t>(lane)]
-          .push_back(WorkItem{ticket, 0});
-      ++replica_load_[static_cast<size_t>(primary)];
-      ++lane_depth_[static_cast<size_t>(lane)];
-      g_lane_depth[lane]->Set(
-          static_cast<int64_t>(lane_depth_[static_cast<size_t>(lane)]));
-      g_queue_depth->Set(
-          static_cast<int64_t>(lane_depth_[0] + lane_depth_[1]));
+      queue.push_back(ticket);
+      PublishDepthLocked();
       g_lane_submitted[lane]->Increment();
-      if (hedging_enabled_) {
-        const double delay_ms = HedgeDelayMsLocked();
-        if (delay_ms >= 0) {
-          const auto fire_at = now + MillisDuration(delay_ms);
-          // A hedge that could only fire after the deadline is pointless.
-          if (!ticket->has_deadline_ || fire_at < ticket->deadline_) {
-            ticket->hedge_it_ = hedge_schedule_.emplace(fire_at, ticket);
-            ticket->hedge_scheduled_ = true;
-            hedges_armed_.fetch_add(1, std::memory_order_relaxed);
-            g_hedges_armed->Increment();
-            // Wake the timer only when this entry moved the earliest fire
-            // time forward; for the (typical) insert-at-the-back case the
-            // thread's current wait deadline is already right, and waking
-            // it once per submit costs a context switch per batch.
-            armed_hedge = ticket->hedge_it_ == hedge_schedule_.begin();
-          }
-        }
-      }
     }
   }
   for (BatchTicket& dead : expired) {
@@ -290,12 +219,7 @@ Result<BatchTicket> QueryService::Submit(std::vector<fp::Fingerprint> queries,
     return reject;
   }
   g_batches_submitted->Increment();
-  // notify_all, not notify_one: workers are pinned to replicas, and a
-  // notify_one could wake a worker of a replica with nothing queued.
-  work_cv_.notify_all();
-  if (armed_hedge) {
-    hedge_cv_.notify_one();
-  }
+  work_cv_.notify_one();
   return ticket;
 }
 
@@ -321,19 +245,8 @@ void QueryService::Shutdown() {
     accepting_ = false;
     shutdown_ = true;
     paused_ = false;  // a paused service still drains on shutdown
-    // Pending hedges are dropped: every batch's primary attempt is still
-    // queued (or running) and will complete it. Clear the back-pointers
-    // first so the draining workers don't erase through stale iterators.
-    for (auto& entry : hedge_schedule_) {
-      entry.second->hedge_scheduled_ = false;
-    }
-    hedge_schedule_.clear();
   }
   work_cv_.notify_all();
-  hedge_cv_.notify_all();
-  if (hedge_thread_.joinable()) {
-    hedge_thread_.join();
-  }
   for (std::thread& worker : workers_) {
     worker.join();
   }
@@ -342,219 +255,72 @@ void QueryService::Shutdown() {
 
 size_t QueryService::pending_batches() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return lane_depth_[0] + lane_depth_[1];
+  return queues_[0].size() + queues_[1].size();
 }
 
 size_t QueryService::pending_batches(Lane lane) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return lane_depth_[static_cast<size_t>(lane)];
+  return queues_[static_cast<size_t>(lane)].size();
 }
 
-QueryService::HedgeStats QueryService::hedge_stats() const {
-  HedgeStats stats;
-  stats.armed = hedges_armed_.load(std::memory_order_relaxed);
-  stats.fired = hedges_fired_.load(std::memory_order_relaxed);
-  stats.wins = hedge_wins_.load(std::memory_order_relaxed);
-  stats.cancelled_queries =
-      hedge_cancelled_queries_.load(std::memory_order_relaxed);
-  return stats;
+bool QueryService::HasWorkLocked() const {
+  return !queues_[0].empty() || !queues_[1].empty();
 }
 
-double QueryService::current_hedge_delay_ms() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return HedgeDelayMsLocked();
-}
-
-bool QueryService::HasWorkLocked(int replica) const {
-  const auto& queues = run_queues_[static_cast<size_t>(replica)];
-  return !queues[0].empty() || !queues[1].empty();
-}
-
-QueryService::WorkItem QueryService::PopLocked(int replica) {
-  auto& queues = run_queues_[static_cast<size_t>(replica)];
-  for (int lane = 0; lane < 2; ++lane) {
-    auto& q = queues[static_cast<size_t>(lane)];
-    if (q.empty()) {
-      continue;
-    }
-    WorkItem item = std::move(q.front());
-    q.pop_front();
-    if (item.attempt == 0) {
-      --lane_depth_[static_cast<size_t>(lane)];
-      g_lane_depth[lane]->Set(
-          static_cast<int64_t>(lane_depth_[static_cast<size_t>(lane)]));
-      g_queue_depth->Set(
-          static_cast<int64_t>(lane_depth_[0] + lane_depth_[1]));
-    }
-    return item;
-  }
-  return {};
+BatchTicket QueryService::PopLocked() {
+  auto& queue = queues_[0].empty() ? queues_[1] : queues_[0];
+  BatchTicket batch = std::move(queue.front());
+  queue.pop_front();
+  PublishDepthLocked();
+  return batch;
 }
 
 void QueryService::PurgeExpiredLocked(Clock::time_point now,
                                       std::vector<BatchTicket>* expired) {
-  for (size_t r = 0; r < run_queues_.size(); ++r) {
-    for (size_t lane = 0; lane < 2; ++lane) {
-      auto& q = run_queues_[r][lane];
-      for (auto it = q.begin(); it != q.end();) {
-        BatchHandle* b = it->ticket.get();
-        // Claimed entries are leftover hedge duplicates of finished
-        // batches; expired ones are claimed here so exactly one side
-        // completes them.
-        const bool dead = b->claimed() ||
-                          (b->has_deadline_ && now >= b->deadline_);
-        if (!dead) {
-          ++it;
-          continue;
-        }
-        if (it->attempt == 0) {
-          --lane_depth_[lane];
-        }
-        --replica_load_[r];
-        if (b->hedge_scheduled_) {
-          hedge_schedule_.erase(b->hedge_it_);
-          b->hedge_scheduled_ = false;
-        }
-        if (b->TryClaim()) {
-          expired->push_back(std::move(it->ticket));
-        }
-        it = q.erase(it);
+  for (auto& queue : queues_) {
+    for (auto it = queue.begin(); it != queue.end();) {
+      if ((*it)->token_.ExpiredAt(now)) {
+        expired->push_back(std::move(*it));
+        it = queue.erase(it);
+      } else {
+        ++it;
       }
     }
   }
-  g_lane_depth[0]->Set(static_cast<int64_t>(lane_depth_[0]));
-  g_lane_depth[1]->Set(static_cast<int64_t>(lane_depth_[1]));
-  g_queue_depth->Set(static_cast<int64_t>(lane_depth_[0] + lane_depth_[1]));
+  PublishDepthLocked();
 }
 
-double QueryService::HedgeDelayMsLocked() const {
-  if (!hedging_enabled_) {
-    return -1;
-  }
-  if (options_.hedge_quantile > 0 && quantile_delay_ms_ >= 0) {
-    // The fixed delay acts as a floor so a fast-warm cache cannot drive
-    // the trigger down to "hedge everything".
-    return std::max(quantile_delay_ms_, options_.hedge_delay_ms);
-  }
-  return options_.hedge_delay_ms > 0 ? options_.hedge_delay_ms : -1;
+void QueryService::PublishDepthLocked() const {
+  g_lane_depth[0]->Set(static_cast<int64_t>(queues_[0].size()));
+  g_lane_depth[1]->Set(static_cast<int64_t>(queues_[1].size()));
+  g_queue_depth->Set(
+      static_cast<int64_t>(queues_[0].size() + queues_[1].size()));
 }
 
-int QueryService::PickReplicaLocked(int exclude) const {
-  int best = -1;
-  size_t best_load = 0;
-  const size_t count = replicas_.size();
-  for (size_t i = 0; i < count; ++i) {
-    const size_t r = (next_replica_ + i) % count;
-    if (static_cast<int>(r) == exclude) {
-      continue;
-    }
-    if (best < 0 || replica_load_[r] < best_load) {
-      best = static_cast<int>(r);
-      best_load = replica_load_[r];
-    }
-  }
-  return best;
-}
-
-void QueryService::WorkerLoop(int replica) {
+void QueryService::WorkerLoop() {
   // Each worker owns its fan-out pool, so ThreadPool::Wait() (which waits
   // for *every* submitted task) never entangles two batches.
   std::unique_ptr<ThreadPool> pool;
   if (options_.threads_per_batch > 1) {
     pool = std::make_unique<ThreadPool>(options_.threads_per_batch);
   }
-  uint64_t popped = 0;
   for (;;) {
-    WorkItem item;
+    BatchTicket batch;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this, replica] {
-        return shutdown_ || (!paused_ && HasWorkLocked(replica));
+      work_cv_.wait(lock, [this] {
+        return shutdown_ || (!paused_ && HasWorkLocked());
       });
-      if (!HasWorkLocked(replica)) {
-        return;  // shutdown with nothing left to drain on this replica
+      if (!HasWorkLocked()) {
+        return;  // shutdown with nothing left to drain
       }
-      item = PopLocked(replica);
+      batch = PopLocked();
     }
-    BatchHandle* batch = item.ticket.get();
-    const auto now = Clock::now();
-    if (batch->claimed()) {
-      // The other attempt (or the purge) already finished this batch.
-    } else if (batch->has_deadline_ && now >= batch->deadline_) {
-      if (batch->TryClaim()) {
-        CompleteExpiredQueued(batch);
-      }
+    if (batch->token_.ExpiredAt(Clock::now())) {
+      CompleteExpiredQueued(batch.get());
     } else {
-      if (options_.stall_every_n > 0 && options_.stall_ms > 0 &&
-          ++popped % static_cast<uint64_t>(options_.stall_every_n) == 0) {
-        // Injected replica-local pause; the batch's hedge (if armed) fires
-        // meanwhile and the duplicate completes on the other replica,
-        // after which the stalled attempt cancels at its first
-        // per-query CancelToken check.
-        std::this_thread::sleep_for(MillisDuration(options_.stall_ms));
-      }
-      ProcessAttempt(item, replica, pool.get());
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --replica_load_[static_cast<size_t>(replica)];
-      // The batch is claimed by now whichever branch ran, so a still-
-      // pending hedge entry is dead weight: deschedule it here rather
-      // than letting the timer thread wake up just to discard it.
-      BatchHandle* finished = item.ticket.get();
-      if (finished->hedge_scheduled_) {
-        hedge_schedule_.erase(finished->hedge_it_);
-        finished->hedge_scheduled_ = false;
-      }
-    }
-  }
-}
-
-void QueryService::HedgeLoop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    if (shutdown_) {
-      return;
-    }
-    if (hedge_schedule_.empty()) {
-      hedge_cv_.wait(lock);
-      continue;
-    }
-    const auto next_fire = hedge_schedule_.begin()->first;
-    if (Clock::now() < next_fire) {
-      hedge_cv_.wait_until(lock, next_fire);
-      continue;
-    }
-    const auto now = Clock::now();
-    bool fired_any = false;
-    while (!hedge_schedule_.empty() &&
-           hedge_schedule_.begin()->first <= now) {
-      BatchTicket ticket = std::move(hedge_schedule_.begin()->second);
-      hedge_schedule_.erase(hedge_schedule_.begin());
-      ticket->hedge_scheduled_ = false;
-      BatchHandle* batch = ticket.get();
-      if (batch->claimed()) {
-        continue;  // finished before the hedge was due — the common case
-      }
-      if (batch->has_deadline_ && now >= batch->deadline_) {
-        continue;  // dead either way; the purge/pop path completes it
-      }
-      const int second = PickReplicaLocked(batch->primary_replica_);
-      if (second < 0) {
-        continue;
-      }
-      const size_t lane = static_cast<size_t>(batch->options_.lane);
-      // Front of the lane: the batch is already a delay-quantile late,
-      // making the duplicate queue behind fresh work would defeat it.
-      run_queues_[static_cast<size_t>(second)][lane].push_front(
-          WorkItem{std::move(ticket), 1});
-      ++replica_load_[static_cast<size_t>(second)];
-      hedges_fired_.fetch_add(1, std::memory_order_relaxed);
-      g_hedges_fired->Increment();
-      fired_any = true;
-    }
-    if (fired_any) {
-      work_cv_.notify_all();
+      FinishBatch(batch.get(), ExecuteBatch(*batch, pool.get()),
+                  /*queued_expiry=*/false);
     }
   }
 }
@@ -602,59 +368,28 @@ SlowBatchExemplar MakeExemplar(size_t queries, const BatchResult& out) {
 
 }  // namespace
 
-void QueryService::ProcessAttempt(const WorkItem& item, int replica,
-                                  ThreadPool* pool) {
-  BatchHandle* batch = item.ticket.get();
-  CancelToken* token = batch->tokens_[static_cast<size_t>(item.attempt)].get();
-  if (token->cancelled()) {
-    return;  // lost before starting — no work wasted
-  }
-  BatchResult out = ExecuteAttempt(batch, *replicas_[static_cast<size_t>(
-                                              replica)],
-                                   pool, token);
-  out.replica = replica;
-  out.hedge_won = item.attempt == 1;
-  if (batch->TryClaim()) {
-    // First finisher wins: stop the other attempt at its next poll and
-    // publish this result. Replica parity makes the two attempts'
-    // results interchangeable bit for bit.
-    batch->tokens_[static_cast<size_t>(1 - item.attempt)]->Cancel();
-    if (item.attempt == 1) {
-      hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-      g_hedge_wins->Increment();
-    }
-    FinishBatch(batch, std::move(out), /*queued_expiry=*/false);
-  } else {
-    // Lost the race: this attempt's queries were duplicate work.
-    hedge_cancelled_queries_.fetch_add(out.queries_executed,
-                                       std::memory_order_relaxed);
-    g_hedge_cancelled_queries->Increment(out.queries_executed);
-  }
-}
-
-BatchResult QueryService::ExecuteAttempt(BatchHandle* batch,
-                                         const ShardedSearcher& searcher,
-                                         ThreadPool* pool,
-                                         CancelToken* token) {
+BatchResult QueryService::ExecuteBatch(const BatchHandle& batch,
+                                       ThreadPool* pool) const {
   S3VCD_TRACE_SPAN("service.execute_batch");
   const auto start = Clock::now();
   BatchResult out;
-  out.queue_wait_ms = MillisSince(batch->submit_time_, start);
+  out.queue_wait_ms = MillisSince(batch.submit_time_, start);
 
-  const size_t n = batch->queries_.size();
+  const ShardedSearcher& searcher = *searcher_;
+  const CancelToken* token = &batch.token_;
+  const size_t n = batch.queries_.size();
   out.results.resize(n);
   const bool is_range =
-      batch->options_.paradigm == core::SearchParadigm::kRange;
+      batch.options_.paradigm == core::SearchParadigm::kRange;
 
   size_t executed = 0;
   if (pool != nullptr && n > 1 && !is_range) {
     // The searcher's two-stage fan-out (one selection task per query, one
     // scan task per (query, shard)) keeps the pool full even for small
-    // batches on many shards; the token makes it deadline- and
-    // cancellation-aware, so deadlined batches fan out too instead of
-    // silently serializing.
+    // batches on many shards; the token makes it deadline-aware, so
+    // deadlined batches fan out too instead of silently serializing.
     out.results =
-        searcher.BatchStatisticalQuery(batch->queries_, *model_,
+        searcher.BatchStatisticalQuery(batch.queries_, *model_,
                                        options_.query, pool, cache_.get(),
                                        token, &executed);
     out.fanned_out = true;
@@ -664,13 +399,13 @@ BatchResult QueryService::ExecuteAttempt(BatchHandle* batch,
     // latency bounds the overshoot).
     std::atomic<size_t> completed{0};
     for (size_t i = 0; i < n; ++i) {
-      pool->Submit([this, batch, &searcher, token, &completed, &out, i] {
+      pool->Submit([this, &batch, &searcher, token, &completed, &out, i] {
         if (token->ShouldStop()) {
           return;
         }
         out.results[i] =
-            searcher.RangeQuery(batch->queries_[i],
-                                batch->options_.epsilon,
+            searcher.RangeQuery(batch.queries_[i],
+                                batch.options_.epsilon,
                                 options_.query.filter.depth);
         completed.fetch_add(1, std::memory_order_relaxed);
       });
@@ -685,10 +420,10 @@ BatchResult QueryService::ExecuteAttempt(BatchHandle* batch,
       }
       out.results[i] =
           is_range
-              ? searcher.RangeQuery(batch->queries_[i],
-                                    batch->options_.epsilon,
+              ? searcher.RangeQuery(batch.queries_[i],
+                                    batch.options_.epsilon,
                                     options_.query.filter.depth)
-              : searcher.StatisticalQuery(batch->queries_[i], *model_,
+              : searcher.StatisticalQuery(batch.queries_[i], *model_,
                                           options_.query, cache_.get());
       ++executed;
     }
@@ -696,9 +431,8 @@ BatchResult QueryService::ExecuteAttempt(BatchHandle* batch,
 
   out.queries_executed = executed;
   if (executed < n) {
-    // For a winning attempt an early stop can only mean the deadline (the
-    // loser's token is the only one ever explicitly cancelled, and losers'
-    // results are discarded).
+    // The token carries only the deadline, so an early stop means it
+    // expired.
     out.status = Status::DeadlineExceeded(
         "deadline expired after " + std::to_string(executed) + " of " +
         std::to_string(n) + " queries");
@@ -720,7 +454,6 @@ void QueryService::CompleteExpiredQueued(BatchHandle* batch) {
   out.status = Status::DeadlineExceeded(
       "deadline expired after " + std::to_string(out.queue_wait_ms) +
       " ms in the admission queue");
-  out.replica = batch->primary_replica_;
   // Expired batches still report both halves of their latency: the
   // (zero) execute leg keeps the histograms' batch counts equal across
   // stages, so rates computed from them agree.
@@ -751,34 +484,6 @@ void QueryService::FinishBatch(BatchHandle* batch, BatchResult result,
         0.0, result.execute_ms * 1e3 - selection_us - refine_us));
   }
   g_batches_completed->Increment();
-  if (hedging_enabled_ && options_.hedge_quantile > 0) {
-    // Feed the hedge-delay quantile. Every completion counts — including
-    // expired ones; excluding them would bias the trigger optimistic
-    // exactly when the tail is worst.
-    std::lock_guard<std::mutex> lock(mutex_);
-    const double e2e_ms = result.queue_wait_ms + result.execute_ms;
-    if (recent_e2e_ms_.size() < kLatencyRing) {
-      recent_e2e_ms_.push_back(e2e_ms);
-    } else {
-      recent_e2e_ms_[recent_idx_] = e2e_ms;
-      recent_idx_ = (recent_idx_ + 1) % kLatencyRing;
-    }
-    if (++samples_since_requantile_ >= kRequantileEvery &&
-        recent_e2e_ms_.size() >= kQuantileArmAfter) {
-      samples_since_requantile_ = 0;
-      std::vector<double> sorted(recent_e2e_ms_);
-      const double rank =
-          std::ceil(options_.hedge_quantile *
-                    static_cast<double>(sorted.size()));
-      const size_t idx = std::min(
-          sorted.size() - 1,
-          rank < 1 ? 0 : static_cast<size_t>(rank) - 1);
-      std::nth_element(sorted.begin(),
-                       sorted.begin() + static_cast<ptrdiff_t>(idx),
-                       sorted.end());
-      quantile_delay_ms_ = sorted[idx];
-    }
-  }
   if (slow_log_ != nullptr) {
     SlowBatchExemplar exemplar =
         MakeExemplar(batch->queries_.size(), result);

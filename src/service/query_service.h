@@ -7,7 +7,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -19,7 +18,6 @@
 #include "core/searcher.h"
 #include "fingerprint/fingerprint.h"
 #include "service/cancel_token.h"
-#include "service/replicated_searcher.h"
 #include "service/selection_cache.h"
 #include "service/sharded_searcher.h"
 #include "service/slow_batch_log.h"
@@ -80,12 +78,8 @@ struct BatchResult {
   uint64_t refine_ns = 0;
   /// True when the batch ran through the pooled two-stage fan-out
   /// (threads_per_batch > 1 and more than one query) — including
-  /// deadlined batches, whose fan-out polls the attempt's CancelToken.
+  /// deadlined batches, whose fan-out polls the batch's CancelToken.
   bool fanned_out = false;
-  /// True when the hedged duplicate (not the primary attempt) won.
-  bool hedge_won = false;
-  /// Replica index that produced the result.
-  int replica = 0;
 };
 
 /// Completion handle of a submitted batch. Obtained from
@@ -102,38 +96,18 @@ class BatchHandle {
 
   void Complete(BatchResult result);
 
-  /// First-wins claim between the primary and hedged attempts (and the
-  /// queued-expiry purge): exactly one caller sees true and must Complete
-  /// the batch; everyone else discards their work.
-  bool TryClaim() { return !claimed_.exchange(true); }
-  bool claimed() const { return claimed_.load(); }
-
   mutable std::mutex mutex_;
   std::condition_variable done_cv_;
   bool done_ = false;
   BatchResult result_;
 
-  // Fields below are owned by the service (guarded by its queue mutex
-  // until the batch is popped, then touched only by its workers; the
-  // claim flag and the tokens' cancel flags are the only cross-attempt
-  // state and are atomic).
-  std::atomic<bool> claimed_{false};
+  // Fields below are set by Submit before the batch is queued and are
+  // read-only afterwards.
   std::vector<fp::Fingerprint> queries_;
   BatchOptions options_;
   std::chrono::steady_clock::time_point submit_time_;
-  std::chrono::steady_clock::time_point deadline_;
-  bool has_deadline_ = false;
-  int primary_replica_ = 0;
-  /// Back-pointer into the service's hedge schedule so completion can
-  /// deschedule the pending hedge eagerly (guarded by the service mutex;
-  /// without this the timer thread wakes once per *submitted* batch to
-  /// discard already-finished entries instead of once per *fired* hedge).
-  bool hedge_scheduled_ = false;
-  std::multimap<std::chrono::steady_clock::time_point,
-                std::shared_ptr<BatchHandle>>::iterator hedge_it_;
-  /// tokens_[0] polices the primary attempt, tokens_[1] the hedged one;
-  /// both carry the batch deadline, and the winner cancels the loser's.
-  std::array<CancelTokenPtr, 2> tokens_;
+  /// Carries the batch deadline (none when deadline_ms is 0).
+  CancelToken token_;
 };
 
 using BatchTicket = std::shared_ptr<BatchHandle>;
@@ -141,8 +115,7 @@ using BatchTicket = std::shared_ptr<BatchHandle>;
 /// Configuration of a QueryService.
 struct QueryServiceOptions {
   /// Worker threads draining the admission queue (one batch each at a
-  /// time), per replica — a service over R replicas runs R * num_workers
-  /// workers, each pinned to one replica's run queue.
+  /// time).
   int num_workers = 2;
   /// Fan-out width inside one batch: each worker owns a ThreadPool of this
   /// many threads and spreads its batch's queries across them (1 = the
@@ -150,22 +123,19 @@ struct QueryServiceOptions {
   int threads_per_batch = 1;
   /// Bound of the interactive admission lane, in batches. Submit rejects
   /// with kUnavailable once this many interactive batches are waiting —
-  /// the backpressure contract (docs/query_service.md). Hedged duplicates
-  /// are internal work items and do not count against admission.
+  /// the backpressure contract (docs/query_service.md).
   size_t max_queue_depth = 64;
   /// Bound of the bulk admission lane (same semantics, separate slots, so
   /// bulk floods cannot starve interactive admission).
   size_t bulk_queue_depth = 64;
-  /// Capacity of the shared selection cache; 0 disables caching. The one
-  /// cache serves every replica: selections depend only on query + model,
-  /// so a hit warmed by replica A is equally valid on replica B.
+  /// Capacity of the selection cache shared by all workers; 0 disables
+  /// caching.
   size_t cache_capacity = 4096;
   /// Query options applied to every query of every batch.
   core::QueryOptions query;
   /// Start with workers paused (they enqueue but do not execute until
   /// Resume()); used by tests to make admission-control behavior
-  /// deterministic, and operationally for drain control. A paused service
-  /// still fires due hedges (they only enqueue duplicates).
+  /// deterministic, and operationally for drain control.
   bool start_paused = false;
   /// End-to-end (queue wait + execute) latency above which a finished
   /// batch is captured into the slow-batch exemplar log, in milliseconds.
@@ -176,41 +146,18 @@ struct QueryServiceOptions {
   /// Exemplars retained by the slow-batch log (oldest evicted first).
   size_t slow_log_capacity = 32;
 
-  /// --- Hedged requests (need >= 2 replicas; otherwise ignored) ---
-  /// Fixed hedge delay: a duplicate of a still-unfinished batch is sent
-  /// to a second replica this many ms after submission. With
-  /// hedge_quantile set it acts as a floor under the adaptive delay.
-  /// 0 with hedge_quantile 0 disables hedging.
-  double hedge_delay_ms = 0;
-  /// Adaptive hedge delay: hedge once a batch has been outstanding longer
-  /// than this quantile (e.g. 0.95) of recently completed batches'
-  /// end-to-end latency. Arms after 32 completions; until then only
-  /// hedge_delay_ms (if set) hedges.
-  double hedge_quantile = 0;
-
   /// --- Per-client quotas (0 disables) ---
   /// Token-bucket refill rate per client_tag, in accepted batches/s.
   /// Batches with an empty client_tag are exempt.
   double quota_batches_per_s = 0;
   /// Bucket capacity (burst); <= 0 defaults to max(1, quota_batches_per_s).
   double quota_burst = 0;
-
-  /// --- Fault injection (benchmarks / replica-failure drills; 0 = off) ---
-  /// Every stall_every_n-th batch a worker pops, it sleeps stall_ms before
-  /// executing — emulating a replica-local pause (compaction, page-cache
-  /// miss, CPU steal). This is the server-side latency variance hedged
-  /// requests exist to absorb; run_benchmarks.sh uses it for the
-  /// hedged-vs-unhedged comparison so the effect is reproducible instead
-  /// of riding on scheduler noise.
-  int stall_every_n = 0;
-  double stall_ms = 0;
 };
 
-/// Asynchronous batch front end over one or more replicas of a
-/// ShardedSearcher: a bounded two-lane admission queue (reject-with-Status
-/// backpressure), per-request deadlines, per-client token-bucket quotas,
-/// worker fan-out, hedged requests across replicas and a shared selection
-/// cache.
+/// Asynchronous batch front end over one ShardedSearcher: a bounded
+/// two-lane admission queue (reject-with-Status backpressure), per-request
+/// deadlines, per-client token-bucket quotas, worker fan-out and a shared
+/// selection cache.
 ///
 /// The service is backend-agnostic: it only speaks the ShardedSearcher
 /// API, which in turn speaks core::Searcher, so any registry backend
@@ -219,14 +166,9 @@ struct QueryServiceOptions {
 /// on other backends the service degrades gracefully — queries fan out
 /// per shard exactly the same, just without cached selections.
 ///
-/// Hedging (Dean & Barroso's "tied/hedged requests"): a submitted batch
-/// goes to the least-loaded replica; if it has not finished after the
-/// hedge delay (fixed, or the rolling latency quantile), an identical
-/// attempt is pushed to the FRONT of a second replica's queue. The first
-/// attempt to finish claims the batch and cancels the other through its
-/// CancelToken; the loser stops at the next per-query poll and its
-/// partial work is discarded (counted in hedge_stats). Replica parity
-/// makes either result THE result, bit for bit.
+/// Every accepted batch runs at most once. Whoever removes it from the run
+/// queue under the queue mutex — a worker's pop, or the expiry purge —
+/// owns it and completes it; nobody else touches it afterwards.
 ///
 /// Thread model: Submit may be called from any number of producer
 /// threads. Workers only read the searcher (queries are const); the
@@ -234,16 +176,8 @@ struct QueryServiceOptions {
 /// running.
 class QueryService {
  public:
-  /// Single-replica service. `searcher` and `model` must outlive the
-  /// service. Hedging options are ignored (nowhere to hedge to).
+  /// `searcher` and `model` must outlive the service.
   QueryService(const ShardedSearcher* searcher,
-               const core::DistortionModel* model,
-               const QueryServiceOptions& options);
-
-  /// Replicated service: batches route to the least-loaded replica and
-  /// hedge to a second one. `replicas` and `model` must outlive the
-  /// service.
-  QueryService(const ReplicatedSearcher* replicas,
                const core::DistortionModel* model,
                const QueryServiceOptions& options);
 
@@ -254,6 +188,8 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
 
   /// Submits a batch. Returns a ticket to Wait() on, or:
+  ///  * kInvalidArgument for a kRange batch whose epsilon is negative or
+  ///    not finite (checked first: the batch takes no slot and no token);
   ///  * kUnavailable when the batch's admission lane is full
   ///    (backpressure — retry after draining, typically by waiting on an
   ///    earlier ticket);
@@ -274,28 +210,9 @@ class QueryService {
   /// Idempotent.
   void Shutdown();
 
-  /// Batches currently waiting for a worker (primary attempts only —
-  /// hedged duplicates are not separate batches), over all lanes or one.
+  /// Batches currently waiting for a worker, over all lanes or one.
   size_t pending_batches() const;
   size_t pending_batches(Lane lane) const;
-
-  /// Duplicate-work accounting of the hedging machinery. Monotonic over
-  /// the service lifetime; sample before/after a window for rates.
-  struct HedgeStats {
-    uint64_t armed = 0;   ///< batches scheduled for a possible hedge
-    uint64_t fired = 0;   ///< duplicates actually enqueued
-    uint64_t wins = 0;    ///< batches whose hedged attempt finished first
-    /// Queries executed by losing attempts — the duplicate work bought.
-    uint64_t cancelled_queries = 0;
-  };
-  HedgeStats hedge_stats() const;
-
-  /// The hedge delay Submit would arm right now, ms (the fixed delay, or
-  /// the rolling quantile once armed); < 0 when hedging is off or the
-  /// quantile has not armed yet.
-  double current_hedge_delay_ms() const;
-
-  int num_replicas() const { return static_cast<int>(replicas_.size()); }
 
   /// The shared selection cache; nullptr when cache_capacity was 0.
   const SelectionCache* cache() const { return cache_.get(); }
@@ -306,85 +223,50 @@ class QueryService {
 
   const QueryServiceOptions& options() const { return options_; }
 
-  /// Replica 0's searcher (never null) — the canonical copy.
-  const ShardedSearcher* searcher() const { return replicas_[0]; }
+  /// The searcher the service runs on (never null).
+  const ShardedSearcher* searcher() const { return searcher_; }
 
  private:
-  /// One queued execution attempt; attempt 0 = primary, 1 = hedged
-  /// duplicate.
-  struct WorkItem {
-    BatchTicket ticket;
-    int attempt = 0;
-  };
-
   struct TokenBucket {
     double tokens = 0;
     std::chrono::steady_clock::time_point last;
   };
 
-  void Start();
-  void WorkerLoop(int replica);
-  void HedgeLoop();
-  bool HasWorkLocked(int replica) const;
-  WorkItem PopLocked(int replica);
-  /// Removes every expired-and-still-queued batch from every run queue;
-  /// claimed tickets (ours to complete) are appended to *expired.
+  void WorkerLoop();
+  bool HasWorkLocked() const;
+  /// Pops the next batch, interactive lane first.
+  BatchTicket PopLocked();
+  /// Removes every expired-and-still-queued batch from the run queue and
+  /// appends it to *expired (the caller completes them).
   void PurgeExpiredLocked(std::chrono::steady_clock::time_point now,
                           std::vector<BatchTicket>* expired);
-  /// The delay Submit would arm, ms; < 0 = do not arm.
-  double HedgeDelayMsLocked() const;
-  int PickReplicaLocked(int exclude) const;
-  void ProcessAttempt(const WorkItem& item, int replica, ThreadPool* pool);
-  BatchResult ExecuteAttempt(BatchHandle* batch,
-                             const ShardedSearcher& searcher,
-                             ThreadPool* pool, CancelToken* token);
-  /// Completes an expired-in-queue batch (claim already won by caller).
+  /// Publishes the lane depths to the queue-depth gauges.
+  void PublishDepthLocked() const;
+  BatchResult ExecuteBatch(const BatchHandle& batch, ThreadPool* pool) const;
+  /// Completes an expired-in-queue batch without executing it.
   void CompleteExpiredQueued(BatchHandle* batch);
-  /// Winner-side completion: records metrics, the hedge-delay sample, the
-  /// slow-log exemplar, then Complete()s the handle. queued_expiry skips
-  /// the execution-stage accounting (nothing executed).
+  /// Records metrics and the slow-log exemplar, then Complete()s the
+  /// handle. queued_expiry skips the execution-stage accounting (nothing
+  /// executed).
   void FinishBatch(BatchHandle* batch, BatchResult result,
                    bool queued_expiry);
 
-  std::vector<const ShardedSearcher*> replicas_;
+  const ShardedSearcher* searcher_;
   const core::DistortionModel* model_;
   QueryServiceOptions options_;
   std::unique_ptr<SelectionCache> cache_;
   std::unique_ptr<SlowBatchLog> slow_log_;
   std::atomic<uint64_t> batch_ordinal_{0};
-  bool hedging_enabled_ = false;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
-  std::condition_variable hedge_cv_;
-  /// run_queues_[replica][lane]; hedged duplicates are pushed to the
-  /// front of their lane (they are already late).
-  std::vector<std::array<std::deque<WorkItem>, 2>> run_queues_;
-  /// Queued primary batches per lane (admission accounting).
-  std::array<size_t, 2> lane_depth_{{0, 0}};
-  /// Queued + executing attempts per replica ("least loaded" routing).
-  std::vector<size_t> replica_load_;
-  /// Round-robin tiebreak for replica routing.
-  size_t next_replica_ = 0;
-  /// Hedge timer state: fire time -> ticket, drained by HedgeLoop.
-  std::multimap<std::chrono::steady_clock::time_point, BatchTicket>
-      hedge_schedule_;
-  /// Rolling end-to-end samples feeding the hedge-delay quantile.
-  std::vector<double> recent_e2e_ms_;
-  size_t recent_idx_ = 0;
-  size_t samples_since_requantile_ = 0;
-  double quantile_delay_ms_ = -1;  ///< < 0 until armed
+  /// The run queue, one deque per lane; a lane's depth is its size().
+  std::array<std::deque<BatchTicket>, 2> queues_;
   std::unordered_map<std::string, TokenBucket> quota_;
   bool paused_ = false;
   bool accepting_ = true;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
-  std::thread hedge_thread_;
-
-  std::atomic<uint64_t> hedges_armed_{0};
-  std::atomic<uint64_t> hedges_fired_{0};
-  std::atomic<uint64_t> hedge_wins_{0};
-  std::atomic<uint64_t> hedge_cancelled_queries_{0};
 };
 
 }  // namespace s3vcd::service

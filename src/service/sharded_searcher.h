@@ -112,7 +112,7 @@ class ShardedSearcher {
   /// queries[i].
   ///
   /// When `cancel` is non-null, tasks poll it and stop starting work once
-  /// it fires (deadline or hedge loss); a query counts as executed — and
+  /// its deadline passes; a query counts as executed — and
   /// carries a non-default result — only if its selection AND every shard
   /// scan ran, so a cancelled batch never returns a partial shard union
   /// disguised as a complete result. `*executed` (when non-null) receives

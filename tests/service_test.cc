@@ -1,4 +1,5 @@
 #include <chrono>
+#include <limits>
 #include <set>
 #include <thread>
 #include <utility>
@@ -14,7 +15,6 @@
 #include "service/cancel_token.h"
 #include "service/loadgen.h"
 #include "service/query_service.h"
-#include "service/replicated_searcher.h"
 #include "service/slow_batch_log.h"
 #include "service/selection_cache.h"
 #include "service/sharded_searcher.h"
@@ -656,133 +656,19 @@ TEST_F(QueryServiceTest, EmptyBatchCompletesOk) {
   EXPECT_TRUE(result.results.empty());
 }
 
-TEST(CancelTokenTest, CancelAndDeadlineSemantics) {
+TEST(CancelTokenTest, DeadlineSemantics) {
   CancelToken plain;
-  EXPECT_FALSE(plain.cancelled());
   EXPECT_FALSE(plain.has_deadline());
   EXPECT_FALSE(plain.ShouldStop());
-  plain.Cancel();
-  EXPECT_TRUE(plain.cancelled());
-  EXPECT_TRUE(plain.ShouldStop());
 
   CancelToken future(std::chrono::steady_clock::now() +
                      std::chrono::hours(1));
   EXPECT_TRUE(future.has_deadline());
   EXPECT_FALSE(future.ShouldStop());
-  future.Cancel();
-  EXPECT_TRUE(future.ShouldStop());
 
   CancelToken past(std::chrono::steady_clock::now() -
                    std::chrono::milliseconds(1));
   EXPECT_TRUE(past.ShouldStop());
-  // Deadline expiry is not cancellation: the flags stay distinguishable.
-  EXPECT_FALSE(past.cancelled());
-}
-
-// The replication parity invariant that makes hedging safe: every replica
-// answers every query bit-identically, for both paradigms, under both
-// sharding policies.
-TEST(ReplicatedSearcherTest, ReplicasAnswerBitIdentically) {
-  const size_t kDbSize = 3000;
-  const GaussianDistortionModel model(14.0);
-  const QueryOptions options = TestQueryOptions();
-  const double epsilon =
-      core::EqualExpectationRadius(model, options.filter.alpha);
-
-  Rng rng(17);
-  std::vector<fp::Fingerprint> queries;
-  for (int i = 0; i < 10; ++i) {
-    queries.push_back(UniformRandomFingerprint(&rng));
-  }
-
-  for (const ShardingPolicy policy :
-       {ShardingPolicy::kHilbertRange, ShardingPolicy::kRefIdHash}) {
-    ShardedSearcherOptions sharding;
-    sharding.num_shards = 3;
-    sharding.policy = policy;
-    auto reference = ShardedSearcher::Build(BuildDb(kDbSize, 81), sharding);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    auto replicated =
-        ReplicatedSearcher::Build(BuildDb(kDbSize, 81), sharding, 3);
-    ASSERT_TRUE(replicated.ok()) << replicated.status().ToString();
-    ASSERT_EQ(replicated->num_replicas(), 3);
-    EXPECT_EQ(replicated->total_size(), kDbSize);
-
-    for (int r = 0; r < replicated->num_replicas(); ++r) {
-      const ShardedSearcher& replica = replicated->replica(r);
-      for (size_t i = 0; i < queries.size(); ++i) {
-        const auto want_stat =
-            reference->StatisticalQuery(queries[i], model, options);
-        const auto got_stat =
-            replica.StatisticalQuery(queries[i], model, options);
-        EXPECT_EQ(ToSet(got_stat.matches), ToSet(want_stat.matches))
-            << "policy=" << static_cast<int>(policy) << " replica=" << r
-            << " query=" << i;
-        const auto want_range = reference->RangeQuery(queries[i], epsilon,
-                                                      options.filter.depth);
-        const auto got_range =
-            replica.RangeQuery(queries[i], epsilon, options.filter.depth);
-        EXPECT_EQ(ToSet(got_range.matches), ToSet(want_range.matches))
-            << "policy=" << static_cast<int>(policy) << " replica=" << r
-            << " query=" << i;
-      }
-    }
-  }
-}
-
-// A service over R replicas returns the same results as a single-replica
-// searcher no matter which replica served each batch.
-TEST_F(QueryServiceTest, ReplicatedServiceMatchesSingleReplica) {
-  auto replicated = ReplicatedSearcher::Build(BuildDb(2000, 75), {}, 3);
-  ASSERT_TRUE(replicated.ok()) << replicated.status().ToString();
-  QueryServiceOptions options;
-  options.num_workers = 1;
-  options.start_paused = true;  // queue everything so routing spreads out
-  options.query = TestQueryOptions();
-  QueryService service(&*replicated, &model_, options);
-  EXPECT_EQ(service.num_replicas(), 3);
-
-  const int kBatches = 6;
-  std::vector<BatchTicket> tickets;
-  for (int b = 0; b < kBatches; ++b) {
-    auto ticket = service.Submit(MakeQueries(4, 200 + b));
-    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
-    tickets.push_back(*ticket);
-  }
-  BatchOptions range;
-  range.paradigm = core::SearchParadigm::kRange;
-  range.epsilon =
-      core::EqualExpectationRadius(model_, options.query.filter.alpha);
-  auto range_ticket = service.Submit(MakeQueries(4, 250), range);
-  ASSERT_TRUE(range_ticket.ok());
-  service.Resume();
-
-  std::set<int> replicas_used;
-  for (int b = 0; b < kBatches; ++b) {
-    const BatchResult& result = tickets[b]->Wait();
-    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-    replicas_used.insert(result.replica);
-    const auto queries = MakeQueries(4, 200 + b);
-    ASSERT_EQ(result.results.size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const auto direct =
-          searcher_->StatisticalQuery(queries[i], model_, options.query);
-      EXPECT_EQ(ToSet(result.results[i].matches), ToSet(direct.matches))
-          << "batch=" << b << " query=" << i;
-    }
-  }
-  // Least-loaded routing over a backed-up queue must spread the load.
-  EXPECT_GE(replicas_used.size(), 2u);
-
-  const BatchResult& range_result = (*range_ticket)->Wait();
-  ASSERT_TRUE(range_result.status.ok());
-  const auto range_queries = MakeQueries(4, 250);
-  for (size_t i = 0; i < range_queries.size(); ++i) {
-    const auto direct = searcher_->RangeQuery(range_queries[i], range.epsilon,
-                                              options.query.filter.depth);
-    EXPECT_EQ(ToSet(range_result.results[i].matches), ToSet(direct.matches))
-        << i;
-  }
 }
 
 // The acceptance-criterion admission test: a lane nominally full of
@@ -875,138 +761,107 @@ TEST_F(QueryServiceTest, PooledDeadlineMidExecutionStopsEarly) {
   ASSERT_EQ(result.results.size(), 8000u);  // unexecuted slots are empty
 }
 
-// Hedging end to end: every duplicate fires (the primaries are paused past
-// the delay), both replicas race after Resume, and each batch completes
-// exactly once with bit-identical results. Run under TSan this also
-// exercises the TryClaim first-wins protocol for data races.
-TEST_F(QueryServiceTest, HedgedBatchesCompleteOnceWithParity) {
-  auto replicated = ReplicatedSearcher::Build(BuildDb(2000, 75), {}, 2);
-  ASSERT_TRUE(replicated.ok());
+// A range batch with a negative or non-finite epsilon would abort a worker
+// on the filter's epsilon >= 0 check. Submit rejects it up front, before
+// quota and admission, so it takes neither a token nor a slot.
+TEST_F(QueryServiceTest, RangeBatchWithInvalidEpsilonIsRejected) {
   QueryServiceOptions options;
   options.num_workers = 1;
-  options.hedge_delay_ms = 1;
   options.start_paused = true;
+  options.max_queue_depth = 1;
+  options.quota_batches_per_s = 0.001;
+  options.quota_burst = 1;
   options.query = TestQueryOptions();
-  QueryService service(&*replicated, &model_, options);
-  EXPECT_GT(service.current_hedge_delay_ms(), 0.0);
+  QueryService service(searcher_.get(), &model_, options);
 
-  const int kBatches = 8;
-  std::vector<BatchTicket> tickets;
-  for (int b = 0; b < kBatches; ++b) {
-    auto ticket = service.Submit(MakeQueries(4, 300 + b));
-    ASSERT_TRUE(ticket.ok());
-    tickets.push_back(*ticket);
+  BatchOptions range;
+  range.paradigm = core::SearchParadigm::kRange;
+  range.client_tag = "tenant-a";
+  for (const double epsilon : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    range.epsilon = epsilon;
+    const auto rejected = service.Submit(MakeQueries(2, 560), range);
+    ASSERT_FALSE(rejected.ok()) << epsilon;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
   }
-  // A paused service still fires due hedges (they only enqueue
-  // duplicates), so after the sleep every batch has two queued attempts.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(service.pending_batches(), 0u);
+
+  // The tenant's single token and the single slot are both still free.
+  range.epsilon =
+      core::EqualExpectationRadius(model_, options.query.filter.alpha);
+  auto ticket = service.Submit(MakeQueries(2, 560), range);
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  EXPECT_EQ(service.pending_batches(), 1u);
   service.Resume();
-
-  for (int b = 0; b < kBatches; ++b) {
-    const BatchResult& result = tickets[b]->Wait();
-    ASSERT_TRUE(result.status.ok()) << b;
-    const auto queries = MakeQueries(4, 300 + b);
-    ASSERT_EQ(result.results.size(), queries.size());
-    EXPECT_EQ(result.queries_executed, queries.size()) << b;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const auto direct =
-          searcher_->StatisticalQuery(queries[i], model_, options.query);
-      EXPECT_EQ(ToSet(result.results[i].matches), ToSet(direct.matches))
-          << "batch=" << b << " query=" << i;
-    }
-  }
-  const QueryService::HedgeStats stats = service.hedge_stats();
-  EXPECT_EQ(stats.armed, static_cast<uint64_t>(kBatches));
-  EXPECT_EQ(stats.fired, static_cast<uint64_t>(kBatches));
-  EXPECT_LE(stats.wins, static_cast<uint64_t>(kBatches));
+  EXPECT_TRUE((*ticket)->Wait().status.ok());
 }
 
-TEST_F(QueryServiceTest, CompletedBatchesDescheduleTheirPendingHedge) {
-  auto replicated = ReplicatedSearcher::Build(BuildDb(2000, 75), {}, 2);
-  ASSERT_TRUE(replicated.ok());
-  QueryServiceOptions options;
-  options.num_workers = 1;
-  // Far beyond any batch's runtime: every hedge is armed but must be
-  // descheduled by the primary's completion, never fired by the timer.
-  options.hedge_delay_ms = 60000;
-  options.query = TestQueryOptions();
-  QueryService service(&*replicated, &model_, options);
-
-  const int kBatches = 12;
-  std::vector<BatchTicket> tickets;
-  for (int b = 0; b < kBatches; ++b) {
-    auto ticket = service.Submit(MakeQueries(2, 500 + b));
-    ASSERT_TRUE(ticket.ok());
-    tickets.push_back(*ticket);
-  }
-  for (auto& ticket : tickets) {
-    EXPECT_TRUE(ticket->Wait().status.ok());
-  }
-  const QueryService::HedgeStats stats = service.hedge_stats();
-  EXPECT_EQ(stats.armed, static_cast<uint64_t>(kBatches));
-  EXPECT_EQ(stats.fired, 0u);
-  // Shutdown drains cleanly with the (now empty) schedule — a stale
-  // back-pointer would make a draining worker erase through a dangling
-  // iterator here.
-  service.Shutdown();
-}
-
-TEST_F(QueryServiceTest, HedgeRescuesBatchesFromInjectedReplicaStalls) {
-  auto replicated = ReplicatedSearcher::Build(BuildDb(2000, 75), {}, 2);
-  ASSERT_TRUE(replicated.ok());
-  QueryServiceOptions options;
-  options.num_workers = 1;
-  options.hedge_delay_ms = 2;
-  // Every popped batch stalls its worker 40 ms before executing, so the
-  // hedge always fires and the duplicate lands on the other replica
-  // (which stalls too — but by then the batch only pays one stall, not a
-  // queue of them). Results must stay bit-identical to the unstalled
-  // reference searcher.
-  options.stall_every_n = 1;
-  options.stall_ms = 40;
-  options.query = TestQueryOptions();
-  QueryService service(&*replicated, &model_, options);
-
-  const int kBatches = 4;
-  std::vector<BatchTicket> tickets;
-  for (int b = 0; b < kBatches; ++b) {
-    auto ticket = service.Submit(MakeQueries(3, 640 + b));
-    ASSERT_TRUE(ticket.ok());
-    tickets.push_back(*ticket);
-  }
-  for (int b = 0; b < kBatches; ++b) {
-    const BatchResult& result = tickets[b]->Wait();
-    ASSERT_TRUE(result.status.ok()) << b;
-    const auto queries = MakeQueries(3, 640 + b);
-    ASSERT_EQ(result.results.size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const auto direct =
-          searcher_->StatisticalQuery(queries[i], model_, options.query);
-      EXPECT_EQ(ToSet(result.results[i].matches), ToSet(direct.matches))
-          << "batch=" << b << " query=" << i;
-    }
-  }
-  EXPECT_GE(service.hedge_stats().fired, 1u);
-}
-
-TEST_F(QueryServiceTest, QuantileHedgeDelayArmsAfterEnoughSamples) {
-  auto replicated = ReplicatedSearcher::Build(BuildDb(2000, 75), {}, 2);
-  ASSERT_TRUE(replicated.ok());
+// Multi-producer completion race, run under TSan by tools/run_tsan_tests.sh:
+// producers submit concurrently (and purge expired batches on their own
+// threads) while pooled workers execute. Every accepted batch completes
+// exactly once, either OK with direct-query parity or past its deadline.
+TEST_F(QueryServiceTest, ConcurrentProducersCompleteEveryBatchOnce) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.Reset();
   QueryServiceOptions options;
   options.num_workers = 2;
-  options.hedge_quantile = 0.9;
+  options.threads_per_batch = 2;
   options.query = TestQueryOptions();
-  QueryService service(&*replicated, &model_, options);
-  // Pure-quantile hedging has nothing to arm before enough completions.
-  EXPECT_LT(service.current_hedge_delay_ms(), 0.0);
+  QueryService service(searcher_.get(), &model_, options);
 
-  for (int b = 0; b < 48; ++b) {
-    auto ticket = service.Submit(MakeQueries(1, 400 + b));
-    ASSERT_TRUE(ticket.ok());
-    (*ticket)->Wait();
+  constexpr int kProducers = 4;
+  constexpr int kBatchesPerProducer = 50;
+  struct Accepted {
+    uint64_t seed;
+    BatchTicket ticket;
+  };
+  std::vector<std::vector<Accepted>> accepted(kProducers);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int b = 0; b < kBatchesPerProducer; ++b) {
+        BatchOptions batch;
+        // No deadline, a 1 ms deadline, or a generous one, in turn.
+        batch.deadline_ms = b % 3 == 0 ? 0 : (b % 3 == 1 ? 1 : 60000);
+        const uint64_t seed = 2000 + p * kBatchesPerProducer + b;
+        auto ticket = service.Submit(MakeQueries(2, seed), batch);
+        if (ticket.ok()) {
+          accepted[p].push_back({seed, *ticket});
+        } else {
+          EXPECT_EQ(ticket.status().code(), StatusCode::kUnavailable);
+        }
+      }
+    });
   }
-  // The rolling p90 of those completions is now the armed delay.
-  EXPECT_GE(service.current_hedge_delay_ms(), 0.0);
+  for (std::thread& producer : producers) {
+    producer.join();
+  }
+
+  uint64_t accepted_count = 0;
+  for (const auto& mine : accepted) {
+    for (const Accepted& a : mine) {
+      ++accepted_count;
+      const BatchResult& result = a.ticket->Wait();
+      if (!result.status.ok()) {
+        EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
+        continue;
+      }
+      const auto queries = MakeQueries(2, a.seed);
+      ASSERT_EQ(result.results.size(), queries.size());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const auto direct =
+            searcher_->StatisticalQuery(queries[i], model_, options.query);
+        EXPECT_EQ(ToSet(result.results[i].matches), ToSet(direct.matches))
+            << "seed=" << a.seed << " query=" << i;
+      }
+    }
+  }
+  EXPECT_GT(accepted_count, 0u);
+  EXPECT_EQ(service.pending_batches(), 0u);
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.CounterOr0("service.batches_submitted"), accepted_count);
+  EXPECT_EQ(snapshot.CounterOr0("service.batches_completed"), accepted_count);
+  registry.Reset();
 }
 
 TEST_F(QueryServiceTest, BulkFloodCannotStarveInteractiveAdmission) {
@@ -1139,7 +994,6 @@ TEST_F(QueryServiceTest, ClosedLoopLoadGenReportsRetriesAndQuotaRejects) {
   const auto pool = MakeQueries(64, 550);
   const LoadGenReport report = RunLoadGen(service, pool, model_, load);
 
-  EXPECT_EQ(report.replicas, 1);
   ASSERT_EQ(report.phases.size(), 1u);
   const PhaseReport& phase = report.phases[0];
   EXPECT_GT(phase.completed_ok, 0u);

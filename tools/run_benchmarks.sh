@@ -423,12 +423,11 @@ if [[ ! -f "${service_db}" ]]; then
 fi
 
 service_raw="$(mktemp)"
-service_cmp_dir="$(mktemp -d)"
-trap 'rm -f "${raw_json}" "${filter_raw}" "${service_raw}"; rm -rf "${service_cmp_dir}"' EXIT
+trap 'rm -f "${raw_json}" "${filter_raw}" "${service_raw}"' EXIT
 
-# Main ramp: single replica, no hedging — the continuity benchmark (same
-# shape since the loadgen landed): calibrated open-loop Poisson ramp with
-# per-phase latency attribution and the knee summary.
+# The continuity benchmark (same shape since the loadgen landed):
+# calibrated open-loop Poisson ramp with per-phase latency attribution and
+# the knee summary.
 "${build_dir}/tools/s3vcd_tool" loadgen --db "${service_db}" \
   --mode open --arrival poisson --ramp 0.5,1,2,4 --phase-s 3 \
   --calibrate-s 2 --clients 4 --mix-stat 0.6 --mix-range 0.2 \
@@ -436,45 +435,14 @@ trap 'rm -f "${raw_json}" "${filter_raw}" "${service_raw}"; rm -rf "${service_cm
   --seed 93 --json-out "${service_raw}" \
   --slow-log-out "${build_dir}/bench_service_slowlog.json" >&2
 
-# Hedged-vs-unhedged tail comparison. Both arms run the identical
-# two-replica closed-loop workload with injected replica stalls
-# (--stall-every/--stall-ms: a 15 ms worker pause every 500th batch,
-# emulating compaction / page-cache / CPU-steal hiccups — the server-side
-# variance hedging exists to absorb); the only delta is --hedge-quantile.
-# Closed loop because an open loop at fixed qps is metastable near
-# saturation and run-to-run drift swamps the effect. One discarded warmup
-# run, then the arms interleaved U,H,H,U so machine drift cancels instead
-# of penalizing whichever arm runs last; per-arm stats are averaged.
-hedge_cmp() {
-  "${build_dir}/tools/s3vcd_tool" loadgen --db "${service_db}" \
-    --mode closed --ramp 1 --phase-s 8 --base-qps 1 --clients 8 \
-    --mix-stat 0.6 --mix-range 0.2 --mix-batch 0.2 --batch 8 \
-    --shards 4 --workers 1 --replicas 2 --queue-depth 32 \
-    --stall-every 500 --stall-ms 15 --seed 93 "$@" >&2
-}
-hedge_cmp  # warmup, discarded (the first run after a build is fastest)
-hedge_cmp --json-out "${service_cmp_dir}/u1.json"
-hedge_cmp --json-out "${service_cmp_dir}/h1.json" --hedge-quantile 0.97
-hedge_cmp --json-out "${service_cmp_dir}/h2.json" --hedge-quantile 0.97
-hedge_cmp --json-out "${service_cmp_dir}/u2.json"
-
-python3 - "${service_raw}" "${service_json}" "${service_cmp_dir}" <<'PY'
+python3 - "${service_raw}" "${service_json}" <<'PY'
 import json
 import os
 import sys
 
-raw_path, out_path, cmp_dir = sys.argv[1], sys.argv[2], sys.argv[3]
+raw_path, out_path = sys.argv[1], sys.argv[2]
 with open(raw_path) as f:
     raw = json.load(f)
-
-
-def load_cmp(name):
-    with open(os.path.join(cmp_dir, name)) as f:
-        return json.load(f)
-
-
-unhedged_runs = [load_cmp("u1.json"), load_cmp("u2.json")]
-hedged_runs = [load_cmp("h1.json"), load_cmp("h2.json")]
 
 host = dict(json.loads(os.environ["S3VCD_BENCH_HOST"]),
             selected_scan_kernel=raw.get("scan_kernel"))
@@ -500,74 +468,13 @@ if ramp and base_qps > 0:
             heaviest.get("goodput_qps", 0.0) / base_qps,
     }
 
-# Hedged-vs-unhedged tail comparison at the 1x (only) phase of the
-# closed-loop stall-injection runs: both arms see the identical workload,
-# replicas and injected stalls; only --hedge-quantile differs. Latencies
-# are averaged over the two interleaved runs per arm, and the duplicate-
-# work overhead hedging buys is reported alongside (fire rate per
-# accepted batch, cancelled-work fraction per executed query).
-
-
-def run_phase(run):
-    return next((p for p in run.get("phases", [])
-                 if not p.get("calibration")), None)
-
-
-def arm_latency(runs, key):
-    values = [run_phase(r).get("latency_ms", {}).get(key)
-              for r in runs if run_phase(r)]
-    values = [v for v in values if v is not None]
-    return sum(values) / len(values) if values else None
-
-
-hedging = None
-if all(run_phase(r) for r in unhedged_runs + hedged_runs):
-    hedged_phases = [run_phase(r) for r in hedged_runs]
-    fired = sum(p.get("hedges_fired", 0) for p in hedged_phases)
-    wins = sum(p.get("hedge_wins", 0) for p in hedged_phases)
-    cancelled = sum(p.get("cancelled_queries", 0) for p in hedged_phases)
-    accepted = sum(p.get("accepted", 0) for p in hedged_phases)
-    executed = sum(p.get("queries_executed", 0) for p in hedged_phases)
-    u_p999 = arm_latency(unhedged_runs, "p999")
-    h_p999 = arm_latency(hedged_runs, "p999")
-    hedging = {
-        "comparison": ("closed-loop, 2 replicas x 1 worker, 8 clients, "
-                       "15 ms injected stall every 500th popped batch on "
-                       "both arms; runs interleaved U,H,H,U after a "
-                       "discarded warmup, per-arm mean reported"),
-        "replicas": hedged_runs[0].get("replicas"),
-        "hedge_quantile": hedged_runs[0].get("hedge_quantile"),
-        "stall_every_n": 500,
-        "stall_ms": 15,
-        "runs_per_arm": len(hedged_runs),
-        "unhedged_p99_ms_at_1x": arm_latency(unhedged_runs, "p99"),
-        "hedged_p99_ms_at_1x": arm_latency(hedged_runs, "p99"),
-        "unhedged_p999_ms_at_1x": u_p999,
-        "hedged_p999_ms_at_1x": h_p999,
-        "p999_improvement_at_1x":
-            (u_p999 - h_p999) / u_p999 if u_p999 else None,
-        "unhedged_p999_ms_runs":
-            [run_phase(r).get("latency_ms", {}).get("p999")
-             for r in unhedged_runs],
-        "hedged_p999_ms_runs":
-            [run_phase(r).get("latency_ms", {}).get("p999")
-             for r in hedged_runs],
-        "hedge_fire_rate": fired / accepted if accepted else 0.0,
-        "hedge_wins": wins,
-        "cancelled_work_fraction":
-            cancelled / (executed + cancelled) if executed + cancelled
-            else 0.0,
-    }
-
 result = {
     "benchmark": "s3vcd_tool loadgen",
     "description": ("query service under a calibrated open-loop Poisson "
                     "ramp over a 200k-record database: per-phase offered "
                     "vs goodput, reject rate, e2e latency percentiles "
                     "(coordinated-omission safe) and mean per-stage "
-                    "breakdown; plus a hedged-vs-unhedged closed-loop "
-                    "comparison (2 replicas, adaptive p97) under injected "
-                    "replica stalls for the tail effect"),
+                    "breakdown"),
     "mode": raw.get("mode"),
     "jitter": raw.get("jitter"),
     "host": host,
@@ -578,7 +485,6 @@ result = {
     "calibration": calibration,
     "phases": ramp,
     "knee": knee,
-    "hedging": hedging,
 }
 with open(out_path, "w") as f:
     json.dump(result, f, indent=2)
@@ -592,13 +498,6 @@ for p in ramp:
 if knee:
     print(f"knee: goodput at x{knee['heaviest_multiplier']} offered = "
           f"{100 * knee['goodput_over_capacity']:.1f}% of calibrated capacity")
-if hedging:
-    print(f"hedging at 1x: p99.9 {hedging['unhedged_p999_ms_at_1x']:.3f} -> "
-          f"{hedging['hedged_p999_ms_at_1x']:.3f} ms "
-          f"(p99 {hedging['unhedged_p99_ms_at_1x']:.3f} -> "
-          f"{hedging['hedged_p99_ms_at_1x']:.3f}); "
-          f"fire rate {100 * hedging['hedge_fire_rate']:.1f}%, "
-          f"cancelled work {100 * hedging['cancelled_work_fraction']:.2f}%")
 PY
 
 echo "Wrote ${service_json}"

@@ -96,7 +96,6 @@
 #include "obs/trace.h"
 #include "service/loadgen.h"
 #include "service/query_service.h"
-#include "service/replicated_searcher.h"
 #include "service/sharded_searcher.h"
 #include "store/segment_searcher.h"
 #include "store/segment_store.h"
@@ -227,12 +226,9 @@ const std::vector<CommandSpec>& Commands() {
         {"beam-width", "vamana backend: query beam width L (default 64)"},
         {"shards", "number of index shards K (default 4)"},
         {"policy", "sharding policy: range | hash (default range)"},
-        {"workers", "service worker threads per replica (default 2)"},
+        {"workers", "service worker threads (default 2)"},
         {"threads", "fan-out threads per batch (default 2)"},
         {"queue-depth", "admission queue bound, in batches (default 8)"},
-        {"replicas", "identical shard-group replicas R (default 1)"},
-        {"hedge-ms", "fixed hedge delay, ms; 0 = off (default 0)"},
-        {"hedge-quantile", "adaptive hedge at this e2e quantile; 0 = off"},
         {"quota-qps", "per-client token-bucket rate; 0 = off (default 0)"},
         {"quota-burst", "token-bucket burst; 0 = rate (default 0)"},
         {"batch", "queries per batch (default 32)"},
@@ -273,18 +269,13 @@ const std::vector<CommandSpec>& Commands() {
         {"beam-width", "vamana backend: query beam width L (default 64)"},
         {"shards", "number of index shards K (default 4)"},
         {"policy", "sharding policy: range | hash (default range)"},
-        {"workers", "service worker threads per replica (default 2)"},
+        {"workers", "service worker threads (default 2)"},
         {"threads", "fan-out threads per batch (default 1)"},
         {"queue-depth", "admission queue bound, in batches (default 32)"},
-        {"replicas", "identical shard-group replicas R (default 1)"},
-        {"hedge-ms", "fixed hedge delay, ms; 0 = off (default 0)"},
-        {"hedge-quantile", "adaptive hedge at this e2e quantile; 0 = off"},
         {"bulk-fraction", "share of requests on the bulk lane (default 0)"},
         {"quota-qps", "per-client token-bucket rate; 0 = off (default 0)"},
         {"quota-burst", "token-bucket burst; 0 = rate (default 0)"},
         {"quota-clients", "round-robin client tags; 0 = untagged"},
-        {"stall-every", "inject a stall every N popped batches; 0 = off"},
-        {"stall-ms", "injected replica stall duration, ms (default 0)"},
         {"cache-capacity", "selection cache entries; 0 = off (default 4096)"},
         {"alpha", "statistical expectation (default 0.8)"},
         {"sigma", "distortion model sigma (default 15)"},
@@ -954,12 +945,10 @@ int CmdServeBatch(const Flags& flags) {
     }
   }
 
-  const int replicas = static_cast<int>(flags.GetInt("replicas", 1));
-  auto replicated =
-      service::ReplicatedSearcher::Build(std::move(*db), sharding, replicas);
-  if (!replicated.ok()) {
+  auto sharded = service::ShardedSearcher::Build(std::move(*db), sharding);
+  if (!sharded.ok()) {
     std::fprintf(stderr, "serve-batch failed: %s\n",
-                 replicated.status().ToString().c_str());
+                 sharded.status().ToString().c_str());
     return 1;
   }
   service::QueryServiceOptions options;
@@ -972,25 +961,21 @@ int CmdServeBatch(const Flags& flags) {
   options.query.filter.alpha = alpha;
   options.query.filter.depth = static_cast<int>(flags.GetInt("depth", 12));
   options.slow_batch_threshold_ms = flags.GetDouble("slow-threshold-ms", 0);
-  options.hedge_delay_ms = flags.GetDouble("hedge-ms", 0);
-  options.hedge_quantile = flags.GetDouble("hedge-quantile", 0);
   options.quota_batches_per_s = flags.GetDouble("quota-qps", 0);
   options.quota_burst = flags.GetDouble("quota-burst", 0);
   service::BatchOptions batch_options;
   batch_options.deadline_ms = flags.GetDouble("deadline-ms", 0);
 
-  std::printf("serve-batch: %zu records, %d shards (%s, backend=%s) x %d "
-              "replicas, %d workers x %d threads, queue depth %zu, "
-              "cache %zu\n",
-              db_size, replicated->replica(0).num_shards(),
-              policy_name.c_str(), backend.c_str(),
-              replicated->num_replicas(), options.num_workers,
+  std::printf("serve-batch: %zu records, %d shards (%s, backend=%s), "
+              "%d workers x %d threads, queue depth %zu, cache %zu\n",
+              db_size, sharded->num_shards(), policy_name.c_str(),
+              backend.c_str(), options.num_workers,
               options.threads_per_batch, options.max_queue_depth,
               options.cache_capacity);
 
   ObsOutputs obs_out(flags);
   obs_out.Begin();
-  service::QueryService query_service(&*replicated, &model, options);
+  service::QueryService query_service(&*sharded, &model, options);
   std::unique_ptr<obs::IntervalReporter> reporter;
   const int stats_interval_ms =
       static_cast<int>(flags.GetInt("stats-interval-ms", 0));
@@ -1077,14 +1062,6 @@ int CmdServeBatch(const Flags& flags) {
     std::printf("avg queue wait %.2f ms, avg execute %.2f ms per batch\n",
                 total_queue_wait_ms / completed,
                 total_execute_ms / completed);
-  }
-  if (query_service.num_replicas() > 1) {
-    const service::QueryService::HedgeStats hedge =
-        query_service.hedge_stats();
-    std::printf("hedging: %" PRIu64 " armed, %" PRIu64 " fired, %" PRIu64
-                " hedge wins, %" PRIu64 " cancelled queries\n",
-                hedge.armed, hedge.fired, hedge.wins,
-                hedge.cancelled_queries);
   }
   return obs_out.Finish();
 }
@@ -1199,12 +1176,10 @@ int CmdLoadgen(const Flags& flags) {
         core::DistortFingerprint(record.descriptor, sigma, &rng));
   }
 
-  const int replicas = static_cast<int>(flags.GetInt("replicas", 1));
-  auto replicated =
-      service::ReplicatedSearcher::Build(std::move(*db), sharding, replicas);
-  if (!replicated.ok()) {
+  auto sharded = service::ShardedSearcher::Build(std::move(*db), sharding);
+  if (!sharded.ok()) {
     std::fprintf(stderr, "loadgen failed: %s\n",
-                 replicated.status().ToString().c_str());
+                 sharded.status().ToString().c_str());
     return 1;
   }
   service::QueryServiceOptions options;
@@ -1217,25 +1192,19 @@ int CmdLoadgen(const Flags& flags) {
   options.query.filter.alpha = alpha;
   options.query.filter.depth = static_cast<int>(flags.GetInt("depth", 12));
   options.slow_batch_threshold_ms = flags.GetDouble("slow-threshold-ms", 0);
-  options.hedge_delay_ms = flags.GetDouble("hedge-ms", 0);
-  options.hedge_quantile = flags.GetDouble("hedge-quantile", 0);
   options.quota_batches_per_s = flags.GetDouble("quota-qps", 0);
   options.quota_burst = flags.GetDouble("quota-burst", 0);
-  options.stall_every_n = static_cast<int>(flags.GetInt("stall-every", 0));
-  options.stall_ms = flags.GetDouble("stall-ms", 0);
 
-  std::printf("loadgen: %zu records, %d shards (%s, backend=%s) x %d "
-              "replicas, %d workers x %d threads, queue depth %zu, "
-              "mode=%s\n",
-              db_size, replicated->replica(0).num_shards(),
-              policy_name.c_str(), backend.c_str(),
-              replicated->num_replicas(), options.num_workers,
+  std::printf("loadgen: %zu records, %d shards (%s, backend=%s), "
+              "%d workers x %d threads, queue depth %zu, mode=%s\n",
+              db_size, sharded->num_shards(), policy_name.c_str(),
+              backend.c_str(), options.num_workers,
               options.threads_per_batch, options.max_queue_depth,
               mode_name.c_str());
 
   ObsOutputs obs_out(flags);
   obs_out.Begin();
-  service::QueryService query_service(&*replicated, &model, options);
+  service::QueryService query_service(&*sharded, &model, options);
 
   std::unique_ptr<obs::IntervalReporter> reporter;
   const int report_interval_ms =
@@ -1289,14 +1258,6 @@ int CmdLoadgen(const Flags& flags) {
               "base %.1f qps); cache hit rate %.1f%%\n",
               report.phases.size(), completed, report.base_qps,
               cache != nullptr ? cache->HitRate() * 100 : 0.0);
-  if (query_service.num_replicas() > 1) {
-    const service::QueryService::HedgeStats hedge =
-        query_service.hedge_stats();
-    std::printf("hedging: %" PRIu64 " armed, %" PRIu64 " fired, %" PRIu64
-                " hedge wins, %" PRIu64 " cancelled queries\n",
-                hedge.armed, hedge.fired, hedge.wins,
-                hedge.cancelled_queries);
-  }
 
   int rc = 0;
   const std::string json_path = flags.Get("json-out", "");
