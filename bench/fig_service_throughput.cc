@@ -132,7 +132,7 @@ int Main() {
         std::printf("FATAL: %s\n", searcher.status().ToString().c_str());
         return 1;
       }
-      // ShardedSearcher::Build defaults to the block-structured "dynamic"
+      // ShardedSearcher::Build defaults to the block-structured "s3"
       // backend, so the shared-selection decomposition always applies here.
       const core::BlockFilter& filter = *searcher->shard(0).selection_filter();
       double cpu_seconds = 0;

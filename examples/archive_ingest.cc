@@ -1,7 +1,9 @@
 // Archive ingestion example: the paper's index is deliberately static, but
-// a TV archive grows every day. DynamicIndex layers a write buffer over
-// the static S3 structure so freshly ingested programmes are searchable
-// immediately, with periodic compaction folding them into the sorted file.
+// a TV archive grows every day. The "segment" backend keeps the archive as
+// Hilbert-sorted segments plus a sorted in-memory write buffer, so freshly
+// ingested programmes are searchable immediately; compaction writes the
+// buffer out and merges the segments. Without a store directory the store
+// is ephemeral (a private temp directory removed on exit).
 //
 // Build & run:  ./build/examples/archive_ingest
 
@@ -10,10 +12,10 @@
 #include "cbcd/detector.h"
 #include "core/database.h"
 #include "core/distortion_model.h"
-#include "core/dynamic_index.h"
 #include "core/synthetic_db.h"
 #include "fingerprint/extractor.h"
 #include "media/synthetic.h"
+#include "store/segment_searcher.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -31,7 +33,7 @@ media::VideoSequence Programme(uint64_t seed) {
 }
 
 // Counts how many fingerprints of `fps` retrieve their exact descriptor.
-int CountRetrieved(const core::DynamicIndex& index,
+int CountRetrieved(const core::Searcher& index,
                    const std::vector<fp::LocalFingerprint>& fps,
                    const core::DistortionModel& model) {
   core::QueryOptions options;
@@ -39,7 +41,7 @@ int CountRetrieved(const core::DynamicIndex& index,
   options.filter.depth = 14;
   int hits = 0;
   for (const auto& lf : fps) {
-    const auto result = index.StatisticalQuery(lf.descriptor, model, options);
+    const auto result = index.StatQuery(lf.descriptor, model, options);
     for (const auto& m : result.matches) {
       if (m.distance == 0.0f) {
         ++hits;
@@ -67,9 +69,15 @@ int main() {
   Rng rng(7);
   core::AppendDistractors(&builder, pool, 150000, core::DistractorOptions{},
                           &rng);
-  core::DynamicIndex archive{core::S3Index(builder.Build())};
-  std::printf("day 0 archive: %zu fingerprints (static)\n",
-              archive.total_size());
+  auto opened = store::SegmentSearcher::Open(builder.Build(), {});
+  if (!opened.ok()) {
+    std::printf("FATAL: %s\n", opened.status().ToString().c_str());
+    return 1;
+  }
+  store::SegmentSearcher& archive = **opened;
+  std::printf("day 0 archive: %llu fingerprints in %zu segment(s)\n",
+              static_cast<unsigned long long>(archive.Stats().records),
+              archive.segment_store().num_segments());
 
   const core::GaussianDistortionModel model(12.0);
 
@@ -82,7 +90,7 @@ int main() {
 
   Stopwatch watch;
   for (const auto& lf : fresh_fps) {
-    archive.Insert(lf.descriptor, /*id=*/100, lf.time_code, lf.x, lf.y);
+    archive.TryInsert(lf.descriptor, /*id=*/100, lf.time_code, lf.x, lf.y);
   }
   std::printf("ingested %zu fingerprints in %.2f ms (buffered: %zu)\n",
               fresh_fps.size(), watch.ElapsedMillis(),
@@ -90,11 +98,13 @@ int main() {
   std::printf("after ingest:  %d/%zu retrieved (no rebuild yet)\n",
               CountRetrieved(archive, fresh_fps, model), fresh_fps.size());
 
-  // Nightly compaction folds the buffer into the sorted structure.
+  // Nightly compaction writes the buffer out as a segment and runs the
+  // store's tiered compaction.
   watch.Reset();
   archive.Compact();
-  std::printf("compacted into the static index in %.0f ms; buffered: %zu\n",
-              watch.ElapsedMillis(), archive.pending_inserts());
+  std::printf("compacted into %zu segment(s) in %.0f ms; buffered: %zu\n",
+              archive.segment_store().num_segments(), watch.ElapsedMillis(),
+              archive.pending_inserts());
   std::printf("after compact: %d/%zu retrieved\n",
               CountRetrieved(archive, fresh_fps, model), fresh_fps.size());
   return 0;

@@ -59,9 +59,9 @@ struct DescriptorView {
 /// refinement scan runs over — a curve-section strip touches 20 contiguous
 /// bytes per record instead of striding over 36-byte FingerprintRecords,
 /// and the packed descriptors are what the SIMD kernels in
-/// core/scan_kernel consume. The static database, the dynamic index's
-/// insert buffer, the VA-file's exact vectors and the LSH record snapshot
-/// all keep their records in a DescriptorBlock.
+/// core/scan_kernel consume. The static database, the segment memtable,
+/// the VA-file's exact vectors and the LSH record snapshot all keep their
+/// records in a DescriptorBlock.
 class DescriptorBlock {
  public:
   size_t size() const { return ids_.size(); }
@@ -89,13 +89,16 @@ class DescriptorBlock {
     Append(r.descriptor, r.id, r.time_code, r.x, r.y);
   }
 
-  void Clear() {
-    descriptors_.clear();
-    ids_.clear();
-    time_codes_.clear();
-    xs_.clear();
-    ys_.clear();
+  /// Drops every record from index n on (n <= size()).
+  void Truncate(size_t n) {
+    descriptors_.resize(n * fp::kDims);
+    ids_.resize(n);
+    time_codes_.resize(n);
+    xs_.resize(n);
+    ys_.resize(n);
   }
+
+  void Clear() { Truncate(0); }
 
   /// The packed descriptor bytes (size() * fp::kDims of them).
   const uint8_t* descriptors() const { return descriptors_.data(); }

@@ -80,9 +80,8 @@ class S3Index : public Searcher {
   }
   const BlockFilter* selection_filter() const override { return &filter_; }
   /// Runs the refinement scan of a precomputed block selection, appending
-  /// matches and scan counters to `result`. Exposed so layered structures
-  /// (e.g. DynamicIndex, the sharded service) can share one filtering
-  /// pass. `model` is only required for kNormalizedRadiusFilter (may be
+  /// matches and scan counters to `result`. Exposed so the sharded
+  /// service can share one filtering pass across shards. `model` is only required for kNormalizedRadiusFilter (may be
   /// null otherwise).
   void ScanSelection(const fp::Fingerprint& query,
                      const BlockSelection& selection, RefinementMode mode,

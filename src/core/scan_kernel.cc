@@ -514,20 +514,4 @@ void ScanRecords(const fp::Fingerprint& query, const DescriptorView& block,
   }
 }
 
-bool KeyInSelection(const BitKey& key,
-                    const std::vector<std::pair<BitKey, BitKey>>& ranges) {
-  // Ranges are sorted by begin and disjoint: the only candidate is the
-  // last range starting at or before the key.
-  const auto it = std::upper_bound(
-      ranges.begin(), ranges.end(), key,
-      [](const BitKey& k, const std::pair<BitKey, BitKey>& range) {
-        return k < range.first;
-      });
-  if (it == ranges.begin()) {
-    return false;
-  }
-  const auto& [begin, end] = *(it - 1);
-  return KeyInSection(key, begin, end);
-}
-
 }  // namespace s3vcd::core

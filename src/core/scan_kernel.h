@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "core/descriptor_block.h"
 #include "core/descriptor_codec.h"
@@ -14,14 +12,13 @@
 #include "core/scan_kernel_internal.h"
 #include "core/searcher.h"
 #include "fingerprint/fingerprint.h"
-#include "util/bitkey.h"
 
 namespace s3vcd::core {
 
 /// The shared refinement kernel: every backend's inner scan loop — the
-/// S3 index's curve-section scan, the dynamic index's insert-buffer pass,
-/// the VA-file's phase-2 exact check, the LSH candidate filter and the
-/// sequential scan — funnels each touched record through RefineRecord /
+/// S3 index's and the segment store's curve-section scans, the VA-file's
+/// phase-2 exact check, the LSH candidate filter and the sequential
+/// scan — funnels each touched record through RefineRecord /
 /// ScanRecords, so `records_scanned` and match accounting mean exactly the
 /// same thing on every backend (pinned by tests/backend_parity_test.cc).
 ///
@@ -230,19 +227,6 @@ class GatherScorer {
   internal::SqDistGatherFn exact_fn_ = nullptr;
   internal::SqDistCodedGatherFn coded_fn_ = nullptr;
 };
-
-/// Membership of a curve key in the half-open section [begin, end), where
-/// a numerically zero `end` denotes the final section wrapping to the top
-/// of the key space (the same convention S3Index::ResolveRange applies).
-inline bool KeyInSection(const BitKey& key, const BitKey& begin,
-                         const BitKey& end) {
-  return begin <= key && (end.is_zero() || key < end);
-}
-
-/// Membership of a curve key in a block selection's merged, sorted,
-/// disjoint ranges (binary search on the range starts).
-bool KeyInSelection(const BitKey& key,
-                    const std::vector<std::pair<BitKey, BitKey>>& ranges);
 
 }  // namespace s3vcd::core
 

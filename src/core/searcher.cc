@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "core/dynamic_index.h"
 #include "core/index.h"
 #include "core/lsh.h"
 #include "core/scan_kernel.h"
@@ -137,13 +136,6 @@ SearcherRegistry::SearcherRegistry() {
     S3IndexOptions options;
     options.index_table_depth = config.index_table_depth;
     return std::make_unique<S3Index>(std::move(db), options);
-  });
-  Register("dynamic", [](FingerprintDatabase db, const SearcherConfig& config)
-               -> std::unique_ptr<Searcher> {
-    S3IndexOptions options;
-    options.index_table_depth = config.index_table_depth;
-    return std::make_unique<DynamicIndex>(
-        S3Index(std::move(db), options));
   });
   Register("vafile", [](FingerprintDatabase db, const SearcherConfig& config)
                -> std::unique_ptr<Searcher> {

@@ -109,14 +109,15 @@ struct SearcherStats {
 };
 
 /// The uniform interface over every search structure in the system: the
-/// paper's S3 index, its dynamic (insertable) variant, the VA-file and LSH
-/// extension baselines, and plain sequential scan. Callers above core —
+/// paper's S3 index, its persistent insertable variant (the store's
+/// "segment" backend), the VA-file and LSH extension baselines, the vamana
+/// graph and plain sequential scan. Callers above core —
 /// the copy detector, the parallel fan-out, the sharded service, the tool
 /// and the benches — hold a Searcher and never name a concrete backend;
 /// construction goes through SearcherRegistry.
 ///
 /// Semantics: StatQuery returns the contents of a region of expectation
-/// alpha. Block-structured backends (s3, dynamic) implement it exactly as
+/// alpha. Block-structured backends (s3, segment) implement it exactly as
 /// in the paper; backends without block structure (vafile, lsh, seqscan)
 /// emulate it as an exact range query at the equal-expectation radius
 /// (EqualExpectationRadius below), which retrieves the distorted target
@@ -240,7 +241,7 @@ struct SearcherConfig {
 };
 
 /// String-keyed factory of Searcher backends. The built-ins ("s3",
-/// "dynamic", "vafile", "lsh", "seqscan") are registered on first access
+/// "vafile", "lsh", "seqscan", "vamana") are registered on first access
 /// of Global(); extensions may Register additional names at startup
 /// (registration is not thread-safe and must precede concurrent use).
 class SearcherRegistry {
@@ -254,7 +255,7 @@ class SearcherRegistry {
   bool Contains(const std::string& name) const;
   /// Registered names, sorted.
   std::vector<std::string> Names() const;
-  /// "dynamic, lsh, s3, seqscan, vafile" — for error messages and usage.
+  /// "lsh, s3, seqscan, vafile, vamana" — for error messages and usage.
   std::string NamesCsv() const;
 
   /// Constructs backend `name` over `db` (consumed). Unknown names return

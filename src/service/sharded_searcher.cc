@@ -28,12 +28,8 @@ uint64_t HashId(uint32_t id) {
 
 ShardedSearcher::ShardedSearcher(
     ShardedSearcherOptions options,
-    std::vector<std::unique_ptr<core::Searcher>> shards,
-    std::vector<BitKey> boundaries, int order)
-    : options_(std::move(options)),
-      shards_(std::move(shards)),
-      boundaries_(std::move(boundaries)),
-      encoder_(order) {
+    std::vector<std::unique_ptr<core::Searcher>> shards)
+    : options_(std::move(options)), shards_(std::move(shards)) {
   shard_scan_us_.reserve(shards_.size());
   for (size_t k = 0; k < shards_.size(); ++k) {
     shard_scan_us_.push_back(obs::MetricsRegistry::Global().GetHistogram(
@@ -53,6 +49,15 @@ Result<ShardedSearcher> ShardedSearcher::Build(
                                    "'; registered backends: " +
                                    registry.NamesCsv());
   }
+  if (options.backend == "segment" &&
+      !options.config.segment_store_dir.empty() && options.num_shards > 1) {
+    // Every shard would open the same directory: the first fills it, an
+    // empty shard then reopens it as authoritative and serves its records
+    // a second time, and the next non-empty shard is refused.
+    return Status::InvalidArgument(
+        "a segment store directory holds one shard; use num_shards = 1 or "
+        "leave segment_store_dir empty for ephemeral per-shard stores");
+  }
   const size_t num_shards = static_cast<size_t>(options.num_shards);
   const int order = db.order();
   const size_t n = db.size();
@@ -63,25 +68,15 @@ Result<ShardedSearcher> ShardedSearcher::Build(
     builders.emplace_back(order);
   }
 
-  std::vector<BitKey> boundaries;
   if (options.policy == ShardingPolicy::kHilbertRange) {
     // Records are already Hilbert-sorted; cut them into K contiguous
-    // near-equal chunks and remember each cut's first key so inserts
-    // route to the chunk covering their key.
+    // near-equal chunks.
     const size_t chunk = (n + num_shards - 1) / std::max<size_t>(1, num_shards);
     for (size_t i = 0; i < n; ++i) {
       const size_t k =
           chunk == 0 ? 0 : std::min(num_shards - 1, i / chunk);
       const core::FingerprintRecord& r = db.record(i);
       builders[k].Add(r.descriptor, r.id, r.time_code, r.x, r.y);
-    }
-    for (size_t k = 1; k < num_shards; ++k) {
-      const size_t first = std::min(n, k * std::max<size_t>(1, chunk));
-      // Shards past the data get an unreachable (maximal) bound so empty
-      // tails never steal routed inserts from the last occupied shard.
-      boundaries.push_back(first < n
-                               ? db.key(first)
-                               : BitKey::LowMask(db.curve().key_bits()));
     }
   } else {
     for (size_t i = 0; i < n; ++i) {
@@ -101,8 +96,7 @@ Result<ShardedSearcher> ShardedSearcher::Build(
     }
     shards.push_back(std::move(*shard));
   }
-  return ShardedSearcher(options, std::move(shards), std::move(boundaries),
-                         order);
+  return ShardedSearcher(options, std::move(shards));
 }
 
 size_t ShardedSearcher::total_size() const {
@@ -111,39 +105,6 @@ size_t ShardedSearcher::total_size() const {
     total += shard->Stats().records;
   }
   return total;
-}
-
-size_t ShardedSearcher::pending_inserts() const {
-  size_t total = 0;
-  for (const std::unique_ptr<core::Searcher>& shard : shards_) {
-    total += shard->Stats().pending_inserts;
-  }
-  return total;
-}
-
-size_t ShardedSearcher::RouteShard(const BitKey& key, uint32_t id) const {
-  if (options_.policy == ShardingPolicy::kRefIdHash) {
-    return HashId(id) % shards_.size();
-  }
-  for (size_t k = 0; k < boundaries_.size(); ++k) {
-    if (key < boundaries_[k]) {
-      return k;
-    }
-  }
-  return shards_.size() - 1;
-}
-
-bool ShardedSearcher::Insert(const fp::Fingerprint& fingerprint, uint32_t id,
-                             uint32_t time_code, float x, float y) {
-  const BitKey key = encoder_.EncodeFingerprint(fingerprint);
-  return shards_[RouteShard(key, id)]->TryInsert(fingerprint, id, time_code, x,
-                                                 y);
-}
-
-void ShardedSearcher::CompactAll() {
-  for (std::unique_ptr<core::Searcher>& shard : shards_) {
-    shard->Compact();
-  }
 }
 
 std::shared_ptr<const core::BlockSelection> ShardedSearcher::GetSelection(

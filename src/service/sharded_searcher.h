@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "service/cancel_token.h"
 #include "service/selection_cache.h"
-#include "util/bitkey.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -23,12 +22,11 @@ namespace s3vcd::service {
 enum class ShardingPolicy {
   /// Contiguous Hilbert-key ranges with (near) equal record counts per
   /// shard. Preserves the curve locality inside each shard, so a query's
-  /// selected region usually touches few shards' occupied ranges; shard
-  /// sizes can drift as inserts cluster.
+  /// selected region usually touches few shards' occupied ranges.
   kHilbertRange,
   /// Mixed hash on the reference video id. Keeps every video's
-  /// fingerprints on one shard (deletion/compaction of one video touches
-  /// one shard) and load-balances inserts by construction.
+  /// fingerprints on one shard, so one video's records are scanned by one
+  /// shard task.
   kRefIdHash,
 };
 
@@ -37,15 +35,17 @@ struct ShardedSearcherOptions {
   /// Number of shards K, clamped to [1, 1024].
   int num_shards = 4;
   ShardingPolicy policy = ShardingPolicy::kHilbertRange;
-  /// Registry name of the per-shard backend ("dynamic", "s3", "vafile",
-  /// "lsh", "seqscan", or any extension registered with SearcherRegistry).
-  std::string backend = "dynamic";
+  /// Registry name of the per-shard backend ("s3", "vafile", "lsh",
+  /// "seqscan", or any extension registered with SearcherRegistry). A
+  /// "segment" backend with a non-empty config.segment_store_dir takes a
+  /// single shard: the shards would otherwise share one store directory.
+  std::string backend = "s3";
   /// Backend construction parameters forwarded to the registry factory.
   core::SearcherConfig config;
 };
 
 /// Partitions one reference database across K Searcher shards (any
-/// registered backend; "dynamic" by default) and answers statistical
+/// registered backend; "s3" by default) and answers statistical
 /// queries over their union.
 ///
 /// Correctness invariant (pinned by tests/service_test.cc and
@@ -60,9 +60,8 @@ struct ShardedSearcherOptions {
 /// itself and the partials are merged — still exact for exhaustive
 /// backends, with no selection to share or cache.
 ///
-/// Concurrency: queries are const and safe to fan out; Insert/CompactAll
-/// mutate and require external exclusion (the backend's single-writer
-/// contract).
+/// Concurrency: queries are const and safe to fan out. The shards are
+/// built once and never mutated.
 class ShardedSearcher {
  public:
   /// Consumes `db` and redistributes its records into K shards.
@@ -73,16 +72,6 @@ class ShardedSearcher {
   const ShardedSearcherOptions& options() const { return options_; }
   const core::Searcher& shard(int i) const { return *shards_[i]; }
   size_t total_size() const;
-  size_t pending_inserts() const;
-
-  /// Routes one new fingerprint to its shard, where it becomes visible
-  /// to queries immediately. Returns false — and inserts nothing — when
-  /// the backend does not support dynamic insertion.
-  bool Insert(const fp::Fingerprint& fingerprint, uint32_t id,
-              uint32_t time_code, float x = 0, float y = 0);
-
-  /// Folds every shard's insert buffer into its static part.
-  void CompactAll();
 
   /// Statistical query over the union of all shards: one block selection
   /// (optionally via `cache`) and one refinement scan per shard when the
@@ -125,11 +114,7 @@ class ShardedSearcher {
 
  private:
   ShardedSearcher(ShardedSearcherOptions options,
-                  std::vector<std::unique_ptr<core::Searcher>> shards,
-                  std::vector<BitKey> boundaries, int order);
-
-  /// Shard index a new record with `key` / `id` routes to.
-  size_t RouteShard(const BitKey& key, uint32_t id) const;
+                  std::vector<std::unique_ptr<core::Searcher>> shards);
 
   /// Computes (or fetches from `cache`) the shared block selection for one
   /// query; stores the elapsed selection time in *selection_ns and whether
@@ -164,12 +149,6 @@ class ShardedSearcher {
 
   ShardedSearcherOptions options_;
   std::vector<std::unique_ptr<core::Searcher>> shards_;
-  /// kHilbertRange only: upper key bound (exclusive) of each shard except
-  /// the last; size num_shards - 1.
-  std::vector<BitKey> boundaries_;
-  /// Empty database of the shards' curve order: the Hilbert encoder that
-  /// routes inserts (backends do not all expose their database).
-  core::FingerprintDatabase encoder_;
   /// Per-shard scan-latency histograms ("service.shard<k>.scan_us").
   std::vector<obs::Histogram*> shard_scan_us_;
 };

@@ -5,9 +5,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <mutex>
-#include <numeric>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "core/scan_kernel.h"
 #include "obs/log.h"
@@ -121,25 +121,28 @@ void SegmentSearcher::ScanStore(const fp::Fingerprint& query,
                                 core::QueryResult* result) const {
   const core::RefineSpec spec(mode, radius, model);
   const std::shared_ptr<const SegmentStore::View> view = store_->view();
+  // Segments and memtable runs are all key-sorted sources: a section
+  // entirely below a source's min_key or above its max_key touches
+  // nothing; otherwise a binary search resolves it to one contiguous
+  // slice for the scan kernel.
+  const auto scan = [&](const auto& source, const BitKey& begin,
+                        const BitKey& end) {
+    if (source.empty() || source.max_key() < begin ||
+        (!end.is_zero() && !(source.min_key() < end))) {
+      return;
+    }
+    const auto [first, last] = source.ResolveRange(begin, end);
+    if (first < last) {
+      core::ScanRecords(query, source.View(), first, last, spec, result);
+    }
+  };
   for (const auto& [begin, end] : selection.ranges) {
     ++result->stats.ranges_scanned;
     for (const auto& segment : view->segments) {
-      // Per-segment Hilbert-range pruning before the binary search: a
-      // section entirely below min_key or above max_key touches nothing.
-      if (segment->empty() || segment->max_key() < begin ||
-          (!end.is_zero() && !(segment->min_key() < end))) {
-        continue;
-      }
-      const auto [first, last] = segment->ResolveRange(begin, end);
-      if (first < last) {
-        core::ScanRecords(query, segment->View(), first, last, spec, result);
-      }
+      scan(*segment, begin, end);
     }
-  }
-  // Memtable post-filter, same wrapped-end membership as the segments.
-  for (size_t i = 0; i < memtable_.size(); ++i) {
-    if (core::KeyInSelection(memtable_keys_[i], selection.ranges)) {
-      core::RefineRecord(query, memtable_, i, spec, result);
+    for (size_t r = 0; r < memtable_.num_runs(); ++r) {
+      scan(memtable_.run(r), begin, end);
     }
   }
 }
@@ -228,8 +231,7 @@ core::SearcherStats SegmentSearcher::Stats() const {
 }
 
 uint64_t SegmentSearcher::ApproxBytes() const {
-  uint64_t bytes =
-      memtable_.MemoryBytes() + memtable_keys_.size() * sizeof(BitKey);
+  uint64_t bytes = memtable_.MemoryBytes();
   for (const auto& segment : store_->view()->segments) {
     // Mapped segments count their full file: a scan touches every column
     // page, so that is the working-set contribution for capacity planning.
@@ -245,13 +247,12 @@ uint64_t SegmentSearcher::ApproxBytes() const {
 bool SegmentSearcher::TryInsert(const fp::Fingerprint& fingerprint,
                                 uint32_t id, uint32_t time_code, float x,
                                 float y) {
-  memtable_.Append(fingerprint, id, time_code, x, y);
   uint32_t coords[fp::kDims];
   const int shift = 8 - curve_.order();
   for (int j = 0; j < fp::kDims; ++j) {
     coords[j] = static_cast<uint32_t>(fingerprint[j]) >> shift;
   }
-  memtable_keys_.push_back(curve_.Encode(coords));
+  memtable_.Append(fingerprint, id, time_code, x, y, curve_.Encode(coords));
   g_inserts->Increment();
   g_pending->Set(static_cast<int64_t>(memtable_.size()));
   if (memtable_.size() >= spill_threshold_) {
@@ -269,24 +270,11 @@ Status SegmentSearcher::Spill() {
   if (memtable_.empty()) {
     return Status::OK();
   }
-  // Sort the memtable by key (stable, so equal-key inserts keep arrival
-  // order) and write it out as one tier-0 segment.
-  std::vector<size_t> perm(memtable_.size());
-  std::iota(perm.begin(), perm.end(), size_t{0});
-  std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-    return memtable_keys_[a] < memtable_keys_[b];
-  });
-  core::DescriptorBlock sorted;
-  sorted.Reserve(perm.size());
-  std::vector<BitKey> keys;
-  keys.reserve(perm.size());
-  for (const size_t i : perm) {
-    sorted.AppendRecord(memtable_.Record(i));
-    keys.push_back(memtable_keys_[i]);
-  }
-  S3VCD_RETURN_IF_ERROR(store_->AppendSegment(sorted, keys));
+  // One sorted run, arrival order among equal keys: one tier-0 segment.
+  memtable_.MergeAll();
+  S3VCD_RETURN_IF_ERROR(
+      store_->AppendSegment(memtable_.block(), memtable_.keys()));
   memtable_.Clear();
-  memtable_keys_.clear();
   g_spills->Increment();
   g_pending->Set(0);
   g_segments->Set(static_cast<int64_t>(store_->num_segments()));

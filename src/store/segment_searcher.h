@@ -3,16 +3,14 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/database.h"
-#include "core/descriptor_block.h"
 #include "core/distortion_model.h"
 #include "core/filter.h"
 #include "core/searcher.h"
 #include "hilbert/hilbert_curve.h"
+#include "store/memtable.h"
 #include "store/segment_store.h"
-#include "util/bitkey.h"
 
 namespace s3vcd::store {
 
@@ -28,23 +26,25 @@ struct SegmentSearcherOptions {
   SegmentStoreOptions store;
 };
 
-/// The "segment" registry backend: the persistent, disk-backed counterpart
-/// of DynamicIndex. Queries select curve sections once through the shared
-/// BlockFilter, then refine each section over every on-disk segment (the
-/// SoA scan kernels run directly on the mapped columns — SegmentReader
-/// hands ScanRecords a DescriptorView into the mapping) and post-filter
-/// the in-memory memtable by key membership, so results are identical to
-/// an in-memory index over the same records (tests/segment_parity_test.cc
-/// pins bit-identical parity with the "dynamic" backend, including across
-/// a close/reopen cycle).
+/// The "segment" registry backend, and the only built-in backend that
+/// accepts inserts. Queries select curve sections once through the shared
+/// BlockFilter, then refine each section over every key-sorted source: the
+/// on-disk segments (the SoA scan kernels run directly on the mapped
+/// columns — SegmentReader hands ScanRecords a DescriptorView into the
+/// mapping), then the memtable's sorted runs. Each source prunes the
+/// section by its min/max key and resolves it by binary search, so a
+/// buffered record is found the way a stored one is and results are
+/// identical to an in-memory S3 index over the same records
+/// (tests/segment_parity_test.cc pins bit-identical parity, including
+/// across a close/reopen cycle).
 ///
 /// Inserts append to the memtable and spill into immutable segments at
 /// spill_threshold; Compact() spills whatever is buffered and runs the
 /// store's tiered compaction to completion. Reopening the same store_dir
 /// resumes from the manifest in milliseconds — nothing is re-ingested.
 ///
-/// Single-writer like DynamicIndex: queries are const and may fan out;
-/// TryInsert/Compact require external exclusion.
+/// Single-writer: queries are const and may fan out; TryInsert/Compact
+/// require external exclusion.
 class SegmentSearcher : public core::Searcher {
  public:
   /// Opens (or creates) the store and ingests `db` as the first segment
@@ -102,9 +102,8 @@ class SegmentSearcher : public core::Searcher {
   bool owns_dir_;
   hilbert::HilbertCurve curve_;
   core::BlockFilter filter_;
-  /// LSM memtable: unsorted recent inserts + parallel Hilbert keys.
-  core::DescriptorBlock memtable_;
-  std::vector<BitKey> memtable_keys_;
+  /// LSM write buffer: recent inserts as key-sorted runs.
+  Memtable memtable_;
   size_t spill_threshold_;
 };
 

@@ -1,6 +1,6 @@
 // Cross-backend parity: every registered Searcher backend must agree on
 // the result set of an exact range query over the same records, the block
-// backends (s3, dynamic) must agree exactly on statistical queries
+// backends (s3, segment) must agree exactly on statistical queries
 // including their scan counters, and ShardedSearcher must preserve both
 // across shard counts. LSH is approximate by construction, so it is held
 // to a subset-plus-recall contract instead of equality.
@@ -29,6 +29,7 @@
 #include "core/vamana.h"
 #include "fingerprint/fingerprint.h"
 #include "service/sharded_searcher.h"
+#include "store/segment_searcher.h"
 #include "util/math.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -73,6 +74,7 @@ std::vector<fp::Fingerprint> MakeQueries(const FingerprintDatabase& db) {
 }
 
 std::unique_ptr<Searcher> MakeBackend(const std::string& name) {
+  store::EnsureSegmentBackendRegistered();
   SearcherConfig config;
   // LSH tuned so its recall against the exact answer is meaningfully high
   // at this test's epsilon (see RangeParity).
@@ -103,9 +105,10 @@ double TestEpsilon() {
 }
 
 TEST(RegistryTest, KnowsAllBackends) {
+  store::EnsureSegmentBackendRegistered();
   const std::vector<std::string> names = SearcherRegistry::Global().Names();
   for (const char* expected :
-       {"dynamic", "lsh", "s3", "seqscan", "vafile", "vamana"}) {
+       {"lsh", "s3", "segment", "seqscan", "vafile", "vamana"}) {
     EXPECT_TRUE(std::count(names.begin(), names.end(), expected) == 1)
         << "missing backend " << expected;
   }
@@ -130,7 +133,7 @@ TEST(BackendParityTest, RangeParity) {
 
   const auto seqscan = MakeBackend("seqscan");
   const auto s3 = MakeBackend("s3");
-  const auto dynamic = MakeBackend("dynamic");
+  const auto segment = MakeBackend("segment");
   const auto vafile = MakeBackend("vafile");
   const auto lsh = MakeBackend("lsh");
 
@@ -145,7 +148,7 @@ TEST(BackendParityTest, RangeParity) {
     // record.
     EXPECT_EQ(truth.stats.records_scanned, db.size());
 
-    for (const Searcher* backend : {s3.get(), dynamic.get(), vafile.get()}) {
+    for (const Searcher* backend : {s3.get(), segment.get(), vafile.get()}) {
       const QueryResult result = backend->RangeQuery(q, epsilon, kDepth);
       EXPECT_EQ(Ids(result), expected)
           << "backend " << backend->backend_name() << " diverges";
@@ -169,14 +172,13 @@ TEST(BackendParityTest, RangeParity) {
 }
 
 // The two block backends execute the statistical query identically, down
-// to every scan counter (the counter-drift regression this PR fixed:
-// dynamic's nodes_visited was dropped and its buffered-record scan
-// mishandled the wrapped final curve section).
-TEST(BackendParityTest, StatQueryCounterParityS3Dynamic) {
+// to every scan counter: one range scanned per selected section, and the
+// same records refined whether they sit in an S3 index or a segment.
+TEST(BackendParityTest, StatQueryCounterParityS3Segment) {
   const FingerprintDatabase db = MakeDatabase();
   const std::vector<fp::Fingerprint> queries = MakeQueries(db);
   const auto s3 = MakeBackend("s3");
-  const auto dynamic = MakeBackend("dynamic");
+  const auto segment = MakeBackend("segment");
   const GaussianDistortionModel model(kSigma);
   QueryOptions options;
   options.filter.alpha = 0.9;
@@ -184,7 +186,7 @@ TEST(BackendParityTest, StatQueryCounterParityS3Dynamic) {
 
   for (const fp::Fingerprint& q : queries) {
     const QueryResult a = s3->StatQuery(q, model, options);
-    const QueryResult b = dynamic->StatQuery(q, model, options);
+    const QueryResult b = segment->StatQuery(q, model, options);
     EXPECT_EQ(Ids(a), Ids(b));
     EXPECT_EQ(a.stats.records_scanned, b.stats.records_scanned);
     EXPECT_EQ(a.stats.ranges_scanned, b.stats.ranges_scanned);
@@ -193,11 +195,13 @@ TEST(BackendParityTest, StatQueryCounterParityS3Dynamic) {
   }
 }
 
-// A dynamic index with half its records arriving through TryInsert agrees
-// with the sequential scan over the full population. Buffered records
-// whose keys fall in the selection's final wrapped section (end == top of
-// key space) regress here if membership mishandles the zero sentinel.
-TEST(BackendParityTest, DynamicWithBufferedInsertsMatchesSeqScan) {
+// A segment store with half its records still buffered in the memtable
+// (the spill threshold is above the insert count) agrees with the
+// sequential scan over the full population: buffered records are found
+// through the memtable's sorted runs exactly as stored ones are through
+// the segment. (memtable_test pins the runs' lookup of the final wrapped
+// section, whose zero end means the top of the key space.)
+TEST(BackendParityTest, SegmentWithBufferedInsertsMatchesSeqScan) {
   const FingerprintDatabase full = MakeDatabase();
   Rng rng(4242);
   DatabaseBuilder builder;
@@ -206,15 +210,19 @@ TEST(BackendParityTest, DynamicWithBufferedInsertsMatchesSeqScan) {
     const FingerprintRecord& r = full.record(i);
     builder.Add(r.descriptor, r.id, r.time_code, r.x, r.y);
   }
-  auto dynamic = SearcherRegistry::Global().Create("dynamic", builder.Build());
-  ASSERT_TRUE(dynamic.ok());
+  store::EnsureSegmentBackendRegistered();
+  SearcherConfig config;
+  config.segment_spill_threshold = full.size();
+  auto segment =
+      SearcherRegistry::Global().Create("segment", builder.Build(), config);
+  ASSERT_TRUE(segment.ok());
   for (size_t i = 1; i < full.size(); i += 2) {
     const FingerprintRecord& r = full.record(i);
     ASSERT_TRUE(
-        (*dynamic)->TryInsert(r.descriptor, r.id, r.time_code, r.x, r.y));
+        (*segment)->TryInsert(r.descriptor, r.id, r.time_code, r.x, r.y));
   }
-  EXPECT_EQ((*dynamic)->Stats().records, full.size());
-  EXPECT_GT((*dynamic)->Stats().pending_inserts, 0u);
+  EXPECT_EQ((*segment)->Stats().records, full.size());
+  EXPECT_EQ((*segment)->Stats().pending_inserts, full.size() / 2);
 
   const auto seqscan = MakeBackend("seqscan");
   const GaussianDistortionModel model(kSigma);
@@ -226,7 +234,7 @@ TEST(BackendParityTest, DynamicWithBufferedInsertsMatchesSeqScan) {
   for (const fp::Fingerprint& q : MakeQueries(full)) {
     const QueryResult truth = seqscan->RangeQuery(q, options.radius, kDepth);
     const QueryResult got =
-        (*dynamic)->RangeQuery(q, options.radius, kDepth);
+        (*segment)->RangeQuery(q, options.radius, kDepth);
     EXPECT_EQ(Ids(got), Ids(truth));
   }
 }
@@ -303,8 +311,6 @@ TEST(BackendParityTest, ShardedSeqScanFallbackParity) {
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   EXPECT_EQ(sharded->shard(0).selection_filter(), nullptr);
   EXPECT_EQ(sharded->total_size(), db.size());
-  // No dynamic insertion on this backend: Insert reports failure.
-  EXPECT_FALSE(sharded->Insert(queries[0], 1, 2));
 
   ThreadPool pool(4);
   const std::vector<QueryResult> results =

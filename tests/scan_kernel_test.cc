@@ -1,13 +1,11 @@
 // Tests of the shared refinement kernel (core/scan_kernel): runtime
 // dispatch and the S3VCD_SCAN_KERNEL override, the RefineSpec weight table,
 // the pinned Match.distance semantics of normalized mode, bitwise parity
-// of the SIMD kernels against the scalar reference, ScanRecords vs the
-// per-record RefineRecord loop, and a property test of the curve-key
-// membership helpers against brute force.
+// of the SIMD kernels against the scalar reference, and ScanRecords vs the
+// per-record RefineRecord loop.
 
 #include "core/scan_kernel.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -21,8 +19,6 @@
 #include "core/distortion_model.h"
 #include "core/synthetic_db.h"
 #include "fingerprint/fingerprint.h"
-#include "hilbert/hilbert_curve.h"
-#include "util/bitkey.h"
 #include "util/rng.h"
 
 namespace s3vcd::core {
@@ -385,94 +381,6 @@ TEST(ScanKernelTest, SquaredDistanceU32MatchesFingerprintDistance) {
     const fp::Fingerprint b = UniformRandomFingerprint(&rng);
     EXPECT_EQ(SquaredDistanceU32(a.data(), b.data()),
               static_cast<uint32_t>(fp::SquaredDistance(a, b)));
-  }
-}
-
-// --- Curve-key membership helpers --------------------------------------
-
-BitKey RandomKey(const hilbert::HilbertCurve& curve, Rng* rng) {
-  uint32_t coords[fp::kDims];
-  for (auto& c : coords) {
-    c = static_cast<uint32_t>(rng->UniformInt(0, 255));
-  }
-  return curve.Encode(coords);
-}
-
-TEST(KeyInSectionTest, ZeroEndWrapsToTopOfKeySpace) {
-  const BitKey begin(1000);
-  const BitKey zero = BitKey::Zero();
-  // [begin, 0) means "from begin to the top of the key space".
-  EXPECT_TRUE(KeyInSection(BitKey(1000), begin, zero));
-  EXPECT_TRUE(KeyInSection(BitKey(1001), begin, zero));
-  BitKey top;
-  top.set_word(3, ~uint64_t{0});
-  EXPECT_TRUE(KeyInSection(top, begin, zero));
-  EXPECT_FALSE(KeyInSection(BitKey(999), begin, zero));
-  // With a nonzero end the section is the ordinary half-open interval.
-  EXPECT_TRUE(KeyInSection(BitKey(1000), begin, BitKey(1002)));
-  EXPECT_FALSE(KeyInSection(BitKey(1002), begin, BitKey(1002)));
-}
-
-// Property test: KeyInSelection (binary search over merged sorted
-// disjoint sections) agrees with the brute-force scan of KeyInSection
-// over randomized range sets, including a zero-end final section.
-TEST(KeyInSelectionTest, AgreesWithBruteForceOverRandomRangeSets) {
-  const hilbert::HilbertCurve curve(fp::kDims, 8);
-  Rng rng(14);
-  for (int trial = 0; trial < 50; ++trial) {
-    // Sorted unique random curve keys, paired into disjoint sections.
-    std::vector<BitKey> cuts;
-    const int num_cuts = static_cast<int>(rng.UniformInt(2, 24));
-    for (int i = 0; i < num_cuts; ++i) {
-      cuts.push_back(RandomKey(curve, &rng));
-    }
-    std::sort(cuts.begin(), cuts.end());
-    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-
-    const bool wrap_last = (trial % 3 == 0) && cuts.size() >= 3;
-    std::vector<std::pair<BitKey, BitKey>> ranges;
-    size_t i = 0;
-    for (; i + 1 < cuts.size(); i += 2) {
-      ranges.emplace_back(cuts[i], cuts[i + 1]);
-    }
-    if (wrap_last) {
-      // Final section [last_cut, 0): wraps to the top of the key space.
-      ranges.emplace_back(cuts.back(), BitKey::Zero());
-    }
-    if (ranges.empty()) {
-      continue;
-    }
-
-    const auto brute_force = [&ranges](const BitKey& key) {
-      for (const auto& [begin, end] : ranges) {
-        if (KeyInSection(key, begin, end)) {
-          return true;
-        }
-      }
-      return false;
-    };
-
-    std::vector<BitKey> probes;
-    for (const auto& [begin, end] : ranges) {
-      probes.push_back(begin);                // inclusive boundary
-      probes.push_back(end);                  // exclusive boundary
-      probes.push_back(begin + BitKey(1));
-      if (!end.is_zero()) {
-        probes.push_back(end - BitKey(1));    // last key inside
-      }
-    }
-    probes.push_back(BitKey::Zero());
-    BitKey top;
-    top.set_word(3, ~uint64_t{0});
-    probes.push_back(top);
-    for (int p = 0; p < 64; ++p) {
-      probes.push_back(RandomKey(curve, &rng));
-    }
-
-    for (const BitKey& key : probes) {
-      EXPECT_EQ(KeyInSelection(key, ranges), brute_force(key))
-          << "trial " << trial << " key " << key.low64();
-    }
   }
 }
 

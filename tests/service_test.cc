@@ -1,6 +1,12 @@
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <filesystem>
 #include <limits>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -8,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
-#include "core/dynamic_index.h"
+#include "core/index.h"
 #include "core/searcher.h"
 #include "core/synthetic_db.h"
 #include "obs/metrics.h"
@@ -18,13 +24,13 @@
 #include "service/slow_batch_log.h"
 #include "service/selection_cache.h"
 #include "service/sharded_searcher.h"
+#include "store/segment_searcher.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace s3vcd::service {
 namespace {
 
-using core::DynamicIndex;
 using core::GaussianDistortionModel;
 using core::Match;
 using core::QueryOptions;
@@ -57,10 +63,10 @@ QueryOptions TestQueryOptions() {
 }
 
 // The acceptance-criterion test: identical match sets (up to ordering) for
-// several shard counts, both policies, vs the unsharded DynamicIndex.
+// several shard counts, both policies, vs the unsharded S3 index.
 TEST(ShardedSearcherTest, ParityWithUnshardedAcrossShardCounts) {
   const size_t kDbSize = 4000;
-  DynamicIndex reference(core::S3Index(BuildDb(kDbSize, 71)));
+  const core::S3Index reference(BuildDb(kDbSize, 71));
   const GaussianDistortionModel model(16.0);
   const QueryOptions options = TestQueryOptions();
 
@@ -163,33 +169,53 @@ TEST(ShardedSearcherTest, CachedSelectionTaggedInStats) {
   EXPECT_EQ(cache.hits(), 1u);
 }
 
-TEST(ShardedSearcherTest, InsertRoutesToOneShardAndIsVisible) {
+// Segment shards cannot share one store directory: every shard would open
+// it, an empty shard would serve an earlier shard's records a second time
+// and the next non-empty shard would be refused. Build rejects the
+// configuration before any shard opens; one shard on a directory, or
+// ephemeral per-shard stores, still build.
+TEST(ShardedSearcherTest, SegmentShardsRefuseOneSharedStoreDir) {
+  store::EnsureSegmentBackendRegistered();
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("s3vcd_shared_store_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
   for (const ShardingPolicy policy :
        {ShardingPolicy::kHilbertRange, ShardingPolicy::kRefIdHash}) {
     ShardedSearcherOptions sharding;
-    sharding.num_shards = 4;
+    sharding.num_shards = 3;
     sharding.policy = policy;
-    auto searcher = ShardedSearcher::Build(BuildDb(2000, 73), sharding);
-    ASSERT_TRUE(searcher.ok());
-    Rng rng(7);
-    const fp::Fingerprint novel = UniformRandomFingerprint(&rng);
-    searcher->Insert(novel, 999, 31337);
-    EXPECT_EQ(searcher->pending_inserts(), 1u);
-    EXPECT_EQ(searcher->total_size(), 2001u);
-
-    const GaussianDistortionModel model(10.0);
-    const auto result =
-        searcher->StatisticalQuery(novel, model, TestQueryOptions());
-    bool found = false;
-    for (const Match& m : result.matches) {
-      found |= m.id == 999 && m.time_code == 31337;
+    sharding.backend = "segment";
+    sharding.config.segment_store_dir = dir;
+    // One video id: under kRefIdHash every record lands on one shard and
+    // the other two are empty.
+    core::DatabaseBuilder builder;
+    Rng rng(76);
+    for (uint32_t i = 0; i < 300; ++i) {
+      builder.Add(UniformRandomFingerprint(&rng), 5, i);
     }
-    EXPECT_TRUE(found) << "policy=" << static_cast<int>(policy);
-
-    searcher->CompactAll();
-    EXPECT_EQ(searcher->pending_inserts(), 0u);
-    EXPECT_EQ(searcher->total_size(), 2001u);
+    const auto searcher = ShardedSearcher::Build(builder.Build(), sharding);
+    ASSERT_FALSE(searcher.ok()) << "policy=" << static_cast<int>(policy);
+    EXPECT_EQ(searcher.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(std::filesystem::exists(dir)) << "a shard was opened";
   }
+
+  ShardedSearcherOptions one_shard;
+  one_shard.num_shards = 1;
+  one_shard.backend = "segment";
+  one_shard.config.segment_store_dir = dir;
+  auto single = ShardedSearcher::Build(BuildDb(300, 76), one_shard);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_EQ(single->total_size(), 300u);
+
+  ShardedSearcherOptions ephemeral;
+  ephemeral.num_shards = 3;
+  ephemeral.backend = "segment";
+  auto sharded = ShardedSearcher::Build(BuildDb(300, 76), ephemeral);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  EXPECT_EQ(sharded->total_size(), 300u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedSearcherTest, RejectsInvalidShardCount) {
@@ -302,6 +328,38 @@ class QueryServiceTest : public ::testing::Test {
       queries.push_back(UniformRandomFingerprint(&rng));
     }
     return queries;
+  }
+
+  /// A deadline that lands mid-execution of a `num_queries` batch. It is
+  /// scaled from this build's serial query latency, since a sanitizer or
+  /// a loaded host slows queries and thread hand-offs alike: five times
+  /// the slowest of a few timed queries, and never under 10 ms, so an idle
+  /// worker picks the batch up and runs its first query well inside it.
+  /// The batch's serial work takes 20 deadlines at the fastest timed pace,
+  /// and no more: its per-query result slots are allocated before the
+  /// first query runs, and under a sanitizer a needlessly large batch
+  /// spends its whole deadline there.
+  struct MidExecutionDeadline {
+    double deadline_ms = 0;
+    size_t num_queries = 0;
+  };
+  MidExecutionDeadline ScaleDeadlineToQueryLatency() {
+    double slowest_ms = 0;
+    double fastest_ms = 1e9;
+    for (const fp::Fingerprint& q : MakeQueries(8, 102)) {
+      const auto start = std::chrono::steady_clock::now();
+      searcher_->StatisticalQuery(q, model_, TestQueryOptions());
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+      slowest_ms = std::max(slowest_ms, ms);
+      fastest_ms = std::min(fastest_ms, ms);
+    }
+    MidExecutionDeadline out;
+    out.deadline_ms = std::max(10.0, 5 * slowest_ms);
+    out.num_queries = static_cast<size_t>(
+        std::ceil(20 * out.deadline_ms / std::max(fastest_ms, 1e-3)));
+    return out;
   }
 
   std::unique_ptr<ShardedSearcher> searcher_;
@@ -620,6 +678,7 @@ TEST_F(QueryServiceTest, DeadlineCounterSplitsQueuedFromExecuting) {
   }
 
   {
+    const MidExecutionDeadline scaled = ScaleDeadlineToQueryLatency();
     QueryServiceOptions options;
     options.num_workers = 1;
     options.threads_per_batch = 1;  // serial path polices per query
@@ -627,16 +686,20 @@ TEST_F(QueryServiceTest, DeadlineCounterSplitsQueuedFromExecuting) {
     options.query = TestQueryOptions();
     QueryService service(searcher_.get(), &model_, options);
     BatchOptions batch;
-    batch.deadline_ms = 10;
+    batch.deadline_ms = scaled.deadline_ms;
     // Enough work that the deadline lands mid-execution: the queue is
-    // empty (an idle worker picks the batch up immediately) but thousands
-    // of serial queries take far longer than the deadline.
-    auto ticket = service.Submit(MakeQueries(8000, 101), batch);
+    // empty (an idle worker picks the batch up immediately) but the serial
+    // queries take far longer than the deadline.
+    auto ticket = service.Submit(
+        MakeQueries(static_cast<int>(scaled.num_queries), 101), batch);
     ASSERT_TRUE(ticket.ok());
     const BatchResult& result = (*ticket)->Wait();
     EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
-    EXPECT_GT(result.queries_executed, 0u);
-    EXPECT_LT(result.queries_executed, 8000u);
+    EXPECT_GT(result.queries_executed, 0u)
+        << "deadline " << batch.deadline_ms << " ms, queued "
+        << result.queue_wait_ms << " ms, executed for " << result.execute_ms
+        << " ms";
+    EXPECT_LT(result.queries_executed, scaled.num_queries);
   }
   snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.CounterOr0("service.deadline_expired_queued"), 1u);
@@ -750,15 +813,18 @@ TEST_F(QueryServiceTest, PooledDeadlineMidExecutionStopsEarly) {
   options.query = TestQueryOptions();
   QueryService service(searcher_.get(), &model_, options);
 
+  const MidExecutionDeadline scaled = ScaleDeadlineToQueryLatency();
   BatchOptions batch;
-  batch.deadline_ms = 10;
-  auto ticket = service.Submit(MakeQueries(8000, 121), batch);
+  batch.deadline_ms = scaled.deadline_ms;
+  auto ticket = service.Submit(
+      MakeQueries(static_cast<int>(scaled.num_queries), 121), batch);
   ASSERT_TRUE(ticket.ok());
   const BatchResult& result = (*ticket)->Wait();
   EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(result.fanned_out);  // fan-out ran despite the deadline
-  EXPECT_LT(result.queries_executed, 8000u);
-  ASSERT_EQ(result.results.size(), 8000u);  // unexecuted slots are empty
+  EXPECT_LT(result.queries_executed, scaled.num_queries);
+  // Unexecuted slots are empty.
+  ASSERT_EQ(result.results.size(), scaled.num_queries);
 }
 
 // A range batch with a negative or non-finite epsilon would abort a worker

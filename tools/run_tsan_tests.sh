@@ -7,11 +7,11 @@
 # and scan-kernel tests ride along so the quantized decode kernels run
 # under the gate too.
 #
-# A second leg rebuilds the byte-reader, kernel and service tests under
-# AddressSanitizer (-DS3VCD_SANITIZE=address) with leak detection: the
-# segment store and codec readers parse untrusted lengths and offsets, and
-# the service hands batches between producer and worker threads through
-# shared tickets.
+# A second leg rebuilds the byte-reader, kernel, memtable and service tests
+# under AddressSanitizer (-DS3VCD_SANITIZE=address) with leak detection:
+# the segment store and codec readers parse untrusted lengths and offsets,
+# the memtable merges runs in place, and the service hands batches between
+# producer and worker threads through shared tickets.
 #
 # A third leg rebuilds the kernel/codec/store tests under
 # UndefinedBehaviorSanitizer (-DS3VCD_SANITIZE=undefined): the fused
@@ -36,13 +36,13 @@ cmake -S "${repo_root}" -B "${build_dir}" \
   -DS3VCD_SANITIZE=thread
 cmake --build "${build_dir}" --target obs_test parallel_test service_test \
   backend_parity_test scan_kernel_test filter_table_test store_test \
-  segment_parity_test descriptor_codec_test -j"$(nproc)"
+  segment_parity_test memtable_test descriptor_codec_test -j"$(nproc)"
 
 (
   cd "${build_dir}"
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure \
-    -R '^(obs_test|parallel_test|service_test|backend_parity_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|filter_table_test|store_test|segment_parity_test|descriptor_codec_test)$'
+    -R '^(obs_test|parallel_test|service_test|backend_parity_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|filter_table_test|store_test|segment_parity_test|memtable_test|descriptor_codec_test)$'
 )
 echo "TSan run passed."
 
@@ -50,14 +50,14 @@ cmake -S "${repo_root}" -B "${asan_dir}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DS3VCD_SANITIZE=address
 cmake --build "${asan_dir}" --target service_test store_test \
-  segment_parity_test backend_parity_test descriptor_codec_test \
-  scan_kernel_test -j"$(nproc)"
+  segment_parity_test memtable_test backend_parity_test \
+  descriptor_codec_test scan_kernel_test -j"$(nproc)"
 
 (
   cd "${asan_dir}"
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
     ctest --output-on-failure \
-    -R '^(service_test|store_test|segment_parity_test|backend_parity_test|descriptor_codec_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar)$'
+    -R '^(service_test|store_test|segment_parity_test|memtable_test|backend_parity_test|descriptor_codec_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar)$'
 )
 echo "ASan run passed."
 
@@ -70,13 +70,13 @@ cmake -S "${repo_root}" -B "${ubsan_dir}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DS3VCD_SANITIZE=undefined
 cmake --build "${ubsan_dir}" --target scan_kernel_test store_test \
-  segment_parity_test descriptor_codec_test service_test \
+  segment_parity_test memtable_test descriptor_codec_test service_test \
   backend_parity_test -j"$(nproc)"
 
 (
   cd "${ubsan_dir}"
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --output-on-failure \
-    -R '^(scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|descriptor_codec_test|service_test|backend_parity_test)$'
+    -R '^(scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|memtable_test|descriptor_codec_test|service_test|backend_parity_test)$'
 )
 echo "UBSan run passed."

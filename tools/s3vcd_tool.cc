@@ -53,8 +53,8 @@
 // Flags accept both `--flag value` and `--flag=value`; unknown flags are
 // rejected with the command's flag table (run a command with no flags, or
 // see README.md, for the full table). `--backend NAME` selects the search
-// structure from the SearcherRegistry ("s3", "dynamic", "vafile", "lsh",
-// "seqscan", "segment"); an unknown name is rejected with the registered
+// structure from the SearcherRegistry ("s3", "vafile", "lsh", "seqscan",
+// "vamana", "segment"); an unknown name is rejected with the registered
 // list before any database is loaded. The "segment" backend serves from a
 // persistent on-disk segment store: `query --backend segment --store-dir D`
 // ingests the database into D on first use and reopens D from its manifest
@@ -220,7 +220,7 @@ const std::vector<CommandSpec>& Commands() {
       {"serve-batch",
        "drive the sharded batch query service under producer pressure",
        {{"db", "database path (required)"},
-        {"backend", "per-shard registry backend (default dynamic)"},
+        {"backend", "per-shard registry backend (default s3)"},
         {"graph-degree", "vamana backend: graph out-degree bound R "
                          "(default 32)"},
         {"beam-width", "vamana backend: query beam width L (default 64)"},
@@ -263,7 +263,7 @@ const std::vector<CommandSpec>& Commands() {
         {"deadline-ms", "per-batch deadline; 0 = none (default 0)"},
         {"seed", "deterministic seed (default 42)"},
         {"query-pool", "distinct query fingerprints (default 512)"},
-        {"backend", "per-shard registry backend (default dynamic)"},
+        {"backend", "per-shard registry backend (default s3)"},
         {"graph-degree", "vamana backend: graph out-degree bound R "
                          "(default 32)"},
         {"beam-width", "vamana backend: query beam width L (default 64)"},
@@ -897,7 +897,7 @@ int CmdMonitor(const Flags& flags) {
 // docs/query_service.md — and counted so an overloaded configuration is
 // visible in the output and in service.admission_rejects.
 int CmdServeBatch(const Flags& flags) {
-  const std::string backend = flags.Get("backend", "dynamic");
+  const std::string backend = flags.Get("backend", "s3");
   if (!ValidateBackend("serve-batch", backend)) {
     return 2;
   }
@@ -1074,7 +1074,7 @@ int CmdServeBatch(const Flags& flags) {
 // machine-readable report (--json-out) is what tools/run_benchmarks.sh
 // publishes as BENCH_service.json.
 int CmdLoadgen(const Flags& flags) {
-  const std::string backend = flags.Get("backend", "dynamic");
+  const std::string backend = flags.Get("backend", "s3");
   if (!ValidateBackend("loadgen", backend)) {
     return 2;
   }
