@@ -1,9 +1,8 @@
 // Ablation of the voting stage variants: the paper's plain temporal vote
 // (eq. 2), the spatial-coherence extension it proposes as future work
-// (Section VI), the IRLS continuous-offset refinement, and the effect of
-// the Hough acceleration. Measured: detection rate on transformed copies,
-// top spurious nsim on unrelated clips (the false-alarm margin), and the
-// voting time per clip.
+// (Section VI) and the IRLS continuous-offset refinement. Measured:
+// detection rate on transformed copies, top spurious nsim on unrelated
+// clips (the false-alarm margin), and the voting time per clip.
 
 #include <cstdio>
 
@@ -62,9 +61,6 @@ int Main() {
     Variant irls{"plus_irls", {}};
     irls.options.refine_offset = true;
     variants.push_back(irls);
-    Variant exhaustive{"no_hough(exhaustive)", {}};
-    exhaustive.options.hough_threshold = 1u << 30;
-    variants.push_back(exhaustive);
   }
 
   Table table({"variant", "copy_detect_rate_pct", "mean_copy_nsim",
@@ -107,8 +103,7 @@ int Main() {
   std::printf(
       "expected shape: the spatial extension slashes the spurious nsim\n"
       "(bigger decision margin) at equal detection rate; IRLS refines the\n"
-      "offset without changing the margin; Hough matches exhaustive\n"
-      "results at a fraction of the voting time on large result sets\n");
+      "offset without changing the margin\n");
   return 0;
 }
 

@@ -11,23 +11,13 @@ namespace s3vcd::cbcd {
 
 /// Options of the temporal voting strategy (paper Section III).
 struct VoteOptions {
-  /// Scale c of Tukey's biweight, in frames: residuals beyond c are
-  /// saturated outliers.
+  /// Scale c of Tukey's biweight, in frames (> 0): residuals beyond c are
+  /// saturated outliers. The offset search visits each match at most
+  /// 2 ceil(c) - 1 times.
   double tukey_c = 12.0;
   /// Residual tolerance, in frames, for a candidate fingerprint to count
   /// toward the similarity measure nsim.
   double tolerance = 3.0;
-  /// Cap on the number of candidate offsets evaluated per identifier, for
-  /// robustness against ids with enormous match lists.
-  size_t max_candidate_offsets = 50000;
-  /// When an identifier has more distinct candidate offsets than this, a
-  /// coarse Hough pass (offset histogram at tukey_c resolution) selects the
-  /// most supported offset bins and the exact robust cost (eq. 2) is only
-  /// evaluated inside them. Keeps the voting stage sub-quadratic on very
-  /// large result sets -- the bottleneck the paper predicts in Section VI.
-  size_t hough_threshold = 256;
-  /// Number of top Hough bins refined exactly.
-  int hough_top_bins = 8;
   /// Refine the discrete offset estimate with a few IRLS iterations of the
   /// Tukey M-estimator, yielding a continuous (sub-frame) offset. Useful
   /// when candidate and reference frame rates differ slightly.
@@ -67,8 +57,10 @@ struct Vote {
 };
 
 /// Estimates, for every identifier present in `entries`, the offset b(id)
-/// minimizing eq. (2) with Tukey's biweight, then counts nsim. Votes are
-/// returned sorted by decreasing nsim.
+/// minimizing eq. (2) with Tukey's biweight over every observed offset
+/// tc'_j - tc_jk (the smallest b wins a tie), then counts nsim. Votes are
+/// returned sorted by decreasing nsim, then increasing cost, then
+/// increasing id.
 std::vector<Vote> ComputeVotes(const std::vector<CandidateEntry>& entries,
                                const VoteOptions& options);
 

@@ -194,7 +194,7 @@ inline void ScanRecords(const fp::Fingerprint& query,
 /// identical across every variant (pinned by tests/scan_kernel_test.cc).
 /// The view's arrays must outlive the scorer; a scorer is cheap enough to
 /// build per query and is immutable afterwards (safe to share across
-/// threads, though each beam search builds its own).
+/// threads, yet each beam search builds its own).
 class GatherScorer {
  public:
   /// `query` points at fp::kDims exact descriptor bytes.

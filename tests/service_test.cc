@@ -662,7 +662,7 @@ TEST_F(QueryServiceTest, DeadlineCounterSplitsQueuedFromExecuting) {
     service.Resume();
     const BatchResult& result = (*ticket)->Wait();
     EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
-    // Both latency halves populated even though nothing executed.
+    // Both latency halves populated even if nothing executed.
     EXPECT_GE(result.queue_wait_ms, 1.0);
     EXPECT_GE(result.execute_ms, 0.0);
   }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
+
 #include "cbcd/tukey.h"
 #include "util/rng.h"
 
@@ -235,30 +240,349 @@ TEST(ComputeVotesTest, IrlsIgnoresOutliers) {
   EXPECT_NEAR(votes[0].offset, 40.0, 0.01);
 }
 
-TEST(ComputeVotesTest, HoughAgreesWithExhaustiveOnCoherentData) {
-  // Force the Hough path with a tiny threshold and verify the same offset
-  // and nsim as the exhaustive evaluation.
-  Rng rng(99);
+TEST(ComputeVotesTest, TiedVotesComeOutInIdOrder) {
+  // Ids 9 and 4 carry identical evidence; 9 is listed first in every entry.
   std::vector<CandidateEntry> entries;
-  for (int j = 0; j < 30; ++j) {
-    const uint32_t tc = 1000 + 7 * j;
-    std::vector<std::pair<uint32_t, uint32_t>> hits = {{3, tc - 600}};
-    for (int o = 0; o < 10; ++o) {
-      hits.push_back({3, static_cast<uint32_t>(rng.UniformInt(0, 100000))});
+  for (uint32_t tc : {10u, 20u, 30u}) {
+    entries.push_back(MakeEntry(tc, {{9, tc + 40}, {4, tc + 40}}));
+  }
+  const auto votes = ComputeVotes(entries, VoteOptions{});
+  ASSERT_EQ(votes.size(), 2u);
+  EXPECT_EQ(votes[0].cost, votes[1].cost);
+  EXPECT_EQ(votes[0].nsim, votes[1].nsim);
+  EXPECT_EQ(votes[0].id, 4u);
+  EXPECT_EQ(votes[1].id, 9u);
+}
+
+TEST(ComputeVotesTest, ExactlyTiedOffsetsGoToTheSmallest) {
+  // Offsets 0, 1, 1000 and 1001 all cost 2 rho(c) + rho(1), with the
+  // residuals falling on different candidates; the smallest must win.
+  VoteOptions options;
+  options.tukey_c = 7.5;
+  const std::vector<CandidateEntry> entries = {
+      MakeEntry(2000, {{2, 2000}}), MakeEntry(2010, {{2, 2009}}),
+      MakeEntry(2020, {{2, 1020}}), MakeEntry(2030, {{2, 1029}})};
+  const auto votes = ComputeVotes(entries, options);
+  ASSERT_EQ(votes.size(), 1u);
+  EXPECT_EQ(votes[0].offset, 0.0);
+  EXPECT_EQ(votes[0].nsim, 2);
+}
+
+// The exhaustive vote, kept as the oracle of ComputeVotes: the window is
+// regrouped per id and per candidate fingerprint, each candidate keeps its
+// reference time codes sorted, and eq. (2) is evaluated at every distinct
+// offset tc'_j - tc_jk with one lower_bound per candidate.
+struct OracleCandidate {
+  uint32_t candidate_tc = 0;
+  float x = 0;
+  float y = 0;
+  std::vector<const core::Match*> matches;
+  std::vector<double> sorted_tcs;
+};
+using OracleEvidence = std::vector<OracleCandidate>;
+
+std::map<uint32_t, OracleEvidence> OracleRegroup(
+    const std::vector<CandidateEntry>& entries) {
+  std::map<uint32_t, OracleEvidence> by_id;
+  for (const CandidateEntry& entry : entries) {
+    std::map<uint32_t, std::vector<const core::Match*>> per_id;
+    for (const core::Match& m : entry.matches) {
+      per_id[m.id].push_back(&m);
+    }
+    for (auto& [id, matches] : per_id) {
+      OracleCandidate cand;
+      cand.candidate_tc = entry.candidate_time_code;
+      cand.x = entry.x;
+      cand.y = entry.y;
+      for (const core::Match* m : matches) {
+        cand.sorted_tcs.push_back(static_cast<double>(m->time_code));
+      }
+      std::sort(cand.sorted_tcs.begin(), cand.sorted_tcs.end());
+      cand.matches = std::move(matches);
+      by_id[id].push_back(std::move(cand));
+    }
+  }
+  return by_id;
+}
+
+double OracleCost(const OracleEvidence& evidence, double b, double c) {
+  double cost = 0;
+  for (const OracleCandidate& cand : evidence) {
+    const double target = cand.candidate_tc - b;
+    const auto& tcs = cand.sorted_tcs;
+    const auto it = std::lower_bound(tcs.begin(), tcs.end(), target);
+    double best = std::numeric_limits<double>::infinity();
+    if (it != tcs.end()) {
+      best = *it - target;
+    }
+    if (it != tcs.begin()) {
+      best = std::min(best, target - *(it - 1));
+    }
+    cost += TukeyRho(best, c);
+  }
+  return cost;
+}
+
+struct OracleVote {
+  Vote vote;
+  /// Minimum of eq. (2) over the distinct offsets, and the least cost at
+  /// any other offset (infinity when there is none).
+  double min_cost = 0;
+  double runner_up_cost = std::numeric_limits<double>::infinity();
+};
+
+OracleVote OracleVoteFor(uint32_t id, const OracleEvidence& evidence,
+                         const VoteOptions& options) {
+  const double c = options.tukey_c;
+  std::vector<double> offsets;
+  for (const OracleCandidate& cand : evidence) {
+    for (double tc : cand.sorted_tcs) {
+      offsets.push_back(cand.candidate_tc - tc);
+    }
+  }
+  std::sort(offsets.begin(), offsets.end());
+  offsets.erase(std::unique(offsets.begin(), offsets.end()), offsets.end());
+  OracleVote out;
+  out.vote.id = id;
+  double best_b = offsets.front();
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (double b : offsets) {
+    const double cost = OracleCost(evidence, b, c);
+    if (cost < best_cost) {
+      out.runner_up_cost = best_cost;
+      best_cost = cost;
+      best_b = b;
+    } else {
+      out.runner_up_cost = std::min(out.runner_up_cost, cost);
+    }
+  }
+  out.min_cost = best_cost;
+
+  if (options.refine_offset) {
+    for (int iter = 0; iter < options.irls_iterations; ++iter) {
+      double weighted_sum = 0;
+      double weight_total = 0;
+      for (const OracleCandidate& cand : evidence) {
+        const double target = cand.candidate_tc - best_b;
+        const auto it = std::lower_bound(cand.sorted_tcs.begin(),
+                                         cand.sorted_tcs.end(), target);
+        double best_tc = 0;
+        double best_abs = std::numeric_limits<double>::infinity();
+        if (it != cand.sorted_tcs.end()) {
+          best_tc = *it;
+          best_abs = std::abs(*it - target);
+        }
+        if (it != cand.sorted_tcs.begin() &&
+            std::abs(*(it - 1) - target) < best_abs) {
+          best_tc = *(it - 1);
+        }
+        const double residual = cand.candidate_tc - (best_tc + best_b);
+        const double w = TukeyWeight(residual, c);
+        weighted_sum += w * (cand.candidate_tc - best_tc);
+        weight_total += w;
+      }
+      if (weight_total <= 0) {
+        break;
+      }
+      const double next = weighted_sum / weight_total;
+      const bool converged = std::abs(next - best_b) < 1e-6;
+      best_b = next;
+      if (converged) {
+        break;
+      }
+    }
+    best_cost = OracleCost(evidence, best_b, c);
+  }
+
+  std::vector<std::pair<double, double>> displacements;
+  for (const OracleCandidate& cand : evidence) {
+    const core::Match* best_match = nullptr;
+    double best_abs = options.tolerance;
+    for (const core::Match* m : cand.matches) {
+      const double residual =
+          static_cast<double>(cand.candidate_tc) -
+          (static_cast<double>(m->time_code) + best_b);
+      if (std::abs(residual) <= best_abs) {
+        best_abs = std::abs(residual);
+        best_match = m;
+      }
+    }
+    if (best_match != nullptr) {
+      displacements.emplace_back(cand.x - best_match->x,
+                                 cand.y - best_match->y);
+    }
+  }
+  int nsim = static_cast<int>(displacements.size());
+  if (options.use_spatial_coherence && !displacements.empty()) {
+    auto median_of = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      const size_t n = v.size();
+      return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+    };
+    std::vector<double> dx;
+    std::vector<double> dy;
+    for (const auto& [a, b] : displacements) {
+      dx.push_back(a);
+      dy.push_back(b);
+    }
+    const double mx = median_of(dx);
+    const double my = median_of(dy);
+    nsim = 0;
+    for (const auto& [a, b] : displacements) {
+      if (std::hypot(a - mx, b - my) <= options.spatial_tolerance) {
+        ++nsim;
+      }
+    }
+  }
+  out.vote.offset = best_b;
+  out.vote.nsim = nsim;
+  out.vote.cost = best_cost;
+  return out;
+}
+
+bool WithinRelative(double a, double b, double rel) {
+  return std::abs(a - b) <= rel * std::max(1.0, std::abs(b));
+}
+
+TEST(ComputeVotesTest, FindsTheMinimumATopBinsHistogramMisses) {
+  // id 7 is coherent at offset 300 over 6 candidates (one match each).
+  // Eight decoy candidates each hold 20 matches at one far offset, and 300
+  // scattered matches add singleton offsets. A histogram of the offsets at
+  // bin width c that keeps only its 8 best-supported bins keeps the decoys
+  // (20 pairs per bin) and drops the true bin (6 pairs), yet a decoy
+  // explains one candidate and the true offset six.
+  std::vector<CandidateEntry> entries;
+  for (uint32_t j = 0; j < 6; ++j) {
+    const uint32_t tc = 1000 + 10 * j;
+    entries.push_back(MakeEntry(tc, {{7, tc - 300}}));
+  }
+  for (uint32_t k = 0; k < 8; ++k) {
+    const uint32_t tc = 20000 + 10 * k;
+    std::vector<std::pair<uint32_t, uint32_t>> hits(
+        20, {7, tc - (5000 + 100 * k)});
+    entries.push_back(MakeEntry(tc, hits));
+  }
+  for (uint32_t s = 0; s < 30; ++s) {
+    const uint32_t tc = 200000 + 10 * s;
+    std::vector<std::pair<uint32_t, uint32_t>> hits;
+    for (uint32_t i = 0; i < 10; ++i) {
+      hits.push_back({7, tc - (100000 + 50 * (10 * s + i))});
     }
     entries.push_back(MakeEntry(tc, hits));
   }
-  VoteOptions exhaustive;
-  exhaustive.hough_threshold = 1u << 30;  // never trigger
-  VoteOptions hough;
-  hough.hough_threshold = 8;  // always trigger
-  const auto a = ComputeVotes(entries, exhaustive);
-  const auto b = ComputeVotes(entries, hough);
-  ASSERT_EQ(a.size(), 1u);
-  ASSERT_EQ(b.size(), 1u);
-  EXPECT_DOUBLE_EQ(a[0].offset, b[0].offset);
-  EXPECT_EQ(a[0].nsim, b[0].nsim);
-  EXPECT_EQ(a[0].nsim, 30);
+  const VoteOptions options;
+  const auto votes = ComputeVotes(entries, options);
+  ASSERT_EQ(votes.size(), 1u);
+  EXPECT_EQ(votes[0].offset, 300.0);
+  EXPECT_EQ(votes[0].nsim, 6);
+  const OracleVote oracle =
+      OracleVoteFor(7, OracleRegroup(entries).at(7), options);
+  EXPECT_EQ(oracle.vote.offset, 300.0);
+  EXPECT_TRUE(WithinRelative(votes[0].cost, oracle.min_cost, 1e-12));
+}
+
+// A random window: ids with 1 to 2,000 (candidate, match) pairs, part of
+// them coherent at a planted offset (negative for about half of the ids),
+// part near it, part duplicated reference time codes within one
+// candidate, the rest scattered.
+std::vector<CandidateEntry> RandomWindow(Rng* rng) {
+  const int keyframes = static_cast<int>(rng->UniformInt(2, 12));
+  const int points = static_cast<int>(rng->UniformInt(1, 6));
+  std::vector<CandidateEntry> entries;
+  uint32_t tc = 5000 + static_cast<uint32_t>(rng->UniformInt(0, 500));
+  for (int k = 0; k < keyframes; ++k) {
+    tc += static_cast<uint32_t>(rng->UniformInt(1, 15));
+    for (int p = 0; p < points; ++p) {
+      CandidateEntry entry;
+      entry.candidate_time_code = tc;
+      entry.x = static_cast<float>(rng->UniformInt(0, 320));
+      entry.y = static_cast<float>(rng->UniformInt(0, 240));
+      entries.push_back(entry);
+    }
+  }
+  const int num_ids = static_cast<int>(rng->UniformInt(1, 6));
+  for (int i = 0; i < num_ids; ++i) {
+    const uint32_t id = static_cast<uint32_t>(rng->UniformInt(0, 50));
+    const int64_t planted = rng->UniformInt(-4000, 4000);
+    const float dx = static_cast<float>(rng->UniformInt(-20, 20));
+    const float dy = static_cast<float>(rng->UniformInt(-20, 20));
+    const int num_pairs =
+        i == 0 && rng->Bernoulli(0.2)
+            ? 2000
+            : static_cast<int>(std::exp(rng->Uniform(0, std::log(2000.0))));
+    for (int n = 0; n < num_pairs; ++n) {
+      CandidateEntry& entry =
+          entries[static_cast<size_t>(rng->UniformInt(0, entries.size() - 1))];
+      core::Match m;
+      m.id = id;
+      m.x = entry.x - dx + static_cast<float>(rng->UniformInt(-3, 3));
+      m.y = entry.y - dy + static_cast<float>(rng->UniformInt(-3, 3));
+      const double kind = rng->Uniform(0, 1);
+      int64_t offset = 0;
+      if (kind < 0.3) {
+        offset = planted + rng->UniformInt(-2, 2);
+      } else if (kind < 0.6) {
+        offset = planted + rng->UniformInt(-40, 40);
+      } else if (kind < 0.75 && !entry.matches.empty()) {
+        m.time_code = entry.matches[static_cast<size_t>(rng->UniformInt(
+                                        0, entry.matches.size() - 1))]
+                          .time_code;
+        entry.matches.push_back(m);
+        continue;
+      } else {
+        offset = rng->UniformInt(-4000, 4000);
+        m.x = static_cast<float>(rng->UniformInt(0, 320));
+        m.y = static_cast<float>(rng->UniformInt(0, 240));
+      }
+      m.time_code = static_cast<uint32_t>(entry.candidate_time_code - offset);
+      entry.matches.push_back(m);
+    }
+  }
+  return entries;
+}
+
+TEST(ComputeVotesTest, AgreesWithTheExhaustiveOracleOnRandomWindows) {
+  for (uint64_t seed = 1; seed <= 160; ++seed) {
+    Rng rng(seed);
+    VoteOptions options;
+    options.tukey_c = rng.Bernoulli(0.5) ? 12.0 : 7.5;
+    options.use_spatial_coherence = rng.Bernoulli(0.5);
+    options.refine_offset = rng.Bernoulli(0.5);
+    const std::vector<CandidateEntry> entries = RandomWindow(&rng);
+    SCOPED_TRACE(::testing::Message()
+                 << "seed " << seed << " c " << options.tukey_c
+                 << " spatial " << options.use_spatial_coherence
+                 << " refine " << options.refine_offset);
+
+    const auto by_id = OracleRegroup(entries);
+    const auto votes = ComputeVotes(entries, options);
+    ASSERT_EQ(votes.size(), by_id.size());
+    for (const Vote& vote : votes) {
+      SCOPED_TRACE(::testing::Message() << "id " << vote.id);
+      ASSERT_EQ(by_id.count(vote.id), 1u);
+      const OracleEvidence& evidence = by_id.at(vote.id);
+      const OracleVote oracle = OracleVoteFor(vote.id, evidence, options);
+      EXPECT_TRUE(WithinRelative(
+          vote.cost, OracleCost(evidence, vote.offset, options.tukey_c),
+          1e-12))
+          << vote.cost;
+      const bool unique =
+          oracle.runner_up_cost > oracle.min_cost * (1 + 1e-9) + 1e-12;
+      if (!options.refine_offset) {
+        EXPECT_LE(vote.cost, oracle.min_cost + 1e-12 * std::max(
+                                                   1.0, oracle.min_cost));
+        if (unique) {
+          EXPECT_EQ(vote.offset, oracle.vote.offset);
+          EXPECT_EQ(vote.nsim, oracle.vote.nsim);
+        }
+      } else if (unique) {
+        // Same discrete start, same IRLS iterations.
+        EXPECT_NEAR(vote.offset, oracle.vote.offset, 1e-9);
+        EXPECT_EQ(vote.nsim, oracle.vote.nsim);
+        EXPECT_TRUE(WithinRelative(vote.cost, oracle.vote.cost, 1e-12));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -11,7 +11,10 @@
 # under AddressSanitizer (-DS3VCD_SANITIZE=address) with leak detection:
 # the segment store and codec readers parse untrusted lengths and offsets,
 # the memtable merges runs in place, and the service hands batches between
-# producer and worker threads through shared tickets.
+# producer and worker threads through shared tickets. The voting, detector
+# and stream-monitor tests join this leg and the UBSan one: the offset
+# sweep indexes its pairs with a two-pointer window and per-candidate
+# scratch arrays.
 #
 # A third leg rebuilds the kernel/codec/store tests under
 # UndefinedBehaviorSanitizer (-DS3VCD_SANITIZE=undefined): the fused
@@ -51,13 +54,14 @@ cmake -S "${repo_root}" -B "${asan_dir}" \
   -DS3VCD_SANITIZE=address
 cmake --build "${asan_dir}" --target service_test store_test \
   segment_parity_test memtable_test backend_parity_test \
-  descriptor_codec_test scan_kernel_test -j"$(nproc)"
+  descriptor_codec_test scan_kernel_test voting_test cbcd_test \
+  stream_monitor_test -j"$(nproc)"
 
 (
   cd "${asan_dir}"
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
     ctest --output-on-failure \
-    -R '^(service_test|store_test|segment_parity_test|memtable_test|backend_parity_test|descriptor_codec_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar)$'
+    -R '^(service_test|store_test|segment_parity_test|memtable_test|backend_parity_test|descriptor_codec_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|voting_test|cbcd_test|stream_monitor_test)$'
 )
 echo "ASan run passed."
 
@@ -71,12 +75,13 @@ cmake -S "${repo_root}" -B "${ubsan_dir}" \
   -DS3VCD_SANITIZE=undefined
 cmake --build "${ubsan_dir}" --target scan_kernel_test store_test \
   segment_parity_test memtable_test descriptor_codec_test service_test \
-  backend_parity_test -j"$(nproc)"
+  backend_parity_test voting_test cbcd_test stream_monitor_test \
+  -j"$(nproc)"
 
 (
   cd "${ubsan_dir}"
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --output-on-failure \
-    -R '^(scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|memtable_test|descriptor_codec_test|service_test|backend_parity_test)$'
+    -R '^(scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|memtable_test|descriptor_codec_test|service_test|backend_parity_test|voting_test|cbcd_test|stream_monitor_test)$'
 )
 echo "UBSan run passed."
