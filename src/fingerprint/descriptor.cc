@@ -1,20 +1,56 @@
 #include "fingerprint/descriptor.h"
 
+#include <algorithm>
 #include <cmath>
 
-#include "media/sampling.h"
+#include "media/filters.h"
 
 namespace s3vcd::fp {
 
+namespace {
+
+// The five central differences (Ix, Iy, Ixy, Ixx, Iyy) of the smoothed frame
+// `s` at pixel (x, y), which is first clamped into the frame; its neighbours
+// replicate the border.
+void JetAtPixel(const media::Frame& s, int x, int y, float* d5) {
+  x = std::clamp(x, 0, s.width() - 1);
+  y = std::clamp(y, 0, s.height() - 1);
+  const float c = s.at(x, y);
+  const float xm = s.at_clamped(x - 1, y);
+  const float xp = s.at_clamped(x + 1, y);
+  const float ym = s.at_clamped(x, y - 1);
+  const float yp = s.at_clamped(x, y + 1);
+  d5[0] = 0.5f * (xp - xm);
+  d5[1] = 0.5f * (yp - ym);
+  d5[2] = 0.25f * (s.at_clamped(x + 1, y + 1) - s.at_clamped(x - 1, y + 1) -
+                   s.at_clamped(x + 1, y - 1) + s.at_clamped(x - 1, y - 1));
+  d5[3] = xp - 2 * c + xm;
+  d5[4] = yp - 2 * c + ym;
+}
+
+}  // namespace
+
 DerivativeStack::DerivativeStack(const media::Frame& frame, double sigma)
-    : derivatives_(media::ComputeDerivatives(frame, sigma)) {}
+    : smoothed_(media::GaussianBlur(frame, sigma)) {}
 
 void DerivativeStack::SampleJet(double x, double y, double* jet5) const {
-  jet5[0] = media::BilinearSample(derivatives_.ix, x, y);
-  jet5[1] = media::BilinearSample(derivatives_.iy, x, y);
-  jet5[2] = media::BilinearSample(derivatives_.ixy, x, y);
-  jet5[3] = media::BilinearSample(derivatives_.ixx, x, y);
-  jet5[4] = media::BilinearSample(derivatives_.iyy, x, y);
+  const int x0 = static_cast<int>(std::floor(x));
+  const int y0 = static_cast<int>(std::floor(y));
+  const double fx = x - x0;
+  const double fy = y - y0;
+  float d00[kSubDims];
+  float d10[kSubDims];
+  float d01[kSubDims];
+  float d11[kSubDims];
+  JetAtPixel(smoothed_, x0, y0, d00);
+  JetAtPixel(smoothed_, x0 + 1, y0, d10);
+  JetAtPixel(smoothed_, x0, y0 + 1, d01);
+  JetAtPixel(smoothed_, x0 + 1, y0 + 1, d11);
+  for (int i = 0; i < kSubDims; ++i) {
+    const double top = (1 - fx) * d00[i] + fx * d10[i];
+    const double bottom = (1 - fx) * d01[i] + fx * d11[i];
+    jet5[i] = static_cast<float>((1 - fy) * top + fy * bottom);
+  }
 }
 
 std::vector<SupportPosition> SupportPositions(double x, double y,

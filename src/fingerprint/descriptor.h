@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "fingerprint/fingerprint.h"
-#include "media/filters.h"
 #include "media/frame.h"
 
 namespace s3vcd::fp {
@@ -23,17 +22,20 @@ struct DescriptorOptions {
   double derivative_sigma = 1.5;
 };
 
-/// Precomputed Gaussian-derivative images of one frame; reused across all
-/// interest points of a key-frame.
+/// The Gaussian-smoothed frame from which the local jet is sampled; built
+/// once per frame and reused across all interest points of a key-frame.
 class DerivativeStack {
  public:
   DerivativeStack(const media::Frame& frame, double sigma);
 
-  /// Samples the 5-dimensional local jet at a continuous position.
+  /// Samples the 5-dimensional local jet (Ix, Iy, Ixy, Ixx, Iyy) at a
+  /// continuous position: the central differences of the smoothed frame at
+  /// the four surrounding pixels (clamped into the frame), bilinearly
+  /// interpolated. `x` and `y` must be finite.
   void SampleJet(double x, double y, double* jet5) const;
 
  private:
-  media::DerivativeImages derivatives_;
+  media::Frame smoothed_;
 };
 
 /// The four spatio-temporal support positions around (x, y, t):

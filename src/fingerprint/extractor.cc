@@ -1,12 +1,20 @@
 #include "fingerprint/extractor.h"
 
 #include <algorithm>
+#include <cmath>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace s3vcd::fp {
 
 namespace {
+
+obs::Counter* const g_keyframes =
+    obs::MetricsRegistry::Global().GetCounter("fingerprint.keyframes");
+obs::Counter* const g_points =
+    obs::MetricsRegistry::Global().GetCounter("fingerprint.points");
 
 // Clamped frame index access for the temporal descriptor support.
 int ClampFrame(int idx, int num_frames) {
@@ -26,12 +34,16 @@ std::vector<LocalFingerprint> FingerprintExtractor::Extract(
   const int n = video.num_frames();
   const int dt = options_.descriptor.temporal_offset;
   for (int t : key_frames) {
+    std::vector<InterestPoint> points;
+    {
+      S3VCD_TRACE_SPAN("fingerprint.harris");
+      points = DetectInterestPoints(video.frames[t], options_.harris);
+    }
+    S3VCD_TRACE_SPAN("fingerprint.descriptor");
     const DerivativeStack before(video.frames[ClampFrame(t - dt, n)],
                                  options_.descriptor.derivative_sigma);
     const DerivativeStack after(video.frames[ClampFrame(t + dt, n)],
                                 options_.descriptor.derivative_sigma);
-    const std::vector<InterestPoint> points =
-        DetectInterestPoints(video.frames[t], options_.harris);
     for (const InterestPoint& p : points) {
       LocalFingerprint lf;
       lf.descriptor =
@@ -41,6 +53,8 @@ std::vector<LocalFingerprint> FingerprintExtractor::Extract(
       lf.time_code = static_cast<uint32_t>(t);
       out.push_back(lf);
     }
+    g_keyframes->Increment();
+    g_points->Increment(points.size());
   }
   return out;
 }
@@ -62,7 +76,8 @@ FingerprintExtractor::ExtractAtPositions(
   const double h = video.height();
   result.kept.reserve(positions.size());
   for (const auto& [x, y] : positions) {
-    if (x < margin || y < margin || x >= w - margin || y >= h - margin) {
+    if (!std::isfinite(x) || !std::isfinite(y) || x < margin || y < margin ||
+        x >= w - margin || y >= h - margin) {
       result.kept.push_back(false);
       continue;
     }

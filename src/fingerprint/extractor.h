@@ -36,8 +36,9 @@ class FingerprintExtractor {
 
   /// Extracts fingerprints at caller-provided positions in one key-frame
   /// (used by the simulated perfect detector); positions too close to the
-  /// border for the descriptor support are skipped, and the returned
-  /// vector keeps input order with a validity flag encoded by `kept`.
+  /// border for the descriptor support, or not finite, are skipped, and the
+  /// returned vector keeps input order with a validity flag encoded by
+  /// `kept`.
   struct PositionedResult {
     std::vector<LocalFingerprint> fingerprints;
     std::vector<bool> kept;  ///< kept[i]: input position i produced output

@@ -11,23 +11,43 @@ media::Frame HarrisResponse(const media::Frame& frame,
                             const HarrisOptions& options) {
   const media::Frame smoothed =
       media::GaussianBlur(frame, options.derivative_sigma);
-  media::Frame ix;
-  media::Frame iy;
-  media::ComputeFirstDerivatives(smoothed, &ix, &iy);
-
   const int w = frame.width();
   const int h = frame.height();
+  const float* s = smoothed.pixels().data();
+
+  // Central-difference gradients of the smoothed frame go straight into the
+  // tensor-product images (Ix into ixx, Iy into iyy); only the two edge
+  // columns clamp. The products are then formed in place.
   media::Frame ixx(w, h);
   media::Frame iyy(w, h);
   media::Frame ixy(w, h);
+  float* pxx = ixx.pixels().data();
+  float* pyy = iyy.pixels().data();
+  float* pxy = ixy.pixels().data();
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const float gx = ix.at(x, y);
-      const float gy = iy.at(x, y);
-      ixx.at(x, y) = gx * gx;
-      iyy.at(x, y) = gy * gy;
-      ixy.at(x, y) = gx * gy;
+    const size_t row = static_cast<size_t>(y) * w;
+    const float* cur = s + row;
+    const float* up = s + static_cast<size_t>(std::max(y - 1, 0)) * w;
+    const float* down = s + static_cast<size_t>(std::min(y + 1, h - 1)) * w;
+    float* gx = pxx + row;
+    float* gy = pyy + row;
+    gx[0] = 0.5f * (cur[std::min(1, w - 1)] - cur[0]);
+    for (int x = 1; x < w - 1; ++x) {
+      gx[x] = 0.5f * (cur[x + 1] - cur[x - 1]);
     }
+    if (w > 1) {
+      gx[w - 1] = 0.5f * (cur[w - 1] - cur[w - 2]);
+    }
+    for (int x = 0; x < w; ++x) {
+      gy[x] = 0.5f * (down[x] - up[x]);
+    }
+  }
+  for (size_t i = 0; i < ixx.size(); ++i) {
+    const float gx = pxx[i];
+    const float gy = pyy[i];
+    pxx[i] = gx * gx;
+    pyy[i] = gy * gy;
+    pxy[i] = gx * gy;
   }
   const media::Frame sxx = media::GaussianBlur(ixx, options.integration_sigma);
   const media::Frame syy = media::GaussianBlur(iyy, options.integration_sigma);
@@ -35,15 +55,14 @@ media::Frame HarrisResponse(const media::Frame& frame,
 
   media::Frame response(w, h);
   const float k = static_cast<float>(options.k);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const float a = sxx.at(x, y);
-      const float b = syy.at(x, y);
-      const float c = sxy.at(x, y);
-      const float det = a * b - c * c;
-      const float tr = a + b;
-      response.at(x, y) = det - k * tr * tr;
-    }
+  const float* pa = sxx.pixels().data();
+  const float* pb = syy.pixels().data();
+  const float* pc = sxy.pixels().data();
+  float* pr = response.pixels().data();
+  for (size_t i = 0; i < response.size(); ++i) {
+    const float det = pa[i] * pb[i] - pc[i] * pc[i];
+    const float tr = pa[i] + pb[i];
+    pr[i] = det - k * tr * tr;
   }
   return response;
 }

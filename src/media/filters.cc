@@ -1,5 +1,6 @@
 #include "media/filters.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -24,33 +25,47 @@ std::vector<float> GaussianKernel1D(double sigma) {
 
 namespace {
 
-// Convolves horizontally with replicate borders.
-Frame ConvolveRows(const Frame& in, const std::vector<float>& kernel) {
-  const int radius = static_cast<int>(kernel.size()) / 2;
-  Frame out(in.width(), in.height());
-  for (int y = 0; y < in.height(); ++y) {
-    for (int x = 0; x < in.width(); ++x) {
-      float acc = 0;
-      for (int k = -radius; k <= radius; ++k) {
-        acc += kernel[k + radius] * in.at_clamped(x + k, y);
+// Separable convolution of a w x h image with replicate borders. Every
+// output pixel sums 0 + w[0] v[0] + ... + w[2r] v[2r] in ascending tap order,
+// as a per-pixel loop over Frame::at_clamped would; the loops run tap-outer,
+// pixel-inner over flat rows so that they vectorize without reordering a sum.
+Frame SeparableBlur(const Frame& in, const std::vector<float>& kernel) {
+  const int w = in.width();
+  const int h = in.height();
+  const int taps = static_cast<int>(kernel.size());
+  const int radius = taps / 2;
+  const float* src = in.pixels().data();
+
+  // Row pass: each row is padded with `radius` replicated edge values on
+  // both sides, so tap k of pixel x reads padded[x + k] with no clamp.
+  Frame rows(w, h);
+  std::vector<float> padded(static_cast<size_t>(w) + 2 * radius);
+  for (int y = 0; y < h; ++y) {
+    const float* row = src + static_cast<size_t>(y) * w;
+    std::fill(padded.begin(), padded.begin() + radius, row[0]);
+    std::copy(row, row + w, padded.begin() + radius);
+    std::fill(padded.begin() + radius + w, padded.end(), row[w - 1]);
+    float* out = rows.pixels().data() + static_cast<size_t>(y) * w;
+    for (int k = 0; k < taps; ++k) {
+      const float weight = kernel[k];
+      const float* tap = padded.data() + k;
+      for (int x = 0; x < w; ++x) {
+        out[x] += weight * tap[x];
       }
-      out.at(x, y) = acc;
     }
   }
-  return out;
-}
 
-// Convolves vertically with replicate borders.
-Frame ConvolveCols(const Frame& in, const std::vector<float>& kernel) {
-  const int radius = static_cast<int>(kernel.size()) / 2;
-  Frame out(in.width(), in.height());
-  for (int y = 0; y < in.height(); ++y) {
-    for (int x = 0; x < in.width(); ++x) {
-      float acc = 0;
-      for (int k = -radius; k <= radius; ++k) {
-        acc += kernel[k + radius] * in.at_clamped(x, y + k);
+  // Column pass: the source row of each tap is clamped once per tap.
+  Frame out(w, h);
+  for (int y = 0; y < h; ++y) {
+    float* dst = out.pixels().data() + static_cast<size_t>(y) * w;
+    for (int k = 0; k < taps; ++k) {
+      const float weight = kernel[k];
+      const int sy = std::clamp(y + k - radius, 0, h - 1);
+      const float* tap = rows.pixels().data() + static_cast<size_t>(sy) * w;
+      for (int x = 0; x < w; ++x) {
+        dst[x] += weight * tap[x];
       }
-      out.at(x, y) = acc;
     }
   }
   return out;
@@ -59,8 +74,7 @@ Frame ConvolveCols(const Frame& in, const std::vector<float>& kernel) {
 }  // namespace
 
 Frame GaussianBlur(const Frame& frame, double sigma) {
-  const std::vector<float> kernel = GaussianKernel1D(sigma);
-  return ConvolveCols(ConvolveRows(frame, kernel), kernel);
+  return SeparableBlur(frame, GaussianKernel1D(sigma));
 }
 
 std::vector<double> GaussianSmooth1D(const std::vector<double>& signal,
@@ -78,47 +92,6 @@ std::vector<double> GaussianSmooth1D(const std::vector<double>& signal,
     out[i] = acc;
   }
   return out;
-}
-
-DerivativeImages ComputeDerivatives(const Frame& frame, double sigma) {
-  const Frame smoothed = GaussianBlur(frame, sigma);
-  const int w = frame.width();
-  const int h = frame.height();
-  DerivativeImages d{Frame(w, h), Frame(w, h), Frame(w, h), Frame(w, h),
-                     Frame(w, h)};
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const float c = smoothed.at_clamped(x, y);
-      const float xm = smoothed.at_clamped(x - 1, y);
-      const float xp = smoothed.at_clamped(x + 1, y);
-      const float ym = smoothed.at_clamped(x, y - 1);
-      const float yp = smoothed.at_clamped(x, y + 1);
-      d.ix.at(x, y) = 0.5f * (xp - xm);
-      d.iy.at(x, y) = 0.5f * (yp - ym);
-      d.ixx.at(x, y) = xp - 2 * c + xm;
-      d.iyy.at(x, y) = yp - 2 * c + ym;
-      d.ixy.at(x, y) = 0.25f * (smoothed.at_clamped(x + 1, y + 1) -
-                                smoothed.at_clamped(x - 1, y + 1) -
-                                smoothed.at_clamped(x + 1, y - 1) +
-                                smoothed.at_clamped(x - 1, y - 1));
-    }
-  }
-  return d;
-}
-
-void ComputeFirstDerivatives(const Frame& smoothed, Frame* ix, Frame* iy) {
-  const int w = smoothed.width();
-  const int h = smoothed.height();
-  *ix = Frame(w, h);
-  *iy = Frame(w, h);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      ix->at(x, y) = 0.5f * (smoothed.at_clamped(x + 1, y) -
-                             smoothed.at_clamped(x - 1, y));
-      iy->at(x, y) = 0.5f * (smoothed.at_clamped(x, y + 1) -
-                             smoothed.at_clamped(x, y - 1));
-    }
-  }
 }
 
 }  // namespace s3vcd::media

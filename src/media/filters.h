@@ -19,25 +19,6 @@ Frame GaussianBlur(const Frame& frame, double sigma);
 std::vector<double> GaussianSmooth1D(const std::vector<double>& signal,
                                      double sigma);
 
-/// The five Gaussian-derivative images used by the paper's local
-/// fingerprints: the differential decomposition of the graylevel signal up
-/// to second order (Section III).
-struct DerivativeImages {
-  Frame ix;   ///< dI/dx
-  Frame iy;   ///< dI/dy
-  Frame ixy;  ///< d2I/dxdy
-  Frame ixx;  ///< d2I/dx2
-  Frame iyy;  ///< d2I/dy2
-};
-
-/// Computes central-difference derivatives of the Gaussian-smoothed frame.
-/// `sigma` is the smoothing scale; the returned images have the same size
-/// as the input.
-DerivativeImages ComputeDerivatives(const Frame& frame, double sigma);
-
-/// First-order derivatives only (cheaper; used by the Harris detector).
-void ComputeFirstDerivatives(const Frame& smoothed, Frame* ix, Frame* iy);
-
 }  // namespace s3vcd::media
 
 #endif  // S3VCD_MEDIA_FILTERS_H_

@@ -1,10 +1,18 @@
 #include "fingerprint/extractor.h"
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "fingerprint/distortion.h"
 #include "media/synthetic.h"
 #include "media/transforms.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace s3vcd::fp {
@@ -68,6 +76,88 @@ TEST(ExtractorTest, ExtractAtPositionsSkipsBorderPoints) {
   EXPECT_TRUE(result.kept[1]);
   EXPECT_FALSE(result.kept[2]);
   EXPECT_EQ(result.fingerprints.size(), 1u);
+}
+
+TEST(ExtractorTest, CountsAndTracesEveryKeyFrame) {
+  const media::VideoSequence video = TestClip(48);
+  const FingerprintExtractor extractor;
+  const size_t key_frames =
+      DetectKeyFrames(video, extractor.options().keyframe).size();
+  ASSERT_GT(key_frames, 0u);
+  obs::Counter* keyframes =
+      obs::MetricsRegistry::Global().GetCounter("fingerprint.keyframes");
+  obs::Counter* points =
+      obs::MetricsRegistry::Global().GetCounter("fingerprint.points");
+  const uint64_t keyframes_before = keyframes->Value();
+  const uint64_t points_before = points->Value();
+
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  recorder.Clear();
+  recorder.Enable();
+  const std::vector<LocalFingerprint> fps = extractor.Extract(video);
+  recorder.Disable();
+
+  EXPECT_EQ(keyframes->Value() - keyframes_before, key_frames);
+  EXPECT_EQ(points->Value() - points_before, fps.size());
+  size_t harris_spans = 0;
+  size_t descriptor_spans = 0;
+  for (const obs::TraceEvent& event : recorder.Collect()) {
+    harris_spans += std::string(event.name) == "fingerprint.harris";
+    descriptor_spans += std::string(event.name) == "fingerprint.descriptor";
+  }
+  recorder.Clear();
+  EXPECT_EQ(harris_spans, key_frames);
+  EXPECT_EQ(descriptor_spans, key_frames);
+}
+
+TEST(ExtractorTest, ExtractAtPositionsSkipsNonFinitePositions) {
+  const media::VideoSequence video = TestClip(43, 30);
+  const FingerprintExtractor extractor;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, double>> positions = {
+      {nan, 40.0}, {48.0, nan}, {nan, nan}, {inf, 40.0},
+      {48.0, -inf}, {48.0, 40.0},
+  };
+  const auto result = extractor.ExtractAtPositions(video, 10, positions);
+  ASSERT_EQ(result.kept.size(), positions.size());
+  for (size_t i = 0; i + 1 < positions.size(); ++i) {
+    EXPECT_FALSE(result.kept[i]) << "position " << i;
+  }
+  EXPECT_TRUE(result.kept.back());
+  ASSERT_EQ(result.fingerprints.size(), 1u);
+  EXPECT_EQ(result.fingerprints[0].x, 48.0f);
+}
+
+// 64-bit FNV-1a over every output field of Extract: descriptor bytes, then
+// the bytes of x, y and the time code.
+uint64_t HashFingerprints(const std::vector<LocalFingerprint>& fps) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash = (hash ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  };
+  for (const LocalFingerprint& lf : fps) {
+    mix(lf.descriptor.data(), lf.descriptor.size());
+    mix(&lf.x, sizeof(lf.x));
+    mix(&lf.y, sizeof(lf.y));
+    mix(&lf.time_code, sizeof(lf.time_code));
+  }
+  return hash;
+}
+
+// Pins the extractor's output bit for bit, so that a refactor or a compile
+// flag that moves any output bit fails here rather than in a benchmark.
+TEST(ExtractorTest, GoldenOutputHash) {
+  const FingerprintExtractor extractor;
+  const std::vector<LocalFingerprint> a = extractor.Extract(TestClip(41));
+  const std::vector<LocalFingerprint> b = extractor.Extract(TestClip(47));
+  EXPECT_EQ(a.size(), 180u);
+  EXPECT_EQ(b.size(), 100u);
+  EXPECT_EQ(HashFingerprints(a), 0xf8632defc15609f0ULL);
+  EXPECT_EQ(HashFingerprints(b), 0x46e6c7d8a9b3dd64ULL);
 }
 
 TEST(DistortionSamplesTest, IdentityTransformGivesNearZeroDistortion) {

@@ -1,10 +1,12 @@
 #include "media/filters.h"
 
+#include <array>
 #include <cmath>
 #include <numeric>
 
 #include <gtest/gtest.h>
 
+#include "fingerprint/descriptor.h"
 #include "media/frame.h"
 
 namespace s3vcd::media {
@@ -67,6 +69,13 @@ TEST(GaussianSmooth1DTest, SmoothsAndPreservesMeanOfConstant) {
   EXPECT_NEAR(std::accumulate(spread.begin(), spread.end(), 0.0), 1.0, 1e-6);
 }
 
+// The local jet (Ix, Iy, Ixy, Ixx, Iyy) of `stack` at integer pixel (x, y).
+std::array<double, 5> JetAt(const fp::DerivativeStack& stack, int x, int y) {
+  std::array<double, 5> jet{};
+  stack.SampleJet(x, y, jet.data());
+  return jet;
+}
+
 TEST(DerivativesTest, LinearRampHasConstantFirstDerivatives) {
   Frame f(24, 24);
   for (int y = 0; y < 24; ++y) {
@@ -74,15 +83,16 @@ TEST(DerivativesTest, LinearRampHasConstantFirstDerivatives) {
       f.at(x, y) = static_cast<float>(3 * x + 5 * y);
     }
   }
-  DerivativeImages d = ComputeDerivatives(f, 1.0);
+  const fp::DerivativeStack stack(f, 1.0);
   // Interior pixels (away from replicate-border effects).
   for (int y = 6; y < 18; ++y) {
     for (int x = 6; x < 18; ++x) {
-      EXPECT_NEAR(d.ix.at(x, y), 3.0f, 0.05f);
-      EXPECT_NEAR(d.iy.at(x, y), 5.0f, 0.05f);
-      EXPECT_NEAR(d.ixx.at(x, y), 0.0f, 0.05f);
-      EXPECT_NEAR(d.iyy.at(x, y), 0.0f, 0.05f);
-      EXPECT_NEAR(d.ixy.at(x, y), 0.0f, 0.05f);
+      const std::array<double, 5> jet = JetAt(stack, x, y);
+      EXPECT_NEAR(jet[0], 3.0, 0.05);  // Ix
+      EXPECT_NEAR(jet[1], 5.0, 0.05);  // Iy
+      EXPECT_NEAR(jet[2], 0.0, 0.05);  // Ixy
+      EXPECT_NEAR(jet[3], 0.0, 0.05);  // Ixx
+      EXPECT_NEAR(jet[4], 0.0, 0.05);  // Iyy
     }
   }
 }
@@ -96,32 +106,13 @@ TEST(DerivativesTest, QuadraticHasExpectedSecondDerivatives) {
     }
   }
   // Small sigma so Gaussian smoothing barely biases the polynomial.
-  DerivativeImages d = ComputeDerivatives(f, 0.6);
+  const fp::DerivativeStack stack(f, 0.6);
   for (int y = 10; y < 22; ++y) {
     for (int x = 10; x < 22; ++x) {
-      EXPECT_NEAR(d.ixx.at(x, y), 2.0f, 0.2f);
-      EXPECT_NEAR(d.iyy.at(x, y), 4.0f, 0.2f);
-      EXPECT_NEAR(d.ixy.at(x, y), 1.0f, 0.2f);
-    }
-  }
-}
-
-TEST(FirstDerivativesTest, MatchesFullDerivatives) {
-  Frame f(16, 16);
-  for (int y = 0; y < 16; ++y) {
-    for (int x = 0; x < 16; ++x) {
-      f.at(x, y) = static_cast<float>((x * 7 + y * 13) % 29);
-    }
-  }
-  const double sigma = 1.2;
-  DerivativeImages d = ComputeDerivatives(f, sigma);
-  Frame ix;
-  Frame iy;
-  ComputeFirstDerivatives(GaussianBlur(f, sigma), &ix, &iy);
-  for (int y = 0; y < 16; ++y) {
-    for (int x = 0; x < 16; ++x) {
-      EXPECT_FLOAT_EQ(ix.at(x, y), d.ix.at(x, y));
-      EXPECT_FLOAT_EQ(iy.at(x, y), d.iy.at(x, y));
+      const std::array<double, 5> jet = JetAt(stack, x, y);
+      EXPECT_NEAR(jet[3], 2.0, 0.2);  // Ixx
+      EXPECT_NEAR(jet[4], 4.0, 0.2);  // Iyy
+      EXPECT_NEAR(jet[2], 1.0, 0.2);  // Ixy
     }
   }
 }

@@ -14,7 +14,9 @@
 # producer and worker threads through shared tickets. The voting, detector
 # and stream-monitor tests join this leg and the UBSan one: the offset
 # sweep indexes its pairs with a two-pointer window and per-candidate
-# scratch arrays.
+# scratch arrays. So do the extraction tests (filters, Harris, descriptor,
+# extractor and their bit-parity suite): the blur reads padded rows and
+# clamped row pointers, and the jet samples clamped pixel neighbourhoods.
 #
 # A third leg rebuilds the kernel/codec/store tests under
 # UndefinedBehaviorSanitizer (-DS3VCD_SANITIZE=undefined): the fused
@@ -55,13 +57,14 @@ cmake -S "${repo_root}" -B "${asan_dir}" \
 cmake --build "${asan_dir}" --target service_test store_test \
   segment_parity_test memtable_test backend_parity_test \
   descriptor_codec_test scan_kernel_test voting_test cbcd_test \
-  stream_monitor_test -j"$(nproc)"
+  stream_monitor_test harris_test descriptor_test media_filters_test \
+  extractor_test extraction_parity_test -j"$(nproc)"
 
 (
   cd "${asan_dir}"
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
     ctest --output-on-failure \
-    -R '^(service_test|store_test|segment_parity_test|memtable_test|backend_parity_test|descriptor_codec_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|voting_test|cbcd_test|stream_monitor_test)$'
+    -R '^(service_test|store_test|segment_parity_test|memtable_test|backend_parity_test|descriptor_codec_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test)$'
 )
 echo "ASan run passed."
 
@@ -76,12 +79,13 @@ cmake -S "${repo_root}" -B "${ubsan_dir}" \
 cmake --build "${ubsan_dir}" --target scan_kernel_test store_test \
   segment_parity_test memtable_test descriptor_codec_test service_test \
   backend_parity_test voting_test cbcd_test stream_monitor_test \
-  -j"$(nproc)"
+  harris_test descriptor_test media_filters_test extractor_test \
+  extraction_parity_test -j"$(nproc)"
 
 (
   cd "${ubsan_dir}"
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --output-on-failure \
-    -R '^(scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|memtable_test|descriptor_codec_test|service_test|backend_parity_test|voting_test|cbcd_test|stream_monitor_test)$'
+    -R '^(scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|memtable_test|descriptor_codec_test|service_test|backend_parity_test|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test)$'
 )
 echo "UBSan run passed."
