@@ -64,7 +64,6 @@ int Main() {
 
   service::LoadGenOptions load;
   load.mode = service::LoadMode::kOpenLoop;
-  load.jitter = service::ArrivalJitter::kPoisson;
   load.base_qps = 0;  // calibrate from closed-loop goodput
   load.base_clients = 4;
   load.ramp = {0.5, 1.0, 2.0, 4.0};

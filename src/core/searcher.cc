@@ -15,37 +15,6 @@
 
 namespace s3vcd::core {
 
-std::vector<QueryResult> Searcher::BatchStatQuery(
-    const std::vector<fp::Fingerprint>& queries, const DistortionModel& model,
-    const QueryOptions& options) const {
-  std::vector<QueryResult> results;
-  results.reserve(queries.size());
-  for (const fp::Fingerprint& query : queries) {
-    results.push_back(StatQuery(query, model, options));
-  }
-  return results;
-}
-
-std::vector<QueryResult> Searcher::BatchRangeQuery(
-    const std::vector<fp::Fingerprint>& queries, double epsilon,
-    int depth) const {
-  std::vector<QueryResult> results;
-  results.reserve(queries.size());
-  for (const fp::Fingerprint& query : queries) {
-    results.push_back(RangeQuery(query, epsilon, depth));
-  }
-  return results;
-}
-
-QueryResult Searcher::Query(const QueryRequest& request,
-                            const DistortionModel& model) const {
-  if (request.paradigm == SearchParadigm::kStatistical) {
-    return StatQuery(request.query, model, request.options);
-  }
-  return RangeQuery(request.query, request.epsilon,
-                    request.options.filter.depth);
-}
-
 void Searcher::ScanSelection(const fp::Fingerprint& /*query*/,
                              const BlockSelection& /*selection*/,
                              RefinementMode /*mode*/, double /*radius*/,
@@ -54,12 +23,6 @@ void Searcher::ScanSelection(const fp::Fingerprint& /*query*/,
   // Callers must check selection_filter() != nullptr before asking for a
   // selection scan; backends without block structure cannot honor one.
   S3VCD_CHECK(selection_filter() != nullptr);
-}
-
-bool Searcher::TryInsert(const fp::Fingerprint& /*fingerprint*/,
-                         uint32_t /*id*/, uint32_t /*time_code*/, float /*x*/,
-                         float /*y*/) {
-  return false;
 }
 
 double EqualExpectationRadius(const DistortionModel& model, double alpha) {

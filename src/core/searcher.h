@@ -71,18 +71,6 @@ enum class SearchParadigm {
   kRange,
 };
 
-/// One self-contained query: the fingerprint, the paradigm and its
-/// parameters. Searcher::Query dispatches it to StatQuery or RangeQuery.
-struct QueryRequest {
-  fp::Fingerprint query{};
-  SearchParadigm paradigm = SearchParadigm::kStatistical;
-  /// Statistical parameters; options.filter.depth also supplies the
-  /// partition depth of range queries on block-structured backends.
-  QueryOptions options;
-  /// Range radius, byte-space units (kRange only).
-  double epsilon = 0;
-};
-
 /// Name of the refinement kernel ScanRecords currently dispatches to
 /// ("scalar", "sse2", "avx2") — see core/scan_kernel.h. Declared
 /// here so SearcherStats can carry it without a header cycle.
@@ -92,8 +80,6 @@ const char* ActiveScanKernelName();
 struct SearcherStats {
   /// Total searchable records (static part + any insert buffer).
   uint64_t records = 0;
-  /// Records buffered by TryInsert but not yet folded in by Compact.
-  uint64_t pending_inserts = 0;
   /// Refinement kernel in use when these stats were taken.
   const char* scan_kernel = ActiveScanKernelName();
   /// Descriptor codec(s) the backend stores records under ("exact"
@@ -126,8 +112,9 @@ struct SearcherStats {
 /// probabilistic (a documented property of the baseline, asserted as a
 /// recall floor in tests/backend_parity_test.cc).
 ///
-/// Concurrency: all query methods are const and safe to fan out; TryInsert
-/// and Compact mutate and require external exclusion.
+/// Concurrency: all query methods are const and safe to fan out. Only the
+/// segment backend takes inserts (store::SegmentSearcher::TryInsert), and
+/// those require external exclusion.
 class Searcher {
  public:
   virtual ~Searcher() = default;
@@ -144,20 +131,6 @@ class Searcher {
   /// filter on block-structured backends; others ignore it.
   virtual QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon,
                                  int depth) const = 0;
-
-  /// Batch variants; the defaults are serial loops, overridable by
-  /// backends with a cheaper amortized path. results[i] corresponds to
-  /// queries[i].
-  virtual std::vector<QueryResult> BatchStatQuery(
-      const std::vector<fp::Fingerprint>& queries,
-      const DistortionModel& model, const QueryOptions& options) const;
-  virtual std::vector<QueryResult> BatchRangeQuery(
-      const std::vector<fp::Fingerprint>& queries, double epsilon,
-      int depth) const;
-
-  /// Dispatches a QueryRequest to StatQuery or RangeQuery.
-  QueryResult Query(const QueryRequest& request,
-                    const DistortionModel& model) const;
 
   virtual SearcherStats Stats() const = 0;
 
@@ -182,15 +155,6 @@ class Searcher {
                              RefinementMode mode, double radius,
                              const DistortionModel* model,
                              QueryResult* result) const;
-
-  /// Buffers one new record if the backend supports dynamic insertion
-  /// (visible to queries immediately). Returns false — and inserts
-  /// nothing — on static backends.
-  virtual bool TryInsert(const fp::Fingerprint& fingerprint, uint32_t id,
-                         uint32_t time_code, float x = 0, float y = 0);
-
-  /// Folds any insert buffer into the static structure. No-op by default.
-  virtual void Compact() {}
 };
 
 /// Radius of the ball that an exact range query must use to retrieve the

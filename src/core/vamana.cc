@@ -499,7 +499,6 @@ QueryResult VamanaIndex::StatQuery(const fp::Fingerprint& query,
 SearcherStats VamanaIndex::Stats() const {
   SearcherStats stats;
   stats.records = view_.count;
-  stats.pending_inserts = 0;
   stats.codec =
       view_.codec != nullptr ? view_.codec->name() : "exact";
   stats.codec_max_error = max_error_;

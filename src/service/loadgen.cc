@@ -69,15 +69,13 @@ struct Collector {
   uint64_t completed_ok = 0;
   uint64_t deadline_expired = 0;
   uint64_t queries_executed = 0;
-  uint64_t completed_interactive = 0;
-  uint64_t completed_bulk = 0;
   std::vector<double> latencies_ms;  ///< OK batches only
   double queue_sum_ms = 0;
   double execute_sum_ms = 0;
   double selection_sum_ms = 0;
   double refine_sum_ms = 0;
 
-  void Record(const BatchResult& result, double latency_ms, Lane lane) {
+  void Record(const BatchResult& result, double latency_ms) {
     std::lock_guard<std::mutex> lock(mutex);
     queries_executed += result.queries_executed;
     if (!result.status.ok()) {
@@ -85,11 +83,6 @@ struct Collector {
       return;
     }
     ++completed_ok;
-    if (lane == Lane::kBulk) {
-      ++completed_bulk;
-    } else {
-      ++completed_interactive;
-    }
     latencies_ms.push_back(latency_ms);
     queue_sum_ms += result.queue_wait_ms;
     execute_sum_ms += result.execute_ms;
@@ -113,16 +106,6 @@ class WorkloadDrawer {
   Request Draw() {
     Request request;
     request.options.deadline_ms = options_.deadline_ms;
-    if (options_.bulk_fraction > 0 &&
-        rng_.Uniform(0, 1) < options_.bulk_fraction) {
-      request.options.lane = Lane::kBulk;
-    }
-    if (options_.quota_clients > 0) {
-      request.options.client_tag =
-          "client" + std::to_string(draw_ordinal_++ %
-                                    static_cast<uint64_t>(
-                                        options_.quota_clients));
-    }
     const double u = rng_.Uniform(0, 1);
     size_t count = 1;
     if (u < stat_single_) {
@@ -147,7 +130,6 @@ class WorkloadDrawer {
   double epsilon_;
   double stat_single_ = 1;
   double range_single_ = 0;
-  uint64_t draw_ordinal_ = 0;
   Rng rng_;
 };
 
@@ -155,8 +137,6 @@ void FinishPhaseRates(PhaseReport* phase, Collector* collector) {
   phase->completed_ok = collector->completed_ok;
   phase->deadline_expired = collector->deadline_expired;
   phase->queries_executed = collector->queries_executed;
-  phase->completed_interactive = collector->completed_interactive;
-  phase->completed_bulk = collector->completed_bulk;
   phase->offered_qps =
       phase->duration_s > 0
           ? static_cast<double>(phase->offered) / phase->duration_s
@@ -205,7 +185,6 @@ PhaseReport RunClosedLoopPhase(QueryService& service,
   uint64_t offered = 0;
   uint64_t accepted = 0;
   uint64_t rejected = 0;
-  uint64_t quota_rejected = 0;
   uint64_t retries = 0;
   double retry_wait_ms = 0;
 
@@ -221,7 +200,7 @@ PhaseReport RunClosedLoopPhase(QueryService& service,
       WorkloadDrawer drawer(pool, options, epsilon,
                             Rng(phase_seed * 1315423911u + c));
       uint64_t my_offered = 0, my_accepted = 0, my_rejected = 0;
-      uint64_t my_quota_rejected = 0, my_retries = 0;
+      uint64_t my_retries = 0;
       double my_retry_wait_ms = 0;
       while (Clock::now() < phase_end) {
         Request request = drawer.Draw();
@@ -243,10 +222,6 @@ PhaseReport RunClosedLoopPhase(QueryService& service,
             break;
           }
           ++my_rejected;
-          if (submitted.status().code() ==
-              StatusCode::kResourceExhausted) {
-            ++my_quota_rejected;
-          }
           if (Clock::now() >= phase_end) {
             gave_up = true;
             break;
@@ -260,8 +235,7 @@ PhaseReport RunClosedLoopPhase(QueryService& service,
           break;
         }
         const BatchResult& result = ticket->Wait();
-        collector.Record(result, watch.ElapsedMillis(),
-                         request.options.lane);
+        collector.Record(result, watch.ElapsedMillis());
         if (options.think_ms > 0) {
           std::this_thread::sleep_for(
               std::chrono::duration<double, std::milli>(options.think_ms));
@@ -271,7 +245,6 @@ PhaseReport RunClosedLoopPhase(QueryService& service,
       offered += my_offered;
       accepted += my_accepted;
       rejected += my_rejected;
-      quota_rejected += my_quota_rejected;
       retries += my_retries;
       retry_wait_ms += my_retry_wait_ms;
     });
@@ -284,7 +257,6 @@ PhaseReport RunClosedLoopPhase(QueryService& service,
   phase.offered = offered;
   phase.accepted = accepted;
   phase.rejected = rejected;
-  phase.quota_rejected = quota_rejected;
   phase.retries = retries;
   phase.retry_wait_ms = retry_wait_ms;
   FinishPhaseRates(&phase, &collector);
@@ -296,7 +268,6 @@ struct HarvestQueue {
   struct Item {
     BatchTicket ticket;
     double send_lag_ms = 0;
-    Lane lane = Lane::kInteractive;
   };
 
   std::mutex mutex;
@@ -352,22 +323,14 @@ PhaseReport RunOpenLoopPhase(QueryService& service,
       const BatchResult& result = item.ticket->Wait();
       // Coordinated-omission-safe end to end: scheduled arrival to
       // completion = dispatcher lateness + queue wait + execution.
-      collector.Record(result,
-                       item.send_lag_ms + result.queue_wait_ms +
-                           result.execute_ms,
-                       item.lane);
+      collector.Record(result, item.send_lag_ms + result.queue_wait_ms +
+                                   result.execute_ms);
     }
   });
 
   WorkloadDrawer drawer(pool, options, epsilon, Rng(phase_seed));
   Rng arrival_rng(phase_seed ^ 0x9e3779b97f4a7c15ull);
   const double mean_gap_s = 1.0 / std::max(1e-6, target_qps);
-  const auto draw_gap = [&] {
-    if (options.jitter == ArrivalJitter::kPoisson) {
-      return -std::log(1.0 - arrival_rng.Uniform(0, 1)) * mean_gap_s;
-    }
-    return arrival_rng.Uniform(0.5, 1.5) * mean_gap_s;
-  };
 
   const auto phase_start = Clock::now();
   const auto phase_end =
@@ -375,7 +338,8 @@ PhaseReport RunOpenLoopPhase(QueryService& service,
                         std::chrono::duration<double>(seconds));
   double next_arrival_s = 0;
   for (;;) {
-    next_arrival_s += draw_gap();
+    // Poisson arrivals: exponential gaps.
+    next_arrival_s += -std::log(1.0 - arrival_rng.Uniform(0, 1)) * mean_gap_s;
     const auto scheduled =
         phase_start + std::chrono::duration_cast<Clock::duration>(
                           std::chrono::duration<double>(next_arrival_s));
@@ -390,14 +354,10 @@ PhaseReport RunOpenLoopPhase(QueryService& service,
         service.Submit(std::move(request.queries), request.options);
     if (!submitted.ok()) {
       ++phase.rejected;
-      if (submitted.status().code() == StatusCode::kResourceExhausted) {
-        ++phase.quota_rejected;
-      }
       continue;
     }
     ++phase.accepted;
-    harvest.Push({*submitted, send_lag_ms, request.options.lane},
-                 options.max_outstanding);
+    harvest.Push({*submitted, send_lag_ms}, options.max_outstanding);
   }
   harvest.Close();
   harvester.join();
@@ -419,15 +379,11 @@ std::string PhaseToJson(const PhaseReport& p) {
   out += ", \"offered\": " + std::to_string(p.offered);
   out += ", \"accepted\": " + std::to_string(p.accepted);
   out += ", \"rejected\": " + std::to_string(p.rejected);
-  out += ", \"quota_rejected\": " + std::to_string(p.quota_rejected);
   out += ", \"retries\": " + std::to_string(p.retries);
   out += ", \"retry_wait_ms\": " + FormatDouble(p.retry_wait_ms);
   out += ", \"completed_ok\": " + std::to_string(p.completed_ok);
   out += ", \"deadline_expired\": " + std::to_string(p.deadline_expired);
   out += ", \"queries_executed\": " + std::to_string(p.queries_executed);
-  out += ", \"completed_interactive\": " +
-         std::to_string(p.completed_interactive);
-  out += ", \"completed_bulk\": " + std::to_string(p.completed_bulk);
   out += ", \"offered_qps\": " + FormatDouble(p.offered_qps);
   out += ", \"goodput_qps\": " + FormatDouble(p.goodput_qps);
   out += ", \"reject_rate\": " + FormatDouble(p.reject_rate);
@@ -457,9 +413,6 @@ std::string LoadGenReport::ToJson() const {
   out += "  \"tool\": \"loadgen\",\n";
   out += std::string("  \"mode\": \"") +
          (mode == LoadMode::kOpenLoop ? "open" : "closed") + "\",\n";
-  out += std::string("  \"jitter\": \"") +
-         (jitter == ArrivalJitter::kPoisson ? "poisson" : "uniform") +
-         "\",\n";
   out += "  \"base_qps\": " + FormatDouble(base_qps) + ",\n";
   out += "  \"base_clients\": " + std::to_string(base_clients) + ",\n";
   out += "  \"deadline_ms\": " + FormatDouble(deadline_ms) + ",\n";
@@ -481,7 +434,6 @@ LoadGenReport RunLoadGen(QueryService& service,
                          const LoadGenOptions& options) {
   LoadGenReport report;
   report.mode = options.mode;
-  report.jitter = options.jitter;
   report.base_clients = options.base_clients;
   report.deadline_ms = options.deadline_ms;
   report.seed = options.seed;

@@ -17,9 +17,9 @@
 //  * Closed loop — K concurrent clients, each submit -> wait -> think.
 //    Offered load self-limits to what the service sustains; the phase
 //    multiplier scales the client count. Measures capacity.
-//  * Open loop — submissions arrive on their own schedule (Poisson or
-//    uniform inter-arrival jitter around a target rate) regardless of
-//    completions; the phase multiplier scales the target rate. Measures
+//  * Open loop — submissions arrive on their own Poisson schedule around
+//    a target rate regardless of completions; the phase multiplier
+//    scales the target rate. Measures
 //    behavior under offered load the service does not control, which is
 //    where the overload knee (goodput flattens, rejects climb, p99
 //    explodes) becomes visible.
@@ -37,12 +37,6 @@ namespace s3vcd::service {
 
 enum class LoadMode { kClosedLoop, kOpenLoop };
 
-/// Inter-arrival distribution of the open-loop schedule.
-enum class ArrivalJitter {
-  kPoisson,  ///< exponential gaps — bursty, the classic telecom model
-  kUniform,  ///< gaps uniform in [0.5, 1.5] / rate — mildly jittered
-};
-
 /// Relative weights of the request types (normalized internally; types
 /// with weight 0 never occur).
 struct WorkloadMix {
@@ -53,7 +47,6 @@ struct WorkloadMix {
 
 struct LoadGenOptions {
   LoadMode mode = LoadMode::kOpenLoop;
-  ArrivalJitter jitter = ArrivalJitter::kPoisson;
 
   /// Open loop: batch arrival rate of the 1.0x phase, batches/s. <= 0
   /// runs a closed-loop calibration first and uses its goodput, so the
@@ -78,13 +71,6 @@ struct LoadGenOptions {
   /// radius from the service's model and alpha.
   double epsilon = 0;
   double deadline_ms = 0;  ///< per-batch deadline; 0 = none
-  /// Probability a request goes to the bulk lane (Lane::kBulk); the rest
-  /// are interactive.
-  double bulk_fraction = 0;
-  /// > 0: requests carry round-robin client tags "client0" ..
-  /// "client<N-1>", exercising the service's per-client quotas; 0 leaves
-  /// the tag empty (quota-exempt).
-  int quota_clients = 0;
   uint64_t seed = 42;
 
   /// Max completions in flight awaiting harvest (open loop); dispatcher
@@ -124,8 +110,7 @@ struct PhaseReport {
 
   uint64_t offered = 0;   ///< submission attempts (retries count)
   uint64_t accepted = 0;
-  uint64_t rejected = 0;  ///< kUnavailable + kResourceExhausted rejects
-  uint64_t quota_rejected = 0;  ///< the kResourceExhausted subset
+  uint64_t rejected = 0;  ///< kUnavailable (admission queue full)
   /// Closed loop: rejected submissions that were retried after a pause
   /// (every reject except a client giving up at phase end).
   uint64_t retries = 0;
@@ -137,9 +122,6 @@ struct PhaseReport {
   uint64_t completed_ok = 0;
   uint64_t deadline_expired = 0;
   uint64_t queries_executed = 0;
-  /// Lane split of completed-OK batches.
-  uint64_t completed_interactive = 0;
-  uint64_t completed_bulk = 0;
 
   double offered_qps = 0;    ///< offered / duration_s
   double goodput_qps = 0;    ///< completed_ok / elapsed_s
@@ -153,7 +135,6 @@ struct PhaseReport {
 
 struct LoadGenReport {
   LoadMode mode = LoadMode::kOpenLoop;
-  ArrivalJitter jitter = ArrivalJitter::kPoisson;
   double base_qps = 0;  ///< after calibration, when one ran
   int base_clients = 0;
   double deadline_ms = 0;

@@ -59,26 +59,7 @@ obs::Histogram* const g_stage_refine_us =
     obs::MetricsRegistry::Global().GetHistogram("service.stage_refine_us");
 obs::Histogram* const g_stage_other_us =
     obs::MetricsRegistry::Global().GetHistogram("service.stage_other_us");
-// Lane / quota accounting (docs/query_service.md).
-obs::Counter* const g_lane_submitted[2] = {
-    obs::MetricsRegistry::Global().GetCounter(
-        "service.lane_interactive_submitted"),
-    obs::MetricsRegistry::Global().GetCounter(
-        "service.lane_bulk_submitted"),
-};
-obs::Counter* const g_lane_rejects[2] = {
-    obs::MetricsRegistry::Global().GetCounter(
-        "service.lane_interactive_rejects"),
-    obs::MetricsRegistry::Global().GetCounter(
-        "service.lane_bulk_rejects"),
-};
-obs::Gauge* const g_lane_depth[2] = {
-    obs::MetricsRegistry::Global().GetGauge(
-        "service.lane_interactive_depth"),
-    obs::MetricsRegistry::Global().GetGauge("service.lane_bulk_depth"),
-};
-obs::Counter* const g_quota_rejects =
-    obs::MetricsRegistry::Global().GetCounter("service.quota_rejects");
+
 double MillisSince(Clock::time_point since, Clock::time_point now) {
   return std::chrono::duration<double, std::milli>(now - since).count();
 }
@@ -86,10 +67,6 @@ double MillisSince(Clock::time_point since, Clock::time_point now) {
 Clock::duration MillisDuration(double ms) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(ms));
-}
-
-const char* LaneName(int lane) {
-  return lane == 0 ? "interactive" : "bulk";
 }
 
 }  // namespace
@@ -122,7 +99,6 @@ QueryService::QueryService(const ShardedSearcher* searcher,
   options_.num_workers = std::max(1, options_.num_workers);
   options_.threads_per_batch = std::max(1, options_.threads_per_batch);
   options_.max_queue_depth = std::max<size_t>(1, options_.max_queue_depth);
-  options_.bulk_queue_depth = std::max<size_t>(1, options_.bulk_queue_depth);
   if (options_.cache_capacity > 0) {
     cache_ = std::make_unique<SelectionCache>(options_.cache_capacity);
   }
@@ -145,7 +121,7 @@ Result<BatchTicket> QueryService::Submit(std::vector<fp::Fingerprint> queries,
   if (options.paradigm == core::SearchParadigm::kRange &&
       !(std::isfinite(options.epsilon) && options.epsilon >= 0)) {
     // A worker would abort on the filter's epsilon >= 0 check; reject here
-    // instead, before the batch takes a quota token or an admission slot.
+    // instead, before the batch takes an admission slot.
     return Status::InvalidArgument(
         "range batch epsilon must be finite and >= 0, got " +
         std::to_string(options.epsilon));
@@ -158,7 +134,6 @@ Result<BatchTicket> QueryService::Submit(std::vector<fp::Fingerprint> queries,
   if (options.deadline_ms > 0) {
     ticket->token_ = CancelToken(now + MillisDuration(options.deadline_ms));
   }
-  const int lane = static_cast<int>(options.lane);
   std::vector<BatchTicket> expired;
   Status reject = Status::OK();
   {
@@ -167,49 +142,19 @@ Result<BatchTicket> QueryService::Submit(std::vector<fp::Fingerprint> queries,
       return Status::FailedPrecondition(
           "query service is shut down; no new batches accepted");
     }
-    if (options_.quota_batches_per_s > 0 && !options.client_tag.empty()) {
-      // Quota before occupancy: an over-quota client must not consume an
-      // admission slot that a within-quota client could use.
-      const double burst = options_.quota_burst > 0
-                               ? options_.quota_burst
-                               : std::max(1.0, options_.quota_batches_per_s);
-      auto [it, inserted] =
-          quota_.try_emplace(options.client_tag, TokenBucket{burst, now});
-      TokenBucket& bucket = it->second;
-      if (!inserted) {
-        const double dt_s =
-            std::chrono::duration<double>(now - bucket.last).count();
-        bucket.tokens = std::min(
-            burst, bucket.tokens + dt_s * options_.quota_batches_per_s);
-        bucket.last = now;
-      }
-      if (bucket.tokens < 1.0) {
-        g_quota_rejects->Increment();
-        return Status::ResourceExhausted(
-            "client '" + options.client_tag + "' over quota (" +
-            std::to_string(options_.quota_batches_per_s) +
-            " batches/s, burst " + std::to_string(burst) + ")");
-      }
-      bucket.tokens -= 1.0;
-    }
     // Expired-but-queued batches are dead weight: fail them now so they
     // stop holding admission slots (found only at pop time, they cause
     // spurious kUnavailable rejects under saturation).
     PurgeExpiredLocked(now, &expired);
-    auto& queue = queues_[static_cast<size_t>(lane)];
-    const size_t bound = lane == 0 ? options_.max_queue_depth
-                                   : options_.bulk_queue_depth;
-    if (queue.size() >= bound) {
+    if (queue_.size() >= options_.max_queue_depth) {
       g_admission_rejects->Increment();
-      g_lane_rejects[lane]->Increment();
       reject = Status::Unavailable(
-          "admission queue full (" + std::string(LaneName(lane)) +
-          " lane, depth " + std::to_string(bound) +
+          "admission queue full (depth " +
+          std::to_string(options_.max_queue_depth) +
           "); retry after draining");
     } else {
-      queue.push_back(ticket);
-      PublishDepthLocked();
-      g_lane_submitted[lane]->Increment();
+      queue_.push_back(ticket);
+      g_queue_depth->Set(static_cast<int64_t>(queue_.size()));
     }
   }
   for (BatchTicket& dead : expired) {
@@ -255,46 +200,20 @@ void QueryService::Shutdown() {
 
 size_t QueryService::pending_batches() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return queues_[0].size() + queues_[1].size();
-}
-
-size_t QueryService::pending_batches(Lane lane) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queues_[static_cast<size_t>(lane)].size();
-}
-
-bool QueryService::HasWorkLocked() const {
-  return !queues_[0].empty() || !queues_[1].empty();
-}
-
-BatchTicket QueryService::PopLocked() {
-  auto& queue = queues_[0].empty() ? queues_[1] : queues_[0];
-  BatchTicket batch = std::move(queue.front());
-  queue.pop_front();
-  PublishDepthLocked();
-  return batch;
+  return queue_.size();
 }
 
 void QueryService::PurgeExpiredLocked(Clock::time_point now,
                                       std::vector<BatchTicket>* expired) {
-  for (auto& queue : queues_) {
-    for (auto it = queue.begin(); it != queue.end();) {
-      if ((*it)->token_.ExpiredAt(now)) {
-        expired->push_back(std::move(*it));
-        it = queue.erase(it);
-      } else {
-        ++it;
-      }
+  for (auto it = queue_.begin(); it != queue_.end();) {
+    if ((*it)->token_.ExpiredAt(now)) {
+      expired->push_back(std::move(*it));
+      it = queue_.erase(it);
+    } else {
+      ++it;
     }
   }
-  PublishDepthLocked();
-}
-
-void QueryService::PublishDepthLocked() const {
-  g_lane_depth[0]->Set(static_cast<int64_t>(queues_[0].size()));
-  g_lane_depth[1]->Set(static_cast<int64_t>(queues_[1].size()));
-  g_queue_depth->Set(
-      static_cast<int64_t>(queues_[0].size() + queues_[1].size()));
+  g_queue_depth->Set(static_cast<int64_t>(queue_.size()));
 }
 
 void QueryService::WorkerLoop() {
@@ -309,12 +228,14 @@ void QueryService::WorkerLoop() {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_cv_.wait(lock, [this] {
-        return shutdown_ || (!paused_ && HasWorkLocked());
+        return shutdown_ || (!paused_ && !queue_.empty());
       });
-      if (!HasWorkLocked()) {
+      if (queue_.empty()) {
         return;  // shutdown with nothing left to drain
       }
-      batch = PopLocked();
+      batch = std::move(queue_.front());
+      queue_.pop_front();
+      g_queue_depth->Set(static_cast<int64_t>(queue_.size()));
     }
     if (batch->token_.ExpiredAt(Clock::now())) {
       CompleteExpiredQueued(batch.get());

@@ -1,7 +1,6 @@
 #ifndef S3VCD_SERVICE_QUERY_SERVICE_H_
 #define S3VCD_SERVICE_QUERY_SERVICE_H_
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -9,9 +8,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/distortion_model.h"
@@ -24,15 +21,6 @@
 #include "util/status.h"
 
 namespace s3vcd::service {
-
-/// Admission lane of a batch. Lanes have separate queue bounds, and
-/// workers always drain interactive work first, so a flood of bulk
-/// submissions can neither starve interactive admission (separate slots)
-/// nor delay interactive execution (strict priority at pop).
-enum class Lane {
-  kInteractive = 0,  ///< latency-sensitive lookups (default)
-  kBulk = 1,         ///< bulk monitoring / backfill traffic
-};
 
 /// Per-batch submission options.
 struct BatchOptions {
@@ -48,11 +36,6 @@ struct BatchOptions {
   core::SearchParadigm paradigm = core::SearchParadigm::kStatistical;
   /// Range radius in byte-space distance units (kRange only).
   double epsilon = 0;
-  /// Admission lane (see Lane).
-  Lane lane = Lane::kInteractive;
-  /// Client identity for per-client token-bucket quotas; empty = exempt.
-  /// Only consulted when QueryServiceOptions::quota_batches_per_s > 0.
-  std::string client_tag;
 };
 
 /// Outcome of one batch.
@@ -121,13 +104,10 @@ struct QueryServiceOptions {
   /// many threads and spreads its batch's queries across them (1 = the
   /// worker executes its batch serially).
   int threads_per_batch = 1;
-  /// Bound of the interactive admission lane, in batches. Submit rejects
-  /// with kUnavailable once this many interactive batches are waiting —
-  /// the backpressure contract (docs/query_service.md).
+  /// Bound of the admission queue, in batches. Submit rejects with
+  /// kUnavailable once this many batches are waiting — the backpressure
+  /// contract (docs/query_service.md).
   size_t max_queue_depth = 64;
-  /// Bound of the bulk admission lane (same semantics, separate slots, so
-  /// bulk floods cannot starve interactive admission).
-  size_t bulk_queue_depth = 64;
   /// Capacity of the selection cache shared by all workers; 0 disables
   /// caching.
   size_t cache_capacity = 4096;
@@ -145,19 +125,11 @@ struct QueryServiceOptions {
   double slow_batch_threshold_ms = 0;
   /// Exemplars retained by the slow-batch log (oldest evicted first).
   size_t slow_log_capacity = 32;
-
-  /// --- Per-client quotas (0 disables) ---
-  /// Token-bucket refill rate per client_tag, in accepted batches/s.
-  /// Batches with an empty client_tag are exempt.
-  double quota_batches_per_s = 0;
-  /// Bucket capacity (burst); <= 0 defaults to max(1, quota_batches_per_s).
-  double quota_burst = 0;
 };
 
-/// Asynchronous batch front end over one ShardedSearcher: a bounded
-/// two-lane admission queue (reject-with-Status backpressure), per-request
-/// deadlines, per-client token-bucket quotas, worker fan-out and a shared
-/// selection cache.
+/// Asynchronous batch front end over one ShardedSearcher: a bounded FIFO
+/// admission queue (reject-with-Status backpressure), per-request
+/// deadlines, worker fan-out and a shared selection cache.
 ///
 /// The service is backend-agnostic: it only speaks the ShardedSearcher
 /// API, which in turn speaks core::Searcher, so any registry backend
@@ -189,16 +161,13 @@ class QueryService {
 
   /// Submits a batch. Returns a ticket to Wait() on, or:
   ///  * kInvalidArgument for a kRange batch whose epsilon is negative or
-  ///    not finite (checked first: the batch takes no slot and no token);
-  ///  * kUnavailable when the batch's admission lane is full
-  ///    (backpressure — retry after draining, typically by waiting on an
-  ///    earlier ticket);
-  ///  * kResourceExhausted when the batch's client_tag is over quota
-  ///    (the caller must slow down; retrying immediately cannot help);
+  ///    not finite (checked first: the batch takes no slot);
+  ///  * kUnavailable when the admission queue is full (backpressure —
+  ///    retry after draining, typically by waiting on an earlier ticket);
   ///  * kFailedPrecondition after Shutdown().
   /// Expired-but-queued batches are purged (completed with
-  /// kDeadlineExceeded) before the lane bound is checked, so dead batches
-  /// never hold admission slots.
+  /// kDeadlineExceeded) before the bound is checked, so dead batches
+  /// never hold admission slots. Workers pop batches in submission order.
   Result<BatchTicket> Submit(std::vector<fp::Fingerprint> queries,
                              const BatchOptions& options = {});
 
@@ -210,9 +179,8 @@ class QueryService {
   /// Idempotent.
   void Shutdown();
 
-  /// Batches currently waiting for a worker, over all lanes or one.
+  /// Batches currently waiting for a worker.
   size_t pending_batches() const;
-  size_t pending_batches(Lane lane) const;
 
   /// The shared selection cache; nullptr when cache_capacity was 0.
   const SelectionCache* cache() const { return cache_.get(); }
@@ -227,21 +195,11 @@ class QueryService {
   const ShardedSearcher* searcher() const { return searcher_; }
 
  private:
-  struct TokenBucket {
-    double tokens = 0;
-    std::chrono::steady_clock::time_point last;
-  };
-
   void WorkerLoop();
-  bool HasWorkLocked() const;
-  /// Pops the next batch, interactive lane first.
-  BatchTicket PopLocked();
   /// Removes every expired-and-still-queued batch from the run queue and
   /// appends it to *expired (the caller completes them).
   void PurgeExpiredLocked(std::chrono::steady_clock::time_point now,
                           std::vector<BatchTicket>* expired);
-  /// Publishes the lane depths to the queue-depth gauges.
-  void PublishDepthLocked() const;
   BatchResult ExecuteBatch(const BatchHandle& batch, ThreadPool* pool) const;
   /// Completes an expired-in-queue batch without executing it.
   void CompleteExpiredQueued(BatchHandle* batch);
@@ -260,9 +218,8 @@ class QueryService {
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
-  /// The run queue, one deque per lane; a lane's depth is its size().
-  std::array<std::deque<BatchTicket>, 2> queues_;
-  std::unordered_map<std::string, TokenBucket> quota_;
+  /// The run queue, oldest batch first.
+  std::deque<BatchTicket> queue_;
   bool paused_ = false;
   bool accepting_ = true;
   bool shutdown_ = false;

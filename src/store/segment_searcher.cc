@@ -206,7 +206,6 @@ core::QueryResult SegmentSearcher::RangeQuery(const fp::Fingerprint& query,
 core::SearcherStats SegmentSearcher::Stats() const {
   core::SearcherStats stats;
   stats.records = store_->total_records() + memtable_.size();
-  stats.pending_inserts = memtable_.size();
   // Report what the store actually holds, not the write-option codec: a
   // reopened quantized store serves quantized segments no matter what new
   // segments would be encoded with. Mixed stores (mid-migration) list

@@ -44,7 +44,9 @@ struct SegmentSearcherOptions {
 /// resumes from the manifest in milliseconds — nothing is re-ingested.
 ///
 /// Single-writer: queries are const and may fan out; TryInsert/Compact
-/// require external exclusion.
+/// require external exclusion. `segment` is the only backend that takes
+/// inserts, so they are methods of this class, not of core::Searcher:
+/// writers hold a SegmentSearcher.
 class SegmentSearcher : public core::Searcher {
  public:
   /// Opens (or creates) the store and ingests `db` as the first segment
@@ -61,7 +63,15 @@ class SegmentSearcher : public core::Searcher {
   /// mode). Distinct across concurrently opened ephemeral searchers —
   /// pinned by tests/store_test.cc.
   const std::string& store_dir() const { return store_->dir(); }
+  /// Records buffered in the memtable, not yet spilled to a segment.
   size_t pending_inserts() const { return memtable_.size(); }
+
+  /// Buffers one new record, visible to queries immediately; spills the
+  /// memtable into a segment at spill_threshold. Always returns true.
+  bool TryInsert(const fp::Fingerprint& fingerprint, uint32_t id,
+                 uint32_t time_code, float x = 0, float y = 0);
+  /// Spills the memtable and compacts the store to a steady state.
+  void Compact();
 
   // ---- Searcher interface ----
   const char* backend_name() const override { return "segment"; }
@@ -80,10 +90,6 @@ class SegmentSearcher : public core::Searcher {
                      core::RefinementMode mode, double radius,
                      const core::DistortionModel* model,
                      core::QueryResult* result) const override;
-  bool TryInsert(const fp::Fingerprint& fingerprint, uint32_t id,
-                 uint32_t time_code, float x = 0, float y = 0) override;
-  /// Spills the memtable and compacts the store to a steady state.
-  void Compact() override;
 
  private:
   SegmentSearcher(std::unique_ptr<SegmentStore> store, bool owns_dir);

@@ -26,8 +26,6 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "Unavailable";
     case StatusCode::kDeadlineExceeded:
       return "DeadlineExceeded";
-    case StatusCode::kResourceExhausted:
-      return "ResourceExhausted";
   }
   return "Unknown";
 }

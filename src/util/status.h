@@ -26,10 +26,6 @@ enum class StatusCode {
   kUnavailable,
   /// The request's deadline elapsed before (or during) execution.
   kDeadlineExceeded,
-  /// A per-client budget (token-bucket quota in the query service) is
-  /// spent. Unlike kUnavailable this is not a global-overload signal: the
-  /// caller must slow down, not merely retry after a drain.
-  kResourceExhausted,
 };
 
 /// Returns a stable human-readable name for `code` (e.g. "InvalidArgument").
@@ -82,9 +78,6 @@ class Status {
   }
   static Status DeadlineExceeded(std::string_view msg) {
     return Status(StatusCode::kDeadlineExceeded, msg);
-  }
-  static Status ResourceExhausted(std::string_view msg) {
-    return Status(StatusCode::kResourceExhausted, msg);
   }
 
   /// True iff this status represents success.

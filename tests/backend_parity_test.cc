@@ -210,11 +210,11 @@ TEST(BackendParityTest, SegmentWithBufferedInsertsMatchesSeqScan) {
     const FingerprintRecord& r = full.record(i);
     builder.Add(r.descriptor, r.id, r.time_code, r.x, r.y);
   }
-  store::EnsureSegmentBackendRegistered();
-  SearcherConfig config;
-  config.segment_spill_threshold = full.size();
+  // Inserts are methods of the concrete segment backend, not of Searcher.
+  store::SegmentSearcherOptions segment_options;
+  segment_options.spill_threshold = full.size();
   auto segment =
-      SearcherRegistry::Global().Create("segment", builder.Build(), config);
+      store::SegmentSearcher::Open(builder.Build(), segment_options);
   ASSERT_TRUE(segment.ok());
   for (size_t i = 1; i < full.size(); i += 2) {
     const FingerprintRecord& r = full.record(i);
@@ -222,7 +222,7 @@ TEST(BackendParityTest, SegmentWithBufferedInsertsMatchesSeqScan) {
         (*segment)->TryInsert(r.descriptor, r.id, r.time_code, r.x, r.y));
   }
   EXPECT_EQ((*segment)->Stats().records, full.size());
-  EXPECT_EQ((*segment)->Stats().pending_inserts, full.size() / 2);
+  EXPECT_EQ((*segment)->pending_inserts(), full.size() / 2);
 
   const auto seqscan = MakeBackend("seqscan");
   const GaussianDistortionModel model(kSigma);

@@ -734,7 +734,7 @@ TEST(CancelTokenTest, DeadlineSemantics) {
   EXPECT_TRUE(past.ShouldStop());
 }
 
-// The acceptance-criterion admission test: a lane nominally full of
+// The acceptance-criterion admission test: a queue nominally full of
 // already-expired batches must not bounce fresh work — Submit purges the
 // corpses instead of counting them against the bound.
 TEST_F(QueryServiceTest, ExpiredQueuedBatchesDoNotHoldAdmissionSlots) {
@@ -774,7 +774,7 @@ TEST_F(QueryServiceTest, ExpiredQueuedBatchesDoNotHoldAdmissionSlots) {
     EXPECT_TRUE((*fresh)->Wait().status.ok());
   }
   const obs::MetricsSnapshot snapshot = registry.Snapshot();
-  // No spurious kUnavailable: zero admission rejects on either lane.
+  // No spurious kUnavailable: zero admission rejects.
   EXPECT_EQ(snapshot.CounterOr0("service.admission_rejects"), 0u);
   EXPECT_EQ(snapshot.CounterOr0("service.deadline_expired_queued"), 2u);
   registry.Reset();
@@ -829,20 +829,17 @@ TEST_F(QueryServiceTest, PooledDeadlineMidExecutionStopsEarly) {
 
 // A range batch with a negative or non-finite epsilon would abort a worker
 // on the filter's epsilon >= 0 check. Submit rejects it up front, before
-// quota and admission, so it takes neither a token nor a slot.
+// admission, so it takes no slot.
 TEST_F(QueryServiceTest, RangeBatchWithInvalidEpsilonIsRejected) {
   QueryServiceOptions options;
   options.num_workers = 1;
   options.start_paused = true;
   options.max_queue_depth = 1;
-  options.quota_batches_per_s = 0.001;
-  options.quota_burst = 1;
   options.query = TestQueryOptions();
   QueryService service(searcher_.get(), &model_, options);
 
   BatchOptions range;
   range.paradigm = core::SearchParadigm::kRange;
-  range.client_tag = "tenant-a";
   for (const double epsilon : {-1.0, std::numeric_limits<double>::quiet_NaN(),
                                std::numeric_limits<double>::infinity()}) {
     range.epsilon = epsilon;
@@ -852,7 +849,7 @@ TEST_F(QueryServiceTest, RangeBatchWithInvalidEpsilonIsRejected) {
   }
   EXPECT_EQ(service.pending_batches(), 0u);
 
-  // The tenant's single token and the single slot are both still free.
+  // The single slot is still free.
   range.epsilon =
       core::EqualExpectationRadius(model_, options.query.filter.alpha);
   auto ticket = service.Submit(MakeQueries(2, 560), range);
@@ -930,123 +927,55 @@ TEST_F(QueryServiceTest, ConcurrentProducersCompleteEveryBatchOnce) {
   registry.Reset();
 }
 
-TEST_F(QueryServiceTest, BulkFloodCannotStarveInteractiveAdmission) {
+// One admission queue, drained in submission order: on a paused
+// one-worker service, batches complete in the order they were submitted.
+// The slow-batch log captures every batch (a threshold below any latency)
+// with its completion ordinal, and batch i carries i + 1 queries, so the
+// log reads back the completion order.
+TEST_F(QueryServiceTest, BatchesCompleteInSubmissionOrder) {
+  constexpr size_t kBatches = 6;
   QueryServiceOptions options;
   options.num_workers = 1;
   options.start_paused = true;
-  options.max_queue_depth = 2;
-  options.bulk_queue_depth = 2;
+  options.slow_batch_threshold_ms = 1e-9;
+  options.slow_log_capacity = kBatches;
   options.query = TestQueryOptions();
   QueryService service(searcher_.get(), &model_, options);
 
-  BatchOptions bulk;
-  bulk.lane = Lane::kBulk;
-  std::vector<BatchTicket> accepted;
-  for (int i = 0; i < 2; ++i) {
-    auto ticket = service.Submit(MakeQueries(2, 500 + i), bulk);
-    ASSERT_TRUE(ticket.ok());
-    accepted.push_back(*ticket);
-  }
-  auto overflow = service.Submit(MakeQueries(2, 510), bulk);
-  ASSERT_FALSE(overflow.ok());
-  EXPECT_EQ(overflow.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(service.pending_batches(Lane::kBulk), 2u);
-
-  // The bulk lane being full leaves interactive admission untouched.
-  auto interactive = service.Submit(MakeQueries(2, 511));
-  ASSERT_TRUE(interactive.ok()) << interactive.status().ToString();
-  accepted.push_back(*interactive);
-  EXPECT_EQ(service.pending_batches(Lane::kInteractive), 1u);
-  EXPECT_EQ(service.pending_batches(), 3u);
-
-  service.Resume();
-  for (auto& ticket : accepted) {
-    EXPECT_TRUE(ticket->Wait().status.ok());
-  }
-}
-
-TEST_F(QueryServiceTest, InteractiveExecutesBeforeQueuedBulk) {
-  QueryServiceOptions options;
-  options.num_workers = 1;
-  options.start_paused = true;
-  options.query = TestQueryOptions();
-  QueryService service(searcher_.get(), &model_, options);
-
-  BatchOptions bulk;
-  bulk.lane = Lane::kBulk;
-  std::vector<BatchTicket> bulk_tickets;
-  for (int i = 0; i < 3; ++i) {
-    auto ticket = service.Submit(MakeQueries(8, 520 + i), bulk);
-    ASSERT_TRUE(ticket.ok());
-    bulk_tickets.push_back(*ticket);
-  }
-  auto interactive = service.Submit(MakeQueries(8, 530));
-  ASSERT_TRUE(interactive.ok());
-  service.Resume();
-
-  const BatchResult& fast = (*interactive)->Wait();
-  ASSERT_TRUE(fast.status.ok());
-  const BatchResult& last_bulk = bulk_tickets.back()->Wait();
-  ASSERT_TRUE(last_bulk.status.ok());
-  // Submitted last, popped first: the interactive batch jumped the three
-  // earlier bulk batches, so the last bulk batch waited strictly longer.
-  EXPECT_LT(fast.queue_wait_ms, last_bulk.queue_wait_ms);
-}
-
-TEST_F(QueryServiceTest, PerClientQuotaExhaustsAndRefills) {
-  QueryServiceOptions options;
-  options.num_workers = 1;
-  options.start_paused = true;
-  options.quota_batches_per_s = 5;  // one token per 200 ms
-  options.quota_burst = 2;
-  options.query = TestQueryOptions();
-  QueryService service(searcher_.get(), &model_, options);
-
-  BatchOptions tagged;
-  tagged.client_tag = "tenant-a";
-  std::vector<BatchTicket> accepted;
-  for (int i = 0; i < 2; ++i) {
-    auto ticket = service.Submit(MakeQueries(1, 540 + i), tagged);
+  std::vector<BatchTicket> tickets;
+  for (size_t i = 0; i < kBatches; ++i) {
+    auto ticket =
+        service.Submit(MakeQueries(static_cast<int>(i + 1), 500 + i));
     ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
-    accepted.push_back(*ticket);
+    tickets.push_back(*ticket);
   }
-  auto over = service.Submit(MakeQueries(1, 542), tagged);
-  ASSERT_FALSE(over.ok());
-  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
-
-  // Another tenant and untagged (quota-exempt) traffic are unaffected.
-  BatchOptions other;
-  other.client_tag = "tenant-b";
-  auto other_ticket = service.Submit(MakeQueries(1, 543), other);
-  ASSERT_TRUE(other_ticket.ok());
-  accepted.push_back(*other_ticket);
-  auto untagged = service.Submit(MakeQueries(1, 544));
-  ASSERT_TRUE(untagged.ok());
-  accepted.push_back(*untagged);
-
-  // Several refill periods restore at least one tenant-a token.
-  std::this_thread::sleep_for(std::chrono::milliseconds(650));
-  auto again = service.Submit(MakeQueries(1, 545), tagged);
-  EXPECT_TRUE(again.ok()) << again.status().ToString();
-  if (again.ok()) {
-    accepted.push_back(*again);
-  }
-
+  EXPECT_EQ(service.pending_batches(), kBatches);
   service.Resume();
-  for (auto& ticket : accepted) {
-    EXPECT_TRUE(ticket->Wait().status.ok());
+  for (size_t i = 0; i < kBatches; ++i) {
+    EXPECT_TRUE(tickets[i]->Wait().status.ok());
+    // Every earlier batch finished before this one started.
+    for (size_t j = 0; j < i; ++j) {
+      EXPECT_TRUE(tickets[j]->done()) << j << " after " << i;
+    }
+  }
+
+  ASSERT_NE(service.slow_log(), nullptr);
+  const auto exemplars = service.slow_log()->Exemplars();
+  ASSERT_EQ(exemplars.size(), kBatches);
+  for (size_t k = 0; k < kBatches; ++k) {
+    EXPECT_EQ(exemplars[k].batch_ordinal, k + 1);
+    EXPECT_EQ(exemplars[k].queries, k + 1) << "completion " << k;
   }
 }
 
-// Satellite 3: closed-loop backpressure is accounted for, not hidden — the
-// report carries the retry count and the wall time spent in retry pauses,
-// and that time lives inside the e2e samples by construction.
-TEST_F(QueryServiceTest, ClosedLoopLoadGenReportsRetriesAndQuotaRejects) {
+// Closed-loop backpressure is accounted for, not hidden: with a queue depth
+// of 1 under 8 clients, the report carries the rejects, the retry count and
+// the wall time spent in retry pauses, and that time lives inside the e2e
+// samples by construction.
+TEST_F(QueryServiceTest, ClosedLoopLoadGenReportsBackpressureRetries) {
   QueryServiceOptions service_options;
   service_options.num_workers = 1;
   service_options.max_queue_depth = 1;  // force rejects under 8 clients
-  service_options.quota_batches_per_s = 10;
-  service_options.quota_burst = 1;
   service_options.query = TestQueryOptions();
   QueryService service(searcher_.get(), &model_, service_options);
 
@@ -1055,7 +984,6 @@ TEST_F(QueryServiceTest, ClosedLoopLoadGenReportsRetriesAndQuotaRejects) {
   load.base_clients = 8;
   load.ramp = {1.0};
   load.phase_seconds = 0.5;
-  load.quota_clients = 2;  // round-robin tags exercise the quotas
   load.seed = 7;
   const auto pool = MakeQueries(64, 550);
   const LoadGenReport report = RunLoadGen(service, pool, model_, load);
@@ -1064,8 +992,7 @@ TEST_F(QueryServiceTest, ClosedLoopLoadGenReportsRetriesAndQuotaRejects) {
   const PhaseReport& phase = report.phases[0];
   EXPECT_GT(phase.completed_ok, 0u);
   EXPECT_GT(phase.rejected, 0u);
-  EXPECT_GT(phase.quota_rejected, 0u);
-  EXPECT_GE(phase.rejected, phase.quota_rejected);
+  EXPECT_EQ(phase.rejected, phase.offered - phase.accepted);
   EXPECT_GT(phase.retries, 0u);
   EXPECT_GT(phase.retry_wait_ms, 0.0);
   EXPECT_GT(phase.e2e.samples, 0u);
@@ -1073,7 +1000,6 @@ TEST_F(QueryServiceTest, ClosedLoopLoadGenReportsRetriesAndQuotaRejects) {
   const std::string json = report.ToJson();
   EXPECT_NE(json.find("\"retries\""), std::string::npos);
   EXPECT_NE(json.find("\"retry_wait_ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"quota_rejected\""), std::string::npos);
 }
 
 }  // namespace

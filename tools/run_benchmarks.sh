@@ -429,7 +429,7 @@ trap 'rm -f "${raw_json}" "${filter_raw}" "${service_raw}"' EXIT
 # calibrated open-loop Poisson ramp with per-phase latency attribution and
 # the knee summary.
 "${build_dir}/tools/s3vcd_tool" loadgen --db "${service_db}" \
-  --mode open --arrival poisson --ramp 0.5,1,2,4 --phase-s 3 \
+  --mode open --ramp 0.5,1,2,4 --phase-s 3 \
   --calibrate-s 2 --clients 4 --mix-stat 0.6 --mix-range 0.2 \
   --mix-batch 0.2 --batch 8 --shards 4 --workers 2 --queue-depth 32 \
   --seed 93 --json-out "${service_raw}" \
@@ -476,7 +476,6 @@ result = {
                     "(coordinated-omission safe) and mean per-stage "
                     "breakdown"),
     "mode": raw.get("mode"),
-    "jitter": raw.get("jitter"),
     "host": host,
     "scan_kernel": raw.get("scan_kernel"),
     "codec": raw.get("codec"),

@@ -22,10 +22,9 @@
 # UndefinedBehaviorSanitizer (-DS3VCD_SANITIZE=undefined): the fused
 # decode kernels lean on unsigned wraparound and per-function ISA targets,
 # exactly the code UBSan is good at auditing. The service tests join this
-# leg too (token-bucket and deadline arithmetic), as does the backend
-# parity suite, whose vamana legs drive the gather kernels and the graph
-# blob reader (bounds arithmetic on untrusted header fields). Skip it with
-# S3VCD_SKIP_UBSAN=1.
+# leg too (deadline arithmetic), as does the backend parity suite, whose
+# vamana legs drive the gather kernels and the graph blob reader (bounds
+# arithmetic on untrusted header fields). Skip it with S3VCD_SKIP_UBSAN=1.
 #
 # Usage: tools/run_tsan_tests.sh [tsan-build-dir [ubsan-build-dir
 #                                 [asan-build-dir]]]

@@ -14,17 +14,7 @@
 //   s3vcd_tool monitor     --db DB [--backend NAME] [--stream-frames F]
 //                          [--alpha A] [--sigma S] [--threshold T] [--seed S]
 //                          [--metrics-out FILE] [--trace-out FILE]
-//   s3vcd_tool serve-batch --db DB [--backend NAME] [--shards K]
-//                          [--policy range|hash]
-//                          [--workers W] [--threads T] [--queue-depth Q]
-//                          [--batch N] [--batches B] [--alpha A]
-//                          [--sigma S] [--depth P] [--deadline-ms D]
-//                          [--cache-capacity C] [--seed S]
-//                          [--stats-interval-ms I] [--slow-log-out FILE]
-//                          [--slow-threshold-ms T]
-//                          [--metrics-out FILE] [--trace-out FILE]
-//   s3vcd_tool loadgen     --db DB [--mode open|closed]
-//                          [--arrival poisson|uniform] [--base-qps Q]
+//   s3vcd_tool loadgen     --db DB [--mode open|closed] [--base-qps Q]
 //                          [--clients K] [--think-ms T] [--ramp CSV]
 //                          [--phase-s S] [--calibrate-s S] [--batch N]
 //                          [--mix-stat W] [--mix-range W] [--mix-batch W]
@@ -42,17 +32,17 @@
 // `build` synthesizes a reference corpus (the library normally ingests real
 // video; the tool uses the synthetic generator so it is runnable anywhere),
 // `query` replays distorted self-queries with timing, `monitor` embeds a
-// copy of one reference video in a synthetic stream and watches it,
-// `serve-batch` drives the sharded batch query service (ShardedSearcher +
-// QueryService) under producer pressure, exercising admission control and
-// the selection cache, and `loadgen` drives the same service through a
-// closed- or open-loop load ramp and reports goodput, reject rate and
-// latency percentiles per phase (docs/query_service.md has the saturation
-// methodology). See docs/query_service.md.
+// copy of one reference video in a synthetic stream and watches it, and
+// `loadgen` drives the sharded batch query service (ShardedSearcher +
+// QueryService) through a closed- or open-loop load ramp and reports
+// goodput, reject rate and latency percentiles per phase
+// (docs/query_service.md has the saturation methodology).
 //
-// Flags accept both `--flag value` and `--flag=value`; unknown flags are
-// rejected with the command's flag table (run a command with no flags, or
-// see README.md, for the full table). `--backend NAME` selects the search
+// Flags accept both `--flag value` and `--flag=value`; unknown flags, and
+// numeric flags whose value is not a whole finite number (or is negative
+// where the command needs a count), are rejected with the command's flag
+// table and exit code 2 (run a command with no flags, or see README.md,
+// for the full table). `--backend NAME` selects the search
 // structure from the SearcherRegistry ("s3", "vafile", "lsh", "seqscan",
 // "vamana", "segment"); an unknown name is rejected with the registered
 // list before any database is loaded. The "segment" backend serves from a
@@ -60,7 +50,7 @@
 // ingests the database into D on first use and reopens D from its manifest
 // on every later run (the .s3db is then only the query-sampling corpus);
 // `compact --store-dir D` runs the store's tiered compaction to a steady
-// state. See docs/segment_format.md. On query/monitor/serve-batch,
+// state. See docs/segment_format.md. On query/monitor/loadgen,
 // `--metrics-out FILE` dumps a JSON snapshot of the global metrics registry
 // covering the run and `--trace-out FILE` records Chrome trace-event JSON
 // (load it in chrome://tracing). `--pseudo-disk R` additionally replays the
@@ -69,11 +59,12 @@
 // path too. See docs/observability.md.
 
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -107,6 +98,31 @@
 namespace s3vcd::tool {
 namespace {
 
+// Strict number parsing: the whole value must be consumed, and a real must
+// be finite. (atoll/atof read "abc" as 0, and "-1" cast to size_t wraps to
+// 2^64 - 1.)
+bool ParseInt(const std::string& text, int64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || errno != 0 || *end != '\0') {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+bool ParseReal(const std::string& text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || errno != 0 || *end != '\0' || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 // Minimal flag parser; flags may appear in any order and accept both
 // `--flag value` and `--flag=value` spellings.
 class Flags {
@@ -134,13 +150,23 @@ class Flags {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  // Numeric values were checked against the command's flag table
+  // (RejectBadFlags) before the command ran.
   double GetDouble(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    double value = fallback;
+    if (it != values_.end()) {
+      ParseReal(it->second, &value);
+    }
+    return value;
   }
   int64_t GetInt(const std::string& key, int64_t fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+    int64_t value = fallback;
+    if (it != values_.end()) {
+      ParseInt(it->second, &value);
+    }
+    return value;
   }
   const char* bad() const { return bad_; }
   const std::map<std::string, std::string>& values() const { return values_; }
@@ -151,11 +177,21 @@ class Flags {
   int consumed_ = 0;
 };
 
+// What a flag's value must parse as.
+enum class FlagType {
+  kText,
+  kInt,    ///< an integer
+  kCount,  ///< an integer >= 0; the command casts it to an unsigned type
+  kReal,   ///< a finite number
+};
+
 // The flag table of one command; the single source of truth for usage
-// output and unknown-flag rejection (mirrored in README.md).
+// output, unknown-flag rejection and number validation (mirrored in
+// README.md).
 struct FlagSpec {
   const char* name;
   const char* help;
+  FlagType type = FlagType::kText;
 };
 
 struct CommandSpec {
@@ -170,12 +206,15 @@ const std::vector<CommandSpec>& Commands() {
       {"build",
        "synthesize a reference corpus and write a .s3db database",
        {{"output", "output database path (required)"},
-        {"videos", "number of reference videos (default 4)"},
-        {"frames", "frames per reference video (default 200)"},
-        {"distractors", "padding fingerprints (default 100000)"},
-        {"seed", "deterministic seed (default 1)"},
-        {"order", "Hilbert curve order, bits/component (default 8)"},
-        {"memory-records", "external build memory bound (default 1048576)"},
+        {"videos", "number of reference videos (default 4)", FlagType::kInt},
+        {"frames", "frames per reference video (default 200)", FlagType::kInt},
+        {"distractors", "padding fingerprints (default 100000)",
+         FlagType::kCount},
+        {"seed", "deterministic seed (default 1)", FlagType::kCount},
+        {"order", "Hilbert curve order, bits/component (default 8)",
+         FlagType::kInt},
+        {"memory-records", "external build memory bound (default 1048576)",
+         FlagType::kCount},
         {"external", "trailing switch: bounded-memory external build"}}},
       {"inspect",
        "print sizes, ids and curve-section occupancy of a database",
@@ -187,18 +226,21 @@ const std::vector<CommandSpec>& Commands() {
        "replay distorted self-queries with timing and metrics",
        {{"db", "database path (required)"},
         {"backend", "registry searcher backend (default s3)"},
-        {"alpha", "statistical expectation (default 0.8)"},
-        {"sigma", "distortion model sigma (default 15)"},
-        {"depth", "partition depth p; 0 = auto-tune (default 0)"},
-        {"count", "number of queries (default 100)"},
-        {"seed", "deterministic seed (default 99)"},
-        {"pseudo-disk", "also replay via pseudo-disk with 2^R sections"},
+        {"alpha", "statistical expectation (default 0.8)", FlagType::kReal},
+        {"sigma", "distortion model sigma (default 15)", FlagType::kReal},
+        {"depth", "partition depth p; 0 = auto-tune (default 0)",
+         FlagType::kInt},
+        {"count", "number of queries (default 100)", FlagType::kInt},
+        {"seed", "deterministic seed (default 99)", FlagType::kCount},
+        {"pseudo-disk", "also replay via pseudo-disk with 2^R sections",
+         FlagType::kInt},
         {"store-dir", "segment backend: persistent store directory"},
         {"codec", "segment/vamana backends: descriptor codec "
                   "(exact, lvq4; default exact)"},
         {"graph-degree", "vamana backend: graph out-degree bound R "
-                         "(default 32)"},
-        {"beam-width", "vamana backend: query beam width L (default 64)"},
+                         "(default 32)", FlagType::kInt},
+        {"beam-width", "vamana backend: query beam width L (default 64)",
+         FlagType::kInt},
         {"metrics-out", "write a metrics JSON snapshot to FILE"},
         {"trace-out", "write Chrome trace-event JSON to FILE"}}},
       {"compact",
@@ -210,82 +252,68 @@ const std::vector<CommandSpec>& Commands() {
        "watch a synthetic stream with an embedded copy",
        {{"db", "database path (required)"},
         {"backend", "registry searcher backend (default s3)"},
-        {"alpha", "statistical expectation (default 0.8)"},
-        {"sigma", "distortion model sigma (default 12)"},
-        {"stream-frames", "filler frames before/after the copy (default 150)"},
-        {"threshold", "nsim detection threshold (default 8)"},
-        {"seed", "seed of the embedded reference video (default 1)"},
-        {"metrics-out", "write a metrics JSON snapshot to FILE"},
-        {"trace-out", "write Chrome trace-event JSON to FILE"}}},
-      {"serve-batch",
-       "drive the sharded batch query service under producer pressure",
-       {{"db", "database path (required)"},
-        {"backend", "per-shard registry backend (default s3)"},
-        {"graph-degree", "vamana backend: graph out-degree bound R "
-                         "(default 32)"},
-        {"beam-width", "vamana backend: query beam width L (default 64)"},
-        {"shards", "number of index shards K (default 4)"},
-        {"policy", "sharding policy: range | hash (default range)"},
-        {"workers", "service worker threads (default 2)"},
-        {"threads", "fan-out threads per batch (default 2)"},
-        {"queue-depth", "admission queue bound, in batches (default 8)"},
-        {"quota-qps", "per-client token-bucket rate; 0 = off (default 0)"},
-        {"quota-burst", "token-bucket burst; 0 = rate (default 0)"},
-        {"batch", "queries per batch (default 32)"},
-        {"batches", "batches to submit (default 64)"},
-        {"alpha", "statistical expectation (default 0.8)"},
-        {"sigma", "distortion model sigma (default 15)"},
-        {"depth", "partition depth p (default 12)"},
-        {"deadline-ms", "per-batch deadline; 0 = none (default 0)"},
-        {"cache-capacity", "selection cache entries; 0 = off (default 4096)"},
-        {"seed", "deterministic seed (default 99)"},
-        {"stats-interval-ms", "live interval reporter period; 0 = off"},
-        {"slow-log-out", "write slow-batch Chrome trace to FILE"},
-        {"slow-threshold-ms", "slow-batch trigger; 0 = rolling p99"},
+        {"alpha", "statistical expectation (default 0.8)", FlagType::kReal},
+        {"sigma", "distortion model sigma (default 12)", FlagType::kReal},
+        {"stream-frames", "filler frames before/after the copy (default 150)",
+         FlagType::kInt},
+        {"threshold", "nsim detection threshold (default 8)", FlagType::kInt},
+        {"seed", "seed of the embedded reference video (default 1)",
+         FlagType::kCount},
         {"metrics-out", "write a metrics JSON snapshot to FILE"},
         {"trace-out", "write Chrome trace-event JSON to FILE"}}},
       {"loadgen",
        "drive the query service through a load ramp and report latency",
        {{"db", "database path (required)"},
         {"mode", "load mode: open | closed (default open)"},
-        {"arrival", "open-loop jitter: poisson | uniform (default poisson)"},
-        {"base-qps", "open-loop 1x rate, batches/s; 0 = calibrate"},
-        {"clients", "closed-loop 1x concurrent clients (default 4)"},
-        {"think-ms", "closed-loop per-client think time (default 0)"},
+        {"base-qps", "open-loop 1x rate, batches/s; 0 = calibrate",
+         FlagType::kReal},
+        {"clients", "closed-loop 1x concurrent clients (default 4)",
+         FlagType::kInt},
+        {"think-ms", "closed-loop per-client think time (default 0)",
+         FlagType::kReal},
         {"ramp", "phase multipliers, csv (default 0.5,1,2,4)"},
-        {"phase-s", "seconds per ramp phase (default 5)"},
-        {"calibrate-s", "calibration run length (default 2)"},
-        {"batch", "queries per stat-batch request (default 8)"},
-        {"mix-stat", "weight of 1-query stat batches (default 0.6)"},
-        {"mix-range", "weight of 1-query range batches (default 0.2)"},
-        {"mix-batch", "weight of multi-query stat batches (default 0.2)"},
-        {"epsilon", "range radius; 0 = equal-expectation (default 0)"},
-        {"deadline-ms", "per-batch deadline; 0 = none (default 0)"},
-        {"seed", "deterministic seed (default 42)"},
-        {"query-pool", "distinct query fingerprints (default 512)"},
+        {"phase-s", "seconds per ramp phase (default 5)", FlagType::kReal},
+        {"calibrate-s", "calibration run length (default 2)", FlagType::kReal},
+        {"batch", "queries per stat-batch request (default 8)",
+         FlagType::kCount},
+        {"mix-stat", "weight of 1-query stat batches (default 0.6)",
+         FlagType::kReal},
+        {"mix-range", "weight of 1-query range batches (default 0.2)",
+         FlagType::kReal},
+        {"mix-batch", "weight of multi-query stat batches (default 0.2)",
+         FlagType::kReal},
+        {"epsilon", "range radius; 0 = equal-expectation (default 0)",
+         FlagType::kReal},
+        {"deadline-ms", "per-batch deadline; 0 = none (default 0)",
+         FlagType::kReal},
+        {"seed", "deterministic seed (default 42)", FlagType::kCount},
+        {"query-pool", "distinct query fingerprints (default 512)",
+         FlagType::kCount},
         {"backend", "per-shard registry backend (default s3)"},
         {"graph-degree", "vamana backend: graph out-degree bound R "
-                         "(default 32)"},
-        {"beam-width", "vamana backend: query beam width L (default 64)"},
-        {"shards", "number of index shards K (default 4)"},
+                         "(default 32)", FlagType::kInt},
+        {"beam-width", "vamana backend: query beam width L (default 64)",
+         FlagType::kInt},
+        {"shards", "number of index shards K (default 4)", FlagType::kInt},
         {"policy", "sharding policy: range | hash (default range)"},
-        {"workers", "service worker threads (default 2)"},
-        {"threads", "fan-out threads per batch (default 1)"},
-        {"queue-depth", "admission queue bound, in batches (default 32)"},
-        {"bulk-fraction", "share of requests on the bulk lane (default 0)"},
-        {"quota-qps", "per-client token-bucket rate; 0 = off (default 0)"},
-        {"quota-burst", "token-bucket burst; 0 = rate (default 0)"},
-        {"quota-clients", "round-robin client tags; 0 = untagged"},
-        {"cache-capacity", "selection cache entries; 0 = off (default 4096)"},
-        {"alpha", "statistical expectation (default 0.8)"},
-        {"sigma", "distortion model sigma (default 15)"},
-        {"depth", "partition depth p (default 12)"},
-        {"report-interval-ms", "live interval reporter period; 0 = off"},
+        {"workers", "service worker threads (default 2)", FlagType::kInt},
+        {"threads", "fan-out threads per batch (default 1)", FlagType::kInt},
+        {"queue-depth", "admission queue bound, in batches (default 32)",
+         FlagType::kCount},
+        {"cache-capacity", "selection cache entries; 0 = off (default 4096)",
+         FlagType::kCount},
+        {"alpha", "statistical expectation (default 0.8)", FlagType::kReal},
+        {"sigma", "distortion model sigma (default 15)", FlagType::kReal},
+        {"depth", "partition depth p (default 12)", FlagType::kInt},
+        {"report-interval-ms", "live interval reporter period; 0 = off",
+         FlagType::kInt},
         {"report-format", "interval report format: text | jsonl"},
         {"json-out", "write the machine-readable report to FILE"},
         {"slow-log-out", "write slow-batch Chrome trace to FILE"},
-        {"slow-threshold-ms", "slow-batch trigger; 0 = rolling p99"},
-        {"smoke", "1 = tiny sub-second-phase ramp preset for CI smoke"},
+        {"slow-threshold-ms", "slow-batch trigger; 0 = rolling p99",
+         FlagType::kReal},
+        {"smoke", "1 = tiny sub-second-phase ramp preset for CI smoke",
+         FlagType::kInt},
         {"metrics-out", "write a metrics JSON snapshot to FILE"},
         {"trace-out", "write Chrome trace-event JSON to FILE"}}},
   };
@@ -310,19 +338,42 @@ void PrintCommandUsage(const CommandSpec& command) {
   }
 }
 
-// Rejects flags the command does not declare: a typo like --sigm silently
-// falling back to the default is exactly the failure mode an operational
-// tool must not have.
-bool RejectUnknownFlags(const CommandSpec& command, const Flags& flags) {
+// Rejects flags the command does not declare, and numeric flags whose
+// value does not parse as the declared type: a typo like --sigm, or a
+// --queue-depth of -1, silently turning into a default or a wrapped
+// unsigned is exactly the failure mode an operational tool must not have.
+bool RejectBadFlags(const CommandSpec& command, const Flags& flags) {
   bool ok = true;
-  for (const auto& kv : flags.values()) {
-    bool known = false;
+  for (const auto& [name, value] : flags.values()) {
+    const FlagSpec* spec = nullptr;
     for (const FlagSpec& flag : command.flags) {
-      known |= kv.first == flag.name;
+      if (name == flag.name) {
+        spec = &flag;
+      }
     }
-    if (!known) {
+    if (spec == nullptr) {
       std::fprintf(stderr, "unknown flag --%s for command %s\n",
-                   kv.first.c_str(), command.name);
+                   name.c_str(), command.name);
+      ok = false;
+      continue;
+    }
+    int64_t int_value = 0;
+    double real_value = 0;
+    const char* expected = nullptr;
+    if ((spec->type == FlagType::kInt || spec->type == FlagType::kCount) &&
+        !ParseInt(value, &int_value)) {
+      expected = "an integer";
+    } else if (spec->type == FlagType::kCount && int_value < 0) {
+      expected = "an integer >= 0";
+    } else if (spec->type == FlagType::kReal &&
+               !ParseReal(value, &real_value)) {
+      expected = "a finite number";
+    }
+    if (expected != nullptr) {
+      std::fprintf(stderr,
+                   "bad value '%s' for flag --%s of command %s: expected "
+                   "%s\n",
+                   value.c_str(), name.c_str(), command.name, expected);
       ok = false;
     }
   }
@@ -889,190 +940,14 @@ int CmdMonitor(const Flags& flags) {
   return reports > 0 ? 0 : 1;
 }
 
-// Drives the sharded batch query service: loads the DB, builds a
-// ShardedSearcher with K shards, starts a QueryService, and submits B
-// batches of N distorted self-queries as fast as the admission queue
-// accepts them. Rejected submissions are retried after waiting for the
-// oldest outstanding batch — the backpressure contract of
-// docs/query_service.md — and counted so an overloaded configuration is
-// visible in the output and in service.admission_rejects.
-int CmdServeBatch(const Flags& flags) {
-  const std::string backend = flags.Get("backend", "s3");
-  if (!ValidateBackend("serve-batch", backend)) {
-    return 2;
-  }
-  const std::string path = flags.Get("db", "");
-  auto db = core::FingerprintDatabase::LoadFromFile(path);
-  if (!db.ok()) {
-    std::fprintf(stderr, "serve-batch failed: %s\n",
-                 db.status().ToString().c_str());
-    return 1;
-  }
-  const std::string policy_name = flags.Get("policy", "range");
-  service::ShardedSearcherOptions sharding;
-  sharding.num_shards = static_cast<int>(flags.GetInt("shards", 4));
-  sharding.backend = backend;
-  ApplyVamanaFlags(flags, &sharding.config);
-  if (policy_name == "range") {
-    sharding.policy = service::ShardingPolicy::kHilbertRange;
-  } else if (policy_name == "hash") {
-    sharding.policy = service::ShardingPolicy::kRefIdHash;
-  } else {
-    std::fprintf(stderr, "serve-batch: --policy must be range or hash\n");
-    return 2;
-  }
-
-  const double alpha = flags.GetDouble("alpha", 0.8);
-  const double sigma = flags.GetDouble("sigma", 15.0);
-  const core::GaussianDistortionModel model(sigma);
-
-  // Sample the self-query batches before the sharded searcher consumes the
-  // database (backends do not expose their records). Distorted copies of
-  // referenced content keep the workload realistic without loading the DB
-  // twice.
-  const size_t db_size = db->size();
-  const size_t batch_size = static_cast<size_t>(flags.GetInt("batch", 32));
-  const size_t num_batches = static_cast<size_t>(flags.GetInt("batches", 64));
-  Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 99)));
-  std::vector<std::vector<fp::Fingerprint>> batches(num_batches);
-  for (auto& batch : batches) {
-    batch.reserve(batch_size);
-    for (size_t i = 0; i < batch_size; ++i) {
-      const auto& record = db->record(static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(db_size) - 1)));
-      batch.push_back(
-          core::DistortFingerprint(record.descriptor, sigma, &rng));
-    }
-  }
-
-  auto sharded = service::ShardedSearcher::Build(std::move(*db), sharding);
-  if (!sharded.ok()) {
-    std::fprintf(stderr, "serve-batch failed: %s\n",
-                 sharded.status().ToString().c_str());
-    return 1;
-  }
-  service::QueryServiceOptions options;
-  options.num_workers = static_cast<int>(flags.GetInt("workers", 2));
-  options.threads_per_batch = static_cast<int>(flags.GetInt("threads", 2));
-  options.max_queue_depth =
-      static_cast<size_t>(flags.GetInt("queue-depth", 8));
-  options.cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache-capacity", 4096));
-  options.query.filter.alpha = alpha;
-  options.query.filter.depth = static_cast<int>(flags.GetInt("depth", 12));
-  options.slow_batch_threshold_ms = flags.GetDouble("slow-threshold-ms", 0);
-  options.quota_batches_per_s = flags.GetDouble("quota-qps", 0);
-  options.quota_burst = flags.GetDouble("quota-burst", 0);
-  service::BatchOptions batch_options;
-  batch_options.deadline_ms = flags.GetDouble("deadline-ms", 0);
-
-  std::printf("serve-batch: %zu records, %d shards (%s, backend=%s), "
-              "%d workers x %d threads, queue depth %zu, cache %zu\n",
-              db_size, sharded->num_shards(), policy_name.c_str(),
-              backend.c_str(), options.num_workers,
-              options.threads_per_batch, options.max_queue_depth,
-              options.cache_capacity);
-
-  ObsOutputs obs_out(flags);
-  obs_out.Begin();
-  service::QueryService query_service(&*sharded, &model, options);
-  std::unique_ptr<obs::IntervalReporter> reporter;
-  const int stats_interval_ms =
-      static_cast<int>(flags.GetInt("stats-interval-ms", 0));
-  if (stats_interval_ms > 0) {
-    obs::IntervalReporter::Options reporter_options;
-    reporter_options.interval_ms = stats_interval_ms;
-    reporter_options.prefix_filter = "service.";
-    reporter_options.format = obs::IntervalReporter::Format::kText;
-    reporter = std::make_unique<obs::IntervalReporter>(reporter_options);
-    reporter->Start();
-  }
-  std::deque<service::BatchTicket> outstanding;
-  uint64_t rejects = 0;
-  uint64_t queries_done = 0;
-  uint64_t deadline_failures = 0;
-  double total_queue_wait_ms = 0;
-  double total_execute_ms = 0;
-  size_t completed = 0;
-  const auto absorb = [&](const service::BatchTicket& ticket) {
-    const service::BatchResult& result = ticket->Wait();
-    ++completed;
-    queries_done += result.queries_executed;
-    total_queue_wait_ms += result.queue_wait_ms;
-    total_execute_ms += result.execute_ms;
-    if (result.status.code() == StatusCode::kDeadlineExceeded) {
-      ++deadline_failures;
-    }
-  };
-
-  Stopwatch watch;
-  for (auto& batch : batches) {
-    for (;;) {
-      auto ticket = query_service.Submit(batch, batch_options);
-      if (ticket.ok()) {
-        outstanding.push_back(*ticket);
-        break;
-      }
-      // Backpressure: drain the oldest outstanding batch, then retry.
-      ++rejects;
-      if (outstanding.empty()) {
-        std::fprintf(stderr, "serve-batch: rejected with empty queue: %s\n",
-                     ticket.status().ToString().c_str());
-        return 1;
-      }
-      absorb(outstanding.front());
-      outstanding.pop_front();
-    }
-  }
-  for (auto& ticket : outstanding) {
-    absorb(ticket);
-  }
-  const double elapsed = watch.ElapsedSeconds();
-  if (reporter != nullptr) {
-    reporter->Stop();
-  }
-  query_service.Shutdown();
-
-  const std::string slow_log_path = flags.Get("slow-log-out", "");
-  if (!slow_log_path.empty()) {
-    const service::SlowBatchLog* slow_log = query_service.slow_log();
-    if (slow_log == nullptr ||
-        !slow_log->WriteChromeJsonFile(slow_log_path)) {
-      std::fprintf(stderr, "failed to write slow-batch log to %s\n",
-                   slow_log_path.c_str());
-      return 1;
-    }
-    std::printf("wrote slow-batch log to %s (%" PRIu64 " captured)\n",
-                slow_log_path.c_str(), slow_log->captured());
-  }
-
-  std::printf("submitted %zu batches of %zu queries: %" PRIu64
-              " backpressure rejects (retried)\n",
-              num_batches, batch_size, rejects);
-  std::printf("completed %zu batches (%" PRIu64 " queries) in %.2f s -> "
-              "%.0f queries/s\n",
-              completed, queries_done, elapsed,
-              elapsed > 0 ? queries_done / elapsed : 0.0);
-  const service::SelectionCache* cache = query_service.cache();
-  std::printf("deadline failures: %" PRIu64 "; cache hit rate %.1f%% "
-              "(%" PRIu64 " hits / %" PRIu64 " misses)\n",
-              deadline_failures, cache ? cache->HitRate() * 100 : 0.0,
-              cache ? cache->hits() : 0, cache ? cache->misses() : 0);
-  if (completed > 0) {
-    std::printf("avg queue wait %.2f ms, avg execute %.2f ms per batch\n",
-                total_queue_wait_ms / completed,
-                total_execute_ms / completed);
-  }
-  return obs_out.Finish();
-}
-
-// Drives the query service through a calibrated load ramp: builds the
-// sharded service like serve-batch, then hands it to service::RunLoadGen
-// (closed- or open-loop, mixed stat/range/batch workload) and prints one
-// row per ramp phase — offered vs goodput, reject and deadline-miss
-// rates, exact e2e percentiles and the mean per-stage breakdown. The
-// machine-readable report (--json-out) is what tools/run_benchmarks.sh
-// publishes as BENCH_service.json.
+// Drives the sharded batch query service through a calibrated load ramp:
+// loads the DB, builds a ShardedSearcher with K shards, starts a
+// QueryService, then hands it to service::RunLoadGen (closed- or
+// open-loop, mixed stat/range/batch workload) and prints one row per ramp
+// phase — offered vs goodput, reject and deadline-miss rates, exact e2e
+// percentiles and the mean per-stage breakdown. The machine-readable
+// report (--json-out) is what tools/run_benchmarks.sh publishes as
+// BENCH_service.json.
 int CmdLoadgen(const Flags& flags) {
   const std::string backend = flags.Get("backend", "s3");
   if (!ValidateBackend("loadgen", backend)) {
@@ -1086,15 +961,6 @@ int CmdLoadgen(const Flags& flags) {
     load.mode = service::LoadMode::kClosedLoop;
   } else {
     std::fprintf(stderr, "loadgen: --mode must be open or closed\n");
-    return 2;
-  }
-  const std::string arrival_name = flags.Get("arrival", "poisson");
-  if (arrival_name == "poisson") {
-    load.jitter = service::ArrivalJitter::kPoisson;
-  } else if (arrival_name == "uniform") {
-    load.jitter = service::ArrivalJitter::kUniform;
-  } else {
-    std::fprintf(stderr, "loadgen: --arrival must be poisson or uniform\n");
     return 2;
   }
   const std::string policy_name = flags.Get("policy", "range");
@@ -1127,8 +993,6 @@ int CmdLoadgen(const Flags& flags) {
   load.mix.stat_batch = flags.GetDouble("mix-batch", 0.2);
   load.epsilon = flags.GetDouble("epsilon", 0);
   load.deadline_ms = flags.GetDouble("deadline-ms", 0);
-  load.bulk_fraction = flags.GetDouble("bulk-fraction", 0);
-  load.quota_clients = static_cast<int>(flags.GetInt("quota-clients", 0));
   load.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const std::string ramp_csv =
       flags.Get("ramp", smoke ? "0.5,2" : "0.5,1,2,4");
@@ -1137,9 +1001,15 @@ int CmdLoadgen(const Flags& flags) {
     const size_t comma = ramp_csv.find(',', pos);
     const std::string token = ramp_csv.substr(
         pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!token.empty()) {
-      load.ramp.push_back(std::atof(token.c_str()));
+    double multiplier = 0;
+    if (!ParseReal(token, &multiplier) || multiplier <= 0) {
+      std::fprintf(stderr,
+                   "bad value '%s' for flag --ramp of command loadgen: "
+                   "expected comma-separated finite multipliers > 0\n",
+                   ramp_csv.c_str());
+      return 2;
     }
+    load.ramp.push_back(multiplier);
     if (comma == std::string::npos) {
       break;
     }
@@ -1192,8 +1062,6 @@ int CmdLoadgen(const Flags& flags) {
   options.query.filter.alpha = alpha;
   options.query.filter.depth = static_cast<int>(flags.GetInt("depth", 12));
   options.slow_batch_threshold_ms = flags.GetDouble("slow-threshold-ms", 0);
-  options.quota_batches_per_s = flags.GetDouble("quota-qps", 0);
-  options.quota_burst = flags.GetDouble("quota-burst", 0);
 
   std::printf("loadgen: %zu records, %d shards (%s, backend=%s), "
               "%d workers x %d threads, queue depth %zu, mode=%s\n",
@@ -1308,6 +1176,7 @@ int Main(int argc, char** argv) {
   const std::string command_name = argv[1];
   const CommandSpec* command = FindCommand(command_name);
   if (command == nullptr) {
+    std::fprintf(stderr, "unknown command '%s'\n", command_name.c_str());
     return Usage();
   }
   // Strip a trailing --external switch (the only valueless flag).
@@ -1333,7 +1202,7 @@ int Main(int argc, char** argv) {
     PrintCommandUsage(*command);
     return 2;
   }
-  if (!RejectUnknownFlags(*command, flags)) {
+  if (!RejectBadFlags(*command, flags)) {
     return 2;
   }
   if (command_name == "build") {
@@ -1354,10 +1223,7 @@ int Main(int argc, char** argv) {
   if (command_name == "monitor") {
     return CmdMonitor(flags);
   }
-  if (command_name == "loadgen") {
-    return CmdLoadgen(flags);
-  }
-  return CmdServeBatch(flags);
+  return CmdLoadgen(flags);
 }
 
 }  // namespace
