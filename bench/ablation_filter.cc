@@ -2,8 +2,7 @@
 //  1. The library's closed-form B_alpha (the most probable orthants, an
 //     exact minimal set) vs the paper's threshold iteration on eq. (4),
 //     implemented below over the Hilbert block tree.
-//  2. Index-table range resolution vs pure binary search.
-//  3. Partition depth p sensitivity around the tuned optimum, i.e. the
+//  2. Partition depth p sensitivity around the tuned optimum, i.e. the
 //     T(p) = Tf(p) + Tr(p) trade-off of Section IV-A, over the depths the
 //     filter serves (up to D = 20).
 
@@ -171,43 +170,7 @@ int Main() {
     table.Print("ablation_filter_algorithm");
   }
 
-  // 2. Index table vs binary search.
-  {
-    Table table({"range_resolution", "avg_query_ms"});
-    core::QueryOptions options;
-    options.filter.alpha = kAlpha;
-    options.filter.depth = 14;
-    {
-      Stopwatch watch;
-      for (const auto& q : queries) {
-        (void)index.StatisticalQuery(q, model, options);
-      }
-      table.AddRow().Add("index_table_depth_14").Add(
-          watch.ElapsedMillis() / kQueries, 4);
-    }
-    {
-      core::S3IndexOptions no_table;
-      no_table.index_table_depth = 0;
-      core::DatabaseBuilder builder;
-      for (size_t v = 0; v < corpus.video_fps.size(); ++v) {
-        builder.AddVideo(static_cast<uint32_t>(v), corpus.video_fps[v]);
-      }
-      Rng pad_rng(kDbSize ^ 0xd15eedULL);
-      core::AppendDistractors(&builder, corpus.pool,
-                              kDbSize - builder.size(),
-                              core::DistractorOptions{}, &pad_rng);
-      const core::S3Index binary_only(builder.Build(), no_table);
-      Stopwatch watch;
-      for (const auto& q : queries) {
-        (void)binary_only.StatisticalQuery(q, model, options);
-      }
-      table.AddRow().Add("binary_search_only").Add(
-          watch.ElapsedMillis() / kQueries, 4);
-    }
-    table.Print("ablation_range_resolution");
-  }
-
-  // 3. Depth sensitivity: the T(p) curve of Section IV-A.
+  // 2. Depth sensitivity: the T(p) curve of Section IV-A.
   {
     std::vector<int> depths;
     for (int p = 6; p <= fp::kDims; p += 2) {

@@ -6,7 +6,10 @@
 // per-query latency and throughput next to the exact baseline's — the
 // honest form of an ANN claim (a fast graph at recall 0.6 is not a
 // result). Runs once per descriptor codec (exact 20 B/rec and lvq4
-// 10 B/rec, the quantized store through the fused gather kernels).
+// 10 B/rec, the quantized store through the fused gather kernels). The
+// p-stable LSH baseline runs over the same corpus, queries and eps on a
+// small grid of (tables, hashes per table, bucket width); its operating
+// point for a target recall is the fastest grid point that meets it.
 //
 // tools/run_benchmarks.sh invokes this with --out BENCH_ann.json and adds
 // its host fingerprint to the "host" block; the scan kernel recorded there
@@ -15,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -24,6 +28,7 @@
 #include "core/database.h"
 #include "core/descriptor_codec.h"
 #include "core/index.h"
+#include "core/lsh.h"
 #include "core/scan_kernel.h"
 #include "core/synthetic_db.h"
 #include "core/vamana.h"
@@ -49,6 +54,22 @@ struct SweepRow {
   double mean_latency_us = 0;
   double qps = 0;
   double mean_nodes_visited = 0;
+  double mean_records_scanned = 0;
+};
+
+// The LSH grid: (tables, hashes per table) pairs, each at bucket widths
+// that are multiples of eps.
+constexpr int kLshShapes[][2] = {{8, 4}, {16, 4}, {16, 6}, {32, 8}};
+constexpr double kLshWidths[] = {2.0, 3.0, 4.0, 6.0};
+
+struct LshRow {
+  int tables = 0;
+  int hashes = 0;
+  double bucket_width = 0;
+  double build_seconds = 0;
+  double recall = 0;
+  double mean_latency_us = 0;
+  double qps = 0;
   double mean_records_scanned = 0;
 };
 
@@ -96,7 +117,8 @@ int Main(int argc, char** argv) {
   }
 
   PrintHeader("ann_equal_recall",
-              "vamana graph search vs exact S3 range query at equal recall");
+              "vamana graph search and LSH vs exact S3 range query at equal "
+              "recall");
 
   // The clustered corpus of the micro benchmarks (64 Gaussian clusters,
   // sigma 25), so the BENCH_ann numbers are comparable with BENCH_scan's
@@ -209,10 +231,56 @@ int Main(int argc, char** argv) {
     runs.push_back(std::move(run));
   }
 
+  std::vector<LshRow> lsh_rows;
+  for (const auto& shape : kLshShapes) {
+    for (const double width : kLshWidths) {
+      LshRow row;
+      row.tables = shape[0];
+      row.hashes = shape[1];
+      row.bucket_width = width * kEpsilon;
+      core::LshOptions options;
+      options.num_tables = row.tables;
+      options.hashes_per_table = row.hashes;
+      options.bucket_width = row.bucket_width;
+      watch.Reset();
+      const core::LshIndex lsh(records, options);
+      row.build_seconds = watch.ElapsedMillis() / 1e3;
+      uint64_t recovered = 0;
+      uint64_t scanned = 0;
+      watch.Reset();
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const core::QueryResult r = lsh.RangeQuery(queries[q], kEpsilon);
+        for (const auto& m : r.matches) {
+          recovered += truth[q].count(TruthKey(m.id, m.time_code));
+        }
+        scanned += r.stats.records_scanned;
+      }
+      const double total_ms = watch.ElapsedMillis();
+      row.recall = static_cast<double>(recovered) / truth_pairs;
+      row.mean_latency_us = total_ms * 1e3 / queries.size();
+      row.qps = queries.size() / (total_ms / 1e3);
+      row.mean_records_scanned =
+          static_cast<double>(scanned) / queries.size();
+      lsh_rows.push_back(row);
+    }
+  }
+  // The fastest LSH grid point meeting `target`, or null.
+  const auto lsh_point = [&](double target) -> const LshRow* {
+    const LshRow* best = nullptr;
+    for (const auto& row : lsh_rows) {
+      if (row.recall >= target &&
+          (best == nullptr || row.mean_latency_us < best->mean_latency_us)) {
+        best = &row;
+      }
+    }
+    return best;
+  };
+
   // Operating points: the first (narrowest) swept beam meeting each
   // target recall — the number an equal-recall comparison is allowed to
-  // quote.
-  Table table({"codec", "target", "beam", "recall", "latency_us", "qps",
+  // quote — and the fastest LSH grid point meeting it. `setting` is the
+  // beam width, or tables x hashes / bucket width for LSH.
+  Table table({"method", "target", "setting", "recall", "latency_us", "qps",
                "speedup_vs_s3"});
   for (const auto& run : runs) {
     for (const double target : kRecallTargets) {
@@ -224,12 +292,12 @@ int Main(int argc, char** argv) {
         }
       }
       if (point == nullptr) {
-        table.AddRow().Add(run.codec).Add(target, 2).Add("-").Add("-").Add(
-            "-").Add("-").Add("-");
+        table.AddRow().Add("vamana/" + run.codec).Add(target, 2).Add(
+            "-").Add("-").Add("-").Add("-").Add("-");
         continue;
       }
       table.AddRow()
-          .Add(run.codec)
+          .Add("vamana/" + run.codec)
           .Add(target, 2)
           .Add(point->beam)
           .Add(point->recall, 4)
@@ -237,6 +305,24 @@ int Main(int argc, char** argv) {
           .Add(point->qps, 0)
           .Add(s3_latency_us / point->mean_latency_us, 2);
     }
+  }
+  for (const double target : kRecallTargets) {
+    const LshRow* point = lsh_point(target);
+    if (point == nullptr) {
+      table.AddRow().Add("lsh").Add(target, 2).Add("-").Add("-").Add(
+          "-").Add("-").Add("-");
+      continue;
+    }
+    table.AddRow()
+        .Add("lsh")
+        .Add(target, 2)
+        .Add(std::to_string(point->tables) + "x" +
+             std::to_string(point->hashes) + "/" +
+             std::to_string(static_cast<int>(point->bucket_width)))
+        .Add(point->recall, 4)
+        .Add(point->mean_latency_us, 1)
+        .Add(point->qps, 0)
+        .Add(s3_latency_us / point->mean_latency_us, 2);
   }
   table.Print("ann_equal_recall");
 
@@ -250,11 +336,12 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "  \"benchmark\": \"ann_equal_recall\",\n");
     std::fprintf(
         f,
-        "  \"description\": \"vamana graph search vs exact S3 range query "
-        "(eps=%.0f, depth=%d) on a %llu-record clustered corpus, %zu "
-        "distorted queries (sigma %.0f); beam width swept until the graph "
-        "matches each target recall of the exact match set; latency is "
-        "mean per query, single-threaded\",\n",
+        "  \"description\": \"vamana graph search and p-stable LSH vs exact "
+        "S3 range query (eps=%.0f, depth=%d) on a %llu-record clustered "
+        "corpus, %zu distorted queries (sigma %.0f); beam width swept until "
+        "the graph matches each target recall of the exact match set, LSH "
+        "over a grid of (tables, hashes, bucket width); latency is mean per "
+        "query, single-threaded\",\n",
         kEpsilon, kS3Depth, static_cast<unsigned long long>(num_records),
         queries.size(), kQuerySigma);
     std::fprintf(f, "  \"records\": %llu,\n",
@@ -323,6 +410,44 @@ int Main(int argc, char** argv) {
       std::fprintf(f, "\n      ]\n");
       std::fprintf(f, "    }%s\n", c + 1 < runs.size() ? "," : "");
     }
+    std::fprintf(f, "  },\n");
+    std::fprintf(f, "  \"lsh\": {\n");
+    std::fprintf(f, "    \"sweep\": [\n");
+    for (size_t i = 0; i < lsh_rows.size(); ++i) {
+      const LshRow& row = lsh_rows[i];
+      std::fprintf(f,
+                   "      {\"tables\": %d, \"hashes_per_table\": %d, "
+                   "\"bucket_width\": %.1f, \"build_seconds\": %.3f, "
+                   "\"recall\": %.4f, \"mean_latency_us\": %.3f, "
+                   "\"qps\": %.1f, \"mean_records_scanned\": %.1f}%s\n",
+                   row.tables, row.hashes, row.bucket_width,
+                   row.build_seconds, row.recall, row.mean_latency_us,
+                   row.qps, row.mean_records_scanned,
+                   i + 1 < lsh_rows.size() ? "," : "");
+    }
+    std::fprintf(f, "    ],\n");
+    std::fprintf(f, "    \"operating_points\": [\n");
+    for (size_t t = 0; t < std::size(kRecallTargets); ++t) {
+      const double target = kRecallTargets[t];
+      const LshRow* point = lsh_point(target);
+      if (point == nullptr) {
+        std::fprintf(f, "      {\"target_recall\": %.2f, \"met\": false}",
+                     target);
+      } else {
+        std::fprintf(
+            f,
+            "      {\"target_recall\": %.2f, \"met\": true, "
+            "\"tables\": %d, \"hashes_per_table\": %d, "
+            "\"bucket_width\": %.1f, \"recall\": %.4f, "
+            "\"mean_latency_us\": %.3f, \"qps\": %.1f, "
+            "\"speedup_vs_exact\": %.2f}",
+            target, point->tables, point->hashes, point->bucket_width,
+            point->recall, point->mean_latency_us, point->qps,
+            s3_latency_us / point->mean_latency_us);
+      }
+      std::fprintf(f, "%s\n", t + 1 < std::size(kRecallTargets) ? "," : "");
+    }
+    std::fprintf(f, "    ]\n");
     std::fprintf(f, "  }\n");
     std::fprintf(f, "}\n");
     std::fclose(f);

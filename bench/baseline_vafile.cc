@@ -4,16 +4,20 @@
 // equal expectation, the S3 statistical query, the S3 exact range query,
 // the VA-file range query, the VA-file k-NN, the p-stable LSH range query,
 // and the plain sequential scan — on time and on exact-vector accesses.
-// All range/statistical rows run through the backend-agnostic Searcher
-// registry; one # METRICS block per row carries a backend= annotation so
-// downstream parsers can key counters by backend.
+// The VA-file and LSH are not served backends, so they are built directly
+// over copies of the corpus records; the s3 and seqscan rows run through
+// the Searcher interface. One # METRICS block per row carries a backend=
+// annotation so downstream parsers can key counters by baseline.
 
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/knn.h"
+#include "core/lsh.h"
 #include "core/vafile.h"
 #include "obs/metrics.h"
 #include "util/math.h"
@@ -38,28 +42,30 @@ int Main() {
   const double epsilon = chi.Quantile(kAlpha);
   Rng rng(663);
 
-  // VA-file and LSH backends over copies of the same records, built
-  // through the registry (same construction path as the service/tool).
-  core::SearcherConfig va_config;
-  va_config.vafile_bits_per_dim = 4;
+  // VA-file and LSH over copies of the same records.
+  std::vector<core::FingerprintRecord> records;
+  records.reserve(corpus.db().size());
+  for (size_t i = 0; i < corpus.db().size(); ++i) {
+    records.push_back(corpus.db().record(i));
+  }
+  core::VAFileOptions va_options;
+  va_options.bits_per_dim = 4;
   Stopwatch build_watch;
-  const std::unique_ptr<core::Searcher> va =
-      MakeBackend(corpus, "vafile", va_config);
+  const core::VAFile va(records, va_options);
   std::printf("VA-file built in %.1f ms (%d bits/dim, %.1f MiB total)\n",
-              build_watch.ElapsedMillis(), va_config.vafile_bits_per_dim,
-              va->ApproxBytes() / 1048576.0);
+              build_watch.ElapsedMillis(), va_options.bits_per_dim,
+              va.ApproxBytes() / 1048576.0);
 
   // LSH baseline (p-stable, Datar et al. 2004) tuned for the target eps.
-  core::SearcherConfig lsh_config;
-  lsh_config.lsh_num_tables = 10;
-  lsh_config.lsh_hashes_per_table = 5;
-  lsh_config.lsh_bucket_width = 1.5 * epsilon;
+  core::LshOptions lsh_options;
+  lsh_options.num_tables = 10;
+  lsh_options.hashes_per_table = 5;
+  lsh_options.bucket_width = 1.5 * epsilon;
   build_watch.Reset();
-  const std::unique_ptr<core::Searcher> lsh =
-      MakeBackend(corpus, "lsh", lsh_config);
+  const core::LshIndex lsh(std::move(records), lsh_options);
   std::printf("LSH built in %.1f ms (%d tables x %d hashes)\n",
-              build_watch.ElapsedMillis(), lsh_config.lsh_num_tables,
-              lsh_config.lsh_hashes_per_table);
+              build_watch.ElapsedMillis(), lsh_options.num_tables,
+              lsh_options.hashes_per_table);
 
   const std::unique_ptr<core::Searcher> seqscan =
       MakeBackend(corpus, "seqscan");
@@ -108,16 +114,15 @@ int Main() {
     return s3.RangeQuery(q, epsilon, 16);
   });
   add_row("vafile_range(eps)", "vafile", [&](const fp::Fingerprint& q) {
-    return va->RangeQuery(q, epsilon, 0);
+    return va.RangeQuery(q, epsilon);
   });
-  // k-NN rows exercise concrete-only API (no Searcher equivalent — the
-  // paper argues k-NN semantics are wrong for copy detection).
-  const auto* va_concrete = dynamic_cast<const core::VAFile*>(va.get());
+  // k-NN rows have no Searcher equivalent: the paper argues k-NN semantics
+  // are wrong for copy detection.
   add_row("vafile_knn(k=20)", "vafile", [&](const fp::Fingerprint& q) {
-    return va_concrete->KnnQuery(q, 20);
+    return va.KnnQuery(q, 20);
   });
   add_row("lsh_range(eps, approx)", "lsh", [&](const fp::Fingerprint& q) {
-    return lsh->RangeQuery(q, epsilon, 0);
+    return lsh.RangeQuery(q, epsilon);
   });
   core::KnnOptions knn_options;
   knn_options.k = 20;

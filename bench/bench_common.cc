@@ -90,11 +90,9 @@ core::FingerprintDatabase CopyDatabase(const Corpus& corpus) {
 }
 
 std::unique_ptr<core::Searcher> MakeBackend(const Corpus& corpus,
-                                            const std::string& name,
-                                            const core::SearcherConfig& config) {
+                                            const std::string& name) {
   Result<std::unique_ptr<core::Searcher>> backend =
-      core::SearcherRegistry::Global().Create(name, CopyDatabase(corpus),
-                                              config);
+      core::SearcherRegistry::Global().Create(name, CopyDatabase(corpus));
   S3VCD_CHECK(backend.ok());
   return std::move(*backend);
 }

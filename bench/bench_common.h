@@ -65,12 +65,11 @@ std::unique_ptr<core::S3Index> RebuildIndexWithSize(const Corpus& corpus,
 /// constructors consume their database; the corpus keeps its own).
 core::FingerprintDatabase CopyDatabase(const Corpus& corpus);
 
-/// Constructs a registry backend ("s3", "vafile", "lsh", "seqscan", ...)
-/// over a copy of the corpus database. Aborts on an unknown name — bench
-/// backends are spelled in source, not user input.
-std::unique_ptr<core::Searcher> MakeBackend(
-    const Corpus& corpus, const std::string& name,
-    const core::SearcherConfig& config = {});
+/// Constructs a registry backend ("s3", "seqscan", "vamana", ...) with its
+/// default configuration over a copy of the corpus database. Aborts on an
+/// unknown name — bench backends are spelled in source, not user input.
+std::unique_ptr<core::Searcher> MakeBackend(const Corpus& corpus,
+                                            const std::string& name);
 
 /// The five transformation families of the paper's Figure 4, with a sweep
 /// of strength values per family (subsets of the paper's abacus x-axes).

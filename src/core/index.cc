@@ -1,6 +1,7 @@
 #include "core/index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "core/scan_kernel.h"
@@ -79,23 +80,18 @@ void RecordQueryMetrics(QueryKind kind, const QueryStats& stats,
   g_refine_us->Record(stats.refine_seconds * 1e6);
 }
 
-S3Index::S3Index(FingerprintDatabase database, S3IndexOptions options)
-    : db_(std::move(database)), filter_(db_.curve()), options_(options) {
-  S3VCD_CHECK(options_.index_table_depth >= 0 &&
-              options_.index_table_depth <= 28);
-  if (options_.index_table_depth > db_.curve().key_bits()) {
-    options_.index_table_depth = db_.curve().key_bits();
-  }
+S3Index::S3Index(FingerprintDatabase database)
+    : db_(std::move(database)), filter_(db_.curve()) {
+  // ceil(log2 N), clamped to [1, D]: std::bit_width(N - 1) for N >= 2.
+  const int log2_n =
+      db_.size() < 2 ? 1 : static_cast<int>(std::bit_width(db_.size() - 1));
+  table_depth_ = std::clamp(log2_n, 1, db_.curve().dims());
   BuildIndexTable();
 }
 
 void S3Index::BuildIndexTable() {
-  const int depth = options_.index_table_depth;
-  if (depth == 0) {
-    return;
-  }
-  const uint64_t buckets = uint64_t{1} << depth;
-  const int shift = db_.curve().key_bits() - depth;
+  const uint64_t buckets = uint64_t{1} << table_depth_;
+  const int shift = db_.curve().key_bits() - table_depth_;
   table_.assign(buckets + 1, db_.size());
   // Single linear walk over the sorted keys.
   uint64_t bucket = 0;
@@ -107,30 +103,27 @@ void S3Index::BuildIndexTable() {
       table_[++bucket] = i;
     }
   }
-  while (bucket < buckets) {
-    table_[++bucket] = db_.size();
+}
+
+size_t S3Index::LowerBound(const BitKey& key) const {
+  const int shift = db_.curve().key_bits() - table_depth_;
+  const uint64_t b = (key >> shift).low64();
+  const size_t first = table_[b];
+  if ((key & BitKey::LowMask(shift)).is_zero()) {
+    return first;  // aligned: the bucket's first record
   }
+  const size_t last = table_[b + 1];
+  if (first == last) {
+    return first;
+  }
+  const BitKey* keys = &db_.key(0);
+  return static_cast<size_t>(std::lower_bound(keys + first, keys + last, key) -
+                             keys);
 }
 
 std::pair<size_t, size_t> S3Index::ResolveRange(const BitKey& begin,
                                                 const BitKey& end) const {
-  const int table_depth = options_.index_table_depth;
-  if (table_depth > 0) {
-    const int shift = db_.curve().key_bits() - table_depth;
-    // Aligned ranges resolve exactly through the table.
-    const BitKey mask = BitKey::LowMask(shift);
-    if ((begin & mask).is_zero() && (end & mask).is_zero()) {
-      const uint64_t b = (begin >> shift).low64();
-      const uint64_t e = (end >> shift).low64();
-      if (e <= static_cast<uint64_t>(table_.size()) - 1) {
-        return {static_cast<size_t>(table_[b]),
-                static_cast<size_t>(table_[e])};
-      }
-    }
-  }
-  const size_t first = db_.LowerBound(begin);
-  const size_t last = end.is_zero() ? db_.size() : db_.LowerBound(end);
-  return {first, last};
+  return {LowerBound(begin), end.is_zero() ? db_.size() : LowerBound(end)};
 }
 
 void S3Index::ScanSelection(const fp::Fingerprint& query,

@@ -14,40 +14,39 @@
 
 namespace s3vcd::core {
 
-/// Index construction options.
-struct S3IndexOptions {
-  /// Depth of the precomputed index table mapping aligned curve prefixes to
-  /// record offsets (2^depth + 1 entries). Block lookups at depths <= this
-  /// use the table; deeper lookups fall back to binary search on the keys.
-  /// 0 disables the table entirely.
-  int index_table_depth = 14;
-};
-
 /// The S3 search engine: a Hilbert-ordered fingerprint database plus the
 /// statistical / geometric filtering rules and the refinement scan
 /// (paper Section IV). The "s3" backend of the SearcherRegistry.
+///
+/// Curve sections resolve to record ranges through an index table of the
+/// record offsets of the 2^t aligned key prefixes of depth
+/// t = clamp(ceil(log2 N), 1, D): about one record per bucket. A section
+/// boundary aligned at depth <= t (every selection at a serving depth
+/// <= log2 N) is one table read; a deeper one is a binary search inside
+/// its own bucket.
 class S3Index : public Searcher {
  public:
-  explicit S3Index(FingerprintDatabase database, S3IndexOptions options = {});
+  explicit S3Index(FingerprintDatabase database);
 
   // Move operations re-seat the filter on the moved database: BlockFilter
   // holds a pointer to the curve living inside db_.
   S3Index(S3Index&& other) noexcept
       : db_(std::move(other.db_)),
         filter_(db_.curve()),
-        options_(other.options_),
+        table_depth_(other.table_depth_),
         table_(std::move(other.table_)) {}
   S3Index& operator=(S3Index&& other) noexcept {
     db_ = std::move(other.db_);
     filter_ = BlockFilter(db_.curve());
-    options_ = other.options_;
+    table_depth_ = other.table_depth_;
     table_ = std::move(other.table_);
     return *this;
   }
 
   const FingerprintDatabase& database() const { return db_; }
   const BlockFilter& filter() const { return filter_; }
-  const S3IndexOptions& options() const { return options_; }
+  /// Depth t of the index table (see the class comment).
+  int table_depth() const { return table_depth_; }
 
   /// Statistical query of expectation options.filter.alpha (Section II).
   QueryResult StatisticalQuery(const fp::Fingerprint& query,
@@ -59,7 +58,9 @@ class S3Index : public Searcher {
   QueryResult SequentialScan(const fp::Fingerprint& query,
                              double epsilon) const;
 
-  /// Resolves a key range to record indices [first, last).
+  /// Resolves a key range to record indices [first, last): the first
+  /// records whose keys are >= begin and >= end, with end = 0 meaning the
+  /// top of the key space (the last curve section wraps).
   std::pair<size_t, size_t> ResolveRange(const BitKey& begin,
                                          const BitKey& end) const;
 
@@ -90,11 +91,13 @@ class S3Index : public Searcher {
 
  private:
   void BuildIndexTable();
+  /// Index of the first record whose key is >= `key`.
+  size_t LowerBound(const BitKey& key) const;
 
   FingerprintDatabase db_;
   BlockFilter filter_;
-  S3IndexOptions options_;
-  /// Record offsets of the 2^table_depth aligned prefixes (+ end sentinel).
+  int table_depth_ = 1;
+  /// Record offsets of the 2^table_depth_ aligned prefixes (+ end sentinel).
   std::vector<uint64_t> table_;
 };
 

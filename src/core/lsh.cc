@@ -54,8 +54,8 @@ uint64_t LshIndex::BucketOf(int table, const uint8_t* v) const {
   return key;
 }
 
-QueryResult LshIndex::RangeQueryImpl(const fp::Fingerprint& query,
-                                     double epsilon) const {
+QueryResult LshIndex::RangeQuery(const fp::Fingerprint& query,
+                                 double epsilon) const {
   QueryResult result;
   Stopwatch watch;
   // Candidate gathering with per-query dedup by record index.
@@ -83,37 +83,8 @@ QueryResult LshIndex::RangeQueryImpl(const fp::Fingerprint& query,
   }
   result.stats.refine_ns = watch.ElapsedNanos();
   result.stats.refine_seconds = result.stats.refine_ns * 1e-9;
-  return result;
-}
-
-QueryResult LshIndex::RangeQuery(const fp::Fingerprint& query,
-                                 double epsilon) const {
-  QueryResult result = RangeQueryImpl(query, epsilon);
   RecordQueryMetrics(QueryKind::kRange, result.stats, result.matches.size());
   return result;
-}
-
-QueryResult LshIndex::StatQuery(const fp::Fingerprint& query,
-                                const DistortionModel& model,
-                                const QueryOptions& options) const {
-  QueryResult result = RangeQueryImpl(
-      query, EqualExpectationRadius(model, options.filter.alpha));
-  RecordQueryMetrics(QueryKind::kStatistical, result.stats,
-                     result.matches.size());
-  return result;
-}
-
-uint64_t LshIndex::ApproxBytes() const {
-  uint64_t bytes = block_.MemoryBytes() +
-                   projections_.size() * sizeof(projections_[0]) +
-                   offsets_.size() * sizeof(float);
-  for (const auto& table : tables_) {
-    // Bucket lists hold one 4-byte record index per (record, table) entry.
-    for (const auto& [bucket, entries] : table) {
-      bytes += sizeof(bucket) + entries.size() * sizeof(uint32_t);
-    }
-  }
-  return bytes;
 }
 
 double LshIndex::TableCollisionProbability(double dist) const {

@@ -1,6 +1,7 @@
 #ifndef S3VCD_CORE_LSH_H_
 #define S3VCD_CORE_LSH_H_
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -29,19 +30,19 @@ struct LshOptions {
 /// Locality-sensitive hash index over a snapshot of fingerprint records.
 /// Range queries return only true neighbors (exact distance filter on the
 /// union of colliding buckets) but may miss some — the recall is
-/// probabilistic, controlled by the table count. The "lsh" backend of the
-/// SearcherRegistry.
-class LshIndex : public Searcher {
+/// probabilistic, controlled by the table count. A comparison baseline,
+/// not a served backend: in bench/ann_equal_recall every grid point is
+/// beaten by a vamana beam (up to recall 0.99) or by the exact S3 range
+/// query (beyond).
+class LshIndex {
  public:
   LshIndex(std::vector<FingerprintRecord> records,
            const LshOptions& options);
 
-  size_t size() const { return block_.size(); }
-  const LshOptions& options() const { return options_; }
-
   /// Approximate epsilon-range query: candidates are the records sharing a
   /// bucket with the query in any table; matches are exact-distance
-  /// filtered. QueryStats::records_scanned counts the candidate set.
+  /// filtered. QueryStats::records_scanned counts the candidate set. Each
+  /// query publishes one kRange record of the index.* metrics.
   QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon) const;
 
   /// Expected bucket-collision probability for two points at distance
@@ -49,25 +50,7 @@ class LshIndex : public Searcher {
   /// and tests).
   double TableCollisionProbability(double dist) const;
 
-  // ---- Searcher interface ----
-  const char* backend_name() const override { return "lsh"; }
-  /// Statistical queries are emulated as a range query at the
-  /// equal-expectation radius; recall inherits the hash tables'
-  /// probabilistic behaviour.
-  QueryResult StatQuery(const fp::Fingerprint& query,
-                        const DistortionModel& model,
-                        const QueryOptions& options) const override;
-  QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon,
-                         int /*depth*/) const override {
-    return RangeQuery(query, epsilon);
-  }
-  SearcherStats Stats() const override { return {block_.size(), 0}; }
-  uint64_t ApproxBytes() const override;
-
  private:
-  QueryResult RangeQueryImpl(const fp::Fingerprint& query,
-                             double epsilon) const;
-
   /// `v` points at kDims packed descriptor bytes.
   uint64_t BucketOf(int table, const uint8_t* v) const;
 

@@ -1,12 +1,10 @@
 #include "core/parallel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <mutex>
 
-#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace s3vcd::core {
@@ -14,8 +12,8 @@ namespace s3vcd::core {
 namespace {
 
 // Lazily-created shared pools, one per requested width, reused by every
-// batch call (constructing and joining a pool per call would put thread
-// spawn cost on the query path). Pools are intentionally leaked: workers
+// ParallelFor call of that width (constructing and joining a pool per call
+// would put thread spawn cost on every call). Pools are intentionally leaked: workers
 // park on a condition variable when idle, and skipping destruction avoids
 // static-teardown join-order hazards (same pattern as SearcherRegistry).
 ThreadPool* SharedPool(int num_threads) {
@@ -30,13 +28,15 @@ ThreadPool* SharedPool(int num_threads) {
   return pool;
 }
 
+}  // namespace
+
 // Shards [0, n) into contiguous chunks and runs `body(first, last)` for
 // each on the pool, waiting for this call's own tasks only (the pool may
 // be shared with concurrent callers, so ThreadPool::Wait — which waits for
 // global quiescence — would oversynchronize).
-template <typename Body>
-void ShardedRun(size_t n, int num_threads, ThreadPool* pool,
-                const Body& body) {
+void ParallelFor(size_t n, int num_threads, ThreadPool* pool,
+                 const std::function<void(size_t, size_t)>& body) {
+  S3VCD_CHECK(num_threads >= 1);
   if (n == 0) {
     return;
   }
@@ -68,46 +68,6 @@ void ShardedRun(size_t n, int num_threads, ThreadPool* pool,
   }
   std::unique_lock<std::mutex> lock(done_mutex);
   done_cv.wait(lock, [&] { return pending == 0; });
-}
-
-}  // namespace
-
-void ParallelFor(size_t n, int num_threads, ThreadPool* pool,
-                 const std::function<void(size_t, size_t)>& body) {
-  S3VCD_CHECK(num_threads >= 1);
-  ShardedRun(n, num_threads, pool, body);
-}
-
-std::vector<QueryResult> ParallelStatisticalSearch(
-    const Searcher& searcher, const DistortionModel& model,
-    const std::vector<fp::Fingerprint>& queries, const QueryOptions& options,
-    int num_threads, ThreadPool* pool) {
-  S3VCD_CHECK(num_threads >= 1);
-  S3VCD_TRACE_SPAN("parallel.statistical_batch");
-  std::vector<QueryResult> results(queries.size());
-  ShardedRun(queries.size(), num_threads, pool,
-             [&](size_t first, size_t last) {
-               for (size_t i = first; i < last; ++i) {
-                 results[i] =
-                     searcher.StatQuery(queries[i], model, options);
-               }
-             });
-  return results;
-}
-
-std::vector<QueryResult> ParallelRangeSearch(
-    const Searcher& searcher, const std::vector<fp::Fingerprint>& queries,
-    double epsilon, int depth, int num_threads, ThreadPool* pool) {
-  S3VCD_CHECK(num_threads >= 1);
-  S3VCD_TRACE_SPAN("parallel.range_batch");
-  std::vector<QueryResult> results(queries.size());
-  ShardedRun(queries.size(), num_threads, pool,
-             [&](size_t first, size_t last) {
-               for (size_t i = first; i < last; ++i) {
-                 results[i] = searcher.RangeQuery(queries[i], epsilon, depth);
-               }
-             });
-  return results;
 }
 
 }  // namespace s3vcd::core

@@ -3,52 +3,25 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
-#include "core/distortion_model.h"
-#include "core/searcher.h"
-#include "fingerprint/fingerprint.h"
 #include "util/thread_pool.h"
 
 namespace s3vcd::core {
 
 /// Runs `body(first, last)` over contiguous shards of [0, n) on
-/// `num_threads` workers — the generic fan-out primitive behind the batch
-/// query helpers below, exposed for other embarrassingly parallel phases
-/// (the vamana graph build runs its per-batch greedy searches through it).
-/// Pool ownership follows the batch helpers: a caller-owned `pool` is used
-/// directly; with pool == nullptr the lazily-created shared pool of this
-/// width is reused across calls, so thread spawn cost is paid once per
-/// width. `body` must be safe to invoke concurrently on disjoint shards.
+/// `num_threads` workers, for embarrassingly parallel phases (the vamana
+/// graph build runs its per-batch greedy searches through it; batched
+/// queries fan out through service::ShardedSearcher instead). A
+/// caller-owned `pool` is used directly (its width then governs the
+/// parallelism); with pool == nullptr and num_threads > 1 the
+/// lazily-created shared pool of this width is reused across calls, so
+/// thread spawn cost is paid once per width (regression-tested via
+/// ThreadPool::TotalPoolsCreated). With num_threads = 1 and no pool the
+/// body runs inline. Concurrent callers may share a pool; each call waits
+/// only for its own shards. `body` must be safe to invoke concurrently on
+/// disjoint shards.
 void ParallelFor(size_t n, int num_threads, ThreadPool* pool,
                  const std::function<void(size_t, size_t)>& body);
-
-/// Runs a batch of statistical queries across `num_threads` workers.
-/// Searcher queries are const and the backends are immutable during
-/// queries, so fan-out is safe over any backend; results[i] corresponds
-/// to queries[i]. With num_threads = 1 this degenerates to the serial
-/// loop (useful as the control in tests).
-///
-/// Pool ownership: pass a caller-owned `pool` to run the fan-out on it
-/// (its width then governs the parallelism; the long-lived QueryService
-/// does exactly this with its per-worker pool). With pool == nullptr the
-/// fan-out runs on a lazily-created shared pool of `num_threads` workers
-/// that is reused by every subsequent call of the same width — thread
-/// spawn cost never lands on the query path (regression-tested via
-/// ThreadPool::TotalPoolsCreated). Concurrent callers may share a pool;
-/// each call waits only for its own tasks.
-///
-/// The paper's monitoring deployment is naturally batch-parallel: each
-/// key-frame contributes ~20 independent fingerprint queries.
-std::vector<QueryResult> ParallelStatisticalSearch(
-    const Searcher& searcher, const DistortionModel& model,
-    const std::vector<fp::Fingerprint>& queries, const QueryOptions& options,
-    int num_threads, ThreadPool* pool = nullptr);
-
-/// Same fan-out for exact range queries.
-std::vector<QueryResult> ParallelRangeSearch(
-    const Searcher& searcher, const std::vector<fp::Fingerprint>& queries,
-    double epsilon, int depth, int num_threads, ThreadPool* pool = nullptr);
 
 }  // namespace s3vcd::core
 

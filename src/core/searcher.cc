@@ -5,9 +5,7 @@
 #include <utility>
 
 #include "core/index.h"
-#include "core/lsh.h"
 #include "core/scan_kernel.h"
-#include "core/vafile.h"
 #include "core/vamana.h"
 #include "util/logging.h"
 #include "util/math.h"
@@ -94,27 +92,9 @@ std::vector<FingerprintRecord> CopyRecords(const FingerprintDatabase& db) {
 }  // namespace
 
 SearcherRegistry::SearcherRegistry() {
-  Register("s3", [](FingerprintDatabase db, const SearcherConfig& config)
+  Register("s3", [](FingerprintDatabase db, const SearcherConfig&)
                -> std::unique_ptr<Searcher> {
-    S3IndexOptions options;
-    options.index_table_depth = config.index_table_depth;
-    return std::make_unique<S3Index>(std::move(db), options);
-  });
-  Register("vafile", [](FingerprintDatabase db, const SearcherConfig& config)
-               -> std::unique_ptr<Searcher> {
-    VAFileOptions options;
-    options.bits_per_dim = config.vafile_bits_per_dim;
-    options.quantile_boundaries = config.vafile_quantile_boundaries;
-    return std::make_unique<VAFile>(CopyRecords(db), options);
-  });
-  Register("lsh", [](FingerprintDatabase db, const SearcherConfig& config)
-               -> std::unique_ptr<Searcher> {
-    LshOptions options;
-    options.num_tables = config.lsh_num_tables;
-    options.hashes_per_table = config.lsh_hashes_per_table;
-    options.bucket_width = config.lsh_bucket_width;
-    options.seed = config.lsh_seed;
-    return std::make_unique<LshIndex>(CopyRecords(db), options);
+    return std::make_unique<S3Index>(std::move(db));
   });
   Register("seqscan", [](FingerprintDatabase db, const SearcherConfig&)
                -> std::unique_ptr<Searcher> {
@@ -124,11 +104,7 @@ SearcherRegistry::SearcherRegistry() {
                -> std::unique_ptr<Searcher> {
     VamanaOptions options;
     options.graph_degree = config.vamana_graph_degree;
-    options.build_beam = config.vamana_build_beam;
     options.beam_width = config.vamana_beam_width;
-    options.alpha = config.vamana_alpha;
-    options.seed = config.vamana_seed;
-    options.build_threads = config.vamana_build_threads;
     options.graph_path = config.vamana_graph_path;
     if (!DescriptorCodecFromName(config.vamana_codec, &options.codec)) {
       S3VCD_LOG(ERROR) << "unknown vamana codec '" << config.vamana_codec

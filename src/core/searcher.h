@@ -55,10 +55,10 @@ enum class QueryKind {
 
 /// Publishes one finished query's stats into the global metrics registry
 /// (the `index.*` counters and latency histograms — see
-/// docs/observability.md). Every Searcher backend publishes exactly one
-/// record per query through this function, so the registry's counters stay
-/// comparable across backends; layered structures batching across shards
-/// publish one merged record instead.
+/// docs/observability.md). Every Searcher backend, and the VA-file and LSH
+/// baselines, publish exactly one record per query through this function,
+/// so the registry's counters stay comparable across backends; layered
+/// structures batching across shards publish one merged record instead.
 void RecordQueryMetrics(QueryKind kind, const QueryStats& stats,
                         uint64_t hits);
 
@@ -94,23 +94,24 @@ struct SearcherStats {
   double codec_max_error = 0;
 };
 
-/// The uniform interface over every search structure in the system: the
-/// paper's S3 index, its persistent insertable variant (the store's
-/// "segment" backend), the VA-file and LSH extension baselines, the vamana
-/// graph and plain sequential scan. Callers above core —
-/// the copy detector, the parallel fan-out, the sharded service, the tool
-/// and the benches — hold a Searcher and never name a concrete backend;
-/// construction goes through SearcherRegistry.
+/// The uniform interface over every served search structure: the paper's
+/// S3 index, its persistent insertable variant (the store's "segment"
+/// backend), the vamana graph and plain sequential scan. Callers above
+/// core — the copy detector, the sharded service, the tool and the benches
+/// — hold a Searcher and never name a concrete backend; construction goes
+/// through SearcherRegistry. (The VA-file and LSH baselines of
+/// core/vafile.h and core/lsh.h are not Searchers: the benches that compare
+/// against them construct them directly.)
 ///
 /// Semantics: StatQuery returns the contents of a region of expectation
 /// alpha. Block-structured backends (s3, segment) implement it exactly as
-/// in the paper; backends without block structure (vafile, lsh, seqscan)
-/// emulate it as an exact range query at the equal-expectation radius
+/// in the paper; backends without block structure (seqscan, vamana)
+/// emulate it as a range query at the equal-expectation radius
 /// (EqualExpectationRadius below), which retrieves the distorted target
 /// with the same probability alpha under the model. RangeQuery is the
-/// exact epsilon-ball for every backend except lsh, whose recall is
-/// probabilistic (a documented property of the baseline, asserted as a
-/// recall floor in tests/backend_parity_test.cc).
+/// exact epsilon-ball for every backend except vamana, whose recall is
+/// bounded by its beam (asserted as a recall floor in
+/// tests/backend_parity_test.cc).
 ///
 /// Concurrency: all query methods are const and safe to fan out. Only the
 /// segment backend takes inserts (store::SegmentSearcher::TryInsert), and
@@ -119,7 +120,7 @@ class Searcher {
  public:
   virtual ~Searcher() = default;
 
-  /// Registry name of this backend ("s3", "vafile", ...).
+  /// Registry name of this backend ("s3", "vamana", ...).
   virtual const char* backend_name() const = 0;
 
   /// Statistical query of expectation options.filter.alpha.
@@ -164,50 +165,33 @@ class Searcher {
 /// model's per-component scales enter through their root mean square.
 double EqualExpectationRadius(const DistortionModel& model, double alpha);
 
-/// Construction parameters common to every registered backend; each
-/// backend reads the fields it understands and ignores the rest.
+/// Construction parameters of the registered backends that take any;
+/// each backend reads the fields it understands and ignores the rest.
+/// The s3 index sizes its table from the record count, and the remaining
+/// knobs of store::SegmentSearcherOptions and VamanaOptions keep their
+/// defaults when a backend is built through the registry.
 struct SearcherConfig {
-  /// s3 / dynamic: depth of the precomputed index table (see
-  /// S3IndexOptions::index_table_depth).
-  int index_table_depth = 14;
-  /// vafile: bits of the per-dimension approximation, in [1, 8].
-  int vafile_bits_per_dim = 4;
-  /// vafile: quantile (equal-population) slice boundaries vs equal-width.
-  bool vafile_quantile_boundaries = true;
-  /// lsh: table count / hashes per table / projection quantization width.
-  int lsh_num_tables = 8;
-  int lsh_hashes_per_table = 6;
-  double lsh_bucket_width = 120.0;
-  uint64_t lsh_seed = 1;
-  /// segment: store directory (empty = ephemeral temp dir), memtable spill
-  /// threshold, compaction fan-in, mmap vs resident reads. See
-  /// docs/segment_format.md and the segment-store table in docs/tuning.md.
+  /// segment: store directory (empty = ephemeral temp dir). See
+  /// docs/segment_format.md.
   std::string segment_store_dir;
-  uint64_t segment_spill_threshold = 64 * 1024;
-  int segment_tier_fanin = 4;
-  bool segment_use_mmap = true;
   /// segment: descriptor codec newly written segments are encoded with
   /// ("exact", "lvq4" — see core/descriptor_codec.h). Existing
   /// segments keep whatever codec they were written with.
   std::string segment_codec = "exact";
-  /// vamana: graph out-degree bound R, build beam L_build, query beam L,
-  /// RobustPrune alpha, build seed/threads, storage codec and optional
-  /// graph blob path — see core/vamana.h and the knob table in
+  /// vamana: graph out-degree bound R, query beam L, storage codec and
+  /// optional graph blob path — see core/vamana.h and the knob table in
   /// docs/tuning.md.
   int vamana_graph_degree = 32;
-  int vamana_build_beam = 64;
   int vamana_beam_width = 64;
-  double vamana_alpha = 1.2;
-  uint64_t vamana_seed = 1;
-  int vamana_build_threads = 0;
   std::string vamana_codec = "exact";
   std::string vamana_graph_path;
 };
 
 /// String-keyed factory of Searcher backends. The built-ins ("s3",
-/// "vafile", "lsh", "seqscan", "vamana") are registered on first access
-/// of Global(); extensions may Register additional names at startup
-/// (registration is not thread-safe and must precede concurrent use).
+/// "seqscan", "vamana") are registered on first access of Global();
+/// extensions ("segment", see store/segment_searcher.h) Register
+/// additional names at startup (registration is not thread-safe and must
+/// precede concurrent use).
 class SearcherRegistry {
  public:
   using Factory = std::function<std::unique_ptr<Searcher>(
@@ -219,7 +203,7 @@ class SearcherRegistry {
   bool Contains(const std::string& name) const;
   /// Registered names, sorted.
   std::vector<std::string> Names() const;
-  /// "lsh, s3, seqscan, vafile, vamana" — for error messages and usage.
+  /// "s3, segment, seqscan, vamana" — for error messages and usage.
   std::string NamesCsv() const;
 
   /// Constructs backend `name` over `db` (consumed). Unknown names return

@@ -95,8 +95,8 @@ void VAFile::BuildBoundTables(
   }
 }
 
-QueryResult VAFile::RangeQueryImpl(const fp::Fingerprint& query,
-                                   double epsilon) const {
+QueryResult VAFile::RangeQuery(const fp::Fingerprint& query,
+                               double epsilon) const {
   QueryResult result;
   Stopwatch watch;
   std::array<std::vector<double>, fp::kDims> lower_sq;
@@ -125,23 +125,7 @@ QueryResult VAFile::RangeQueryImpl(const fp::Fingerprint& query,
   }
   result.stats.refine_ns = watch.ElapsedNanos();
   result.stats.refine_seconds = result.stats.refine_ns * 1e-9;
-  return result;
-}
-
-QueryResult VAFile::RangeQuery(const fp::Fingerprint& query,
-                               double epsilon) const {
-  QueryResult result = RangeQueryImpl(query, epsilon);
   RecordQueryMetrics(QueryKind::kRange, result.stats, result.matches.size());
-  return result;
-}
-
-QueryResult VAFile::StatQuery(const fp::Fingerprint& query,
-                              const DistortionModel& model,
-                              const QueryOptions& options) const {
-  QueryResult result = RangeQueryImpl(
-      query, EqualExpectationRadius(model, options.filter.alpha));
-  RecordQueryMetrics(QueryKind::kStatistical, result.stats,
-                     result.matches.size());
   return result;
 }
 

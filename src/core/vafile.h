@@ -28,9 +28,10 @@ struct VAFileOptions {
 /// structures in high dimension. Every vector is approximated by a
 /// compact cell signature; a query first scans the signatures computing
 /// cheap lower/upper distance bounds and only fetches the exact vectors
-/// that survive the filtering. The "vafile" backend of the
-/// SearcherRegistry.
-class VAFile : public Searcher {
+/// that survive the filtering. A comparison baseline, not a served backend:
+/// bench/baseline_vafile shows it slower than both the sequential scan and
+/// the exact S3 range query at equal results.
+class VAFile {
  public:
   /// Builds the approximation file over a snapshot of `records` (copied).
   VAFile(std::vector<FingerprintRecord> records,
@@ -40,36 +41,26 @@ class VAFile : public Searcher {
   int bits_per_dim() const { return options_.bits_per_dim; }
 
   /// Exact epsilon-range query (all records with distance <= epsilon).
+  /// Each query publishes one kRange record of the index.* metrics.
   QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon) const;
 
   /// Exact k-nearest-neighbor query (VA-SSA style: candidates ordered by
   /// lower bound, cut by the running kth upper bound).
   QueryResult KnnQuery(const fp::Fingerprint& query, int k) const;
 
-  /// Fraction of records whose exact vectors were fetched on the last
-  /// phase-2 pass is reported through QueryStats::records_scanned.
-
-  // ---- Searcher interface ----
-  const char* backend_name() const override { return "vafile"; }
-  /// Statistical queries are emulated as an exact range query at the
-  /// equal-expectation radius of (model, options.filter.alpha).
-  QueryResult StatQuery(const fp::Fingerprint& query,
-                        const DistortionModel& model,
-                        const QueryOptions& options) const override;
-  QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon,
-                         int /*depth*/) const override {
-    return RangeQuery(query, epsilon);
+  /// Size of the approximation data in conceptual VA-file bits.
+  uint64_t ApproximationBits() const {
+    return static_cast<uint64_t>(block_.size()) * fp::kDims *
+           options_.bits_per_dim;
   }
-  SearcherStats Stats() const override { return {block_.size(), 0}; }
-  uint64_t ApproxBytes() const override {
+
+  /// Approximate resident bytes: the exact vectors plus the conceptual
+  /// size of the approximations.
+  uint64_t ApproxBytes() const {
     return block_.MemoryBytes() + ApproximationBits() / 8;
   }
 
  private:
-  /// Shared body of the range paths; publishes no metrics (the public
-  /// entry points publish exactly one record per query).
-  QueryResult RangeQueryImpl(const fp::Fingerprint& query,
-                             double epsilon) const;
   /// Slice index of value v in dimension j.
   int SliceOf(int dim, uint8_t value) const;
 
@@ -91,13 +82,6 @@ class VAFile : public Searcher {
   /// access (bits_per_dim <= 8); the *conceptual* size is bits_per_dim
   /// bits and is what the memory accounting below reports.
   std::vector<uint8_t> cells_;
-
- public:
-  /// Size of the approximation data in conceptual VA-file bits.
-  uint64_t ApproximationBits() const {
-    return static_cast<uint64_t>(block_.size()) * fp::kDims *
-           options_.bits_per_dim;
-  }
 };
 
 }  // namespace s3vcd::core

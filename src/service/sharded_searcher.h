@@ -35,8 +35,8 @@ struct ShardedSearcherOptions {
   /// Number of shards K, clamped to [1, 1024].
   int num_shards = 4;
   ShardingPolicy policy = ShardingPolicy::kHilbertRange;
-  /// Registry name of the per-shard backend ("s3", "vafile", "lsh",
-  /// "seqscan", or any extension registered with SearcherRegistry). A
+  /// Registry name of the per-shard backend ("s3", "segment", "seqscan",
+  /// "vamana", or any extension registered with SearcherRegistry). A
   /// "segment" backend with a non-empty config.segment_store_dir takes a
   /// single shard: the shards would otherwise share one store directory.
   std::string backend = "s3";
@@ -89,7 +89,7 @@ class ShardedSearcher {
   /// like the no-selection statistical fallback) and the partials are
   /// merged. `depth` is the geometric filter's partition depth on
   /// block-structured backends. Exact for every backend whose RangeQuery
-  /// is exact (all but lsh).
+  /// is exact (all but vamana).
   core::QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon,
                                int depth) const;
 

@@ -299,9 +299,6 @@ void EnsureSegmentBackendRegistered() {
             -> std::unique_ptr<core::Searcher> {
           SegmentSearcherOptions options;
           options.store_dir = config.segment_store_dir;
-          options.spill_threshold = config.segment_spill_threshold;
-          options.store.tier_fanin = config.segment_tier_fanin;
-          options.store.use_mmap = config.segment_use_mmap;
           if (!core::DescriptorCodecFromName(config.segment_codec,
                                              &options.store.codec)) {
             S3VCD_LOG(ERROR)

@@ -115,9 +115,9 @@ class SegmentSearcher : public core::Searcher {
 
 /// Registers the "segment" backend in core::SearcherRegistry::Global()
 /// (idempotent). Linked binaries that want `--backend segment` call this
-/// once at startup; the SearcherConfig fields segment_store_dir,
-/// segment_spill_threshold, segment_tier_fanin, segment_use_mmap and
-/// segment_codec feed the factory.
+/// once at startup; the SearcherConfig fields segment_store_dir and
+/// segment_codec feed the factory, and the other SegmentSearcherOptions
+/// keep their defaults.
 void EnsureSegmentBackendRegistered();
 
 }  // namespace s3vcd::store

@@ -1,8 +1,9 @@
-// Cross-backend parity: every registered Searcher backend must agree on
-// the result set of an exact range query over the same records, the block
-// backends (s3, segment) must agree exactly on statistical queries
-// including their scan counters, and ShardedSearcher must preserve both
-// across shard counts. LSH is approximate by construction, so it is held
+// Cross-backend parity: every registered exact Searcher backend, and the
+// VA-file baseline, must agree on the result set of an exact range query
+// over the same records, the block backends (s3, segment) must agree
+// exactly on statistical queries including their scan counters, and
+// ShardedSearcher must preserve both across shard counts. The vamana graph
+// and the LSH baseline are approximate by construction, so they are held
 // to a subset-plus-recall contract instead of equality.
 //
 // This test is part of the TSan gate (tools/run_tsan_tests.sh): the
@@ -25,7 +26,9 @@
 
 #include "core/database.h"
 #include "core/distortion_model.h"
+#include "core/lsh.h"
 #include "core/synthetic_db.h"
+#include "core/vafile.h"
 #include "core/vamana.h"
 #include "fingerprint/fingerprint.h"
 #include "service/sharded_searcher.h"
@@ -75,17 +78,18 @@ std::vector<fp::Fingerprint> MakeQueries(const FingerprintDatabase& db) {
 
 std::unique_ptr<Searcher> MakeBackend(const std::string& name) {
   store::EnsureSegmentBackendRegistered();
-  SearcherConfig config;
-  // LSH tuned so its recall against the exact answer is meaningfully high
-  // at this test's epsilon (see RangeParity).
-  config.lsh_num_tables = 12;
-  config.lsh_hashes_per_table = 4;
-  config.lsh_bucket_width = 2.0 * ChiNormDistribution(fp::kDims, kSigma)
-                                      .Quantile(0.9);
-  auto backend =
-      SearcherRegistry::Global().Create(name, MakeDatabase(), config);
+  auto backend = SearcherRegistry::Global().Create(name, MakeDatabase());
   EXPECT_TRUE(backend.ok()) << backend.status().ToString();
   return std::move(*backend);
+}
+
+std::vector<FingerprintRecord> RecordsOf(const FingerprintDatabase& db) {
+  std::vector<FingerprintRecord> records;
+  records.reserve(db.size());
+  for (size_t i = 0; i < db.size(); ++i) {
+    records.push_back(db.record(i));
+  }
+  return records;
 }
 
 using IdTimeSet = std::multiset<std::pair<uint32_t, uint32_t>>;
@@ -104,14 +108,12 @@ double TestEpsilon() {
   return ChiNormDistribution(fp::kDims, kSigma).Quantile(0.9);
 }
 
-TEST(RegistryTest, KnowsAllBackends) {
+// The served backends, and only those: the VA-file and LSH baselines are
+// constructed directly by the benches and tests that compare against them.
+TEST(RegistryTest, KnowsExactlyTheServedBackends) {
   store::EnsureSegmentBackendRegistered();
-  const std::vector<std::string> names = SearcherRegistry::Global().Names();
-  for (const char* expected :
-       {"lsh", "s3", "segment", "seqscan", "vafile", "vamana"}) {
-    EXPECT_TRUE(std::count(names.begin(), names.end(), expected) == 1)
-        << "missing backend " << expected;
-  }
+  EXPECT_EQ(SearcherRegistry::Global().Names(),
+            (std::vector<std::string>{"s3", "segment", "seqscan", "vamana"}));
 }
 
 TEST(RegistryTest, RejectsUnknownBackendWithNameList) {
@@ -124,18 +126,28 @@ TEST(RegistryTest, RejectsUnknownBackendWithNameList) {
       << result.status().ToString();
 }
 
-// Exact backends return the identical id set for the identical range
-// query; LSH returns a subset with bounded recall loss.
+// Every registered exact backend and the VA-file return the identical id
+// set for the identical range query; the vamana graph returns a subset
+// (its recall floor is VamanaRecallBound's), and LSH returns a subset
+// with bounded recall loss.
 TEST(BackendParityTest, RangeParity) {
   const FingerprintDatabase db = MakeDatabase();
   const std::vector<fp::Fingerprint> queries = MakeQueries(db);
   const double epsilon = TestEpsilon();
 
   const auto seqscan = MakeBackend("seqscan");
-  const auto s3 = MakeBackend("s3");
-  const auto segment = MakeBackend("segment");
-  const auto vafile = MakeBackend("vafile");
-  const auto lsh = MakeBackend("lsh");
+  std::vector<std::pair<std::string, std::unique_ptr<Searcher>>> registered;
+  for (const std::string& name : SearcherRegistry::Global().Names()) {
+    registered.emplace_back(name, MakeBackend(name));
+  }
+  const VAFile vafile(RecordsOf(db), VAFileOptions{});
+  // LSH tuned so its recall against the exact answer is meaningfully high
+  // at this test's epsilon.
+  LshOptions lsh_options;
+  lsh_options.num_tables = 12;
+  lsh_options.hashes_per_table = 4;
+  lsh_options.bucket_width = 2.0 * epsilon;
+  const LshIndex lsh(RecordsOf(db), lsh_options);
 
   size_t exact_total = 0;
   size_t lsh_found = 0;
@@ -148,13 +160,21 @@ TEST(BackendParityTest, RangeParity) {
     // record.
     EXPECT_EQ(truth.stats.records_scanned, db.size());
 
-    for (const Searcher* backend : {s3.get(), segment.get(), vafile.get()}) {
-      const QueryResult result = backend->RangeQuery(q, epsilon, kDepth);
-      EXPECT_EQ(Ids(result), expected)
-          << "backend " << backend->backend_name() << " diverges";
+    for (const auto& [name, backend] : registered) {
+      const IdTimeSet got = Ids(backend->RangeQuery(q, epsilon, kDepth));
+      if (name == "vamana") {
+        for (const auto& id : got) {
+          EXPECT_TRUE(expected.count(id) > 0)
+              << "vamana returned a non-answer (id " << id.first << ")";
+        }
+      } else {
+        EXPECT_EQ(got, expected) << "backend " << name << " diverges";
+      }
     }
+    EXPECT_EQ(Ids(vafile.RangeQuery(q, epsilon)), expected)
+        << "vafile diverges";
 
-    const IdTimeSet approx = Ids(lsh->RangeQuery(q, epsilon, kDepth));
+    const IdTimeSet approx = Ids(lsh.RangeQuery(q, epsilon));
     for (const auto& id : approx) {
       EXPECT_TRUE(expected.count(id) > 0)
           << "lsh returned a non-answer (id " << id.first << ")";
@@ -276,7 +296,6 @@ TEST(BackendParityTest, ShardedParityAcrossShardCounts) {
   for (int num_shards : {1, 3, 5}) {
     service::ShardedSearcherOptions sharding;
     sharding.num_shards = num_shards;
-    sharding.config.index_table_depth = 14;
     auto sharded = service::ShardedSearcher::Build(MakeDatabase(), sharding);
     ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
     ThreadPool pool(4);
@@ -378,15 +397,6 @@ TEST(BackendParityTest, VamanaStatQueryIsEqualExpectationRange) {
     EXPECT_EQ(Ids(vamana->StatQuery(q, model, options)),
               Ids(vamana->RangeQuery(q, epsilon, kDepth)));
   }
-}
-
-std::vector<FingerprintRecord> RecordsOf(const FingerprintDatabase& db) {
-  std::vector<FingerprintRecord> records;
-  records.reserve(db.size());
-  for (size_t i = 0; i < db.size(); ++i) {
-    records.push_back(db.record(i));
-  }
-  return records;
 }
 
 // The parallel build is deterministic in (records, options): thread count

@@ -1,14 +1,10 @@
 #include "core/parallel.h"
 
 #include <atomic>
-#include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/database.h"
-#include "core/index.h"
-#include "core/synthetic_db.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace s3vcd::core {
@@ -47,106 +43,62 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
   EXPECT_EQ(counter.load(), 50);
 }
 
-class ParallelSearchFixture : public testing::Test {
- protected:
-  ParallelSearchFixture() : model_(15.0) {
-    Rng rng(31);
-    DatabaseBuilder builder;
-    for (int i = 0; i < 20000; ++i) {
-      builder.Add(UniformRandomFingerprint(&rng),
-                  static_cast<uint32_t>(i % 9), static_cast<uint32_t>(i));
-    }
-    index_ = std::make_unique<S3Index>(builder.Build());
-    for (int i = 0; i < 60; ++i) {
-      queries_.push_back(DistortFingerprint(
-          index_->database()
-              .record(static_cast<size_t>(rng.UniformInt(0, 19999)))
-              .descriptor,
-          15.0, &rng));
-    }
-  }
-
-  GaussianDistortionModel model_;
-  std::unique_ptr<S3Index> index_;
-  std::vector<fp::Fingerprint> queries_;
-};
-
-TEST_F(ParallelSearchFixture, MatchesSerialResultsForAnyThreadCount) {
-  QueryOptions options;
-  options.filter.alpha = 0.85;
-  options.filter.depth = 12;
-  const auto serial =
-      ParallelStatisticalSearch(*index_, model_, queries_, options, 1);
-  ASSERT_EQ(serial.size(), queries_.size());
-  for (int threads : {2, 4}) {
-    const auto parallel = ParallelStatisticalSearch(*index_, model_,
-                                                    queries_, options,
-                                                    threads);
-    ASSERT_EQ(parallel.size(), queries_.size());
-    for (size_t i = 0; i < queries_.size(); ++i) {
-      std::multiset<uint32_t> a;
-      std::multiset<uint32_t> b;
-      for (const auto& m : serial[i].matches) {
-        a.insert(m.time_code);
+// Every index of [0, n) is handed to exactly one shard, whatever the
+// thread count: the parallel run reproduces the serial one.
+TEST(ParallelForTest, CoversEveryIndexOnceForAnyThreadCount) {
+  constexpr size_t kN = 1000;
+  for (int threads : {1, 2, 4}) {
+    std::vector<std::atomic<int>> visits(kN);
+    ParallelFor(kN, threads, nullptr, [&](size_t first, size_t last) {
+      ASSERT_LT(first, last);
+      for (size_t i = first; i < last; ++i) {
+        visits[i].fetch_add(1);
       }
-      for (const auto& m : parallel[i].matches) {
-        b.insert(m.time_code);
-      }
-      EXPECT_EQ(a, b) << "threads=" << threads << " query " << i;
+    });
+    for (size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(visits[i].load(), 1) << "threads=" << threads << " i=" << i;
     }
   }
 }
 
-TEST_F(ParallelSearchFixture, RangeSearchMatchesSerial) {
-  const auto serial =
-      ParallelRangeSearch(*index_, queries_, 90.0, 12, 1);
-  const auto parallel =
-      ParallelRangeSearch(*index_, queries_, 90.0, 12, 3);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].matches.size(), parallel[i].matches.size());
-  }
+TEST(ParallelForTest, EmptyRangeRunsNothing) {
+  std::atomic<int> calls{0};
+  ParallelFor(0, 4, nullptr, [&](size_t, size_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 0);
 }
 
-TEST_F(ParallelSearchFixture, EmptyBatchIsSafe) {
-  QueryOptions options;
-  EXPECT_TRUE(
-      ParallelStatisticalSearch(*index_, model_, {}, options, 4).empty());
-}
-
-// Regression test: batch calls must not construct a ThreadPool per call
-// (thread spawn cost on the query path). The first call of a given width
-// may create the shared pool; every later call reuses it.
-TEST_F(ParallelSearchFixture, RepeatedCallsReuseTheSharedPool) {
-  QueryOptions options;
-  options.filter.alpha = 0.85;
-  options.filter.depth = 12;
+// Regression test: calls must not construct a ThreadPool per call (thread
+// spawn cost on every call). The first call of a given width may create
+// the shared pool; every later call reuses it.
+TEST(ParallelForTest, RepeatedCallsReuseTheSharedPool) {
+  std::atomic<size_t> total{0};
+  const auto body = [&](size_t first, size_t last) {
+    total.fetch_add(last - first);
+  };
   // Warm-up: materializes the shared width-3 pool if this is the first
   // width-3 call of the process.
-  ParallelStatisticalSearch(*index_, model_, queries_, options, 3);
+  ParallelFor(100, 3, nullptr, body);
   const uint64_t created = ThreadPool::TotalPoolsCreated();
   for (int call = 0; call < 4; ++call) {
-    ParallelStatisticalSearch(*index_, model_, queries_, options, 3);
-    ParallelRangeSearch(*index_, queries_, 90.0, 12, 3);
+    ParallelFor(100, 3, nullptr, body);
   }
   EXPECT_EQ(ThreadPool::TotalPoolsCreated(), created)
-      << "batch calls constructed new pools";
+      << "ParallelFor constructed new pools";
+  EXPECT_EQ(total.load(), 500u);
 }
 
-TEST_F(ParallelSearchFixture, CallerOwnedPoolCreatesNoSharedPool) {
-  QueryOptions options;
-  options.filter.alpha = 0.85;
-  options.filter.depth = 12;
+TEST(ParallelForTest, CallerOwnedPoolCreatesNoSharedPool) {
   ThreadPool pool(2);  // the one construction this test pays for
   const uint64_t created = ThreadPool::TotalPoolsCreated();
-  const auto serial =
-      ParallelStatisticalSearch(*index_, model_, queries_, options, 1);
   for (int call = 0; call < 3; ++call) {
-    const auto pooled = ParallelStatisticalSearch(*index_, model_, queries_,
-                                                  options, 1, &pool);
-    ASSERT_EQ(pooled.size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].matches.size(), pooled[i].matches.size()) << i;
+    std::vector<std::atomic<int>> visits(64);
+    ParallelFor(visits.size(), 1, &pool, [&](size_t first, size_t last) {
+      for (size_t i = first; i < last; ++i) {
+        visits[i].fetch_add(1);
+      }
+    });
+    for (size_t i = 0; i < visits.size(); ++i) {
+      EXPECT_EQ(visits[i].load(), 1) << i;
     }
   }
   EXPECT_EQ(ThreadPool::TotalPoolsCreated(), created)

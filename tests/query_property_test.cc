@@ -42,8 +42,6 @@ class StatisticalQueryProperty
 
 TEST_P(StatisticalQueryProperty, MassReachedAndResultsMatchRegion) {
   const auto [alpha, sigma, depth] = GetParam();
-  S3IndexOptions options;
-  options.index_table_depth = 12;
   // Rebuild a fresh index over the shared records (databases are move-only
   // so tests each construct their own from a builder).
   DatabaseBuilder builder;
@@ -52,7 +50,7 @@ TEST_P(StatisticalQueryProperty, MassReachedAndResultsMatchRegion) {
     const auto& r = shared.record(i);
     builder.Add(r.descriptor, r.id, r.time_code, r.x, r.y);
   }
-  const S3Index index(builder.Build(), options);
+  const S3Index index(builder.Build());
   const GaussianDistortionModel model(sigma);
   Rng rng(static_cast<uint64_t>(alpha * 1000 + sigma * 7 + depth));
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <set>
@@ -677,8 +678,15 @@ TEST_F(QueryServiceTest, DeadlineCounterSplitsQueuedFromExecuting) {
     }
   }
 
-  {
-    const MidExecutionDeadline scaled = ScaleDeadlineToQueryLatency();
+  // A mid-execution expiry. On a loaded machine the OS can keep the
+  // worker off the CPU for the whole deadline, so the batch expires in the
+  // queue or before its first query: correct behaviour, but not the case
+  // under test (seen under `ctest -j4 --repeat`). Such attempts are retried
+  // with fresh counters.
+  const MidExecutionDeadline scaled = ScaleDeadlineToQueryLatency();
+  bool mid_execution = false;
+  for (int attempt = 0; attempt < 10 && !mid_execution; ++attempt) {
+    registry.Reset();
     QueryServiceOptions options;
     options.num_workers = 1;
     options.threads_per_batch = 1;  // serial path polices per query
@@ -695,16 +703,20 @@ TEST_F(QueryServiceTest, DeadlineCounterSplitsQueuedFromExecuting) {
     ASSERT_TRUE(ticket.ok());
     const BatchResult& result = (*ticket)->Wait();
     EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
-    EXPECT_GT(result.queries_executed, 0u)
-        << "deadline " << batch.deadline_ms << " ms, queued "
-        << result.queue_wait_ms << " ms, executed for " << result.execute_ms
-        << " ms";
     EXPECT_LT(result.queries_executed, scaled.num_queries);
+    mid_execution = result.queries_executed > 0;
+    if (!mid_execution) {
+      std::printf("attempt %d: deadline %.1f ms, queued %.3f ms, executed "
+                  "0 queries in %.3f ms; retrying\n",
+                  attempt, batch.deadline_ms, result.queue_wait_ms,
+                  result.execute_ms);
+    }
   }
+  ASSERT_TRUE(mid_execution) << "no attempt expired mid-execution";
   snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.CounterOr0("service.deadline_expired_queued"), 1u);
+  EXPECT_EQ(snapshot.CounterOr0("service.deadline_expired_queued"), 0u);
   EXPECT_EQ(snapshot.CounterOr0("service.deadline_expired_executing"), 1u);
-  EXPECT_EQ(snapshot.CounterOr0("service.deadline_expirations"), 2u);
+  EXPECT_EQ(snapshot.CounterOr0("service.deadline_expirations"), 1u);
   registry.Reset();
 }
 

@@ -491,9 +491,10 @@ PY
 
 echo "Wrote ${service_json}"
 
-# Equal-recall ANN harness: the vamana graph backend against the exact S3
-# range query on the same 200k-record corpus, the beam width swept until
-# each target recall is matched. The binary writes the JSON itself (sweep
+# Equal-recall ANN harness: the vamana graph backend and the p-stable LSH
+# baseline against the exact S3 range query on the same 200k-record
+# corpus, the beam width swept until each target recall is matched and
+# LSH over a grid of (tables, hashes, bucket width). The binary writes the JSON itself (sweep
 # + operating points, with the scan kernel it ran on); the host
 # fingerprint is merged into its "host" block afterwards.
 if [[ ! -x "${build_dir}/bench/ann_equal_recall" ]]; then

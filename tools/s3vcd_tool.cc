@@ -43,8 +43,8 @@
 // where the command needs a count), are rejected with the command's flag
 // table and exit code 2 (run a command with no flags, or see README.md,
 // for the full table). `--backend NAME` selects the search
-// structure from the SearcherRegistry ("s3", "vafile", "lsh", "seqscan",
-// "vamana", "segment"); an unknown name is rejected with the registered
+// structure from the SearcherRegistry ("s3", "segment", "seqscan",
+// "vamana"); an unknown name is rejected with the registered
 // list before any database is loaded. The "segment" backend serves from a
 // persistent on-disk segment store: `query --backend segment --store-dir D`
 // ingests the database into D on first use and reopens D from its manifest
@@ -53,9 +53,9 @@
 // state. See docs/segment_format.md. On query/monitor/loadgen,
 // `--metrics-out FILE` dumps a JSON snapshot of the global metrics registry
 // covering the run and `--trace-out FILE` records Chrome trace-event JSON
-// (load it in chrome://tracing). `--pseudo-disk R` additionally replays the
-// query batch through the file-based PseudoDiskSearcher with 2^R curve
-// sections, so the emitted metrics and trace cover the pseudo-disk I/O
+// (load it in chrome://tracing). `--pseudo-disk R` (R in [0, 20])
+// additionally replays the query batch through the file-based
+// PseudoDiskSearcher with 2^R curve sections, so the emitted metrics and trace cover the pseudo-disk I/O
 // path too. See docs/observability.md.
 
 #include <algorithm>
@@ -185,6 +185,7 @@ enum class FlagType {
   kCount,        ///< an integer >= 0; the command casts it to an unsigned type
   kDepth,        ///< a partition depth, an integer in [1, D]
   kTunedDepth,   ///< kDepth, or 0 to auto-tune it
+  kSectionDepth, ///< a pseudo-disk section depth, an integer in [0, D]
   kReal,         ///< a finite number
   kPositive,     ///< a finite number > 0
   kProbability,  ///< a number in (0, 1)
@@ -238,8 +239,8 @@ const std::vector<CommandSpec>& Commands() {
          FlagType::kTunedDepth},
         {"count", "number of queries (default 100)", FlagType::kInt},
         {"seed", "deterministic seed (default 99)", FlagType::kCount},
-        {"pseudo-disk", "also replay via pseudo-disk with 2^R sections",
-         FlagType::kInt},
+        {"pseudo-disk", "also replay via pseudo-disk with 2^R sections, "
+                        "R in [0, 20]", FlagType::kSectionDepth},
         {"store-dir", "segment backend: persistent store directory"},
         {"codec", "segment/vamana backends: descriptor codec "
                   "(exact, lvq4; default exact)"},
@@ -370,7 +371,8 @@ bool RejectBadFlags(const CommandSpec& command, const Flags& flags) {
     const FlagType type = spec->type;
     const bool integral = type == FlagType::kInt || type == FlagType::kCount ||
                           type == FlagType::kDepth ||
-                          type == FlagType::kTunedDepth;
+                          type == FlagType::kTunedDepth ||
+                          type == FlagType::kSectionDepth;
     const bool real = type == FlagType::kReal ||
                       type == FlagType::kPositive ||
                       type == FlagType::kProbability;
@@ -390,6 +392,9 @@ bool RejectBadFlags(const CommandSpec& command, const Flags& flags) {
     } else if (type == FlagType::kTunedDepth &&
                (int_value < 0 || int_value > fp::kDims)) {
       expected = "0 (auto-tune) or an integer in [1, 20]";
+    } else if (type == FlagType::kSectionDepth &&
+               (int_value < 0 || int_value > fp::kDims)) {
+      expected = "an integer in [0, 20]";
     } else if (type == FlagType::kPositive && !(real_value > 0)) {
       expected = "a number > 0";
     } else if (type == FlagType::kProbability &&
