@@ -68,7 +68,7 @@ int Main() {
     const Paradigm paradigms[] = {
         {"statistical(a=0.85)",
          [&](const fp::Fingerprint& q) {
-           return index.StatisticalQuery(q, model, stat);
+           return index.StatQuery(q, model, stat);
          }},
         {"knn(k=10)",
          [&](const fp::Fingerprint& q) {

@@ -82,7 +82,7 @@ int Main() {
       Stopwatch watch;
       for (const auto& s : samples) {
         const core::QueryResult r =
-            index.StatisticalQuery(s.distorted, *c.model, options);
+            index.StatQuery(s.distorted, *c.model, options);
         blocks += r.stats.blocks_selected;
         results += r.matches.size();
         const double target = fp::Distance(s.distorted, s.reference);

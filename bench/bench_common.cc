@@ -6,6 +6,7 @@
 #include <string>
 
 #include "obs/metrics.h"
+#include "store/make_searcher.h"
 #include "util/logging.h"
 
 namespace s3vcd::bench {
@@ -92,7 +93,7 @@ core::FingerprintDatabase CopyDatabase(const Corpus& corpus) {
 std::unique_ptr<core::Searcher> MakeBackend(const Corpus& corpus,
                                             const std::string& name) {
   Result<std::unique_ptr<core::Searcher>> backend =
-      core::SearcherRegistry::Global().Create(name, CopyDatabase(corpus));
+      store::MakeSearcher(name, CopyDatabase(corpus));
   S3VCD_CHECK(backend.ok());
   return std::move(*backend);
 }

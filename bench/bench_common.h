@@ -65,7 +65,7 @@ std::unique_ptr<core::S3Index> RebuildIndexWithSize(const Corpus& corpus,
 /// constructors consume their database; the corpus keeps its own).
 core::FingerprintDatabase CopyDatabase(const Corpus& corpus);
 
-/// Constructs a registry backend ("s3", "seqscan", "vamana", ...) with its
+/// Constructs a served backend ("s3", "seqscan", "vamana", ...) with its
 /// default configuration over a copy of the corpus database. Aborts on an
 /// unknown name — bench backends are spelled in source, not user input.
 std::unique_ptr<core::Searcher> MakeBackend(const Corpus& corpus,

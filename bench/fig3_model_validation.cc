@@ -69,9 +69,9 @@ int Main() {
     uint64_t total_blocks = 0;
     for (const auto& s : samples) {
       const core::QueryResult result =
-          index.StatisticalQuery(s.distorted, model, query);
-      total_ms += (result.stats.filter_seconds +
-                   result.stats.refine_seconds) * 1e3;
+          index.StatQuery(s.distorted, model, query);
+      total_ms +=
+          (result.stats.selection_ns + result.stats.refine_ns) * 1e-6;
       total_blocks += result.stats.blocks_selected;
       const double target = fp::Distance(s.distorted, s.reference);
       for (const auto& m : result.matches) {

@@ -174,7 +174,7 @@ void BM_StatisticalQuery(benchmark::State& state) {
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        index->StatisticalQuery(queries[i++ % queries.size()], model,
+        index->StatQuery(queries[i++ % queries.size()], model,
                                 options));
   }
 }

@@ -104,7 +104,7 @@ int Main() {
     int retrieved = 0;
     for (const auto& s : m.samples) {
       const core::QueryResult result =
-          index.StatisticalQuery(s.distorted, model, query);
+          index.StatQuery(s.distorted, model, query);
       const double target = fp::Distance(s.distorted, s.reference);
       for (const auto& match : result.matches) {
         if (std::abs(match.distance - target) < 1e-3) {

@@ -65,8 +65,8 @@ int main() {
     double results = 0;
     double scanned = 0;
     for (const auto& q : queries) {
-      const auto r = index.StatisticalQuery(q, model, options);
-      ms += (r.stats.filter_seconds + r.stats.refine_seconds) * 1e3;
+      const auto r = index.StatQuery(q, model, options);
+      ms += (r.stats.selection_ns + r.stats.refine_ns) * 1e-6;
       results += r.matches.size();
       scanned += r.stats.records_scanned;
     }
@@ -83,7 +83,7 @@ int main() {
     double scanned = 0;
     for (const auto& q : queries) {
       const auto r = index.RangeQuery(q, epsilon, tuned.best_depth);
-      ms += (r.stats.filter_seconds + r.stats.refine_seconds) * 1e3;
+      ms += (r.stats.selection_ns + r.stats.refine_ns) * 1e-6;
       results += r.matches.size();
       scanned += r.stats.records_scanned;
     }
@@ -99,7 +99,7 @@ int main() {
     double results = 0;
     for (int i = 0; i < 20; ++i) {
       const auto r = index.SequentialScan(queries[i], epsilon);
-      ms += r.stats.refine_seconds * 1e3;
+      ms += r.stats.refine_ns * 1e-6;
       results += r.matches.size();
     }
     table.AddRow()

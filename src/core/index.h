@@ -16,7 +16,9 @@ namespace s3vcd::core {
 
 /// The S3 search engine: a Hilbert-ordered fingerprint database plus the
 /// statistical / geometric filtering rules and the refinement scan
-/// (paper Section IV). The "s3" backend of the SearcherRegistry.
+/// (paper Section IV). The "s3" backend of store::MakeSearcher; its
+/// statistical and range queries are the default Searcher ones, over
+/// selection_filter() and ScanSelection.
 ///
 /// Curve sections resolve to record ranges through an index table of the
 /// record offsets of the 2^t aligned key prefixes of depth
@@ -48,11 +50,6 @@ class S3Index : public Searcher {
   /// Depth t of the index table (see the class comment).
   int table_depth() const { return table_depth_; }
 
-  /// Statistical query of expectation options.filter.alpha (Section II).
-  QueryResult StatisticalQuery(const fp::Fingerprint& query,
-                               const DistortionModel& model,
-                               const QueryOptions& options) const;
-
   /// Baseline: linear scan of the whole database with distance <= epsilon
   /// (the reference method of Section V-B).
   QueryResult SequentialScan(const fp::Fingerprint& query,
@@ -66,24 +63,11 @@ class S3Index : public Searcher {
 
   // ---- Searcher interface ----
   const char* backend_name() const override { return "s3"; }
-  QueryResult StatQuery(const fp::Fingerprint& query,
-                        const DistortionModel& model,
-                        const QueryOptions& options) const override {
-    return StatisticalQuery(query, model, options);
-  }
-  /// Exact spherical epsilon-range query through the index: geometric
-  /// filtering of the blocks, then distance refinement.
-  QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon,
-                         int depth) const override;
-  SearcherStats Stats() const override { return {db_.size(), 0}; }
+  SearcherStats Stats() const override { return {db_.size()}; }
   uint64_t ApproxBytes() const override {
     return db_.MemoryBytes() + table_.size() * sizeof(uint64_t);
   }
   const BlockFilter* selection_filter() const override { return &filter_; }
-  /// Runs the refinement scan of a precomputed block selection, appending
-  /// matches and scan counters to `result`. Exposed so the sharded
-  /// service can share one filtering pass across shards. `model` is only required for kNormalizedRadiusFilter (may be
-  /// null otherwise).
   void ScanSelection(const fp::Fingerprint& query,
                      const BlockSelection& selection, RefinementMode mode,
                      double radius, const DistortionModel* model,

@@ -56,6 +56,7 @@ QueryResult KnnQuery(const S3Index& index, const fp::Fingerprint& query,
   QueryResult result;
   const FingerprintDatabase& db = index.database();
   if (db.empty()) {
+    RecordQueryMetrics(QueryKind::kKnn, result.stats, 0);
     return result;
   }
   Stopwatch watch;
@@ -129,7 +130,7 @@ QueryResult KnnQuery(const S3Index& index, const fp::Fingerprint& query,
     best.pop();
   }
   result.stats.refine_ns = watch.ElapsedNanos();
-  result.stats.refine_seconds = result.stats.refine_ns * 1e-9;
+  RecordQueryMetrics(QueryKind::kKnn, result.stats, result.matches.size());
   return result;
 }
 

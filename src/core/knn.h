@@ -25,7 +25,8 @@ struct KnnOptions {
 
 /// k-nearest-neighbor search over an S3Index by best-first traversal of the
 /// block tree ordered by minimum distance (Hjaltason-Samet distance
-/// browsing): provably exact when max_blocks = 0.
+/// browsing): provably exact when max_blocks = 0. Each query publishes one
+/// kKnn record of the index.* metrics.
 ///
 /// Provided as the comparison point for the paper's Section II argument
 /// that k-NN semantics are wrong for copy detection: the number of relevant

@@ -74,7 +74,6 @@ QueryResult LshIndex::RangeQuery(const fp::Fingerprint& query,
     }
   }
   result.stats.selection_ns = watch.ElapsedNanos();
-  result.stats.filter_seconds = result.stats.selection_ns * 1e-9;
 
   watch.Reset();
   const RefineSpec spec(RefinementMode::kRadiusFilter, epsilon, nullptr);
@@ -82,7 +81,6 @@ QueryResult LshIndex::RangeQuery(const fp::Fingerprint& query,
     RefineRecord(query, block_, idx, spec, &result);
   }
   result.stats.refine_ns = watch.ElapsedNanos();
-  result.stats.refine_seconds = result.stats.refine_ns * 1e-9;
   RecordQueryMetrics(QueryKind::kRange, result.stats, result.matches.size());
   return result;
 }

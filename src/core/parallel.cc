@@ -13,9 +13,9 @@ namespace {
 
 // Lazily-created shared pools, one per requested width, reused by every
 // ParallelFor call of that width (constructing and joining a pool per call
-// would put thread spawn cost on every call). Pools are intentionally leaked: workers
-// park on a condition variable when idle, and skipping destruction avoids
-// static-teardown join-order hazards (same pattern as SearcherRegistry).
+// would put thread spawn cost on every call). Pools are intentionally
+// leaked: workers park on a condition variable when idle, and skipping
+// destruction avoids static-teardown join-order hazards.
 ThreadPool* SharedPool(int num_threads) {
   static std::mutex* const mutex = new std::mutex();
   static std::map<int, ThreadPool*>* const pools =

@@ -1,9 +1,10 @@
 #include "core/pseudo_disk.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/database.h"
+#include "core/descriptor_block.h"
+#include "core/scan_kernel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/io.h"
@@ -156,7 +157,11 @@ Status PseudoDiskSearcher::SearchBatch(
   BinaryReader reader;
   S3VCD_RETURN_IF_ERROR(reader.Open(path_));
   std::vector<uint8_t> buffer;
+  // The resident section, in the layout the refinement kernel scans.
+  DescriptorBlock section;
   FingerprintRecord rec;
+  const RefineSpec spec(RefinementMode::kAll, 0, nullptr);
+  std::vector<QueryResult> scans(queries.size());
   for (uint64_t s = 0; s < sections; ++s) {
     const uint64_t sec_first = offsets_[s * prefixes_per_section];
     const uint64_t sec_last = offsets_[(s + 1) * prefixes_per_section];
@@ -188,6 +193,13 @@ Status PseudoDiskSearcher::SearchBatch(
       S3VCD_RETURN_IF_ERROR(reader.Seek(
           payload_offset_ + sec_first * internal::kRecordBytes));
       S3VCD_RETURN_IF_ERROR(reader.ReadBytes(buffer.data(), buffer.size()));
+      section.Clear();
+      section.Reserve(n);
+      for (uint64_t i = 0; i < n; ++i) {
+        internal::DeserializeRecord(
+            buffer.data() + i * internal::kRecordBytes, &rec);
+        section.AppendRecord(rec);
+      }
     }
     const double load_seconds = watch.ElapsedSeconds();
     stats->load_seconds += load_seconds;
@@ -207,21 +219,18 @@ Status PseudoDiskSearcher::SearchBatch(
         for (const auto& [rb, re] : record_ranges[qi]) {
           const uint64_t lo = std::max(rb, sec_first);
           const uint64_t hi = std::min(re, sec_last);
-          for (uint64_t i = lo; i < hi; ++i) {
-            internal::DeserializeRecord(
-                buffer.data() + (i - sec_first) * internal::kRecordBytes,
-                &rec);
-            const double dist_sq =
-                fp::SquaredDistance(queries[qi], rec.descriptor);
-            (*results)[qi].push_back(
-                {rec.id, rec.time_code,
-                 static_cast<float>(std::sqrt(dist_sq)), rec.x, rec.y});
-            ++stats->records_scanned;
+          if (lo < hi) {
+            ScanRecords(queries[qi], section, lo - sec_first, hi - sec_first,
+                        spec, &scans[qi]);
           }
         }
       }
     }
     stats->refine_seconds += watch.ElapsedSeconds();
+  }
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    stats->records_scanned += scans[qi].stats.records_scanned;
+    (*results)[qi] = std::move(scans[qi].matches);
   }
   g_records_scanned->Increment(stats->records_scanned);
   return reader.Close();

@@ -33,13 +33,12 @@ struct Match {
 
 /// Per-query instrumentation, the raw material of the paper's timing plots.
 struct QueryStats {
-  double filter_seconds = 0;      ///< statistical / geometric filtering step
-  double refine_seconds = 0;      ///< sequential scan of the curve sections
-  /// Nanosecond-resolution selection/refine split of the same two stages
-  /// (selection_ns mirrors filter_seconds, refine_ns mirrors
-  /// refine_seconds). Sub-microsecond cached selections vanish in
-  /// double-seconds aggregation; these feed the `# METRICS` blocks and the
-  /// `s3vcd_tool query` timing summary.
+  /// The two stages' clocks, in nanoseconds: the statistical / geometric
+  /// filtering step (block selection, or a baseline's candidate pass) and
+  /// the refinement scan of the selected curve sections. They feed
+  /// `index.selection_ns` / `index.refine_ns` and the `index.filter_us` /
+  /// `index.refine_us` histograms (docs/observability.md), the `# METRICS`
+  /// blocks and the `s3vcd_tool query` timing summary.
   uint64_t selection_ns = 0;
   uint64_t refine_ns = 0;
   /// True when the block selection was served from a SelectionCache hit.

@@ -16,11 +16,12 @@
 namespace s3vcd::core {
 
 /// The shared refinement kernel: every backend's inner scan loop — the
-/// S3 index's and the segment store's curve-section scans, the VA-file's
-/// phase-2 exact check, the LSH candidate filter and the sequential
-/// scan — funnels each touched record through RefineRecord /
-/// ScanRecords, so `records_scanned` and match accounting mean exactly the
-/// same thing on every backend (pinned by tests/backend_parity_test.cc).
+/// S3 index's and the segment store's curve-section scans, the
+/// pseudo-disk searcher's resident-section scan, the VA-file's phase-2
+/// exact check, the LSH candidate filter and the sequential scan —
+/// funnels each touched record through RefineRecord / ScanRecords, so
+/// `records_scanned` and match accounting mean exactly the same thing on
+/// every backend (pinned by tests/backend_parity_test.cc).
 ///
 /// ScanRecords runs a blocked kernel over the structure-of-arrays
 /// DescriptorBlock layout: a strip of packed descriptors at a time,

@@ -1,17 +1,143 @@
 #include "core/searcher.h"
 
-#include <algorithm>
 #include <cmath>
-#include <utility>
 
-#include "core/index.h"
-#include "core/scan_kernel.h"
-#include "core/vamana.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/math.h"
 #include "util/timer.h"
 
 namespace s3vcd::core {
+
+namespace {
+
+// Global mirrors of QueryStats: every query adds its per-run stats into
+// these registry counters, so a metrics snapshot bracketing a run carries
+// exactly the values the QueryStats structs reported (tested in obs_test).
+obs::Counter* const g_stat_queries =
+    obs::MetricsRegistry::Global().GetCounter("index.queries.statistical");
+obs::Counter* const g_range_queries =
+    obs::MetricsRegistry::Global().GetCounter("index.queries.range");
+obs::Counter* const g_seq_scans =
+    obs::MetricsRegistry::Global().GetCounter("index.queries.seq_scan");
+obs::Counter* const g_knn_queries =
+    obs::MetricsRegistry::Global().GetCounter("index.queries.knn");
+obs::Counter* const g_blocks_selected =
+    obs::MetricsRegistry::Global().GetCounter("index.blocks_selected");
+obs::Counter* const g_nodes_visited =
+    obs::MetricsRegistry::Global().GetCounter("index.nodes_visited");
+obs::Counter* const g_ranges_scanned =
+    obs::MetricsRegistry::Global().GetCounter("index.ranges_scanned");
+obs::Counter* const g_records_scanned =
+    obs::MetricsRegistry::Global().GetCounter("index.records_scanned");
+obs::Counter* const g_descriptor_bytes_scanned =
+    obs::MetricsRegistry::Global().GetCounter(
+        "index.descriptor_bytes_scanned");
+obs::Counter* const g_matches =
+    obs::MetricsRegistry::Global().GetCounter("index.matches");
+obs::Counter* const g_refine_rejected =
+    obs::MetricsRegistry::Global().GetCounter("index.refine_rejected");
+obs::Counter* const g_selection_ns =
+    obs::MetricsRegistry::Global().GetCounter("index.selection_ns");
+obs::Counter* const g_refine_ns =
+    obs::MetricsRegistry::Global().GetCounter("index.refine_ns");
+obs::Counter* const g_selection_cached =
+    obs::MetricsRegistry::Global().GetCounter("index.selection_cached");
+obs::Histogram* const g_filter_us =
+    obs::MetricsRegistry::Global().GetHistogram("index.filter_us");
+obs::Histogram* const g_refine_us =
+    obs::MetricsRegistry::Global().GetHistogram("index.refine_us");
+
+// The block-structured query: `select` picks the blocks through the
+// backend's filter, ScanSelection refines their curve sections.
+template <typename Select>
+QueryResult SelectAndScan(const Searcher& searcher, QueryKind kind,
+                          const fp::Fingerprint& query, Select select,
+                          RefinementMode mode, double radius,
+                          const DistortionModel* model) {
+  const BlockFilter* filter = searcher.selection_filter();
+  S3VCD_CHECK(filter != nullptr);
+  QueryResult result;
+  Stopwatch watch;
+  BlockSelection selection;
+  {
+    S3VCD_TRACE_SPAN("index.filter");
+    selection = select(*filter);
+  }
+  result.stats.selection_ns = watch.ElapsedNanos();
+  result.stats.blocks_selected = selection.num_blocks;
+  result.stats.nodes_visited = selection.nodes_visited;
+  result.stats.probability_mass = selection.probability_mass;
+
+  watch.Reset();
+  {
+    S3VCD_TRACE_SPAN("index.refine");
+    searcher.ScanSelection(query, selection, mode, radius, model, &result);
+  }
+  result.stats.refine_ns = watch.ElapsedNanos();
+  RecordQueryMetrics(kind, result.stats, result.matches.size());
+  return result;
+}
+
+}  // namespace
+
+void RecordQueryMetrics(QueryKind kind, const QueryStats& stats,
+                        uint64_t hits) {
+  switch (kind) {
+    case QueryKind::kStatistical:
+      g_stat_queries->Increment();
+      break;
+    case QueryKind::kRange:
+      g_range_queries->Increment();
+      break;
+    case QueryKind::kSequentialScan:
+      g_seq_scans->Increment();
+      break;
+    case QueryKind::kKnn:
+      g_knn_queries->Increment();
+      break;
+  }
+  g_blocks_selected->Increment(stats.blocks_selected);
+  g_nodes_visited->Increment(stats.nodes_visited);
+  g_ranges_scanned->Increment(stats.ranges_scanned);
+  g_records_scanned->Increment(stats.records_scanned);
+  g_descriptor_bytes_scanned->Increment(stats.descriptor_bytes_scanned);
+  g_matches->Increment(hits);
+  g_refine_rejected->Increment(stats.records_scanned - hits);
+  g_selection_ns->Increment(stats.selection_ns);
+  g_refine_ns->Increment(stats.refine_ns);
+  if (stats.selection_cached) {
+    g_selection_cached->Increment();
+  }
+  g_filter_us->Record(stats.selection_ns * 1e-3);
+  g_refine_us->Record(stats.refine_ns * 1e-3);
+}
+
+QueryResult Searcher::StatQuery(const fp::Fingerprint& query,
+                                const DistortionModel& model,
+                                const QueryOptions& options) const {
+  S3VCD_TRACE_SPAN("index.query.statistical");
+  return SelectAndScan(
+      *this, QueryKind::kStatistical, query,
+      [&](const BlockFilter& filter) {
+        return filter.SelectStatistical(query, model, options.filter,
+                                        &ThreadLocalSelectionScratch());
+      },
+      options.refinement, options.radius, &model);
+}
+
+QueryResult Searcher::RangeQuery(const fp::Fingerprint& query, double epsilon,
+                                 int depth) const {
+  S3VCD_TRACE_SPAN("index.query.range");
+  return SelectAndScan(
+      *this, QueryKind::kRange, query,
+      [&](const BlockFilter& filter) {
+        return filter.SelectRange(query, epsilon, depth, 1 << 20,
+                                  &ThreadLocalSelectionScratch());
+      },
+      RefinementMode::kRadiusFilter, epsilon, nullptr);
+}
 
 void Searcher::ScanSelection(const fp::Fingerprint& /*query*/,
                              const BlockSelection& /*selection*/,
@@ -31,140 +157,6 @@ double EqualExpectationRadius(const DistortionModel& model, double alpha) {
   }
   const double sigma_rms = std::sqrt(acc / fp::kDims);
   return ChiNormDistribution(fp::kDims, sigma_rms).Quantile(alpha);
-}
-
-namespace {
-
-/// The paper's reference method (Section V-B) as a Searcher of its own:
-/// every query is a full linear scan of the database. Registry-only — no
-/// public header; construct it as SearcherRegistry "seqscan".
-class SeqScanSearcher final : public Searcher {
- public:
-  explicit SeqScanSearcher(FingerprintDatabase db) : db_(std::move(db)) {}
-
-  const char* backend_name() const override { return "seqscan"; }
-
-  QueryResult StatQuery(const fp::Fingerprint& query,
-                        const DistortionModel& model,
-                        const QueryOptions& options) const override {
-    QueryResult result = Scan(
-        query, EqualExpectationRadius(model, options.filter.alpha));
-    RecordQueryMetrics(QueryKind::kStatistical, result.stats,
-                       result.matches.size());
-    return result;
-  }
-
-  QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon,
-                         int /*depth*/) const override {
-    QueryResult result = Scan(query, epsilon);
-    RecordQueryMetrics(QueryKind::kSequentialScan, result.stats,
-                       result.matches.size());
-    return result;
-  }
-
-  SearcherStats Stats() const override { return {db_.size(), 0}; }
-
-  uint64_t ApproxBytes() const override { return db_.MemoryBytes(); }
-
- private:
-  QueryResult Scan(const fp::Fingerprint& query, double epsilon) const {
-    QueryResult result;
-    Stopwatch watch;
-    const RefineSpec spec(RefinementMode::kRadiusFilter, epsilon, nullptr);
-    ScanRecords(query, db_.block(), 0, db_.size(), spec, &result);
-    result.stats.refine_ns = watch.ElapsedNanos();
-    result.stats.refine_seconds = result.stats.refine_ns * 1e-9;
-    return result;
-  }
-
-  FingerprintDatabase db_;
-};
-
-std::vector<FingerprintRecord> CopyRecords(const FingerprintDatabase& db) {
-  std::vector<FingerprintRecord> records;
-  records.reserve(db.size());
-  for (size_t i = 0; i < db.size(); ++i) {
-    records.push_back(db.record(i));
-  }
-  return records;
-}
-
-}  // namespace
-
-SearcherRegistry::SearcherRegistry() {
-  Register("s3", [](FingerprintDatabase db, const SearcherConfig&)
-               -> std::unique_ptr<Searcher> {
-    return std::make_unique<S3Index>(std::move(db));
-  });
-  Register("seqscan", [](FingerprintDatabase db, const SearcherConfig&)
-               -> std::unique_ptr<Searcher> {
-    return std::make_unique<SeqScanSearcher>(std::move(db));
-  });
-  Register("vamana", [](FingerprintDatabase db, const SearcherConfig& config)
-               -> std::unique_ptr<Searcher> {
-    VamanaOptions options;
-    options.graph_degree = config.vamana_graph_degree;
-    options.beam_width = config.vamana_beam_width;
-    options.graph_path = config.vamana_graph_path;
-    if (!DescriptorCodecFromName(config.vamana_codec, &options.codec)) {
-      S3VCD_LOG(ERROR) << "unknown vamana codec '" << config.vamana_codec
-                       << "'; known codecs: " << DescriptorCodecNamesCsv();
-      return nullptr;
-    }
-    return std::make_unique<VamanaIndex>(CopyRecords(db), options);
-  });
-}
-
-SearcherRegistry& SearcherRegistry::Global() {
-  static SearcherRegistry* const registry = new SearcherRegistry();
-  return *registry;
-}
-
-void SearcherRegistry::Register(const std::string& name, Factory factory) {
-  S3VCD_CHECK(factory != nullptr);
-  factories_[name] = std::move(factory);
-}
-
-bool SearcherRegistry::Contains(const std::string& name) const {
-  return factories_.count(name) > 0;
-}
-
-std::vector<std::string> SearcherRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) {
-    names.push_back(name);
-  }
-  return names;  // std::map iteration is already sorted
-}
-
-std::string SearcherRegistry::NamesCsv() const {
-  std::string csv;
-  for (const std::string& name : Names()) {
-    if (!csv.empty()) {
-      csv += ", ";
-    }
-    csv += name;
-  }
-  return csv;
-}
-
-Result<std::unique_ptr<Searcher>> SearcherRegistry::Create(
-    const std::string& name, FingerprintDatabase db,
-    const SearcherConfig& config) const {
-  const auto it = factories_.find(name);
-  if (it == factories_.end()) {
-    return Status::InvalidArgument("unknown searcher backend '" + name +
-                                   "'; registered backends: " + NamesCsv());
-  }
-  std::unique_ptr<Searcher> searcher = it->second(std::move(db), config);
-  if (searcher == nullptr) {
-    // Factories signal construction failure by returning null (and logging
-    // the cause); never hand a null Searcher to the caller as "ok".
-    return Status::Internal("construction of searcher backend '" + name +
-                            "' failed (see log for the cause)");
-  }
-  return searcher;
 }
 
 }  // namespace s3vcd::core

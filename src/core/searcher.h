@@ -2,9 +2,6 @@
 #define S3VCD_CORE_SEARCHER_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,7 +10,6 @@
 #include "core/filter.h"
 #include "core/record.h"
 #include "fingerprint/fingerprint.h"
-#include "util/status.h"
 
 namespace s3vcd::core {
 
@@ -51,14 +47,16 @@ enum class QueryKind {
   kStatistical,
   kRange,
   kSequentialScan,
+  kKnn,
 };
 
 /// Publishes one finished query's stats into the global metrics registry
 /// (the `index.*` counters and latency histograms — see
-/// docs/observability.md). Every Searcher backend, and the VA-file and LSH
-/// baselines, publish exactly one record per query through this function,
-/// so the registry's counters stay comparable across backends; layered
-/// structures batching across shards publish one merged record instead.
+/// docs/observability.md). Every Searcher backend, the VA-file and LSH
+/// baselines and both kNN searches publish exactly one record per query
+/// through this function, so the registry's counters stay comparable across
+/// backends; layered structures batching across shards publish one merged
+/// record instead.
 void RecordQueryMetrics(QueryKind kind, const QueryStats& stats,
                         uint64_t hits);
 
@@ -72,16 +70,14 @@ enum class SearchParadigm {
 };
 
 /// Name of the refinement kernel ScanRecords currently dispatches to
-/// ("scalar", "sse2", "avx2") — see core/scan_kernel.h. Declared
-/// here so SearcherStats can carry it without a header cycle.
+/// ("scalar", "sse2", "avx2") — see core/scan_kernel.h. Declared here so
+/// reporters that hold only a Searcher can name it.
 const char* ActiveScanKernelName();
 
 /// Size accounting common to every backend.
 struct SearcherStats {
   /// Total searchable records (static part + any insert buffer).
   uint64_t records = 0;
-  /// Refinement kernel in use when these stats were taken.
-  const char* scan_kernel = ActiveScanKernelName();
   /// Descriptor codec(s) the backend stores records under ("exact"
   /// everywhere except quantized segment stores, which report the codecs
   /// actually present — '+'-joined when mixed mid-migration, e.g.
@@ -99,9 +95,9 @@ struct SearcherStats {
 /// backend), the vamana graph and plain sequential scan. Callers above
 /// core — the copy detector, the sharded service, the tool and the benches
 /// — hold a Searcher and never name a concrete backend; construction goes
-/// through SearcherRegistry. (The VA-file and LSH baselines of
-/// core/vafile.h and core/lsh.h are not Searchers: the benches that compare
-/// against them construct them directly.)
+/// through store::MakeSearcher (store/make_searcher.h). (The VA-file and
+/// LSH baselines of core/vafile.h and core/lsh.h are not Searchers: the
+/// benches that compare against them construct them directly.)
 ///
 /// Semantics: StatQuery returns the contents of a region of expectation
 /// alpha. Block-structured backends (s3, segment) implement it exactly as
@@ -113,6 +109,15 @@ struct SearcherStats {
 /// bounded by its beam (asserted as a recall floor in
 /// tests/backend_parity_test.cc).
 ///
+/// The block-structured query is written once, here: the default StatQuery
+/// and RangeQuery select the blocks through selection_filter() (paper
+/// Section IV-A), scan their curve sections through ScanSelection
+/// (Section IV), fill QueryStats and publish one RecordQueryMetrics record,
+/// under the `index.query.*` span with `index.filter` / `index.refine`
+/// children. A block-structured backend implements only selection_filter()
+/// and ScanSelection; backends without block structure override both
+/// queries.
+///
 /// Concurrency: all query methods are const and safe to fan out. Only the
 /// segment backend takes inserts (store::SegmentSearcher::TryInsert), and
 /// those require external exclusion.
@@ -120,18 +125,18 @@ class Searcher {
  public:
   virtual ~Searcher() = default;
 
-  /// Registry name of this backend ("s3", "vamana", ...).
+  /// Backend name ("s3", "vamana", ...), as store::MakeSearcher takes it.
   virtual const char* backend_name() const = 0;
 
   /// Statistical query of expectation options.filter.alpha.
   virtual QueryResult StatQuery(const fp::Fingerprint& query,
                                 const DistortionModel& model,
-                                const QueryOptions& options) const = 0;
+                                const QueryOptions& options) const;
 
   /// Epsilon-range query. `depth` is the partition depth of the geometric
   /// filter on block-structured backends; others ignore it.
   virtual QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon,
-                                 int depth) const = 0;
+                                 int depth) const;
 
   virtual SearcherStats Stats() const = 0;
 
@@ -139,17 +144,15 @@ class Searcher {
   /// data), for capacity planning and the memory columns of the benches.
   virtual uint64_t ApproxBytes() const = 0;
 
-  // ---- Optional capabilities. Callers must test for nullptr / false and
-  // degrade gracefully (see service::ShardedSearcher). ----
-
   /// The block filter of a block-structured backend, whose BlockSelection
   /// depends only on the query/model/filter options and can therefore be
-  /// shared across shards and cached. nullptr when the backend has no
-  /// block structure.
+  /// shared across shards and cached (see service::ShardedSearcher).
+  /// nullptr when the backend has no block structure.
   virtual const BlockFilter* selection_filter() const { return nullptr; }
 
   /// Refinement scan of a precomputed block selection, appending matches
-  /// and scan counters to `result`. Only meaningful when
+  /// and scan counters to `result`. `model` is only required for
+  /// kNormalizedRadiusFilter (may be null otherwise). Only meaningful when
   /// selection_filter() != nullptr; the default implementation aborts.
   virtual void ScanSelection(const fp::Fingerprint& query,
                              const BlockSelection& selection,
@@ -164,60 +167,6 @@ class Searcher {
 /// the "equal expectation" comparison between the two paradigms). The
 /// model's per-component scales enter through their root mean square.
 double EqualExpectationRadius(const DistortionModel& model, double alpha);
-
-/// Construction parameters of the registered backends that take any;
-/// each backend reads the fields it understands and ignores the rest.
-/// The s3 index sizes its table from the record count, and the remaining
-/// knobs of store::SegmentSearcherOptions and VamanaOptions keep their
-/// defaults when a backend is built through the registry.
-struct SearcherConfig {
-  /// segment: store directory (empty = ephemeral temp dir). See
-  /// docs/segment_format.md.
-  std::string segment_store_dir;
-  /// segment: descriptor codec newly written segments are encoded with
-  /// ("exact", "lvq4" — see core/descriptor_codec.h). Existing
-  /// segments keep whatever codec they were written with.
-  std::string segment_codec = "exact";
-  /// vamana: graph out-degree bound R, query beam L, storage codec and
-  /// optional graph blob path — see core/vamana.h and the knob table in
-  /// docs/tuning.md.
-  int vamana_graph_degree = 32;
-  int vamana_beam_width = 64;
-  std::string vamana_codec = "exact";
-  std::string vamana_graph_path;
-};
-
-/// String-keyed factory of Searcher backends. The built-ins ("s3",
-/// "seqscan", "vamana") are registered on first access of Global();
-/// extensions ("segment", see store/segment_searcher.h) Register
-/// additional names at startup (registration is not thread-safe and must
-/// precede concurrent use).
-class SearcherRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<Searcher>(
-      FingerprintDatabase db, const SearcherConfig& config)>;
-
-  static SearcherRegistry& Global();
-
-  void Register(const std::string& name, Factory factory);
-  bool Contains(const std::string& name) const;
-  /// Registered names, sorted.
-  std::vector<std::string> Names() const;
-  /// "s3, segment, seqscan, vamana" — for error messages and usage.
-  std::string NamesCsv() const;
-
-  /// Constructs backend `name` over `db` (consumed). Unknown names return
-  /// kInvalidArgument listing the registered backends.
-  Result<std::unique_ptr<Searcher>> Create(const std::string& name,
-                                           FingerprintDatabase db,
-                                           const SearcherConfig& config = {})
-      const;
-
- private:
-  SearcherRegistry();
-
-  std::map<std::string, Factory> factories_;
-};
 
 }  // namespace s3vcd::core
 

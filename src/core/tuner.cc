@@ -25,7 +25,7 @@ DepthTuningResult TuneDepth(const S3Index& index, const DistortionModel& model,
     Stopwatch watch;
     for (int rep = 0; rep < repetitions; ++rep) {
       for (const fp::Fingerprint& q : sample_queries) {
-        const QueryResult r = index.StatisticalQuery(q, model, options);
+        const QueryResult r = index.StatQuery(q, model, options);
         (void)r;
       }
     }

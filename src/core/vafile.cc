@@ -103,7 +103,6 @@ QueryResult VAFile::RangeQuery(const fp::Fingerprint& query,
   std::array<std::vector<double>, fp::kDims> upper_sq;
   BuildBoundTables(query, &lower_sq, &upper_sq);
   result.stats.selection_ns = watch.ElapsedNanos();
-  result.stats.filter_seconds = result.stats.selection_ns * 1e-9;
 
   watch.Reset();
   const double eps_sq = epsilon * epsilon;
@@ -124,7 +123,6 @@ QueryResult VAFile::RangeQuery(const fp::Fingerprint& query,
     RefineRecord(query, block_, i, spec, &result);
   }
   result.stats.refine_ns = watch.ElapsedNanos();
-  result.stats.refine_seconds = result.stats.refine_ns * 1e-9;
   RecordQueryMetrics(QueryKind::kRange, result.stats, result.matches.size());
   return result;
 }
@@ -168,7 +166,6 @@ QueryResult VAFile::KnnQuery(const fp::Fingerprint& query, int k) const {
     }
   }
   result.stats.selection_ns = watch.ElapsedNanos();
-  result.stats.filter_seconds = result.stats.selection_ns * 1e-9;
 
   // Phase 2: visit candidates by increasing lower bound; stop when the
   // next lower bound exceeds the kth exact distance found so far.
@@ -206,7 +203,7 @@ QueryResult VAFile::KnnQuery(const fp::Fingerprint& query, int k) const {
     best.pop();
   }
   result.stats.refine_ns = watch.ElapsedNanos();
-  result.stats.refine_seconds = result.stats.refine_ns * 1e-9;
+  RecordQueryMetrics(QueryKind::kKnn, result.stats, result.matches.size());
   return result;
 }
 

@@ -45,7 +45,8 @@ class VAFile {
   QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon) const;
 
   /// Exact k-nearest-neighbor query (VA-SSA style: candidates ordered by
-  /// lower bound, cut by the running kth upper bound).
+  /// lower bound, cut by the running kth upper bound). Each query
+  /// publishes one kKnn record of the index.* metrics.
   QueryResult KnnQuery(const fp::Fingerprint& query, int k) const;
 
   /// Size of the approximation data in conceptual VA-file bits.

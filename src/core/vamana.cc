@@ -469,7 +469,6 @@ QueryResult VamanaIndex::RangeQueryImpl(const fp::Fingerprint& query,
   result.stats.descriptor_bytes_scanned = scored * view_.desc_bytes;
   result.stats.nodes_visited = expansions;
   result.stats.refine_ns = watch.ElapsedNanos();
-  result.stats.refine_seconds = result.stats.refine_ns * 1e-9;
   return result;
 }
 

@@ -14,7 +14,7 @@
 
 namespace s3vcd::core {
 
-/// Options of the Vamana-style graph ANN backend (registry name "vamana"):
+/// Options of the Vamana-style graph ANN backend ("vamana"):
 /// a single-shot DiskANN-flavored proximity graph over a snapshot of
 /// fingerprint records, built with GreedySearch + alpha-RobustPrune under
 /// a hard out-degree bound.

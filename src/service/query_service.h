@@ -132,7 +132,7 @@ struct QueryServiceOptions {
 /// deadlines, worker fan-out and a shared selection cache.
 ///
 /// The service is backend-agnostic: it only speaks the ShardedSearcher
-/// API, which in turn speaks core::Searcher, so any registry backend
+/// API, which in turn speaks core::Searcher, so any served backend
 /// works. The selection cache is an optimization that engages only when
 /// the backend exposes block structure (selection_filter() != nullptr);
 /// on other backends the service degrades gracefully — queries fan out

@@ -42,13 +42,7 @@ Result<ShardedSearcher> ShardedSearcher::Build(
   if (options.num_shards < 1 || options.num_shards > 1024) {
     return Status::InvalidArgument("num_shards must be in [1, 1024]");
   }
-  core::SearcherRegistry& registry = core::SearcherRegistry::Global();
-  if (!registry.Contains(options.backend)) {
-    return Status::InvalidArgument("unknown searcher backend '" +
-                                   options.backend +
-                                   "'; registered backends: " +
-                                   registry.NamesCsv());
-  }
+  S3VCD_RETURN_IF_ERROR(store::CheckSearcherBackend(options.backend));
   if (options.backend == "segment" &&
       !options.config.segment_store_dir.empty() && options.num_shards > 1) {
     // Every shard would open the same directory: the first fills it, an
@@ -89,12 +83,11 @@ Result<ShardedSearcher> ShardedSearcher::Build(
   std::vector<std::unique_ptr<core::Searcher>> shards;
   shards.reserve(num_shards);
   for (size_t k = 0; k < num_shards; ++k) {
-    Result<std::unique_ptr<core::Searcher>> shard =
-        registry.Create(options.backend, builders[k].Build(), options.config);
-    if (!shard.ok()) {
-      return shard.status();
-    }
-    shards.push_back(std::move(*shard));
+    S3VCD_ASSIGN_OR_RETURN(
+        std::unique_ptr<core::Searcher> shard,
+        store::MakeSearcher(options.backend, builders[k].Build(),
+                            options.config));
+    shards.push_back(std::move(shard));
   }
   return ShardedSearcher(options, std::move(shards));
 }
@@ -153,7 +146,6 @@ core::QueryResult ShardedSearcher::ScanShard(
   shards_[k]->ScanSelection(query, selection, options.refinement,
                             options.radius, &model, &partial);
   partial.stats.refine_ns = watch.ElapsedNanos();
-  partial.stats.refine_seconds = partial.stats.refine_ns * 1e-9;
   shard_scan_us_[k]->Record(partial.stats.refine_ns * 1e-3);
   return partial;
 }
@@ -173,7 +165,6 @@ core::QueryResult ShardedSearcher::MergeShardResults(
   core::QueryResult result;
   if (selection != nullptr) {
     result.stats.selection_ns = selection_ns;
-    result.stats.filter_seconds = selection_ns * 1e-9;
     result.stats.selection_cached = selection_cached;
     result.stats.blocks_selected = selection->num_blocks;
     // A cached hit ran no selection: re-reporting the stored selection's
@@ -188,14 +179,12 @@ core::QueryResult ShardedSearcher::MergeShardResults(
                           std::make_move_iterator(partial.matches.begin()),
                           std::make_move_iterator(partial.matches.end()));
     // Summed across shards: CPU time, not wall time, under fan-out.
-    result.stats.refine_seconds += partial.stats.refine_seconds;
     result.stats.refine_ns += partial.stats.refine_ns;
     result.stats.ranges_scanned += partial.stats.ranges_scanned;
     result.stats.records_scanned += partial.stats.records_scanned;
     result.stats.descriptor_bytes_scanned +=
         partial.stats.descriptor_bytes_scanned;
     if (selection == nullptr) {
-      result.stats.filter_seconds += partial.stats.filter_seconds;
       result.stats.selection_ns += partial.stats.selection_ns;
       result.stats.blocks_selected += partial.stats.blocks_selected;
       result.stats.nodes_visited += partial.stats.nodes_visited;

@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "service/cancel_token.h"
 #include "service/selection_cache.h"
+#include "store/make_searcher.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -35,17 +36,17 @@ struct ShardedSearcherOptions {
   /// Number of shards K, clamped to [1, 1024].
   int num_shards = 4;
   ShardingPolicy policy = ShardingPolicy::kHilbertRange;
-  /// Registry name of the per-shard backend ("s3", "segment", "seqscan",
-  /// "vamana", or any extension registered with SearcherRegistry). A
-  /// "segment" backend with a non-empty config.segment_store_dir takes a
-  /// single shard: the shards would otherwise share one store directory.
+  /// Per-shard backend, one of store::kSearcherBackends ("s3", "segment",
+  /// "seqscan", "vamana"). A "segment" backend with a non-empty
+  /// config.segment_store_dir takes a single shard: the shards would
+  /// otherwise share one store directory.
   std::string backend = "s3";
-  /// Backend construction parameters forwarded to the registry factory.
-  core::SearcherConfig config;
+  /// Backend construction parameters forwarded to store::MakeSearcher.
+  store::SearcherConfig config;
 };
 
 /// Partitions one reference database across K Searcher shards (any
-/// registered backend; "s3" by default) and answers statistical
+/// served backend; "s3" by default) and answers statistical
 /// queries over their union.
 ///
 /// Correctness invariant (pinned by tests/service_test.cc and

@@ -1,0 +1,124 @@
+#include "store/make_searcher.h"
+
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "core/descriptor_codec.h"
+#include "core/index.h"
+#include "core/scan_kernel.h"
+#include "core/vamana.h"
+#include "store/segment_searcher.h"
+#include "util/timer.h"
+
+namespace s3vcd::store {
+
+namespace {
+
+/// The paper's reference method (Section V-B) as a Searcher of its own:
+/// every query is a full linear scan of the database. No public header;
+/// construct it as MakeSearcher("seqscan", ...).
+class SeqScanSearcher final : public core::Searcher {
+ public:
+  explicit SeqScanSearcher(core::FingerprintDatabase db) : db_(std::move(db)) {}
+
+  const char* backend_name() const override { return "seqscan"; }
+
+  core::QueryResult StatQuery(const fp::Fingerprint& query,
+                              const core::DistortionModel& model,
+                              const core::QueryOptions& options)
+      const override {
+    core::QueryResult result = Scan(
+        query, core::EqualExpectationRadius(model, options.filter.alpha));
+    core::RecordQueryMetrics(core::QueryKind::kStatistical, result.stats,
+                             result.matches.size());
+    return result;
+  }
+
+  core::QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon,
+                               int /*depth*/) const override {
+    core::QueryResult result = Scan(query, epsilon);
+    core::RecordQueryMetrics(core::QueryKind::kSequentialScan, result.stats,
+                             result.matches.size());
+    return result;
+  }
+
+  core::SearcherStats Stats() const override { return {db_.size()}; }
+
+  uint64_t ApproxBytes() const override { return db_.MemoryBytes(); }
+
+ private:
+  core::QueryResult Scan(const fp::Fingerprint& query, double epsilon) const {
+    core::QueryResult result;
+    Stopwatch watch;
+    const core::RefineSpec spec(core::RefinementMode::kRadiusFilter, epsilon,
+                                nullptr);
+    core::ScanRecords(query, db_.block(), 0, db_.size(), spec, &result);
+    result.stats.refine_ns = watch.ElapsedNanos();
+    return result;
+  }
+
+  core::FingerprintDatabase db_;
+};
+
+Status UnknownCodec(std::string_view backend, const std::string& codec) {
+  return Status::InvalidArgument(
+      "unknown " + std::string(backend) + " codec '" + codec +
+      "' (expected " + core::DescriptorCodecNamesCsv() + ")");
+}
+
+}  // namespace
+
+Status CheckSearcherBackend(std::string_view name) {
+  if (std::ranges::find(kSearcherBackends, name) != kSearcherBackends.end()) {
+    return Status::OK();
+  }
+  std::string names;
+  for (const std::string_view backend : kSearcherBackends) {
+    names += names.empty() ? "" : ", ";
+    names += backend;
+  }
+  return Status::InvalidArgument("unknown backend '" + std::string(name) +
+                                 "'; registered backends: " + names);
+}
+
+Result<std::unique_ptr<core::Searcher>> MakeSearcher(
+    std::string_view name, core::FingerprintDatabase db,
+    const SearcherConfig& config) {
+  S3VCD_RETURN_IF_ERROR(CheckSearcherBackend(name));
+  if (name == "s3") {
+    return std::unique_ptr<core::Searcher>(
+        std::make_unique<core::S3Index>(std::move(db)));
+  }
+  if (name == "seqscan") {
+    return std::unique_ptr<core::Searcher>(
+        std::make_unique<SeqScanSearcher>(std::move(db)));
+  }
+  if (name == "segment") {
+    SegmentSearcherOptions options;
+    options.store_dir = config.segment_store_dir;
+    if (!core::DescriptorCodecFromName(config.segment_codec,
+                                       &options.store.codec)) {
+      return UnknownCodec(name, config.segment_codec);
+    }
+    S3VCD_ASSIGN_OR_RETURN(std::unique_ptr<SegmentSearcher> searcher,
+                           SegmentSearcher::Open(std::move(db), options));
+    return std::unique_ptr<core::Searcher>(std::move(searcher));
+  }
+  core::VamanaOptions options;
+  options.graph_degree = config.vamana_graph_degree;
+  options.beam_width = config.vamana_beam_width;
+  options.graph_path = config.vamana_graph_path;
+  if (!core::DescriptorCodecFromName(config.vamana_codec, &options.codec)) {
+    return UnknownCodec(name, config.vamana_codec);
+  }
+  std::vector<core::FingerprintRecord> records;
+  records.reserve(db.size());
+  for (size_t i = 0; i < db.size(); ++i) {
+    records.push_back(db.record(i));
+  }
+  return std::unique_ptr<core::Searcher>(
+      std::make_unique<core::VamanaIndex>(std::move(records), options));
+}
+
+}  // namespace s3vcd::store

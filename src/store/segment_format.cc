@@ -353,13 +353,11 @@ Status SegmentReader::Init(const std::string& path,
     }
     prev_end = sections[s].offset + sections[s].length;
   }
-  if (options.verify_checksums) {
-    for (uint32_t s = 0; s < kNumSections; ++s) {
-      if (Crc32(data + sections[s].offset, sections[s].length) !=
-          sections[s].crc) {
-        return Status::Corruption("segment section " + std::to_string(s) +
-                                  " checksum mismatch: " + path);
-      }
+  for (uint32_t s = 0; s < kNumSections; ++s) {
+    if (Crc32(data + sections[s].offset, sections[s].length) !=
+        sections[s].crc) {
+      return Status::Corruption("segment section " + std::to_string(s) +
+                                " checksum mismatch: " + path);
     }
   }
   if (!core::DeserializeCodecParams(codec_kind, data + sections[6].offset,

@@ -86,9 +86,6 @@ struct SegmentReadOptions {
   /// When mapping fails (e.g. filesystem without mmap) Open falls back to
   /// a resident read.
   bool use_mmap = true;
-  /// Verify every section CRC at open. Opening is O(file) either way; with
-  /// verification off only the header/footer structure is checked.
-  bool verify_checksums = true;
 };
 
 /// A validated, immutable, opened segment. All accessors are const and

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <mutex>
 #include <set>
 #include <utility>
 #include <vector>
@@ -12,8 +11,6 @@
 #include "core/scan_kernel.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "util/timer.h"
 
 namespace s3vcd::store {
 
@@ -114,11 +111,11 @@ Result<std::unique_ptr<SegmentSearcher>> SegmentSearcher::Open(
   return searcher;
 }
 
-void SegmentSearcher::ScanStore(const fp::Fingerprint& query,
-                                const core::BlockSelection& selection,
-                                core::RefinementMode mode, double radius,
-                                const core::DistortionModel* model,
-                                core::QueryResult* result) const {
+void SegmentSearcher::ScanSelection(const fp::Fingerprint& query,
+                                    const core::BlockSelection& selection,
+                                    core::RefinementMode mode, double radius,
+                                    const core::DistortionModel* model,
+                                    core::QueryResult* result) const {
   const core::RefineSpec spec(mode, radius, model);
   const std::shared_ptr<const SegmentStore::View> view = store_->view();
   // Segments and memtable runs are all key-sorted sources: a section
@@ -145,61 +142,6 @@ void SegmentSearcher::ScanStore(const fp::Fingerprint& query,
       scan(memtable_.run(r), begin, end);
     }
   }
-}
-
-void SegmentSearcher::ScanSelection(const fp::Fingerprint& query,
-                                    const core::BlockSelection& selection,
-                                    core::RefinementMode mode, double radius,
-                                    const core::DistortionModel* model,
-                                    core::QueryResult* result) const {
-  ScanStore(query, selection, mode, radius, model, result);
-}
-
-core::QueryResult SegmentSearcher::StatQuery(
-    const fp::Fingerprint& query, const core::DistortionModel& model,
-    const core::QueryOptions& options) const {
-  S3VCD_TRACE_SPAN("segment_searcher.query.statistical");
-  core::QueryResult result;
-  Stopwatch watch;
-  const core::BlockSelection selection = filter_.SelectStatistical(
-      query, model, options.filter, &core::ThreadLocalSelectionScratch());
-  result.stats.selection_ns = watch.ElapsedNanos();
-  result.stats.filter_seconds = result.stats.selection_ns * 1e-9;
-  result.stats.blocks_selected = selection.num_blocks;
-  result.stats.nodes_visited = selection.nodes_visited;
-  result.stats.probability_mass = selection.probability_mass;
-
-  watch.Reset();
-  ScanStore(query, selection, options.refinement, options.radius, &model,
-            &result);
-  result.stats.refine_ns = watch.ElapsedNanos();
-  result.stats.refine_seconds = result.stats.refine_ns * 1e-9;
-  core::RecordQueryMetrics(core::QueryKind::kStatistical, result.stats,
-                           result.matches.size());
-  return result;
-}
-
-core::QueryResult SegmentSearcher::RangeQuery(const fp::Fingerprint& query,
-                                              double epsilon,
-                                              int depth) const {
-  S3VCD_TRACE_SPAN("segment_searcher.query.range");
-  core::QueryResult result;
-  Stopwatch watch;
-  const core::BlockSelection selection = filter_.SelectRange(
-      query, epsilon, depth, 1 << 20, &core::ThreadLocalSelectionScratch());
-  result.stats.selection_ns = watch.ElapsedNanos();
-  result.stats.filter_seconds = result.stats.selection_ns * 1e-9;
-  result.stats.blocks_selected = selection.num_blocks;
-  result.stats.nodes_visited = selection.nodes_visited;
-
-  watch.Reset();
-  ScanStore(query, selection, core::RefinementMode::kRadiusFilter, epsilon,
-            nullptr, &result);
-  result.stats.refine_ns = watch.ElapsedNanos();
-  result.stats.refine_seconds = result.stats.refine_ns * 1e-9;
-  core::RecordQueryMetrics(core::QueryKind::kRange, result.stats,
-                           result.matches.size());
-  return result;
 }
 
 core::SearcherStats SegmentSearcher::Stats() const {
@@ -288,33 +230,6 @@ void SegmentSearcher::Compact() {
     S3VCD_LOG(ERROR) << "segment compaction failed: " << status.ToString();
   }
   g_segments->Set(static_cast<int64_t>(store_->num_segments()));
-}
-
-void EnsureSegmentBackendRegistered() {
-  static std::once_flag flag;
-  std::call_once(flag, [] {
-    core::SearcherRegistry::Global().Register(
-        "segment",
-        [](core::FingerprintDatabase db, const core::SearcherConfig& config)
-            -> std::unique_ptr<core::Searcher> {
-          SegmentSearcherOptions options;
-          options.store_dir = config.segment_store_dir;
-          if (!core::DescriptorCodecFromName(config.segment_codec,
-                                             &options.store.codec)) {
-            S3VCD_LOG(ERROR)
-                << "unknown segment codec '" << config.segment_codec
-                << "' (expected " << core::DescriptorCodecNamesCsv() << ")";
-            return nullptr;
-          }
-          auto searcher = SegmentSearcher::Open(std::move(db), options);
-          if (!searcher.ok()) {
-            S3VCD_LOG(ERROR) << "segment backend construction failed: "
-                             << searcher.status().ToString();
-            return nullptr;
-          }
-          return std::move(*searcher);
-        });
-  });
 }
 
 }  // namespace s3vcd::store

@@ -21,22 +21,22 @@ struct SegmentSearcherOptions {
   std::string store_dir;
   /// Memtable records that trigger a spill into a new segment.
   size_t spill_threshold = 64 * 1024;
-  /// Store tuning (fan-in, mmap, checksums, sync). tier_base_records is
+  /// Store tuning (fan-in, mmap, sync, codec). tier_base_records is
   /// overwritten with spill_threshold so fresh spills land in tier 0.
   SegmentStoreOptions store;
 };
 
-/// The "segment" registry backend, and the only built-in backend that
-/// accepts inserts. Queries select curve sections once through the shared
-/// BlockFilter, then refine each section over every key-sorted source: the
-/// on-disk segments (the SoA scan kernels run directly on the mapped
-/// columns — SegmentReader hands ScanRecords a DescriptorView into the
-/// mapping), then the memtable's sorted runs. Each source prunes the
-/// section by its min/max key and resolves it by binary search, so a
-/// buffered record is found the way a stored one is and results are
-/// identical to an in-memory S3 index over the same records
-/// (tests/segment_parity_test.cc pins bit-identical parity, including
-/// across a close/reopen cycle).
+/// The "segment" backend of MakeSearcher, and the only backend that
+/// accepts inserts. Queries (the default core::Searcher ones) select curve
+/// sections once through the BlockFilter, then ScanSelection refines each
+/// section over every key-sorted source: the on-disk segments (the SoA scan
+/// kernels run directly on the mapped columns — SegmentReader hands
+/// ScanRecords a DescriptorView into the mapping), then the memtable's
+/// sorted runs. Each source prunes the section by its min/max key and
+/// resolves it by binary search, so a buffered record is found the way a
+/// stored one is and results are identical to an in-memory S3 index over
+/// the same records (tests/segment_parity_test.cc pins bit-identical
+/// parity, including across a close/reopen cycle).
 ///
 /// Inserts append to the memtable and spill into immutable segments at
 /// spill_threshold; Compact() spills whatever is buffered and runs the
@@ -75,11 +75,6 @@ class SegmentSearcher : public core::Searcher {
 
   // ---- Searcher interface ----
   const char* backend_name() const override { return "segment"; }
-  core::QueryResult StatQuery(const fp::Fingerprint& query,
-                              const core::DistortionModel& model,
-                              const core::QueryOptions& options) const override;
-  core::QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon,
-                               int depth) const override;
   core::SearcherStats Stats() const override;
   uint64_t ApproxBytes() const override;
   const core::BlockFilter* selection_filter() const override {
@@ -96,11 +91,6 @@ class SegmentSearcher : public core::Searcher {
 
   /// Writes the memtable out as one segment (no-op when empty).
   Status Spill();
-  void ScanStore(const fp::Fingerprint& query,
-                 const core::BlockSelection& selection,
-                 core::RefinementMode mode, double radius,
-                 const core::DistortionModel* model,
-                 core::QueryResult* result) const;
 
   std::unique_ptr<SegmentStore> store_;
   /// True when the searcher created a private temp store dir and must
@@ -112,13 +102,6 @@ class SegmentSearcher : public core::Searcher {
   Memtable memtable_;
   size_t spill_threshold_;
 };
-
-/// Registers the "segment" backend in core::SearcherRegistry::Global()
-/// (idempotent). Linked binaries that want `--backend segment` call this
-/// once at startup; the SearcherConfig fields segment_store_dir and
-/// segment_codec feed the factory, and the other SegmentSearcherOptions
-/// keep their defaults.
-void EnsureSegmentBackendRegistered();
 
 }  // namespace s3vcd::store
 

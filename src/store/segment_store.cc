@@ -21,6 +21,10 @@ namespace fs = std::filesystem;
 constexpr uint32_t kManifestMagic = 0x53334D46;  // "S3MF"
 constexpr uint32_t kManifestVersion = 1;
 constexpr char kCurrentName[] = "CURRENT";
+// Upper bound on the records a single compaction merges: it bounds the
+// transient memory of the merge, which accumulates the merged run in
+// memory before writing it out.
+constexpr uint64_t kMaxCompactionRecords = uint64_t{64} << 20;
 
 obs::Counter* const g_segments_written =
     obs::MetricsRegistry::Global().GetCounter("store.segments_written");
@@ -152,8 +156,7 @@ Status SegmentStore::Load(int requested_order) {
     }
     S3VCD_RETURN_IF_ERROR(reader.Close());
 
-    const SegmentReadOptions read_options{options_.use_mmap,
-                                          options_.verify_checksums};
+    const SegmentReadOptions read_options{options_.use_mmap};
     for (const Entry& e : entries) {
       S3VCD_ASSIGN_OR_RETURN(
           std::shared_ptr<SegmentReader> segment,
@@ -300,8 +303,7 @@ Status SegmentStore::AppendSegment(const core::DescriptorBlock& block,
       tmp, id, order_, block, keys, {options_.sync_writes, options_.codec}));
   S3VCD_RETURN_IF_ERROR(RenameFile(tmp, path));
 
-  const SegmentReadOptions read_options{options_.use_mmap,
-                                        options_.verify_checksums};
+  const SegmentReadOptions read_options{options_.use_mmap};
   auto opened = SegmentReader::Open(path, read_options);
   if (!opened.ok()) {
     std::remove(path.c_str());
@@ -365,7 +367,7 @@ Status SegmentStore::Compact(bool* merged) {
         break;
       }
       const uint64_t n = old_view->segments[i]->size();
-      if (!group.empty() && records + n > options_.max_compaction_records) {
+      if (!group.empty() && records + n > kMaxCompactionRecords) {
         break;
       }
       group.push_back(i);
@@ -383,7 +385,7 @@ Status SegmentStore::Compact(bool* merged) {
   S3VCD_TRACE_SPAN("store.compact");
 
   // K-way merge of the chosen segments into one sorted run. The merged
-  // run is accumulated in memory (bounded by max_compaction_records)
+  // run is accumulated in memory (bounded by kMaxCompactionRecords)
   // before it is written out.
   struct Source {
     const SegmentReader* segment;
@@ -440,8 +442,7 @@ Status SegmentStore::Compact(bool* merged) {
     return Status::Internal("injected failure before manifest swap");
   }
 
-  const SegmentReadOptions read_options{options_.use_mmap,
-                                        options_.verify_checksums};
+  const SegmentReadOptions read_options{options_.use_mmap};
   auto opened = SegmentReader::Open(path, read_options);
   if (!opened.ok()) {
     std::remove(path.c_str());

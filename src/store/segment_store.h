@@ -24,15 +24,9 @@ struct SegmentStoreOptions {
   /// passes its spill threshold here so freshly spilled memtables land in
   /// tier 0.
   uint64_t tier_base_records = 64 * 1024;
-  /// Upper bound on the records a single compaction may merge (bounds the
-  /// transient memory of the merge, which accumulates the merged run
-  /// in memory before writing it out).
-  uint64_t max_compaction_records = uint64_t{64} << 20;
   /// Serve segments from shared read-only mappings (fall back to resident
   /// reads when mapping fails).
   bool use_mmap = true;
-  /// Verify per-section CRCs when opening segments.
-  bool verify_checksums = true;
   /// fsync segment files and manifests before installing them. Turning
   /// this off trades crash durability for ingest speed (tests).
   bool sync_writes = true;

@@ -52,7 +52,7 @@ TEST(AnisotropicModelTest, RetrievalTracksAlphaUnderMatchingModel) {
       const double v = target[j] + rng.Gaussian(0, sigmas[j]);
       q[j] = static_cast<uint8_t>(std::clamp(v, 0.0, 255.0) + 0.5);
     }
-    const QueryResult result = index.StatisticalQuery(q, model, options);
+    const QueryResult result = index.StatQuery(q, model, options);
     const double target_dist = fp::Distance(q, target);
     for (const auto& m : result.matches) {
       if (std::abs(m.distance - target_dist) < 1e-3) {
@@ -175,7 +175,7 @@ TEST(AnisotropicModelTest, NormalizedRadiusFilterWeightsComponents) {
   options.filter.depth = 8;
   options.refinement = RefinementMode::kNormalizedRadiusFilter;
   options.radius = 6.0;  // normalized units: chi_20 mass is ~all inside
-  const QueryResult result = index.StatisticalQuery(q, model, options);
+  const QueryResult result = index.StatQuery(q, model, options);
   bool saw_low = false;
   bool saw_high = false;
   for (const auto& m : result.matches) {
@@ -206,8 +206,8 @@ TEST(AnisotropicModelTest, NormalizedEqualsPlainForIsotropicModel) {
     QueryOptions normalized = plain;
     normalized.refinement = RefinementMode::kNormalizedRadiusFilter;
     normalized.radius = 90.0 / sigma;
-    const QueryResult a = index.StatisticalQuery(q, model, plain);
-    const QueryResult b = index.StatisticalQuery(q, model, normalized);
+    const QueryResult a = index.StatQuery(q, model, plain);
+    const QueryResult b = index.StatQuery(q, model, normalized);
     EXPECT_EQ(a.matches.size(), b.matches.size()) << "trial " << t;
   }
 }

@@ -1,4 +1,4 @@
-// Cross-backend parity: every registered exact Searcher backend, and the
+// Cross-backend parity: every served exact Searcher backend, and the
 // VA-file baseline, must agree on the result set of an exact range query
 // over the same records, the block backends (s3, segment) must agree
 // exactly on statistical queries including their scan counters, and
@@ -17,6 +17,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -32,6 +33,7 @@
 #include "core/vamana.h"
 #include "fingerprint/fingerprint.h"
 #include "service/sharded_searcher.h"
+#include "store/make_searcher.h"
 #include "store/segment_searcher.h"
 #include "util/math.h"
 #include "util/rng.h"
@@ -76,9 +78,8 @@ std::vector<fp::Fingerprint> MakeQueries(const FingerprintDatabase& db) {
   return queries;
 }
 
-std::unique_ptr<Searcher> MakeBackend(const std::string& name) {
-  store::EnsureSegmentBackendRegistered();
-  auto backend = SearcherRegistry::Global().Create(name, MakeDatabase());
+std::unique_ptr<Searcher> MakeBackend(std::string_view name) {
+  auto backend = store::MakeSearcher(name, MakeDatabase());
   EXPECT_TRUE(backend.ok()) << backend.status().ToString();
   return std::move(*backend);
 }
@@ -110,23 +111,23 @@ double TestEpsilon() {
 
 // The served backends, and only those: the VA-file and LSH baselines are
 // constructed directly by the benches and tests that compare against them.
-TEST(RegistryTest, KnowsExactlyTheServedBackends) {
-  store::EnsureSegmentBackendRegistered();
-  EXPECT_EQ(SearcherRegistry::Global().Names(),
+TEST(MakeSearcherTest, KnowsExactlyTheServedBackends) {
+  EXPECT_EQ(std::vector<std::string>(store::kSearcherBackends.begin(),
+                                     store::kSearcherBackends.end()),
             (std::vector<std::string>{"s3", "segment", "seqscan", "vamana"}));
 }
 
-TEST(RegistryTest, RejectsUnknownBackendWithNameList) {
-  auto result = SearcherRegistry::Global().Create("btree", MakeDatabase());
+TEST(MakeSearcherTest, RejectsUnknownBackendWithNameList) {
+  auto result = store::MakeSearcher("btree", MakeDatabase());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  // The message must list the registered names — it is surfaced verbatim
+  // The message must list the served names — it is surfaced verbatim
   // by the tool's --backend rejection.
   EXPECT_NE(result.status().ToString().find("seqscan"), std::string::npos)
       << result.status().ToString();
 }
 
-// Every registered exact backend and the VA-file return the identical id
+// Every served exact backend and the VA-file return the identical id
 // set for the identical range query; the vamana graph returns a subset
 // (its recall floor is VamanaRecallBound's), and LSH returns a subset
 // with bounded recall loss.
@@ -137,7 +138,7 @@ TEST(BackendParityTest, RangeParity) {
 
   const auto seqscan = MakeBackend("seqscan");
   std::vector<std::pair<std::string, std::unique_ptr<Searcher>>> registered;
-  for (const std::string& name : SearcherRegistry::Global().Names()) {
+  for (const std::string_view name : store::kSearcherBackends) {
     registered.emplace_back(name, MakeBackend(name));
   }
   const VAFile vafile(RecordsOf(db), VAFileOptions{});

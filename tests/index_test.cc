@@ -167,7 +167,7 @@ TEST_F(IndexFixture, StatisticalQueryReturnsExactlyRegionContents) {
         DistortFingerprint(sample_[trial % sample_.size()], 15.0, &rng_);
     const BlockSelection sel =
         index_.filter().SelectStatistical(q, model, options.filter);
-    const QueryResult result = index_.StatisticalQuery(q, model, options);
+    const QueryResult result = index_.StatQuery(q, model, options);
     // Count database records inside the selection by key membership.
     size_t expected = 0;
     for (size_t i = 0; i < index_.database().size(); ++i) {
@@ -198,7 +198,7 @@ TEST_F(IndexFixture, StatisticalRetrievalRateTracksAlpha) {
     for (int t = 0; t < kTrials; ++t) {
       const fp::Fingerprint& target = sample_[t % sample_.size()];
       const fp::Fingerprint q = DistortFingerprint(target, sigma, &rng_);
-      const QueryResult result = index_.StatisticalQuery(q, model, options);
+      const QueryResult result = index_.StatQuery(q, model, options);
       const double target_dist = fp::Distance(q, target);
       for (const Match& m : result.matches) {
         if (std::abs(m.distance - target_dist) < 1e-3) {
@@ -305,7 +305,7 @@ TEST_F(IndexFixture, StatsArePopulated) {
   options.filter.alpha = 0.8;
   options.filter.depth = 12;
   const fp::Fingerprint q = DistortFingerprint(sample_[3], 12.0, &rng_);
-  const QueryResult result = index_.StatisticalQuery(q, model, options);
+  const QueryResult result = index_.StatQuery(q, model, options);
   EXPECT_GT(result.stats.blocks_selected, 0u);
   EXPECT_GT(result.stats.nodes_visited, 0u);
   EXPECT_GE(result.stats.probability_mass, 0.8 * 0.99);
@@ -321,8 +321,8 @@ TEST_F(IndexFixture, RadiusFilterModeRestrictsResults) {
   radius.refinement = RefinementMode::kRadiusFilter;
   radius.radius = 50.0;
   const fp::Fingerprint q = DistortFingerprint(sample_[5], 12.0, &rng_);
-  const QueryResult a = index_.StatisticalQuery(q, model, all);
-  const QueryResult b = index_.StatisticalQuery(q, model, radius);
+  const QueryResult a = index_.StatQuery(q, model, all);
+  const QueryResult b = index_.StatQuery(q, model, radius);
   EXPECT_LE(b.matches.size(), a.matches.size());
   for (const Match& m : b.matches) {
     EXPECT_LE(m.distance, 50.0);
@@ -336,7 +336,7 @@ TEST(IndexEdgeCasesTest, EmptyDatabaseIsSafe) {
   const GaussianDistortionModel model(10.0);
   QueryOptions options;
   const fp::Fingerprint q = UniformRandomFingerprint(&rng);
-  EXPECT_TRUE(index.StatisticalQuery(q, model, options).matches.empty());
+  EXPECT_TRUE(index.StatQuery(q, model, options).matches.empty());
   EXPECT_TRUE(index.RangeQuery(q, 100.0, 8).matches.empty());
   EXPECT_TRUE(index.SequentialScan(q, 100.0).matches.empty());
 }
@@ -350,7 +350,7 @@ TEST(IndexEdgeCasesTest, SingleRecordDatabase) {
   const GaussianDistortionModel model(10.0);
   QueryOptions options;
   options.filter.alpha = 0.99;
-  const QueryResult result = index.StatisticalQuery(one, model, options);
+  const QueryResult result = index.StatQuery(one, model, options);
   ASSERT_EQ(result.matches.size(), 1u);
   EXPECT_EQ(result.matches[0].id, 7u);
   EXPECT_EQ(result.matches[0].time_code, 3u);
@@ -399,7 +399,7 @@ TEST(IndexMoveTest, MovedIndexKeepsWorkingFilter) {
   int hits = 0;
   for (const auto& target : stored) {
     const fp::Fingerprint q = DistortFingerprint(target, 12.0, &rng);
-    const QueryResult result = assigned.StatisticalQuery(q, model, options);
+    const QueryResult result = assigned.StatQuery(q, model, options);
     const double target_dist = fp::Distance(q, target);
     for (const auto& m : result.matches) {
       if (std::abs(m.distance - target_dist) < 1e-3) {

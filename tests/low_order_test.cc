@@ -87,7 +87,7 @@ TEST_P(LowOrderTest, StatisticalQueryReachesAlpha) {
   for (int t = 0; t < kTrials; ++t) {
     const fp::Fingerprint& target = sample[t % sample.size()];
     const fp::Fingerprint q = DistortFingerprint(target, sigma, &rng);
-    const QueryResult result = index.StatisticalQuery(q, model, options);
+    const QueryResult result = index.StatQuery(q, model, options);
     EXPECT_GE(result.stats.probability_mass, 0.8 * 0.999);
     const double target_dist = fp::Distance(q, target);
     for (const auto& m : result.matches) {

@@ -3,7 +3,10 @@
 // trace JSON well-formedness, and the S3VCD_CHECK_OK helper.
 
 #include <atomic>
+#include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -12,10 +15,15 @@
 #include "core/database.h"
 #include "core/distortion_model.h"
 #include "core/index.h"
+#include "core/knn.h"
+#include "core/lsh.h"
+#include "core/searcher.h"
 #include "core/synthetic_db.h"
+#include "core/vafile.h"
 #include "obs/interval_reporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "store/make_searcher.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -555,45 +563,119 @@ TEST(CheckOkDeathTest, NonOkStatusAborts) {
                "bad arg");
 }
 
-// The acceptance contract of the metrics layer: the global index.*
-// counters record exactly what the per-query QueryStats report.
+// The acceptance contract of the metrics layer: every query path — each
+// served backend's statistical and range query, the VA-file and LSH range
+// queries and both kNN searches — publishes exactly one index.* record per
+// query, and the global counters record exactly what the per-query
+// QueryStats report.
 TEST(QueryMetricsParityTest, CountersMatchQueryStats) {
-  Rng rng(42);
-  core::DatabaseBuilder builder;
-  for (int i = 0; i < 5000; ++i) {
-    builder.Add(core::UniformRandomFingerprint(&rng),
-                static_cast<uint32_t>(i % 10), static_cast<uint32_t>(i));
+  const auto make_db = [] {
+    Rng rng(42);
+    core::DatabaseBuilder builder;
+    for (int i = 0; i < 3000; ++i) {
+      builder.Add(core::UniformRandomFingerprint(&rng),
+                  static_cast<uint32_t>(i % 10), static_cast<uint32_t>(i));
+    }
+    return builder.Build();
+  };
+  const core::FingerprintDatabase db = make_db();
+  std::vector<core::FingerprintRecord> records;
+  for (size_t i = 0; i < db.size(); ++i) {
+    records.push_back(db.record(i));
   }
-  const core::S3Index index(builder.Build());
   const core::GaussianDistortionModel model(20.0);
   core::QueryOptions options;
   options.filter.alpha = 0.8;
   options.filter.depth = 10;
+  const double epsilon = core::EqualExpectationRadius(model, 0.8);
+  Rng rng(7);
+  std::vector<fp::Fingerprint> queries;
+  for (int q = 0; q < 8; ++q) {
+    queries.push_back(
+        q % 2 == 0
+            ? core::DistortFingerprint(db.record(q * 300).descriptor, 20.0,
+                                       &rng)
+            : core::UniformRandomFingerprint(&rng));
+  }
+
+  using Run = std::function<core::QueryResult(const fp::Fingerprint&)>;
+  struct Case {
+    std::string name;
+    std::string counter;  // the index.queries.* counter each query bumps
+    Run run;
+  };
+  std::vector<std::unique_ptr<core::Searcher>> backends;
+  std::vector<Case> cases;
+  for (const std::string_view name : store::kSearcherBackends) {
+    auto backend = store::MakeSearcher(name, make_db());
+    ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+    const core::Searcher* searcher = backend->get();
+    backends.push_back(std::move(*backend));
+    cases.push_back({std::string(name) + " StatQuery",
+                     "index.queries.statistical",
+                     [searcher, &model, &options](const fp::Fingerprint& q) {
+                       return searcher->StatQuery(q, model, options);
+                     }});
+    cases.push_back({std::string(name) + " RangeQuery",
+                     name == "seqscan" ? "index.queries.seq_scan"
+                                       : "index.queries.range",
+                     [searcher, epsilon](const fp::Fingerprint& q) {
+                       return searcher->RangeQuery(q, epsilon, 10);
+                     }});
+  }
+  const core::VAFile vafile(records, core::VAFileOptions{});
+  const core::LshIndex lsh(records, core::LshOptions{});
+  const core::S3Index index(make_db());
+  cases.push_back({"vafile RangeQuery", "index.queries.range",
+                   [&](const fp::Fingerprint& q) {
+                     return vafile.RangeQuery(q, epsilon);
+                   }});
+  cases.push_back({"lsh RangeQuery", "index.queries.range",
+                   [&](const fp::Fingerprint& q) {
+                     return lsh.RangeQuery(q, epsilon);
+                   }});
+  cases.push_back({"vafile KnnQuery", "index.queries.knn",
+                   [&](const fp::Fingerprint& q) {
+                     return vafile.KnnQuery(q, 10);
+                   }});
+  cases.push_back({"s3 KnnQuery", "index.queries.knn",
+                   [&](const fp::Fingerprint& q) {
+                     return core::KnnQuery(index, q, core::KnnOptions{});
+                   }});
 
   MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.Reset();
-  core::QueryStats totals;
-  uint64_t total_matches = 0;
-  for (int q = 0; q < 8; ++q) {
-    const auto result = index.StatisticalQuery(
-        core::UniformRandomFingerprint(&rng), model, options);
-    totals.blocks_selected += result.stats.blocks_selected;
-    totals.nodes_visited += result.stats.nodes_visited;
-    totals.ranges_scanned += result.stats.ranges_scanned;
-    totals.records_scanned += result.stats.records_scanned;
-    total_matches += result.matches.size();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    registry.Reset();
+    core::QueryStats totals;
+    uint64_t total_matches = 0;
+    for (const fp::Fingerprint& q : queries) {
+      const core::QueryResult result = c.run(q);
+      totals.blocks_selected += result.stats.blocks_selected;
+      totals.nodes_visited += result.stats.nodes_visited;
+      totals.ranges_scanned += result.stats.ranges_scanned;
+      totals.records_scanned += result.stats.records_scanned;
+      total_matches += result.matches.size();
+    }
+    const MetricsSnapshot snapshot = registry.Snapshot();
+    for (const char* counter :
+         {"index.queries.statistical", "index.queries.range",
+          "index.queries.seq_scan", "index.queries.knn"}) {
+      EXPECT_EQ(snapshot.CounterOr0(counter),
+                counter == c.counter ? queries.size() : 0u)
+          << counter;
+    }
+    EXPECT_GT(totals.records_scanned, 0u);
+    EXPECT_EQ(snapshot.CounterOr0("index.blocks_selected"),
+              totals.blocks_selected);
+    EXPECT_EQ(snapshot.CounterOr0("index.nodes_visited"),
+              totals.nodes_visited);
+    EXPECT_EQ(snapshot.CounterOr0("index.ranges_scanned"),
+              totals.ranges_scanned);
+    EXPECT_EQ(snapshot.CounterOr0("index.records_scanned"),
+              totals.records_scanned);
+    EXPECT_EQ(snapshot.CounterOr0("index.matches"), total_matches);
   }
-  const MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.CounterOr0("index.queries.statistical"), 8u);
-  EXPECT_EQ(snapshot.CounterOr0("index.blocks_selected"),
-            totals.blocks_selected);
-  EXPECT_EQ(snapshot.CounterOr0("index.nodes_visited"),
-            totals.nodes_visited);
-  EXPECT_EQ(snapshot.CounterOr0("index.ranges_scanned"),
-            totals.ranges_scanned);
-  EXPECT_EQ(snapshot.CounterOr0("index.records_scanned"),
-            totals.records_scanned);
-  EXPECT_EQ(snapshot.CounterOr0("index.matches"), total_matches);
   registry.Reset();
 }
 

@@ -78,7 +78,7 @@ TEST(PseudoDiskTest, MatchesInMemoryStatisticalQuery) {
   query_options.filter.depth = options.query_depth;
   for (size_t i = 0; i < queries.size(); ++i) {
     const QueryResult expected =
-        index.StatisticalQuery(queries[i], model, query_options);
+        index.StatQuery(queries[i], model, query_options);
     EXPECT_EQ(ToSet(results[i]), ToSet(expected.matches)) << "query " << i;
   }
   std::remove(state.path.c_str());

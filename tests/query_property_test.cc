@@ -78,7 +78,7 @@ TEST_P(StatisticalQueryProperty, MassReachedAndResultsMatchRegion) {
     }
 
     // Query returns exactly the region contents.
-    const QueryResult result = index.StatisticalQuery(q, model, query);
+    const QueryResult result = index.StatQuery(q, model, query);
     size_t expected = 0;
     for (size_t i = 0; i < index.database().size(); ++i) {
       for (const auto& [begin, end] : sel.ranges) {

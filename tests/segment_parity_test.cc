@@ -14,6 +14,7 @@
 #include "core/database.h"
 #include "core/searcher.h"
 #include "core/synthetic_db.h"
+#include "store/make_searcher.h"
 #include "util/rng.h"
 
 namespace s3vcd::store {
@@ -53,7 +54,7 @@ core::FingerprintDatabase BuildDb(
 
 /// The reference answer: an in-memory S3 index over `db`.
 std::unique_ptr<core::Searcher> MakeReference(core::FingerprintDatabase db) {
-  auto s3 = core::SearcherRegistry::Global().Create("s3", std::move(db));
+  auto s3 = MakeSearcher("s3", std::move(db));
   EXPECT_TRUE(s3.ok());
   return std::move(*s3);
 }
@@ -261,11 +262,9 @@ TEST(SegmentParityTest, SpillAndCompactCyclesAccumulate) {
   EXPECT_EQ((*segment)->segment_store().total_records(), 500u + 4 * 50);
 }
 
-TEST(SegmentParityTest, RegistryConstructsSegmentBackend) {
-  EnsureSegmentBackendRegistered();
-  ASSERT_TRUE(core::SearcherRegistry::Global().Contains("segment"));
-  auto searcher =
-      core::SearcherRegistry::Global().Create("segment", BuildDb(500, 104));
+TEST(SegmentParityTest, MakeSearcherConstructsSegmentBackend) {
+  ASSERT_TRUE(CheckSearcherBackend("segment").ok());
+  auto searcher = MakeSearcher("segment", BuildDb(500, 104));
   ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
   EXPECT_STREQ((*searcher)->backend_name(), "segment");
   EXPECT_EQ((*searcher)->Stats().records, 500u);
@@ -273,10 +272,9 @@ TEST(SegmentParityTest, RegistryConstructsSegmentBackend) {
   EXPECT_GT((*searcher)->ApproxBytes(), 0u);
 }
 
-TEST(SegmentParityTest, RegistryReportsFactoryFailureAsStatus) {
-  EnsureSegmentBackendRegistered();
+TEST(SegmentParityTest, MakeSearcherReportsOpenFailureAsStatus) {
   // Point the store dir at a regular FILE: SegmentStore::Open must fail,
-  // and the registry must surface an error instead of a null searcher.
+  // and MakeSearcher must surface an error instead of a null searcher.
   const std::string bogus =
       (fs::temp_directory_path() /
        ("s3vcd_parity_bogus_" + std::to_string(::getpid())))
@@ -285,10 +283,9 @@ TEST(SegmentParityTest, RegistryReportsFactoryFailureAsStatus) {
     std::ofstream out(bogus, std::ios::trunc);
     out << "not a directory";
   }
-  core::SearcherConfig config;
+  SearcherConfig config;
   config.segment_store_dir = bogus;
-  const auto searcher = core::SearcherRegistry::Global().Create(
-      "segment", BuildDb(10, 105), config);
+  const auto searcher = MakeSearcher("segment", BuildDb(10, 105), config);
   ASSERT_FALSE(searcher.ok());
   fs::remove(bogus);
 }

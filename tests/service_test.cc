@@ -25,7 +25,6 @@
 #include "service/slow_batch_log.h"
 #include "service/selection_cache.h"
 #include "service/sharded_searcher.h"
-#include "store/segment_searcher.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -78,7 +77,7 @@ TEST(ShardedSearcherTest, ParityWithUnshardedAcrossShardCounts) {
   }
   std::vector<std::multiset<std::pair<uint32_t, uint32_t>>> expected;
   for (const auto& q : queries) {
-    expected.push_back(ToSet(reference.StatisticalQuery(q, model, options)
+    expected.push_back(ToSet(reference.StatQuery(q, model, options)
                                  .matches));
   }
 
@@ -176,7 +175,6 @@ TEST(ShardedSearcherTest, CachedSelectionTaggedInStats) {
 // configuration before any shard opens; one shard on a directory, or
 // ephemeral per-shard stores, still build.
 TEST(ShardedSearcherTest, SegmentShardsRefuseOneSharedStoreDir) {
-  store::EnsureSegmentBackendRegistered();
   const std::string dir =
       (std::filesystem::temp_directory_path() /
        ("s3vcd_shared_store_" + std::to_string(::getpid())))

@@ -447,19 +447,6 @@ TEST_F(SegmentCorruptionTest, FlippedCodecParamsByteFailsSectionChecksum) {
   ExpectCorrupt("codec params bit flip");
 }
 
-TEST_F(SegmentCorruptionTest, ChecksumVerificationCanBeDisabled) {
-  // With verify_checksums off, a payload flip passes Open (structure is
-  // intact) — documenting the tradeoff the option buys.
-  uint64_t desc_offset = 0;
-  std::memcpy(&desc_offset, footer() + 4 + 1 * 24, 8);
-  bytes_[desc_offset + 5] ^= 0x40;
-  Dump(path_, bytes_);
-  SegmentReadOptions options;
-  options.verify_checksums = false;
-  EXPECT_TRUE(SegmentReader::Open(path_, options).ok());
-  EXPECT_FALSE(SegmentReader::Open(path_).ok());
-}
-
 // ---------------------------------------------------------------------------
 // SegmentStore: manifest, compaction, crash safety
 // ---------------------------------------------------------------------------

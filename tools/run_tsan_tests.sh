@@ -23,6 +23,10 @@
 # bit masks and indexes per-axis arrays with them. The index test joins
 # both legs as well: section lookups read the self-sized index table at
 # bucket b and b + 1 and binary-search the key range between them.
+# The .s3db reader and its writers join both legs too: db_fuzz_test feeds
+# the database loader adversarial bytes, external_builder_test drives the
+# run-merging builder, and pseudo_disk_test reads curve sections into the
+# resident buffer the refinement kernel scans.
 #
 # A third leg rebuilds the kernel/codec/store tests under
 # UndefinedBehaviorSanitizer (-DS3VCD_SANITIZE=undefined): the fused
@@ -64,13 +68,14 @@ cmake --build "${asan_dir}" --target service_test store_test \
   descriptor_codec_test scan_kernel_test voting_test cbcd_test \
   stream_monitor_test harris_test descriptor_test media_filters_test \
   extractor_test extraction_parity_test filter_test filter_table_test \
-  query_property_test block_tree_test zorder_test index_test -j"$(nproc)"
+  query_property_test block_tree_test zorder_test index_test \
+  pseudo_disk_test db_fuzz_test external_builder_test -j"$(nproc)"
 
 (
   cd "${asan_dir}"
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
     ctest --output-on-failure \
-    -R '^(service_test|store_test|segment_parity_test|memtable_test|backend_parity_test|descriptor_codec_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test)$'
+    -R '^(service_test|store_test|segment_parity_test|memtable_test|backend_parity_test|descriptor_codec_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
 )
 echo "ASan run passed."
 
@@ -87,12 +92,13 @@ cmake --build "${ubsan_dir}" --target scan_kernel_test store_test \
   backend_parity_test voting_test cbcd_test stream_monitor_test \
   harris_test descriptor_test media_filters_test extractor_test \
   extraction_parity_test filter_test filter_table_test query_property_test \
-  block_tree_test zorder_test index_test -j"$(nproc)"
+  block_tree_test zorder_test index_test pseudo_disk_test db_fuzz_test \
+  external_builder_test -j"$(nproc)"
 
 (
   cd "${ubsan_dir}"
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --output-on-failure \
-    -R '^(scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|memtable_test|descriptor_codec_test|service_test|backend_parity_test|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test)$'
+    -R '^(scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|memtable_test|descriptor_codec_test|service_test|backend_parity_test|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
 )
 echo "UBSan run passed."

@@ -43,9 +43,9 @@
 // where the command needs a count), are rejected with the command's flag
 // table and exit code 2 (run a command with no flags, or see README.md,
 // for the full table). `--backend NAME` selects the search
-// structure from the SearcherRegistry ("s3", "segment", "seqscan",
-// "vamana"); an unknown name is rejected with the registered
-// list before any database is loaded. The "segment" backend serves from a
+// structure through store::MakeSearcher ("s3", "segment", "seqscan",
+// "vamana"); an unknown name is rejected with that list before any
+// database is loaded. The "segment" backend serves from a
 // persistent on-disk segment store: `query --backend segment --store-dir D`
 // ingests the database into D on first use and reopens D from its manifest
 // on every later run (the .s3db is then only the query-sampling corpus);
@@ -89,7 +89,7 @@
 #include "service/loadgen.h"
 #include "service/query_service.h"
 #include "service/sharded_searcher.h"
-#include "store/segment_searcher.h"
+#include "store/make_searcher.h"
 #include "store/segment_store.h"
 #include "util/math.h"
 #include "util/rng.h"
@@ -231,7 +231,7 @@ const std::vector<CommandSpec>& Commands() {
       {"query",
        "replay distorted self-queries with timing and metrics",
        {{"db", "database path (required)"},
-        {"backend", "registry searcher backend (default s3)"},
+        {"backend", "searcher backend (default s3)"},
         {"alpha", "statistical expectation (default 0.8)",
          FlagType::kProbability},
         {"sigma", "distortion model sigma (default 15)", FlagType::kPositive},
@@ -258,7 +258,7 @@ const std::vector<CommandSpec>& Commands() {
       {"monitor",
        "watch a synthetic stream with an embedded copy",
        {{"db", "database path (required)"},
-        {"backend", "registry searcher backend (default s3)"},
+        {"backend", "searcher backend (default s3)"},
         {"alpha", "statistical expectation (default 0.8)",
          FlagType::kProbability},
         {"sigma", "distortion model sigma (default 12)", FlagType::kPositive},
@@ -297,7 +297,7 @@ const std::vector<CommandSpec>& Commands() {
         {"seed", "deterministic seed (default 42)", FlagType::kCount},
         {"query-pool", "distinct query fingerprints (default 512)",
          FlagType::kCount},
-        {"backend", "per-shard registry backend (default s3)"},
+        {"backend", "per-shard searcher backend (default s3)"},
         {"graph-degree", "vamana backend: graph out-degree bound R "
                          "(default 32)", FlagType::kInt},
         {"beam-width", "vamana backend: query beam width L (default 64)",
@@ -415,22 +415,21 @@ bool RejectBadFlags(const CommandSpec& command, const Flags& flags) {
   return ok;
 }
 
-// Validates a --backend value against the SearcherRegistry before any
-// expensive work (a typo must not cost a database load); the rejection
-// lists the registered names so the fix is obvious.
+// Validates a --backend value before any expensive work (a typo must not
+// cost a database load); the rejection lists the served backends so the
+// fix is obvious.
 bool ValidateBackend(const std::string& command, const std::string& backend) {
-  if (core::SearcherRegistry::Global().Contains(backend)) {
-    return true;
+  const Status status = store::CheckSearcherBackend(backend);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s: %s\n", command.c_str(),
+                 status.message().c_str());
   }
-  std::fprintf(stderr, "%s: unknown backend '%s'; registered backends: %s\n",
-               command.c_str(), backend.c_str(),
-               core::SearcherRegistry::Global().NamesCsv().c_str());
-  return false;
+  return status.ok();
 }
 
 // Maps the vamana graph knobs (--graph-degree, --beam-width) into a
 // SearcherConfig; other backends ignore the fields.
-void ApplyVamanaFlags(const Flags& flags, core::SearcherConfig* config) {
+void ApplyVamanaFlags(const Flags& flags, store::SearcherConfig* config) {
   config->vamana_graph_degree =
       static_cast<int>(flags.GetInt("graph-degree", 32));
   config->vamana_beam_width =
@@ -671,7 +670,7 @@ int CmdQuery(const Flags& flags) {
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 99)));
 
   // Sample everything drawn from the records — tuning queries, then the
-  // (target, distorted self-query) pairs — before the registry consumes
+  // (target, distorted self-query) pairs — before MakeSearcher consumes
   // the database.
   const size_t db_size = db->size();
   std::vector<fp::Fingerprint> tune;
@@ -701,7 +700,7 @@ int CmdQuery(const Flags& flags) {
   // holds a manifest the store is authoritative, so hand the factory an
   // empty database (the loaded .s3db keeps serving as the query-sampling
   // corpus above). A fresh --store-dir ingests the database once.
-  core::SearcherConfig config;
+  store::SearcherConfig config;
   config.segment_store_dir = flags.Get("store-dir", "");
   config.segment_codec = codec;
   config.vamana_codec = config.segment_codec;
@@ -720,8 +719,8 @@ int CmdQuery(const Flags& flags) {
                 config.segment_store_dir.c_str());
     backend_db = core::DatabaseBuilder(backend_db.order()).Build();
   }
-  auto searcher = core::SearcherRegistry::Global().Create(
-      backend, std::move(backend_db), config);
+  auto searcher =
+      store::MakeSearcher(backend, std::move(backend_db), config);
   if (!searcher.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
                  searcher.status().ToString().c_str());
@@ -902,8 +901,7 @@ int CmdMonitor(const Flags& flags) {
                  db.status().ToString().c_str());
     return 1;
   }
-  auto searcher =
-      core::SearcherRegistry::Global().Create(backend, std::move(*db));
+  auto searcher = store::MakeSearcher(backend, std::move(*db));
   if (!searcher.ok()) {
     std::fprintf(stderr, "monitor failed: %s\n",
                  searcher.status().ToString().c_str());
@@ -1199,9 +1197,6 @@ int Usage() {
 }
 
 int Main(int argc, char** argv) {
-  // Static archives drop unreferenced registrars, so the segment backend
-  // registers explicitly before any --backend validation runs.
-  store::EnsureSegmentBackendRegistered();
   if (argc < 2) {
     return Usage();
   }
