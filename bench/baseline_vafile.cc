@@ -9,6 +9,8 @@
 // the Searcher interface. One # METRICS block per row carries a backend=
 // annotation so downstream parsers can key counters by baseline.
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -124,9 +126,13 @@ int Main() {
   add_row("lsh_range(eps, approx)", "lsh", [&](const fp::Fingerprint& q) {
     return lsh.RangeQuery(q, epsilon);
   });
+  // Leaves of about 256 records, whatever S3VCD_SCALE: deeper leaves send
+  // the best-first walk through mostly empty blocks (a fixed depth 16 costs
+  // ~1000x more at scale 0.02), shallower ones read more records.
   core::KnnOptions knn_options;
   knn_options.k = 20;
-  knn_options.depth = 16;
+  knn_options.depth =
+      std::max(1, static_cast<int>(std::bit_width(corpus.db().size() / 256)));
   add_row("s3_knn(k=20)", "s3", [&](const fp::Fingerprint& q) {
     return core::KnnQuery(*corpus.index, q, knn_options);
   });

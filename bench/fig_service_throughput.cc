@@ -2,7 +2,7 @@
 // sweeps shard count x batch size through the full QueryService, decomposes
 // per-query scan time into per-shard tasks (the scaling signal: the ratio
 // sum/max of per-shard scan times is the speedup sharding makes available
-// to the per-(query, shard) fan-out of BatchStatisticalQuery — a
+// to the per-(query, shard) scan tasks of ShardedSearcher::RunBatch — a
 // wall-clock-independent measure, since CI boxes may expose one core),
 // then sweeps queue depth under a deliberately overloaded producer to
 // demonstrate the admission-control contract (bounded queue,

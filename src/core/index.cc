@@ -77,14 +77,19 @@ void S3Index::ScanSelection(const fp::Fingerprint& query,
 
 QueryResult S3Index::SequentialScan(const fp::Fingerprint& query,
                                     double epsilon) const {
+  return core::SequentialScan(db_, query, epsilon);
+}
+
+QueryResult SequentialScan(const FingerprintDatabase& db,
+                           const fp::Fingerprint& query, double epsilon,
+                           QueryKind kind) {
   S3VCD_TRACE_SPAN("index.query.seq_scan");
   QueryResult result;
   Stopwatch watch;
   const RefineSpec spec(RefinementMode::kRadiusFilter, epsilon, nullptr);
-  ScanRecords(query, db_.block(), 0, db_.size(), spec, &result);
+  ScanRecords(query, db.block(), 0, db.size(), spec, &result);
   result.stats.refine_ns = watch.ElapsedNanos();
-  RecordQueryMetrics(QueryKind::kSequentialScan, result.stats,
-                     result.matches.size());
+  RecordQueryMetrics(kind, result.stats, result.matches.size());
   return result;
 }
 

@@ -50,8 +50,7 @@ class S3Index : public Searcher {
   /// Depth t of the index table (see the class comment).
   int table_depth() const { return table_depth_; }
 
-  /// Baseline: linear scan of the whole database with distance <= epsilon
-  /// (the reference method of Section V-B).
+  /// Baseline: core::SequentialScan of this index's database.
   QueryResult SequentialScan(const fp::Fingerprint& query,
                              double epsilon) const;
 
@@ -84,6 +83,15 @@ class S3Index : public Searcher {
   /// Record offsets of the 2^table_depth_ aligned prefixes (+ end sentinel).
   std::vector<uint64_t> table_;
 };
+
+/// The reference method of Section V-B: a linear scan of every record of
+/// `db` with distance <= epsilon, under the `index.query.seq_scan` span.
+/// Publishes one `kind` record: kSequentialScan for a range query, or
+/// kStatistical where the scan answers a statistical query at the
+/// equal-expectation radius (the "seqscan" backend).
+QueryResult SequentialScan(const FingerprintDatabase& db,
+                           const fp::Fingerprint& query, double epsilon,
+                           QueryKind kind = QueryKind::kSequentialScan);
 
 }  // namespace s3vcd::core
 

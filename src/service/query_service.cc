@@ -1,7 +1,6 @@
 #include "service/query_service.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <string>
@@ -296,67 +295,19 @@ BatchResult QueryService::ExecuteBatch(const BatchHandle& batch,
   BatchResult out;
   out.queue_wait_ms = MillisSince(batch.submit_time_, start);
 
-  const ShardedSearcher& searcher = *searcher_;
-  const CancelToken* token = &batch.token_;
-  const size_t n = batch.queries_.size();
-  out.results.resize(n);
-  const bool is_range =
-      batch.options_.paradigm == core::SearchParadigm::kRange;
-
-  size_t executed = 0;
-  if (pool != nullptr && n > 1 && !is_range) {
-    // The searcher's two-stage fan-out (one selection task per query, one
-    // scan task per (query, shard)) keeps the pool full even for small
-    // batches on many shards; the token makes it deadline-aware, so
-    // deadlined batches fan out too instead of silently serializing.
-    out.results =
-        searcher.BatchStatisticalQuery(batch.queries_, *model_,
-                                       options_.query, pool, cache_.get(),
-                                       token, &executed);
-    out.fanned_out = true;
-  } else if (pool != nullptr && n > 1) {
-    // Pooled range batch: one task per query. Tasks that start after the
-    // token fires skip their query; already-running ones finish (per-query
-    // latency bounds the overshoot).
-    std::atomic<size_t> completed{0};
-    for (size_t i = 0; i < n; ++i) {
-      pool->Submit([this, &batch, &searcher, token, &completed, &out, i] {
-        if (token->ShouldStop()) {
-          return;
-        }
-        out.results[i] =
-            searcher.RangeQuery(batch.queries_[i],
-                                batch.options_.epsilon,
-                                options_.query.filter.depth);
-        completed.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    pool->Wait();
-    executed = completed.load(std::memory_order_relaxed);
-    out.fanned_out = true;
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      if (token->ShouldStop()) {
-        break;
-      }
-      out.results[i] =
-          is_range
-              ? searcher.RangeQuery(batch.queries_[i],
-                                    batch.options_.epsilon,
-                                    options_.query.filter.depth)
-              : searcher.StatisticalQuery(batch.queries_[i], *model_,
-                                          options_.query, cache_.get());
-      ++executed;
-    }
-  }
-
-  out.queries_executed = executed;
-  if (executed < n) {
+  const BatchSpec spec =
+      batch.options_.paradigm == core::SearchParadigm::kRange
+          ? BatchSpec::Range(batch.options_.epsilon,
+                             options_.query.filter.depth)
+          : BatchSpec::Statistical(*model_, options_.query);
+  out.results = searcher_->RunBatch(batch.queries_, spec, pool, cache_.get(),
+                                    &batch.token_, &out.queries_executed);
+  if (out.queries_executed < batch.queries_.size()) {
     // The token carries only the deadline, so an early stop means it
     // expired.
     out.status = Status::DeadlineExceeded(
-        "deadline expired after " + std::to_string(executed) + " of " +
-        std::to_string(n) + " queries");
+        "deadline expired after " + std::to_string(out.queries_executed) +
+        " of " + std::to_string(batch.queries_.size()) + " queries");
   }
   // Stage breakdown: unexecuted slots carry default (zero) stats, so the
   // sums cover exactly the work that happened.

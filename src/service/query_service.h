@@ -31,8 +31,8 @@ struct BatchOptions {
   double deadline_ms = 0;
   /// Which paradigm this batch runs. kStatistical uses the service-level
   /// QueryOptions (and the selection cache); kRange runs exact
-  /// epsilon-range queries at `epsilon` (no selection to cache — the
-  /// geometric selection is not keyed by the cache).
+  /// epsilon-range queries at `epsilon` and the service's filter depth
+  /// (the cache does not key range selections).
   core::SearchParadigm paradigm = core::SearchParadigm::kStatistical;
   /// Range radius in byte-space distance units (kRange only).
   double epsilon = 0;
@@ -59,10 +59,6 @@ struct BatchResult {
   /// the execute_ms wall time).
   uint64_t selection_ns = 0;
   uint64_t refine_ns = 0;
-  /// True when the batch ran through the pooled two-stage fan-out
-  /// (threads_per_batch > 1 and more than one query) — including
-  /// deadlined batches, whose fan-out polls the batch's CancelToken.
-  bool fanned_out = false;
 };
 
 /// Completion handle of a submitted batch. Obtained from
@@ -101,8 +97,8 @@ struct QueryServiceOptions {
   /// time).
   int num_workers = 2;
   /// Fan-out width inside one batch: each worker owns a ThreadPool of this
-  /// many threads and spreads its batch's queries across them (1 = the
-  /// worker executes its batch serially).
+  /// many threads and spreads its batch's (query, shard) tasks across them
+  /// (1 = the worker executes its batch serially).
   int threads_per_batch = 1;
   /// Bound of the admission queue, in batches. Submit rejects with
   /// kUnavailable once this many batches are waiting — the backpressure

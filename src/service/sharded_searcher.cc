@@ -100,241 +100,204 @@ size_t ShardedSearcher::total_size() const {
   return total;
 }
 
-std::shared_ptr<const core::BlockSelection> ShardedSearcher::GetSelection(
-    const fp::Fingerprint& query, const core::DistortionModel& model,
-    const core::QueryOptions& options, SelectionCache* cache,
-    uint64_t* selection_ns, bool* cached) const {
-  // One selection serves every shard: it depends only on the query, the
-  // model and the filter options (see class comment). Shard 0's filter is
-  // the canonical one (all shards share the curve geometry). Backends
-  // without block structure have no filter — callers fall back to
-  // per-shard statistical queries.
-  *cached = false;
-  const core::BlockFilter* filter = shards_[0]->selection_filter();
-  if (filter == nullptr) {
-    return nullptr;
-  }
-  Stopwatch watch;
-  std::shared_ptr<const core::BlockSelection> selection;
-  if (cache != nullptr) {
-    const SelectionCache::Key key =
-        SelectionCache::MakeKey(query, options.filter, &model);
-    selection = cache->Lookup(key);
-    if (selection != nullptr) {
-      *cached = true;
-    } else {
-      selection = std::make_shared<const core::BlockSelection>(
-          filter->SelectStatistical(query, model, options.filter,
-                                    &core::ThreadLocalSelectionScratch()));
-      cache->Insert(key, selection);
-    }
-  } else {
-    selection = std::make_shared<const core::BlockSelection>(
-        filter->SelectStatistical(query, model, options.filter,
-                                  &core::ThreadLocalSelectionScratch()));
-  }
-  *selection_ns = watch.ElapsedNanos();
-  return selection;
+BatchSpec BatchSpec::Statistical(const core::DistortionModel& model,
+                                 const core::QueryOptions& options) {
+  BatchSpec spec;
+  spec.model = &model;
+  spec.options = options;
+  return spec;
 }
 
-core::QueryResult ShardedSearcher::ScanShard(
-    size_t k, const fp::Fingerprint& query,
-    const core::BlockSelection& selection, const core::DistortionModel& model,
-    const core::QueryOptions& options) const {
+BatchSpec BatchSpec::Range(double epsilon, int depth) {
+  BatchSpec spec;
+  spec.paradigm = core::SearchParadigm::kRange;
+  spec.epsilon = epsilon;
+  spec.depth = depth;
+  return spec;
+}
+
+namespace {
+
+bool IsRange(const BatchSpec& spec) {
+  return spec.paradigm == core::SearchParadigm::kRange;
+}
+
+// One query's progress through RunBatch. The query's selection task writes
+// `selection` and `head` before it submits the scan tasks; scan task k
+// writes only partials[k] and scanned[k] (uint8_t, not bool: concurrent
+// writers of distinct vector<bool> elements would race on the shared
+// word). Everything is read after the batch's last task.
+struct QueryRun {
+  std::shared_ptr<const core::BlockSelection> selection;
+  /// The selection's stats: time, cache hit, blocks, nodes and mass.
+  core::QueryStats head;
+  std::vector<core::QueryResult> partials;
+  std::vector<uint8_t> scanned;
+};
+
+// Step 1. One selection serves every shard: it depends only on the query
+// and the filter parameters (see the class comment). All shards share the
+// curve geometry, so shard 0's filter is the canonical one.
+void Select(const core::BlockFilter& filter, const fp::Fingerprint& query,
+            const BatchSpec& spec, SelectionCache* cache, QueryRun* run) {
+  S3VCD_TRACE_SPAN("index.filter");
+  Stopwatch watch;
+  if (IsRange(spec)) {
+    run->selection = std::make_shared<const core::BlockSelection>(
+        filter.SelectRange(query, spec.epsilon, spec.depth, 1 << 20,
+                           &core::ThreadLocalSelectionScratch()));
+  } else {
+    SelectionCache::Key key;
+    if (cache != nullptr) {
+      key = SelectionCache::MakeKey(query, spec.options.filter, spec.model);
+      run->selection = cache->Lookup(key);
+      run->head.selection_cached = run->selection != nullptr;
+    }
+    if (run->selection == nullptr) {
+      run->selection = std::make_shared<const core::BlockSelection>(
+          filter.SelectStatistical(query, *spec.model, spec.options.filter,
+                                   &core::ThreadLocalSelectionScratch()));
+      if (cache != nullptr) {
+        cache->Insert(key, run->selection);
+      }
+    }
+  }
+  run->head.selection_ns = watch.ElapsedNanos();
+  run->head.blocks_selected = run->selection->num_blocks;
+  // A cached hit ran no selection: re-reporting the stored selection's
+  // nodes_visited would double-count selection work in # METRICS blocks.
+  // blocks_selected / probability_mass stay — they describe the region
+  // actually scanned, cached or not.
+  run->head.nodes_visited =
+      run->head.selection_cached ? 0 : run->selection->nodes_visited;
+  run->head.probability_mass = run->selection->probability_mass;
+}
+
+// Step 2 on one shard: a scan of the shared selection, or the shard's own
+// query (which publishes its own record) without one.
+core::QueryResult ScanShard(const core::Searcher& shard,
+                            obs::Histogram* scan_us,
+                            const fp::Fingerprint& query,
+                            const BatchSpec& spec,
+                            const core::BlockSelection* selection) {
   Stopwatch watch;
   core::QueryResult partial;
-  shards_[k]->ScanSelection(query, selection, options.refinement,
-                            options.radius, &model, &partial);
-  partial.stats.refine_ns = watch.ElapsedNanos();
-  shard_scan_us_[k]->Record(partial.stats.refine_ns * 1e-3);
-  return partial;
-}
-
-core::QueryResult ShardedSearcher::StatShard(
-    size_t k, const fp::Fingerprint& query, const core::DistortionModel& model,
-    const core::QueryOptions& options) const {
-  Stopwatch watch;
-  core::QueryResult partial = shards_[k]->StatQuery(query, model, options);
-  shard_scan_us_[k]->Record(watch.ElapsedMicros());
-  return partial;
-}
-
-core::QueryResult ShardedSearcher::MergeShardResults(
-    const core::BlockSelection* selection, uint64_t selection_ns,
-    bool selection_cached, std::vector<core::QueryResult> partials) const {
-  core::QueryResult result;
   if (selection != nullptr) {
-    result.stats.selection_ns = selection_ns;
-    result.stats.selection_cached = selection_cached;
-    result.stats.blocks_selected = selection->num_blocks;
-    // A cached hit ran no selection: re-reporting the stored selection's
-    // nodes_visited would double-count selection work in # METRICS blocks.
-    // blocks_selected / probability_mass stay — they describe the region
-    // actually scanned, cached or not.
-    result.stats.nodes_visited = selection_cached ? 0 : selection->nodes_visited;
-    result.stats.probability_mass = selection->probability_mass;
+    S3VCD_TRACE_SPAN("index.refine");
+    if (IsRange(spec)) {
+      shard.ScanSelection(query, *selection,
+                          core::RefinementMode::kRadiusFilter, spec.epsilon,
+                          nullptr, &partial);
+    } else {
+      shard.ScanSelection(query, *selection, spec.options.refinement,
+                          spec.options.radius, spec.model, &partial);
+    }
+    partial.stats.refine_ns = watch.ElapsedNanos();
+  } else {
+    partial = IsRange(spec)
+                  ? shard.RangeQuery(query, spec.epsilon, spec.depth)
+                  : shard.StatQuery(query, *spec.model, spec.options);
   }
-  for (core::QueryResult& partial : partials) {
+  scan_us->Record(watch.ElapsedMicros());
+  return partial;
+}
+
+// Step 3. The shards' scan stats carry no selection fields, so summing
+// every partial onto the selection's head is right in both modes; without
+// a shared selection the head is empty and the shards' own selection
+// stats add up instead.
+core::QueryResult Merge(const BatchSpec& spec, QueryRun* run) {
+  core::QueryResult result;
+  result.stats = run->head;
+  for (core::QueryResult& partial : run->partials) {
     result.matches.insert(result.matches.end(),
                           std::make_move_iterator(partial.matches.begin()),
                           std::make_move_iterator(partial.matches.end()));
+    core::QueryStats& stats = result.stats;
     // Summed across shards: CPU time, not wall time, under fan-out.
-    result.stats.refine_ns += partial.stats.refine_ns;
-    result.stats.ranges_scanned += partial.stats.ranges_scanned;
-    result.stats.records_scanned += partial.stats.records_scanned;
-    result.stats.descriptor_bytes_scanned +=
-        partial.stats.descriptor_bytes_scanned;
-    if (selection == nullptr) {
-      result.stats.selection_ns += partial.stats.selection_ns;
-      result.stats.blocks_selected += partial.stats.blocks_selected;
-      result.stats.nodes_visited += partial.stats.nodes_visited;
-      result.stats.probability_mass =
-          std::max(result.stats.probability_mass,
-                   partial.stats.probability_mass);
-    }
+    stats.selection_ns += partial.stats.selection_ns;
+    stats.refine_ns += partial.stats.refine_ns;
+    stats.blocks_selected += partial.stats.blocks_selected;
+    stats.nodes_visited += partial.stats.nodes_visited;
+    stats.ranges_scanned += partial.stats.ranges_scanned;
+    stats.records_scanned += partial.stats.records_scanned;
+    stats.descriptor_bytes_scanned += partial.stats.descriptor_bytes_scanned;
+    stats.probability_mass =
+        std::max(stats.probability_mass, partial.stats.probability_mass);
   }
   g_queries->Increment();
-  if (selection != nullptr) {
-    // Without a shared selection the per-shard StatQuery calls already
-    // published their own metrics; publishing the merge again would double
-    // count the scan work.
-    core::RecordQueryMetrics(core::QueryKind::kStatistical, result.stats,
-                             result.matches.size());
+  if (run->selection != nullptr) {
+    // The shards only scanned: this is the query's one index.* record.
+    core::RecordQueryMetrics(IsRange(spec) ? core::QueryKind::kRange
+                                           : core::QueryKind::kStatistical,
+                             result.stats, result.matches.size());
   }
   return result;
 }
 
-core::QueryResult ShardedSearcher::StatisticalQuery(
-    const fp::Fingerprint& query, const core::DistortionModel& model,
-    const core::QueryOptions& options, SelectionCache* cache) const {
-  S3VCD_TRACE_SPAN("service.sharded_query");
-  uint64_t selection_ns = 0;
-  bool cached = false;
-  const auto selection =
-      GetSelection(query, model, options, cache, &selection_ns, &cached);
-  std::vector<core::QueryResult> partials;
-  partials.reserve(shards_.size());
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    partials.push_back(selection != nullptr
-                           ? ScanShard(k, query, *selection, model, options)
-                           : StatShard(k, query, model, options));
-  }
-  return MergeShardResults(selection.get(), selection_ns, cached,
-                           std::move(partials));
-}
+}  // namespace
 
-core::QueryResult ShardedSearcher::RangeQuery(const fp::Fingerprint& query,
-                                              double epsilon,
-                                              int depth) const {
-  S3VCD_TRACE_SPAN("service.sharded_range");
-  std::vector<core::QueryResult> partials;
-  partials.reserve(shards_.size());
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    Stopwatch watch;
-    partials.push_back(shards_[k]->RangeQuery(query, epsilon, depth));
-    shard_scan_us_[k]->Record(watch.ElapsedMicros());
-  }
-  // Merged like the no-selection statistical fallback: the per-shard
-  // queries already published their metrics, the merge only aggregates.
-  return MergeShardResults(nullptr, 0, false, std::move(partials));
-}
-
-std::vector<core::QueryResult> ShardedSearcher::BatchStatisticalQuery(
-    const std::vector<fp::Fingerprint>& queries,
-    const core::DistortionModel& model, const core::QueryOptions& options,
+std::vector<core::QueryResult> ShardedSearcher::RunBatch(
+    const std::vector<fp::Fingerprint>& queries, const BatchSpec& spec,
     ThreadPool* pool, SelectionCache* cache, const CancelToken* cancel,
     size_t* executed) const {
   S3VCD_TRACE_SPAN("service.sharded_batch");
   const size_t n = queries.size();
-  std::vector<core::QueryResult> results(n);
-  size_t done = 0;
-  if (pool == nullptr || n == 0) {
-    for (size_t i = 0; i < n; ++i) {
-      if (cancel != nullptr && cancel->ShouldStop()) {
-        break;
-      }
-      results[i] = StatisticalQuery(queries[i], model, options, cache);
-      ++done;
-    }
-    if (executed != nullptr) {
-      *executed = done;
-    }
-    return results;
-  }
-
   const size_t num_shards = shards_.size();
-  const bool has_selection = shards_[0]->selection_filter() != nullptr;
-  std::vector<std::shared_ptr<const core::BlockSelection>> selections(n);
-  std::vector<uint64_t> selection_ns(n, 0);
-  // uint8_t, not bool: concurrent writers of distinct vector<bool>
-  // elements would race on the shared word.
-  std::vector<uint8_t> cached(n, 0);
-  // Per-(query, shard) skip flags: a task that observes the cancel token
-  // fired marks its slot instead of scanning. Written by pool workers,
-  // read only after pool->Wait().
-  std::vector<uint8_t> skipped(n * num_shards, 0);
-  if (has_selection) {
-    // Stage 1: block selections, one task per query (cache-aware). Each
-    // pool worker reuses its own thread-local SelectionScratch, so a warm
-    // batch allocates nothing in this stage.
-    for (size_t i = 0; i < n; ++i) {
-      pool->Submit([this, &queries, &model, &options, cache, &selections,
-                    &selection_ns, &cached, cancel, i] {
-        if (cancel != nullptr && cancel->ShouldStop()) {
-          return;  // selections[i] stays null; stage 2 skips the query
-        }
-        bool hit = false;
-        selections[i] = GetSelection(queries[i], model, options, cache,
-                                     &selection_ns[i], &hit);
-        cached[i] = hit ? 1 : 0;
-      });
+  const core::BlockFilter* filter = shards_[0]->selection_filter();
+  const auto stopped = [cancel] {
+    return cancel != nullptr && cancel->ShouldStop();
+  };
+  // Inline without a pool: each query then runs all its steps before the
+  // next one starts.
+  const auto run = [pool](auto task) {
+    if (pool != nullptr) {
+      pool->Submit(std::move(task));
+    } else {
+      task();
     }
+  };
+
+  std::vector<QueryRun> runs(n);
+  for (size_t i = 0; i < n; ++i) {
+    run([&, i] {
+      if (stopped()) {
+        return;  // no scan is submitted: the query stays incomplete
+      }
+      QueryRun& r = runs[i];
+      r.partials.resize(num_shards);
+      r.scanned.assign(num_shards, 0);
+      if (filter != nullptr) {
+        Select(*filter, queries[i], spec, cache, &r);
+      }
+      for (size_t k = 0; k < num_shards; ++k) {
+        run([&, i, k] {
+          if (stopped()) {
+            return;
+          }
+          QueryRun& q = runs[i];
+          q.partials[k] = ScanShard(*shards_[k], shard_scan_us_[k],
+                                    queries[i], spec, q.selection.get());
+          q.scanned[k] = 1;
+        });
+      }
+    });
+  }
+  if (pool != nullptr) {
     pool->Wait();
   }
 
-  // Stage 2: one task per (query, shard) — the unit the throughput of the
-  // service scales by: K shards turn one long scan into K shorter
-  // independent ones, so small batches still fill the pool. Refinement
-  // scans under the shared selection, or per-shard statistical queries on
-  // backends without block structure.
-  std::vector<std::vector<core::QueryResult>> partials(n);
+  std::vector<core::QueryResult> results(n);
+  size_t done = 0;
   for (size_t i = 0; i < n; ++i) {
-    partials[i].resize(num_shards);
-    const bool selection_missing = has_selection && selections[i] == nullptr;
-    for (size_t k = 0; k < num_shards; ++k) {
-      if (selection_missing) {
-        skipped[i * num_shards + k] = 1;
-        continue;
-      }
-      pool->Submit([this, &queries, &model, &options, &selections, &partials,
-                    &skipped, has_selection, cancel, num_shards, i, k] {
-        if (cancel != nullptr && cancel->ShouldStop()) {
-          skipped[i * num_shards + k] = 1;
-          return;
-        }
-        partials[i][k] =
-            has_selection
-                ? ScanShard(k, queries[i], *selections[i], model, options)
-                : StatShard(k, queries[i], model, options);
-      });
-    }
-  }
-  pool->Wait();
-
-  for (size_t i = 0; i < n; ++i) {
-    bool complete = !(has_selection && selections[i] == nullptr);
-    for (size_t k = 0; complete && k < num_shards; ++k) {
-      complete = skipped[i * num_shards + k] == 0;
-    }
-    if (!complete) {
-      // A partially-scanned query would look like a complete result with
-      // silently missing matches; return the default (empty) result and
-      // leave it out of the executed count instead.
-      results[i] = core::QueryResult();
+    // A partially-scanned query would look like a complete result with
+    // silently missing matches; it keeps the default (empty) result and
+    // stays out of the executed count instead.
+    if (static_cast<size_t>(std::ranges::count(runs[i].scanned, 1)) !=
+        num_shards) {
       continue;
     }
-    results[i] = MergeShardResults(selections[i].get(), selection_ns[i],
-                                   cached[i] != 0, std::move(partials[i]));
+    results[i] = Merge(spec, &runs[i]);
     ++done;
   }
   if (executed != nullptr) {

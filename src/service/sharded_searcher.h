@@ -45,21 +45,40 @@ struct ShardedSearcherOptions {
   store::SearcherConfig config;
 };
 
+/// What every query of one batch asks (ShardedSearcher::RunBatch): a
+/// statistical query of expectation options.filter.alpha under `model`, or
+/// an exact epsilon-range query with the geometric filter at `depth`.
+struct BatchSpec {
+  core::SearchParadigm paradigm = core::SearchParadigm::kStatistical;
+  /// Statistical batches: the distortion model (it must outlive the
+  /// batch) and the query options.
+  const core::DistortionModel* model = nullptr;
+  core::QueryOptions options;
+  /// Range batches: the radius in byte-space distance units and the
+  /// partition depth of the geometric filter.
+  double epsilon = 0;
+  int depth = 0;
+
+  static BatchSpec Statistical(const core::DistortionModel& model,
+                               const core::QueryOptions& options);
+  static BatchSpec Range(double epsilon, int depth);
+};
+
 /// Partitions one reference database across K Searcher shards (any
-/// served backend; "s3" by default) and answers statistical
-/// queries over their union.
+/// served backend; "s3" by default) and answers batches of statistical or
+/// range queries over their union.
 ///
 /// Correctness invariant (pinned by tests/service_test.cc and
-/// tests/backend_parity_test.cc): on block-structured backends a
-/// statistical query's block selection depends only on the query, the
-/// model and the filter options — never on database contents — so
-/// scanning every shard with ONE shared selection returns exactly the
-/// matches the unsharded index would return, for any shard count and
-/// either policy. That shared selection is also what the SelectionCache
-/// stores. Backends without block structure (selection_filter() ==
-/// nullptr) degrade gracefully: each shard answers the statistical query
-/// itself and the partials are merged — still exact for exhaustive
-/// backends, with no selection to share or cache.
+/// tests/backend_parity_test.cc): on block-structured backends a query's
+/// block selection depends only on the query and the filter parameters
+/// (model and filter options, or epsilon and depth) — never on database
+/// contents — so scanning every shard with ONE shared selection returns
+/// exactly the matches the unsharded index would return, for any shard
+/// count and either policy. The statistical selection is also what the
+/// SelectionCache stores. Backends without block structure
+/// (selection_filter() == nullptr) have no selection to share: each shard
+/// answers the query itself and the partials are merged — still exact for
+/// exhaustive backends.
 ///
 /// Concurrency: queries are const and safe to fan out. The shards are
 /// built once and never mutated.
@@ -74,79 +93,37 @@ class ShardedSearcher {
   const core::Searcher& shard(int i) const { return *shards_[i]; }
   size_t total_size() const;
 
-  /// Statistical query over the union of all shards: one block selection
-  /// (optionally via `cache`) and one refinement scan per shard when the
-  /// backend exposes block structure, one per-shard statistical query
-  /// otherwise; merged matches either way. Per-shard scan latency lands in
-  /// service.shard<k>.scan_us; the per-query stats are published through
-  /// the same RecordQueryMetrics path as unsharded queries.
-  core::QueryResult StatisticalQuery(const fp::Fingerprint& query,
-                                     const core::DistortionModel& model,
-                                     const core::QueryOptions& options,
-                                     SelectionCache* cache = nullptr) const;
-
-  /// Exact epsilon-range query over the union of all shards: each shard
-  /// answers the range query itself (publishing its own per-query metrics,
-  /// like the no-selection statistical fallback) and the partials are
-  /// merged. `depth` is the geometric filter's partition depth on
-  /// block-structured backends. Exact for every backend whose RangeQuery
-  /// is exact (all but vamana).
-  core::QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon,
-                               int depth) const;
-
-  /// Fans a batch out on `pool` — per-query selections, then one
-  /// refinement-scan task per (query, shard) on block-structured backends;
-  /// directly one statistical-query task per (query, shard) otherwise —
-  /// so shard count multiplies the available parallelism even for small
-  /// batches. Serial when pool is null. results[i] corresponds to
-  /// queries[i].
+  /// Answers every query of `queries` over the union of the shards;
+  /// results[i] corresponds to queries[i]. Per query, in order:
+  ///  1. one block selection through shard 0's selection_filter():
+  ///     SelectStatistical (through `cache` when non-null) or SelectRange;
+  ///  2. one ScanSelection per shard under that selection;
+  ///  3. the partials merged into one result, published as one
+  ///     RecordQueryMetrics record of the query's kind.
+  /// On backends without block structure step 1 selects nothing, step 2
+  /// is each shard's own StatQuery/RangeQuery (which publish per shard)
+  /// and step 3 only merges. Per-shard step-2 latency lands in
+  /// service.shard<k>.scan_us.
   ///
-  /// When `cancel` is non-null, tasks poll it and stop starting work once
-  /// its deadline passes; a query counts as executed — and
-  /// carries a non-default result — only if its selection AND every shard
-  /// scan ran, so a cancelled batch never returns a partial shard union
-  /// disguised as a complete result. `*executed` (when non-null) receives
-  /// the number of fully-executed queries.
-  std::vector<core::QueryResult> BatchStatisticalQuery(
-      const std::vector<fp::Fingerprint>& queries,
-      const core::DistortionModel& model, const core::QueryOptions& options,
+  /// Without a pool every step runs inline, query after query. With one,
+  /// each query's selection is a task that submits one scan task per
+  /// shard, so the shard count multiplies the parallelism of small
+  /// batches.
+  ///
+  /// When `cancel` is non-null, every task polls it before starting and
+  /// skips its work once the deadline passes. A query counts as executed
+  /// — and carries a non-default result — only if its selection and every
+  /// shard scan ran, so a cancelled batch never returns a partial union of
+  /// shards; serially, the executed queries are a prefix. `*executed`
+  /// (when non-null) receives their number.
+  std::vector<core::QueryResult> RunBatch(
+      const std::vector<fp::Fingerprint>& queries, const BatchSpec& spec,
       ThreadPool* pool = nullptr, SelectionCache* cache = nullptr,
       const CancelToken* cancel = nullptr, size_t* executed = nullptr) const;
 
  private:
   ShardedSearcher(ShardedSearcherOptions options,
                   std::vector<std::unique_ptr<core::Searcher>> shards);
-
-  /// Computes (or fetches from `cache`) the shared block selection for one
-  /// query; stores the elapsed selection time in *selection_ns and whether
-  /// it was served by a cache hit in *cached (so stats don't re-report the
-  /// cached selection's nodes_visited as fresh work). Returns nullptr (leaving
-  /// *selection_ns at 0) when the backend has no block structure — callers
-  /// then fall back to per-shard StatQuery.
-  std::shared_ptr<const core::BlockSelection> GetSelection(
-      const fp::Fingerprint& query, const core::DistortionModel& model,
-      const core::QueryOptions& options, SelectionCache* cache,
-      uint64_t* selection_ns, bool* cached) const;
-
-  /// Refinement scan of shard `k` under a precomputed selection.
-  core::QueryResult ScanShard(size_t k, const fp::Fingerprint& query,
-                              const core::BlockSelection& selection,
-                              const core::DistortionModel& model,
-                              const core::QueryOptions& options) const;
-
-  /// Fallback without a shared selection: shard `k` answers the
-  /// statistical query itself (publishing its own per-shard metrics).
-  core::QueryResult StatShard(size_t k, const fp::Fingerprint& query,
-                              const core::DistortionModel& model,
-                              const core::QueryOptions& options) const;
-
-  /// Combines per-shard partial results into the query's final result.
-  /// With a `selection`, publishes one merged metrics record (the shards
-  /// only scanned); without one, the per-shard queries already published
-  /// and the merge only aggregates the stats.
-  core::QueryResult MergeShardResults(
-      const core::BlockSelection* selection, uint64_t selection_ns,
-      bool selection_cached, std::vector<core::QueryResult> partials) const;
 
   ShardedSearcherOptions options_;
   std::vector<std::unique_ptr<core::Searcher>> shards_;

@@ -6,10 +6,8 @@
 
 #include "core/descriptor_codec.h"
 #include "core/index.h"
-#include "core/scan_kernel.h"
 #include "core/vamana.h"
 #include "store/segment_searcher.h"
-#include "util/timer.h"
 
 namespace s3vcd::store {
 
@@ -28,19 +26,14 @@ class SeqScanSearcher final : public core::Searcher {
                               const core::DistortionModel& model,
                               const core::QueryOptions& options)
       const override {
-    core::QueryResult result = Scan(
-        query, core::EqualExpectationRadius(model, options.filter.alpha));
-    core::RecordQueryMetrics(core::QueryKind::kStatistical, result.stats,
-                             result.matches.size());
-    return result;
+    return core::SequentialScan(
+        db_, query, core::EqualExpectationRadius(model, options.filter.alpha),
+        core::QueryKind::kStatistical);
   }
 
   core::QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon,
                                int /*depth*/) const override {
-    core::QueryResult result = Scan(query, epsilon);
-    core::RecordQueryMetrics(core::QueryKind::kSequentialScan, result.stats,
-                             result.matches.size());
-    return result;
+    return core::SequentialScan(db_, query, epsilon);
   }
 
   core::SearcherStats Stats() const override { return {db_.size()}; }
@@ -48,16 +41,6 @@ class SeqScanSearcher final : public core::Searcher {
   uint64_t ApproxBytes() const override { return db_.MemoryBytes(); }
 
  private:
-  core::QueryResult Scan(const fp::Fingerprint& query, double epsilon) const {
-    core::QueryResult result;
-    Stopwatch watch;
-    const core::RefineSpec spec(core::RefinementMode::kRadiusFilter, epsilon,
-                                nullptr);
-    core::ScanRecords(query, db_.block(), 0, db_.size(), spec, &result);
-    result.stats.refine_ns = watch.ElapsedNanos();
-    return result;
-  }
-
   core::FingerprintDatabase db_;
 };
 

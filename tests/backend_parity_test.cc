@@ -275,11 +275,11 @@ TEST(BackendParityTest, SeqScanStatQueryIsEqualExpectationRange) {
   }
 }
 
-// Sharding is invisible: for any shard count, the sharded statistical
-// query over a block backend returns the unsharded answer with the same
-// total scan work; a shard count of K=1..5 crosses both the shared
-// selection path and the per-(query, shard) batch fan-out. The batch runs
-// on a real ThreadPool so this parity is also a TSan workload.
+// Sharding is invisible: for any shard count, the sharded statistical and
+// range queries over a block backend return the unsharded answer with the
+// same selection and total scan work; a shard count of K=1..5 crosses both
+// the shared selection and the per-(query, shard) batch fan-out. The
+// batches run on a real ThreadPool so this parity is also a TSan workload.
 TEST(BackendParityTest, ShardedParityAcrossShardCounts) {
   const FingerprintDatabase db = MakeDatabase();
   const std::vector<fp::Fingerprint> queries = MakeQueries(db);
@@ -288,10 +288,13 @@ TEST(BackendParityTest, ShardedParityAcrossShardCounts) {
   QueryOptions options;
   options.filter.alpha = 0.9;
   options.filter.depth = kDepth;
+  const double epsilon = TestEpsilon();
 
   std::vector<QueryResult> expected;
+  std::vector<QueryResult> expected_range;
   for (const fp::Fingerprint& q : queries) {
     expected.push_back(s3->StatQuery(q, model, options));
+    expected_range.push_back(s3->RangeQuery(q, epsilon, kDepth));
   }
 
   for (int num_shards : {1, 3, 5}) {
@@ -300,8 +303,8 @@ TEST(BackendParityTest, ShardedParityAcrossShardCounts) {
     auto sharded = service::ShardedSearcher::Build(MakeDatabase(), sharding);
     ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
     ThreadPool pool(4);
-    const std::vector<QueryResult> results =
-        sharded->BatchStatisticalQuery(queries, model, options, &pool);
+    const std::vector<QueryResult> results = sharded->RunBatch(
+        queries, service::BatchSpec::Statistical(model, options), &pool);
     ASSERT_EQ(results.size(), queries.size());
     for (size_t i = 0; i < results.size(); ++i) {
       EXPECT_EQ(Ids(results[i]), Ids(expected[i]))
@@ -309,6 +312,19 @@ TEST(BackendParityTest, ShardedParityAcrossShardCounts) {
       EXPECT_EQ(results[i].stats.records_scanned,
                 expected[i].stats.records_scanned)
           << "K=" << num_shards << " query " << i;
+    }
+    const std::vector<QueryResult> ranges = sharded->RunBatch(
+        queries, service::BatchSpec::Range(epsilon, kDepth), &pool);
+    ASSERT_EQ(ranges.size(), queries.size());
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      EXPECT_EQ(Ids(ranges[i]), Ids(expected_range[i]))
+          << "K=" << num_shards << " range query " << i;
+      EXPECT_EQ(ranges[i].stats.nodes_visited,
+                expected_range[i].stats.nodes_visited)
+          << "K=" << num_shards << " range query " << i;
+      EXPECT_EQ(ranges[i].stats.records_scanned,
+                expected_range[i].stats.records_scanned)
+          << "K=" << num_shards << " range query " << i;
     }
   }
 }
@@ -333,8 +349,8 @@ TEST(BackendParityTest, ShardedSeqScanFallbackParity) {
   EXPECT_EQ(sharded->total_size(), db.size());
 
   ThreadPool pool(4);
-  const std::vector<QueryResult> results =
-      sharded->BatchStatisticalQuery(queries, model, options, &pool);
+  const std::vector<QueryResult> results = sharded->RunBatch(
+      queries, service::BatchSpec::Statistical(model, options), &pool);
   ASSERT_EQ(results.size(), queries.size());
   for (size_t i = 0; i < results.size(); ++i) {
     const QueryResult expected = seqscan->StatQuery(queries[i], model,
@@ -540,8 +556,8 @@ TEST(BackendParityTest, ShardedVamanaFallbackAnswers) {
   EXPECT_EQ(sharded->total_size(), db.size());
 
   ThreadPool pool(4);
-  const std::vector<QueryResult> results =
-      sharded->BatchStatisticalQuery(queries, model, options, &pool);
+  const std::vector<QueryResult> results = sharded->RunBatch(
+      queries, service::BatchSpec::Statistical(model, options), &pool);
   ASSERT_EQ(results.size(), queries.size());
   size_t hits = 0;
   for (const QueryResult& r : results) {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -23,10 +24,12 @@
 #include "obs/interval_reporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "service/sharded_searcher.h"
 #include "store/make_searcher.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace s3vcd::obs {
 namespace {
@@ -565,9 +568,9 @@ TEST(CheckOkDeathTest, NonOkStatusAborts) {
 
 // The acceptance contract of the metrics layer: every query path — each
 // served backend's statistical and range query, the VA-file and LSH range
-// queries and both kNN searches — publishes exactly one index.* record per
-// query, and the global counters record exactly what the per-query
-// QueryStats report.
+// queries, both kNN searches and the sharded service's statistical and
+// range batches — publishes exactly one index.* record per query, and the
+// global counters record exactly what the per-query QueryStats report.
 TEST(QueryMetricsParityTest, CountersMatchQueryStats) {
   const auto make_db = [] {
     Rng rng(42);
@@ -598,7 +601,19 @@ TEST(QueryMetricsParityTest, CountersMatchQueryStats) {
             : core::UniformRandomFingerprint(&rng));
   }
 
-  using Run = std::function<core::QueryResult(const fp::Fingerprint&)>;
+  using Batch = std::vector<core::QueryResult>;
+  using Run = std::function<Batch(const std::vector<fp::Fingerprint>&)>;
+  // A path that answers one query per call, run over the whole batch.
+  const auto each =
+      [](std::function<core::QueryResult(const fp::Fingerprint&)> one) {
+        return Run([one](const std::vector<fp::Fingerprint>& batch) {
+          Batch results;
+          for (const fp::Fingerprint& q : batch) {
+            results.push_back(one(q));
+          }
+          return results;
+        });
+      };
   struct Case {
     std::string name;
     std::string counter;  // the index.queries.* counter each query bumps
@@ -611,50 +626,71 @@ TEST(QueryMetricsParityTest, CountersMatchQueryStats) {
     ASSERT_TRUE(backend.ok()) << backend.status().ToString();
     const core::Searcher* searcher = backend->get();
     backends.push_back(std::move(*backend));
-    cases.push_back({std::string(name) + " StatQuery",
-                     "index.queries.statistical",
-                     [searcher, &model, &options](const fp::Fingerprint& q) {
-                       return searcher->StatQuery(q, model, options);
-                     }});
+    cases.push_back(
+        {std::string(name) + " StatQuery", "index.queries.statistical",
+         each([searcher, &model, &options](const fp::Fingerprint& q) {
+           return searcher->StatQuery(q, model, options);
+         })});
     cases.push_back({std::string(name) + " RangeQuery",
                      name == "seqscan" ? "index.queries.seq_scan"
                                        : "index.queries.range",
-                     [searcher, epsilon](const fp::Fingerprint& q) {
+                     each([searcher, epsilon](const fp::Fingerprint& q) {
                        return searcher->RangeQuery(q, epsilon, 10);
-                     }});
+                     })});
   }
   const core::VAFile vafile(records, core::VAFileOptions{});
   const core::LshIndex lsh(records, core::LshOptions{});
   const core::S3Index index(make_db());
   cases.push_back({"vafile RangeQuery", "index.queries.range",
-                   [&](const fp::Fingerprint& q) {
+                   each([&](const fp::Fingerprint& q) {
                      return vafile.RangeQuery(q, epsilon);
-                   }});
+                   })});
   cases.push_back({"lsh RangeQuery", "index.queries.range",
-                   [&](const fp::Fingerprint& q) {
+                   each([&](const fp::Fingerprint& q) {
                      return lsh.RangeQuery(q, epsilon);
-                   }});
+                   })});
   cases.push_back({"vafile KnnQuery", "index.queries.knn",
-                   [&](const fp::Fingerprint& q) {
+                   each([&](const fp::Fingerprint& q) {
                      return vafile.KnnQuery(q, 10);
-                   }});
+                   })});
   cases.push_back({"s3 KnnQuery", "index.queries.knn",
-                   [&](const fp::Fingerprint& q) {
+                   each([&](const fp::Fingerprint& q) {
                      return core::KnnQuery(index, q, core::KnnOptions{});
+                   })});
+  // Four shards share one selection per query: one record, not four.
+  service::ShardedSearcherOptions sharding;
+  sharding.num_shards = 4;
+  auto sharded = service::ShardedSearcher::Build(make_db(), sharding);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ThreadPool pool(2);
+  cases.push_back({"sharded statistical batch", "index.queries.statistical",
+                   [&](const std::vector<fp::Fingerprint>& batch) {
+                     return sharded->RunBatch(
+                         batch, service::BatchSpec::Statistical(model, options),
+                         &pool);
+                   }});
+  cases.push_back({"sharded range batch", "index.queries.range",
+                   [&](const std::vector<fp::Fingerprint>& batch) {
+                     return sharded->RunBatch(
+                         batch, service::BatchSpec::Range(epsilon, 10), &pool);
                    }});
 
   MetricsRegistry& registry = MetricsRegistry::Global();
+  std::map<std::string, uint64_t> nodes_visited;
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     registry.Reset();
     core::QueryStats totals;
     uint64_t total_matches = 0;
-    for (const fp::Fingerprint& q : queries) {
-      const core::QueryResult result = c.run(q);
+    const Batch results = c.run(queries);
+    ASSERT_EQ(results.size(), queries.size());
+    for (const core::QueryResult& result : results) {
       totals.blocks_selected += result.stats.blocks_selected;
       totals.nodes_visited += result.stats.nodes_visited;
       totals.ranges_scanned += result.stats.ranges_scanned;
       totals.records_scanned += result.stats.records_scanned;
+      totals.descriptor_bytes_scanned +=
+          result.stats.descriptor_bytes_scanned;
       total_matches += result.matches.size();
     }
     const MetricsSnapshot snapshot = registry.Snapshot();
@@ -666,6 +702,7 @@ TEST(QueryMetricsParityTest, CountersMatchQueryStats) {
           << counter;
     }
     EXPECT_GT(totals.records_scanned, 0u);
+    EXPECT_GT(totals.descriptor_bytes_scanned, 0u);
     EXPECT_EQ(snapshot.CounterOr0("index.blocks_selected"),
               totals.blocks_selected);
     EXPECT_EQ(snapshot.CounterOr0("index.nodes_visited"),
@@ -674,8 +711,16 @@ TEST(QueryMetricsParityTest, CountersMatchQueryStats) {
               totals.ranges_scanned);
     EXPECT_EQ(snapshot.CounterOr0("index.records_scanned"),
               totals.records_scanned);
+    EXPECT_EQ(snapshot.CounterOr0("index.descriptor_bytes_scanned"),
+              totals.descriptor_bytes_scanned);
     EXPECT_EQ(snapshot.CounterOr0("index.matches"), total_matches);
+    nodes_visited[c.name] = snapshot.CounterOr0("index.nodes_visited");
   }
+  // The sharded range batch does one range selection per query, the same
+  // one the unsharded index does.
+  EXPECT_GT(nodes_visited["s3 RangeQuery"], 0u);
+  EXPECT_EQ(nodes_visited["sharded range batch"],
+            nodes_visited["s3 RangeQuery"]);
   registry.Reset();
 }
 

@@ -62,28 +62,45 @@ QueryOptions TestQueryOptions() {
   return options;
 }
 
+// One statistical query through the sharded batch path.
+core::QueryResult StatQuery(const ShardedSearcher& searcher,
+                            const fp::Fingerprint& q,
+                            const core::DistortionModel& model,
+                            const QueryOptions& options,
+                            SelectionCache* cache = nullptr) {
+  return searcher.RunBatch({q}, BatchSpec::Statistical(model, options),
+                           /*pool=*/nullptr, cache)[0];
+}
+
 // The acceptance-criterion test: identical match sets (up to ordering) for
-// several shard counts, both policies, vs the unsharded S3 index.
+// several shard counts, both policies, statistical and range batches,
+// serial and pooled, vs the unsharded S3 index.
 TEST(ShardedSearcherTest, ParityWithUnshardedAcrossShardCounts) {
   const size_t kDbSize = 4000;
   const core::S3Index reference(BuildDb(kDbSize, 71));
   const GaussianDistortionModel model(16.0);
   const QueryOptions options = TestQueryOptions();
+  const double epsilon =
+      core::EqualExpectationRadius(model, options.filter.alpha);
 
   Rng rng(5);
   std::vector<fp::Fingerprint> queries;
   for (int i = 0; i < 12; ++i) {
     queries.push_back(UniformRandomFingerprint(&rng));
   }
-  std::vector<std::multiset<std::pair<uint32_t, uint32_t>>> expected;
+  std::vector<std::multiset<std::pair<uint32_t, uint32_t>>> expected_stat;
+  std::vector<std::multiset<std::pair<uint32_t, uint32_t>>> expected_range;
   for (const auto& q : queries) {
-    expected.push_back(ToSet(reference.StatQuery(q, model, options)
-                                 .matches));
+    expected_stat.push_back(
+        ToSet(reference.StatQuery(q, model, options).matches));
+    expected_range.push_back(ToSet(
+        reference.RangeQuery(q, epsilon, options.filter.depth).matches));
   }
 
+  ThreadPool pool(3);
   for (const ShardingPolicy policy :
        {ShardingPolicy::kHilbertRange, ShardingPolicy::kRefIdHash}) {
-    for (const int num_shards : {1, 2, 3, 5, 8}) {
+    for (const int num_shards : {1, 2, 3, 4, 5, 7, 8}) {
       ShardedSearcherOptions sharding;
       sharding.num_shards = num_shards;
       sharding.policy = policy;
@@ -91,12 +108,23 @@ TEST(ShardedSearcherTest, ParityWithUnshardedAcrossShardCounts) {
       ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
       EXPECT_EQ(searcher->num_shards(), num_shards);
       EXPECT_EQ(searcher->total_size(), kDbSize);
-      for (size_t i = 0; i < queries.size(); ++i) {
-        const auto result =
-            searcher->StatisticalQuery(queries[i], model, options);
-        EXPECT_EQ(ToSet(result.matches), expected[i])
-            << "policy=" << static_cast<int>(policy)
-            << " shards=" << num_shards << " query=" << i;
+      for (ThreadPool* fan_out : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        const auto stat = searcher->RunBatch(
+            queries, BatchSpec::Statistical(model, options), fan_out);
+        const auto range = searcher->RunBatch(
+            queries, BatchSpec::Range(epsilon, options.filter.depth),
+            fan_out);
+        ASSERT_EQ(stat.size(), queries.size());
+        ASSERT_EQ(range.size(), queries.size());
+        for (size_t i = 0; i < queries.size(); ++i) {
+          SCOPED_TRACE(::testing::Message()
+                       << "policy=" << static_cast<int>(policy)
+                       << " shards=" << num_shards
+                       << " pooled=" << (fan_out != nullptr)
+                       << " query=" << i);
+          EXPECT_EQ(ToSet(stat[i].matches), expected_stat[i]);
+          EXPECT_EQ(ToSet(range[i].matches), expected_range[i]);
+        }
       }
     }
   }
@@ -118,11 +146,11 @@ TEST(ShardedSearcherTest, BatchWithPoolAndCacheMatchesSerial) {
   queries.push_back(queries[0]);
   queries.push_back(queries[1]);
 
-  const auto serial = searcher->BatchStatisticalQuery(queries, model, options);
+  const BatchSpec spec = BatchSpec::Statistical(model, options);
+  const auto serial = searcher->RunBatch(queries, spec);
   ThreadPool pool(4);
   SelectionCache cache(64);
-  const auto pooled = searcher->BatchStatisticalQuery(queries, model, options,
-                                                      &pool, &cache);
+  const auto pooled = searcher->RunBatch(queries, spec, &pool, &cache);
   ASSERT_EQ(serial.size(), pooled.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(ToSet(serial[i].matches), ToSet(pooled[i].matches)) << i;
@@ -132,8 +160,8 @@ TEST(ShardedSearcherTest, BatchWithPoolAndCacheMatchesSerial) {
   // The hit count is pinned on a serial cached batch: on the pool, a
   // duplicate may start before the original's selection is cached.
   SelectionCache serial_cache(64);
-  const auto cached = searcher->BatchStatisticalQuery(
-      queries, model, options, /*pool=*/nullptr, &serial_cache);
+  const auto cached =
+      searcher->RunBatch(queries, spec, /*pool=*/nullptr, &serial_cache);
   ASSERT_EQ(serial.size(), cached.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(ToSet(serial[i].matches), ToSet(cached[i].matches)) << i;
@@ -151,7 +179,7 @@ TEST(ShardedSearcherTest, CachedSelectionTaggedInStats) {
 
   SelectionCache cache(16);
   const core::QueryResult first =
-      searcher->StatisticalQuery(q, model, options, &cache);
+      StatQuery(*searcher, q, model, options, &cache);
   EXPECT_FALSE(first.stats.selection_cached);
   EXPECT_GT(first.stats.nodes_visited, 0u);
   EXPECT_GT(first.stats.blocks_selected, 0u);
@@ -160,7 +188,7 @@ TEST(ShardedSearcherTest, CachedSelectionTaggedInStats) {
   // selection work is reported as zero so aggregated # METRICS counters
   // do not double-count the first query's tree expansion.
   const core::QueryResult second =
-      searcher->StatisticalQuery(q, model, options, &cache);
+      StatQuery(*searcher, q, model, options, &cache);
   EXPECT_TRUE(second.stats.selection_cached);
   EXPECT_EQ(second.stats.nodes_visited, 0u);
   EXPECT_EQ(second.stats.blocks_selected, first.stats.blocks_selected);
@@ -347,7 +375,7 @@ class QueryServiceTest : public ::testing::Test {
     double fastest_ms = 1e9;
     for (const fp::Fingerprint& q : MakeQueries(8, 102)) {
       const auto start = std::chrono::steady_clock::now();
-      searcher_->StatisticalQuery(q, model_, TestQueryOptions());
+      StatQuery(*searcher_, q, model_, TestQueryOptions());
       const double ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - start)
                             .count();
@@ -381,7 +409,7 @@ TEST_F(QueryServiceTest, ExecutesBatchesAndMatchesDirectQueries) {
   EXPECT_EQ(result.queries_executed, queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     const auto direct =
-        searcher_->StatisticalQuery(queries[i], model_, options.query);
+        StatQuery(*searcher_, queries[i], model_, options.query);
     EXPECT_EQ(ToSet(result.results[i].matches), ToSet(direct.matches)) << i;
   }
 }
@@ -489,32 +517,42 @@ TEST_F(QueryServiceTest, CacheServesRepeatedProbes) {
   // Cached selections must not change results.
   for (size_t i = 0; i < queries.size(); ++i) {
     const auto direct =
-        searcher_->StatisticalQuery(queries[i], model_, options.query);
+        StatQuery(*searcher_, queries[i], model_, options.query);
     EXPECT_EQ(ToSet(replay.results[i].matches), ToSet(direct.matches)) << i;
   }
 }
 
+// Range batches share one SelectRange across the shards and match the
+// unsharded index, whether the worker runs them serially or fans them out.
 TEST_F(QueryServiceTest, RangeBatchMatchesDirectRangeQueries) {
-  QueryServiceOptions options;
-  options.num_workers = 1;
-  options.query = TestQueryOptions();
-  QueryService service(searcher_.get(), &model_, options);
-
+  const core::S3Index reference(BuildDb(2000, 75));
+  const QueryOptions query_options = TestQueryOptions();
   const double epsilon =
-      core::EqualExpectationRadius(model_, options.query.filter.alpha);
+      core::EqualExpectationRadius(model_, query_options.filter.alpha);
   BatchOptions batch;
   batch.paradigm = core::SearchParadigm::kRange;
   batch.epsilon = epsilon;
   const auto queries = MakeQueries(6, 90);
-  auto ticket = service.Submit(queries, batch);
-  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
-  const BatchResult& result = (*ticket)->Wait();
-  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  ASSERT_EQ(result.results.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const auto direct = searcher_->RangeQuery(queries[i], epsilon,
-                                              options.query.filter.depth);
-    EXPECT_EQ(ToSet(result.results[i].matches), ToSet(direct.matches)) << i;
+  for (const int threads_per_batch : {1, 4}) {
+    SCOPED_TRACE(threads_per_batch);
+    QueryServiceOptions options;
+    options.num_workers = 1;
+    options.threads_per_batch = threads_per_batch;
+    options.query = query_options;
+    QueryService service(searcher_.get(), &model_, options);
+    auto ticket = service.Submit(queries, batch);
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    const BatchResult& result = (*ticket)->Wait();
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    ASSERT_EQ(result.results.size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const auto direct =
+          reference.RangeQuery(queries[i], epsilon, query_options.filter.depth);
+      EXPECT_EQ(ToSet(result.results[i].matches), ToSet(direct.matches)) << i;
+      EXPECT_EQ(result.results[i].stats.nodes_visited,
+                direct.stats.nodes_visited)
+          << i;
+    }
   }
 }
 
@@ -790,9 +828,12 @@ TEST_F(QueryServiceTest, ExpiredQueuedBatchesDoNotHoldAdmissionSlots) {
   registry.Reset();
 }
 
-// Satellite 2: a deadline must not force a batch onto the serial path —
-// the pooled fan-out runs and polls the CancelToken instead.
+// A deadline must not force a batch onto the serial path — the pooled
+// fan-out runs and polls the CancelToken instead: the worker's pool runs
+// one selection task per query and one scan task per (query, shard).
 TEST_F(QueryServiceTest, DeadlinedBatchesUsePooledFanout) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.Reset();
   QueryServiceOptions options;
   options.num_workers = 1;
   options.threads_per_batch = 4;
@@ -806,11 +847,12 @@ TEST_F(QueryServiceTest, DeadlinedBatchesUsePooledFanout) {
   ASSERT_TRUE(ticket.ok());
   const BatchResult& result = (*ticket)->Wait();
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  EXPECT_TRUE(result.fanned_out);
+  EXPECT_EQ(registry.Snapshot().CounterOr0("thread_pool.tasks_completed"),
+            queries.size() * (1 + searcher_->num_shards()));
   EXPECT_EQ(result.queries_executed, queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     const auto direct =
-        searcher_->StatisticalQuery(queries[i], model_, options.query);
+        StatQuery(*searcher_, queries[i], model_, options.query);
     EXPECT_EQ(ToSet(result.results[i].matches), ToSet(direct.matches)) << i;
   }
 }
@@ -831,7 +873,6 @@ TEST_F(QueryServiceTest, PooledDeadlineMidExecutionStopsEarly) {
   ASSERT_TRUE(ticket.ok());
   const BatchResult& result = (*ticket)->Wait();
   EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(result.fanned_out);  // fan-out ran despite the deadline
   EXPECT_LT(result.queries_executed, scaled.num_queries);
   // Unexecuted slots are empty.
   ASSERT_EQ(result.results.size(), scaled.num_queries);
@@ -923,7 +964,7 @@ TEST_F(QueryServiceTest, ConcurrentProducersCompleteEveryBatchOnce) {
       ASSERT_EQ(result.results.size(), queries.size());
       for (size_t i = 0; i < queries.size(); ++i) {
         const auto direct =
-            searcher_->StatisticalQuery(queries[i], model_, options.query);
+            StatQuery(*searcher_, queries[i], model_, options.query);
         EXPECT_EQ(ToSet(result.results[i].matches), ToSet(direct.matches))
             << "seed=" << a.seed << " query=" << i;
       }

@@ -26,7 +26,10 @@
 # The .s3db reader and its writers join both legs too: db_fuzz_test feeds
 # the database loader adversarial bytes, external_builder_test drives the
 # run-merging builder, and pseudo_disk_test reads curve sections into the
-# resident buffer the refinement kernel scans.
+# resident buffer the refinement kernel scans. obs_test joins both legs:
+# its query-metrics parity test drives pooled sharded batches, whose scan
+# tasks write per-(query, shard) slots the merge reads after the pool
+# drains.
 #
 # A third leg rebuilds the kernel/codec/store tests under
 # UndefinedBehaviorSanitizer (-DS3VCD_SANITIZE=undefined): the fused
@@ -63,7 +66,7 @@ echo "TSan run passed."
 cmake -S "${repo_root}" -B "${asan_dir}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DS3VCD_SANITIZE=address
-cmake --build "${asan_dir}" --target service_test store_test \
+cmake --build "${asan_dir}" --target obs_test service_test store_test \
   segment_parity_test memtable_test backend_parity_test \
   descriptor_codec_test scan_kernel_test voting_test cbcd_test \
   stream_monitor_test harris_test descriptor_test media_filters_test \
@@ -75,7 +78,7 @@ cmake --build "${asan_dir}" --target service_test store_test \
   cd "${asan_dir}"
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
     ctest --output-on-failure \
-    -R '^(service_test|store_test|segment_parity_test|memtable_test|backend_parity_test|descriptor_codec_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
+    -R '^(obs_test|service_test|store_test|segment_parity_test|memtable_test|backend_parity_test|descriptor_codec_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
 )
 echo "ASan run passed."
 
@@ -87,7 +90,7 @@ fi
 cmake -S "${repo_root}" -B "${ubsan_dir}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DS3VCD_SANITIZE=undefined
-cmake --build "${ubsan_dir}" --target scan_kernel_test store_test \
+cmake --build "${ubsan_dir}" --target obs_test scan_kernel_test store_test \
   segment_parity_test memtable_test descriptor_codec_test service_test \
   backend_parity_test voting_test cbcd_test stream_monitor_test \
   harris_test descriptor_test media_filters_test extractor_test \
@@ -99,6 +102,6 @@ cmake --build "${ubsan_dir}" --target scan_kernel_test store_test \
   cd "${ubsan_dir}"
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --output-on-failure \
-    -R '^(scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|memtable_test|descriptor_codec_test|service_test|backend_parity_test|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
+    -R '^(obs_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|memtable_test|descriptor_codec_test|service_test|backend_parity_test|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
 )
 echo "UBSan run passed."
