@@ -76,7 +76,7 @@ int Main() {
         h_blocks += static_cast<double>(hs.num_blocks);
         h_ranges += static_cast<double>(hs.ranges.size());
         for (const auto& [begin, end] : hs.ranges) {
-          const auto [first, last] = index.ResolveRange(begin, end);
+          const auto [first, last] = index.run().Resolve(begin, end);
           h_scanned += static_cast<double>(last - first);
         }
         const core::BlockSelection zs =

@@ -20,6 +20,7 @@
 #include "bench_common.h"
 #include "core/knn.h"
 #include "core/lsh.h"
+#include "core/tuner.h"
 #include "core/vafile.h"
 #include "obs/metrics.h"
 #include "util/math.h"
@@ -105,15 +106,32 @@ int Main() {
                      std::string("backend=") + backend);
   };
 
+  // The S3 rows run at the partition depth tuned on this corpus (Section
+  // IV-A, as `s3vcd_tool query --depth 0` does), over sample queries drawn
+  // apart from the measured ones: a fixed depth is only right at one
+  // S3VCD_SCALE.
+  std::vector<fp::Fingerprint> tune_queries;
+  for (int i = 0; i < 20; ++i) {
+    const size_t idx = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(corpus.db().size()) - 1));
+    tune_queries.push_back(core::DistortFingerprint(
+        corpus.db().record(idx).descriptor, kSigma, &rng));
+  }
+  const std::vector<int> candidates = core::DefaultDepthCandidates(
+      corpus.db().size(), corpus.db().curve().key_bits());
+  const int depth = core::TuneDepth(*corpus.index, model, tune_queries,
+                                    kAlpha, candidates)
+                        .best_depth;
+  std::printf("tuned depth p = %d for the s3 rows\n", depth);
   core::QueryOptions stat;
   stat.filter.alpha = kAlpha;
-  stat.filter.depth = 16;
+  stat.filter.depth = depth;
   const core::Searcher& s3 = corpus.searcher();
   add_row("s3_statistical(a=0.8)", "s3", [&](const fp::Fingerprint& q) {
     return s3.StatQuery(q, model, stat);
   });
   add_row("s3_range(eps=chi(0.8))", "s3", [&](const fp::Fingerprint& q) {
-    return s3.RangeQuery(q, epsilon, 16);
+    return s3.RangeQuery(q, epsilon, depth);
   });
   add_row("vafile_range(eps)", "vafile", [&](const fp::Fingerprint& q) {
     return va.RangeQuery(q, epsilon);

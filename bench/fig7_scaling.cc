@@ -80,7 +80,8 @@ int Main() {
 
     watch.Reset();
     for (int i = 0; i < kScanQueries; ++i) {
-      const core::QueryResult r = index->SequentialScan(queries[i], epsilon);
+      const core::QueryResult r =
+          core::SequentialScan(index->database(), queries[i], epsilon);
       (void)r;
     }
     const double scan_ms = watch.ElapsedMillis() / kScanQueries;

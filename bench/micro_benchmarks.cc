@@ -434,7 +434,8 @@ void BM_SequentialScan(benchmark::State& state) {
   Rng rng(7);
   const fp::Fingerprint q = core::UniformRandomFingerprint(&rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index->SequentialScan(q, 90.0));
+    benchmark::DoNotOptimize(
+        core::SequentialScan(index->database(), q, 90.0));
   }
 }
 BENCHMARK(BM_SequentialScan);

@@ -98,7 +98,8 @@ int main() {
     double ms = 0;
     double results = 0;
     for (int i = 0; i < 20; ++i) {
-      const auto r = index.SequentialScan(queries[i], epsilon);
+      const auto r =
+          core::SequentialScan(index.database(), queries[i], epsilon);
       ms += r.stats.refine_ns * 1e-6;
       results += r.matches.size();
     }

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "core/sorted_run.h"
 #include "util/io.h"
 #include "util/logging.h"
 
@@ -69,21 +70,6 @@ FingerprintDatabase::FingerprintDatabase(int order)
   S3VCD_CHECK(order >= 1 && order <= 8);
 }
 
-size_t FingerprintDatabase::LowerBound(const BitKey& key) const {
-  return static_cast<size_t>(
-      std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
-}
-
-BitKey FingerprintDatabase::EncodeFingerprint(
-    const fp::Fingerprint& fingerprint) const {
-  uint32_t coords[fp::kDims];
-  const int shift = 8 - curve_.order();
-  for (int j = 0; j < fp::kDims; ++j) {
-    coords[j] = static_cast<uint32_t>(fingerprint[j]) >> shift;
-  }
-  return curve_.Encode(coords);
-}
-
 uint64_t FingerprintDatabase::MemoryBytes() const {
   return block_.MemoryBytes() + keys_.size() * sizeof(BitKey);
 }
@@ -122,7 +108,7 @@ Result<FingerprintDatabase> FingerprintDatabase::LoadFromFile(
     DeserializeRecord(buf, &record);
     db.block_.AppendRecord(record);
     // Recompute the key; the sort order is verified below.
-    db.keys_.push_back(db.EncodeFingerprint(record.descriptor));
+    db.keys_.push_back(CurveKey(db.curve_, record.descriptor));
   }
   const uint32_t computed_crc = reader.crc();
   uint32_t stored_crc = 0;
@@ -131,10 +117,8 @@ Result<FingerprintDatabase> FingerprintDatabase::LoadFromFile(
     return Status::Corruption("database checksum mismatch");
   }
   S3VCD_RETURN_IF_ERROR(reader.Close());
-  for (size_t i = 1; i < db.keys_.size(); ++i) {
-    if (db.keys_[i] < db.keys_[i - 1]) {
-      return Status::Corruption("database records are not curve-ordered");
-    }
+  if (!std::is_sorted(db.keys_.begin(), db.keys_.end())) {
+    return Status::Corruption("database records are not curve-ordered");
   }
   return db;
 }
@@ -162,7 +146,7 @@ FingerprintDatabase DatabaseBuilder::Build() {
   std::vector<BitKey> keys;
   keys.reserve(n);
   for (const FingerprintRecord& r : records_) {
-    keys.push_back(db.EncodeFingerprint(r.descriptor));
+    keys.push_back(CurveKey(db.curve_, r.descriptor));
   }
   std::vector<uint32_t> perm(n);
   std::iota(perm.begin(), perm.end(), 0);

@@ -66,13 +66,8 @@ class FingerprintDatabase {
   /// The structure-of-arrays record store (what ScanRecords consumes).
   const DescriptorBlock& block() const { return block_; }
   const BitKey& key(size_t i) const { return keys_[i]; }
-
-  /// Index of the first record whose key is >= `key` (binary search).
-  size_t LowerBound(const BitKey& key) const;
-
-  /// Hilbert key of a fingerprint under this database's curve. When the
-  /// order is below 8, byte components are truncated to the top bits.
-  BitKey EncodeFingerprint(const fp::Fingerprint& fingerprint) const;
+  /// The key column, parallel to block() (core::CurveKey of each record).
+  const std::vector<BitKey>& keys() const { return keys_; }
 
   /// Approximate in-memory footprint in bytes (records + keys).
   uint64_t MemoryBytes() const;

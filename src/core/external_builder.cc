@@ -6,6 +6,7 @@
 #include <memory>
 #include <queue>
 
+#include "core/sorted_run.h"
 #include "util/io.h"
 #include "util/logging.h"
 
@@ -14,28 +15,10 @@ namespace s3vcd::core {
 namespace {
 
 constexpr uint32_t kRunMagic = 0x53325255;  // "S2RU"
-// Run record layout: 32-byte key + serialized record.
-constexpr size_t kKeyBytes = 32;
+// Run record layout: key + serialized record. Runs are temporaries read
+// back by the host that wrote them, so the key keeps BitKey's own layout.
+constexpr size_t kKeyBytes = sizeof(BitKey);
 constexpr size_t kRunRecordBytes = kKeyBytes + internal::kRecordBytes;
-
-void SerializeKeyed(const BitKey& key, const FingerprintRecord& record,
-                    uint8_t* out) {
-  for (int w = 0; w < BitKey::kWords; ++w) {
-    const uint64_t v = key.word(w);
-    std::memcpy(out + w * 8, &v, 8);
-  }
-  internal::SerializeRecord(record, out + kKeyBytes);
-}
-
-void DeserializeKeyed(const uint8_t* in, BitKey* key,
-                      FingerprintRecord* record) {
-  for (int w = 0; w < BitKey::kWords; ++w) {
-    uint64_t v = 0;
-    std::memcpy(&v, in + w * 8, 8);
-    key->set_word(w, v);
-  }
-  internal::DeserializeRecord(in + kKeyBytes, record);
-}
 
 // Buffered sequential reader over one sorted run file.
 class RunReader {
@@ -64,7 +47,8 @@ class RunReader {
     }
     uint8_t buf[kRunRecordBytes];
     S3VCD_RETURN_IF_ERROR(reader_.ReadBytes(buf, kRunRecordBytes));
-    DeserializeKeyed(buf, &key_, &record_);
+    std::memcpy(&key_, buf, kKeyBytes);
+    internal::DeserializeRecord(buf + kKeyBytes, &record_);
     --remaining_;
     return Status::OK();
   }
@@ -114,7 +98,8 @@ Status ExternalDatabaseBuilder::SpillRun() {
   S3VCD_RETURN_IF_ERROR(writer.WriteU64(buffer_.size()));
   uint8_t buf[kRunRecordBytes];
   for (const KeyedRecord& kr : buffer_) {
-    SerializeKeyed(kr.key, kr.record, buf);
+    std::memcpy(buf, &kr.key, kKeyBytes);
+    internal::SerializeRecord(kr.record, buf + kKeyBytes);
     S3VCD_RETURN_IF_ERROR(writer.WriteBytes(buf, kRunRecordBytes));
   }
   S3VCD_RETURN_IF_ERROR(writer.Close());
@@ -130,12 +115,7 @@ Status ExternalDatabaseBuilder::Add(const fp::Fingerprint& fingerprint,
     return Status::FailedPrecondition("builder already finished");
   }
   KeyedRecord kr;
-  uint32_t coords[fp::kDims];
-  const int shift = 8 - curve_.order();
-  for (int j = 0; j < fp::kDims; ++j) {
-    coords[j] = static_cast<uint32_t>(fingerprint[j]) >> shift;
-  }
-  kr.key = curve_.Encode(coords);
+  kr.key = CurveKey(curve_, fingerprint);
   kr.record = {fingerprint, id, time_code, x, y};
   buffer_.push_back(kr);
   ++total_records_;

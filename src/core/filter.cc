@@ -254,7 +254,7 @@ std::vector<std::pair<BitKey, BitKey>> MergeBlockRanges(
   return ranges;
 }
 
-BlockFilter::BlockFilter(const hilbert::HilbertCurve& curve) : curve_(&curve) {
+BlockFilter::BlockFilter(const hilbert::HilbertCurve& curve) : curve_(curve) {
   S3VCD_CHECK(curve.dims() == fp::kDims);
   S3VCD_CHECK(curve.order() >= 1 && curve.order() <= 8);
 }
@@ -262,18 +262,18 @@ BlockFilter::BlockFilter(const hilbert::HilbertCurve& curve) : curve_(&curve) {
 BlockSelection BlockFilter::SelectStatistical(
     const fp::Fingerprint& query, const DistortionModel& model,
     const FilterOptions& options, SelectionScratch* scratch) const {
-  return SelectStatisticalImpl(*curve_, query, model, options, scratch);
+  return SelectStatisticalImpl(curve_, query, model, options, scratch);
 }
 
 BlockSelection BlockFilter::SelectRange(const fp::Fingerprint& query,
                                         double epsilon, int depth,
                                         uint64_t max_blocks,
                                         SelectionScratch* scratch) const {
-  return SelectRangeImpl(*curve_, query, epsilon, depth, max_blocks, scratch);
+  return SelectRangeImpl(curve_, query, epsilon, depth, max_blocks, scratch);
 }
 
 ZOrderBlockFilter::ZOrderBlockFilter(const hilbert::ZOrderCurve& curve)
-    : curve_(&curve) {
+    : curve_(curve) {
   S3VCD_CHECK(curve.dims() == fp::kDims);
   S3VCD_CHECK(curve.order() >= 1 && curve.order() <= 8);
 }
@@ -281,14 +281,14 @@ ZOrderBlockFilter::ZOrderBlockFilter(const hilbert::ZOrderCurve& curve)
 BlockSelection ZOrderBlockFilter::SelectStatistical(
     const fp::Fingerprint& query, const DistortionModel& model,
     const FilterOptions& options, SelectionScratch* scratch) const {
-  return SelectStatisticalImpl(*curve_, query, model, options, scratch);
+  return SelectStatisticalImpl(curve_, query, model, options, scratch);
 }
 
 BlockSelection ZOrderBlockFilter::SelectRange(const fp::Fingerprint& query,
                                               double epsilon, int depth,
                                               uint64_t max_blocks,
                                               SelectionScratch* scratch) const {
-  return SelectRangeImpl(*curve_, query, epsilon, depth, max_blocks, scratch);
+  return SelectRangeImpl(curve_, query, epsilon, depth, max_blocks, scratch);
 }
 
 }  // namespace s3vcd::core

@@ -65,8 +65,8 @@ struct SelectionScratch {
 SelectionScratch& ThreadLocalSelectionScratch();
 
 /// Computes block selections for statistical and epsilon-range queries over
-/// a Hilbert curve partition. Stateless w.r.t. queries; the curve must
-/// outlive the filter. Query methods are const and thread-safe as long as
+/// a Hilbert curve partition, which it holds by value. Stateless w.r.t.
+/// queries. Query methods are const and thread-safe as long as
 /// concurrent callers use distinct SelectionScratch objects (the default
 /// thread-local one qualifies).
 ///
@@ -103,10 +103,10 @@ class BlockFilter {
                              int depth, uint64_t max_blocks = 1 << 20,
                              SelectionScratch* scratch = nullptr) const;
 
-  const hilbert::HilbertCurve& curve() const { return *curve_; }
+  const hilbert::HilbertCurve& curve() const { return curve_; }
 
  private:
-  const hilbert::HilbertCurve* curve_;
+  hilbert::HilbertCurve curve_;
 };
 
 /// Merges a list of equal-depth blocks (given by their prefixes) into
@@ -133,10 +133,10 @@ class ZOrderBlockFilter {
                              int depth, uint64_t max_blocks = 1 << 20,
                              SelectionScratch* scratch = nullptr) const;
 
-  const hilbert::ZOrderCurve& curve() const { return *curve_; }
+  const hilbert::ZOrderCurve& curve() const { return curve_; }
 
  private:
-  const hilbert::ZOrderCurve* curve_;
+  hilbert::ZOrderCurve curve_;
 };
 
 }  // namespace s3vcd::core

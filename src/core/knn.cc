@@ -55,6 +55,7 @@ QueryResult KnnQuery(const S3Index& index, const fp::Fingerprint& query,
   S3VCD_CHECK(options.k >= 1);
   QueryResult result;
   const FingerprintDatabase& db = index.database();
+  const SortedRun run = index.run();
   if (db.empty()) {
     RecordQueryMetrics(QueryKind::kKnn, result.stats, 0);
     return result;
@@ -91,8 +92,8 @@ QueryResult KnnQuery(const S3Index& index, const fp::Fingerprint& query,
     if (top.node.depth == depth) {
       // Leaf block: scan its records.
       const auto [first, last] =
-          index.ResolveRange(top.node.RangeBegin(curve.key_bits()),
-                             top.node.RangeEnd(curve.key_bits()));
+          run.Resolve(top.node.RangeBegin(curve.key_bits()),
+                      top.node.RangeEnd(curve.key_bits()));
       ++result.stats.ranges_scanned;
       ++blocks_scanned;
       ++result.stats.blocks_selected;

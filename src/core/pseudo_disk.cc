@@ -5,6 +5,7 @@
 #include "core/database.h"
 #include "core/descriptor_block.h"
 #include "core/scan_kernel.h"
+#include "core/sorted_run.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/io.h"
@@ -58,40 +59,21 @@ Result<PseudoDiskSearcher> PseudoDiskSearcher::Open(
 
   PseudoDiskSearcher searcher(db_path, options,
                               static_cast<int>(header.order));
-  searcher.payload_offset_ = internal::kHeaderBytes;
 
-  // Streaming metadata pass: compute each record's depth-p prefix and fill
-  // the offset table; records themselves are not retained.
-  const int p = options.query_depth;
-  const uint64_t buckets = uint64_t{1} << p;
-  const int shift = searcher.curve_.key_bits() - p;
-  searcher.offsets_.assign(buckets + 1, header.count);
-  searcher.offsets_[0] = 0;
-  uint64_t bucket = 0;
+  // Streaming metadata pass: key each record and append it to the depth-p
+  // prefix table; records themselves are not retained.
+  searcher.table_ =
+      PrefixTable(searcher.curve_.key_bits(), options.query_depth);
   uint8_t buf[internal::kRecordBytes];
   FingerprintRecord rec;
-  uint32_t coords[fp::kDims];
-  const int coord_shift = 8 - static_cast<int>(header.order);
-  BitKey prev_key;
   for (uint64_t i = 0; i < header.count; ++i) {
     S3VCD_RETURN_IF_ERROR(reader.ReadBytes(buf, internal::kRecordBytes));
     internal::DeserializeRecord(buf, &rec);
-    for (int j = 0; j < fp::kDims; ++j) {
-      coords[j] = static_cast<uint32_t>(rec.descriptor[j]) >> coord_shift;
-    }
-    const BitKey key = searcher.curve_.Encode(coords);
-    if (i > 0 && key < prev_key) {
+    if (!searcher.table_.Append(CurveKey(searcher.curve_, rec.descriptor))) {
       return Status::Corruption("database records are not curve-ordered");
     }
-    prev_key = key;
-    const uint64_t b = (key >> shift).low64();
-    while (bucket < b) {
-      searcher.offsets_[++bucket] = i;
-    }
   }
-  while (bucket < buckets) {
-    searcher.offsets_[++bucket] = header.count;
-  }
+  searcher.table_.Finish();
   const uint32_t computed_crc = reader.crc();
   uint32_t stored_crc = 0;
   S3VCD_RETURN_IF_ERROR(reader.ReadU32(&stored_crc));
@@ -117,7 +99,6 @@ Status PseudoDiskSearcher::SearchBatch(
 
   // Phase 1: filter every query up front (independent of the database).
   const int p = options_.query_depth;
-  const int shift = curve_.key_bits() - p;
   const BlockFilter filter(curve_);
   FilterOptions filter_options;
   filter_options.depth = p;
@@ -135,12 +116,13 @@ Status PseudoDiskSearcher::SearchBatch(
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const BlockSelection selection = filter.SelectStatistical(
           queries[qi], model, filter_options, &scratch);
+      // Depth-p sections are aligned at the table depth: one table read
+      // per bound.
       for (const auto& [begin, end] : selection.ranges) {
-        const uint64_t pb = (begin >> shift).low64();
-        const uint64_t pe = end.is_zero() ? (offsets_.size() - 1)
-                                          : (end >> shift).low64();
-        const uint64_t rb = offsets_[pb];
-        const uint64_t re = offsets_[pe];
+        const uint64_t rb = table_.offset(table_.Prefix(begin));
+        const uint64_t re = end.is_zero()
+                                ? table_.size()
+                                : table_.offset(table_.Prefix(end));
         if (rb < re) {
           record_ranges[qi].emplace_back(rb, re);
         }
@@ -163,8 +145,8 @@ Status PseudoDiskSearcher::SearchBatch(
   const RefineSpec spec(RefinementMode::kAll, 0, nullptr);
   std::vector<QueryResult> scans(queries.size());
   for (uint64_t s = 0; s < sections; ++s) {
-    const uint64_t sec_first = offsets_[s * prefixes_per_section];
-    const uint64_t sec_last = offsets_[(s + 1) * prefixes_per_section];
+    const uint64_t sec_first = table_.offset(s * prefixes_per_section);
+    const uint64_t sec_last = table_.offset((s + 1) * prefixes_per_section);
     if (sec_first >= sec_last) {
       continue;
     }
@@ -191,7 +173,7 @@ Status PseudoDiskSearcher::SearchBatch(
       S3VCD_TRACE_SPAN("pseudo_disk.load_section");
       buffer.resize(n * internal::kRecordBytes);
       S3VCD_RETURN_IF_ERROR(reader.Seek(
-          payload_offset_ + sec_first * internal::kRecordBytes));
+          internal::kHeaderBytes + sec_first * internal::kRecordBytes));
       S3VCD_RETURN_IF_ERROR(reader.ReadBytes(buffer.data(), buffer.size()));
       section.Clear();
       section.Reserve(n);

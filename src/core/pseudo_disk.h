@@ -7,6 +7,7 @@
 #include "core/distortion_model.h"
 #include "core/filter.h"
 #include "core/record.h"
+#include "core/sorted_run.h"
 #include "fingerprint/fingerprint.h"
 #include "hilbert/hilbert_curve.h"
 #include "util/status.h"
@@ -47,8 +48,8 @@ struct PseudoDiskBatchStats {
 };
 
 /// Searches a database file section by section without ever holding more
-/// than one section of records in memory (only the per-prefix offset table
-/// is resident). Matches of query i are returned in results[i].
+/// than one section of records in memory (only the depth-p prefix table is
+/// resident). Matches of query i are returned in results[i].
 class PseudoDiskSearcher {
  public:
   /// Opens a database file written by FingerprintDatabase::SaveToFile and
@@ -63,7 +64,7 @@ class PseudoDiskSearcher {
                      std::vector<std::vector<Match>>* results,
                      PseudoDiskBatchStats* stats) const;
 
-  uint64_t num_records() const { return offsets_.empty() ? 0 : offsets_.back(); }
+  uint64_t num_records() const { return table_.size(); }
   const PseudoDiskOptions& options() const { return options_; }
 
  private:
@@ -72,10 +73,8 @@ class PseudoDiskSearcher {
   std::string path_;
   PseudoDiskOptions options_;
   hilbert::HilbertCurve curve_;
-  /// Record index of the first record of each depth-p prefix (+ sentinel);
-  /// size 2^p + 1.
-  std::vector<uint64_t> offsets_;
-  uint64_t payload_offset_ = 0;  ///< file offset of the first record
+  /// Record offsets of the 2^p depth-p prefixes of the database file.
+  PrefixTable table_;
 };
 
 }  // namespace s3vcd::core

@@ -1,6 +1,7 @@
 #include "core/searcher.h"
 
 #include <cmath>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -49,6 +50,11 @@ obs::Histogram* const g_filter_us =
 obs::Histogram* const g_refine_us =
     obs::MetricsRegistry::Global().GetHistogram("index.refine_us");
 
+QueryResult Published(QueryKind kind, QueryResult result) {
+  RecordQueryMetrics(kind, result.stats, result.matches.size());
+  return result;
+}
+
 // The block-structured query: `select` picks the blocks through the
 // backend's filter, ScanSelection refines their curve sections.
 template <typename Select>
@@ -76,8 +82,7 @@ QueryResult SelectAndScan(const Searcher& searcher, QueryKind kind,
     searcher.ScanSelection(query, selection, mode, radius, model, &result);
   }
   result.stats.refine_ns = watch.ElapsedNanos();
-  RecordQueryMetrics(kind, result.stats, result.matches.size());
-  return result;
+  return Published(kind, std::move(result));
 }
 
 }  // namespace
@@ -118,6 +123,11 @@ QueryResult Searcher::StatQuery(const fp::Fingerprint& query,
                                 const DistortionModel& model,
                                 const QueryOptions& options) const {
   S3VCD_TRACE_SPAN("index.query.statistical");
+  if (selection_filter() == nullptr) {
+    return Published(QueryKind::kStatistical,
+                     BallQuery(query, EqualExpectationRadius(
+                                          model, options.filter.alpha)));
+  }
   return SelectAndScan(
       *this, QueryKind::kStatistical, query,
       [&](const BlockFilter& filter) {
@@ -130,6 +140,9 @@ QueryResult Searcher::StatQuery(const fp::Fingerprint& query,
 QueryResult Searcher::RangeQuery(const fp::Fingerprint& query, double epsilon,
                                  int depth) const {
   S3VCD_TRACE_SPAN("index.query.range");
+  if (selection_filter() == nullptr) {
+    return Published(QueryKind::kRange, BallQuery(query, epsilon));
+  }
   return SelectAndScan(
       *this, QueryKind::kRange, query,
       [&](const BlockFilter& filter) {
@@ -147,6 +160,13 @@ void Searcher::ScanSelection(const fp::Fingerprint& /*query*/,
   // Callers must check selection_filter() != nullptr before asking for a
   // selection scan; backends without block structure cannot honor one.
   S3VCD_CHECK(selection_filter() != nullptr);
+}
+
+QueryResult Searcher::BallQuery(const fp::Fingerprint& /*query*/,
+                                double /*epsilon*/) const {
+  // Block-structured backends answer through ScanSelection instead.
+  S3VCD_CHECK(selection_filter() == nullptr);
+  return {};
 }
 
 double EqualExpectationRadius(const DistortionModel& model, double alpha) {

@@ -100,23 +100,22 @@ struct SearcherStats {
 /// benches that compare against them construct them directly.)
 ///
 /// Semantics: StatQuery returns the contents of a region of expectation
-/// alpha. Block-structured backends (s3, segment) implement it exactly as
-/// in the paper; backends without block structure (seqscan, vamana)
-/// emulate it as a range query at the equal-expectation radius
+/// alpha. Block-structured backends (s3, segment) answer it exactly as in
+/// the paper; backends without block structure (seqscan, vamana) answer it
+/// as a range query at the equal-expectation radius
 /// (EqualExpectationRadius below), which retrieves the distorted target
 /// with the same probability alpha under the model. RangeQuery is the
 /// exact epsilon-ball for every backend except vamana, whose recall is
 /// bounded by its beam (asserted as a recall floor in
 /// tests/backend_parity_test.cc).
 ///
-/// The block-structured query is written once, here: the default StatQuery
-/// and RangeQuery select the blocks through selection_filter() (paper
-/// Section IV-A), scan their curve sections through ScanSelection
-/// (Section IV), fill QueryStats and publish one RecordQueryMetrics record,
-/// under the `index.query.*` span with `index.filter` / `index.refine`
-/// children. A block-structured backend implements only selection_filter()
-/// and ScanSelection; backends without block structure override both
-/// queries.
+/// The queries are written once, here, and publish one RecordQueryMetrics
+/// record each under the `index.query.*` span. On a block-structured
+/// backend they select the blocks through selection_filter() (paper
+/// Section IV-A) and scan their curve sections through ScanSelection
+/// (Section IV), under `index.filter` / `index.refine` children; such a
+/// backend implements only those two. A backend without block structure
+/// implements only BallQuery, the unpublished body of both its queries.
 ///
 /// Concurrency: all query methods are const and safe to fan out. Only the
 /// segment backend takes inserts (store::SegmentSearcher::TryInsert), and
@@ -129,14 +128,14 @@ class Searcher {
   virtual const char* backend_name() const = 0;
 
   /// Statistical query of expectation options.filter.alpha.
-  virtual QueryResult StatQuery(const fp::Fingerprint& query,
-                                const DistortionModel& model,
-                                const QueryOptions& options) const;
+  QueryResult StatQuery(const fp::Fingerprint& query,
+                        const DistortionModel& model,
+                        const QueryOptions& options) const;
 
   /// Epsilon-range query. `depth` is the partition depth of the geometric
   /// filter on block-structured backends; others ignore it.
-  virtual QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon,
-                                 int depth) const;
+  QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon,
+                         int depth) const;
 
   virtual SearcherStats Stats() const = 0;
 
@@ -159,6 +158,12 @@ class Searcher {
                              RefinementMode mode, double radius,
                              const DistortionModel* model,
                              QueryResult* result) const;
+
+  /// Unpublished: the records within `epsilon` of `query` that a backend
+  /// without block structure finds, the body of both its queries (and of
+  /// service::ShardedSearcher's per-shard step). The default aborts.
+  virtual QueryResult BallQuery(const fp::Fingerprint& query,
+                                double epsilon) const;
 };
 
 /// Radius of the ball that an exact range query must use to retrieve the

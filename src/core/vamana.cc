@@ -479,20 +479,9 @@ QueryResult VamanaIndex::RangeQueryWithBeam(const fp::Fingerprint& query,
   return result;
 }
 
-QueryResult VamanaIndex::RangeQuery(const fp::Fingerprint& query,
-                                    double epsilon, int /*depth*/) const {
-  return RangeQueryWithBeam(query, epsilon, options_.beam_width);
-}
-
-QueryResult VamanaIndex::StatQuery(const fp::Fingerprint& query,
-                                   const DistortionModel& model,
-                                   const QueryOptions& options) const {
-  QueryResult result = RangeQueryImpl(
-      query, EqualExpectationRadius(model, options.filter.alpha),
-      options_.beam_width);
-  RecordQueryMetrics(QueryKind::kStatistical, result.stats,
-                     result.matches.size());
-  return result;
+QueryResult VamanaIndex::BallQuery(const fp::Fingerprint& query,
+                                   double epsilon) const {
+  return RangeQueryImpl(query, epsilon, options_.beam_width);
 }
 
 SearcherStats VamanaIndex::Stats() const {

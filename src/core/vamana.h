@@ -76,7 +76,7 @@ VamanaScratch* ThreadLocalVamanaScratch();
 /// core/scan_kernel.h. Queries are approximate — the recall contract at
 /// the benchmarked operating points lives in BENCH_ann.json and is floored
 /// by tests/backend_parity_test.cc (like the LSH baseline). StatQuery is
-/// emulated as a range query at the equal-expectation radius; matches are
+/// answered as a range query at the equal-expectation radius; matches are
 /// always exact-distance filtered (no false positives beyond the codec's
 /// documented reconstruction bound), only misses are possible.
 class VamanaIndex : public Searcher {
@@ -107,11 +107,9 @@ class VamanaIndex : public Searcher {
 
   // ---- Searcher interface ----
   const char* backend_name() const override { return "vamana"; }
-  QueryResult StatQuery(const fp::Fingerprint& query,
-                        const DistortionModel& model,
-                        const QueryOptions& options) const override;
-  QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon,
-                         int /*depth*/) const override;
+  /// The beam search at options().beam_width.
+  QueryResult BallQuery(const fp::Fingerprint& query,
+                        double epsilon) const override;
   SearcherStats Stats() const override;
   uint64_t ApproxBytes() const override;
 

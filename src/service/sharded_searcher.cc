@@ -173,8 +173,9 @@ void Select(const core::BlockFilter& filter, const fp::Fingerprint& query,
   run->head.probability_mass = run->selection->probability_mass;
 }
 
-// Step 2 on one shard: a scan of the shared selection, or the shard's own
-// query (which publishes its own record) without one.
+// Step 2 on one shard: a scan of the shared selection, or without one the
+// shard's unpublished ball query at the range's epsilon or the
+// statistical query's equal-expectation radius.
 core::QueryResult ScanShard(const core::Searcher& shard,
                             obs::Histogram* scan_us,
                             const fp::Fingerprint& query,
@@ -194,9 +195,10 @@ core::QueryResult ScanShard(const core::Searcher& shard,
     }
     partial.stats.refine_ns = watch.ElapsedNanos();
   } else {
-    partial = IsRange(spec)
-                  ? shard.RangeQuery(query, spec.epsilon, spec.depth)
-                  : shard.StatQuery(query, *spec.model, spec.options);
+    partial = shard.BallQuery(
+        query, IsRange(spec) ? spec.epsilon
+                             : core::EqualExpectationRadius(
+                                   *spec.model, spec.options.filter.alpha));
   }
   scan_us->Record(watch.ElapsedMicros());
   return partial;
@@ -204,8 +206,8 @@ core::QueryResult ScanShard(const core::Searcher& shard,
 
 // Step 3. The shards' scan stats carry no selection fields, so summing
 // every partial onto the selection's head is right in both modes; without
-// a shared selection the head is empty and the shards' own selection
-// stats add up instead.
+// a shared selection the head is empty and the shards' own stats (vamana's
+// beam expansions count as nodes visited) add up instead.
 core::QueryResult Merge(const BatchSpec& spec, QueryRun* run) {
   core::QueryResult result;
   result.stats = run->head;
@@ -226,12 +228,10 @@ core::QueryResult Merge(const BatchSpec& spec, QueryRun* run) {
         std::max(stats.probability_mass, partial.stats.probability_mass);
   }
   g_queries->Increment();
-  if (run->selection != nullptr) {
-    // The shards only scanned: this is the query's one index.* record.
-    core::RecordQueryMetrics(IsRange(spec) ? core::QueryKind::kRange
-                                           : core::QueryKind::kStatistical,
-                             result.stats, result.matches.size());
-  }
+  // No shard published: this is the query's one index.* record.
+  core::RecordQueryMetrics(IsRange(spec) ? core::QueryKind::kRange
+                                         : core::QueryKind::kStatistical,
+                           result.stats, result.matches.size());
   return result;
 }
 

@@ -100,9 +100,10 @@ class ShardedSearcher {
   ///  2. one ScanSelection per shard under that selection;
   ///  3. the partials merged into one result, published as one
   ///     RecordQueryMetrics record of the query's kind.
-  /// On backends without block structure step 1 selects nothing, step 2
-  /// is each shard's own StatQuery/RangeQuery (which publish per shard)
-  /// and step 3 only merges. Per-shard step-2 latency lands in
+  /// On backends without block structure step 1 selects nothing and step
+  /// 2 is each shard's unpublished BallQuery (at the equal-expectation
+  /// radius for a statistical batch), so every backend publishes one
+  /// record per query. Per-shard step-2 latency lands in
   /// service.shard<k>.scan_us.
   ///
   /// Without a pool every step runs inline, query after query. With one,

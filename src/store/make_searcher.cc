@@ -22,18 +22,9 @@ class SeqScanSearcher final : public core::Searcher {
 
   const char* backend_name() const override { return "seqscan"; }
 
-  core::QueryResult StatQuery(const fp::Fingerprint& query,
-                              const core::DistortionModel& model,
-                              const core::QueryOptions& options)
-      const override {
-    return core::SequentialScan(
-        db_, query, core::EqualExpectationRadius(model, options.filter.alpha),
-        core::QueryKind::kStatistical);
-  }
-
-  core::QueryResult RangeQuery(const fp::Fingerprint& query, double epsilon,
-                               int /*depth*/) const override {
-    return core::SequentialScan(db_, query, epsilon);
+  core::QueryResult BallQuery(const fp::Fingerprint& query,
+                              double epsilon) const override {
+    return core::ScanAll(db_, query, epsilon);
   }
 
   core::SearcherStats Stats() const override { return {db_.size()}; }

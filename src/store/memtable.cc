@@ -4,17 +4,7 @@
 
 namespace s3vcd::store {
 
-std::pair<size_t, size_t> MemtableRun::ResolveRange(const BitKey& begin,
-                                                    const BitKey& end) const {
-  const BitKey* const last_key = keys_ + view_.count;
-  const size_t first = std::lower_bound(keys_, last_key, begin) - keys_;
-  const size_t last = end.is_zero()
-                          ? view_.count
-                          : std::lower_bound(keys_, last_key, end) - keys_;
-  return {first, last};
-}
-
-MemtableRun Memtable::run(size_t i) const {
+core::SortedRun Memtable::run(size_t i) const {
   const size_t first = run_starts_[i];
   const size_t last =
       i + 1 < run_starts_.size() ? run_starts_[i + 1] : keys_.size();
@@ -22,7 +12,15 @@ MemtableRun Memtable::run(size_t i) const {
   const core::DescriptorView view{all.descriptor(first), all.ids + first,
                                   all.time_codes + first, all.xs + first,
                                   all.ys + first, last - first};
-  return MemtableRun(view, keys_.data() + first);
+  return core::SortedRun(view, keys_.data() + first, tables_[i]);
+}
+
+uint64_t Memtable::MemoryBytes() const {
+  uint64_t bytes = block_.MemoryBytes() + keys_.size() * sizeof(BitKey);
+  for (const core::PrefixTable& table : tables_) {
+    bytes += table.MemoryBytes();
+  }
+  return bytes;
 }
 
 void Memtable::Append(const fp::Fingerprint& descriptor, uint32_t id,
@@ -31,6 +29,7 @@ void Memtable::Append(const fp::Fingerprint& descriptor, uint32_t id,
   run_starts_.push_back(keys_.size());
   block_.Append(descriptor, id, time_code, x, y);
   keys_.push_back(key);
+  tables_.emplace_back();
   while (run_starts_.size() >= 2) {
     const size_t newest = run_starts_.back();
     const size_t older = run_starts_[run_starts_.size() - 2];
@@ -39,18 +38,29 @@ void Memtable::Append(const fp::Fingerprint& descriptor, uint32_t id,
     }
     MergeLastTwo();
   }
+  IndexLastRun();
 }
 
 void Memtable::MergeAll() {
   while (run_starts_.size() >= 2) {
     MergeLastTwo();
   }
+  if (!empty()) {
+    IndexLastRun();
+  }
+}
+
+void Memtable::IndexLastRun() {
+  const size_t begin = run_starts_.back();
+  tables_.back() = core::PrefixTable::OfRun(keys_.data() + begin,
+                                            keys_.size() - begin, *curve_);
 }
 
 void Memtable::Clear() {
   block_.Clear();
   keys_.clear();
   run_starts_.clear();
+  tables_.clear();
   // The merge buffer grew to the last merge, as large as the memtable:
   // release it between fills rather than hold a second copy's memory.
   merged_ = core::DescriptorBlock();
@@ -79,6 +89,7 @@ void Memtable::MergeLastTwo() {
   }
   keys_.insert(keys_.end(), merged_keys_.begin(), merged_keys_.end());
   run_starts_.pop_back();
+  tables_.pop_back();
 }
 
 }  // namespace s3vcd::store

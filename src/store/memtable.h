@@ -3,41 +3,15 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/descriptor_block.h"
+#include "core/sorted_run.h"
 #include "fingerprint/fingerprint.h"
+#include "hilbert/hilbert_curve.h"
 #include "util/bitkey.h"
 
 namespace s3vcd::store {
-
-/// One key-sorted run of a Memtable: a window of its SoA columns and the
-/// parallel keys. It answers the same questions as a SegmentReader
-/// (min/max key, ResolveRange, View), so SegmentSearcher scans a buffered
-/// run exactly the way it scans an on-disk segment. Valid until the next
-/// mutation of the memtable.
-class MemtableRun {
- public:
-  MemtableRun(core::DescriptorView view, const BitKey* keys)
-      : view_(view), keys_(keys) {}
-
-  size_t size() const { return view_.count; }
-  bool empty() const { return view_.count == 0; }
-  const BitKey& min_key() const { return keys_[0]; }
-  const BitKey& max_key() const { return keys_[view_.count - 1]; }
-  core::DescriptorView View() const { return view_; }
-
-  /// Resolves a curve-key range [begin, end) to run indices [first, last);
-  /// a numerically zero `end` wraps to the top of the key space (same
-  /// convention as SegmentReader::ResolveRange).
-  std::pair<size_t, size_t> ResolveRange(const BitKey& begin,
-                                         const BitKey& end) const;
-
- private:
-  core::DescriptorView view_;
-  const BitKey* keys_;
-};
 
 /// The segment store's write buffer: inserted records in one SoA
 /// DescriptorBlock with their Hilbert keys alongside, held as key-sorted
@@ -46,13 +20,20 @@ class MemtableRun {
 /// digits of size() (a binary counter: at most log2(size) + 1 runs, and a
 /// record is moved O(log size) times in its life). Merges are linear and
 /// the older run wins ties, so records with equal keys keep arrival order.
+/// Each run carries its prefix table (core/sorted_run.h), rebuilt when a
+/// merge produces it, so SegmentSearcher resolves a curve section in a
+/// buffered run exactly the way it does in an on-disk segment.
 class Memtable {
  public:
+  /// Keys are positions on `curve`, which must outlive the memtable.
+  explicit Memtable(const hilbert::HilbertCurve& curve) : curve_(&curve) {}
+
   size_t size() const { return keys_.size(); }
   bool empty() const { return keys_.empty(); }
   size_t num_runs() const { return run_starts_.size(); }
-  /// Run i, oldest (and longest) first.
-  MemtableRun run(size_t i) const;
+  /// Run i, oldest (and longest) first. Valid until the next mutation of
+  /// the memtable.
+  core::SortedRun run(size_t i) const;
 
   void Append(const fp::Fingerprint& descriptor, uint32_t id,
               uint32_t time_code, float x, float y, const BitKey& key);
@@ -65,18 +46,23 @@ class Memtable {
   const std::vector<BitKey>& keys() const { return keys_; }
 
   void Clear();
-  uint64_t MemoryBytes() const {
-    return block_.MemoryBytes() + keys_.size() * sizeof(BitKey);
-  }
+  /// Records, keys and the runs' prefix tables.
+  uint64_t MemoryBytes() const;
 
  private:
-  /// Merges the two newest runs into one.
+  /// Merges the two newest runs into one, leaving its table stale.
   void MergeLastTwo();
+  /// Builds the newest run's table: once per cascade of merges, not per
+  /// merge.
+  void IndexLastRun();
 
   core::DescriptorBlock block_;
   std::vector<BitKey> keys_;
+  const hilbert::HilbertCurve* curve_;
   /// First record of each run; runs are contiguous and ordered by age.
   std::vector<size_t> run_starts_;
+  /// Prefix table of each run, parallel to run_starts_.
+  std::vector<core::PrefixTable> tables_;
   /// Merge output, kept to reuse its capacity until the next Clear().
   core::DescriptorBlock merged_;
   std::vector<BitKey> merged_keys_;

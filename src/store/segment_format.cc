@@ -28,19 +28,6 @@ inline uint64_t GetU64(const uint8_t* p) {
   return v;
 }
 
-inline void PutKey(uint8_t* p, const BitKey& k) {
-  for (int w = 0; w < BitKey::kWords; ++w) {
-    PutU64(p + w * 8, k.word(w));
-  }
-}
-
-inline BitKey GetKey(const uint8_t* p) {
-  BitKey k;
-  for (int w = 0; w < BitKey::kWords; ++w) {
-    k.set_word(w, GetU64(p + w * 8));
-  }
-  return k;
-}
 
 inline uint64_t Align64(uint64_t off) {
   return (off + (kSectionAlign - 1)) & ~uint64_t{kSectionAlign - 1};
@@ -97,10 +84,8 @@ Status WriteSegmentFileImpl(const std::string& path, uint64_t segment_id,
   if (keys.size() != n) {
     return Status::InvalidArgument("key array size != record count");
   }
-  for (size_t i = 1; i < keys.size(); ++i) {
-    if (keys[i] < keys[i - 1]) {
-      return Status::InvalidArgument("segment records must be key-sorted");
-    }
+  if (!std::is_sorted(keys.begin(), keys.end())) {
+    return Status::InvalidArgument("segment records must be key-sorted");
   }
   if (order < 1 || order > 8) {
     return Status::InvalidArgument("curve order out of range [1, 8]");
@@ -137,22 +122,10 @@ Status WriteSegmentFileImpl(const std::string& path, uint64_t segment_id,
 
   const core::DescriptorView view = block.View();
 
-  // Section 0: keys, serialized in chunks.
+  // Section 0: the key column, in BitKey's own layout.
   S3VCD_RETURN_IF_ERROR(PadTo(&writer, sections[0].offset));
-  {
-    constexpr size_t kChunkKeys = 512;
-    uint8_t chunk[kChunkKeys * kKeyBytes];
-    uint32_t crc = 0;
-    for (size_t i = 0; i < n; i += kChunkKeys) {
-      const size_t count = std::min<size_t>(kChunkKeys, n - i);
-      for (size_t k = 0; k < count; ++k) {
-        PutKey(chunk + k * kKeyBytes, keys[i + k]);
-      }
-      crc = Crc32(chunk, count * kKeyBytes, crc);
-      S3VCD_RETURN_IF_ERROR(writer.WriteBytes(chunk, count * kKeyBytes));
-    }
-    sections[0].crc = crc;
-  }
+  sections[0].crc = Crc32(keys.data(), sections[0].length);
+  S3VCD_RETURN_IF_ERROR(writer.WriteBytes(keys.data(), sections[0].length));
 
   // Section 1: the descriptor column — written straight from the block on
   // the exact codec, encoded in chunks otherwise.
@@ -206,8 +179,10 @@ Status WriteSegmentFileImpl(const std::string& path, uint64_t segment_id,
     PutU32(e + 16, sections[s].crc);
     PutU32(e + 20, 0);  // reserved
   }
-  PutKey(footer + kFooterMinKeyOff, n > 0 ? keys.front() : BitKey::Zero());
-  PutKey(footer + kFooterMaxKeyOff, n > 0 ? keys.back() : BitKey::Zero());
+  const BitKey min_key = n > 0 ? keys.front() : BitKey::Zero();
+  const BitKey max_key = n > 0 ? keys.back() : BitKey::Zero();
+  std::memcpy(footer + kFooterMinKeyOff, &min_key, kKeyBytes);
+  std::memcpy(footer + kFooterMaxKeyOff, &max_key, kKeyBytes);
   PutU64(footer + kFooterOffsetOff, footer_offset);
   PutU32(footer + kFooterCrcOff, Crc32(footer, kFooterCrcOff));
   PutU32(footer + kFooterMagicOff, kSegmentMagic);
@@ -365,33 +340,31 @@ Status SegmentReader::Init(const std::string& path,
     return Status::Corruption("segment codec parameters invalid: " + path);
   }
 
-  key_bytes_ = data + sections[0].offset;
+  keys_ = reinterpret_cast<const BitKey*>(data + sections[0].offset);
   descriptors_ = data + sections[1].offset;
   ids_ = reinterpret_cast<const uint32_t*>(data + sections[2].offset);
   time_codes_ = reinterpret_cast<const uint32_t*>(data + sections[3].offset);
   xs_ = reinterpret_cast<const float*>(data + sections[4].offset);
   ys_ = reinterpret_cast<const float*>(data + sections[5].offset);
 
-  // Key order and footer min/max agreement.
-  BitKey prev;
+  // Key order, checked while the prefix table is built, and footer min/max
+  // agreement.
+  const hilbert::HilbertCurve curve(fp::kDims, order_);
+  table_ = core::PrefixTable(curve.key_bits(),
+                             core::PrefixTable::RunDepth(count_, curve));
   for (uint64_t i = 0; i < count_; ++i) {
-    const BitKey k = key(i);
-    if (i > 0 && k < prev) {
+    if (!table_.Append(keys_[i])) {
       return Status::Corruption("segment keys out of order: " + path);
     }
-    prev = k;
   }
-  min_key_ = count_ > 0 ? key(0) : BitKey::Zero();
-  max_key_ = count_ > 0 ? key(count_ - 1) : BitKey::Zero();
-  if (GetKey(footer + kFooterMinKeyOff) != min_key_ ||
-      GetKey(footer + kFooterMaxKeyOff) != max_key_) {
+  table_.Finish();
+  const BitKey min_key = count_ > 0 ? keys_[0] : BitKey::Zero();
+  const BitKey max_key = count_ > 0 ? keys_[count_ - 1] : BitKey::Zero();
+  if (std::memcmp(footer + kFooterMinKeyOff, &min_key, kKeyBytes) != 0 ||
+      std::memcmp(footer + kFooterMaxKeyOff, &max_key, kKeyBytes) != 0) {
     return Status::Corruption("segment min/max key mismatch: " + path);
   }
   return Status::OK();
-}
-
-BitKey SegmentReader::key(size_t i) const {
-  return GetKey(key_bytes_ + i * kKeyBytes);
 }
 
 core::FingerprintRecord SegmentReader::Record(size_t i) const {
@@ -403,28 +376,6 @@ core::FingerprintRecord SegmentReader::Record(size_t i) const {
   r.x = xs_[i];
   r.y = ys_[i];
   return r;
-}
-
-size_t SegmentReader::LowerBound(const BitKey& target) const {
-  size_t lo = 0;
-  size_t hi = static_cast<size_t>(count_);
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (key(mid) < target) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-std::pair<size_t, size_t> SegmentReader::ResolveRange(
-    const BitKey& begin, const BitKey& end) const {
-  const size_t first = LowerBound(begin);
-  const size_t last =
-      end.is_zero() ? static_cast<size_t>(count_) : LowerBound(end);
-  return {first, last};
 }
 
 }  // namespace s3vcd::store

@@ -1,16 +1,17 @@
 #ifndef S3VCD_STORE_SEGMENT_FORMAT_H_
 #define S3VCD_STORE_SEGMENT_FORMAT_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/descriptor_block.h"
 #include "core/descriptor_codec.h"
 #include "core/record.h"
+#include "core/sorted_run.h"
 #include "fingerprint/fingerprint.h"
 #include "util/bitkey.h"
 #include "util/status.h"
@@ -46,6 +47,10 @@ inline constexpr size_t kSegmentHeaderBytes = 64;
 inline constexpr uint32_t kNumSections = 7;
 /// Serialized BitKey: 4 little-endian u64 words, least significant first.
 inline constexpr size_t kKeyBytes = 32;
+// The reader maps the key column as BitKey, as it maps the u32/float
+// columns as their types.
+static_assert(std::endian::native == std::endian::little &&
+              sizeof(BitKey) == kKeyBytes && alignof(BitKey) <= kSectionAlign);
 /// Header field offsets (byte-level spec: docs/segment_format.md). The
 /// codec tag sits inside the CRC-covered prefix, so flipping it without
 /// resealing the header is caught as a checksum mismatch — and a resealed
@@ -123,10 +128,10 @@ class SegmentReader {
   /// Stored bytes per descriptor record (codec code bytes).
   size_t descriptor_code_bytes() const { return codec_.code_bytes(); }
 
-  /// Hilbert key of record i (decoded from the mapped key column).
-  BitKey key(size_t i) const;
-  const BitKey& min_key() const { return min_key_; }
-  const BitKey& max_key() const { return max_key_; }
+  /// The key column, mapped as BitKey (see kKeyBytes).
+  const BitKey* keys() const { return keys_; }
+  /// The segment as a sorted run; Open's key-order check builds its table.
+  core::SortedRun run() const { return core::SortedRun(View(), keys_, table_); }
 
   /// The SoA columns as a view the scan kernels consume directly. On a
   /// quantized segment the view carries the codec, which routes scans
@@ -145,15 +150,6 @@ class SegmentReader {
   /// Decoded through the codec on quantized segments.
   core::FingerprintRecord Record(size_t i) const;
 
-  /// Index of the first record with key >= `key` (binary search).
-  size_t LowerBound(const BitKey& key) const;
-
-  /// Resolves a curve-key range [begin, end) to record indices
-  /// [first, last); a numerically zero `end` wraps to the top of the key
-  /// space (same convention as core::S3Index::ResolveRange).
-  std::pair<size_t, size_t> ResolveRange(const BitKey& begin,
-                                         const BitKey& end) const;
-
  private:
   SegmentReader() = default;
   Status Init(const std::string& path, const SegmentReadOptions& options);
@@ -164,8 +160,6 @@ class SegmentReader {
   uint64_t count_ = 0;
   uint64_t file_bytes_ = 0;
   core::DescriptorCodec codec_;  ///< identity codec on exact segments
-  BitKey min_key_;
-  BitKey max_key_;
 
   /// Backing bytes: either a shared read-only mapping or a resident copy.
   void* map_base_ = nullptr;
@@ -173,12 +167,13 @@ class SegmentReader {
   std::vector<uint8_t> resident_;
 
   /// Column pointers into the backing bytes (64-byte aligned in-file).
-  const uint8_t* key_bytes_ = nullptr;  ///< count_ * kKeyBytes
+  const BitKey* keys_ = nullptr;
   const uint8_t* descriptors_ = nullptr;
   const uint32_t* ids_ = nullptr;
   const uint32_t* time_codes_ = nullptr;
   const float* xs_ = nullptr;
   const float* ys_ = nullptr;
+  core::PrefixTable table_;
 };
 
 }  // namespace s3vcd::store

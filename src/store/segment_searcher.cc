@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/scan_kernel.h"
+#include "core/sorted_run.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 
@@ -54,8 +55,8 @@ SegmentSearcher::SegmentSearcher(std::unique_ptr<SegmentStore> store,
                                  bool owns_dir)
     : store_(std::move(store)),
       owns_dir_(owns_dir),
-      curve_(fp::kDims, store_->order()),
-      filter_(curve_),
+      filter_(hilbert::HilbertCurve(fp::kDims, store_->order())),
+      memtable_(filter_.curve()),
       spill_threshold_(0) {}
 
 SegmentSearcher::~SegmentSearcher() {
@@ -96,12 +97,7 @@ Result<std::unique_ptr<SegmentSearcher>> SegmentSearcher::Open(
           "segment store " + dir + " already holds records; reopen it with "
           "an empty database (the segments are authoritative)");
     }
-    std::vector<BitKey> keys;
-    keys.reserve(db.size());
-    for (size_t i = 0; i < db.size(); ++i) {
-      keys.push_back(db.key(i));
-    }
-    S3VCD_RETURN_IF_ERROR((*store)->AppendSegment(db.block(), keys));
+    S3VCD_RETURN_IF_ERROR((*store)->AppendSegment(db.block(), db.keys()));
   }
 
   std::unique_ptr<SegmentSearcher> searcher(
@@ -116,32 +112,18 @@ void SegmentSearcher::ScanSelection(const fp::Fingerprint& query,
                                     core::RefinementMode mode, double radius,
                                     const core::DistortionModel* model,
                                     core::QueryResult* result) const {
-  const core::RefineSpec spec(mode, radius, model);
   const std::shared_ptr<const SegmentStore::View> view = store_->view();
-  // Segments and memtable runs are all key-sorted sources: a section
-  // entirely below a source's min_key or above its max_key touches
-  // nothing; otherwise a binary search resolves it to one contiguous
-  // slice for the scan kernel.
-  const auto scan = [&](const auto& source, const BitKey& begin,
-                        const BitKey& end) {
-    if (source.empty() || source.max_key() < begin ||
-        (!end.is_zero() && !(source.min_key() < end))) {
-      return;
-    }
-    const auto [first, last] = source.ResolveRange(begin, end);
-    if (first < last) {
-      core::ScanRecords(query, source.View(), first, last, spec, result);
-    }
-  };
-  for (const auto& [begin, end] : selection.ranges) {
-    ++result->stats.ranges_scanned;
-    for (const auto& segment : view->segments) {
-      scan(*segment, begin, end);
-    }
-    for (size_t r = 0; r < memtable_.num_runs(); ++r) {
-      scan(memtable_.run(r), begin, end);
-    }
+  // Segments, then the memtable's runs: every source is a sorted run.
+  std::vector<core::SortedRun> runs;
+  runs.reserve(view->segments.size() + memtable_.num_runs());
+  for (const auto& segment : view->segments) {
+    runs.push_back(segment->run());
   }
+  for (size_t r = 0; r < memtable_.num_runs(); ++r) {
+    runs.push_back(memtable_.run(r));
+  }
+  core::ScanSortedRuns(query, selection, runs,
+                       core::RefineSpec(mode, radius, model), result);
 }
 
 core::SearcherStats SegmentSearcher::Stats() const {
@@ -177,9 +159,11 @@ uint64_t SegmentSearcher::ApproxBytes() const {
     // page, so that is the working-set contribution for capacity planning.
     // Quantized segments store their descriptor column at the codec's code
     // width, so both the mapped and the resident figures here are the
-    // codec-compressed footprint, not a decoded size.
-    bytes += segment->mapped() ? segment->file_bytes()
-                               : segment->resident_bytes();
+    // codec-compressed footprint, not a decoded size. The prefix table is
+    // resident either way.
+    bytes += (segment->mapped() ? segment->file_bytes()
+                                : segment->resident_bytes()) +
+             segment->run().table().MemoryBytes();
   }
   return bytes;
 }
@@ -187,12 +171,8 @@ uint64_t SegmentSearcher::ApproxBytes() const {
 bool SegmentSearcher::TryInsert(const fp::Fingerprint& fingerprint,
                                 uint32_t id, uint32_t time_code, float x,
                                 float y) {
-  uint32_t coords[fp::kDims];
-  const int shift = 8 - curve_.order();
-  for (int j = 0; j < fp::kDims; ++j) {
-    coords[j] = static_cast<uint32_t>(fingerprint[j]) >> shift;
-  }
-  memtable_.Append(fingerprint, id, time_code, x, y, curve_.Encode(coords));
+  memtable_.Append(fingerprint, id, time_code, x, y,
+                   core::CurveKey(filter_.curve(), fingerprint));
   g_inserts->Increment();
   g_pending->Set(static_cast<int64_t>(memtable_.size()));
   if (memtable_.size() >= spill_threshold_) {

@@ -32,10 +32,11 @@ struct SegmentSearcherOptions {
 /// section over every key-sorted source: the on-disk segments (the SoA scan
 /// kernels run directly on the mapped columns — SegmentReader hands
 /// ScanRecords a DescriptorView into the mapping), then the memtable's
-/// sorted runs. Each source prunes the section by its min/max key and
-/// resolves it by binary search, so a buffered record is found the way a
-/// stored one is and results are identical to an in-memory S3 index over
-/// the same records (tests/segment_parity_test.cc pins bit-identical
+/// runs. Every source is a core::SortedRun with its own prefix table, and
+/// core::ScanSortedRuns prunes and resolves each section in each of them
+/// exactly as S3Index does in its one run, so a buffered record is found
+/// the way a stored one is and results are identical to an in-memory S3
+/// index over the same records (tests/segment_parity_test.cc pins bit-identical
 /// parity, including across a close/reopen cycle).
 ///
 /// Inserts append to the memtable and spill into immutable segments at
@@ -96,7 +97,6 @@ class SegmentSearcher : public core::Searcher {
   /// True when the searcher created a private temp store dir and must
   /// remove it on destruction.
   bool owns_dir_;
-  hilbert::HilbertCurve curve_;
   core::BlockFilter filter_;
   /// LSM write buffer: recent inserts as key-sorted runs.
   Memtable memtable_;

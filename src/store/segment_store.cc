@@ -408,7 +408,7 @@ Status SegmentStore::Compact(bool* merged) {
       heap(greater);
   for (size_t s = 0; s < sources.size(); ++s) {
     if (sources[s].segment->size() > 0) {
-      heap.push({sources[s].segment->key(0), static_cast<int>(s)});
+      heap.push({sources[s].segment->keys()[0], static_cast<int>(s)});
     }
   }
   core::DescriptorBlock block;
@@ -422,7 +422,7 @@ Status SegmentStore::Compact(bool* merged) {
     block.AppendRecord(src.segment->Record(src.pos));
     keys.push_back(top.key);
     if (++src.pos < src.segment->size()) {
-      heap.push({src.segment->key(src.pos), top.source});
+      heap.push({src.segment->keys()[src.pos], top.source});
     }
   }
 

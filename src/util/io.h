@@ -77,7 +77,6 @@ class BinaryReader {
   /// CRC-32 of all bytes read so far through the Read* calls (reset by
   /// Seek so ranged verification is possible).
   uint32_t crc() const { return crc_; }
-  void ResetCrc() { crc_ = 0; }
 
   Status Close();
 

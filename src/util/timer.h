@@ -34,29 +34,6 @@ class Stopwatch {
   Clock::time_point start_;
 };
 
-/// Accumulates the total of several timed intervals, e.g. per-query search
-/// time summed over a batch.
-class TimeAccumulator {
- public:
-  /// Adds `seconds` to the total and bumps the event count.
-  void Add(double seconds) {
-    total_seconds_ += seconds;
-    ++count_;
-  }
-
-  double total_seconds() const { return total_seconds_; }
-  uint64_t count() const { return count_; }
-
-  /// Average per event in milliseconds (0 when empty).
-  double AverageMillis() const {
-    return count_ == 0 ? 0.0 : total_seconds_ * 1e3 / count_;
-  }
-
- private:
-  double total_seconds_ = 0.0;
-  uint64_t count_ = 0;
-};
-
 }  // namespace s3vcd
 
 #endif  // S3VCD_UTIL_TIMER_H_

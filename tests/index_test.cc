@@ -67,16 +67,6 @@ TEST(DatabaseTest, BuildSortsAlongCurve) {
   }
 }
 
-TEST(DatabaseTest, LowerBoundFindsKeys) {
-  FingerprintDatabase db = BuildTestDatabase(2000, 12, nullptr);
-  for (size_t i : {size_t{0}, size_t{7}, size_t{1999}}) {
-    const size_t found = db.LowerBound(db.key(i));
-    EXPECT_LE(found, i);
-    EXPECT_EQ(db.key(found), db.key(i));
-  }
-  EXPECT_EQ(db.LowerBound(BitKey::Zero()), 0u);
-}
-
 TEST(DatabaseTest, SaveLoadRoundTrip) {
   const std::string path = testing::TempDir() + "/db_roundtrip.s3db";
   FingerprintDatabase db = BuildTestDatabase(3000, 13, nullptr);
@@ -149,7 +139,7 @@ TEST_F(IndexFixture, RangeQueryMatchesBruteForceExactly) {
 
 TEST_F(IndexFixture, SequentialScanMatchesBruteForce) {
   const fp::Fingerprint q = DistortFingerprint(sample_[0], 10.0, &rng_);
-  const QueryResult result = index_.SequentialScan(q, 80.0);
+  const QueryResult result = SequentialScan(index_.database(), q, 80.0);
   EXPECT_EQ(ToSet(result.matches),
             BruteForceRange(index_.database(), q, 80.0));
   EXPECT_EQ(result.stats.records_scanned, index_.database().size());
@@ -215,90 +205,6 @@ TEST_F(IndexFixture, StatisticalRetrievalRateTracksAlpha) {
   }
 }
 
-// A key below 2^key_bits whose top `depth` bits come from `prefix` and
-// whose lower bits are zero (aligned at `depth`) or random.
-BitKey KeyAtDepth(const BitKey& prefix, int key_bits, int depth,
-                  bool aligned, Rng* rng) {
-  const int low = key_bits - depth;
-  BitKey key =
-      prefix & (BitKey::LowMask(key_bits) ^ BitKey::LowMask(low));
-  if (!aligned) {
-    for (int b = 0; b < low; ++b) {
-      key.set_bit(b, rng->UniformInt(0, 1) == 1);
-    }
-  }
-  return key;
-}
-
-// The one lookup: ResolveRange answers with std::lower_bound over the
-// database keys (end = 0 meaning the top of the key space) for section
-// boundaries at every depth 1..D, aligned or not, at and beyond the
-// derived table depth, on empty, tiny and clustered databases.
-TEST(ResolveRangeTest, MatchesLowerBoundOverTheKeys) {
-  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{1000},
-                         size_t{20000}}) {
-    FingerprintDatabase db = BuildTestDatabase(n, 77 + n, nullptr);
-    const int key_bits = db.curve().key_bits();
-    std::vector<BitKey> keys;
-    for (size_t i = 0; i < db.size(); ++i) {
-      keys.push_back(db.key(i));
-    }
-    const S3Index index(std::move(db));
-    // t = clamp(ceil(log2 N), 1, D).
-    const int expected_depth = n <= 2 ? 1 : n == 1000 ? 10 : 15;
-    EXPECT_EQ(index.table_depth(), expected_depth) << "n=" << n;
-
-    const auto lower_bound = [&](const BitKey& key) {
-      return static_cast<size_t>(
-          std::lower_bound(keys.begin(), keys.end(), key) - keys.begin());
-    };
-    const auto check = [&](const BitKey& begin, const BitKey& end) {
-      const auto [first, last] = index.ResolveRange(begin, end);
-      EXPECT_EQ(first, lower_bound(begin)) << "n=" << n;
-      EXPECT_EQ(last, end.is_zero() ? keys.size() : lower_bound(end))
-          << "n=" << n;
-    };
-
-    Rng rng(1234 + n);
-    const auto random_prefix = [&] {
-      BitKey key;
-      for (int b = 0; b < key_bits; ++b) {
-        key.set_bit(b, rng.UniformInt(0, 1) == 1);
-      }
-      return key;
-    };
-    // Prefixes of stored keys land in occupied buckets; random ones mostly
-    // in empty ones.
-    const auto record_prefix = [&] {
-      return keys.empty() ? random_prefix()
-                          : keys[static_cast<size_t>(rng.UniformInt(
-                                0, static_cast<int64_t>(keys.size()) - 1))];
-    };
-    for (int depth = 1; depth <= fp::kDims; ++depth) {
-      for (const bool aligned : {true, false}) {
-        for (int trial = 0; trial < 25; ++trial) {
-          const BitKey begin = KeyAtDepth(
-              trial % 2 == 0 ? record_prefix() : random_prefix(), key_bits,
-              depth, aligned, &rng);
-          const BitKey end = KeyAtDepth(
-              trial % 3 == 0 ? random_prefix() : record_prefix(), key_bits,
-              depth, aligned, &rng);
-          check(begin, end);
-          check(begin, BitKey::Zero());  // the wrapped last section
-        }
-      }
-    }
-    // Stored keys exactly and one past them (duplicates and ties), and the
-    // two ends of the key space: aligned and unaligned keys in the first
-    // and the last table bucket.
-    for (size_t i = 0; i < keys.size(); i += 1 + keys.size() / 64) {
-      check(keys[i], keys[i] + BitKey::OneBit(0));
-    }
-    check(BitKey::Zero(), BitKey::LowMask(key_bits));
-    check(BitKey::OneBit(0), BitKey::OneBit(key_bits - 1));
-  }
-}
-
 TEST_F(IndexFixture, StatsArePopulated) {
   const GaussianDistortionModel model(15.0);
   QueryOptions options;
@@ -338,7 +244,7 @@ TEST(IndexEdgeCasesTest, EmptyDatabaseIsSafe) {
   const fp::Fingerprint q = UniformRandomFingerprint(&rng);
   EXPECT_TRUE(index.StatQuery(q, model, options).matches.empty());
   EXPECT_TRUE(index.RangeQuery(q, 100.0, 8).matches.empty());
-  EXPECT_TRUE(index.SequentialScan(q, 100.0).matches.empty());
+  EXPECT_TRUE(SequentialScan(index.database(), q, 100.0).matches.empty());
 }
 
 TEST(IndexEdgeCasesTest, SingleRecordDatabase) {

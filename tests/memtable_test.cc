@@ -1,16 +1,14 @@
 // Tests of the segment store's write buffer (store/memtable): the binary-
-// counter run schedule, run lookup against a brute-force key-membership
-// oracle (including the zero-end wrapped final section and empty runs),
-// and arrival order among equal keys across merges and spills.
+// counter run schedule and arrival order among equal keys across merges
+// and spills. The runs' section lookups are tested with every other sorted
+// run in sorted_run_test.cc.
 
 #include "store/memtable.h"
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,119 +25,12 @@
 namespace s3vcd::store {
 namespace {
 
-using Ranges = std::vector<std::pair<BitKey, BitKey>>;
-
-// ---- Oracle -----------------------------------------------------------
-
-/// Membership of a curve key in the half-open section [begin, end), where
-/// a numerically zero `end` denotes the final section wrapping to the top
-/// of the key space (the convention of every ResolveRange).
-bool KeyInSection(const BitKey& key, const BitKey& begin, const BitKey& end) {
-  return begin <= key && (end.is_zero() || key < end);
-}
-
-/// Membership of a curve key in a selection's merged, sorted, disjoint
-/// ranges (binary search on the range starts).
-bool KeyInSelection(const BitKey& key, const Ranges& ranges) {
-  const auto it = std::upper_bound(
-      ranges.begin(), ranges.end(), key,
-      [](const BitKey& k, const std::pair<BitKey, BitKey>& range) {
-        return k < range.first;
-      });
-  if (it == ranges.begin()) {
-    return false;
-  }
-  const auto& [begin, end] = *(it - 1);
-  return KeyInSection(key, begin, end);
-}
-
-BitKey TopKey() {
-  BitKey top;
-  top.set_word(3, ~uint64_t{0});
-  return top;
-}
-
 BitKey RandomKey(const hilbert::HilbertCurve& curve, Rng* rng) {
   uint32_t coords[fp::kDims];
   for (auto& c : coords) {
     c = static_cast<uint32_t>(rng->UniformInt(0, 255));
   }
   return curve.Encode(coords);
-}
-
-/// Sorted, disjoint random sections over `cuts`; the last one wraps to
-/// the top of the key space when `wrap_last`.
-Ranges RandomRanges(std::vector<BitKey> cuts, bool wrap_last) {
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-  Ranges ranges;
-  size_t i = 0;
-  for (; i + 1 < cuts.size(); i += 2) {
-    ranges.emplace_back(cuts[i], cuts[i + 1]);
-  }
-  if (wrap_last && i < cuts.size()) {
-    ranges.emplace_back(cuts[i], BitKey::Zero());
-  }
-  return ranges;
-}
-
-TEST(KeyInSectionTest, ZeroEndWrapsToTopOfKeySpace) {
-  const BitKey begin(1000);
-  const BitKey zero = BitKey::Zero();
-  // [begin, 0) means "from begin to the top of the key space".
-  EXPECT_TRUE(KeyInSection(BitKey(1000), begin, zero));
-  EXPECT_TRUE(KeyInSection(BitKey(1001), begin, zero));
-  EXPECT_TRUE(KeyInSection(TopKey(), begin, zero));
-  EXPECT_FALSE(KeyInSection(BitKey(999), begin, zero));
-  // With a nonzero end the section is the ordinary half-open interval.
-  EXPECT_TRUE(KeyInSection(BitKey(1000), begin, BitKey(1002)));
-  EXPECT_FALSE(KeyInSection(BitKey(1002), begin, BitKey(1002)));
-}
-
-// The selection oracle (binary search over merged sorted disjoint
-// sections) agrees with the brute-force scan of KeyInSection over
-// randomized range sets, including a zero-end final section.
-TEST(KeyInSelectionTest, AgreesWithBruteForceOverRandomRangeSets) {
-  const hilbert::HilbertCurve curve(fp::kDims, 8);
-  Rng rng(14);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<BitKey> cuts;
-    const int num_cuts = static_cast<int>(rng.UniformInt(2, 24));
-    for (int i = 0; i < num_cuts; ++i) {
-      cuts.push_back(RandomKey(curve, &rng));
-    }
-    const Ranges ranges = RandomRanges(cuts, trial % 3 == 0);
-    if (ranges.empty()) {
-      continue;
-    }
-    const auto brute_force = [&ranges](const BitKey& key) {
-      for (const auto& [begin, end] : ranges) {
-        if (KeyInSection(key, begin, end)) {
-          return true;
-        }
-      }
-      return false;
-    };
-
-    std::vector<BitKey> probes;
-    for (const auto& [begin, end] : ranges) {
-      probes.push_back(begin);  // inclusive boundary
-      probes.push_back(end);    // exclusive boundary
-      probes.push_back(begin + BitKey(1));
-      if (!end.is_zero()) {
-        probes.push_back(end - BitKey(1));  // last key inside
-      }
-    }
-    probes.push_back(BitKey::Zero());
-    probes.push_back(TopKey());
-    for (int p = 0; p < 64; ++p) {
-      probes.push_back(RandomKey(curve, &rng));
-    }
-    for (const BitKey& key : probes) {
-      EXPECT_EQ(KeyInSelection(key, ranges), brute_force(key))
-          << "trial " << trial << " key " << key.low64();
-    }
-  }
 }
 
 // ---- Memtable ---------------------------------------------------------
@@ -173,9 +64,9 @@ void ExpectRunsWellFormed(const Memtable& memtable,
     while ((n & expected_size) == 0) {
       expected_size >>= 1;
     }
-    const MemtableRun run = memtable.run(r);
+    const core::SortedRun run = memtable.run(r);
     ASSERT_EQ(run.size(), expected_size) << where << " run " << r;
-    const core::DescriptorView view = run.View();
+    const core::DescriptorView& view = run.view();
     for (size_t i = 0; i < run.size(); ++i) {
       const uint32_t a = view.id(i);
       ASSERT_LT(a, n) << where;
@@ -201,34 +92,9 @@ void ExpectRunsWellFormed(const Memtable& memtable,
   }
 }
 
-/// ResolveRange of every run for [begin, end) returns exactly the records
-/// the brute-force oracle puts in the section.
-void ExpectLookupMatchesOracle(const Memtable& memtable,
-                               const std::vector<BitKey>& keys,
-                               const BitKey& begin, const BitKey& end,
-                               const std::string& where) {
-  for (size_t r = 0; r < memtable.num_runs(); ++r) {
-    const MemtableRun run = memtable.run(r);
-    const auto [first, last] = run.ResolveRange(begin, end);
-    ASSERT_LE(first, last) << where;
-    ASSERT_LE(last, run.size()) << where;
-    for (size_t i = 0; i < run.size(); ++i) {
-      const bool inside = first <= i && i < last;
-      EXPECT_EQ(inside, KeyInSection(keys[run.View().id(i)], begin, end))
-          << where << " run " << r << " record " << i;
-    }
-  }
-}
-
-TEST(MemtableTest, EmptyRunResolvesEveryRangeToNothing) {
-  const MemtableRun run(core::DescriptorView{}, nullptr);
-  EXPECT_TRUE(run.empty());
-  EXPECT_EQ(run.ResolveRange(BitKey(5), BitKey(9)),
-            (std::pair<size_t, size_t>(0, 0)));
-  EXPECT_EQ(run.ResolveRange(BitKey::Zero(), BitKey::Zero()),
-            (std::pair<size_t, size_t>(0, 0)));
-
-  Memtable memtable;
+TEST(MemtableTest, EmptyMemtableHasNoRuns) {
+  const hilbert::HilbertCurve curve(fp::kDims, 8);
+  Memtable memtable(curve);
   EXPECT_TRUE(memtable.empty());
   EXPECT_EQ(memtable.num_runs(), 0u);
   memtable.MergeAll();  // no runs to merge
@@ -237,14 +103,13 @@ TEST(MemtableTest, EmptyRunResolvesEveryRangeToNothing) {
 }
 
 // Every binary-counter state from 0 to 2^k + 1 records: the run layout is
-// the binary digits of the size, and each run answers random sections
-// (half of them wrapping to the top of the key space) and its own
-// boundary keys exactly like the oracle.
-TEST(MemtableTest, EveryBinaryCounterStateMatchesOracle) {
+// the binary digits of the size, and each run carries the prefix table of
+// its own keys.
+TEST(MemtableTest, EveryBinaryCounterStateIsWellFormed) {
   constexpr size_t kMaxRecords = (size_t{1} << 7) + 1;
   const hilbert::HilbertCurve curve(fp::kDims, 8);
   Rng rng(21);
-  Memtable memtable;
+  Memtable memtable(curve);
   std::vector<BitKey> keys;
   for (size_t n = 0; n <= kMaxRecords; ++n) {
     const std::string where = "n=" + std::to_string(n);
@@ -252,77 +117,24 @@ TEST(MemtableTest, EveryBinaryCounterStateMatchesOracle) {
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
-    for (int t = 0; t < 4; ++t) {
-      const Ranges ranges =
-          RandomRanges({RandomKey(curve, &rng), RandomKey(curve, &rng),
-                        RandomKey(curve, &rng)},
-                       /*wrap_last=*/true);
-      for (const auto& [begin, end] : ranges) {
-        ExpectLookupMatchesOracle(memtable, keys, begin, end, where);
-      }
-    }
-    if (!keys.empty()) {
-      // Sections starting or ending exactly on a stored key, and the
-      // whole key space as one wrapped section.
-      const BitKey& k = keys[rng.UniformInt(0, keys.size() - 1)];
-      ExpectLookupMatchesOracle(memtable, keys, k, BitKey::Zero(), where);
-      ExpectLookupMatchesOracle(memtable, keys, BitKey::Zero(), k, where);
-      ExpectLookupMatchesOracle(memtable, keys, k, k + BitKey(1), where);
-      ExpectLookupMatchesOracle(memtable, keys, BitKey::Zero(),
-                                BitKey::Zero(), where);
+    for (size_t r = 0; r < memtable.num_runs(); ++r) {
+      const core::SortedRun run = memtable.run(r);
+      EXPECT_EQ(run.table().size(), run.size()) << where;
+      EXPECT_EQ(run.table().depth(),
+                core::PrefixTable::RunDepth(run.size(), curve))
+          << where;
     }
     keys.push_back(RandomKey(curve, &rng));
     AppendArrival(&memtable, static_cast<uint32_t>(n), keys.back());
   }
 }
 
-// A selection over all runs finds exactly the buffered records whose keys
-// the selection oracle accepts, each once.
-TEST(MemtableTest, SelectionOverRunsMatchesKeyInSelection) {
-  const hilbert::HilbertCurve curve(fp::kDims, 8);
-  Rng rng(22);
-  for (int trial = 0; trial < 30; ++trial) {
-    Memtable memtable;
-    std::vector<BitKey> keys;
-    const size_t n = static_cast<size_t>(rng.UniformInt(0, 700));
-    for (size_t a = 0; a < n; ++a) {
-      // Every fourth key repeats an earlier one: runs hold equal keys.
-      keys.push_back(a % 4 == 3 ? keys[rng.UniformInt(0, a - 1)]
-                                : RandomKey(curve, &rng));
-      AppendArrival(&memtable, static_cast<uint32_t>(a), keys.back());
-    }
-    std::vector<BitKey> cuts;
-    for (int c = 0; c < 16; ++c) {
-      cuts.push_back(n > 0 && c % 2 == 0 ? keys[rng.UniformInt(0, n - 1)]
-                                         : RandomKey(curve, &rng));
-    }
-    const Ranges ranges = RandomRanges(cuts, trial % 2 == 0);
-
-    std::multiset<uint32_t> found;
-    for (const auto& [begin, end] : ranges) {
-      for (size_t r = 0; r < memtable.num_runs(); ++r) {
-        const MemtableRun run = memtable.run(r);
-        const auto [first, last] = run.ResolveRange(begin, end);
-        for (size_t i = first; i < last; ++i) {
-          found.insert(run.View().id(i));
-        }
-      }
-    }
-    std::multiset<uint32_t> expected;
-    for (size_t a = 0; a < n; ++a) {
-      if (KeyInSelection(keys[a], ranges)) {
-        expected.insert(static_cast<uint32_t>(a));
-      }
-    }
-    EXPECT_EQ(found, expected) << "trial " << trial << " n=" << n;
-  }
-}
-
 // Heavy key collisions: every merge, and the final MergeAll, keeps equal
 // keys in arrival order — the order a stable sort of the arrivals gives.
 TEST(MemtableTest, EqualKeysKeepArrivalOrderAcrossMerges) {
+  const hilbert::HilbertCurve curve(fp::kDims, 8);
   Rng rng(23);
-  Memtable memtable;
+  Memtable memtable(curve);
   std::vector<BitKey> keys;
   for (uint32_t a = 0; a < 1000; ++a) {
     keys.push_back(BitKey(static_cast<uint64_t>(rng.UniformInt(0, 9))));
@@ -382,8 +194,8 @@ TEST(MemtableTest, SpillKeepsArrivalOrderForEqualKeys) {
     ASSERT_EQ(segment->size(), 100u);
     size_t repeated = 0;
     for (size_t i = 1; i < segment->size(); ++i) {
-      ASSERT_FALSE(segment->key(i) < segment->key(i - 1));
-      if (segment->key(i) == segment->key(i - 1)) {
+      ASSERT_FALSE(segment->keys()[i] < segment->keys()[i - 1]);
+      if (segment->keys()[i] == segment->keys()[i - 1]) {
         ++repeated;
         EXPECT_LT(segment->Record(i - 1).time_code,
                   segment->Record(i).time_code)

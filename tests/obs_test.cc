@@ -569,7 +569,8 @@ TEST(CheckOkDeathTest, NonOkStatusAborts) {
 // The acceptance contract of the metrics layer: every query path — each
 // served backend's statistical and range query, the VA-file and LSH range
 // queries, both kNN searches and the sharded service's statistical and
-// range batches — publishes exactly one index.* record per query, and the
+// range batches over block-structured and over seqscan/vamana shards —
+// publishes exactly one index.* record per query, and the
 // global counters record exactly what the per-query QueryStats report.
 TEST(QueryMetricsParityTest, CountersMatchQueryStats) {
   const auto make_db = [] {
@@ -631,9 +632,7 @@ TEST(QueryMetricsParityTest, CountersMatchQueryStats) {
          each([searcher, &model, &options](const fp::Fingerprint& q) {
            return searcher->StatQuery(q, model, options);
          })});
-    cases.push_back({std::string(name) + " RangeQuery",
-                     name == "seqscan" ? "index.queries.seq_scan"
-                                       : "index.queries.range",
+    cases.push_back({std::string(name) + " RangeQuery", "index.queries.range",
                      each([searcher, epsilon](const fp::Fingerprint& q) {
                        return searcher->RangeQuery(q, epsilon, 10);
                      })});
@@ -674,6 +673,36 @@ TEST(QueryMetricsParityTest, CountersMatchQueryStats) {
                      return sharded->RunBatch(
                          batch, service::BatchSpec::Range(epsilon, 10), &pool);
                    }});
+
+  // Backends without block structure have no selection to share: each
+  // shard answers its own ball query and the batch still publishes one
+  // merged record per query.
+  std::vector<service::ShardedSearcher> unselected;
+  for (const std::string backend : {"seqscan", "vamana"}) {
+    service::ShardedSearcherOptions three;
+    three.num_shards = 3;
+    three.backend = backend;
+    auto built = service::ShardedSearcher::Build(make_db(), three);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    unselected.push_back(std::move(*built));
+  }
+  for (const service::ShardedSearcher& searcher : unselected) {
+    const std::string backend = searcher.options().backend;
+    cases.push_back(
+        {"3-shard " + backend + " statistical batch",
+         "index.queries.statistical",
+         [&](const std::vector<fp::Fingerprint>& batch) {
+           return searcher.RunBatch(
+               batch, service::BatchSpec::Statistical(model, options), &pool);
+         }});
+    cases.push_back({"3-shard " + backend + " range batch",
+                     "index.queries.range",
+                     [&](const std::vector<fp::Fingerprint>& batch) {
+                       return searcher.RunBatch(
+                           batch, service::BatchSpec::Range(epsilon, 10),
+                           nullptr);
+                     }});
+  }
 
   MetricsRegistry& registry = MetricsRegistry::Global();
   std::map<std::string, uint64_t> nodes_visited;

@@ -123,10 +123,10 @@ TEST(SegmentFormatTest, RoundtripMappedAndResident) {
     EXPECT_EQ(seg.segment_id(), 42u);
     EXPECT_EQ(seg.order(), kOrder);
     ASSERT_EQ(seg.size(), block.size());
-    EXPECT_EQ(seg.min_key(), keys.front());
-    EXPECT_EQ(seg.max_key(), keys.back());
+    EXPECT_EQ(seg.run().min_key(), keys.front());
+    EXPECT_EQ(seg.run().max_key(), keys.back());
     for (size_t i = 0; i < seg.size(); ++i) {
-      EXPECT_EQ(seg.key(i), keys[i]);
+      EXPECT_EQ(seg.keys()[i], keys[i]);
       const core::FingerprintRecord got = seg.Record(i);
       const core::FingerprintRecord want = block.Record(i);
       EXPECT_EQ(got.descriptor, want.descriptor);
@@ -139,12 +139,6 @@ TEST(SegmentFormatTest, RoundtripMappedAndResident) {
     EXPECT_EQ(view.id(0), block.id(0));
     EXPECT_EQ(std::memcmp(view.descriptor(3), block.descriptor(3), fp::kDims),
               0);
-    // ResolveRange: the full key space, and a wrapped end.
-    EXPECT_EQ(seg.ResolveRange(BitKey::Zero(), BitKey::Zero()),
-              (std::pair<size_t, size_t>{0, seg.size()}));
-    const auto [first, last] = seg.ResolveRange(keys[10], keys[20]);
-    EXPECT_EQ(seg.key(first), keys[10]);
-    EXPECT_LE(last, 21u);
   }
 }
 

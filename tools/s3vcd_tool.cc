@@ -78,6 +78,7 @@
 #include "core/index.h"
 #include "core/pseudo_disk.h"
 #include "core/searcher.h"
+#include "core/sorted_run.h"
 #include "core/synthetic_db.h"
 #include "core/tuner.h"
 #include "fingerprint/extractor.h"
@@ -629,16 +630,18 @@ int CmdInspect(const Flags& flags) {
     ++per_id[db->record(i).id];
   }
   std::printf("distinct ids: %zu\n", per_id.size());
-  // Occupancy of the 16 top-level curve sections.
+  // Occupancy of the 16 top-level curve sections: their depth-4 prefix
+  // table's bucket widths (the loader already checked the key order).
   if (!db->empty()) {
-    const int shift = db->curve().key_bits() - 4;
-    uint64_t counts[16] = {};
-    for (size_t i = 0; i < db->size(); ++i) {
-      ++counts[(db->key(i) >> shift).low64() & 15];
+    core::PrefixTable table(db->curve().key_bits(), 4);
+    for (const BitKey& key : db->keys()) {
+      table.Append(key);
     }
+    table.Finish();
     std::printf("top-level section occupancy:");
-    for (uint64_t c : counts) {
-      std::printf(" %.1f%%", 100.0 * c / db->size());
+    for (uint64_t s = 0; s < table.num_prefixes(); ++s) {
+      std::printf(" %.1f%%", 100.0 * (table.offset(s + 1) - table.offset(s)) /
+                                 db->size());
     }
     std::printf("\n");
   }
@@ -729,8 +732,8 @@ int CmdQuery(const Flags& flags) {
   const core::Searcher& index = **searcher;
   const core::GaussianDistortionModel model(sigma);
   if (depth == 0) {
-    // Depth auto-tuning walks the block-tree ladder of the S3 structure;
-    // other backends ignore the depth parameter.
+    // Depth auto-tuning times statistical queries of the S3 index at each
+    // candidate depth (Section IV-A); other backends ignore the depth.
     const auto* s3 = dynamic_cast<const core::S3Index*>(searcher->get());
     if (s3 != nullptr) {
       depth = core::TuneDepth(*s3, model, tune, alpha,
