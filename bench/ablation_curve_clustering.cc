@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "hilbert/zorder.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -26,26 +25,26 @@ int Main() {
 
   Corpus corpus = BuildCorpus(6, kDbSize, 10100);
   const core::S3Index& index = *corpus.index;
-  const hilbert::ZOrderCurve zcurve(fp::kDims, 8);
-  const core::ZOrderBlockFilter zfilter(zcurve);
+  const core::ZOrderBlockFilter zfilter;
   const core::GaussianDistortionModel model(kSigma);
   Rng rng(665);
 
-  // A Z-order-sorted copy of the same records, to count scanned records.
-  std::vector<BitKey> zkeys;
-  zkeys.reserve(index.database().size());
-  uint32_t coords[fp::kDims];
+  // The Z-order codes of the same records, sorted, to count scanned
+  // records: an orthant's Z-order code is its sign bits in axis order.
+  std::vector<uint32_t> zcodes;
+  zcodes.reserve(index.database().size());
   for (size_t i = 0; i < index.database().size(); ++i) {
     const auto& d = index.database().record(i).descriptor;
+    uint32_t code = 0;
     for (int j = 0; j < fp::kDims; ++j) {
-      coords[j] = d[j];
+      code = (code << 1) | (d[j] >> 7);
     }
-    zkeys.push_back(zcurve.Encode(coords));
+    zcodes.push_back(code);
   }
-  std::sort(zkeys.begin(), zkeys.end());
-  auto z_records_in = [&](const BitKey& begin, const BitKey& end) {
-    const auto lo = std::lower_bound(zkeys.begin(), zkeys.end(), begin);
-    const auto hi = std::lower_bound(zkeys.begin(), zkeys.end(), end);
+  std::sort(zcodes.begin(), zcodes.end());
+  auto z_records_in = [&](uint32_t begin, uint32_t end) {
+    const auto lo = std::lower_bound(zcodes.begin(), zcodes.end(), begin);
+    const auto hi = std::lower_bound(zcodes.begin(), zcodes.end(), end);
     return static_cast<uint64_t>(hi - lo);
   };
 

@@ -154,7 +154,8 @@ int Main() {
       add_row("closed_form", watch.ElapsedMillis(), blocks, mass, nodes);
     }
     {
-      const hilbert::BlockTree tree(index.filter().curve());
+      const hilbert::HilbertCurve curve(fp::kDims, 8);
+      const hilbert::BlockTree tree(curve);
       Stopwatch watch;
       ThresholdSelection total;
       for (const auto& q : queries) {

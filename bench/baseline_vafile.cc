@@ -117,8 +117,8 @@ int Main() {
     tune_queries.push_back(core::DistortFingerprint(
         corpus.db().record(idx).descriptor, kSigma, &rng));
   }
-  const std::vector<int> candidates = core::DefaultDepthCandidates(
-      corpus.db().size(), corpus.db().curve().key_bits());
+  const std::vector<int> candidates =
+      core::DefaultDepthCandidates(corpus.db().size());
   const int depth = core::TuneDepth(*corpus.index, model, tune_queries,
                                     kAlpha, candidates)
                         .best_depth;

@@ -82,7 +82,7 @@ std::unique_ptr<core::S3Index> RebuildIndexWithSize(const Corpus& corpus,
 
 core::FingerprintDatabase CopyDatabase(const Corpus& corpus) {
   const core::FingerprintDatabase& db = corpus.db();
-  core::DatabaseBuilder builder(db.order());
+  core::DatabaseBuilder builder;
   for (size_t i = 0; i < db.size(); ++i) {
     const core::FingerprintRecord& r = db.record(i);
     builder.Add(r.descriptor, r.id, r.time_code, r.x, r.y);

@@ -54,7 +54,7 @@ int Main() {
     }
     const core::DepthTuningResult tuned = core::TuneDepth(
         *index, model, tune_queries, kAlpha,
-        core::DefaultDepthCandidates(index->database().size(), 160));
+        core::DefaultDepthCandidates(index->database().size()));
 
     std::vector<fp::Fingerprint> queries;
     for (int i = 0; i < kStatQueries; ++i) {

@@ -70,8 +70,7 @@ void BM_SquaredDistance(benchmark::State& state) {
 BENCHMARK(BM_SquaredDistance);
 
 void BM_StatisticalFilter(benchmark::State& state) {
-  const hilbert::HilbertCurve curve(20, 8);
-  const core::BlockFilter filter(curve);
+  const core::BlockFilter filter;
   const core::GaussianDistortionModel model(20.0);
   Rng rng(4);
   const fp::Fingerprint q = core::UniformRandomFingerprint(&rng);
@@ -290,11 +289,6 @@ void BM_SegmentScan(benchmark::State& state) {
   if (segment_path.empty()) {
     core::S3Index* index = SharedIndex();
     const core::FingerprintDatabase& db = index->database();
-    std::vector<BitKey> keys;
-    keys.reserve(db.size());
-    for (size_t i = 0; i < db.size(); ++i) {
-      keys.push_back(db.key(i));
-    }
     std::string path =
         (std::filesystem::temp_directory_path() /
          ("s3vcd_bench_segment_" + std::to_string(::getpid()) + "_" +
@@ -304,7 +298,7 @@ void BM_SegmentScan(benchmark::State& state) {
     write_options.sync = false;
     write_options.codec = codec_kind;
     const Status status = store::WriteSegmentFile(
-        path, /*segment_id=*/1, db.order(), db.block(), keys, write_options);
+        path, /*segment_id=*/1, db.block(), db.codes(), write_options);
     if (status.ok()) {
       segment_path = path;
     }

@@ -51,7 +51,7 @@ int main() {
   // Learn the best partition depth (Section IV-A).
   const auto tuned = core::TuneDepth(
       index, model, {queries.begin(), queries.begin() + 30}, 0.8,
-      core::DefaultDepthCandidates(index.database().size(), 160));
+      core::DefaultDepthCandidates(index.database().size()));
   std::printf("tuned partition depth p_min = %d\n", tuned.best_depth);
 
   // Compare the three search strategies at equal expectation.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 
 #include "core/sorted_run.h"
 #include "util/io.h"
@@ -13,7 +12,8 @@ namespace s3vcd::core {
 namespace {
 
 constexpr uint32_t kMagic = 0x53334442;  // "S3DB"
-constexpr uint32_t kVersion = 1;
+// Version 2 dropped the curve order field (version 1 files are refused).
+constexpr uint32_t kVersion = 2;
 
 }  // namespace
 
@@ -35,28 +35,42 @@ void DeserializeRecord(const uint8_t* in, FingerprintRecord* r) {
   std::memcpy(&r->y, in + fp::kDims + 12, 4);
 }
 
-Result<FileHeader> ReadHeader(BinaryReader* reader) {
+Status WriteHeader(BinaryWriter* writer, uint64_t count) {
+  S3VCD_RETURN_IF_ERROR(writer->WriteU32(kMagic));
+  S3VCD_RETURN_IF_ERROR(writer->WriteU32(kVersion));
+  S3VCD_RETURN_IF_ERROR(writer->WriteU32(static_cast<uint32_t>(fp::kDims)));
+  return writer->WriteU64(count);
+}
+
+Result<uint64_t> ReadHeader(BinaryReader* reader) {
   uint32_t magic = 0;
   uint32_t version = 0;
-  FileHeader header;
+  uint32_t dims = 0;
+  uint64_t count = 0;
+  S3VCD_ASSIGN_OR_RETURN(const uint64_t size, reader->Size());
+  if (size < kHeaderBytes + 4) {
+    return Status::Corruption("database file truncated");
+  }
   S3VCD_RETURN_IF_ERROR(reader->ReadU32(&magic));
   if (magic != kMagic) {
     return Status::Corruption("not a fingerprint database file");
   }
   S3VCD_RETURN_IF_ERROR(reader->ReadU32(&version));
   if (version != kVersion) {
-    return Status::Corruption("unsupported database version");
+    return Status::Corruption("unsupported database version " +
+                              std::to_string(version));
   }
-  S3VCD_RETURN_IF_ERROR(reader->ReadU32(&header.dims));
-  if (header.dims != static_cast<uint32_t>(fp::kDims)) {
+  S3VCD_RETURN_IF_ERROR(reader->ReadU32(&dims));
+  if (dims != static_cast<uint32_t>(fp::kDims)) {
     return Status::Corruption("database dimensionality mismatch");
   }
-  S3VCD_RETURN_IF_ERROR(reader->ReadU32(&header.order));
-  if (header.order < 1 || header.order > 8) {
-    return Status::Corruption("invalid curve order");
+  S3VCD_RETURN_IF_ERROR(reader->ReadU64(&count));
+  // The payload is exactly count records and the CRC.
+  if (count > (size - kHeaderBytes - 4) / kRecordBytes ||
+      size != kHeaderBytes + count * kRecordBytes + 4) {
+    return Status::Corruption("database size disagrees with its count");
   }
-  S3VCD_RETURN_IF_ERROR(reader->ReadU64(&header.count));
-  return header;
+  return count;
 }
 
 }  // namespace internal
@@ -65,23 +79,14 @@ using internal::DeserializeRecord;
 using internal::kRecordBytes;
 using internal::SerializeRecord;
 
-FingerprintDatabase::FingerprintDatabase(int order)
-    : curve_(fp::kDims, order) {
-  S3VCD_CHECK(order >= 1 && order <= 8);
-}
-
 uint64_t FingerprintDatabase::MemoryBytes() const {
-  return block_.MemoryBytes() + keys_.size() * sizeof(BitKey);
+  return block_.MemoryBytes() + codes_.size() * sizeof(uint32_t);
 }
 
 Status FingerprintDatabase::SaveToFile(const std::string& path) const {
   BinaryWriter writer;
   S3VCD_RETURN_IF_ERROR(writer.Open(path));
-  S3VCD_RETURN_IF_ERROR(writer.WriteU32(kMagic));
-  S3VCD_RETURN_IF_ERROR(writer.WriteU32(kVersion));
-  S3VCD_RETURN_IF_ERROR(writer.WriteU32(static_cast<uint32_t>(fp::kDims)));
-  S3VCD_RETURN_IF_ERROR(writer.WriteU32(static_cast<uint32_t>(order())));
-  S3VCD_RETURN_IF_ERROR(writer.WriteU64(block_.size()));
+  S3VCD_RETURN_IF_ERROR(internal::WriteHeader(&writer, block_.size()));
   uint8_t buf[kRecordBytes];
   for (size_t i = 0; i < block_.size(); ++i) {
     SerializeRecord(block_.Record(i), buf);
@@ -95,20 +100,18 @@ Result<FingerprintDatabase> FingerprintDatabase::LoadFromFile(
     const std::string& path) {
   BinaryReader reader;
   S3VCD_RETURN_IF_ERROR(reader.Open(path));
-  S3VCD_ASSIGN_OR_RETURN(const internal::FileHeader header,
-                         internal::ReadHeader(&reader));
-  const uint64_t count = header.count;
-  FingerprintDatabase db(static_cast<int>(header.order));
+  S3VCD_ASSIGN_OR_RETURN(const uint64_t count, internal::ReadHeader(&reader));
+  FingerprintDatabase db;
   db.block_.Reserve(count);
-  db.keys_.reserve(count);
+  db.codes_.reserve(count);
   uint8_t buf[kRecordBytes];
   FingerprintRecord record;
   for (uint64_t i = 0; i < count; ++i) {
     S3VCD_RETURN_IF_ERROR(reader.ReadBytes(buf, kRecordBytes));
     DeserializeRecord(buf, &record);
     db.block_.AppendRecord(record);
-    // Recompute the key; the sort order is verified below.
-    db.keys_.push_back(CurveKey(db.curve_, record.descriptor));
+    // Recompute the code; the sort order is verified below.
+    db.codes_.push_back(OrthantCode(record.descriptor));
   }
   const uint32_t computed_crc = reader.crc();
   uint32_t stored_crc = 0;
@@ -117,14 +120,10 @@ Result<FingerprintDatabase> FingerprintDatabase::LoadFromFile(
     return Status::Corruption("database checksum mismatch");
   }
   S3VCD_RETURN_IF_ERROR(reader.Close());
-  if (!std::is_sorted(db.keys_.begin(), db.keys_.end())) {
+  if (!std::is_sorted(db.codes_.begin(), db.codes_.end())) {
     return Status::Corruption("database records are not curve-ordered");
   }
   return db;
-}
-
-DatabaseBuilder::DatabaseBuilder(int order) : order_(order) {
-  S3VCD_CHECK(order >= 1 && order <= 8);
 }
 
 void DatabaseBuilder::Add(const fp::Fingerprint& fingerprint, uint32_t id,
@@ -141,23 +140,20 @@ void DatabaseBuilder::AddVideo(uint32_t id,
 }
 
 FingerprintDatabase DatabaseBuilder::Build() {
-  FingerprintDatabase db(order_);
   const size_t n = records_.size();
-  std::vector<BitKey> keys;
-  keys.reserve(n);
-  for (const FingerprintRecord& r : records_) {
-    keys.push_back(CurveKey(db.curve_, r.descriptor));
+  S3VCD_CHECK(n <= UINT32_MAX);
+  // Sorting (code, arrival index) pairs keeps arrival order within a code.
+  std::vector<uint64_t> order(n);
+  for (size_t i = 0; i < n; ++i) {
+    order[i] = uint64_t{OrthantCode(records_[i].descriptor)} << 32 | i;
   }
-  std::vector<uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
-  std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    return keys[a] < keys[b];
-  });
+  std::sort(order.begin(), order.end());
+  FingerprintDatabase db;
   db.block_.Reserve(n);
-  db.keys_.reserve(n);
-  for (uint32_t idx : perm) {
-    db.block_.AppendRecord(records_[idx]);
-    db.keys_.push_back(keys[idx]);
+  db.codes_.reserve(n);
+  for (const uint64_t entry : order) {
+    db.block_.AppendRecord(records_[static_cast<uint32_t>(entry)]);
+    db.codes_.push_back(static_cast<uint32_t>(entry >> 32));
   }
   records_.clear();
   return db;

@@ -7,8 +7,6 @@
 #include "core/descriptor_block.h"
 #include "core/record.h"
 #include "fingerprint/fingerprint.h"
-#include "hilbert/hilbert_curve.h"
-#include "util/bitkey.h"
 #include "util/io.h"
 #include "util/status.h"
 
@@ -18,45 +16,37 @@ namespace internal {
 
 /// On-disk record size: descriptor + id + time code + x + y.
 inline constexpr size_t kRecordBytes = fp::kDims + 16;
-/// Database file header: magic, version, dims, order (u32 each) + count
-/// (u64) = 24 bytes before the record payload.
-inline constexpr uint64_t kHeaderBytes = 24;
+/// Database file header: magic, version, dims (u32 each) + count (u64) =
+/// 20 bytes before the record payload.
+inline constexpr uint64_t kHeaderBytes = 20;
 
 void SerializeRecord(const FingerprintRecord& r, uint8_t* out);
 void DeserializeRecord(const uint8_t* in, FingerprintRecord* r);
 
-struct FileHeader {
-  uint32_t dims = 0;
-  uint32_t order = 0;
-  uint64_t count = 0;
-};
+/// Writes the header of a database file of `count` records.
+Status WriteHeader(BinaryWriter* writer, uint64_t count);
 
 /// Reads and validates the header of a database file, leaving the reader
-/// positioned at the first record.
-Result<FileHeader> ReadHeader(BinaryReader* reader);
+/// positioned at the first record; returns the record count.
+Result<uint64_t> ReadHeader(BinaryReader* reader);
 
 }  // namespace internal
 
 /// The static fingerprint store of the S3 system: records physically
-/// ordered by their position on the Hilbert curve (paper Section IV). The
-/// structure is immutable once built — the paper's design explicitly trades
-/// dynamic insertion for a compact, cache-friendly sorted layout.
+/// ordered by their position on the Hilbert curve (paper Section IV), that
+/// is by orthant code (core/sorted_run.h), in arrival order within a code.
+/// The structure is immutable once built — the paper's design explicitly
+/// trades dynamic insertion for a compact, cache-friendly sorted layout.
 class FingerprintDatabase {
  public:
-  /// Default curve order (bits per component): fingerprint bytes are grid
-  /// coordinates directly.
-  static constexpr int kDefaultOrder = 8;
-
-  /// An empty database with the given curve order in [1, 8].
-  explicit FingerprintDatabase(int order = kDefaultOrder);
+  /// An empty database.
+  FingerprintDatabase() = default;
 
   FingerprintDatabase(FingerprintDatabase&&) = default;
   FingerprintDatabase& operator=(FingerprintDatabase&&) = default;
   FingerprintDatabase(const FingerprintDatabase&) = delete;
   FingerprintDatabase& operator=(const FingerprintDatabase&) = delete;
 
-  const hilbert::HilbertCurve& curve() const { return curve_; }
-  int order() const { return curve_.order(); }
   size_t size() const { return block_.size(); }
   bool empty() const { return block_.empty(); }
 
@@ -65,11 +55,11 @@ class FingerprintDatabase {
   FingerprintRecord record(size_t i) const { return block_.Record(i); }
   /// The structure-of-arrays record store (what ScanRecords consumes).
   const DescriptorBlock& block() const { return block_; }
-  const BitKey& key(size_t i) const { return keys_[i]; }
-  /// The key column, parallel to block() (core::CurveKey of each record).
-  const std::vector<BitKey>& keys() const { return keys_; }
+  /// The code column, parallel to block() (core::OrthantCode of each
+  /// record).
+  const std::vector<uint32_t>& codes() const { return codes_; }
 
-  /// Approximate in-memory footprint in bytes (records + keys).
+  /// Approximate in-memory footprint in bytes (records + codes).
   uint64_t MemoryBytes() const;
 
   /// Serializes to a single file (header, sorted records, CRC).
@@ -79,17 +69,14 @@ class FingerprintDatabase {
  private:
   friend class DatabaseBuilder;
 
-  hilbert::HilbertCurve curve_;
-  DescriptorBlock block_;     // sorted by keys_
-  std::vector<BitKey> keys_;  // parallel to block_
+  DescriptorBlock block_;        // sorted by codes_
+  std::vector<uint32_t> codes_;  // parallel to block_
 };
 
 /// Accumulates fingerprints, then sorts them along the Hilbert curve into a
 /// FingerprintDatabase.
 class DatabaseBuilder {
  public:
-  explicit DatabaseBuilder(int order = FingerprintDatabase::kDefaultOrder);
-
   void Add(const fp::Fingerprint& fingerprint, uint32_t id,
            uint32_t time_code, float x = 0, float y = 0);
 
@@ -98,11 +85,11 @@ class DatabaseBuilder {
 
   size_t size() const { return records_.size(); }
 
-  /// Sorts and returns the database; the builder is left empty.
+  /// Sorts by code, in arrival order within a code, and returns the
+  /// database; the builder is left empty.
   FingerprintDatabase Build();
 
  private:
-  int order_;
   std::vector<FingerprintRecord> records_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <queue>
 
@@ -15,10 +16,10 @@ namespace s3vcd::core {
 namespace {
 
 constexpr uint32_t kRunMagic = 0x53325255;  // "S2RU"
-// Run record layout: key + serialized record. Runs are temporaries read
-// back by the host that wrote them, so the key keeps BitKey's own layout.
-constexpr size_t kKeyBytes = sizeof(BitKey);
-constexpr size_t kRunRecordBytes = kKeyBytes + internal::kRecordBytes;
+// Run record layout: code + serialized record. Runs are temporaries read
+// back by the host that wrote them, so the code keeps its native layout.
+constexpr size_t kCodeBytes = sizeof(uint32_t);
+constexpr size_t kRunRecordBytes = kCodeBytes + internal::kRecordBytes;
 
 // Buffered sequential reader over one sorted run file.
 class RunReader {
@@ -37,7 +38,7 @@ class RunReader {
   }
 
   bool exhausted() const { return exhausted_; }
-  const BitKey& key() const { return key_; }
+  uint32_t code() const { return code_; }
   const FingerprintRecord& record() const { return record_; }
 
   Status Advance() {
@@ -47,8 +48,8 @@ class RunReader {
     }
     uint8_t buf[kRunRecordBytes];
     S3VCD_RETURN_IF_ERROR(reader_.ReadBytes(buf, kRunRecordBytes));
-    std::memcpy(&key_, buf, kKeyBytes);
-    internal::DeserializeRecord(buf + kKeyBytes, &record_);
+    std::memcpy(&code_, buf, kCodeBytes);
+    internal::DeserializeRecord(buf + kCodeBytes, &record_);
     --remaining_;
     return Status::OK();
   }
@@ -58,7 +59,7 @@ class RunReader {
   BinaryReader reader_;
   uint64_t remaining_ = 0;
   bool exhausted_ = false;
-  BitKey key_;
+  uint32_t code_ = 0;
   FingerprintRecord record_;
 };
 
@@ -66,9 +67,7 @@ class RunReader {
 
 ExternalDatabaseBuilder::ExternalDatabaseBuilder(
     std::string output_path, const ExternalBuilderOptions& options)
-    : output_path_(std::move(output_path)),
-      options_(options),
-      curve_(fp::kDims, options.order) {
+    : output_path_(std::move(output_path)), options_(options) {
   S3VCD_CHECK(options.max_records_in_memory >= 2);
   buffer_.reserve(std::min<size_t>(options.max_records_in_memory, 1 << 16));
 }
@@ -81,10 +80,10 @@ ExternalDatabaseBuilder::~ExternalDatabaseBuilder() {
 }
 
 void ExternalDatabaseBuilder::SortBuffer() {
-  std::sort(buffer_.begin(), buffer_.end(),
-            [](const KeyedRecord& a, const KeyedRecord& b) {
-              return a.key < b.key;
-            });
+  std::stable_sort(buffer_.begin(), buffer_.end(),
+                   [](const CodedRecord& a, const CodedRecord& b) {
+                     return a.code < b.code;
+                   });
 }
 
 Status ExternalDatabaseBuilder::SpillRun() {
@@ -97,9 +96,9 @@ Status ExternalDatabaseBuilder::SpillRun() {
   S3VCD_RETURN_IF_ERROR(writer.WriteU32(kRunMagic));
   S3VCD_RETURN_IF_ERROR(writer.WriteU64(buffer_.size()));
   uint8_t buf[kRunRecordBytes];
-  for (const KeyedRecord& kr : buffer_) {
-    std::memcpy(buf, &kr.key, kKeyBytes);
-    internal::SerializeRecord(kr.record, buf + kKeyBytes);
+  for (const CodedRecord& cr : buffer_) {
+    std::memcpy(buf, &cr.code, kCodeBytes);
+    internal::SerializeRecord(cr.record, buf + kCodeBytes);
     S3VCD_RETURN_IF_ERROR(writer.WriteBytes(buf, kRunRecordBytes));
   }
   S3VCD_RETURN_IF_ERROR(writer.Close());
@@ -114,10 +113,8 @@ Status ExternalDatabaseBuilder::Add(const fp::Fingerprint& fingerprint,
   if (finished_) {
     return Status::FailedPrecondition("builder already finished");
   }
-  KeyedRecord kr;
-  kr.key = CurveKey(curve_, fingerprint);
-  kr.record = {fingerprint, id, time_code, x, y};
-  buffer_.push_back(kr);
+  buffer_.push_back(
+      {OrthantCode(fingerprint), {fingerprint, id, time_code, x, y}});
   ++total_records_;
   if (buffer_.size() >= options_.max_records_in_memory) {
     return SpillRun();
@@ -155,63 +152,55 @@ Status ExternalDatabaseBuilder::Finish() {
 Status ExternalDatabaseBuilder::MergeRuns() {
   SortBuffer();
 
-  // Output header (same format as FingerprintDatabase::SaveToFile).
   BinaryWriter writer;
   S3VCD_RETURN_IF_ERROR(writer.Open(output_path_));
-  S3VCD_RETURN_IF_ERROR(writer.WriteU32(0x53334442));  // "S3DB"
-  S3VCD_RETURN_IF_ERROR(writer.WriteU32(1));           // version
-  S3VCD_RETURN_IF_ERROR(writer.WriteU32(static_cast<uint32_t>(fp::kDims)));
-  S3VCD_RETURN_IF_ERROR(
-      writer.WriteU32(static_cast<uint32_t>(curve_.order())));
-  S3VCD_RETURN_IF_ERROR(writer.WriteU64(total_records_));
+  S3VCD_RETURN_IF_ERROR(internal::WriteHeader(&writer, total_records_));
 
-  // K-way merge of the spilled runs plus the in-memory tail.
+  // K-way merge of the spilled runs plus the in-memory tail, the newest
+  // arrivals. A heap entry is (code, source): code ties go to the older
+  // source, so records keep arrival order within a code.
   std::vector<std::unique_ptr<RunReader>> runs;
   for (const std::string& path : run_paths_) {
     runs.push_back(std::make_unique<RunReader>(path));
     S3VCD_RETURN_IF_ERROR(runs.back()->Open());
   }
+  const size_t tail = runs.size();  // the tail's source index
   size_t tail_pos = 0;
 
-  struct HeapEntry {
-    BitKey key;
-    int source;  // run index, or -1 for the in-memory tail
-  };
-  auto greater = [](const HeapEntry& a, const HeapEntry& b) {
-    return b.key < a.key;
-  };
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, decltype(greater)>
-      heap(greater);
+  using HeapEntry = std::pair<uint32_t, size_t>;
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
+                      std::greater<HeapEntry>>
+      heap;
   for (size_t r = 0; r < runs.size(); ++r) {
     if (!runs[r]->exhausted()) {
-      heap.push({runs[r]->key(), static_cast<int>(r)});
+      heap.push({runs[r]->code(), r});
     }
   }
   if (tail_pos < buffer_.size()) {
-    heap.push({buffer_[tail_pos].key, -1});
+    heap.push({buffer_[tail_pos].code, tail});
   }
 
   uint8_t buf[internal::kRecordBytes];
   uint64_t written = 0;
   while (!heap.empty()) {
-    const HeapEntry top = heap.top();
+    const size_t source = heap.top().second;
     heap.pop();
-    if (top.source < 0) {
+    if (source == tail) {
       internal::SerializeRecord(buffer_[tail_pos].record, buf);
       S3VCD_RETURN_IF_ERROR(
           writer.WriteBytes(buf, internal::kRecordBytes));
       ++tail_pos;
       if (tail_pos < buffer_.size()) {
-        heap.push({buffer_[tail_pos].key, -1});
+        heap.push({buffer_[tail_pos].code, tail});
       }
     } else {
-      RunReader& run = *runs[static_cast<size_t>(top.source)];
+      RunReader& run = *runs[source];
       internal::SerializeRecord(run.record(), buf);
       S3VCD_RETURN_IF_ERROR(
           writer.WriteBytes(buf, internal::kRecordBytes));
       S3VCD_RETURN_IF_ERROR(run.Advance());
       if (!run.exhausted()) {
-        heap.push({run.key(), top.source});
+        heap.push({run.code(), source});
       }
     }
     ++written;

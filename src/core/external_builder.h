@@ -8,7 +8,6 @@
 #include "core/database.h"
 #include "core/record.h"
 #include "fingerprint/fingerprint.h"
-#include "hilbert/hilbert_curve.h"
 #include "util/status.h"
 
 namespace s3vcd::core {
@@ -21,13 +20,13 @@ struct ExternalBuilderOptions {
   size_t max_records_in_memory = 1 << 20;
   /// Directory for the temporary run files (removed by Finish).
   std::string temp_dir = "/tmp";
-  /// Curve order of the produced database.
-  int order = FingerprintDatabase::kDefaultOrder;
 };
 
 /// Builds a FingerprintDatabase file of unbounded size with bounded memory:
-/// accumulate -> spill sorted runs -> k-way merge into the final file (the
-/// same format FingerprintDatabase::SaveToFile writes, CRC included). The
+/// accumulate -> spill sorted runs -> k-way merge into the final file. Runs
+/// are spilled in arrival order and the merge breaks code ties by run, so
+/// records keep arrival order within a code and the file is byte for byte
+/// the one DatabaseBuilder::Build + SaveToFile writes. The
 /// result can be served directly by PseudoDiskSearcher without ever fitting
 /// in RAM, or loaded normally when it does fit.
 ///
@@ -59,8 +58,8 @@ class ExternalDatabaseBuilder {
   Status Finish();
 
  private:
-  struct KeyedRecord {
-    BitKey key;
+  struct CodedRecord {
+    uint32_t code;
     FingerprintRecord record;
   };
 
@@ -70,8 +69,7 @@ class ExternalDatabaseBuilder {
 
   std::string output_path_;
   ExternalBuilderOptions options_;
-  hilbert::HilbertCurve curve_;
-  std::vector<KeyedRecord> buffer_;
+  std::vector<CodedRecord> buffer_;
   std::vector<std::string> run_paths_;
   uint64_t total_records_ = 0;
   bool finished_ = false;

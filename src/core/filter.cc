@@ -6,10 +6,16 @@
 #include <functional>
 #include <utility>
 
-#include "hilbert/block_tree.h"
+#include "hilbert/gray_code.h"
 #include "util/logging.h"
 
 namespace s3vcd::core {
+
+uint32_t HilbertOrthants::Prefix(uint32_t sides) {
+  // At level 0 the s-th split fixes coordinate bit c_s = i_s ^ i_(s-1) of
+  // the curve digit i, so i_s = c_s ^ i_(s-1).
+  return hilbert::internal::GrayCodeInverse(sides);
+}
 
 SelectionScratch& ThreadLocalSelectionScratch() {
   thread_local SelectionScratch scratch;
@@ -18,7 +24,7 @@ SelectionScratch& ThreadLocalSelectionScratch() {
 
 uint64_t SelectionScratch::ApproxBytes() const {
   return heap.capacity() * sizeof(std::pair<double, uint32_t>) +
-         prefixes.capacity() * sizeof(BitKey) +
+         prefixes.capacity() * sizeof(uint32_t) +
          probs.capacity() * sizeof(double);
 }
 
@@ -37,17 +43,14 @@ constexpr double kInfinityBytes = 1e30;
 // middle cell boundary grid/2 therefore sits at byte 127.5 at every order.
 constexpr double kMidByte = 127.5;
 
-void MergeBlockRangesInto(std::vector<BitKey>* prefixes, int depth,
-                          int key_bits,
-                          std::vector<std::pair<BitKey, BitKey>>* ranges) {
+void MergeBlockRangesInto(std::vector<uint32_t>* prefixes, int depth,
+                          std::vector<std::pair<uint32_t, uint32_t>>* ranges) {
   std::sort(prefixes->begin(), prefixes->end());
   ranges->clear();
-  const int shift = key_bits - depth;
-  for (const BitKey& prefix : *prefixes) {
-    BitKey begin = prefix << shift;
-    BitKey next = prefix;
-    next.Increment();
-    BitKey end = next << shift;
+  const int shift = kCodeBits - depth;
+  for (const uint32_t prefix : *prefixes) {
+    const uint32_t begin = prefix << shift;
+    const uint32_t end = (prefix + 1) << shift;
     if (!ranges->empty() && ranges->back().second == begin) {
       ranges->back().second = end;
     } else {
@@ -57,21 +60,20 @@ void MergeBlockRangesInto(std::vector<BitKey>* prefixes, int depth,
 }
 
 // Sign patterns are packed MSB-first: bit depth - s holds the side of the
-// s-th split axis (1 = upper half), the layout hilbert::OrthantPrefix reads.
+// s-th split axis (1 = upper half), the layout Orthants::Prefix reads.
 uint32_t StepBit(int depth, int step) {
   return uint32_t{1} << (depth - step);
 }
 
-template <typename Curve>
-BlockSelection SelectStatisticalImpl(const Curve& curve,
-                                     const fp::Fingerprint& query,
+template <typename Orthants>
+BlockSelection SelectStatisticalImpl(const fp::Fingerprint& query,
                                      const DistortionModel& model,
                                      const FilterOptions& options,
                                      SelectionScratch* scratch) {
   S3VCD_CHECK(options.alpha > 0 && options.alpha < 1);
   SelectionScratch* s =
       scratch != nullptr ? scratch : &ThreadLocalSelectionScratch();
-  const int dims = curve.dims();
+  constexpr int dims = fp::kDims;
   const int depth = std::clamp(options.depth, 1, dims);
 
   // A block's probability is the product, in ascending axis order, of one
@@ -104,7 +106,7 @@ BlockSelection SelectStatisticalImpl(const Curve& curve,
   int num_flips = 0;
   uint32_t best_sides = 0;
   for (int step = 1; step <= depth; ++step) {
-    const int axis = OrthantSplitAxis(curve, step);
+    const int axis = Orthants::SplitAxis(step);
     const double q = static_cast<double>(query[axis]);
     const double mid = model.ComponentCdf(axis, kMidByte, q);
     const double lower = mid - lo_cdf[axis];
@@ -159,7 +161,7 @@ BlockSelection SelectStatisticalImpl(const Curve& curve,
     for (int j = 0; j < dims; ++j) {
       prob *= ((flipped_axes >> j) & 1u) != 0 ? other[j] : best[j];
     }
-    s->prefixes.push_back(OrthantPrefix(curve, sides));
+    s->prefixes.push_back(Orthants::Prefix(sides));
     s->probs.push_back(prob);
     total += prob;
     if (s->prefixes.size() >= options.max_blocks) {
@@ -188,20 +190,18 @@ BlockSelection SelectStatisticalImpl(const Curve& curve,
     selection.probability_mass += prob;
   }
   selection.num_blocks = s->prefixes.size();
-  MergeBlockRangesInto(&s->prefixes, depth, curve.key_bits(),
-                       &selection.ranges);
+  MergeBlockRangesInto(&s->prefixes, depth, &selection.ranges);
   return selection;
 }
 
-template <typename Curve>
-BlockSelection SelectRangeImpl(const Curve& curve,
-                               const fp::Fingerprint& query, double epsilon,
+template <typename Orthants>
+BlockSelection SelectRangeImpl(const fp::Fingerprint& query, double epsilon,
                                int depth, uint64_t max_blocks,
                                SelectionScratch* scratch) {
   S3VCD_CHECK(epsilon >= 0);
   SelectionScratch* s =
       scratch != nullptr ? scratch : &ThreadLocalSelectionScratch();
-  const int clamped_depth = std::clamp(depth, 1, curve.dims());
+  const int clamped_depth = std::clamp(depth, 1, fp::kDims);
   const double eps_sq = epsilon * epsilon;
 
   // An orthant's squared distance to the query sums (q - 127.5)^2 over the
@@ -211,7 +211,7 @@ BlockSelection SelectRangeImpl(const Curve& curve,
   uint32_t query_sides = 0;
   for (int step = 1; step <= clamped_depth; ++step) {
     const double d =
-        static_cast<double>(query[OrthantSplitAxis(curve, step)]) - kMidByte;
+        static_cast<double>(query[Orthants::SplitAxis(step)]) - kMidByte;
     far_sq[step - 1] = d * d;
     if (d > 0) {
       query_sides |= StepBit(clamped_depth, step);
@@ -226,7 +226,7 @@ BlockSelection SelectRangeImpl(const Curve& curve,
                            double penalty) -> bool {
     ++selection.nodes_visited;
     if (step > clamped_depth) {
-      s->prefixes.push_back(OrthantPrefix(curve, sides));
+      s->prefixes.push_back(Orthants::Prefix(sides));
       return s->prefixes.size() < max_blocks;
     }
     const uint32_t near_side = (query_sides >> (clamped_depth - step)) & 1u;
@@ -240,55 +240,47 @@ BlockSelection SelectRangeImpl(const Curve& curve,
   };
   descend(descend, 1, 0u, 0.0);
   selection.num_blocks = s->prefixes.size();
-  MergeBlockRangesInto(&s->prefixes, clamped_depth, curve.key_bits(),
-                       &selection.ranges);
+  MergeBlockRangesInto(&s->prefixes, clamped_depth, &selection.ranges);
   return selection;
 }
 
 }  // namespace
 
-std::vector<std::pair<BitKey, BitKey>> MergeBlockRanges(
-    std::vector<BitKey> prefixes, int depth, int key_bits) {
-  std::vector<std::pair<BitKey, BitKey>> ranges;
-  MergeBlockRangesInto(&prefixes, depth, key_bits, &ranges);
+std::vector<std::pair<uint32_t, uint32_t>> MergeBlockRanges(
+    std::vector<uint32_t> prefixes, int depth) {
+  std::vector<std::pair<uint32_t, uint32_t>> ranges;
+  MergeBlockRangesInto(&prefixes, depth, &ranges);
   return ranges;
-}
-
-BlockFilter::BlockFilter(const hilbert::HilbertCurve& curve) : curve_(curve) {
-  S3VCD_CHECK(curve.dims() == fp::kDims);
-  S3VCD_CHECK(curve.order() >= 1 && curve.order() <= 8);
 }
 
 BlockSelection BlockFilter::SelectStatistical(
     const fp::Fingerprint& query, const DistortionModel& model,
     const FilterOptions& options, SelectionScratch* scratch) const {
-  return SelectStatisticalImpl(curve_, query, model, options, scratch);
+  return SelectStatisticalImpl<HilbertOrthants>(query, model, options,
+                                                scratch);
 }
 
 BlockSelection BlockFilter::SelectRange(const fp::Fingerprint& query,
                                         double epsilon, int depth,
                                         uint64_t max_blocks,
                                         SelectionScratch* scratch) const {
-  return SelectRangeImpl(curve_, query, epsilon, depth, max_blocks, scratch);
-}
-
-ZOrderBlockFilter::ZOrderBlockFilter(const hilbert::ZOrderCurve& curve)
-    : curve_(curve) {
-  S3VCD_CHECK(curve.dims() == fp::kDims);
-  S3VCD_CHECK(curve.order() >= 1 && curve.order() <= 8);
+  return SelectRangeImpl<HilbertOrthants>(query, epsilon, depth, max_blocks,
+                                          scratch);
 }
 
 BlockSelection ZOrderBlockFilter::SelectStatistical(
     const fp::Fingerprint& query, const DistortionModel& model,
     const FilterOptions& options, SelectionScratch* scratch) const {
-  return SelectStatisticalImpl(curve_, query, model, options, scratch);
+  return SelectStatisticalImpl<ZOrderOrthants>(query, model, options,
+                                               scratch);
 }
 
 BlockSelection ZOrderBlockFilter::SelectRange(const fp::Fingerprint& query,
                                               double epsilon, int depth,
                                               uint64_t max_blocks,
                                               SelectionScratch* scratch) const {
-  return SelectRangeImpl(curve_, query, epsilon, depth, max_blocks, scratch);
+  return SelectRangeImpl<ZOrderOrthants>(query, epsilon, depth, max_blocks,
+                                         scratch);
 }
 
 }  // namespace s3vcd::core

@@ -7,15 +7,44 @@
 
 #include "core/distortion_model.h"
 #include "fingerprint/fingerprint.h"
-#include "hilbert/hilbert_curve.h"
-#include "hilbert/zorder.h"
-#include "util/bitkey.h"
 
 namespace s3vcd::core {
 
+/// An orthant code: the position of a depth-D orthant cell (a side per
+/// descriptor axis, byte >= 128 the upper one) along the partition's
+/// curve, in D = 20 bits. The code of a depth-p block (p <= D) is the top
+/// p bits of its cells' codes, so a block is the code range
+/// [prefix << (D - p), (prefix + 1) << (D - p)).
+inline constexpr int kCodeBits = fp::kDims;
+/// One past the largest code: the end of the code space.
+inline constexpr uint32_t kCodeEnd = uint32_t{1} << kCodeBits;
+
+/// The first D levels of the Hilbert partition in closed form. From the
+/// root the s-th split halves a distinct axis at byte 127.5, so a p-block
+/// is an orthant: a side (1 = upper half) per split axis, packed MSB-first
+/// into `sides` (bit p - s for the s-th split). Pinned against
+/// hilbert::BlockTree::Split by tests/block_tree_test.cc.
+struct HilbertOrthants {
+  /// Axis halved by the step-th split, step in [1, D]: axes 0, D - 1,
+  /// ..., 1.
+  static int SplitAxis(int step) {
+    return step == 1 ? 0 : kCodeBits + 1 - step;
+  }
+  /// The block's code prefix: the inverse Gray code of its sides.
+  static uint32_t Prefix(uint32_t sides);
+};
+
+/// The same for the Z-order (Morton) partition: the s-th split halves axis
+/// s - 1, and the prefix is the sides unchanged, the sign bits in axis
+/// order. Pinned by tests/zorder_test.cc.
+struct ZOrderOrthants {
+  static int SplitAxis(int step) { return step - 1; }
+  static uint32_t Prefix(uint32_t sides) { return sides; }
+};
+
 /// Options of the filtering step.
 struct FilterOptions {
-  /// Partition depth p (number of curve key prefix bits). Clamped to
+  /// Partition depth p (number of code prefix bits). Clamped to
   /// [1, D], D = 20 the descriptor dimension: at those depths a p-block is
   /// an orthant (see BlockFilter).
   int depth = 12;
@@ -25,7 +54,7 @@ struct FilterOptions {
   uint64_t max_blocks = 1 << 16;
 };
 
-/// Result of the filtering step: the curve sections to scan.
+/// Result of the filtering step: the code ranges (curve sections) to scan.
 ///
 /// Cap semantics, identical for BlockFilter and ZOrderBlockFilter (they
 /// share one template): blocks stop being emitted once `max_blocks` are
@@ -33,8 +62,8 @@ struct FilterOptions {
 /// highest-probability blocks emitted so far, with `probability_mass` the
 /// mass actually covered — possibly below alpha.
 struct BlockSelection {
-  /// Merged, sorted, disjoint key ranges [begin, end).
-  std::vector<std::pair<BitKey, BitKey>> ranges;
+  /// Merged, sorted, disjoint code ranges [begin, end), end <= kCodeEnd.
+  std::vector<std::pair<uint32_t, uint32_t>> ranges;
   /// Achieved probability mass (statistical filter only).
   double probability_mass = 0;
   uint64_t num_blocks = 0;
@@ -51,7 +80,7 @@ struct BlockSelection {
 /// thread — see ThreadLocalSelectionScratch().
 struct SelectionScratch {
   std::vector<std::pair<double, uint32_t>> heap;  ///< (cost, flip set) heap
-  std::vector<BitKey> prefixes;  ///< selected block prefixes, pre-merge
+  std::vector<uint32_t> prefixes;  ///< selected block prefixes, pre-merge
   std::vector<double> probs;     ///< their probabilities
 
   /// Approximate heap footprint of the pooled storage, for capacity
@@ -65,20 +94,15 @@ struct SelectionScratch {
 SelectionScratch& ThreadLocalSelectionScratch();
 
 /// Computes block selections for statistical and epsilon-range queries over
-/// a Hilbert curve partition, which it holds by value. Stateless w.r.t.
-/// queries. Query methods are const and thread-safe as long as
-/// concurrent callers use distinct SelectionScratch objects (the default
-/// thread-local one qualifies).
+/// the Hilbert partition. Stateless: query methods are const and
+/// thread-safe as long as concurrent callers use distinct SelectionScratch
+/// objects (the default thread-local one qualifies).
 ///
-/// At depth p <= D every split from the root halves a distinct axis at
-/// byte 127.5 (hilbert::OrthantSplitAxis), so a p-block is an orthant: a
-/// side per split axis. Selection works on those sign patterns directly,
-/// in closed form, and maps each chosen pattern to its curve prefix with
-/// hilbert::OrthantPrefix.
+/// At depth p <= D a p-block is an orthant (HilbertOrthants). Selection
+/// works on those sign patterns directly, in closed form, and maps each
+/// chosen pattern to its code prefix.
 class BlockFilter {
  public:
-  explicit BlockFilter(const hilbert::HilbertCurve& curve);
-
   /// Statistical filtering (Section IV-A): selects the most probable
   /// p-blocks under the distortion model centered at `query` until their
   /// total probability reaches `options.alpha` (or the achievable maximum
@@ -102,17 +126,12 @@ class BlockFilter {
   BlockSelection SelectRange(const fp::Fingerprint& query, double epsilon,
                              int depth, uint64_t max_blocks = 1 << 20,
                              SelectionScratch* scratch = nullptr) const;
-
-  const hilbert::HilbertCurve& curve() const { return curve_; }
-
- private:
-  hilbert::HilbertCurve curve_;
 };
 
-/// Merges a list of equal-depth blocks (given by their prefixes) into
-/// sorted disjoint key ranges; exposed for tests.
-std::vector<std::pair<BitKey, BitKey>> MergeBlockRanges(
-    std::vector<BitKey> prefixes, int depth, int key_bits);
+/// Merges a list of depth-`depth` blocks (given by their prefixes) into
+/// sorted disjoint code ranges; exposed for tests.
+std::vector<std::pair<uint32_t, uint32_t>> MergeBlockRanges(
+    std::vector<uint32_t> prefixes, int depth);
 
 /// The same filtering rules over the Z-order (Morton) partition instead of
 /// the Hilbert partition, sharing the exact same selection template — cap
@@ -123,8 +142,6 @@ std::vector<std::pair<BitKey, BitKey>> MergeBlockRanges(
 /// bench/ablation_curve_clustering).
 class ZOrderBlockFilter {
  public:
-  explicit ZOrderBlockFilter(const hilbert::ZOrderCurve& curve);
-
   BlockSelection SelectStatistical(const fp::Fingerprint& query,
                                    const DistortionModel& model,
                                    const FilterOptions& options,
@@ -132,11 +149,6 @@ class ZOrderBlockFilter {
   BlockSelection SelectRange(const fp::Fingerprint& query, double epsilon,
                              int depth, uint64_t max_blocks = 1 << 20,
                              SelectionScratch* scratch = nullptr) const;
-
-  const hilbert::ZOrderCurve& curve() const { return curve_; }
-
- private:
-  hilbert::ZOrderCurve curve_;
 };
 
 }  // namespace s3vcd::core

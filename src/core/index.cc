@@ -9,9 +9,7 @@ namespace s3vcd::core {
 
 S3Index::S3Index(FingerprintDatabase database)
     : db_(std::move(database)),
-      filter_(db_.curve()),
-      table_(PrefixTable::OfRun(db_.keys().data(), db_.size(),
-                                db_.curve())) {}
+      table_(PrefixTable::OfRun(db_.codes().data(), db_.size())) {}
 
 void S3Index::ScanSelection(const fp::Fingerprint& query,
                             const BlockSelection& selection,

@@ -22,7 +22,7 @@ namespace s3vcd::core {
 ///
 /// The database is one sorted run (core/sorted_run.h) whose prefix table
 /// sits at depth t = clamp(ceil(log2 N), 1, D), about one record per
-/// bucket: a section boundary aligned at depth <= t (every selection at a
+/// bucket: a range bound aligned at depth <= t (every selection at a
 /// serving depth <= log2 N) resolves with one table read.
 class S3Index : public Searcher {
  public:
@@ -33,7 +33,7 @@ class S3Index : public Searcher {
   /// The database as a sorted run, for section lookups (valid while the
   /// index lives and is not moved).
   SortedRun run() const {
-    return SortedRun(db_.block().View(), db_.keys().data(), table_);
+    return SortedRun(db_.block().View(), db_.codes().data(), &table_);
   }
 
   // ---- Searcher interface ----

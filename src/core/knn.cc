@@ -15,13 +15,12 @@ namespace {
 using hilbert::BlockTree;
 
 double BoxMinSquaredDistance(const BlockTree::Node& node,
-                             const fp::Fingerprint& query, int shift,
-                             int dims) {
+                             const fp::Fingerprint& query) {
   double acc = 0;
-  for (int j = 0; j < dims; ++j) {
+  for (int j = 0; j < fp::kDims; ++j) {
     const double q = query[j];
-    const double lo = static_cast<double>(node.lo[j] << shift);
-    const double hi = static_cast<double>(node.hi[j] << shift) - 1.0;
+    const double lo = static_cast<double>(node.lo[j]);
+    const double hi = static_cast<double>(node.hi[j]) - 1.0;
     if (q < lo) {
       acc += (lo - q) * (lo - q);
     } else if (q > hi) {
@@ -61,11 +60,10 @@ QueryResult KnnQuery(const S3Index& index, const fp::Fingerprint& query,
     return result;
   }
   Stopwatch watch;
-  const hilbert::HilbertCurve& curve = db.curve();
+  // Fingerprint bytes are the grid coordinates of the order-8 curve.
+  const hilbert::HilbertCurve curve(fp::kDims, 8);
   const BlockTree tree(curve);
-  const int shift = 8 - curve.order();
-  const int depth =
-      std::clamp(options.depth, 1, std::min(curve.key_bits(), 48));
+  const int depth = std::clamp(options.depth, 1, kCodeBits);
 
   std::priority_queue<FrontierEntry, std::vector<FrontierEntry>,
                       FrontierGreater>
@@ -90,10 +88,10 @@ QueryResult KnnQuery(const S3Index& index, const fp::Fingerprint& query,
     }
     frontier.pop();
     if (top.node.depth == depth) {
-      // Leaf block: scan its records.
-      const auto [first, last] =
-          run.Resolve(top.node.RangeBegin(curve.key_bits()),
-                      top.node.RangeEnd(curve.key_bits()));
+      // Leaf block: scan its code range.
+      const auto prefix = static_cast<uint32_t>(top.node.prefix.low64());
+      const auto [first, last] = run.Resolve(
+          prefix << (kCodeBits - depth), (prefix + 1) << (kCodeBits - depth));
       ++result.stats.ranges_scanned;
       ++blocks_scanned;
       ++result.stats.blocks_selected;
@@ -120,10 +118,8 @@ QueryResult KnnQuery(const S3Index& index, const fp::Fingerprint& query,
     BlockTree::Node c1;
     tree.Split(top.node, &c0, &c1);
     result.stats.nodes_visited += 2;
-    frontier.push(
-        {BoxMinSquaredDistance(c0, query, shift, curve.dims()), c0});
-    frontier.push(
-        {BoxMinSquaredDistance(c1, query, shift, curve.dims()), c1});
+    frontier.push({BoxMinSquaredDistance(c0, query), c0});
+    frontier.push({BoxMinSquaredDistance(c1, query), c1});
   }
 
   result.matches.resize(best.size());

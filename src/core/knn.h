@@ -19,7 +19,8 @@ struct KnnOptions {
   /// early-stopping style of approximation the paper's related work
   /// discusses ([14], [15]).
   uint64_t max_blocks = 0;
-  /// Partition depth of the leaf blocks that are scanned.
+  /// Partition depth of the leaf blocks that are scanned, clamped to
+  /// [1, D]: a leaf is an orthant, a code range of the index.
   int depth = 14;
 };
 

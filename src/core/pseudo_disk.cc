@@ -34,12 +34,6 @@ obs::Histogram* const g_section_load_us =
 
 }  // namespace
 
-PseudoDiskSearcher::PseudoDiskSearcher(std::string path,
-                                       PseudoDiskOptions options, int order)
-    : path_(std::move(path)),
-      options_(options),
-      curve_(fp::kDims, order) {}
-
 Result<PseudoDiskSearcher> PseudoDiskSearcher::Open(
     const std::string& db_path, const PseudoDiskOptions& options) {
   if (options.section_depth < 0 ||
@@ -47,29 +41,25 @@ Result<PseudoDiskSearcher> PseudoDiskSearcher::Open(
     return Status::InvalidArgument(
         "section_depth must be in [0, query_depth]");
   }
-  BinaryReader reader;
-  S3VCD_RETURN_IF_ERROR(reader.Open(db_path));
-  S3VCD_ASSIGN_OR_RETURN(const internal::FileHeader header,
-                         internal::ReadHeader(&reader));
   // The block filter serves depths [1, D] only (FilterOptions::depth).
-  if (options.query_depth < 1 ||
-      options.query_depth > static_cast<int>(header.dims)) {
+  if (options.query_depth < 1 || options.query_depth > kCodeBits) {
     return Status::InvalidArgument("query_depth must be in [1, dims]");
   }
+  BinaryReader reader;
+  S3VCD_RETURN_IF_ERROR(reader.Open(db_path));
+  S3VCD_ASSIGN_OR_RETURN(const uint64_t count, internal::ReadHeader(&reader));
 
-  PseudoDiskSearcher searcher(db_path, options,
-                              static_cast<int>(header.order));
+  PseudoDiskSearcher searcher(db_path, options);
 
-  // Streaming metadata pass: key each record and append it to the depth-p
+  // Streaming metadata pass: code each record and append it to the depth-p
   // prefix table; records themselves are not retained.
-  searcher.table_ =
-      PrefixTable(searcher.curve_.key_bits(), options.query_depth);
+  searcher.table_ = PrefixTable(options.query_depth);
   uint8_t buf[internal::kRecordBytes];
   FingerprintRecord rec;
-  for (uint64_t i = 0; i < header.count; ++i) {
+  for (uint64_t i = 0; i < count; ++i) {
     S3VCD_RETURN_IF_ERROR(reader.ReadBytes(buf, internal::kRecordBytes));
     internal::DeserializeRecord(buf, &rec);
-    if (!searcher.table_.Append(CurveKey(searcher.curve_, rec.descriptor))) {
+    if (!searcher.table_.Append(OrthantCode(rec.descriptor))) {
       return Status::Corruption("database records are not curve-ordered");
     }
   }
@@ -99,7 +89,7 @@ Status PseudoDiskSearcher::SearchBatch(
 
   // Phase 1: filter every query up front (independent of the database).
   const int p = options_.query_depth;
-  const BlockFilter filter(curve_);
+  const BlockFilter filter;
   FilterOptions filter_options;
   filter_options.depth = p;
   filter_options.alpha = options_.alpha;
@@ -120,9 +110,7 @@ Status PseudoDiskSearcher::SearchBatch(
       // per bound.
       for (const auto& [begin, end] : selection.ranges) {
         const uint64_t rb = table_.offset(table_.Prefix(begin));
-        const uint64_t re = end.is_zero()
-                                ? table_.size()
-                                : table_.offset(table_.Prefix(end));
+        const uint64_t re = table_.offset(table_.Prefix(end));
         if (rb < re) {
           record_ranges[qi].emplace_back(rb, re);
         }

@@ -2,6 +2,7 @@
 #define S3VCD_CORE_PSEUDO_DISK_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/distortion_model.h"
@@ -9,7 +10,6 @@
 #include "core/record.h"
 #include "core/sorted_run.h"
 #include "fingerprint/fingerprint.h"
-#include "hilbert/hilbert_curve.h"
 #include "util/status.h"
 
 namespace s3vcd::core {
@@ -68,11 +68,11 @@ class PseudoDiskSearcher {
   const PseudoDiskOptions& options() const { return options_; }
 
  private:
-  PseudoDiskSearcher(std::string path, PseudoDiskOptions options, int order);
+  PseudoDiskSearcher(std::string path, PseudoDiskOptions options)
+      : path_(std::move(path)), options_(options) {}
 
   std::string path_;
   PseudoDiskOptions options_;
-  hilbert::HilbertCurve curve_;
   /// Record offsets of the 2^p depth-p prefixes of the database file.
   PrefixTable table_;
 };

@@ -7,47 +7,49 @@
 
 namespace s3vcd::core {
 
-BitKey CurveKey(const hilbert::HilbertCurve& curve,
-                const fp::Fingerprint& fingerprint) {
-  uint32_t coords[fp::kDims];
-  const int shift = 8 - curve.order();
+uint32_t OrthantCode(const fp::Fingerprint& fingerprint) {
+  uint32_t signs = 0;  // bit j: the side of axis j
   for (int j = 0; j < fp::kDims; ++j) {
-    coords[j] = static_cast<uint32_t>(fingerprint[j]) >> shift;
+    signs |= static_cast<uint32_t>(fingerprint[j] >> 7) << j;
   }
-  return curve.Encode(coords);
+  // Sides bit b = D - s holds the s-th split axis,
+  // HilbertOrthants::SplitAxis(s): axis b + 1, and axis 0 for the top bit.
+  // That is the sign mask rotated right by one.
+  const uint32_t sides = (signs >> 1) | ((signs & 1u) << (kCodeBits - 1));
+  return HilbertOrthants::Prefix(sides);
 }
 
-int PrefixTable::RunDepth(uint64_t n, const hilbert::HilbertCurve& curve) {
+int PrefixTable::RunDepth(uint64_t n) {
   // ceil(log2 n) is std::bit_width(n - 1) for n >= 2.
   const int log2_n = n < 2 ? 1 : static_cast<int>(std::bit_width(n - 1));
-  return std::clamp(log2_n, 1, curve.dims());
+  return std::clamp(log2_n, 1, kCodeBits);
 }
 
-PrefixTable::PrefixTable(int key_bits, int depth)
+PrefixTable::PrefixTable(int depth)
     : depth_(depth),
-      shift_(key_bits - depth),
+      shift_(kCodeBits - depth),
       offsets_((uint64_t{1} << depth) + 1, 0) {
-  S3VCD_CHECK(depth >= 0 && depth <= key_bits && depth < 64);
+  S3VCD_CHECK(depth >= 0 && depth <= kCodeBits);
 }
 
-PrefixTable PrefixTable::OfRun(const BitKey* keys, size_t n,
-                               const hilbert::HilbertCurve& curve) {
-  PrefixTable table(curve.key_bits(), RunDepth(n, curve));
+PrefixTable PrefixTable::OfRun(const uint32_t* codes, size_t n) {
+  PrefixTable table(RunDepth(n));
   for (size_t i = 0; i < n; ++i) {
-    S3VCD_CHECK(table.Append(keys[i]));
+    S3VCD_CHECK(table.Append(codes[i]));
   }
   table.Finish();
   return table;
 }
 
-bool PrefixTable::Append(const BitKey& key) {
-  if (size_ > 0 && key < last_) {
+bool PrefixTable::Append(uint32_t code) {
+  if (code >= kCodeEnd || (size_ > 0 && code < last_)) {
     return false;
   }
   // Counts each prefix in the slot after it; Finish() sums them up. A
-  // count per key, without walking the buckets, keeps the pass branch-free.
-  ++offsets_[std::min(Prefix(key) + 1, num_prefixes())];
-  last_ = key;
+  // count per code, without walking the buckets, keeps the pass
+  // branch-free.
+  ++offsets_[Prefix(code) + 1];
+  last_ = code;
   ++size_;
   return true;
 }
@@ -58,26 +60,30 @@ void PrefixTable::Finish() {
   }
 }
 
-SortedRun::SortedRun(const DescriptorView& view, const BitKey* keys,
-                     const PrefixTable& table)
-    : view_(view), keys_(keys), table_(&table) {
-  S3VCD_DCHECK(table.size() == view.count);
+SortedRun::SortedRun(const DescriptorView& view, const uint32_t* codes,
+                     const PrefixTable* table)
+    : view_(view), codes_(codes), table_(table) {
+  S3VCD_DCHECK(table == nullptr || table->size() == view.count);
 }
 
-size_t SortedRun::LowerBound(const BitKey& key) const {
-  const uint64_t prefix = table_->Prefix(key);
-  const size_t first = table_->offset(prefix);
-  if (prefix == table_->num_prefixes() || table_->IsAligned(key)) {
-    return first;  // aligned: the bucket's first record
+size_t SortedRun::LowerBound(uint32_t code) const {
+  size_t first = 0;
+  size_t last = size();
+  if (table_ != nullptr) {
+    const uint64_t prefix = table_->Prefix(code);
+    first = table_->offset(prefix);
+    if (prefix == table_->num_prefixes() || table_->IsAligned(code)) {
+      return first;  // aligned: the bucket's first record
+    }
+    last = table_->offset(prefix + 1);
   }
-  const size_t last = table_->offset(prefix + 1);
   return static_cast<size_t>(
-      std::lower_bound(keys_ + first, keys_ + last, key) - keys_);
+      std::lower_bound(codes_ + first, codes_ + last, code) - codes_);
 }
 
-std::pair<size_t, size_t> SortedRun::Resolve(const BitKey& begin,
-                                             const BitKey& end) const {
-  return {LowerBound(begin), end.is_zero() ? size() : LowerBound(end)};
+std::pair<size_t, size_t> SortedRun::Resolve(uint32_t begin,
+                                             uint32_t end) const {
+  return {LowerBound(begin), LowerBound(end)};
 }
 
 void ScanSortedRuns(const fp::Fingerprint& query,
@@ -87,8 +93,7 @@ void ScanSortedRuns(const fp::Fingerprint& query,
   for (const auto& [begin, end] : selection.ranges) {
     ++result->stats.ranges_scanned;
     for (const SortedRun& run : runs) {
-      if (run.empty() || run.max_key() < begin ||
-          (!end.is_zero() && !(run.min_key() < end))) {
+      if (run.empty() || run.max_code() < begin || run.min_code() >= end) {
         continue;
       }
       const auto [first, last] = run.Resolve(begin, end);

@@ -40,13 +40,13 @@ DepthTuningResult TuneDepth(const S3Index& index, const DistortionModel& model,
   return result;
 }
 
-std::vector<int> DefaultDepthCandidates(size_t db_size, int key_bits) {
+std::vector<int> DefaultDepthCandidates(size_t db_size) {
   const int center = db_size < 2
                          ? 4
                          : Log2Exact(NextPowerOfTwo(db_size));
   std::vector<int> candidates;
   // The block filter serves depths up to D (FilterOptions::depth).
-  const int max_depth = std::min(key_bits, fp::kDims);
+  const int max_depth = fp::kDims;
   for (int p = std::min(std::max(2, center - 6), max_depth);
        p <= std::min(max_depth, center + 4); p += 2) {
     candidates.push_back(p);

@@ -29,8 +29,8 @@ DepthTuningResult TuneDepth(const S3Index& index, const DistortionModel& model,
 
 /// Convenience: a geometric ladder of candidate depths suited to a database
 /// of `db_size` records (p around log2(db_size) +- a few levels), capped
-/// at min(key_bits, D).
-std::vector<int> DefaultDepthCandidates(size_t db_size, int key_bits);
+/// at D.
+std::vector<int> DefaultDepthCandidates(size_t db_size);
 
 }  // namespace s3vcd::core
 

@@ -98,15 +98,4 @@ void BlockTree::Split(const Node& node, Node* child0, Node* child1) const {
   }
 }
 
-int OrthantSplitAxis(const HilbertCurve& curve, int step) {
-  const int dims = curve.dims();
-  S3VCD_DCHECK(step >= 1 && step <= dims);
-  // The step-th split fixes Gray bit dims - step, at rotation d = 0.
-  return GrayBitAxis(dims - step, /*d=*/0, dims);
-}
-
-BitKey OrthantPrefix(const HilbertCurve& /*curve*/, uint32_t sides) {
-  return BitKey(internal::GrayCodeInverse(sides));
-}
-
 }  // namespace s3vcd::hilbert

@@ -19,7 +19,8 @@ namespace s3vcd::hilbert {
 ///
 /// Each block's curve prefix addresses a contiguous fingerprint range in
 /// the Hilbert-sorted database. The k-NN search descends this tree; the
-/// selection filters use its closed orthant form (OrthantSplitAxis below).
+/// selection filters use the closed orthant form of its first D levels
+/// (core::HilbertOrthants, pinned against Split by block_tree_test).
 class BlockTree {
  public:
   /// A node of the partition tree: a curve interval of 2^(K*D - depth) cells
@@ -73,23 +74,6 @@ class BlockTree {
  private:
   const HilbertCurve* curve_;
 };
-
-/// The first `dims` levels of the tree in closed form. From the root (level
-/// 0, reflection e = 0, rotation d = 0) the s-th split halves a distinct
-/// axis at its middle cell grid/2, so a block of depth p <= dims is an
-/// orthant: one side (lower or upper half) per split axis. Pinned against
-/// Split by tests/block_tree_test.cc.
-///
-/// Axis halved by the `step`-th split from the root, step in [1, dims]:
-/// Split maps Gray bit dims - step to axis (dims - step + d + 1) mod dims,
-/// i.e. axes 0, dims - 1, ..., 1.
-int OrthantSplitAxis(const HilbertCurve& curve, int step);
-
-/// Prefix of the depth-p block (p <= dims) whose side on the s-th split
-/// axis is bit p - s of `sides` (1 = upper half). At level 0 the s-th split
-/// fixes coordinate bit c_s = i_s ^ i_(s-1) of the digit i, so the prefix
-/// is the inverse Gray code of `sides`: i_s = c_s ^ i_(s-1).
-BitKey OrthantPrefix(const HilbertCurve& curve, uint32_t sides);
 
 }  // namespace s3vcd::hilbert
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "hilbert/gray_code.h"
 #include "util/bitkey.h"
 
 namespace s3vcd::hilbert {
@@ -13,18 +14,6 @@ inline constexpr int kMaxDims = 32;
 inline constexpr int kMaxOrder = 32;
 
 namespace internal {
-
-/// Binary reflected Gray code.
-inline uint32_t GrayCode(uint32_t i) { return i ^ (i >> 1); }
-
-/// Inverse Gray code for values with fewer than 32 significant bits.
-inline uint32_t GrayCodeInverse(uint32_t g) {
-  uint32_t i = g;
-  for (int shift = 1; shift < 32; shift <<= 1) {
-    i ^= i >> shift;
-  }
-  return i;
-}
 
 /// Number of trailing set bits of i (the inter-subcube direction g(i) of
 /// Hamilton's formulation of the Butz algorithm).

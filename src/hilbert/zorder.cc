@@ -34,12 +34,4 @@ void ZOrderCurve::Decode(const BitKey& key, uint32_t* coords) const {
   }
 }
 
-int OrthantSplitAxis(const ZOrderCurve& /*curve*/, int step) {
-  return step - 1;
-}
-
-BitKey OrthantPrefix(const ZOrderCurve& /*curve*/, uint32_t sides) {
-  return BitKey(sides);
-}
-
 }  // namespace s3vcd::hilbert

@@ -36,13 +36,6 @@ class ZOrderCurve {
   int order_;
 };
 
-/// The Z-order counterparts of the Hilbert orthant accessors in
-/// block_tree.h: the s-th bit of a Morton key halves axis s - 1 at its
-/// middle cell (level 0 of the interleaving, for s <= dims), and that bit
-/// is the side itself, so the prefix of an orthant is `sides` unchanged.
-int OrthantSplitAxis(const ZOrderCurve& curve, int step);
-BitKey OrthantPrefix(const ZOrderCurve& curve, uint32_t sides);
-
 }  // namespace s3vcd::hilbert
 
 #endif  // S3VCD_HILBERT_ZORDER_H_

@@ -167,11 +167,6 @@ Result<BatchTicket> QueryService::Submit(std::vector<fp::Fingerprint> queries,
   return ticket;
 }
 
-void QueryService::Pause() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  paused_ = true;
-}
-
 void QueryService::Resume() {
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -167,8 +167,8 @@ class QueryService {
   Result<BatchTicket> Submit(std::vector<fp::Fingerprint> queries,
                              const BatchOptions& options = {});
 
-  /// Suspends / resumes batch execution (submissions still enqueue).
-  void Pause();
+  /// Resumes batch execution after QueryServiceOptions::start_paused
+  /// (submissions enqueue while paused).
   void Resume();
 
   /// Stops accepting, executes everything already queued, joins workers.

@@ -53,14 +53,9 @@ Result<ShardedSearcher> ShardedSearcher::Build(
         "leave segment_store_dir empty for ephemeral per-shard stores");
   }
   const size_t num_shards = static_cast<size_t>(options.num_shards);
-  const int order = db.order();
   const size_t n = db.size();
 
-  std::vector<core::DatabaseBuilder> builders;
-  builders.reserve(num_shards);
-  for (size_t k = 0; k < num_shards; ++k) {
-    builders.emplace_back(order);
-  }
+  std::vector<core::DatabaseBuilder> builders(num_shards);
 
   if (options.policy == ShardingPolicy::kHilbertRange) {
     // Records are already Hilbert-sorted; cut them into K contiguous
@@ -137,7 +132,7 @@ struct QueryRun {
 
 // Step 1. One selection serves every shard: it depends only on the query
 // and the filter parameters (see the class comment). All shards share the
-// curve geometry, so shard 0's filter is the canonical one.
+// one partition, so shard 0's filter is the canonical one.
 void Select(const core::BlockFilter& filter, const fp::Fingerprint& query,
             const BatchSpec& spec, SelectionCache* cache, QueryRun* run) {
   S3VCD_TRACE_SPAN("index.filter");

@@ -21,7 +21,7 @@ namespace s3vcd::service {
 
 /// How reference records are assigned to shards.
 enum class ShardingPolicy {
-  /// Contiguous Hilbert-key ranges with (near) equal record counts per
+  /// Contiguous orthant-code ranges with (near) equal record counts per
   /// shard. Preserves the curve locality inside each shard, so a query's
   /// selected region usually touches few shards' occupied ranges.
   kHilbertRange,

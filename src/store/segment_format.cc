@@ -49,7 +49,7 @@ uint64_t SectionLength(uint32_t s, uint64_t n,
                        core::DescriptorCodecKind kind) {
   switch (s) {
     case 0:
-      return n * kKeyBytes;
+      return n * sizeof(uint32_t);
     case 1:
       return n * core::DescriptorCodeBytes(kind);
     case 2:
@@ -77,18 +77,15 @@ Status PadTo(BinaryWriter* writer, uint64_t target) {
 }
 
 Status WriteSegmentFileImpl(const std::string& path, uint64_t segment_id,
-                            int order, const core::DescriptorBlock& block,
-                            const std::vector<BitKey>& keys,
+                            const core::DescriptorBlock& block,
+                            const std::vector<uint32_t>& codes,
                             const SegmentWriteOptions& options) {
   const uint64_t n = block.size();
-  if (keys.size() != n) {
-    return Status::InvalidArgument("key array size != record count");
+  if (codes.size() != n) {
+    return Status::InvalidArgument("code array size != record count");
   }
-  if (!std::is_sorted(keys.begin(), keys.end())) {
-    return Status::InvalidArgument("segment records must be key-sorted");
-  }
-  if (order < 1 || order > 8) {
-    return Status::InvalidArgument("curve order out of range [1, 8]");
+  if (!std::is_sorted(codes.begin(), codes.end())) {
+    return Status::InvalidArgument("segment records must be code-sorted");
   }
 
   // Train the codec on the block being written; quantized parameters are
@@ -113,19 +110,18 @@ Status WriteSegmentFileImpl(const std::string& path, uint64_t segment_id,
   PutU32(header + 0, kSegmentMagic);
   PutU32(header + 4, kSegmentVersion);
   PutU32(header + 8, static_cast<uint32_t>(fp::kDims));
-  PutU32(header + 12, static_cast<uint32_t>(order));
-  PutU64(header + 16, n);
-  PutU64(header + 24, segment_id);
   header[kHeaderCodecOff] = static_cast<uint8_t>(options.codec);
+  PutU64(header + kHeaderCountOff, n);
+  PutU64(header + 24, segment_id);
   PutU32(header + kHeaderCrcOff, Crc32(header, kHeaderCrcOff));
   S3VCD_RETURN_IF_ERROR(writer.WriteBytes(header, sizeof(header)));
 
   const core::DescriptorView view = block.View();
 
-  // Section 0: the key column, in BitKey's own layout.
+  // Section 0: the code column.
   S3VCD_RETURN_IF_ERROR(PadTo(&writer, sections[0].offset));
-  sections[0].crc = Crc32(keys.data(), sections[0].length);
-  S3VCD_RETURN_IF_ERROR(writer.WriteBytes(keys.data(), sections[0].length));
+  sections[0].crc = Crc32(codes.data(), sections[0].length);
+  S3VCD_RETURN_IF_ERROR(writer.WriteBytes(codes.data(), sections[0].length));
 
   // Section 1: the descriptor column — written straight from the block on
   // the exact codec, encoded in chunks otherwise.
@@ -179,10 +175,8 @@ Status WriteSegmentFileImpl(const std::string& path, uint64_t segment_id,
     PutU32(e + 16, sections[s].crc);
     PutU32(e + 20, 0);  // reserved
   }
-  const BitKey min_key = n > 0 ? keys.front() : BitKey::Zero();
-  const BitKey max_key = n > 0 ? keys.back() : BitKey::Zero();
-  std::memcpy(footer + kFooterMinKeyOff, &min_key, kKeyBytes);
-  std::memcpy(footer + kFooterMaxKeyOff, &max_key, kKeyBytes);
+  PutU32(footer + kFooterMinCodeOff, n > 0 ? codes.front() : 0);
+  PutU32(footer + kFooterMaxCodeOff, n > 0 ? codes.back() : 0);
   PutU64(footer + kFooterOffsetOff, footer_offset);
   PutU32(footer + kFooterCrcOff, Crc32(footer, kFooterCrcOff));
   PutU32(footer + kFooterMagicOff, kSegmentMagic);
@@ -197,11 +191,11 @@ Status WriteSegmentFileImpl(const std::string& path, uint64_t segment_id,
 }  // namespace
 
 Status WriteSegmentFile(const std::string& path, uint64_t segment_id,
-                        int order, const core::DescriptorBlock& block,
-                        const std::vector<BitKey>& keys,
+                        const core::DescriptorBlock& block,
+                        const std::vector<uint32_t>& codes,
                         const SegmentWriteOptions& options) {
   const Status status =
-      WriteSegmentFileImpl(path, segment_id, order, block, keys, options);
+      WriteSegmentFileImpl(path, segment_id, block, codes, options);
   if (!status.ok()) {
     std::remove(path.c_str());
   }
@@ -284,12 +278,7 @@ Status SegmentReader::Init(const std::string& path,
   if (GetU32(header + 8) != static_cast<uint32_t>(fp::kDims)) {
     return Status::Corruption("segment dims mismatch: " + path);
   }
-  const uint32_t order = GetU32(header + 12);
-  if (order < 1 || order > 8) {
-    return Status::Corruption("segment curve order out of range: " + path);
-  }
-  order_ = static_cast<int>(order);
-  count_ = GetU64(header + 16);
+  count_ = GetU64(header + kHeaderCountOff);
   segment_id_ = GetU64(header + 24);
   // Known tags are exact (0) and lvq4 (2); tag 1, the retired 8-bit codec,
   // is refused like any other unknown tag.
@@ -321,8 +310,8 @@ Status SegmentReader::Init(const std::string& path,
                                 "record count and codec: " + path);
     }
     if (sections[s].offset % kSectionAlign != 0 ||
-        sections[s].offset < prev_end ||
-        sections[s].offset + sections[s].length > footer_offset) {
+        sections[s].offset < prev_end || sections[s].offset > footer_offset ||
+        sections[s].length > footer_offset - sections[s].offset) {
       return Status::Corruption(
           "segment section table overlapping or out of bounds: " + path);
     }
@@ -340,29 +329,36 @@ Status SegmentReader::Init(const std::string& path,
     return Status::Corruption("segment codec parameters invalid: " + path);
   }
 
-  keys_ = reinterpret_cast<const BitKey*>(data + sections[0].offset);
+  codes_ = reinterpret_cast<const uint32_t*>(data + sections[0].offset);
   descriptors_ = data + sections[1].offset;
   ids_ = reinterpret_cast<const uint32_t*>(data + sections[2].offset);
   time_codes_ = reinterpret_cast<const uint32_t*>(data + sections[3].offset);
   xs_ = reinterpret_cast<const float*>(data + sections[4].offset);
   ys_ = reinterpret_cast<const float*>(data + sections[5].offset);
 
-  // Key order, checked while the prefix table is built, and footer min/max
-  // agreement.
-  const hilbert::HilbertCurve curve(fp::kDims, order_);
-  table_ = core::PrefixTable(curve.key_bits(),
-                             core::PrefixTable::RunDepth(count_, curve));
+  // One pass over the codes: each in range and in order (the prefix table
+  // is built as they are checked) and, on exact segments, the OrthantCode
+  // of its descriptor. Then the footer's min/max must agree.
+  table_ = core::PrefixTable(core::PrefixTable::RunDepth(count_));
+  fp::Fingerprint descriptor;
   for (uint64_t i = 0; i < count_; ++i) {
-    if (!table_.Append(keys_[i])) {
-      return Status::Corruption("segment keys out of order: " + path);
+    if (!table_.Append(codes_[i])) {
+      return Status::Corruption("segment codes out of order or range: " +
+                                path);
+    }
+    if (codec_.is_exact()) {
+      std::memcpy(descriptor.data(), descriptors_ + i * fp::kDims, fp::kDims);
+      if (codes_[i] != core::OrthantCode(descriptor)) {
+        return Status::Corruption(
+            "segment code disagrees with its descriptor: " + path);
+      }
     }
   }
   table_.Finish();
-  const BitKey min_key = count_ > 0 ? keys_[0] : BitKey::Zero();
-  const BitKey max_key = count_ > 0 ? keys_[count_ - 1] : BitKey::Zero();
-  if (std::memcmp(footer + kFooterMinKeyOff, &min_key, kKeyBytes) != 0 ||
-      std::memcmp(footer + kFooterMaxKeyOff, &max_key, kKeyBytes) != 0) {
-    return Status::Corruption("segment min/max key mismatch: " + path);
+  if (GetU32(footer + kFooterMinCodeOff) != (count_ > 0 ? codes_[0] : 0) ||
+      GetU32(footer + kFooterMaxCodeOff) !=
+          (count_ > 0 ? codes_[count_ - 1] : 0)) {
+    return Status::Corruption("segment min/max code mismatch: " + path);
   }
   return Status::OK();
 }

@@ -13,7 +13,6 @@
 #include "core/record.h"
 #include "core/sorted_run.h"
 #include "fingerprint/fingerprint.h"
-#include "util/bitkey.h"
 #include "util/status.h"
 
 namespace s3vcd::store {
@@ -27,44 +26,43 @@ namespace s3vcd::store {
 /// serving format written and compacted by SegmentStore.
 ///
 /// Layout summary (every section 64-byte aligned, lengths in the footer):
-///   [0, 64)    header: magic, version, dims, order, count, segment id,
-///              descriptor codec tag, CRC
-///   sections   keys (32 B/rec) | coded descriptors (codec code bytes/rec)
-///              | ids | times | xs | ys | codec params (0 B exact, 96 B
-///              quantized)
-///   [end-252, end)  footer: section table with per-section CRCs, min/max
-///                   key, footer offset, footer CRC, trailing magic
+///   [0, 64)    header: magic, version, dims, descriptor codec tag, count,
+///              segment id, CRC
+///   sections   orthant codes (4 B/rec) | coded descriptors (codec code
+///              bytes/rec) | ids | times | xs | ys | codec params (0 B
+///              exact, 96 B quantized)
+///   [end-196, end)  footer: section table with per-section CRCs, min/max
+///                   code, footer offset, footer CRC, trailing magic
 inline constexpr uint32_t kSegmentMagic = 0x53335347;  // "S3SG"
-/// Version 2 added the descriptor codec tag and the codec-params section
-/// (version 1 files, which predate pluggable codecs, are rejected).
-inline constexpr uint32_t kSegmentVersion = 2;
+/// Version 3 replaced the 32-byte curve keys with 4-byte orthant codes and
+/// dropped the curve order; version 2 added the descriptor codec tag and
+/// the codec-params section. Older versions are rejected.
+inline constexpr uint32_t kSegmentVersion = 3;
 /// Alignment of every section start (and of the header block), so mapped
 /// column pointers satisfy the alignment of their element types.
 inline constexpr size_t kSectionAlign = 64;
 inline constexpr size_t kSegmentHeaderBytes = 64;
-/// keys, descriptors, ids, time_codes, xs, ys, codec params — in file
+/// codes, descriptors, ids, time_codes, xs, ys, codec params — in file
 /// order.
 inline constexpr uint32_t kNumSections = 7;
-/// Serialized BitKey: 4 little-endian u64 words, least significant first.
-inline constexpr size_t kKeyBytes = 32;
-// The reader maps the key column as BitKey, as it maps the u32/float
-// columns as their types.
-static_assert(std::endian::native == std::endian::little &&
-              sizeof(BitKey) == kKeyBytes && alignof(BitKey) <= kSectionAlign);
+// The reader maps the columns as their little-endian types.
+static_assert(std::endian::native == std::endian::little);
 /// Header field offsets (byte-level spec: docs/segment_format.md). The
 /// codec tag sits inside the CRC-covered prefix, so flipping it without
 /// resealing the header is caught as a checksum mismatch — and a resealed
 /// flip still fails the descriptor/params section length checks.
-inline constexpr size_t kHeaderCodecOff = 32;
-inline constexpr size_t kHeaderCrcOff = 40;
+inline constexpr size_t kHeaderCodecOff = 12;
+inline constexpr size_t kHeaderCountOff = 16;
+inline constexpr size_t kHeaderCrcOff = 32;
 /// Footer field offsets, all derived from the section count.
-inline constexpr size_t kFooterMinKeyOff = 4 + kNumSections * 24;
-inline constexpr size_t kFooterMaxKeyOff = kFooterMinKeyOff + kKeyBytes;
-inline constexpr size_t kFooterOffsetOff = kFooterMaxKeyOff + kKeyBytes;
+inline constexpr size_t kFooterMinCodeOff = 4 + kNumSections * 24;
+inline constexpr size_t kFooterMaxCodeOff = kFooterMinCodeOff + 4;
+inline constexpr size_t kFooterOffsetOff = kFooterMaxCodeOff + 4;
 inline constexpr size_t kFooterCrcOff = kFooterOffsetOff + 8;
 inline constexpr size_t kFooterMagicOff = kFooterCrcOff + 4;
 /// section_count u32 + 7 * {offset u64, length u64, crc u32, reserved u32}
-/// + min_key + max_key + footer_offset u64 + footer_crc u32 + magic u32.
+/// + min_code u32 + max_code u32 + footer_offset u64 + footer_crc u32 +
+/// magic u32.
 inline constexpr size_t kSegmentFooterBytes = kFooterMagicOff + 4;
 
 struct SegmentWriteOptions {
@@ -78,12 +76,12 @@ struct SegmentWriteOptions {
 };
 
 /// Writes one complete segment file at `path` from a sorted record block
-/// and its parallel key array (keys[i] = Hilbert key of block record i,
-/// non-decreasing). Fails with kInvalidArgument on unsorted keys or a
-/// size mismatch; any error leaves no file behind.
+/// and its parallel code array (codes[i] = core::OrthantCode of block
+/// record i, non-decreasing). Fails with kInvalidArgument on unsorted codes
+/// or a size mismatch; any error leaves no file behind.
 Status WriteSegmentFile(const std::string& path, uint64_t segment_id,
-                        int order, const core::DescriptorBlock& block,
-                        const std::vector<BitKey>& keys,
+                        const core::DescriptorBlock& block,
+                        const std::vector<uint32_t>& codes,
                         const SegmentWriteOptions& options = {});
 
 struct SegmentReadOptions {
@@ -96,9 +94,12 @@ struct SegmentReadOptions {
 /// A validated, immutable, opened segment. All accessors are const and
 /// thread-safe; the object owns the mapping (or the resident copy) and
 /// releases it on destruction. Open() performs the full corruption screen
-/// of docs/segment_format.md — any structural violation, CRC mismatch or
-/// key-order violation returns kCorruption and constructs nothing, so a
-/// reader either sees the entire segment or none of it.
+/// of docs/segment_format.md — any structural violation, CRC mismatch,
+/// code-order violation or (on exact segments) code that is not the
+/// OrthantCode of its descriptor returns kCorruption and constructs
+/// nothing, so a reader either sees the entire segment or none of it.
+/// Quantized segments cannot recompute a code: a decoded descriptor may
+/// cross byte 128, so their codes are checked for order and range only.
 class SegmentReader {
  public:
   static Result<std::shared_ptr<SegmentReader>> Open(
@@ -110,7 +111,6 @@ class SegmentReader {
 
   const std::string& path() const { return path_; }
   uint64_t segment_id() const { return segment_id_; }
-  int order() const { return order_; }
   /// Record count.
   uint64_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
@@ -128,10 +128,12 @@ class SegmentReader {
   /// Stored bytes per descriptor record (codec code bytes).
   size_t descriptor_code_bytes() const { return codec_.code_bytes(); }
 
-  /// The key column, mapped as BitKey (see kKeyBytes).
-  const BitKey* keys() const { return keys_; }
-  /// The segment as a sorted run; Open's key-order check builds its table.
-  core::SortedRun run() const { return core::SortedRun(View(), keys_, table_); }
+  /// The code column, mapped as u32.
+  const uint32_t* codes() const { return codes_; }
+  /// The segment as a sorted run; Open's code-order check builds its table.
+  core::SortedRun run() const {
+    return core::SortedRun(View(), codes_, &table_);
+  }
 
   /// The SoA columns as a view the scan kernels consume directly. On a
   /// quantized segment the view carries the codec, which routes scans
@@ -156,7 +158,6 @@ class SegmentReader {
 
   std::string path_;
   uint64_t segment_id_ = 0;
-  int order_ = 0;
   uint64_t count_ = 0;
   uint64_t file_bytes_ = 0;
   core::DescriptorCodec codec_;  ///< identity codec on exact segments
@@ -167,7 +168,7 @@ class SegmentReader {
   std::vector<uint8_t> resident_;
 
   /// Column pointers into the backing bytes (64-byte aligned in-file).
-  const BitKey* keys_ = nullptr;
+  const uint32_t* codes_ = nullptr;
   const uint8_t* descriptors_ = nullptr;
   const uint32_t* ids_ = nullptr;
   const uint32_t* time_codes_ = nullptr;

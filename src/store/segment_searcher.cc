@@ -53,11 +53,7 @@ Result<std::string> MakeTempStoreDir() {
 
 SegmentSearcher::SegmentSearcher(std::unique_ptr<SegmentStore> store,
                                  bool owns_dir)
-    : store_(std::move(store)),
-      owns_dir_(owns_dir),
-      filter_(hilbert::HilbertCurve(fp::kDims, store_->order())),
-      memtable_(filter_.curve()),
-      spill_threshold_(0) {}
+    : store_(std::move(store)), owns_dir_(owns_dir), spill_threshold_(0) {}
 
 SegmentSearcher::~SegmentSearcher() {
   if (owns_dir_) {
@@ -80,15 +76,7 @@ Result<std::unique_ptr<SegmentSearcher>> SegmentSearcher::Open(
   store_options.tier_base_records =
       std::max<uint64_t>(options.spill_threshold, 1);
 
-  // An empty database means "whatever the store holds": resolve the curve
-  // order from the manifest (0), falling back to the database's default
-  // order when the directory turns out to be fresh.
-  const int requested_order = db.empty() ? 0 : db.order();
-  auto store = SegmentStore::Open(dir, requested_order, store_options);
-  if (!store.ok() && db.empty() &&
-      store.status().code() == StatusCode::kInvalidArgument) {
-    store = SegmentStore::Open(dir, db.order(), store_options);
-  }
+  auto store = SegmentStore::Open(dir, store_options);
   S3VCD_RETURN_IF_ERROR(store.status());
 
   if (!db.empty()) {
@@ -97,7 +85,7 @@ Result<std::unique_ptr<SegmentSearcher>> SegmentSearcher::Open(
           "segment store " + dir + " already holds records; reopen it with "
           "an empty database (the segments are authoritative)");
     }
-    S3VCD_RETURN_IF_ERROR((*store)->AppendSegment(db.block(), db.keys()));
+    S3VCD_RETURN_IF_ERROR((*store)->AppendSegment(db.block(), db.codes()));
   }
 
   std::unique_ptr<SegmentSearcher> searcher(
@@ -163,7 +151,7 @@ uint64_t SegmentSearcher::ApproxBytes() const {
     // resident either way.
     bytes += (segment->mapped() ? segment->file_bytes()
                                 : segment->resident_bytes()) +
-             segment->run().table().MemoryBytes();
+             segment->run().table()->MemoryBytes();
   }
   return bytes;
 }
@@ -172,7 +160,7 @@ bool SegmentSearcher::TryInsert(const fp::Fingerprint& fingerprint,
                                 uint32_t id, uint32_t time_code, float x,
                                 float y) {
   memtable_.Append(fingerprint, id, time_code, x, y,
-                   core::CurveKey(filter_.curve(), fingerprint));
+                   core::OrthantCode(fingerprint));
   g_inserts->Increment();
   g_pending->Set(static_cast<int64_t>(memtable_.size()));
   if (memtable_.size() >= spill_threshold_) {
@@ -190,10 +178,10 @@ Status SegmentSearcher::Spill() {
   if (memtable_.empty()) {
     return Status::OK();
   }
-  // One sorted run, arrival order among equal keys: one tier-0 segment.
+  // One sorted run, arrival order among equal codes: one tier-0 segment.
   memtable_.MergeAll();
   S3VCD_RETURN_IF_ERROR(
-      store_->AppendSegment(memtable_.block(), memtable_.keys()));
+      store_->AppendSegment(memtable_.block(), memtable_.codes()));
   memtable_.Clear();
   g_spills->Increment();
   g_pending->Set(0);

@@ -8,7 +8,6 @@
 #include "core/distortion_model.h"
 #include "core/filter.h"
 #include "core/searcher.h"
-#include "hilbert/hilbert_curve.h"
 #include "store/memtable.h"
 #include "store/segment_store.h"
 
@@ -27,13 +26,13 @@ struct SegmentSearcherOptions {
 };
 
 /// The "segment" backend of MakeSearcher, and the only backend that
-/// accepts inserts. Queries (the default core::Searcher ones) select curve
-/// sections once through the BlockFilter, then ScanSelection refines each
-/// section over every key-sorted source: the on-disk segments (the SoA scan
+/// accepts inserts. Queries (the default core::Searcher ones) select code
+/// ranges once through the BlockFilter, then ScanSelection refines each
+/// range over every code-sorted source: the on-disk segments (the SoA scan
 /// kernels run directly on the mapped columns — SegmentReader hands
 /// ScanRecords a DescriptorView into the mapping), then the memtable's
-/// runs. Every source is a core::SortedRun with its own prefix table, and
-/// core::ScanSortedRuns prunes and resolves each section in each of them
+/// runs. Every source is a core::SortedRun, and core::ScanSortedRuns prunes
+/// and resolves each range in each of them
 /// exactly as S3Index does in its one run, so a buffered record is found
 /// the way a stored one is and results are identical to an in-memory S3
 /// index over the same records (tests/segment_parity_test.cc pins bit-identical
@@ -98,7 +97,7 @@ class SegmentSearcher : public core::Searcher {
   /// remove it on destruction.
   bool owns_dir_;
   core::BlockFilter filter_;
-  /// LSM write buffer: recent inserts as key-sorted runs.
+  /// LSM write buffer: recent inserts as code-sorted runs.
   Memtable memtable_;
   size_t spill_threshold_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <queue>
 #include <set>
 #include <utility>
@@ -19,7 +20,8 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr uint32_t kManifestMagic = 0x53334D46;  // "S3MF"
-constexpr uint32_t kManifestVersion = 1;
+// Version 2 dropped the curve order field (version 1 is refused).
+constexpr uint32_t kManifestVersion = 2;
 constexpr char kCurrentName[] = "CURRENT";
 // Upper bound on the records a single compaction merges: it bounds the
 // transient memory of the merge, which accumulates the merged run in
@@ -72,16 +74,16 @@ SegmentStore::SegmentStore(std::string dir, SegmentStoreOptions options)
     : dir_(std::move(dir)), options_(std::move(options)) {}
 
 Result<std::unique_ptr<SegmentStore>> SegmentStore::Open(
-    const std::string& dir, int order, const SegmentStoreOptions& options) {
+    const std::string& dir, const SegmentStoreOptions& options) {
   if (options.tier_fanin < 2) {
     return Status::InvalidArgument("tier_fanin must be >= 2");
   }
   std::unique_ptr<SegmentStore> store(new SegmentStore(dir, options));
-  S3VCD_RETURN_IF_ERROR(store->Load(order));
+  S3VCD_RETURN_IF_ERROR(store->Load());
   return store;
 }
 
-Status SegmentStore::Load(int requested_order) {
+Status SegmentStore::Load() {
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec) {
@@ -109,62 +111,66 @@ Status SegmentStore::Load(int requested_order) {
       return Status::Corruption("CURRENT names a missing manifest '" +
                                 manifest_name + "': " + dir_);
     }
-    uint32_t magic = 0;
-    uint32_t version = 0;
-    uint32_t order = 0;
-    uint32_t segment_count = 0;
-    S3VCD_RETURN_IF_ERROR(reader.ReadU32(&magic));
-    if (magic != kManifestMagic) {
-      return Status::Corruption("bad manifest magic: " + manifest_name);
-    }
-    S3VCD_RETURN_IF_ERROR(reader.ReadU32(&version));
-    if (version != kManifestVersion) {
-      return Status::Corruption("unsupported manifest version: " +
-                                manifest_name);
-    }
-    S3VCD_RETURN_IF_ERROR(reader.ReadU64(&view->generation));
-    S3VCD_RETURN_IF_ERROR(reader.ReadU32(&order));
-    S3VCD_RETURN_IF_ERROR(reader.ReadU64(&next_segment_id_));
-    S3VCD_RETURN_IF_ERROR(reader.ReadU32(&segment_count));
-    if (order < 1 || order > 8 || segment_count > (1u << 20)) {
-      return Status::Corruption("manifest fields out of range: " +
-                                manifest_name);
-    }
-    order_ = static_cast<int>(order);
-
     struct Entry {
       uint64_t id;
       uint64_t records;
       std::string name;
     };
-    std::vector<Entry> entries(segment_count);
-    for (Entry& e : entries) {
-      S3VCD_RETURN_IF_ERROR(reader.ReadU64(&e.id));
-      S3VCD_RETURN_IF_ERROR(reader.ReadU64(&e.records));
-      S3VCD_RETURN_IF_ERROR(reader.ReadString(&e.name));
-      if (e.name.empty() || e.name.find('/') != std::string::npos) {
-        return Status::Corruption("manifest entry names invalid path: " +
+    std::vector<Entry> entries;
+    const auto parse = [&]() -> Status {
+      uint32_t magic = 0;
+      uint32_t version = 0;
+      uint32_t segment_count = 0;
+      S3VCD_RETURN_IF_ERROR(reader.ReadU32(&magic));
+      if (magic != kManifestMagic) {
+        return Status::Corruption("bad manifest magic: " + manifest_name);
+      }
+      S3VCD_RETURN_IF_ERROR(reader.ReadU32(&version));
+      if (version != kManifestVersion) {
+        return Status::Corruption("unsupported manifest version " +
+                                  std::to_string(version) + ": " +
                                   manifest_name);
       }
+      S3VCD_RETURN_IF_ERROR(reader.ReadU64(&view->generation));
+      S3VCD_RETURN_IF_ERROR(reader.ReadU64(&next_segment_id_));
+      S3VCD_RETURN_IF_ERROR(reader.ReadU32(&segment_count));
+      if (segment_count > (1u << 20)) {
+        return Status::Corruption("manifest fields out of range: " +
+                                  manifest_name);
+      }
+      entries.resize(segment_count);
+      for (Entry& e : entries) {
+        S3VCD_RETURN_IF_ERROR(reader.ReadU64(&e.id));
+        S3VCD_RETURN_IF_ERROR(reader.ReadU64(&e.records));
+        S3VCD_RETURN_IF_ERROR(reader.ReadString(&e.name));
+        if (e.name.empty() || e.name.find('/') != std::string::npos ||
+            !fs::is_regular_file(dir_ + "/" + e.name)) {
+          return Status::Corruption(
+              "manifest entry names no segment file: " + manifest_name);
+        }
+      }
+      const uint32_t computed_crc = reader.crc();
+      uint32_t stored_crc = 0;
+      S3VCD_RETURN_IF_ERROR(reader.ReadU32(&stored_crc));
+      if (stored_crc != computed_crc) {
+        return Status::Corruption("manifest checksum mismatch: " +
+                                  manifest_name);
+      }
+      return reader.Close();
+    };
+    Status parsed = parse();
+    if (parsed.code() == StatusCode::kIOError) {
+      // The manifest opened, so a short read means it is shorter than its
+      // own fields.
+      parsed = Status::Corruption("manifest truncated: " + manifest_name);
     }
-    const uint32_t computed_crc = reader.crc();
-    uint32_t stored_crc = 0;
-    S3VCD_RETURN_IF_ERROR(reader.ReadU32(&stored_crc));
-    if (stored_crc != computed_crc) {
-      return Status::Corruption("manifest checksum mismatch: " +
-                                manifest_name);
-    }
-    S3VCD_RETURN_IF_ERROR(reader.Close());
+    S3VCD_RETURN_IF_ERROR(parsed);
 
     const SegmentReadOptions read_options{options_.use_mmap};
     for (const Entry& e : entries) {
       S3VCD_ASSIGN_OR_RETURN(
           std::shared_ptr<SegmentReader> segment,
           SegmentReader::Open(dir_ + "/" + e.name, read_options));
-      if (segment->order() != order_) {
-        return Status::Corruption("segment order disagrees with manifest: " +
-                                  e.name);
-      }
       if (segment->segment_id() != e.id || segment->size() != e.records) {
         return Status::Corruption(
             "segment identity disagrees with manifest: " + e.name);
@@ -172,18 +178,8 @@ Status SegmentStore::Load(int requested_order) {
       view->total_records += segment->size();
       view->segments.push_back(std::move(segment));
     }
-    if (requested_order != 0 && requested_order != order_) {
-      return Status::FailedPrecondition(
-          "store " + dir_ + " has curve order " + std::to_string(order_) +
-          ", not the requested " + std::to_string(requested_order));
-    }
-  } else {
-    // Fresh store: nothing durable until the first commit.
-    if (requested_order < 1 || requested_order > 8) {
-      return Status::InvalidArgument("curve order out of range [1, 8]");
-    }
-    order_ = requested_order;
   }
+  // A fresh store has nothing durable until the first commit.
 
   {
     std::lock_guard<std::mutex> lock(view_mu_);
@@ -269,7 +265,6 @@ Status SegmentStore::CommitGeneration(
   S3VCD_RETURN_IF_ERROR(writer.WriteU32(kManifestMagic));
   S3VCD_RETURN_IF_ERROR(writer.WriteU32(kManifestVersion));
   S3VCD_RETURN_IF_ERROR(writer.WriteU64(generation));
-  S3VCD_RETURN_IF_ERROR(writer.WriteU32(static_cast<uint32_t>(order_)));
   S3VCD_RETURN_IF_ERROR(writer.WriteU64(next_segment_id_));
   S3VCD_RETURN_IF_ERROR(
       writer.WriteU32(static_cast<uint32_t>(segments.size())));
@@ -289,7 +284,7 @@ Status SegmentStore::CommitGeneration(
 }
 
 Status SegmentStore::AppendSegment(const core::DescriptorBlock& block,
-                                   const std::vector<BitKey>& keys) {
+                                   const std::vector<uint32_t>& codes) {
   if (block.empty()) {
     return Status::OK();
   }
@@ -300,7 +295,7 @@ Status SegmentStore::AppendSegment(const core::DescriptorBlock& block,
   const std::string path = SegmentPath(id);
   const std::string tmp = path + ".tmp";
   S3VCD_RETURN_IF_ERROR(WriteSegmentFile(
-      tmp, id, order_, block, keys, {options_.sync_writes, options_.codec}));
+      tmp, id, block, codes, {options_.sync_writes, options_.codec}));
   S3VCD_RETURN_IF_ERROR(RenameFile(tmp, path));
 
   const SegmentReadOptions read_options{options_.use_mmap};
@@ -384,9 +379,10 @@ Status SegmentStore::Compact(bool* merged) {
 
   S3VCD_TRACE_SPAN("store.compact");
 
-  // K-way merge of the chosen segments into one sorted run. The merged
-  // run is accumulated in memory (bounded by kMaxCompactionRecords)
-  // before it is written out.
+  // K-way merge of the chosen segments, in manifest order, into one sorted
+  // run. The merged run is accumulated in memory (bounded by
+  // kMaxCompactionRecords) before it is written out.
+  std::sort(group.begin(), group.end());
   struct Source {
     const SegmentReader* segment;
     size_t pos = 0;
@@ -397,32 +393,28 @@ Status SegmentStore::Compact(bool* merged) {
     sources.push_back({old_view->segments[i].get(), 0});
     total += old_view->segments[i]->size();
   }
-  struct HeapEntry {
-    BitKey key;
-    int source;
-  };
-  const auto greater = [](const HeapEntry& a, const HeapEntry& b) {
-    return b.key < a.key;
-  };
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, decltype(greater)>
-      heap(greater);
+  // A heap entry is (code, source): code ties go to the earlier source.
+  using HeapEntry = std::pair<uint32_t, size_t>;
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
+                      std::greater<HeapEntry>>
+      heap;
   for (size_t s = 0; s < sources.size(); ++s) {
     if (sources[s].segment->size() > 0) {
-      heap.push({sources[s].segment->keys()[0], static_cast<int>(s)});
+      heap.push({sources[s].segment->codes()[0], s});
     }
   }
   core::DescriptorBlock block;
   block.Reserve(total);
-  std::vector<BitKey> keys;
-  keys.reserve(total);
+  std::vector<uint32_t> codes;
+  codes.reserve(total);
   while (!heap.empty()) {
-    const HeapEntry top = heap.top();
+    const auto [code, s] = heap.top();
     heap.pop();
-    Source& src = sources[static_cast<size_t>(top.source)];
+    Source& src = sources[s];
     block.AppendRecord(src.segment->Record(src.pos));
-    keys.push_back(top.key);
+    codes.push_back(code);
     if (++src.pos < src.segment->size()) {
-      heap.push({src.segment->keys()[src.pos], top.source});
+      heap.push({src.segment->codes()[src.pos], s});
     }
   }
 
@@ -430,7 +422,7 @@ Status SegmentStore::Compact(bool* merged) {
   const std::string path = SegmentPath(id);
   const std::string tmp = path + ".tmp";
   S3VCD_RETURN_IF_ERROR(WriteSegmentFile(
-      tmp, id, order_, block, keys, {options_.sync_writes, options_.codec}));
+      tmp, id, block, codes, {options_.sync_writes, options_.codec}));
   S3VCD_RETURN_IF_ERROR(RenameFile(tmp, path));
 
   if (fail_before_manifest_swap_) {

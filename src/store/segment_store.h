@@ -9,7 +9,6 @@
 
 #include "core/descriptor_block.h"
 #include "store/segment_format.h"
-#include "util/bitkey.h"
 #include "util/status.h"
 
 namespace s3vcd::store {
@@ -64,16 +63,13 @@ class SegmentStore {
     uint64_t total_records = 0;
   };
 
-  /// Opens (or creates) the store in `dir`. `order` is the Hilbert curve
-  /// order of new stores; reopening an existing store takes the order from
-  /// the manifest and fails with kFailedPrecondition if a different
-  /// nonzero order is requested. Stale temporaries and unreferenced
-  /// segment files (e.g. from a crash mid-compaction) are removed.
+  /// Opens (or creates) the store in `dir`. Stale temporaries and
+  /// unreferenced segment files (e.g. from a crash mid-compaction) are
+  /// removed.
   static Result<std::unique_ptr<SegmentStore>> Open(
-      const std::string& dir, int order, const SegmentStoreOptions& options = {});
+      const std::string& dir, const SegmentStoreOptions& options = {});
 
   const std::string& dir() const { return dir_; }
-  int order() const { return order_; }
   const SegmentStoreOptions& options() const { return options_; }
 
   /// The current generation's snapshot (lock-free after the shared_ptr
@@ -86,15 +82,17 @@ class SegmentStore {
   /// Total bytes of the current generation's segment files.
   uint64_t DiskBytes() const;
 
-  /// Writes `block` (key-sorted, with `keys` parallel) as one new segment
-  /// and installs it under a new generation. Empty blocks are a no-op.
+  /// Writes `block` (code-sorted, with `codes` parallel) as one new
+  /// segment and installs it under a new generation. Empty blocks are a
+  /// no-op.
   Status AppendSegment(const core::DescriptorBlock& block,
-                       const std::vector<BitKey>& keys);
+                       const std::vector<uint32_t>& codes);
 
   /// One round of size-tiered compaction: if any tier holds >= tier_fanin
   /// segments, k-way merges the smallest qualifying group into one segment
-  /// and installs the new generation. Sets *merged (optional) to whether a
-  /// merge happened.
+  /// and installs the new generation. Code ties go to the segment listed
+  /// first in the manifest. Sets *merged (optional) to whether a merge
+  /// happened.
   Status Compact(bool* merged = nullptr);
 
   /// Runs Compact until no tier qualifies.
@@ -111,7 +109,7 @@ class SegmentStore {
  private:
   SegmentStore(std::string dir, SegmentStoreOptions options);
 
-  Status Load(int requested_order);
+  Status Load();
   /// Writes MANIFEST-<generation> for `segments` and swaps CURRENT to it.
   Status CommitGeneration(
       uint64_t generation,
@@ -124,7 +122,6 @@ class SegmentStore {
 
   const std::string dir_;
   const SegmentStoreOptions options_;
-  int order_ = 0;
 
   /// Serializes mutations (append/compact). Held for the full operation.
   std::mutex writer_mu_;

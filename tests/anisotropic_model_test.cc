@@ -2,6 +2,7 @@
 // region must adapt anisotropically -- tight along low-sigma components,
 // wide along high-sigma components -- which no spherical query can do.
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -10,7 +11,6 @@
 #include "core/filter.h"
 #include "core/index.h"
 #include "core/synthetic_db.h"
-#include "hilbert/block_tree.h"
 #include "hilbert/hilbert_curve.h"
 #include "util/rng.h"
 
@@ -69,8 +69,7 @@ TEST(AnisotropicModelTest, MismatchedIsotropicModelNeedsMoreBlocks) {
   // To reach the same expectation against anisotropic distortion, an
   // isotropic model of the pooled sigma must select more volume than the
   // matched per-component model selects probability-efficiently.
-  const hilbert::HilbertCurve curve(fp::kDims, 8);
-  const BlockFilter filter(curve);
+  const BlockFilter filter;
   const auto sigmas = SplitSigmas(3.0, 30.0);
   const PerComponentGaussianModel matched(sigmas);
   double pooled = 0;
@@ -102,8 +101,7 @@ TEST(AnisotropicModelTest, RegionIsTightAlongLowSigmaAxes) {
   // component the selected blocks should hug the query much tighter than
   // along a sigma=30 component.
   const hilbert::HilbertCurve curve(fp::kDims, 8);
-  const hilbert::BlockTree tree(curve);
-  const BlockFilter filter(curve);
+  const BlockFilter filter;
   const auto sigmas = SplitSigmas(3.0, 30.0);
   const PerComponentGaussianModel model(sigmas);
   fp::Fingerprint q;
@@ -117,7 +115,7 @@ TEST(AnisotropicModelTest, RegionIsTightAlongLowSigmaAxes) {
 
   // Measure the union extent per axis by decoding range endpoints through
   // cell reconstruction: sample database-free -- use random points inside
-  // the ranges via key decoding.
+  // the ranges via key decoding (a code is the top D bits of a key).
   std::array<uint32_t, fp::kDims> lo;
   std::array<uint32_t, fp::kDims> hi;
   lo.fill(255);
@@ -125,12 +123,9 @@ TEST(AnisotropicModelTest, RegionIsTightAlongLowSigmaAxes) {
   uint32_t coords[fp::kDims];
   for (const auto& [begin, end] : sel.ranges) {
     // Decode a handful of keys inside the range.
-    BitKey step = (end - begin) >> 3;
-    if (step.is_zero()) {
-      step = BitKey(1);
-    }
-    for (BitKey k = begin; k < end; k = k + step) {
-      curve.Decode(k, coords);
+    const uint32_t step = std::max<uint32_t>((end - begin) >> 3, 1);
+    for (uint32_t code = begin; code < end; code += step) {
+      curve.Decode(BitKey(code) << (curve.key_bits() - kCodeBits), coords);
       for (int j = 0; j < fp::kDims; ++j) {
         lo[j] = std::min(lo[j], coords[j]);
         hi[j] = std::max(hi[j], coords[j]);

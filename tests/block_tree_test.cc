@@ -177,21 +177,23 @@ TEST(BlockTreeTest, PaperConfigPrefixPathContainsPoint) {
 
 // The facts the closed-form block selection relies on (core/filter.cc): at
 // depths p <= D = 20 every split halves a fresh axis at cell grid/2, in
-// the order OrthantSplitAxis gives on every path, and OrthantPrefix maps a
-// block's sides to its prefix. Every path down to depth 10 and 2,000 random
-// paths down to depth 20, at every order 1-8.
+// the order core::HilbertOrthants::SplitAxis gives on every path, and
+// HilbertOrthants::Prefix maps a block's sides to its prefix. Every path
+// down to depth 10 and 2,000 random paths down to depth 20, at every order
+// 1-8.
 TEST(BlockTreeTest, FirstDimsLevelsAreOrthants) {
   for (int order = 1; order <= 8; ++order) {
     const HilbertCurve curve(20, order);
     const BlockTree tree(curve);
-    EXPECT_EQ(oracle::OrthantViolation(tree, 20, 10, 2000, 40 + order), "")
+    EXPECT_EQ(oracle::OrthantViolation<core::HilbertOrthants>(
+                  tree, 20, 10, 2000, 40 + order),
+              "")
         << "order " << order;
   }
   // The axis order the level-0 Gray-code rule gives: 0, D-1, ..., 1.
-  const HilbertCurve curve(20, 8);
-  EXPECT_EQ(OrthantSplitAxis(curve, 1), 0);
-  EXPECT_EQ(OrthantSplitAxis(curve, 2), 19);
-  EXPECT_EQ(OrthantSplitAxis(curve, 20), 1);
+  EXPECT_EQ(core::HilbertOrthants::SplitAxis(1), 0);
+  EXPECT_EQ(core::HilbertOrthants::SplitAxis(2), 19);
+  EXPECT_EQ(core::HilbertOrthants::SplitAxis(20), 1);
 }
 
 TEST(BlockTreeTest, RangeBeginEndAreContiguousAcrossSiblings) {

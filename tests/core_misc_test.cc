@@ -119,8 +119,8 @@ TEST(TunerTest, ReturnsACandidateWithFullProfile) {
 }
 
 TEST(TunerTest, DefaultCandidatesScaleWithDbSize) {
-  const auto small = DefaultDepthCandidates(1000, 160);
-  const auto large = DefaultDepthCandidates(1000000, 160);
+  const auto small = DefaultDepthCandidates(1000);
+  const auto large = DefaultDepthCandidates(1000000);
   ASSERT_FALSE(small.empty());
   ASSERT_FALSE(large.empty());
   EXPECT_LT(small.front(), large.front());
@@ -128,7 +128,7 @@ TEST(TunerTest, DefaultCandidatesScaleWithDbSize) {
     EXPECT_LE(p, fp::kDims) << "the block filter serves depths up to D";
     EXPECT_GE(p, 1);
   }
-  EXPECT_EQ(DefaultDepthCandidates(uint64_t{1} << 30, 160).back(), fp::kDims);
+  EXPECT_EQ(DefaultDepthCandidates(uint64_t{1} << 30).back(), fp::kDims);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "core/index.h"
 #include "core/pseudo_disk.h"
 #include "core/synthetic_db.h"
+#include "util/io.h"
 #include "util/rng.h"
 
 namespace s3vcd::core {
@@ -20,11 +21,20 @@ std::string TempPath(const std::string& name) {
 
 TEST(ExternalBuilderTest, ProducesIdenticalFileToInMemoryBuild) {
   const std::string path = TempPath("external_equiv.s3db");
+  const std::string reference_path = TempPath("external_equiv_ref.s3db");
   Rng rng(1);
+  // Half uniform, half tight clusters around 16 centres: many records
+  // share a code, and only arrival order decides their place.
+  std::vector<fp::Fingerprint> centres;
+  for (int c = 0; c < 16; ++c) {
+    centres.push_back(UniformRandomFingerprint(&rng));
+  }
   std::vector<FingerprintRecord> records;
   for (int i = 0; i < 9000; ++i) {
     FingerprintRecord r;
-    r.descriptor = UniformRandomFingerprint(&rng);
+    r.descriptor =
+        i % 2 == 0 ? UniformRandomFingerprint(&rng)
+                   : DistortFingerprint(centres[i % 16], 3.0, &rng);
     r.id = static_cast<uint32_t>(i % 7);
     r.time_code = static_cast<uint32_t>(i);
     r.x = static_cast<float>(i % 31);
@@ -36,30 +46,29 @@ TEST(ExternalBuilderTest, ProducesIdenticalFileToInMemoryBuild) {
   options.max_records_in_memory = 1000;  // force ~9 runs
   options.temp_dir = testing::TempDir();
   ExternalDatabaseBuilder external(path, options);
+  DatabaseBuilder reference;
   for (const auto& r : records) {
     ASSERT_TRUE(external.Add(r.descriptor, r.id, r.time_code, r.x, r.y).ok());
+    reference.Add(r.descriptor, r.id, r.time_code, r.x, r.y);
   }
   EXPECT_GE(external.runs_spilled(), 8u);
   ASSERT_TRUE(external.Finish().ok());
+  const FingerprintDatabase expected = reference.Build();
+  ASSERT_TRUE(expected.SaveToFile(reference_path).ok());
 
-  auto loaded = FingerprintDatabase::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), records.size());
-
-  // Reference: the in-memory builder over the same records.
-  DatabaseBuilder reference;
-  for (const auto& r : records) {
-    reference.Add(r.descriptor, r.id, r.time_code, r.x, r.y);
+  const auto bytes = ReadFileBytes(path);
+  const auto reference_bytes = ReadFileBytes(reference_path);
+  ASSERT_TRUE(bytes.ok() && reference_bytes.ok());
+  EXPECT_TRUE(*bytes == *reference_bytes)
+      << "the external build must write the in-memory build's file";
+  // The ties are real: consecutive records share codes.
+  size_t ties = 0;
+  for (size_t i = 1; i < expected.size(); ++i) {
+    ties += expected.codes()[i] == expected.codes()[i - 1] ? 1 : 0;
   }
-  FingerprintDatabase expected = reference.Build();
-  for (size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(loaded->key(i), expected.key(i)) << "key order differs at " << i;
-    // Equal keys may order arbitrarily between the two sorts; compare
-    // descriptors only (same key => same descriptor for distinct inputs is
-    // not guaranteed, but time codes with equal keys may swap).
-    EXPECT_EQ(loaded->record(i).descriptor, expected.record(i).descriptor);
-  }
+  EXPECT_GT(ties, expected.size() / 4);
   std::remove(path.c_str());
+  std::remove(reference_path.c_str());
 }
 
 TEST(ExternalBuilderTest, QueriesOverExternalBuildMatchInMemory) {

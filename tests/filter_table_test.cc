@@ -64,15 +64,14 @@ bool ExpectMatchesBestFirst(const Filter& filter, const Tree& tree,
                             const std::string& context) {
   const BlockSelection sel = filter.SelectStatistical(q, model, options);
   const int depth = std::clamp(options.depth, 1, fp::kDims);
-  const int key_bits = tree.curve().key_bits();
   const oracle::Walk walk = oracle::BestFirst(tree, q, model, options.alpha,
                                               depth, options.max_blocks);
 
-  std::vector<BitKey> got = oracle::BlocksOf(sel.ranges, depth, key_bits);
+  std::vector<uint32_t> got = oracle::BlocksOf(sel.ranges, depth);
   EXPECT_EQ(got.size(), sel.num_blocks) << context;
   EXPECT_GE(sel.nodes_visited, 1u) << context;
   std::vector<double> probs;
-  for (const BitKey& prefix : got) {
+  for (const uint32_t prefix : got) {
     probs.push_back(
         oracle::NodeProb(tree, oracle::Descend(tree, prefix, depth), q, model));
   }
@@ -83,7 +82,7 @@ bool ExpectMatchesBestFirst(const Filter& filter, const Tree& tree,
   }
   EXPECT_EQ(sel.probability_mass, mass) << context;
 
-  std::vector<BitKey> want = walk.prefixes;
+  std::vector<uint32_t> want = walk.prefixes;
   std::sort(got.begin(), got.end());
   std::sort(want.begin(), want.end());
   if (got == want) {
@@ -95,14 +94,14 @@ bool ExpectMatchesBestFirst(const Filter& filter, const Tree& tree,
     return false;
   }
   const double last = walk.probs.back();
-  std::vector<BitKey> differ;
+  std::vector<uint32_t> differ;
   std::set_symmetric_difference(got.begin(), got.end(), want.begin(),
                                 want.end(), std::back_inserter(differ));
-  for (const BitKey& prefix : differ) {
+  for (const uint32_t prefix : differ) {
     const double p =
         oracle::NodeProb(tree, oracle::Descend(tree, prefix, depth), q, model);
     EXPECT_TRUE(TiesWith(p, last))
-        << context << ": block " << prefix.ToHex(depth) << " of probability "
+        << context << ": block " << prefix << " of probability "
         << p << " differs from the oracle, whose last block has " << last;
   }
   return false;
@@ -115,10 +114,8 @@ void ExpectRangeMatchesDfs(const Filter& filter, const Tree& tree,
                            const std::string& context) {
   const BlockSelection sel = filter.SelectRange(q, epsilon, depth);
   const auto expected =
-      MergeBlockRanges(oracle::RangeBlocks(tree, q, epsilon, depth), depth,
-                       tree.curve().key_bits());
-  EXPECT_EQ(oracle::BlocksOf(expected, depth, tree.curve().key_bits()).size(),
-            sel.num_blocks)
+      MergeBlockRanges(oracle::RangeBlocks(tree, q, epsilon, depth), depth);
+  EXPECT_EQ(oracle::BlocksOf(expected, depth).size(), sel.num_blocks)
       << context;
   ASSERT_EQ(sel.ranges.size(), expected.size()) << context;
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -234,28 +231,28 @@ class ClosedFormDifferentialTest : public testing::TestWithParam<int> {};
 
 TEST_P(ClosedFormDifferentialTest, StatisticalMatchesBestFirstOnHilbert) {
   const hilbert::HilbertCurve curve(fp::kDims, GetParam());
-  const BlockFilter filter(curve);
+  const BlockFilter filter;
   const hilbert::BlockTree tree(curve);
   RunStatisticalDifferential(filter, tree, 1000 + GetParam(), "hilbert");
 }
 
 TEST_P(ClosedFormDifferentialTest, StatisticalMatchesBestFirstOnZOrder) {
   const hilbert::ZOrderCurve curve(fp::kDims, GetParam());
-  const ZOrderBlockFilter filter(curve);
+  const ZOrderBlockFilter filter;
   const oracle::ZOrderTree tree(curve);
   RunStatisticalDifferential(filter, tree, 2000 + GetParam(), "zorder");
 }
 
 TEST_P(ClosedFormDifferentialTest, RangeMatchesBoxDistanceDfsOnHilbert) {
   const hilbert::HilbertCurve curve(fp::kDims, GetParam());
-  const BlockFilter filter(curve);
+  const BlockFilter filter;
   const hilbert::BlockTree tree(curve);
   RunRangeDifferential(filter, tree, 3000 + GetParam(), "hilbert");
 }
 
 TEST_P(ClosedFormDifferentialTest, RangeMatchesBoxDistanceDfsOnZOrder) {
   const hilbert::ZOrderCurve curve(fp::kDims, GetParam());
-  const ZOrderBlockFilter filter(curve);
+  const ZOrderBlockFilter filter;
   const oracle::ZOrderTree tree(curve);
   RunRangeDifferential(filter, tree, 4000 + GetParam(), "zorder");
 }
@@ -291,12 +288,12 @@ void RunEngineParitySweep(const Filter& filter, const Tree& tree,
 
 TEST(EngineParityTest, TableMatchesReferenceOnHilbert) {
   const hilbert::HilbertCurve curve(fp::kDims, 8);
-  RunEngineParitySweep(BlockFilter(curve), hilbert::BlockTree(curve), 101);
+  RunEngineParitySweep(BlockFilter(), hilbert::BlockTree(curve), 101);
 }
 
 TEST(EngineParityTest, TableMatchesReferenceOnZOrder) {
   const hilbert::ZOrderCurve curve(fp::kDims, 8);
-  RunEngineParitySweep(ZOrderBlockFilter(curve), oracle::ZOrderTree(curve),
+  RunEngineParitySweep(ZOrderBlockFilter(), oracle::ZOrderTree(curve),
                        202);
 }
 
@@ -304,7 +301,7 @@ TEST(EngineParityTest, TableMatchesReferenceOnLowOrderCurve) {
   // A coarse grid exercises the cell_shift > 0 boundary byte mapping of the
   // oracle; the closed form's split byte is 127.5 at every order.
   const hilbert::HilbertCurve curve(fp::kDims, 4);
-  RunEngineParitySweep(BlockFilter(curve), hilbert::BlockTree(curve), 303);
+  RunEngineParitySweep(BlockFilter(), hilbert::BlockTree(curve), 303);
 }
 
 TEST(EngineParityTest, EdgeCellTailAbsorption) {
@@ -313,7 +310,7 @@ TEST(EngineParityTest, EdgeCellTailAbsorption) {
   // root mass is exactly 1 and the closed form must agree with the oracle
   // on every block.
   const hilbert::HilbertCurve curve(fp::kDims, 8);
-  const BlockFilter filter(curve);
+  const BlockFilter filter;
   const hilbert::BlockTree tree(curve);
   Rng rng(42);
   for (int trial = 0; trial < 10; ++trial) {
@@ -338,7 +335,7 @@ TEST(EngineParityTest, CappedSelectionsAgree) {
   // the closed form must truncate where the oracle does: the same
   // highest-probability blocks, the same mass, below alpha.
   const hilbert::HilbertCurve curve(fp::kDims, 8);
-  const BlockFilter filter(curve);
+  const BlockFilter filter;
   const hilbert::BlockTree tree(curve);
   Rng rng(7);
   const GaussianDistortionModel model(40.0);  // wide: many blocks needed
@@ -363,10 +360,8 @@ TEST(EngineParityTest, CapAccountingIdenticalAcrossCurves) {
   // D both split every axis once, so they enumerate the same orthants with
   // the same probabilities: under the same block cap they select as many
   // blocks and the same mass, and each pop emits one block.
-  const hilbert::HilbertCurve hcurve(fp::kDims, 8);
-  const hilbert::ZOrderCurve zcurve(fp::kDims, 8);
-  const BlockFilter hfilter(hcurve);
-  const ZOrderBlockFilter zfilter(zcurve);
+  const BlockFilter hfilter;
+  const ZOrderBlockFilter zfilter;
   Rng rng(11);
   const GaussianDistortionModel model(35.0);
   for (int trial = 0; trial < 10; ++trial) {
@@ -389,8 +384,8 @@ TEST(EngineParityTest, CapAccountingIdenticalAcrossCurves) {
 
 TEST(BoundaryConventionTest, StatisticalAndRangeAgreeOnBoundaryQuery) {
   // Pin the shared quantization-interval convention: cell range [lo, hi)
-  // covers bytes [lo*w - 0.5, hi*w - 0.5). Order 4 (w = 16) at depth 20
-  // halves every axis once, with the cut at cell 8 = byte 127.5. The query
+  // covers bytes [lo*w - 0.5, hi*w - 0.5). Depth 20 halves every axis
+  // once, with the cut at byte 127.5. The query
   // sits at 128 on axis 0 (0.5 bytes above the cut) and deep inside the
   // lower half elsewhere, so with a tight model (sigma 0.25) its own block
   // holds ~Phi(2) ~ 0.977 of the mass and the axis-0 neighbor holds the
@@ -399,8 +394,7 @@ TEST(BoundaryConventionTest, StatisticalAndRangeAgreeOnBoundaryQuery) {
   // away under the unified convention. (Under the old integer-hull range
   // convention [lo*w, hi*w - 1] the neighbor appeared 1.0 away and the
   // filters disagreed on boundary queries.)
-  const hilbert::HilbertCurve curve(fp::kDims, 4);
-  const BlockFilter filter(curve);
+  const BlockFilter filter;
   fp::Fingerprint q;
   q.fill(64);
   q[0] = 128;
@@ -426,8 +420,8 @@ TEST(BoundaryConventionTest, RangeMatchesDirectBoxDistanceDfs) {
   // partition tree, on both curves, at every depth in [1, D].
   const hilbert::HilbertCurve hcurve(fp::kDims, 8);
   const hilbert::ZOrderCurve zcurve(fp::kDims, 8);
-  const BlockFilter hfilter(hcurve);
-  const ZOrderBlockFilter zfilter(zcurve);
+  const BlockFilter hfilter;
+  const ZOrderBlockFilter zfilter;
   const hilbert::BlockTree htree(hcurve);
   const oracle::ZOrderTree ztree(zcurve);
   Rng rng(21);
@@ -443,13 +437,11 @@ TEST(BoundaryConventionTest, RangeMatchesDirectBoxDistanceDfs) {
 }
 
 TEST(SelectionScratchTest, ReusedAcrossQueriesAndGeometries) {
-  // One scratch object serving interleaved queries against filters of
-  // different order/geometry must give the same selections as fresh
+  // One scratch object serving interleaved queries against the Hilbert
+  // and the Z-order filter must give the same selections as fresh
   // scratches.
-  const hilbert::HilbertCurve fine(fp::kDims, 8);
-  const hilbert::HilbertCurve coarse(fp::kDims, 4);
-  const BlockFilter fine_filter(fine);
-  const BlockFilter coarse_filter(coarse);
+  const BlockFilter hilbert_filter;
+  const ZOrderBlockFilter zorder_filter;
   const GaussianDistortionModel model(15.0);
   Rng rng(31);
   SelectionScratch shared;
@@ -458,18 +450,24 @@ TEST(SelectionScratchTest, ReusedAcrossQueriesAndGeometries) {
     FilterOptions options;
     options.alpha = 0.85;
     options.depth = 12;
-    const BlockFilter& filter = trial % 2 == 0 ? fine_filter : coarse_filter;
-    SelectionScratch fresh;
-    const BlockSelection with_shared =
-        filter.SelectStatistical(q, model, options, &shared);
-    const BlockSelection with_fresh =
-        filter.SelectStatistical(q, model, options, &fresh);
-    ExpectSelectionsIdentical(with_shared, with_fresh, "scratch reuse");
-    const BlockSelection range_shared =
-        filter.SelectRange(q, 80.0, 10, 1 << 20, &shared);
-    const BlockSelection range_fresh = filter.SelectRange(q, 80.0, 10);
-    ExpectSelectionsIdentical(range_shared, range_fresh,
-                              "scratch reuse (range)");
+    const auto check = [&](const auto& filter) {
+      SelectionScratch fresh;
+      const BlockSelection with_shared =
+          filter.SelectStatistical(q, model, options, &shared);
+      const BlockSelection with_fresh =
+          filter.SelectStatistical(q, model, options, &fresh);
+      ExpectSelectionsIdentical(with_shared, with_fresh, "scratch reuse");
+      const BlockSelection range_shared =
+          filter.SelectRange(q, 80.0, 10, 1 << 20, &shared);
+      const BlockSelection range_fresh = filter.SelectRange(q, 80.0, 10);
+      ExpectSelectionsIdentical(range_shared, range_fresh,
+                                "scratch reuse (range)");
+    };
+    if (trial % 2 == 0) {
+      check(hilbert_filter);
+    } else {
+      check(zorder_filter);
+    }
   }
   EXPECT_GT(shared.ApproxBytes(), 0u);
 }
@@ -477,8 +475,7 @@ TEST(SelectionScratchTest, ReusedAcrossQueriesAndGeometries) {
 TEST(SelectionScratchTest, ConcurrentThreadLocalScratchIsSafe) {
   // Concurrent selections through the default thread-local scratch must
   // be race-free (exercised under TSan) and agree with serial results.
-  const hilbert::HilbertCurve curve(fp::kDims, 8);
-  const BlockFilter filter(curve);
+  const BlockFilter filter;
   const GaussianDistortionModel model(18.0);
   constexpr int kThreads = 8;
   constexpr int kQueriesPerThread = 16;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/distortion_model.h"
+#include "core/sorted_run.h"
 #include "core/synthetic_db.h"
 #include "hilbert/block_tree.h"
 #include "hilbert/hilbert_curve.h"
@@ -15,27 +16,26 @@ namespace s3vcd::core {
 namespace {
 
 TEST(MergeBlockRangesTest, MergesAdjacentAndSorts) {
-  // Depth 4, key_bits 12 -> each block spans 2^8 keys.
-  std::vector<BitKey> prefixes = {BitKey(5), BitKey(3), BitKey(4),
-                                  BitKey(9)};
-  const auto ranges = MergeBlockRanges(std::move(prefixes), 4, 12);
+  // Depth 4 -> each block spans 2^16 codes.
+  std::vector<uint32_t> prefixes = {5, 3, 4, 9};
+  const auto ranges = MergeBlockRanges(std::move(prefixes), 4);
   ASSERT_EQ(ranges.size(), 2u);
-  EXPECT_EQ(ranges[0].first, BitKey(3 << 8));
-  EXPECT_EQ(ranges[0].second, BitKey(6 << 8));
-  EXPECT_EQ(ranges[1].first, BitKey(9 << 8));
-  EXPECT_EQ(ranges[1].second, BitKey(10 << 8));
+  EXPECT_EQ(ranges[0].first, 3u << 16);
+  EXPECT_EQ(ranges[0].second, 6u << 16);
+  EXPECT_EQ(ranges[1].first, 9u << 16);
+  EXPECT_EQ(ranges[1].second, 10u << 16);
 }
 
-TEST(MergeBlockRangesTest, LastBlockEndIsPastLastKey) {
-  std::vector<BitKey> prefixes = {BitKey(15)};  // last block at depth 4
-  const auto ranges = MergeBlockRanges(std::move(prefixes), 4, 12);
+TEST(MergeBlockRangesTest, LastBlockEndIsTheCodeEnd) {
+  std::vector<uint32_t> prefixes = {15};  // last block at depth 4
+  const auto ranges = MergeBlockRanges(std::move(prefixes), 4);
   ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0].second, BitKey(16 << 8)) << "2^key_bits sentinel";
+  EXPECT_EQ(ranges[0].second, kCodeEnd);
 }
 
 class FilterFixture : public testing::Test {
  protected:
-  FilterFixture() : curve_(fp::kDims, 8), filter_(curve_), tree_(curve_) {}
+  FilterFixture() : curve_(fp::kDims, 8), tree_(curve_) {}
 
   hilbert::HilbertCurve curve_;
   BlockFilter filter_;
@@ -101,18 +101,14 @@ TEST_F(FilterFixture, QueryOwnCellIsSelectedForHighAlpha) {
   const GaussianDistortionModel model(10.0);
   for (int trial = 0; trial < 20; ++trial) {
     const fp::Fingerprint q = UniformRandomFingerprint(&rng);
-    uint32_t coords[fp::kDims];
-    for (int j = 0; j < fp::kDims; ++j) {
-      coords[j] = q[j];
-    }
-    const BitKey key = curve_.Encode(coords);
+    const uint32_t code = OrthantCode(q);
     FilterOptions options;
     options.alpha = 0.95;
     options.depth = 8;
     const BlockSelection sel = filter_.SelectStatistical(q, model, options);
     bool covered = false;
     for (const auto& [begin, end] : sel.ranges) {
-      if (begin <= key && key < end) {
+      if (begin <= code && code < end) {
         covered = true;
         break;
       }
@@ -173,14 +169,10 @@ TEST_F(FilterFixture, RangeFilterCoversSphereBlocks) {
       if (fp::Distance(p, q) > epsilon) {
         continue;
       }
-      uint32_t coords[fp::kDims];
-      for (int j = 0; j < fp::kDims; ++j) {
-        coords[j] = p[j];
-      }
-      const BitKey key = curve_.Encode(coords);
+      const uint32_t code = OrthantCode(p);
       bool covered = false;
       for (const auto& [begin, end] : sel.ranges) {
-        if (begin <= key && key < end) {
+        if (begin <= code && code < end) {
           covered = true;
           break;
         }

@@ -8,6 +8,7 @@
 
 #include "core/database.h"
 #include "core/distortion_model.h"
+#include "core/sorted_run.h"
 #include "core/synthetic_db.h"
 #include "util/rng.h"
 
@@ -63,7 +64,8 @@ TEST(DatabaseTest, BuildSortsAlongCurve) {
   FingerprintDatabase db = BuildTestDatabase(5000, 11, nullptr);
   ASSERT_EQ(db.size(), 5000u);
   for (size_t i = 1; i < db.size(); ++i) {
-    EXPECT_LE(db.key(i - 1), db.key(i));
+    EXPECT_LE(db.codes()[i - 1], db.codes()[i]);
+    EXPECT_EQ(db.codes()[i], OrthantCode(db.record(i).descriptor));
   }
 }
 
@@ -78,7 +80,7 @@ TEST(DatabaseTest, SaveLoadRoundTrip) {
     EXPECT_EQ(loaded->record(i).descriptor, db.record(i).descriptor);
     EXPECT_EQ(loaded->record(i).id, db.record(i).id);
     EXPECT_EQ(loaded->record(i).time_code, db.record(i).time_code);
-    EXPECT_EQ(loaded->key(i), db.key(i));
+    EXPECT_EQ(loaded->codes()[i], db.codes()[i]);
   }
   std::remove(path.c_str());
 }
@@ -146,7 +148,7 @@ TEST_F(IndexFixture, SequentialScanMatchesBruteForce) {
 }
 
 TEST_F(IndexFixture, StatisticalQueryReturnsExactlyRegionContents) {
-  // The statistical query must return exactly the records whose keys fall
+  // The statistical query must return exactly the records whose codes fall
   // inside the selected ranges (kAll semantics).
   const GaussianDistortionModel model(15.0);
   QueryOptions options;
@@ -158,12 +160,12 @@ TEST_F(IndexFixture, StatisticalQueryReturnsExactlyRegionContents) {
     const BlockSelection sel =
         index_.filter().SelectStatistical(q, model, options.filter);
     const QueryResult result = index_.StatQuery(q, model, options);
-    // Count database records inside the selection by key membership.
+    // Count database records inside the selection by code membership.
     size_t expected = 0;
     for (size_t i = 0; i < index_.database().size(); ++i) {
       for (const auto& [begin, end] : sel.ranges) {
-        if (begin <= index_.database().key(i) &&
-            index_.database().key(i) < end) {
+        const uint32_t code = index_.database().codes()[i];
+        if (begin <= code && code < end) {
           ++expected;
           break;
         }

@@ -1,6 +1,6 @@
 // Tests of the segment store's write buffer (store/memtable): the binary-
-// counter run schedule and arrival order among equal keys across merges
-// and spills. The runs' section lookups are tested with every other sorted
+// counter run schedule, which runs carry prefix tables, and arrival order
+// among equal codes across merges and spills. The runs' section lookups are tested with every other sorted
 // run in sorted_run_test.cc.
 
 #include "store/memtable.h"
@@ -16,21 +16,16 @@
 #include "core/database.h"
 #include "core/descriptor_block.h"
 #include "core/synthetic_db.h"
+#include "core/filter.h"
 #include "fingerprint/fingerprint.h"
-#include "hilbert/hilbert_curve.h"
 #include "store/segment_searcher.h"
-#include "util/bitkey.h"
 #include "util/rng.h"
 
 namespace s3vcd::store {
 namespace {
 
-BitKey RandomKey(const hilbert::HilbertCurve& curve, Rng* rng) {
-  uint32_t coords[fp::kDims];
-  for (auto& c : coords) {
-    c = static_cast<uint32_t>(rng->UniformInt(0, 255));
-  }
-  return curve.Encode(coords);
+uint32_t RandomCode(Rng* rng) {
+  return static_cast<uint32_t>(rng->UniformInt(0, core::kCodeEnd - 1));
 }
 
 // ---- Memtable ---------------------------------------------------------
@@ -38,24 +33,24 @@ BitKey RandomKey(const hilbert::HilbertCurve& curve, Rng* rng) {
 /// Appends record `a` (its arrival index) to `memtable`: the id is the
 /// arrival index and every other column is derived from it, so a test can
 /// check that a merge moved all columns of a record together.
-void AppendArrival(Memtable* memtable, uint32_t a, const BitKey& key) {
+void AppendArrival(Memtable* memtable, uint32_t a, uint32_t code) {
   fp::Fingerprint descriptor;
   for (int j = 0; j < fp::kDims; ++j) {
     descriptor[j] = static_cast<uint8_t>(a * 7 + j);
   }
   memtable->Append(descriptor, a, 3 * a + 1, static_cast<float>(a) + 0.5f,
-                   static_cast<float>(a) * 2, key);
+                   static_cast<float>(a) * 2, code);
 }
 
-/// Checks the run layout of `memtable` after arrivals with `keys`: one run
-/// per set bit of size(), oldest and longest first, each sorted by key
-/// with arrival order kept among equal keys, every column aligned with its
-/// record's arrival index.
+/// Checks the run layout of `memtable` after arrivals with `codes`: one
+/// run per set bit of size(), oldest and longest first, each sorted by
+/// code with arrival order kept among equal codes, every column aligned
+/// with its record's arrival index.
 void ExpectRunsWellFormed(const Memtable& memtable,
-                          const std::vector<BitKey>& keys,
+                          const std::vector<uint32_t>& codes,
                           const std::string& where) {
   const size_t n = memtable.size();
-  ASSERT_EQ(n, keys.size()) << where;
+  ASSERT_EQ(n, codes.size()) << where;
   ASSERT_EQ(memtable.num_runs(), static_cast<size_t>(std::popcount(n)))
       << where;
   size_t expected_size = std::bit_floor(n);
@@ -70,7 +65,7 @@ void ExpectRunsWellFormed(const Memtable& memtable,
     for (size_t i = 0; i < run.size(); ++i) {
       const uint32_t a = view.id(i);
       ASSERT_LT(a, n) << where;
-      EXPECT_EQ(memtable.keys()[start + i], keys[a]) << where;
+      EXPECT_EQ(memtable.codes()[start + i], codes[a]) << where;
       EXPECT_EQ(view.time_code(i), 3 * a + 1) << where;
       EXPECT_EQ(view.x(i), static_cast<float>(a) + 0.5f) << where;
       EXPECT_EQ(view.y(i), static_cast<float>(a) * 2) << where;
@@ -78,23 +73,22 @@ void ExpectRunsWellFormed(const Memtable& memtable,
                 static_cast<uint8_t>(a * 7 + fp::kDims - 1))
           << where;
       if (i > 0) {
-        const BitKey& prev = keys[view.id(i - 1)];
-        ASSERT_FALSE(keys[a] < prev) << where << " run " << r << " unsorted";
-        if (prev == keys[a]) {
+        const uint32_t prev = codes[view.id(i - 1)];
+        ASSERT_GE(codes[a], prev) << where << " run " << r << " unsorted";
+        if (prev == codes[a]) {
           EXPECT_LT(view.id(i - 1), a) << where << " arrival order lost";
         }
       }
     }
-    EXPECT_EQ(run.min_key(), keys[view.id(0)]) << where;
-    EXPECT_EQ(run.max_key(), keys[view.id(run.size() - 1)]) << where;
+    EXPECT_EQ(run.min_code(), codes[view.id(0)]) << where;
+    EXPECT_EQ(run.max_code(), codes[view.id(run.size() - 1)]) << where;
     start += run.size();
     expected_size >>= 1;
   }
 }
 
 TEST(MemtableTest, EmptyMemtableHasNoRuns) {
-  const hilbert::HilbertCurve curve(fp::kDims, 8);
-  Memtable memtable(curve);
+  Memtable memtable;
   EXPECT_TRUE(memtable.empty());
   EXPECT_EQ(memtable.num_runs(), 0u);
   memtable.MergeAll();  // no runs to merge
@@ -102,61 +96,71 @@ TEST(MemtableTest, EmptyMemtableHasNoRuns) {
   EXPECT_EQ(memtable.MemoryBytes(), 0u);
 }
 
-// Every binary-counter state from 0 to 2^k + 1 records: the run layout is
-// the binary digits of the size, and each run carries the prefix table of
-// its own keys.
+// Every binary-counter state from 0 to 2^11 + 1 records: the run layout is
+// the binary digits of the size, and exactly the runs of kMinIndexedRun
+// records or more carry the prefix table of their own codes.
 TEST(MemtableTest, EveryBinaryCounterStateIsWellFormed) {
-  constexpr size_t kMaxRecords = (size_t{1} << 7) + 1;
-  const hilbert::HilbertCurve curve(fp::kDims, 8);
+  constexpr size_t kMaxRecords = (size_t{1} << 11) + 1;
   Rng rng(21);
-  Memtable memtable(curve);
-  std::vector<BitKey> keys;
+  Memtable memtable;
+  std::vector<uint32_t> codes;
   for (size_t n = 0; n <= kMaxRecords; ++n) {
     const std::string where = "n=" + std::to_string(n);
-    ExpectRunsWellFormed(memtable, keys, where);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
+    if (n <= 129 || n % 64 <= 1) {
+      ExpectRunsWellFormed(memtable, codes, where);
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
     }
+    uint64_t table_bytes = 0;
     for (size_t r = 0; r < memtable.num_runs(); ++r) {
       const core::SortedRun run = memtable.run(r);
-      EXPECT_EQ(run.table().size(), run.size()) << where;
-      EXPECT_EQ(run.table().depth(),
-                core::PrefixTable::RunDepth(run.size(), curve))
+      if (run.size() < Memtable::kMinIndexedRun) {
+        EXPECT_EQ(run.table(), nullptr) << where;
+        continue;
+      }
+      ASSERT_NE(run.table(), nullptr) << where;
+      EXPECT_EQ(run.table()->size(), run.size()) << where;
+      EXPECT_EQ(run.table()->depth(), core::PrefixTable::RunDepth(run.size()))
           << where;
+      table_bytes += run.table()->MemoryBytes();
     }
-    keys.push_back(RandomKey(curve, &rng));
-    AppendArrival(&memtable, static_cast<uint32_t>(n), keys.back());
+    EXPECT_EQ(memtable.MemoryBytes(),
+              memtable.block().MemoryBytes() + n * sizeof(uint32_t) +
+                  table_bytes)
+        << where;
+    codes.push_back(RandomCode(&rng));
+    AppendArrival(&memtable, static_cast<uint32_t>(n), codes.back());
   }
 }
 
-// Heavy key collisions: every merge, and the final MergeAll, keeps equal
-// keys in arrival order — the order a stable sort of the arrivals gives.
-TEST(MemtableTest, EqualKeysKeepArrivalOrderAcrossMerges) {
-  const hilbert::HilbertCurve curve(fp::kDims, 8);
+// Heavy code collisions: every merge, and the final MergeAll, keeps equal
+// codes in arrival order — the order a stable sort of the arrivals gives.
+TEST(MemtableTest, EqualCodesKeepArrivalOrderAcrossMerges) {
   Rng rng(23);
-  Memtable memtable(curve);
-  std::vector<BitKey> keys;
+  Memtable memtable;
+  std::vector<uint32_t> codes;
   for (uint32_t a = 0; a < 1000; ++a) {
-    keys.push_back(BitKey(static_cast<uint64_t>(rng.UniformInt(0, 9))));
-    AppendArrival(&memtable, a, keys.back());
+    codes.push_back(static_cast<uint32_t>(rng.UniformInt(0, 9)));
+    AppendArrival(&memtable, a, codes.back());
     if (a % 97 == 0) {
-      ExpectRunsWellFormed(memtable, keys, "a=" + std::to_string(a));
+      ExpectRunsWellFormed(memtable, codes, "a=" + std::to_string(a));
     }
   }
   memtable.MergeAll();
   ASSERT_EQ(memtable.num_runs(), 1u);
 
-  std::vector<uint32_t> order(keys.size());
+  std::vector<uint32_t> order(codes.size());
   for (uint32_t a = 0; a < order.size(); ++a) {
     order[a] = a;
   }
   std::stable_sort(order.begin(), order.end(),
-                   [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
+                   [&](uint32_t a, uint32_t b) { return codes[a] < codes[b]; });
   const core::DescriptorBlock& block = memtable.block();
   ASSERT_EQ(block.size(), order.size());
   for (size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(block.id(i), order[i]) << i;
-    EXPECT_EQ(memtable.keys()[i], keys[order[i]]) << i;
+    EXPECT_EQ(memtable.codes()[i], codes[order[i]]) << i;
     EXPECT_EQ(block.time_code(i), 3 * order[i] + 1) << i;
   }
 
@@ -166,7 +170,7 @@ TEST(MemtableTest, EqualKeysKeepArrivalOrderAcrossMerges) {
 }
 
 // A spill writes the merged runs as they are: a segment lists the records
-// of one key (identical descriptors) in arrival order, at a threshold that
+// of one code in arrival order, at a threshold that
 // is not a power of two (so every spill merges several runs), in each of
 // several spills.
 TEST(MemtableTest, SpillKeepsArrivalOrderForEqualKeys) {
@@ -180,7 +184,7 @@ TEST(MemtableTest, SpillKeepsArrivalOrderForEqualKeys) {
   same.fill(77);
   Rng rng(24);
   for (uint32_t a = 0; a < 250; ++a) {
-    // One repeated key among random ones: its records span every merge
+    // One repeated code among random ones: its records span every merge
     // level of each spilled memtable.
     const fp::Fingerprint f =
         a % 3 == 0 ? core::UniformRandomFingerprint(&rng) : same;
@@ -194,8 +198,8 @@ TEST(MemtableTest, SpillKeepsArrivalOrderForEqualKeys) {
     ASSERT_EQ(segment->size(), 100u);
     size_t repeated = 0;
     for (size_t i = 1; i < segment->size(); ++i) {
-      ASSERT_FALSE(segment->keys()[i] < segment->keys()[i - 1]);
-      if (segment->keys()[i] == segment->keys()[i - 1]) {
+      ASSERT_GE(segment->codes()[i], segment->codes()[i - 1]);
+      if (segment->codes()[i] == segment->codes()[i - 1]) {
         ++repeated;
         EXPECT_LT(segment->Record(i - 1).time_code,
                   segment->Record(i).time_code)

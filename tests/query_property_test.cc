@@ -82,8 +82,8 @@ TEST_P(StatisticalQueryProperty, MassReachedAndResultsMatchRegion) {
     size_t expected = 0;
     for (size_t i = 0; i < index.database().size(); ++i) {
       for (const auto& [begin, end] : sel.ranges) {
-        if (begin <= index.database().key(i) &&
-            index.database().key(i) < end) {
+        const uint32_t code = index.database().codes()[i];
+        if (begin <= code && code < end) {
           ++expected;
           break;
         }

@@ -3,7 +3,9 @@
 // kept here to check it: the best-first walk, the per-node ComponentMass
 // probability (the reference engine), the paper's eq. (4) threshold search
 // and the box-distance range DFS. They run over hilbert::BlockTree or over
-// ZOrderTree, the Z-order partition tree, which only the tests use.
+// ZOrderTree, the Z-order partition tree, which only the tests use, down to
+// depth D at most, and name a block by its code prefix (the node's
+// partition-key prefix, which has at most D bits there).
 
 #ifndef S3VCD_TESTS_SELECTION_ORACLE_H_
 #define S3VCD_TESTS_SELECTION_ORACLE_H_
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "core/distortion_model.h"
+#include "core/filter.h"
 #include "fingerprint/fingerprint.h"
 #include "hilbert/block_tree.h"
 #include "hilbert/zorder.h"
@@ -97,27 +100,31 @@ double NodeProb(const Tree& tree, const Node& n, const fp::Fingerprint& q,
   return prob;
 }
 
+/// The code prefix of a node of depth <= D.
+inline uint32_t PrefixOf(const Node& node) {
+  return static_cast<uint32_t>(node.prefix.low64());
+}
+
 /// The node reached from the root along the `depth` bits of `prefix`.
 template <typename Tree>
-Node Descend(const Tree& tree, const BitKey& prefix, int depth) {
+Node Descend(const Tree& tree, uint32_t prefix, int depth) {
   Node node = tree.Root();
   for (int d = depth - 1; d >= 0; --d) {
     Node c0;
     Node c1;
     tree.Split(node, &c0, &c1);
-    node = prefix.bit(d) ? c1 : c0;
+    node = ((prefix >> d) & 1u) != 0 ? c1 : c0;
   }
   return node;
 }
 
-/// The depth-`depth` block prefixes covered by merged key ranges.
-inline std::vector<BitKey> BlocksOf(
-    const std::vector<std::pair<BitKey, BitKey>>& ranges, int depth,
-    int key_bits) {
-  std::vector<BitKey> blocks;
+/// The depth-`depth` block prefixes covered by merged code ranges.
+inline std::vector<uint32_t> BlocksOf(
+    const std::vector<std::pair<uint32_t, uint32_t>>& ranges, int depth) {
+  std::vector<uint32_t> blocks;
+  const int shift = core::kCodeBits - depth;
   for (const auto& [begin, end] : ranges) {
-    const BitKey last = end >> (key_bits - depth);
-    for (BitKey p = begin >> (key_bits - depth); p < last; p.Increment()) {
+    for (uint32_t p = begin >> shift; p < end >> shift; ++p) {
       blocks.push_back(p);
     }
   }
@@ -126,7 +133,7 @@ inline std::vector<BitKey> BlocksOf(
 
 /// An oracle selection: the emitted blocks in emission order.
 struct Walk {
-  std::vector<BitKey> prefixes;
+  std::vector<uint32_t> prefixes;
   std::vector<double> probs;
   double mass = 0;
 };
@@ -159,7 +166,7 @@ Walk BestFirst(const Tree& tree, const fp::Fingerprint& q,
     const Entry top = heap.top();
     heap.pop();
     if (top.node.depth == depth) {
-      walk.prefixes.push_back(top.node.prefix);
+      walk.prefixes.push_back(PrefixOf(top.node));
       walk.probs.push_back(top.prob);
       walk.mass += top.prob;
       if (walk.prefixes.size() >= max_blocks) {
@@ -200,7 +207,7 @@ Walk ThresholdSearch(const Tree& tree, const fp::Fingerprint& q,
       const auto [prob, node] = stack.back();
       stack.pop_back();
       if (node.depth == depth) {
-        walk.prefixes.push_back(node.prefix);
+        walk.prefixes.push_back(PrefixOf(node));
         walk.probs.push_back(prob);
         walk.mass += prob;
         if (walk.prefixes.size() >= max_blocks) {
@@ -241,7 +248,7 @@ Walk ThresholdSearch(const Tree& tree, const fp::Fingerprint& q,
 /// Every depth-`depth` block whose box lies within `epsilon` of `q`, by a
 /// DFS pruned on the direct (untabulated) box distance.
 template <typename Tree>
-std::vector<BitKey> RangeBlocks(const Tree& tree, const fp::Fingerprint& q,
+std::vector<uint32_t> RangeBlocks(const Tree& tree, const fp::Fingerprint& q,
                                 double epsilon, int depth) {
   const int order = tree.curve().order();
   const auto box_dist_sq = [&](const Node& n) {
@@ -258,7 +265,7 @@ std::vector<BitKey> RangeBlocks(const Tree& tree, const fp::Fingerprint& q,
     }
     return acc;
   };
-  std::vector<BitKey> prefixes;
+  std::vector<uint32_t> prefixes;
   std::vector<Node> stack = {tree.Root()};
   while (!stack.empty()) {
     const Node n = stack.back();
@@ -267,7 +274,7 @@ std::vector<BitKey> RangeBlocks(const Tree& tree, const fp::Fingerprint& q,
       continue;
     }
     if (n.depth == depth) {
-      prefixes.push_back(n.prefix);
+      prefixes.push_back(PrefixOf(n));
       continue;
     }
     Node c0;
@@ -281,12 +288,12 @@ std::vector<BitKey> RangeBlocks(const Tree& tree, const fp::Fingerprint& q,
 
 /// Checks the orthant facts the closed-form selection relies on, down to
 /// `depth` <= dims: every split halves its axis at cell grid/2, an axis the
-/// path has not split yet, namely OrthantSplitAxis(curve, step); and
-/// OrthantPrefix of the node's sides (1 = upper half, step 1 the MSB) is the
-/// node's prefix. Walks every path down to `exhaustive_depth`, then
+/// path has not split yet, namely Orthants::SplitAxis(step); and
+/// Orthants::Prefix of the node's sides (1 = upper half, step 1 the MSB) is
+/// the node's prefix. Walks every path down to `exhaustive_depth`, then
 /// `random_paths` random paths down to `depth`. Returns the first
 /// violation, or "" if there is none.
-template <typename Tree>
+template <typename Orthants, typename Tree>
 std::string OrthantViolation(const Tree& tree, int depth,
                              int exhaustive_depth, int random_paths,
                              uint64_t seed) {
@@ -299,7 +306,7 @@ std::string OrthantViolation(const Tree& tree, int depth,
                          const Node& child) -> uint32_t {
     const std::string at = "depth " + std::to_string(child.depth) +
                            " prefix " + child.prefix.ToHex(child.depth);
-    const int axis = hilbert::OrthantSplitAxis(curve, child.depth);
+    const int axis = Orthants::SplitAxis(child.depth);
     if (child.split_axis != axis) {
       error = at + ": split axis " + std::to_string(child.split_axis) +
               ", expected " + std::to_string(axis);
@@ -315,9 +322,9 @@ std::string OrthantViolation(const Tree& tree, int depth,
       return 0;
     }
     const uint32_t sides = (parent_sides << 1) | (upper ? 1u : 0u);
-    if (hilbert::OrthantPrefix(curve, sides) != child.prefix) {
-      error = at + ": OrthantPrefix(sides) is " +
-              hilbert::OrthantPrefix(curve, sides).ToHex(child.depth);
+    if (Orthants::Prefix(sides) != PrefixOf(child)) {
+      error = at + ": Prefix(sides) is " +
+              std::to_string(Orthants::Prefix(sides));
     }
     return sides;
   };

@@ -27,8 +27,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr int kOrder = 8;
-
 /// A fresh per-test directory under the build tree's temp space.
 class TempDir {
  public:
@@ -50,26 +48,24 @@ class TempDir {
   std::string path_;
 };
 
-/// `count` random records with their curve keys, sorted by key (the
+/// `count` random records with their orthant codes, sorted by code (the
 /// writer's precondition), ids tagged with `id_base`.
 void MakeSortedRun(size_t count, uint64_t seed, uint32_t id_base,
-                   core::DescriptorBlock* block, std::vector<BitKey>* keys) {
+                   core::DescriptorBlock* block, std::vector<uint32_t>* codes) {
   Rng rng(seed);
   core::DatabaseBuilder builder;
   for (size_t i = 0; i < count; ++i) {
     builder.Add(core::UniformRandomFingerprint(&rng), id_base,
                 static_cast<uint32_t>(i));
   }
-  // DatabaseBuilder sorts by Hilbert key, which is exactly what segments
-  // store; reuse it instead of reimplementing the sort.
+  // DatabaseBuilder sorts by code, which is exactly what segments store;
+  // reuse it instead of reimplementing the sort.
   const core::FingerprintDatabase db = builder.Build();
   block->Clear();
-  keys->clear();
+  *codes = db.codes();
   block->Reserve(db.size());
-  keys->reserve(db.size());
   for (size_t i = 0; i < db.size(); ++i) {
     block->AppendRecord(db.record(i));
-    keys->push_back(db.key(i));
   }
 }
 
@@ -109,9 +105,9 @@ TEST(SegmentFormatTest, RoundtripMappedAndResident) {
   TempDir dir("roundtrip");
   const std::string path = dir.path() + "/seg-1.s3seg";
   core::DescriptorBlock block;
-  std::vector<BitKey> keys;
-  MakeSortedRun(1000, 11, 7, &block, &keys);
-  ASSERT_TRUE(WriteSegmentFile(path, 42, kOrder, block, keys).ok());
+  std::vector<uint32_t> codes;
+  MakeSortedRun(1000, 11, 7, &block, &codes);
+  ASSERT_TRUE(WriteSegmentFile(path, 42, block, codes).ok());
 
   for (const bool use_mmap : {true, false}) {
     SegmentReadOptions options;
@@ -121,12 +117,11 @@ TEST(SegmentFormatTest, RoundtripMappedAndResident) {
     const SegmentReader& seg = **reader;
     EXPECT_EQ(seg.mapped(), use_mmap);
     EXPECT_EQ(seg.segment_id(), 42u);
-    EXPECT_EQ(seg.order(), kOrder);
     ASSERT_EQ(seg.size(), block.size());
-    EXPECT_EQ(seg.run().min_key(), keys.front());
-    EXPECT_EQ(seg.run().max_key(), keys.back());
+    EXPECT_EQ(seg.run().min_code(), codes.front());
+    EXPECT_EQ(seg.run().max_code(), codes.back());
     for (size_t i = 0; i < seg.size(); ++i) {
-      EXPECT_EQ(seg.keys()[i], keys[i]);
+      EXPECT_EQ(seg.codes()[i], codes[i]);
       const core::FingerprintRecord got = seg.Record(i);
       const core::FingerprintRecord want = block.Record(i);
       EXPECT_EQ(got.descriptor, want.descriptor);
@@ -145,13 +140,13 @@ TEST(SegmentFormatTest, RoundtripMappedAndResident) {
 TEST(SegmentFormatTest, QuantizedRoundtripDecodesWithinCodecErrorBounds) {
   TempDir dir("quantized");
   core::DescriptorBlock block;
-  std::vector<BitKey> keys;
-  MakeSortedRun(500, 17, 3, &block, &keys);
+  std::vector<uint32_t> codes;
+  MakeSortedRun(500, 17, 3, &block, &codes);
   const std::string path = dir.path() + "/seg-lvq4.s3seg";
   SegmentWriteOptions write_options;
   write_options.codec = core::DescriptorCodecKind::kLvq4;
   ASSERT_TRUE(
-      WriteSegmentFile(path, 7, kOrder, block, keys, write_options).ok());
+      WriteSegmentFile(path, 7, block, codes, write_options).ok());
 
   auto reader = SegmentReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
@@ -185,14 +180,14 @@ TEST(SegmentFormatTest, QuantizedRoundtripDecodesWithinCodecErrorBounds) {
   }
 }
 
-TEST(SegmentFormatTest, WriterRejectsUnsortedKeysAndLeavesNoFile) {
+TEST(SegmentFormatTest, WriterRejectsUnsortedCodesAndLeavesNoFile) {
   TempDir dir("unsorted");
   const std::string path = dir.path() + "/seg-1.s3seg";
   core::DescriptorBlock block;
-  std::vector<BitKey> keys;
-  MakeSortedRun(10, 12, 0, &block, &keys);
-  std::swap(keys.front(), keys.back());
-  const Status status = WriteSegmentFile(path, 1, kOrder, block, keys);
+  std::vector<uint32_t> codes;
+  MakeSortedRun(10, 12, 0, &block, &codes);
+  std::swap(codes.front(), codes.back());
+  const Status status = WriteSegmentFile(path, 1, block, codes);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(fs::exists(path));
 }
@@ -211,11 +206,11 @@ class SegmentCorruptionTest : public ::testing::Test {
   /// of the matrix need a quantized file to tamper with).
   void WriteWithCodec(core::DescriptorCodecKind codec) {
     core::DescriptorBlock block;
-    std::vector<BitKey> keys;
-    MakeSortedRun(300, 13, 1, &block, &keys);
+    std::vector<uint32_t> codes;
+    MakeSortedRun(300, 13, 1, &block, &codes);
     SegmentWriteOptions options;
     options.codec = codec;
-    ASSERT_TRUE(WriteSegmentFile(path_, 1, kOrder, block, keys, options).ok());
+    ASSERT_TRUE(WriteSegmentFile(path_, 1, block, codes, options).ok());
     bytes_ = Slurp(path_);
     ASSERT_GE(bytes_.size(), kSegmentHeaderBytes + kSegmentFooterBytes);
   }
@@ -229,6 +224,31 @@ class SegmentCorruptionTest : public ::testing::Test {
   }
 
   uint8_t* footer() { return bytes_.data() + bytes_.size() - kSegmentFooterBytes; }
+
+  /// The code column (section 0) of bytes_, copied out.
+  std::vector<uint32_t> Codes() {
+    uint64_t offset = 0;
+    uint64_t length = 0;
+    std::memcpy(&offset, footer() + 4, 8);
+    std::memcpy(&length, footer() + 4 + 8, 8);
+    std::vector<uint32_t> codes(length / 4);
+    std::memcpy(codes.data(), bytes_.data() + offset, length);
+    return codes;
+  }
+
+  /// Writes `codes` back as the code column and reseals the code section
+  /// CRC and the footer's min/max code and CRC.
+  void ResealCodes(const std::vector<uint32_t>& codes) {
+    uint64_t offset = 0;
+    std::memcpy(&offset, footer() + 4, 8);
+    const size_t length = codes.size() * 4;
+    std::memcpy(bytes_.data() + offset, codes.data(), length);
+    const uint32_t crc = Crc32(codes.data(), length);
+    std::memcpy(footer() + 4 + 16, &crc, 4);
+    std::memcpy(footer() + kFooterMinCodeOff, &codes.front(), 4);
+    std::memcpy(footer() + kFooterMaxCodeOff, &codes.back(), 4);
+    ResealFooter();
+  }
 
   /// Recomputes the footer CRC after the test edited footer fields, so the
   /// *structural* check under test fires instead of the checksum.
@@ -276,12 +296,13 @@ TEST_F(SegmentCorruptionTest, BadVersion) {
   // Recompute the header CRC so the version check itself fires.
   ResealHeader();
   ExpectCorrupt("unsupported version");
-  // Version 1 (pre-codec) files are rejected too, not silently read with
-  // a guessed codec.
-  version = 1;
-  std::memcpy(bytes_.data() + 4, &version, 4);
-  ResealHeader();
-  ExpectCorrupt("pre-codec version 1");
+  // Version 1 (pre-codec) and version 2 (32-byte codes) files are rejected
+  // too, not silently read with a guessed layout.
+  for (version = 1; version <= 2; ++version) {
+    std::memcpy(bytes_.data() + 4, &version, 4);
+    ResealHeader();
+    ExpectCorrupt("old version " + std::to_string(version));
+  }
 }
 
 TEST_F(SegmentCorruptionTest, FlippedHeaderByte) {
@@ -291,7 +312,7 @@ TEST_F(SegmentCorruptionTest, FlippedHeaderByte) {
 
 TEST_F(SegmentCorruptionTest, FlippedSectionByte) {
   // A byte inside the descriptor section (section 1 starts after the
-  // aligned key section); its CRC must catch the flip.
+  // aligned code section); its CRC must catch the flip.
   uint64_t desc_offset = 0;
   std::memcpy(&desc_offset, footer() + 4 + 1 * 24, 8);
   bytes_[desc_offset + 5] ^= 0x40;
@@ -299,7 +320,7 @@ TEST_F(SegmentCorruptionTest, FlippedSectionByte) {
 }
 
 TEST_F(SegmentCorruptionTest, FlippedFooterByte) {
-  footer()[kFooterMinKeyOff + 2] ^= 0x10;  // inside min_key
+  footer()[kFooterMinCodeOff + 2] ^= 0x10;  // inside min_code
   ExpectCorrupt("footer bit flip");
 }
 
@@ -327,22 +348,40 @@ TEST_F(SegmentCorruptionTest, SectionLengthMismatch) {
   ExpectCorrupt("section length inconsistent with count");
 }
 
-TEST_F(SegmentCorruptionTest, KeysOutOfOrder) {
-  // Swap the first two keys in place, then reseal the key-section CRC and
-  // the footer min-key so only the order invariant is violated.
-  uint64_t key_offset = 0, key_length = 0;
-  std::memcpy(&key_offset, footer() + 4 + 0 * 24, 8);
-  std::memcpy(&key_length, footer() + 4 + 0 * 24 + 8, 8);
-  uint8_t* keys = bytes_.data() + key_offset;
-  ASSERT_NE(std::memcmp(keys, keys + kKeyBytes, kKeyBytes), 0);
-  for (size_t b = 0; b < kKeyBytes; ++b) {
-    std::swap(keys[b], keys[kKeyBytes + b]);
+TEST_F(SegmentCorruptionTest, CodesOutOfOrder) {
+  // Swap the first two distinct codes in place, then reseal the code
+  // section and the footer so only the order invariant is violated.
+  std::vector<uint32_t> codes = Codes();
+  size_t i = 0;
+  while (codes[i] == codes[i + 1]) {
+    ++i;
   }
-  const uint32_t crc = Crc32(keys, key_length);
-  std::memcpy(footer() + 4 + 0 * 24 + 16, &crc, 4);
-  std::memcpy(footer() + kFooterMinKeyOff, keys, kKeyBytes);  // new min key
+  std::swap(codes[i], codes[i + 1]);
+  ResealCodes(codes);
+  ExpectCorrupt("codes out of order");
+}
+
+// A code rewritten to another value that keeps the order, with the code
+// section CRC and the footer resealed: only the check of each code
+// against its descriptor catches it.
+TEST_F(SegmentCorruptionTest, ResealedCodeRewriteKeepingOrder) {
+  std::vector<uint32_t> codes = Codes();
+  size_t i = 1;
+  while (codes[i - 1] == codes[i]) {
+    ++i;
+  }
+  codes[i] = codes[i - 1];
+  ResealCodes(codes);
+  ExpectCorrupt("a code that is not its descriptor's");
+}
+
+// The last section's offset moved to just below 2^64, where offset +
+// length wraps past the footer: the bounds check must not overflow.
+TEST_F(SegmentCorruptionTest, SectionOffsetWrappingPastTheEnd) {
+  const uint64_t offset = ~uint64_t{kSectionAlign - 1};
+  std::memcpy(footer() + 4 + (kNumSections - 2) * 24, &offset, 8);
   ResealFooter();
-  ExpectCorrupt("keys out of order");
+  ExpectCorrupt("section offset wrapping past the end");
 }
 
 // --- Codec rows of the corruption matrix: a segment written with one
@@ -453,23 +492,22 @@ SegmentStoreOptions FastStoreOptions() {
   return options;
 }
 
-Result<std::unique_ptr<SegmentStore>> OpenStore(const std::string& dir,
-                                                int order = kOrder) {
-  return SegmentStore::Open(dir, order, FastStoreOptions());
+Result<std::unique_ptr<SegmentStore>> OpenStore(const std::string& dir) {
+  return SegmentStore::Open(dir, FastStoreOptions());
 }
 
 TEST(SegmentStoreTest, MixedCodecsCoexistAndCompactionMigrates) {
   TempDir dir("codecstore");
   core::DescriptorBlock block;
-  std::vector<BitKey> keys;
+  std::vector<uint32_t> codes;
   std::multiset<std::pair<uint32_t, uint32_t>> want;  // (id, time_code)
   {
     // Two segments under the default exact codec.
     auto store = OpenStore(dir.path());
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     for (int run = 0; run < 2; ++run) {
-      MakeSortedRun(300, 40 + run, static_cast<uint32_t>(run), &block, &keys);
-      ASSERT_TRUE((*store)->AppendSegment(block, keys).ok());
+      MakeSortedRun(300, 40 + run, static_cast<uint32_t>(run), &block, &codes);
+      ASSERT_TRUE((*store)->AppendSegment(block, codes).ok());
     }
   }
   // Reopen with lvq4: existing segments keep their recorded codec; new
@@ -477,10 +515,10 @@ TEST(SegmentStoreTest, MixedCodecsCoexistAndCompactionMigrates) {
   SegmentStoreOptions options = FastStoreOptions();
   options.tier_fanin = 3;
   options.codec = core::DescriptorCodecKind::kLvq4;
-  auto store = SegmentStore::Open(dir.path(), kOrder, options);
+  auto store = SegmentStore::Open(dir.path(), options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  MakeSortedRun(300, 42, 2, &block, &keys);
-  ASSERT_TRUE((*store)->AppendSegment(block, keys).ok());
+  MakeSortedRun(300, 42, 2, &block, &codes);
+  ASSERT_TRUE((*store)->AppendSegment(block, codes).ok());
   std::multiset<core::DescriptorCodecKind> kinds;
   for (const auto& segment : (*store)->view()->segments) {
     kinds.insert(segment->codec_kind());
@@ -514,28 +552,26 @@ TEST(SegmentStoreTest, AppendReopenPreservesEverything) {
     auto store = OpenStore(dir.path());
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     core::DescriptorBlock block;
-    std::vector<BitKey> keys;
+    std::vector<uint32_t> codes;
     for (int run = 0; run < 3; ++run) {
-      MakeSortedRun(400, 20 + run, static_cast<uint32_t>(run), &block, &keys);
-      ASSERT_TRUE((*store)->AppendSegment(block, keys).ok());
+      MakeSortedRun(400, 20 + run, static_cast<uint32_t>(run), &block, &codes);
+      ASSERT_TRUE((*store)->AppendSegment(block, codes).ok());
     }
     EXPECT_EQ((*store)->num_segments(), 3u);
     EXPECT_EQ((*store)->total_records(), 1200u);
     EXPECT_GT((*store)->DiskBytes(), 0u);
     want = RecordSet(**store);
   }
-  // Reopen with order resolved from the manifest (0 = "whatever it says").
-  auto reopened = SegmentStore::Open(dir.path(), 0, FastStoreOptions());
+  auto reopened = SegmentStore::Open(dir.path(), FastStoreOptions());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->order(), kOrder);
   EXPECT_EQ((*reopened)->total_records(), 1200u);
   EXPECT_EQ(RecordSet(**reopened), want);
 
   // And appends keep working after a reopen (segment ids must not collide).
   core::DescriptorBlock block;
-  std::vector<BitKey> keys;
-  MakeSortedRun(100, 30, 9, &block, &keys);
-  ASSERT_TRUE((*reopened)->AppendSegment(block, keys).ok());
+  std::vector<uint32_t> codes;
+  MakeSortedRun(100, 30, 9, &block, &codes);
+  ASSERT_TRUE((*reopened)->AppendSegment(block, codes).ok());
   EXPECT_EQ((*reopened)->total_records(), 1300u);
 }
 
@@ -544,10 +580,10 @@ TEST(SegmentStoreTest, CompactionMergesTiersAndPreservesRecords) {
   auto store = OpenStore(dir.path());
   ASSERT_TRUE(store.ok());
   core::DescriptorBlock block;
-  std::vector<BitKey> keys;
+  std::vector<uint32_t> codes;
   for (int run = 0; run < 5; ++run) {
-    MakeSortedRun(300, 40 + run, static_cast<uint32_t>(run), &block, &keys);
-    ASSERT_TRUE((*store)->AppendSegment(block, keys).ok());
+    MakeSortedRun(300, 40 + run, static_cast<uint32_t>(run), &block, &codes);
+    ASSERT_TRUE((*store)->AppendSegment(block, codes).ok());
   }
   const std::multiset<std::string> want = RecordSet(**store);
   const uint64_t generation_before = (*store)->generation();
@@ -578,10 +614,10 @@ TEST(SegmentStoreTest, InFlightViewSurvivesCompaction) {
   auto store = OpenStore(dir.path());
   ASSERT_TRUE(store.ok());
   core::DescriptorBlock block;
-  std::vector<BitKey> keys;
+  std::vector<uint32_t> codes;
   for (int run = 0; run < 4; ++run) {
-    MakeSortedRun(200, 50 + run, static_cast<uint32_t>(run), &block, &keys);
-    ASSERT_TRUE((*store)->AppendSegment(block, keys).ok());
+    MakeSortedRun(200, 50 + run, static_cast<uint32_t>(run), &block, &codes);
+    ASSERT_TRUE((*store)->AppendSegment(block, codes).ok());
   }
   // Hold a snapshot across the compaction, as an in-flight query would.
   const auto snapshot = (*store)->view();
@@ -604,10 +640,10 @@ TEST(SegmentStoreTest, CrashBeforeManifestSwapKeepsOldGeneration) {
     auto store = OpenStore(dir.path());
     ASSERT_TRUE(store.ok());
     core::DescriptorBlock block;
-    std::vector<BitKey> keys;
+    std::vector<uint32_t> codes;
     for (int run = 0; run < 4; ++run) {
-      MakeSortedRun(250, 60 + run, static_cast<uint32_t>(run), &block, &keys);
-      ASSERT_TRUE((*store)->AppendSegment(block, keys).ok());
+      MakeSortedRun(250, 60 + run, static_cast<uint32_t>(run), &block, &codes);
+      ASSERT_TRUE((*store)->AppendSegment(block, codes).ok());
     }
     want = RecordSet(**store);
     generation = (*store)->generation();
@@ -623,7 +659,7 @@ TEST(SegmentStoreTest, CrashBeforeManifestSwapKeepsOldGeneration) {
   }
   // Reopen: the old generation is intact, the orphaned merge output is
   // garbage-collected, and a fresh compaction succeeds.
-  auto reopened = SegmentStore::Open(dir.path(), 0, FastStoreOptions());
+  auto reopened = SegmentStore::Open(dir.path(), FastStoreOptions());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->generation(), generation);
   EXPECT_EQ((*reopened)->num_segments(), 4u);
@@ -639,9 +675,9 @@ TEST(SegmentStoreTest, ManifestCorruptionIsDetected) {
     auto store = OpenStore(dir.path());
     ASSERT_TRUE(store.ok());
     core::DescriptorBlock block;
-    std::vector<BitKey> keys;
-    MakeSortedRun(100, 70, 0, &block, &keys);
-    ASSERT_TRUE((*store)->AppendSegment(block, keys).ok());
+    std::vector<uint32_t> codes;
+    MakeSortedRun(100, 70, 0, &block, &codes);
+    ASSERT_TRUE((*store)->AppendSegment(block, codes).ok());
     std::ifstream current(dir.path() + "/CURRENT");
     std::string name;
     std::getline(current, name);
@@ -651,7 +687,7 @@ TEST(SegmentStoreTest, ManifestCorruptionIsDetected) {
   std::vector<uint8_t> bytes = Slurp(manifest_path);
   bytes[bytes.size() / 2] ^= 0x01;
   Dump(manifest_path, bytes);
-  const auto reopened = SegmentStore::Open(dir.path(), 0, FastStoreOptions());
+  const auto reopened = SegmentStore::Open(dir.path(), FastStoreOptions());
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
 }
@@ -662,33 +698,16 @@ TEST(SegmentStoreTest, CurrentNamingMissingManifestIsCorruption) {
     auto store = OpenStore(dir.path());
     ASSERT_TRUE(store.ok());
     core::DescriptorBlock block;
-    std::vector<BitKey> keys;
-    MakeSortedRun(50, 71, 0, &block, &keys);
-    ASSERT_TRUE((*store)->AppendSegment(block, keys).ok());
+    std::vector<uint32_t> codes;
+    MakeSortedRun(50, 71, 0, &block, &codes);
+    ASSERT_TRUE((*store)->AppendSegment(block, codes).ok());
   }
   std::ofstream current(dir.path() + "/CURRENT", std::ios::trunc);
   current << "MANIFEST-424242\n";
   current.close();
-  const auto reopened = SegmentStore::Open(dir.path(), 0, FastStoreOptions());
+  const auto reopened = SegmentStore::Open(dir.path(), FastStoreOptions());
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
-}
-
-TEST(SegmentStoreTest, OrderMismatchOnReopenIsRejected) {
-  TempDir dir("ordermismatch");
-  {
-    auto store = OpenStore(dir.path(), 8);
-    ASSERT_TRUE(store.ok());
-    // The order is pinned by the first manifest; a store that never wrote
-    // one is still fresh and accepts any order.
-    core::DescriptorBlock block;
-    std::vector<BitKey> keys;
-    MakeSortedRun(10, 72, 0, &block, &keys);
-    ASSERT_TRUE((*store)->AppendSegment(block, keys).ok());
-  }
-  const auto reopened = SegmentStore::Open(dir.path(), 6, FastStoreOptions());
-  ASSERT_FALSE(reopened.ok());
-  EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(SegmentStoreTest, ConcurrentReadersDuringCompaction) {
@@ -697,10 +716,10 @@ TEST(SegmentStoreTest, ConcurrentReadersDuringCompaction) {
   ASSERT_TRUE(store_or.ok());
   SegmentStore* store = store_or->get();
   core::DescriptorBlock block;
-  std::vector<BitKey> keys;
+  std::vector<uint32_t> codes;
   for (int run = 0; run < 8; ++run) {
-    MakeSortedRun(200, 80 + run, static_cast<uint32_t>(run), &block, &keys);
-    ASSERT_TRUE(store->AppendSegment(block, keys).ok());
+    MakeSortedRun(200, 80 + run, static_cast<uint32_t>(run), &block, &codes);
+    ASSERT_TRUE(store->AppendSegment(block, codes).ok());
   }
   const uint64_t total = store->total_records();
 
@@ -725,14 +744,14 @@ TEST(SegmentStoreTest, ConcurrentReadersDuringCompaction) {
   }
   ASSERT_TRUE(store->CompactAll().ok());
   // One more append + compaction while readers hammer the view.
-  MakeSortedRun(200, 99, 99, &block, &keys);
+  MakeSortedRun(200, 99, 99, &block, &codes);
   // NOTE: total changes now, so stop the readers first.
   stop.store(true);
   for (auto& thread : readers) {
     thread.join();
   }
   EXPECT_GT(reads.load(), 0u);
-  ASSERT_TRUE(store->AppendSegment(block, keys).ok());
+  ASSERT_TRUE(store->AppendSegment(block, codes).ok());
   EXPECT_EQ(store->total_records(), total + 200);
 }
 

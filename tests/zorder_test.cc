@@ -105,14 +105,15 @@ TEST(ZOrderTreeTest, FirstDimsLevelsAreOrthants) {
   for (int order = 1; order <= 8; ++order) {
     const ZOrderCurve curve(20, order);
     const ZOrderTree tree(curve);
-    EXPECT_EQ(oracle::OrthantViolation(tree, 20, 10, 2000, 80 + order), "")
+    EXPECT_EQ(oracle::OrthantViolation<core::ZOrderOrthants>(tree, 20, 10,
+                                                           2000, 80 + order),
+              "")
         << "order " << order;
   }
 }
 
 TEST(ZOrderFilterTest, StatisticalSelectionReachesAlpha) {
-  const ZOrderCurve curve(fp::kDims, 8);
-  const core::ZOrderBlockFilter filter(curve);
+  const core::ZOrderBlockFilter filter;
   const core::GaussianDistortionModel model(18.0);
   Rng rng(2);
   for (int t = 0; t < 10; ++t) {
@@ -140,7 +141,7 @@ TEST(ZOrderFilterTest, HilbertClustersBetterThanMortonIn2D) {
   Rng rng(3);
 
   auto count_ranges = [&](auto&& tree, double cx, double cy, double r) {
-    std::vector<BitKey> prefixes;
+    std::vector<uint32_t> prefixes;
     std::vector<BlockTree::Node> stack = {tree.Root()};
     while (!stack.empty()) {
       BlockTree::Node n = stack.back();
@@ -159,7 +160,7 @@ TEST(ZOrderFilterTest, HilbertClustersBetterThanMortonIn2D) {
         continue;
       }
       if (n.depth == depth) {
-        prefixes.push_back(n.prefix);
+        prefixes.push_back(oracle::PrefixOf(n));
         continue;
       }
       BlockTree::Node c0;
@@ -168,7 +169,7 @@ TEST(ZOrderFilterTest, HilbertClustersBetterThanMortonIn2D) {
       stack.push_back(c0);
       stack.push_back(c1);
     }
-    return core::MergeBlockRanges(std::move(prefixes), depth, 16).size();
+    return core::MergeBlockRanges(std::move(prefixes), depth).size();
   };
 
   size_t hilbert_ranges = 0;
@@ -187,10 +188,8 @@ TEST(ZOrderFilterTest, HilbertClustersBetterThanMortonIn2D) {
 TEST(ZOrderFilterTest, ComparableFragmentationAtPaperDimension) {
   // At D=20 and p <= 20 each axis splits at most once; the two orderings
   // then induce nearly the same fragmentation.
-  const HilbertCurve hcurve(fp::kDims, 8);
-  const ZOrderCurve zcurve(fp::kDims, 8);
-  const core::BlockFilter hfilter(hcurve);
-  const core::ZOrderBlockFilter zfilter(zcurve);
+  const core::BlockFilter hfilter;
+  const core::ZOrderBlockFilter zfilter;
   const core::GaussianDistortionModel model(20.0);
   Rng rng(4);
   uint64_t hilbert_ranges = 0;

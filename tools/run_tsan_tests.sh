@@ -21,13 +21,15 @@
 # query_property, block_tree and zorder with the orthant facts) join both
 # legs: the closed-form enumerator packs flip sets and sign patterns into
 # bit masks and indexes per-axis arrays with them. The index test and
-# sorted_run_test join both legs as well: section lookups read a run's
-# prefix table at bucket b and b + 1 and binary-search the key range
-# between them, and sorted_run_test drives that lookup over every store,
-# including a segment's key column reinterpreted as BitKey straight off
-# the mapping (UBSan checks that pointer's alignment).
-# The .s3db reader and its writers join both legs too: db_fuzz_test feeds
-# the database loader adversarial bytes, external_builder_test drives the
+# sorted_run_test join both legs as well: code-range lookups read a run's
+# prefix table at bucket b and b + 1 and binary-search the codes between
+# them, and sorted_run_test drives that lookup over every store, including
+# a segment's code column read as u32 straight off the mapping (UBSan
+# checks that pointer's alignment).
+# The readers and writers of the formats join both legs too: db_fuzz_test
+# feeds the database loader adversarial bytes, format_mutation_test feeds
+# seeded flips, truncations and resealed field rewrites to the .s3db,
+# .s3seg and MANIFEST readers, external_builder_test drives the
 # run-merging builder, and pseudo_disk_test reads curve sections into the
 # resident buffer the refinement kernel scans. obs_test joins both legs:
 # its query-metrics parity test drives pooled sharded batches, whose scan
@@ -75,14 +77,14 @@ cmake --build "${asan_dir}" --target obs_test service_test store_test \
   stream_monitor_test harris_test descriptor_test media_filters_test \
   extractor_test extraction_parity_test filter_test filter_table_test \
   query_property_test block_tree_test zorder_test index_test \
-  sorted_run_test pseudo_disk_test db_fuzz_test external_builder_test \
-  -j"$(nproc)"
+  sorted_run_test format_mutation_test pseudo_disk_test db_fuzz_test \
+  external_builder_test -j"$(nproc)"
 
 (
   cd "${asan_dir}"
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
     ctest --output-on-failure \
-    -R '^(obs_test|service_test|store_test|segment_parity_test|memtable_test|backend_parity_test|descriptor_codec_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|sorted_run_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
+    -R '^(obs_test|service_test|store_test|segment_parity_test|memtable_test|backend_parity_test|descriptor_codec_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|sorted_run_test|format_mutation_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
 )
 echo "ASan run passed."
 
@@ -99,13 +101,14 @@ cmake --build "${ubsan_dir}" --target obs_test scan_kernel_test store_test \
   backend_parity_test voting_test cbcd_test stream_monitor_test \
   harris_test descriptor_test media_filters_test extractor_test \
   extraction_parity_test filter_test filter_table_test query_property_test \
-  block_tree_test zorder_test index_test sorted_run_test pseudo_disk_test \
-  db_fuzz_test external_builder_test -j"$(nproc)"
+  block_tree_test zorder_test index_test sorted_run_test \
+  format_mutation_test pseudo_disk_test db_fuzz_test external_builder_test \
+  -j"$(nproc)"
 
 (
   cd "${ubsan_dir}"
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --output-on-failure \
-    -R '^(obs_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|memtable_test|descriptor_codec_test|service_test|backend_parity_test|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|sorted_run_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
+    -R '^(obs_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|memtable_test|descriptor_codec_test|service_test|backend_parity_test|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|sorted_run_test|format_mutation_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
 )
 echo "UBSan run passed."

@@ -1,7 +1,7 @@
 // s3vcd_tool — operational command line for the S3VCD system.
 //
 //   s3vcd_tool build       --output DB [--videos N] [--frames F]
-//                          [--distractors M] [--seed S] [--order K]
+//                          [--distractors M] [--seed S]
 //                          [--memory-records N] [--external]
 //   s3vcd_tool inspect     --db DB
 //   s3vcd_tool verify      --db DB
@@ -218,8 +218,6 @@ const std::vector<CommandSpec>& Commands() {
         {"distractors", "padding fingerprints (default 100000)",
          FlagType::kCount},
         {"seed", "deterministic seed (default 1)", FlagType::kCount},
-        {"order", "Hilbert curve order, bits/component (default 8)",
-         FlagType::kInt},
         {"memory-records", "external build memory bound (default 1048576)",
          FlagType::kCount},
         {"external", "trailing switch: bounded-memory external build"}}},
@@ -519,7 +517,6 @@ int CmdBuild(const Flags& flags, bool external) {
   const uint64_t distractors =
       static_cast<uint64_t>(flags.GetInt("distractors", 100000));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const int order = static_cast<int>(flags.GetInt("order", 8));
 
   Stopwatch watch;
   const fp::FingerprintExtractor extractor;
@@ -557,7 +554,6 @@ int CmdBuild(const Flags& flags, bool external) {
 
   if (external) {
     core::ExternalBuilderOptions options;
-    options.order = order;
     options.max_records_in_memory = static_cast<size_t>(
         flags.GetInt("memory-records", 1 << 20));
     core::ExternalDatabaseBuilder builder(output, options);
@@ -581,7 +577,7 @@ int CmdBuild(const Flags& flags, bool external) {
         return Status::OK();
       }
     };
-    Wrapper wrapper{core::DatabaseBuilder(order)};
+    Wrapper wrapper;
     status = ingest(wrapper);
     if (status.ok()) {
       total = wrapper.builder.size();
@@ -606,9 +602,8 @@ int CmdVerify(const Flags& flags) {
                  db.status().ToString().c_str());
     return 1;
   }
-  std::printf("verify OK: %zu records, order %d, checksum valid, "
-              "curve-ordered\n",
-              db->size(), db->order());
+  std::printf("verify OK: %zu records, checksum valid, curve-ordered\n",
+              db->size());
   return 0;
 }
 
@@ -621,8 +616,6 @@ int CmdInspect(const Flags& flags) {
     return 1;
   }
   std::printf("records:      %zu\n", db->size());
-  std::printf("curve order:  %d (key bits %d)\n", db->order(),
-              db->curve().key_bits());
   std::printf("memory:       %.1f MiB\n",
               db->MemoryBytes() / 1048576.0);
   std::map<uint32_t, uint64_t> per_id;
@@ -631,11 +624,11 @@ int CmdInspect(const Flags& flags) {
   }
   std::printf("distinct ids: %zu\n", per_id.size());
   // Occupancy of the 16 top-level curve sections: their depth-4 prefix
-  // table's bucket widths (the loader already checked the key order).
+  // table's bucket widths (the loader already checked the code order).
   if (!db->empty()) {
-    core::PrefixTable table(db->curve().key_bits(), 4);
-    for (const BitKey& key : db->keys()) {
-      table.Append(key);
+    core::PrefixTable table(4);
+    for (const uint32_t code : db->codes()) {
+      table.Append(code);
     }
     table.Finish();
     std::printf("top-level section occupancy:");
@@ -720,7 +713,7 @@ int CmdQuery(const Flags& flags) {
     std::printf("segment store %s already holds records; serving from its "
                 "manifest\n",
                 config.segment_store_dir.c_str());
-    backend_db = core::DatabaseBuilder(backend_db.order()).Build();
+    backend_db = core::FingerprintDatabase();
   }
   auto searcher =
       store::MakeSearcher(backend, std::move(backend_db), config);
@@ -737,7 +730,7 @@ int CmdQuery(const Flags& flags) {
     const auto* s3 = dynamic_cast<const core::S3Index*>(searcher->get());
     if (s3 != nullptr) {
       depth = core::TuneDepth(*s3, model, tune, alpha,
-                              core::DefaultDepthCandidates(db_size, 160))
+                              core::DefaultDepthCandidates(db_size))
                   .best_depth;
       std::printf("tuned depth p = %d\n", depth);
     } else {
@@ -868,7 +861,12 @@ int CmdCompact(const Flags& flags) {
                  codec_name.c_str(), core::DescriptorCodecNamesCsv().c_str());
     return 2;
   }
-  auto store = store::SegmentStore::Open(store_dir, 0, store_options);
+  if (!std::filesystem::exists(store_dir + "/CURRENT")) {
+    std::fprintf(stderr, "compact failed: no segment store in %s\n",
+                 store_dir.c_str());
+    return 1;
+  }
+  auto store = store::SegmentStore::Open(store_dir, store_options);
   if (!store.ok()) {
     std::fprintf(stderr, "compact failed: %s\n",
                  store.status().ToString().c_str());
