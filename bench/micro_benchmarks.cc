@@ -1,6 +1,7 @@
 // Google-benchmark micro benchmarks of the core building blocks: Hilbert
 // encode/decode at the paper's D=20 K=8 configuration, block filtering,
-// query execution, index construction, and the observability primitives
+// query execution, index construction, the temporal vote, and the
+// observability primitives
 // (counter increments and trace spans) whose overhead budgets are quoted
 // in docs/observability.md.
 
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "cbcd/voting.h"
 #include "core/database.h"
 #include "core/descriptor_codec.h"
 #include "core/distortion_model.h"
@@ -451,6 +453,51 @@ void BM_IndexBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_IndexBuild)->Arg(10000)->Arg(100000);
+
+// --- Temporal vote -----------------------------------------------------
+// One monitoring-shaped window (16 key-frames of 50 points): 800 ids with
+// 200 (candidate, match) pairs each at random reference time codes, and one
+// id coherent at a fixed offset on every key-frame, voted with the nsim
+// threshold as the argument (0: every id is voted; 8: the prefilter drops
+// the ids that cannot reach it).
+void BM_ComputeVotes(benchmark::State& state) {
+  Rng rng(11);
+  std::vector<cbcd::CandidateEntry> entries;
+  for (uint32_t k = 0; k < 16; ++k) {
+    for (int p = 0; p < 50; ++p) {
+      cbcd::CandidateEntry entry;
+      entry.candidate_time_code = 100000 + 12 * k;
+      entry.x = static_cast<float>(rng.UniformInt(0, 320));
+      entry.y = static_cast<float>(rng.UniformInt(0, 240));
+      entries.push_back(entry);
+    }
+  }
+  for (uint32_t i = 0; i < 800; ++i) {
+    const uint32_t id = (1u << 24) + 7919 * i;
+    for (int n = 0; n < 200; ++n) {
+      core::Match m;
+      m.id = id;
+      m.time_code = static_cast<uint32_t>(rng.UniformInt(0, 90000));
+      entries[rng.UniformInt(0, entries.size() - 1)].matches.push_back(m);
+    }
+  }
+  for (size_t e = 0; e < entries.size(); e += 50) {
+    core::Match m;
+    m.id = 3;
+    m.time_code = entries[e].candidate_time_code - 40000;
+    m.x = entries[e].x;
+    m.y = entries[e].y;
+    entries[e].matches.push_back(m);
+  }
+  cbcd::VoteOptions options;
+  options.use_spatial_coherence = true;
+  const int min_nsim = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cbcd::ComputeVotes(entries, options, min_nsim));
+  }
+  state.SetItemsProcessed(state.iterations() * (800 * 200 + 16));
+}
+BENCHMARK(BM_ComputeVotes)->Arg(0)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // --- Observability primitives ------------------------------------------
 // These are the costs quoted in docs/observability.md: an uncontended

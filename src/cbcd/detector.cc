@@ -24,6 +24,18 @@ obs::Histogram* const g_search_us =
 obs::Histogram* const g_vote_us =
     obs::MetricsRegistry::Global().GetHistogram("cbcd.vote_us");
 
+// The votes of a window, which already meet the nsim threshold, as
+// detections.
+std::vector<Detection> ToDetections(const std::vector<Vote>& votes) {
+  std::vector<Detection> detections;
+  detections.reserve(votes.size());
+  for (const Vote& vote : votes) {
+    detections.push_back({vote.id, vote.offset, vote.nsim, vote.cost});
+  }
+  g_detections->Increment(detections.size());
+  return detections;
+}
+
 }  // namespace
 
 CopyDetector::CopyDetector(const core::Searcher* searcher,
@@ -66,20 +78,14 @@ std::vector<Detection> CopyDetector::DetectClip(
     entries.push_back(SearchOne(lf, stats));
   }
   Stopwatch watch;
-  const std::vector<Vote> votes = ComputeVotes(entries, options_.vote);
+  const std::vector<Vote> votes =
+      ComputeVotes(entries, options_.vote, options_.nsim_threshold);
   const double vote_seconds = watch.ElapsedSeconds();
   g_vote_us->Record(vote_seconds * 1e6);
   if (stats != nullptr) {
     stats->vote_seconds += vote_seconds;
   }
-  std::vector<Detection> detections;
-  for (const Vote& vote : votes) {
-    if (vote.nsim >= options_.nsim_threshold) {
-      detections.push_back({vote.id, vote.offset, vote.nsim, vote.cost});
-    }
-  }
-  g_detections->Increment(detections.size());
-  return detections;
+  return ToDetections(votes);
 }
 
 StreamMonitor::StreamMonitor(const CopyDetector* detector, Options options)
@@ -93,23 +99,16 @@ StreamMonitor::StreamMonitor(const CopyDetector* detector, Options options)
 std::vector<Detection> StreamMonitor::EvaluateWindow(DetectionStats* stats) {
   S3VCD_TRACE_SPAN("cbcd.evaluate_window");
   Stopwatch watch;
-  const std::vector<CandidateEntry> window(buffer_.begin(), buffer_.end());
   const std::vector<Vote> votes =
-      ComputeVotes(window, detector_->options().vote);
+      ComputeVotes(buffer_, detector_->options().vote,
+                   detector_->options().nsim_threshold);
   const double vote_seconds = watch.ElapsedSeconds();
   g_windows->Increment();
   g_vote_us->Record(vote_seconds * 1e6);
   if (stats != nullptr) {
     stats->vote_seconds += vote_seconds;
   }
-  std::vector<Detection> detections;
-  for (const Vote& vote : votes) {
-    if (vote.nsim >= detector_->options().nsim_threshold) {
-      detections.push_back({vote.id, vote.offset, vote.nsim, vote.cost});
-    }
-  }
-  g_detections->Increment(detections.size());
-  return detections;
+  return ToDetections(votes);
 }
 
 std::vector<Detection> StreamMonitor::PushKeyFrame(
@@ -127,14 +126,15 @@ std::vector<Detection> StreamMonitor::PushKeyFrame(
   // arrival order; drop whole leading key-frames by time code.
   const int drop_keyframes =
       options_.window_keyframes - options_.window_overlap;
-  int dropped = 0;
-  while (!buffer_.empty() && dropped < drop_keyframes) {
-    const uint32_t tc = buffer_.front().candidate_time_code;
-    while (!buffer_.empty() && buffer_.front().candidate_time_code == tc) {
-      buffer_.pop_front();
+  size_t drop = 0;
+  for (int dropped = 0; drop < buffer_.size() && dropped < drop_keyframes;
+       ++dropped) {
+    const uint32_t tc = buffer_[drop].candidate_time_code;
+    while (drop < buffer_.size() && buffer_[drop].candidate_time_code == tc) {
+      ++drop;
     }
-    ++dropped;
   }
+  buffer_.erase(buffer_.begin(), buffer_.begin() + drop);
   keyframes_in_window_ = options_.window_overlap;
   return detections;
 }

@@ -2,7 +2,6 @@
 #define S3VCD_CBCD_DETECTOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "cbcd/voting.h"
@@ -102,7 +101,7 @@ class StreamMonitor {
 
   const CopyDetector* detector_;
   Options options_;
-  std::deque<CandidateEntry> buffer_;
+  std::vector<CandidateEntry> buffer_;
   int keyframes_in_window_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "cbcd/voting.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -21,6 +22,8 @@ obs::Counter* const g_cost_evals =
     obs::MetricsRegistry::Global().GetCounter("cbcd.tukey_cost_evals");
 obs::Counter* const g_irls_iterations =
     obs::MetricsRegistry::Global().GetCounter("cbcd.irls_iterations");
+obs::Counter* const g_ids_pruned =
+    obs::MetricsRegistry::Global().GetCounter("cbcd.vote_ids_pruned");
 
 // One match of the window and the index of the entry holding it.
 struct Located {
@@ -38,6 +41,145 @@ struct OffsetPair {
 
 constexpr uint32_t kNoResidual = std::numeric_limits<uint32_t>::max();
 
+// The distinct ids of a window, each marked reachable or not: open
+// addressing with linear probing, doubled before it gets half full.
+class IdTable {
+ public:
+  struct Slot {
+    uint32_t id = 0;
+    bool used = false;
+    bool reachable = false;
+  };
+
+  void Clear() {
+    slots_.assign(std::max<size_t>(slots_.size(), 1024), Slot{});
+    size_ = 0;
+  }
+
+  size_t size() const { return size_; }
+
+  /// The slot of `id`, inserted unmarked if absent.
+  Slot& Find(uint32_t id) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      Grow();
+    }
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>((id * 0x9E3779B97F4A7C15ull) >>
+                                   (64 - std::countr_zero(slots_.size())));
+    while (slots_[i].used && slots_[i].id != id) {
+      i = (i + 1) & mask;
+    }
+    Slot& slot = slots_[i];
+    if (!slot.used) {
+      slot.id = id;
+      slot.used = true;
+      ++size_;
+    }
+    return slot;
+  }
+
+ private:
+  void Grow() {
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    size_ = 0;
+    for (const Slot& slot : old) {
+      if (slot.used) {
+        Find(slot.id).reachable = slot.reachable;
+      }
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+};
+
+// Scratch of the nsim prefilter, reused by every call on a thread.
+struct PrefilterScratch {
+  std::vector<uint8_t> sketch;
+  std::vector<uint32_t> cells;  // each window match's cell, in window order
+  IdTable ids;
+};
+
+// Sketch cells per window match, rounded up to a power of two and kept
+// within bounds (at most 4 MB for a huge window). On the 165k-match windows
+// of monitor_400k (a 4-core Xeon with 2 MB of L2 per core), 2^18 cells let
+// half the matches through and 2^19 or 2^21 cells voted slower than 2^20;
+// one-byte cells keep that sketch at 1 MB, in L2 beside the streamed
+// window, where two-byte cells took a fifth more vote time.
+constexpr size_t kCellsPerMatch = 6;
+constexpr size_t kMinCells = size_t{1} << 10;
+constexpr size_t kMaxCells = size_t{1} << 22;
+
+// Marks in `ids` every id of `entries` that may reach nsim >= min_nsim
+// (> 1), an id's nsim being at most the number of its (candidate, match)
+// pairs whose integer offsets o = tc' - tc fall in `span` consecutive
+// values (see ComputeVotes). With bucket width W, a power of two >= span,
+// such values lie in two adjacent buckets k, k + 1, so nsim(id) <=
+// n(id, k) + n(id, k + 1), n counting the id's pairs per bucket. The counts
+// go to saturating cells (hash(id) + k) mod 2^B, where cell k + 1 is the
+// next one; a collision only adds to a cell, so an id is never dropped
+// while one of its bucket pairs could hold min_nsim pairs.
+void MarkReachableIds(const std::vector<CandidateEntry>& entries,
+                      int64_t span, int min_nsim, PrefilterScratch* scratch) {
+  S3VCD_TRACE_SPAN("cbcd.vote.prefilter");
+  const int shift = std::bit_width(static_cast<uint64_t>(span) - 1);
+  size_t num_matches = 0;
+  for (const CandidateEntry& entry : entries) {
+    num_matches += entry.matches.size();
+  }
+  const size_t cells = std::clamp(std::bit_ceil(kCellsPerMatch * num_matches),
+                                  kMinCells, kMaxCells);
+  const uint64_t mask = cells - 1;
+  std::vector<uint8_t>& sketch = scratch->sketch;
+  sketch.resize(std::max(sketch.size(), cells));
+  std::fill_n(sketch.begin(), cells, uint8_t{0});
+  std::vector<uint32_t>& cells_of = scratch->cells;
+  cells_of.resize(num_matches);
+  size_t i = 0;
+  for (const CandidateEntry& entry : entries) {
+    const int64_t candidate_tc = entry.candidate_time_code;
+    for (const core::Match& m : entry.matches) {
+      const int64_t offset = candidate_tc - static_cast<int64_t>(m.time_code);
+      const uint64_t hash = (m.id * 0x9E3779B97F4A7C15ull) >> 32;
+      const uint32_t c = static_cast<uint32_t>(
+          (hash + static_cast<uint64_t>(offset >> shift)) & mask);
+      cells_of[i++] = c;
+      sketch[c] += sketch[c] != std::numeric_limits<uint8_t>::max();
+    }
+  }
+  // A saturated cell holds at least 255 pairs, so reaching min(min_nsim,
+  // 255) is all a pair of saturated counts can show.
+  const int needed =
+      std::min<int>(min_nsim, std::numeric_limits<uint8_t>::max());
+  IdTable& ids = scratch->ids;
+  ids.Clear();
+  i = 0;
+  for (const CandidateEntry& entry : entries) {
+    for (const core::Match& m : entry.matches) {
+      const uint32_t c = cells_of[i++];
+      if (sketch[c] + sketch[(c + 1) & mask] >= needed) {
+        ids.Find(m.id).reachable = true;
+      }
+    }
+  }
+}
+
+// Whether `span` consecutive offsets hold at least `min_nsim` of `pairs`,
+// sorted by offset: the bound of MarkReachableIds without its sketch.
+bool SomeSpanHolds(const std::vector<OffsetPair>& pairs, int64_t span,
+                   int min_nsim) {
+  for (size_t lo = 0, hi = 0; hi < pairs.size(); ++hi) {
+    while (pairs[hi].offset - pairs[lo].offset >= span) {
+      ++lo;
+    }
+    if (hi - lo + 1 >= static_cast<size_t>(min_nsim)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 double MedianOf(std::vector<double> v) {
   const size_t upper = v.size() / 2;
   std::nth_element(v.begin(), v.begin() + upper, v.end());
@@ -52,11 +194,29 @@ double MedianOf(std::vector<double> v) {
 }  // namespace
 
 std::vector<Vote> ComputeVotes(const std::vector<CandidateEntry>& entries,
-                               const VoteOptions& options) {
+                               const VoteOptions& options, int min_nsim) {
   S3VCD_TRACE_SPAN("cbcd.compute_votes");
   const double c = options.tukey_c;
   S3VCD_CHECK(c > 0);
   const double saturation = c * c / 6.0;
+
+  // Pass 0, prefilter (min_nsim > 1). A candidate counts toward nsim only
+  // through a pair whose integer offset o satisfies |o - b| <= tolerance,
+  // up to a rounding error far below a frame, for the one real offset b of
+  // the id: those offsets lie in `span` = floor(2 tolerance) + 2
+  // consecutive values, which bounds nsim by the pairs they hold. Ids whose
+  // bound stays below min_nsim are never voted; every other id keeps all
+  // its matches, so its vote is the one an unfiltered call computes. The
+  // bound does not apply to a NaN or unbounded tolerance.
+  const double span = std::floor(2 * options.tolerance) + 2;
+  const bool pruned = min_nsim > 1 && span < 0x1p40;
+  const int64_t span_values =
+      pruned ? static_cast<int64_t>(std::max(span, 1.0)) : 0;
+  thread_local PrefilterScratch prefilter;
+  IdTable& reachable = prefilter.ids;
+  if (pruned) {
+    MarkReachableIds(entries, span_values, min_nsim, &prefilter);
+  }
 
   // Pass 1, regroup: the window's matches in window order, sorted stably by
   // id with an LSD radix sort, one byte of the id per pass (four times
@@ -69,6 +229,9 @@ std::vector<Vote> ComputeVotes(const std::vector<CandidateEntry>& entries,
     uint32_t max_id = 0;
     for (uint32_t e = 0; e < entries.size(); ++e) {
       for (const core::Match& m : entries[e].matches) {
+        if (pruned && !reachable.Find(m.id).reachable) {
+          continue;
+        }
         grouped.push_back({m.id, e, &m});
         max_id = std::max(max_id, m.id);
       }
@@ -93,6 +256,9 @@ std::vector<Vote> ComputeVotes(const std::vector<CandidateEntry>& entries,
     id_begin.push_back(grouped.size());
   }
   const size_t num_ids = id_begin.size() - 1;
+  if (pruned) {
+    g_ids_pruned->Increment(reachable.size() - num_ids);
+  }
 
   // Pass 2, offset search. Offsets are integers and rho saturates at c, so
   // a window of the id's pairs sorted by offset, holding those with o in
@@ -128,6 +294,13 @@ std::vector<Vote> ComputeVotes(const std::vector<CandidateEntry>& entries,
                 [](const OffsetPair& a, const OffsetPair& b) {
                   return a.offset < b.offset;
                 });
+      if (pruned && !SomeSpanHolds(pairs, span_values, min_nsim)) {
+        // The sketch let the id through on a collision; its exact bound
+        // stays below min_nsim, so it is not voted.
+        votes[g].nsim = -1;
+        g_ids_pruned->Increment();
+        continue;
+      }
       const size_t num_candidates = candidate_tc.size();
       // Residuals in the window are integers below c and below the id's
       // offset span.
@@ -251,6 +424,9 @@ std::vector<Vote> ComputeVotes(const std::vector<CandidateEntry>& entries,
     std::vector<double> dx;  // displacements of the consistent candidates
     std::vector<double> dy;
     for (size_t g = 0; g < num_ids; ++g) {
+      if (votes[g].nsim < 0) {
+        continue;
+      }
       const double b = votes[g].offset;
       dx.clear();
       dy.clear();
@@ -290,6 +466,7 @@ std::vector<Vote> ComputeVotes(const std::vector<CandidateEntry>& entries,
     }
   }
 
+  std::erase_if(votes, [&](const Vote& v) { return v.nsim < min_nsim; });
   g_votes_cast->Increment(votes.size());
   std::sort(votes.begin(), votes.end(), [](const Vote& a, const Vote& b) {
     if (a.nsim != b.nsim) {

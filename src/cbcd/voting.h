@@ -58,11 +58,19 @@ struct Vote {
 
 /// Estimates, for every identifier present in `entries`, the offset b(id)
 /// minimizing eq. (2) with Tukey's biweight over every observed offset
-/// tc'_j - tc_jk (the smallest b wins a tie), then counts nsim. Votes are
-/// returned sorted by decreasing nsim, then increasing cost, then
-/// increasing id.
+/// tc'_j - tc_jk (the smallest b wins a tie), then counts nsim. Returns the
+/// votes with nsim >= `min_nsim`, sorted by decreasing nsim, then
+/// increasing cost, then increasing id: exactly that subset, in that
+/// order, of the votes of a call with `min_nsim` = 0, with bit-equal
+/// offsets and costs.
+///
+/// With `min_nsim` > 1, ids that cannot reach it are never voted: nsim(id)
+/// is at most the number of the id's (candidate, match) pairs whose integer
+/// offsets fall in floor(2 tolerance) + 2 consecutive values. A saturating
+/// sketch of those counts drops most such ids before the regroup, and the
+/// exact count drops the rest before their offset search (DESIGN.md §4).
 std::vector<Vote> ComputeVotes(const std::vector<CandidateEntry>& entries,
-                               const VoteOptions& options);
+                               const VoteOptions& options, int min_nsim = 0);
 
 }  // namespace s3vcd::cbcd
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/index.h"
 #include "core/synthetic_db.h"
 #include "media/synthetic.h"
@@ -209,6 +211,39 @@ TEST_F(CbcdEndToEnd, StreamMonitorFindsEmbeddedCopy) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST_F(CbcdEndToEnd, DetectClipEqualsTheThresholdedFullVote) {
+  // DetectClip votes with the threshold as ComputeVotes' min_nsim, which
+  // drops ids that cannot reach it before the vote; the detections must be
+  // those of the full vote cut at the threshold, bit for bit.
+  const CopyDetector detector(state_->index.get(), state_->model.get(),
+                              DefaultOptions());
+  const fp::FingerprintExtractor extractor;
+  Rng rng(12);
+  const auto fps = extractor.Extract(
+      media::TransformChain::Noise(8.0).Apply(state_->videos[3], &rng));
+  std::vector<CandidateEntry> entries;
+  for (const fp::LocalFingerprint& lf : fps) {
+    entries.push_back(detector.SearchOne(lf));
+  }
+  std::vector<Vote> expected;
+  for (const Vote& vote : ComputeVotes(entries, DefaultOptions().vote, 0)) {
+    if (vote.nsim >= DefaultOptions().nsim_threshold) {
+      expected.push_back(vote);
+    }
+  }
+  const auto detections = detector.DetectClip(fps);
+  ASSERT_FALSE(detections.empty());
+  ASSERT_EQ(detections.size(), expected.size());
+  for (size_t i = 0; i < detections.size(); ++i) {
+    EXPECT_EQ(detections[i].id, expected[i].id);
+    EXPECT_EQ(detections[i].nsim, expected[i].nsim);
+    EXPECT_EQ(std::bit_cast<uint64_t>(detections[i].offset),
+              std::bit_cast<uint64_t>(expected[i].offset));
+    EXPECT_EQ(std::bit_cast<uint64_t>(detections[i].cost),
+              std::bit_cast<uint64_t>(expected[i].cost));
+  }
 }
 
 TEST_F(CbcdEndToEnd, HigherThresholdSuppressesDetections) {

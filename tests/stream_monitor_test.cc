@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "cbcd/detector.h"
 #include "core/database.h"
 #include "core/distortion_model.h"
 #include "core/index.h"
+#include "obs/metrics.h"
+#include "util/rng.h"
 
 namespace s3vcd::cbcd {
 namespace {
@@ -134,6 +138,121 @@ TEST_F(StreamMonitorTest, DetectionStatsAccumulate) {
   EXPECT_EQ(stats.queries, 2u);
   EXPECT_GE(stats.matches, 2u);
   EXPECT_GE(stats.search_seconds, 0.0);
+}
+
+// The same 20 descriptors, each stored for the copied id 7 at tc = 10 i and
+// for 300 distractor ids at random time codes, so every query returns one
+// copy match and 300 distractor matches. The first 100 distractors also
+// hold two descriptors at one shared offset, coherent on two candidates,
+// below the threshold of 4.
+class PrunedVoteTest : public StreamMonitorTest {
+ protected:
+  static constexpr int kThreshold = 4;
+  static constexpr uint32_t kDistractors = 300;
+
+  PrunedVoteTest() {
+    core::DatabaseBuilder builder;
+    Rng rng(17);
+    for (uint32_t i = 0; i < 20; ++i) {
+      builder.Add(Descriptor(i), 7, i * 10, 5.0f * i, 3.0f * i);
+      for (uint32_t d = 0; d < kDistractors; ++d) {
+        const uint32_t id = (1u << 24) + 101 * d;
+        const bool coherent = d < 100 && (i == d % 20 || i == (d + 7) % 20);
+        const uint32_t tc =
+            coherent ? 50000 + i * 10
+                     : static_cast<uint32_t>(rng.UniformInt(0, 90000));
+        builder.Add(Descriptor(i), id, tc);
+      }
+    }
+    index_ = std::make_unique<core::S3Index>(builder.Build());
+    DetectorOptions options;
+    options.query.filter.alpha = 0.9;
+    options.query.filter.depth = 20;
+    options.nsim_threshold = kThreshold;
+    detector_ = std::make_unique<CopyDetector>(index_.get(), &model_,
+                                               options);
+  }
+
+  // The detections of ComputeVotes with no threshold, then the threshold.
+  std::vector<Detection> Reference(
+      const std::vector<CandidateEntry>& window) const {
+    std::vector<Detection> out;
+    for (const Vote& vote :
+         ComputeVotes(window, detector_->options().vote, 0)) {
+      if (vote.nsim >= kThreshold) {
+        out.push_back({vote.id, vote.offset, vote.nsim, vote.cost});
+      }
+    }
+    return out;
+  }
+
+  static void ExpectSameDetections(const std::vector<Detection>& got,
+                                   const std::vector<Detection>& expected) {
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, expected[i].id);
+      EXPECT_EQ(got[i].nsim, expected[i].nsim);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[i].offset),
+                std::bit_cast<uint64_t>(expected[i].offset));
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[i].cost),
+                std::bit_cast<uint64_t>(expected[i].cost));
+    }
+  }
+};
+
+TEST_F(PrunedVoteTest, StreamMonitorEqualsTheThresholdedFullVote) {
+  StreamMonitor::Options options;
+  options.window_keyframes = 8;
+  options.window_overlap = 3;
+  StreamMonitor monitor(detector_.get(), options);
+  obs::Counter* evals =
+      obs::MetricsRegistry::Global().GetCounter("cbcd.tukey_cost_evals");
+  // The stream: the copy at offset +1000 over reference indexes 0..19,
+  // with the reference window slid as StreamMonitor slides its buffer.
+  std::vector<CandidateEntry> window;
+  int windows = 0;
+  int detected = 0;
+  for (uint32_t i = 0; i < 20; ++i) {
+    const std::vector<fp::LocalFingerprint> keyframe =
+        KeyFrame(i, 1000 + 10 * i);
+    window.push_back(detector_->SearchOne(keyframe[0]));
+    ASSERT_EQ(window.back().matches.size(), 1u + kDistractors);
+    const uint64_t before = evals->Value();
+    const std::vector<Detection> got = monitor.PushKeyFrame(keyframe);
+    const uint64_t pruned_evals = evals->Value() - before;
+    if (window.size() < static_cast<size_t>(options.window_keyframes)) {
+      EXPECT_TRUE(got.empty());
+      continue;
+    }
+    const uint64_t before_full = evals->Value();
+    const std::vector<Detection> expected = Reference(window);
+    const uint64_t full_evals = evals->Value() - before_full;
+    ExpectSameDetections(got, expected);
+    EXPECT_GE(full_evals, 5 * pruned_evals)
+        << "the prefilter must drop most distractor ids";
+    ++windows;
+    detected += static_cast<int>(got.size());
+    window.erase(window.begin(),
+                 window.begin() + (options.window_keyframes -
+                                   options.window_overlap));
+  }
+  ExpectSameDetections(monitor.Flush(), Reference(window));
+  EXPECT_EQ(windows, 3);
+  EXPECT_EQ(detected, 3) << "the copy is detected in every window";
+}
+
+TEST_F(PrunedVoteTest, DetectClipEqualsTheThresholdedFullVote) {
+  std::vector<fp::LocalFingerprint> clip;
+  std::vector<CandidateEntry> entries;
+  for (uint32_t i = 0; i < 20; i += 2) {
+    clip.push_back(KeyFrame(i, 300 + 10 * i)[0]);
+    entries.push_back(detector_->SearchOne(clip.back()));
+  }
+  const std::vector<Detection> got = detector_->DetectClip(clip);
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got[0].id, 7u);
+  EXPECT_EQ(got[0].nsim, 10);
+  ExpectSameDetections(got, Reference(entries));
 }
 
 }  // namespace

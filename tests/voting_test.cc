@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 
 #include "cbcd/tukey.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace s3vcd::cbcd {
@@ -583,6 +586,226 @@ TEST(ComputeVotesTest, AgreesWithTheExhaustiveOracleOnRandomWindows) {
       }
     }
   }
+}
+
+// Expects `got` to be exactly the votes of `all` with nsim >= t, in the
+// same order, with bit-equal offsets and costs.
+void ExpectThresholdedSubset(const std::vector<Vote>& all,
+                             const std::vector<Vote>& got, int t) {
+  std::vector<Vote> expected;
+  for (const Vote& vote : all) {
+    if (vote.nsim >= t) {
+      expected.push_back(vote);
+    }
+  }
+  ASSERT_EQ(got.size(), expected.size()) << "t " << t;
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "t " << t << " vote " << i);
+    EXPECT_EQ(got[i].id, expected[i].id);
+    EXPECT_EQ(got[i].nsim, expected[i].nsim);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].offset),
+              std::bit_cast<uint64_t>(expected[i].offset));
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].cost),
+              std::bit_cast<uint64_t>(expected[i].cost));
+  }
+}
+
+// A pair of (id, tc) whose reference time code tc = candidate_tc - offset,
+// or a random one when that falls outside the 32-bit time codes.
+core::Match PairAt(uint32_t id, uint32_t candidate_tc, int64_t offset,
+                   Rng* rng) {
+  int64_t tc = static_cast<int64_t>(candidate_tc) - offset;
+  if (tc < 0 || tc > std::numeric_limits<uint32_t>::max()) {
+    tc = rng->UniformInt(0, std::numeric_limits<uint32_t>::max());
+  }
+  core::Match m;
+  m.id = id;
+  m.time_code = static_cast<uint32_t>(tc);
+  return m;
+}
+
+// A random window for the threshold tests: key-frames with time codes near
+// 0, near 2^32 - 1 or in between; ids below 64 and from 2^24 up; each id
+// planted at an offset (negative for about half, sometimes near +-2^32)
+// hit by a random share of the candidates with a few frames of jitter,
+// plus scattered pairs. The planted offsets of some ids coincide.
+std::vector<CandidateEntry> ThresholdWindow(Rng* rng) {
+  const int keyframes = static_cast<int>(rng->UniformInt(4, 16));
+  const int points = static_cast<int>(rng->UniformInt(1, 4));
+  const double where = rng->Uniform(0, 1);
+  uint32_t tc = where < 0.3   ? static_cast<uint32_t>(rng->UniformInt(0, 20))
+                : where < 0.6 ? std::numeric_limits<uint32_t>::max() -
+                                    static_cast<uint32_t>(
+                                        rng->UniformInt(200, 400))
+                              : static_cast<uint32_t>(
+                                    rng->UniformInt(100000, 200000));
+  std::vector<CandidateEntry> entries;
+  for (int k = 0; k < keyframes; ++k) {
+    tc += static_cast<uint32_t>(rng->UniformInt(1, 12));
+    for (int p = 0; p < points; ++p) {
+      CandidateEntry entry;
+      entry.candidate_time_code = tc;
+      entry.x = static_cast<float>(rng->UniformInt(0, 320));
+      entry.y = static_cast<float>(rng->UniformInt(0, 240));
+      entries.push_back(entry);
+    }
+  }
+  const int64_t shared_offset = rng->UniformInt(-5000, 5000);
+  const int num_ids = static_cast<int>(rng->UniformInt(1, 40));
+  for (int i = 0; i < num_ids; ++i) {
+    const uint32_t id =
+        rng->Bernoulli(0.5)
+            ? static_cast<uint32_t>(rng->UniformInt(0, 63))
+            : (1u << 24) + static_cast<uint32_t>(rng->UniformInt(0, 1 << 30));
+    const double kind = rng->Uniform(0, 1);
+    const int64_t planted =
+        kind < 0.2   ? shared_offset
+        : kind < 0.3 ? (rng->Bernoulli(0.5) ? 1 : -1) *
+                           (int64_t{1} << 32) + rng->UniformInt(-500, 500)
+                     : rng->UniformInt(-100000, 100000);
+    const double share = rng->Uniform(0, 1);
+    const int jitter = static_cast<int>(rng->UniformInt(0, 4));
+    for (CandidateEntry& entry : entries) {
+      if (rng->Bernoulli(share)) {
+        core::Match m =
+            PairAt(id, entry.candidate_time_code,
+                   planted + rng->UniformInt(-jitter, jitter), rng);
+        m.x = entry.x + static_cast<float>(rng->UniformInt(-4, 4));
+        m.y = entry.y + static_cast<float>(rng->UniformInt(-4, 4));
+        entry.matches.push_back(m);
+      }
+      const int scattered = static_cast<int>(rng->UniformInt(0, 3));
+      for (int n = 0; n < scattered; ++n) {
+        core::Match m = PairAt(id, entry.candidate_time_code,
+                               rng->UniformInt(-200000, 200000), rng);
+        m.x = static_cast<float>(rng->UniformInt(0, 320));
+        m.y = static_cast<float>(rng->UniformInt(0, 240));
+        entry.matches.push_back(m);
+      }
+    }
+  }
+  return entries;
+}
+
+TEST(ComputeVotesThresholdTest, ReturnsExactlyTheVotesReachingTheThreshold) {
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    const std::vector<CandidateEntry> entries = ThresholdWindow(&rng);
+    for (const double tolerance : {0.0, 2.5, 3.0, 7.5}) {
+      for (const bool refine : {false, true}) {
+        for (const bool spatial : {false, true}) {
+          VoteOptions options;
+          options.tolerance = tolerance;
+          options.refine_offset = refine;
+          options.use_spatial_coherence = spatial;
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " tolerance " << tolerance
+                       << " refine " << refine << " spatial " << spatial);
+          const std::vector<Vote> all = ComputeVotes(entries, options, 0);
+          EXPECT_EQ(all.size(), OracleRegroup(entries).size());
+          for (const int t : {0, 1, 2, 4, 8, 1000}) {
+            ExpectThresholdedSubset(all, ComputeVotes(entries, options, t),
+                                    t);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ComputeVotesThresholdTest, UnboundedOrNegativeToleranceStaysExact) {
+  Rng rng(77);
+  const std::vector<CandidateEntry> entries = ThresholdWindow(&rng);
+  for (const double tolerance :
+       {-1.0, 1e12, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    VoteOptions options;
+    options.tolerance = tolerance;
+    const std::vector<Vote> all = ComputeVotes(entries, options, 0);
+    for (const int t : {2, 4, 8}) {
+      ExpectThresholdedSubset(all, ComputeVotes(entries, options, t), t);
+    }
+  }
+}
+
+TEST(ComputeVotesThresholdTest, KeepsATightRunStraddlingABucketEdge) {
+  // Exactly t candidates of id 9 whose offsets are 2 floor(tol) + 1
+  // consecutive values, all within tol of the middle one, placed at every
+  // phase of the prefilter's buckets (up to 32 frames wide), for positive
+  // and negative offsets. Id 9 must come out with nsim = t, and an id with
+  // the same run one candidate short must not.
+  for (const double tolerance : {3.0, 7.5}) {
+    const int t = 2 * static_cast<int>(tolerance) + 1;
+    VoteOptions options;
+    options.tolerance = tolerance;
+    for (const int64_t base : {int64_t{-6400}, int64_t{6400}}) {
+      for (int64_t phase = 0; phase < 32; ++phase) {
+        SCOPED_TRACE(::testing::Message() << "tolerance " << tolerance
+                                          << " base " << base << " phase "
+                                          << phase);
+        Rng rng(static_cast<uint64_t>(phase + 1));
+        std::vector<CandidateEntry> entries;
+        for (int j = 0; j < t; ++j) {
+          CandidateEntry entry;
+          entry.candidate_time_code = 20000 + 25 * static_cast<uint32_t>(j);
+          entry.matches.push_back(PairAt(
+              9, entry.candidate_time_code, base + phase + j, &rng));
+          if (j + 1 < t) {
+            entry.matches.push_back(PairAt(
+                (1u << 24) + 5, entry.candidate_time_code, base + phase + j,
+                &rng));
+          }
+          entries.push_back(entry);
+        }
+        const std::vector<Vote> votes = ComputeVotes(entries, options, t);
+        ASSERT_EQ(votes.size(), 1u);
+        EXPECT_EQ(votes[0].id, 9u);
+        EXPECT_EQ(votes[0].nsim, t);
+        EXPECT_EQ(votes[0].offset, static_cast<double>(base + phase + t / 2));
+        ExpectThresholdedSubset(ComputeVotes(entries, options, 0), votes, t);
+      }
+    }
+  }
+}
+
+TEST(ComputeVotesThresholdTest, SketchCollisionsKeepTheAnswerExact) {
+  // 30,000 ids with t - 1 candidates each at one offset: no id can reach t.
+  // The 90,000 pairs land in a sketch of about six cells per match, so
+  // thousands of them share a cell or its neighbour with another id and
+  // pass the sketch; the exact bound after the regroup then drops them
+  // unvoted. Two ids with t candidates at one offset survive.
+  const int t = 4;
+  Rng rng(5);
+  std::vector<CandidateEntry> entries;
+  for (int j = 0; j < 64; ++j) {
+    CandidateEntry entry;
+    entry.candidate_time_code = 1000000 + 40 * static_cast<uint32_t>(j);
+    entries.push_back(entry);
+  }
+  const int num_ids = 30000;
+  for (int i = 0; i < num_ids + 2; ++i) {
+    const uint32_t id = i < num_ids ? (1u << 24) + 3 * static_cast<uint32_t>(i)
+                                    : static_cast<uint32_t>(i - num_ids + 1);
+    const int64_t offset = rng.UniformInt(-500000, 500000);
+    const int candidates = i < num_ids ? t - 1 : t;
+    for (int j = 0; j < candidates; ++j) {
+      CandidateEntry& entry =
+          entries[static_cast<size_t>(rng.UniformInt(0, 63))];
+      entry.matches.push_back(
+          PairAt(id, entry.candidate_time_code, offset, &rng));
+    }
+  }
+  obs::Counter* pruned =
+      obs::MetricsRegistry::Global().GetCounter("cbcd.vote_ids_pruned");
+  const uint64_t pruned_before = pruned->Value();
+  const VoteOptions options;
+  const std::vector<Vote> votes = ComputeVotes(entries, options, t);
+  const uint64_t ids_pruned = pruned->Value() - pruned_before;
+  ExpectThresholdedSubset(ComputeVotes(entries, options, 0), votes, t);
+  ASSERT_EQ(votes.size(), 2u);
+  EXPECT_EQ(votes[0].nsim, t);
+  EXPECT_EQ(votes[1].nsim, t);
+  EXPECT_EQ(ids_pruned, static_cast<uint64_t>(num_ids));
 }
 
 }  // namespace
