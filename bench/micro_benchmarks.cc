@@ -1,6 +1,7 @@
 // Google-benchmark micro benchmarks of the core building blocks: Hilbert
 // encode/decode at the paper's D=20 K=8 configuration, block filtering,
-// query execution, index construction, the temporal vote, and the
+// query execution, index construction, fingerprint extraction (blur,
+// Harris detection, a whole clip), the temporal vote, and the
 // observability primitives
 // (counter increments and trace spans) whose overhead budgets are quoted
 // in docs/observability.md.
@@ -23,8 +24,13 @@
 #include "core/index.h"
 #include "core/scan_kernel.h"
 #include "core/synthetic_db.h"
+#include "fingerprint/extractor.h"
 #include "fingerprint/fingerprint.h"
+#include "fingerprint/harris.h"
+#include "fingerprint/keyframe.h"
 #include "hilbert/hilbert_curve.h"
+#include "media/filters.h"
+#include "media/synthetic.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "store/segment_format.h"
@@ -453,6 +459,68 @@ void BM_IndexBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_IndexBuild)->Arg(10000)->Arg(100000);
+
+// --- Extraction (paper Section III) ------------------------------------
+// A 250-frame 96x80 synthetic clip, the frame size of the end-to-end
+// workloads. The blur and Harris rows reuse their working memory across
+// iterations, as FingerprintExtractor::Extract does across key-frames.
+
+const media::VideoSequence& ExtractionClip() {
+  static const media::VideoSequence clip = [] {
+    media::SyntheticVideoConfig config;
+    config.width = 96;
+    config.height = 80;
+    config.num_frames = 250;
+    config.seed = 29;
+    return media::GenerateSyntheticVideo(config);
+  }();
+  return clip;
+}
+
+// One separable Gaussian blur of a frame; the argument is 2 sigma.
+void BM_GaussianBlur(benchmark::State& state) {
+  const double sigma = state.range(0) / 2.0;
+  const std::vector<float> kernel = media::GaussianKernel1D(sigma);
+  const media::Frame& frame = ExtractionClip().frames[100];
+  media::BlurScratch scratch;
+  media::Frame out;
+  for (auto _ : state) {
+    media::SeparableBlur(frame, kernel, &scratch, &out);
+    benchmark::DoNotOptimize(out.pixels().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(frame.size()));
+  state.SetLabel("sigma:" + std::to_string(sigma).substr(0, 3));
+}
+BENCHMARK(BM_GaussianBlur)->Arg(2)->Arg(3)->Arg(4);
+
+// Harris response, non-maximum suppression and point selection of a frame.
+void BM_DetectInterestPoints(benchmark::State& state) {
+  const media::Frame& frame = ExtractionClip().frames[100];
+  fp::HarrisDetector detector{fp::HarrisOptions{}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detector.Detect(frame));
+  }
+}
+BENCHMARK(BM_DetectInterestPoints);
+
+// Extract over the whole clip; us_per_kf is the wall time per key-frame,
+// key-frame detection included.
+void BM_ExtractClip(benchmark::State& state) {
+  const media::VideoSequence& clip = ExtractionClip();
+  const fp::FingerprintExtractor extractor;
+  const double key_frames = static_cast<double>(
+      fp::DetectKeyFrames(clip, extractor.options().keyframe).size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(extractor.Extract(clip));
+  }
+  state.counters["us_per_kf"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * key_frames / 1e6,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["keyframes"] = key_frames;
+}
+BENCHMARK(BM_ExtractClip)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // --- Temporal vote -----------------------------------------------------
 // One monitoring-shaped window (16 key-frames of 50 points): 800 ids with

@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace s3vcd::fp {
 
@@ -15,6 +16,8 @@ obs::Counter* const g_keyframes =
     obs::MetricsRegistry::Global().GetCounter("fingerprint.keyframes");
 obs::Counter* const g_points =
     obs::MetricsRegistry::Global().GetCounter("fingerprint.points");
+obs::Histogram* const g_extract_us =
+    obs::MetricsRegistry::Global().GetHistogram("fingerprint.extract_us");
 
 // Clamped frame index access for the temporal descriptor support.
 int ClampFrame(int idx, int num_frames) {
@@ -25,19 +28,19 @@ int ClampFrame(int idx, int num_frames) {
 
 std::vector<LocalFingerprint> FingerprintExtractor::Extract(
     const media::VideoSequence& video) const {
+  Stopwatch watch;
   std::vector<LocalFingerprint> out;
-  if (video.frames.empty()) {
-    return out;
-  }
   const std::vector<int> key_frames =
       DetectKeyFrames(video, options_.keyframe);
   const int n = video.num_frames();
   const int dt = options_.descriptor.temporal_offset;
+  // This call's own working memory, so concurrent calls share nothing.
+  HarrisDetector harris(options_.harris);
   for (int t : key_frames) {
     std::vector<InterestPoint> points;
     {
       S3VCD_TRACE_SPAN("fingerprint.harris");
-      points = DetectInterestPoints(video.frames[t], options_.harris);
+      points = harris.Detect(video.frames[t]);
     }
     S3VCD_TRACE_SPAN("fingerprint.descriptor");
     const DerivativeStack before(video.frames[ClampFrame(t - dt, n)],
@@ -56,6 +59,7 @@ std::vector<LocalFingerprint> FingerprintExtractor::Extract(
     g_keyframes->Increment();
     g_points->Increment(points.size());
   }
+  g_extract_us->Record(watch.ElapsedMicros());
   return out;
 }
 

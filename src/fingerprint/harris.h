@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "media/filters.h"
 #include "media/frame.h"
 
 namespace s3vcd::fp {
@@ -49,6 +50,33 @@ media::Frame HarrisResponse(const media::Frame& frame,
 /// by decreasing response.
 std::vector<InterestPoint> DetectInterestPoints(const media::Frame& frame,
                                                 const HarrisOptions& options);
+
+/// HarrisResponse and DetectInterestPoints for many frames: the two
+/// Gaussian kernels are built once, and every intermediate image is reused
+/// from frame to frame (storage grows only with the frame size). Outputs
+/// equal the free functions' bit for bit. A detector is working memory for
+/// one thread at a time; concurrent callers each need their own.
+class HarrisDetector {
+ public:
+  explicit HarrisDetector(const HarrisOptions& options);
+
+  /// The response image of `frame`; valid until the next call.
+  const media::Frame& Response(const media::Frame& frame);
+
+  std::vector<InterestPoint> Detect(const media::Frame& frame);
+
+ private:
+  HarrisOptions options_;
+  std::vector<float> derivative_kernel_;
+  std::vector<float> integration_kernel_;
+  media::BlurScratch blur_;
+  media::Frame smoothed_;
+  media::Frame ixx_, iyy_, ixy_;  // gradient products
+  media::Frame sxx_, syy_, sxy_;  // their integrated structure tensor
+  media::Frame response_;
+  std::vector<float> row_max_;  // 3-wide row maxima of the response
+  std::vector<InterestPoint> candidates_;
+};
 
 }  // namespace s3vcd::fp
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/logging.h"
 
@@ -25,56 +26,92 @@ std::vector<float> GaussianKernel1D(double sigma) {
 
 namespace {
 
-// Separable convolution of a w x h image with replicate borders. Every
-// output pixel sums 0 + w[0] v[0] + ... + w[2r] v[2r] in ascending tap order,
-// as a per-pixel loop over Frame::at_clamped would; the loops run tap-outer,
-// pixel-inner over flat rows so that they vectorize without reordering a sum.
-Frame SeparableBlur(const Frame& in, const std::vector<float>& kernel) {
+// Four float lanes, one SSE2 register at the x86-64 baseline.
+typedef float Lanes4 __attribute__((vector_size(16)));
+
+// Output pixels per block: four Lanes4 sums that stay in registers over
+// every tap.
+constexpr int kBlock = 16;
+
+// One output line of a separable pass: out[x] = 0 + w[0] v[0] + ... +
+// w[t-1] v[t-1], where v[k] = tap_src(k)[x], in ascending tap order with a
+// multiply then an add per tap, exactly as a per-pixel loop over
+// Frame::at_clamped would. Blocks of kBlock pixels run tap-inner; the last
+// n % kBlock pixels take the same sums one at a time.
+template <typename TapSource>
+void ConvolveLine(const std::vector<float>& kernel, TapSource tap_src, int n,
+                  float* out) {
+  const int taps = static_cast<int>(kernel.size());
+  int x = 0;
+  for (; x + kBlock <= n; x += kBlock) {
+    Lanes4 acc[kBlock / 4] = {};
+    for (int k = 0; k < taps; ++k) {
+      const float weight = kernel[k];
+      const float* src = tap_src(k) + x;
+      for (int j = 0; j < kBlock / 4; ++j) {
+        Lanes4 v;
+        std::memcpy(&v, src + 4 * j, sizeof(v));
+        acc[j] += weight * v;
+      }
+    }
+    for (int j = 0; j < kBlock / 4; ++j) {
+      std::memcpy(out + x + 4 * j, &acc[j], sizeof(acc[j]));
+    }
+  }
+  for (; x < n; ++x) {
+    float acc = 0;
+    for (int k = 0; k < taps; ++k) {
+      acc += kernel[k] * tap_src(k)[x];
+    }
+    out[x] = acc;
+  }
+}
+
+}  // namespace
+
+void SeparableBlur(const Frame& in, const std::vector<float>& kernel,
+                   BlurScratch* scratch, Frame* out) {
+  S3VCD_CHECK(out != &in);
   const int w = in.width();
   const int h = in.height();
-  const int taps = static_cast<int>(kernel.size());
-  const int radius = taps / 2;
+  const int radius = static_cast<int>(kernel.size()) / 2;
+  scratch->rows.Reshape(w, h);
+  out->Reshape(w, h);
   const float* src = in.pixels().data();
+  float* rows = scratch->rows.pixels().data();
 
   // Row pass: each row is padded with `radius` replicated edge values on
   // both sides, so tap k of pixel x reads padded[x + k] with no clamp.
-  Frame rows(w, h);
-  std::vector<float> padded(static_cast<size_t>(w) + 2 * radius);
+  std::vector<float>& padded = scratch->padded;
+  padded.resize(static_cast<size_t>(w) + 2 * radius);
   for (int y = 0; y < h; ++y) {
     const float* row = src + static_cast<size_t>(y) * w;
     std::fill(padded.begin(), padded.begin() + radius, row[0]);
     std::copy(row, row + w, padded.begin() + radius);
     std::fill(padded.begin() + radius + w, padded.end(), row[w - 1]);
-    float* out = rows.pixels().data() + static_cast<size_t>(y) * w;
-    for (int k = 0; k < taps; ++k) {
-      const float weight = kernel[k];
-      const float* tap = padded.data() + k;
-      for (int x = 0; x < w; ++x) {
-        out[x] += weight * tap[x];
-      }
-    }
+    ConvolveLine(
+        kernel, [&padded](int k) { return padded.data() + k; }, w,
+        rows + static_cast<size_t>(y) * w);
   }
 
-  // Column pass: the source row of each tap is clamped once per tap.
-  Frame out(w, h);
+  // Column pass: tap k of row y reads the clamped row y + k - radius.
+  float* dst = out->pixels().data();
   for (int y = 0; y < h; ++y) {
-    float* dst = out.pixels().data() + static_cast<size_t>(y) * w;
-    for (int k = 0; k < taps; ++k) {
-      const float weight = kernel[k];
-      const int sy = std::clamp(y + k - radius, 0, h - 1);
-      const float* tap = rows.pixels().data() + static_cast<size_t>(sy) * w;
-      for (int x = 0; x < w; ++x) {
-        dst[x] += weight * tap[x];
-      }
-    }
+    ConvolveLine(
+        kernel,
+        [rows, y, radius, w, h](int k) {
+          return rows +
+                 static_cast<size_t>(std::clamp(y + k - radius, 0, h - 1)) * w;
+        },
+        w, dst + static_cast<size_t>(y) * w);
   }
-  return out;
 }
 
-}  // namespace
-
 Frame GaussianBlur(const Frame& frame, double sigma) {
-  return SeparableBlur(frame, GaussianKernel1D(sigma));
+  BlurScratch scratch;
+  Frame out;
+  SeparableBlur(frame, GaussianKernel1D(sigma), &scratch, &out);
+  return out;
 }
 
 std::vector<double> GaussianSmooth1D(const std::vector<double>& signal,

@@ -47,6 +47,16 @@ class Frame {
     return pixels_[static_cast<size_t>(y) * width_ + x];
   }
 
+  /// Makes this a width x height frame, keeping the allocated storage when
+  /// it is large enough. Pixel values are unspecified afterwards; callers
+  /// overwrite every pixel.
+  void Reshape(int width, int height) {
+    S3VCD_CHECK(width > 0 && height > 0);
+    width_ = width;
+    height_ = height;
+    pixels_.resize(static_cast<size_t>(width) * height);
+  }
+
   const std::vector<float>& pixels() const { return pixels_; }
   std::vector<float>& pixels() { return pixels_; }
 

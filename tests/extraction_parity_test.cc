@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -366,6 +367,77 @@ TEST(ExtractionParityTest, HarrisResponseMatchesOracleBitForBit) {
           << Describe(frame) << " sigma_d " << options.derivative_sigma;
     }
   }
+}
+
+// Frames built to tie: a constant frame; periodic checkerboards, whose
+// responses repeat exactly with the period, so that equal values sit at
+// many sites and in 3x3 plateaus; frames at and below 2 * border + 1 on a
+// side; and frames whose response holds NaN or infinity around one pixel.
+std::vector<Frame> TieFrames() {
+  std::vector<Frame> frames;
+  frames.push_back(Frame(96, 80, 100.0f));
+  for (int cell : {1, 2, 3, 5, 8}) {
+    Frame f(96, 80);
+    for (int y = 0; y < f.height(); ++y) {
+      for (int x = 0; x < f.width(); ++x) {
+        f.at(x, y) = ((x / cell + y / cell) % 2) != 0 ? 255.0f : 0.0f;
+      }
+    }
+    frames.push_back(f);
+  }
+  Rng rng(7);
+  for (const auto& [w, h] : {std::pair{17, 17}, {16, 40}, {40, 16}}) {
+    frames.push_back(RandomFrame(w, h, &rng));
+  }
+  for (float odd : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity()}) {
+    Frame f = RandomFrame(96, 80, &rng);
+    f.at(40, 30) = odd;
+    frames.push_back(f);
+  }
+  return frames;
+}
+
+bool SamePoints(const std::vector<InterestPoint>& a,
+                const std::vector<InterestPoint>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+}
+
+TEST(ExtractionParityTest, DetectInterestPointsMatchesOracleBitForBit) {
+  HarrisOptions wide;
+  wide.derivative_sigma = 1.5;
+  wide.integration_sigma = 3.0;
+  wide.k = 0.04;
+  HarrisOptions narrow;
+  narrow.derivative_sigma = 0.7;
+  narrow.integration_sigma = 1.0;
+  std::vector<Frame> frames = TestFrames(5);
+  for (Frame& f : TieFrames()) {
+    frames.push_back(std::move(f));
+  }
+  size_t points = 0;
+  size_t tied = 0;  // selected points whose response equals the previous one
+  for (const HarrisOptions& options : {HarrisOptions{}, wide, narrow}) {
+    // One detector over every frame, so its buffers shrink and grow.
+    HarrisDetector detector(options);
+    for (const Frame& frame : frames) {
+      const std::vector<InterestPoint> want =
+          OracleDetectInterestPoints(frame, options);
+      EXPECT_TRUE(SamePoints(DetectInterestPoints(frame, options), want))
+          << Describe(frame) << " sigma_d " << options.derivative_sigma;
+      EXPECT_TRUE(SamePoints(detector.Detect(frame), want))
+          << Describe(frame) << " sigma_d " << options.derivative_sigma
+          << " (reused detector)";
+      points += want.size();
+      for (size_t i = 1; i < want.size(); ++i) {
+        tied += want[i].response == want[i - 1].response;
+      }
+    }
+  }
+  EXPECT_GT(points, 0u);
+  EXPECT_GT(tied, 0u) << "no frame produced equal responses";
 }
 
 TEST(ExtractionParityTest, SampleJetMatchesOracleBitForBit) {

@@ -1,8 +1,11 @@
 #include "fingerprint/extractor.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -158,6 +161,66 @@ TEST(ExtractorTest, GoldenOutputHash) {
   EXPECT_EQ(b.size(), 100u);
   EXPECT_EQ(HashFingerprints(a), 0xf8632defc15609f0ULL);
   EXPECT_EQ(HashFingerprints(b), 0x46e6c7d8a9b3dd64ULL);
+}
+
+bool SameFingerprints(const std::vector<LocalFingerprint>& a,
+                      const std::vector<LocalFingerprint>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const LocalFingerprint& x, const LocalFingerprint& y) {
+                      return x.descriptor == y.descriptor && x.x == y.x &&
+                             x.y == y.y && x.time_code == y.time_code;
+                    });
+}
+
+// Four threads share one extractor and extract clips of two sizes in
+// different orders, over and over; every result equals the serial one.
+TEST(ExtractorTest, ConcurrentExtractMatchesSerial) {
+  std::vector<media::VideoSequence> videos;
+  for (const auto& [w, h, seed] :
+       {std::tuple{96, 80, 51}, {176, 144, 52}, {96, 80, 53}, {176, 144, 54}}) {
+    media::SyntheticVideoConfig config;
+    config.width = w;
+    config.height = h;
+    config.num_frames = 40;
+    config.seed = seed;
+    videos.push_back(media::GenerateSyntheticVideo(config));
+  }
+  const FingerprintExtractor extractor;
+  std::vector<std::vector<LocalFingerprint>> serial;
+  for (const media::VideoSequence& video : videos) {
+    serial.push_back(extractor.Extract(video));
+    ASSERT_FALSE(serial.back().empty());
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRounds * static_cast<int>(videos.size()); ++i) {
+        const size_t v = (t + i) % videos.size();
+        mismatches[t] += !SameFingerprints(extractor.Extract(videos[v]),
+                                           serial[v]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+}
+
+TEST(ExtractorTest, RecordsOneExtractTimePerCall) {
+  obs::Histogram* extract_us =
+      obs::MetricsRegistry::Global().GetHistogram("fingerprint.extract_us");
+  const uint64_t before = extract_us->Count();
+  const FingerprintExtractor extractor;
+  extractor.Extract(TestClip(49, 30));
+  extractor.Extract(media::VideoSequence{});
+  EXPECT_EQ(extract_us->Count() - before, 2u);
 }
 
 TEST(DistortionSamplesTest, IdentityTransformGivesNearZeroDistortion) {

@@ -27,6 +27,13 @@
 # above, the mmap-over-resident ratio, and a quantized stanza with the
 # per-codec throughput and stored descriptor bytes.
 #
+# Also runs the extraction micro benchmarks (BM_GaussianBlur at sigma 1,
+# 1.5 and 2, BM_DetectInterestPoints, BM_ExtractClip over a 250-frame 96x80
+# synthetic clip) with repetitions and writes BENCH_extract.json: per row
+# the median over the repetitions and their spread (min, quartiles, max,
+# interquartile range over median), in microseconds per blur, per
+# detection and per key-frame.
+#
 # Every BENCH_*.json carries a "host" object: the CPU model, the CPUs
 # this process may run on, the x86 SIMD capability flags (from
 # /proc/cpuinfo) and the scan kernel the library dispatched to in that
@@ -48,7 +55,7 @@
 # the full sweep plus the matched-recall operating points with latency,
 # throughput and the speedup over the exact baseline.
 #
-# Usage: tools/run_benchmarks.sh [build-dir [scan-json [filter-json [service-json [store-json [ann-json]]]]]]
+# Usage: tools/run_benchmarks.sh [build-dir [scan-json [filter-json [service-json [store-json [ann-json [extract-json]]]]]]]
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -58,6 +65,7 @@ filter_json="${3:-${repo_root}/BENCH_filter.json}"
 service_json="${4:-${repo_root}/BENCH_service.json}"
 store_json="${5:-${repo_root}/BENCH_store.json}"
 ann_json="${6:-${repo_root}/BENCH_ann.json}"
+extract_json="${7:-${repo_root}/BENCH_extract.json}"
 
 if [[ ! -x "${build_dir}/bench/micro_benchmarks" ]]; then
   cmake -S "${repo_root}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
@@ -402,6 +410,95 @@ PY
 
 echo "Wrote ${store_json}"
 
+extract_raw="$(mktemp)"
+trap 'rm -f "${raw_json}" "${filter_raw}" "${store_raw}" "${extract_raw}"' EXIT
+
+extract_reps=5
+"${build_dir}/bench/micro_benchmarks" \
+  --benchmark_filter='^BM_GaussianBlur|^BM_DetectInterestPoints|^BM_ExtractClip' \
+  --benchmark_repetitions="${extract_reps}" \
+  --benchmark_format=json \
+  --benchmark_out="${extract_raw}" \
+  --benchmark_out_format=json >&2
+
+python3 - "${extract_raw}" "${extract_json}" "${extract_reps}" <<'PY'
+import json
+import os
+import statistics
+import sys
+
+raw_path, out_path, reps = sys.argv[1], sys.argv[2], int(sys.argv[3])
+with open(raw_path) as f:
+    raw = json.load(f)
+
+host = dict(json.loads(os.environ["S3VCD_BENCH_HOST"]),
+            selected_scan_kernel=raw.get("context", {}).get("scan_kernel"))
+
+TO_US = {"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}
+samples = {}
+for b in raw.get("benchmarks", []):
+    if b.get("run_type") != "iteration" or "error_occurred" in b:
+        continue
+    name = b["run_name"]
+    if name.startswith("BM_ExtractClip"):
+        value = b["us_per_kf"]
+    else:
+        value = b["real_time"] * TO_US[b.get("time_unit", "ns")]
+    samples.setdefault(name, []).append(value)
+
+
+def summary(values):
+    values = sorted(values)
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {
+        "median": median,
+        "spread": {"min": values[0], "q1": q1, "q3": q3, "max": values[-1],
+                   "iqr_over_median": (q3 - q1) / median if median else None},
+        "repetitions": len(values),
+    }
+
+
+blur = {}
+rows = {}
+for name, values in samples.items():
+    if name.startswith("BM_GaussianBlur/"):
+        sigma = int(name.split("/")[1]) / 2
+        blur[f"{sigma:g}"] = summary(values)
+    elif name.startswith("BM_DetectInterestPoints"):
+        rows["detect_interest_points_us"] = summary(values)
+    elif name.startswith("BM_ExtractClip"):
+        rows["extract_us_per_keyframe"] = summary(values)
+
+result = {
+    "benchmark": "BM_GaussianBlur / BM_DetectInterestPoints / BM_ExtractClip",
+    "description": ("extraction kernels on a 96x80 synthetic frame: one "
+                    "separable Gaussian blur per sigma (microseconds, "
+                    "working memory reused), Harris response, non-maximum "
+                    "suppression and point selection (microseconds, "
+                    "detector reused), and FingerprintExtractor::Extract "
+                    "over a 250-frame clip (microseconds per key-frame, "
+                    "key-frame detection included); median and spread "
+                    "over the repetitions"),
+    "frame": "96x80",
+    "repetitions": reps,
+    "host": host,
+    "blur_us_by_sigma": blur,
+    **rows,
+    "context": raw.get("context", {}),
+}
+with open(out_path, "w") as f:
+    json.dump(result, f, indent=2)
+    f.write("\n")
+for sigma, entry in blur.items():
+    print(f"blur sigma {sigma}: {entry['median']:.1f} us")
+for key, entry in rows.items():
+    print(f"{key}: {entry['median']:.1f} "
+          f"(iqr/median {entry['spread']['iqr_over_median']:.3f})")
+PY
+
+echo "Wrote ${extract_json}"
+
 if [[ ! -x "${build_dir}/tools/s3vcd_tool" ]]; then
   cmake --build "${build_dir}" --target s3vcd_tool -j"$(nproc)"
 fi
@@ -413,7 +510,7 @@ if [[ ! -f "${service_db}" ]]; then
 fi
 
 service_raw="$(mktemp)"
-trap 'rm -f "${raw_json}" "${filter_raw}" "${service_raw}"' EXIT
+trap 'rm -f "${raw_json}" "${filter_raw}" "${store_raw}" "${extract_raw}" "${service_raw}"' EXIT
 
 # The continuity benchmark (same shape since the loadgen landed):
 # calibrated open-loop Poisson ramp with per-phase latency attribution and

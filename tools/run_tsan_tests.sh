@@ -5,7 +5,11 @@
 # producers completing batches) are the code most exposed to data races;
 # this is the gate described in docs/observability.md. The descriptor-codec
 # and scan-kernel tests ride along so the quantized decode kernels run
-# under the gate too.
+# under the gate too. So do the extraction tests (extractor and extraction
+# parity): FingerprintExtractor::Extract runs on several threads at once
+# (the benchmark extracts its catalogue that way) and reuses its Harris
+# working memory across key-frames, which must stay private to each call;
+# ConcurrentExtractMatchesSerial drives four threads through one extractor.
 #
 # A second leg rebuilds the byte-reader, kernel, memtable and service tests
 # under AddressSanitizer (-DS3VCD_SANITIZE=address) with leak detection:
@@ -58,13 +62,14 @@ cmake -S "${repo_root}" -B "${build_dir}" \
   -DS3VCD_SANITIZE=thread
 cmake --build "${build_dir}" --target obs_test parallel_test service_test \
   backend_parity_test scan_kernel_test filter_table_test store_test \
-  segment_parity_test memtable_test descriptor_codec_test -j"$(nproc)"
+  segment_parity_test memtable_test descriptor_codec_test extractor_test \
+  extraction_parity_test -j"$(nproc)"
 
 (
   cd "${build_dir}"
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure \
-    -R '^(obs_test|parallel_test|service_test|backend_parity_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|filter_table_test|store_test|segment_parity_test|memtable_test|descriptor_codec_test)$'
+    -R '^(obs_test|parallel_test|service_test|backend_parity_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|filter_table_test|store_test|segment_parity_test|memtable_test|descriptor_codec_test|extractor_test|extraction_parity_test)$'
 )
 echo "TSan run passed."
 
