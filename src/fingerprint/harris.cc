@@ -110,9 +110,8 @@ std::vector<InterestPoint> HarrisDetector::Detect(const media::Frame& frame) {
   // 3x3 non-max suppression inside the border: a pixel v >= threshold is a
   // candidate when it equals the maximum of its 3x3 neighbourhood, i.e.
   // when no neighbour is > v. The maximum is a 3-wide row max, then a
-  // 3-high column max of those, both skipping NaN, which is never > v. The
-  // test is written !(v < threshold) && !(max > v) so that a NaN response
-  // passes it, as it passes the per-neighbour comparisons.
+  // 3-high column max of those, both skipping NaN, which is never > v. A
+  // NaN v fails v >= threshold, so the sort below only compares numbers.
   candidates_.clear();
   const int border = std::max(1, options_.border);
   if (w - border > border && h - border > border) {
@@ -136,7 +135,7 @@ std::vector<InterestPoint> HarrisDetector::Detect(const media::Frame& frame) {
         const float max =
             FoldMax(FoldMax(FoldMax(kNone, up[x]), mid[x]), down[x]);
         // One well-predicted branch: candidates are rare.
-        if (!(v < threshold) & !(max > v)) {
+        if ((v >= threshold) & !(max > v)) {
           candidates_.push_back(
               {static_cast<float>(x), static_cast<float>(y), v});
         }

@@ -101,11 +101,6 @@ QueryService::QueryService(const ShardedSearcher* searcher,
   if (options_.cache_capacity > 0) {
     cache_ = std::make_unique<SelectionCache>(options_.cache_capacity);
   }
-  if (options_.slow_batch_threshold_ms >= 0 &&
-      options_.slow_log_capacity > 0) {
-    slow_log_ = std::make_unique<SlowBatchLog>(
-        options_.slow_batch_threshold_ms, options_.slow_log_capacity);
-  }
   paused_ = options_.start_paused;
   workers_.reserve(static_cast<size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
@@ -240,49 +235,6 @@ void QueryService::WorkerLoop() {
   }
 }
 
-namespace {
-
-/// Synthesizes the exemplar's span tree from the measured batch times:
-/// the queue and execute spans are real wall-clock intervals on the
-/// TraceRecorder's process epoch; the selection/refine children are laid
-/// out sequentially from the start of execution with their CPU-sum
-/// durations (under fan-out they are a schematic of where the time went,
-/// not a literal timeline).
-SlowBatchExemplar MakeExemplar(size_t queries, const BatchResult& out) {
-  SlowBatchExemplar exemplar;
-  exemplar.total_ms = out.queue_wait_ms + out.execute_ms;
-  exemplar.queue_wait_ms = out.queue_wait_ms;
-  exemplar.execute_ms = out.execute_ms;
-  exemplar.selection_ms = out.selection_ns * 1e-6;
-  exemplar.refine_ms = out.refine_ns * 1e-6;
-  exemplar.queries = queries;
-  exemplar.queries_executed = out.queries_executed;
-  exemplar.status = out.status.ok() ? "OK" : out.status.ToString();
-
-  const uint64_t end_ns = obs::TraceRecorder::NowNanos();
-  const auto back = [end_ns](double ms) {
-    const uint64_t span = static_cast<uint64_t>(ms * 1e6);
-    return span > end_ns ? 0 : end_ns - span;
-  };
-  const uint64_t execute_start = back(out.execute_ms);
-  const uint64_t queue_start = back(out.execute_ms + out.queue_wait_ms);
-  exemplar.spans.push_back(
-      {"service.batch", 0, queue_start, end_ns});
-  exemplar.spans.push_back(
-      {"service.stage_queue", 0, queue_start, execute_start});
-  exemplar.spans.push_back(
-      {"service.stage_execute", 0, execute_start, end_ns});
-  uint64_t cursor = execute_start;
-  exemplar.spans.push_back({"service.stage_selection", 1, cursor,
-                            cursor + out.selection_ns});
-  cursor += out.selection_ns;
-  exemplar.spans.push_back(
-      {"service.stage_refine", 1, cursor, cursor + out.refine_ns});
-  return exemplar;
-}
-
-}  // namespace
-
 BatchResult QueryService::ExecuteBatch(const BatchHandle& batch,
                                        ThreadPool* pool) const {
   S3VCD_TRACE_SPAN("service.execute_batch");
@@ -351,13 +303,6 @@ void QueryService::FinishBatch(BatchHandle* batch, BatchResult result,
         0.0, result.execute_ms * 1e3 - selection_us - refine_us));
   }
   g_batches_completed->Increment();
-  if (slow_log_ != nullptr) {
-    SlowBatchExemplar exemplar =
-        MakeExemplar(batch->queries_.size(), result);
-    exemplar.batch_ordinal =
-        batch_ordinal_.fetch_add(1, std::memory_order_relaxed) + 1;
-    slow_log_->Observe(std::move(exemplar));
-  }
   batch->Complete(std::move(result));
 }
 

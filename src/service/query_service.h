@@ -1,7 +1,6 @@
 #ifndef S3VCD_SERVICE_QUERY_SERVICE_H_
 #define S3VCD_SERVICE_QUERY_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -17,7 +16,6 @@
 #include "service/cancel_token.h"
 #include "service/selection_cache.h"
 #include "service/sharded_searcher.h"
-#include "service/slow_batch_log.h"
 #include "util/status.h"
 
 namespace s3vcd::service {
@@ -113,14 +111,6 @@ struct QueryServiceOptions {
   /// Resume()); used by tests to make admission-control behavior
   /// deterministic, and operationally for drain control.
   bool start_paused = false;
-  /// End-to-end (queue wait + execute) latency above which a finished
-  /// batch is captured into the slow-batch exemplar log, in milliseconds.
-  /// 0 = adaptive: capture batches slower than the rolling p99 of recent
-  /// batches (armed once enough samples accrue). Negative disables the
-  /// log entirely.
-  double slow_batch_threshold_ms = 0;
-  /// Exemplars retained by the slow-batch log (oldest evicted first).
-  size_t slow_log_capacity = 32;
 };
 
 /// Asynchronous batch front end over one ShardedSearcher: a bounded FIFO
@@ -181,10 +171,6 @@ class QueryService {
   /// The shared selection cache; nullptr when cache_capacity was 0.
   const SelectionCache* cache() const { return cache_.get(); }
 
-  /// The slow-batch exemplar log; nullptr when slow_batch_threshold_ms
-  /// was negative.
-  const SlowBatchLog* slow_log() const { return slow_log_.get(); }
-
   const QueryServiceOptions& options() const { return options_; }
 
   /// The searcher the service runs on (never null).
@@ -199,9 +185,8 @@ class QueryService {
   BatchResult ExecuteBatch(const BatchHandle& batch, ThreadPool* pool) const;
   /// Completes an expired-in-queue batch without executing it.
   void CompleteExpiredQueued(BatchHandle* batch);
-  /// Records metrics and the slow-log exemplar, then Complete()s the
-  /// handle. queued_expiry skips the execution-stage accounting (nothing
-  /// executed).
+  /// Records metrics, then Complete()s the handle. queued_expiry skips
+  /// the execution-stage accounting (nothing executed).
   void FinishBatch(BatchHandle* batch, BatchResult result,
                    bool queued_expiry);
 
@@ -209,8 +194,6 @@ class QueryService {
   const core::DistortionModel* model_;
   QueryServiceOptions options_;
   std::unique_ptr<SelectionCache> cache_;
-  std::unique_ptr<SlowBatchLog> slow_log_;
-  std::atomic<uint64_t> batch_ordinal_{0};
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;

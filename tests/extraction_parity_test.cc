@@ -207,7 +207,7 @@ std::vector<InterestPoint> OracleDetectInterestPoints(
   for (int y = border; y < h - border; ++y) {
     for (int x = border; x < w - border; ++x) {
       const float v = response.at(x, y);
-      if (v < threshold) {
+      if (!(v >= threshold)) {  // also drops a NaN response
         continue;
       }
       bool is_max = true;
@@ -419,17 +419,31 @@ TEST(ExtractionParityTest, DetectInterestPointsMatchesOracleBitForBit) {
   }
   size_t points = 0;
   size_t tied = 0;  // selected points whose response equals the previous one
+  size_t non_finite_frame_points = 0;
   for (const HarrisOptions& options : {HarrisOptions{}, wide, narrow}) {
     // One detector over every frame, so its buffers shrink and grow.
     HarrisDetector detector(options);
     for (const Frame& frame : frames) {
       const std::vector<InterestPoint> want =
           OracleDetectInterestPoints(frame, options);
-      EXPECT_TRUE(SamePoints(DetectInterestPoints(frame, options), want))
+      const std::vector<InterestPoint> got =
+          DetectInterestPoints(frame, options);
+      EXPECT_TRUE(SamePoints(got, want))
           << Describe(frame) << " sigma_d " << options.derivative_sigma;
       EXPECT_TRUE(SamePoints(detector.Detect(frame), want))
           << Describe(frame) << " sigma_d " << options.derivative_sigma
           << " (reused detector)";
+      // A NaN or infinite pixel spreads non-finite responses around it;
+      // none is returned, and the finite points elsewhere still are.
+      const bool finite_frame =
+          std::all_of(frame.pixels().begin(), frame.pixels().end(),
+                      [](float v) { return std::isfinite(v); });
+      for (const InterestPoint& p : got) {
+        EXPECT_TRUE(std::isfinite(p.response))
+            << Describe(frame) << " (" << p.x << ", " << p.y << ") "
+            << p.response;
+      }
+      non_finite_frame_points += finite_frame ? 0 : got.size();
       points += want.size();
       for (size_t i = 1; i < want.size(); ++i) {
         tied += want[i].response == want[i - 1].response;
@@ -438,6 +452,7 @@ TEST(ExtractionParityTest, DetectInterestPointsMatchesOracleBitForBit) {
   }
   EXPECT_GT(points, 0u);
   EXPECT_GT(tied, 0u) << "no frame produced equal responses";
+  EXPECT_GT(non_finite_frame_points, 0u);
 }
 
 TEST(ExtractionParityTest, SampleJetMatchesOracleBitForBit) {

@@ -1,6 +1,8 @@
 #include "fingerprint/harris.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -138,6 +140,71 @@ TEST(HarrisTest, RepeatableUnderMildGamma) {
     }
   }
   EXPECT_GE(static_cast<double>(repeated) / a.size(), 0.6);
+}
+
+TEST(HarrisTest, PeakInTheLastPixelsSetsTheThreshold) {
+  // 41 x 30 = 1230 pixels, 6 past the last multiple of 8. A bright bar on
+  // the bottom row puts the strongest response in those 6 pixels (inside
+  // the border, so not a point itself); two interior squares of different
+  // contrast give one corner above the relative threshold of that peak and
+  // one below it that would pass a threshold taken from the other pixels'
+  // peak. The points must be the low-threshold points that reach the
+  // threshold of the sequential std::max fold over the whole response.
+  media::Frame f(41, 30, 0.0f);
+  for (int y = 12; y < 18; ++y) {
+    for (int x = 12; x < 18; ++x) {
+      f.at(x, y) = 100.0f;
+    }
+    for (int x = 24; x < 30; ++x) {
+      f.at(x, y) = 70.0f;
+    }
+  }
+  for (int x = 37; x < 41; ++x) {
+    f.at(x, 29) = 255.0f;
+  }
+  f.at(38, 28) = 255.0f;
+  HarrisOptions options;
+  options.relative_threshold = 0.0125;
+
+  const media::Frame response = HarrisResponse(f, options);
+  const std::vector<float>& r = response.pixels();
+  const size_t tail = r.size() - r.size() % 8;
+  ASSERT_LT(tail, r.size());
+  float peak = 0;
+  for (float v : r) {
+    peak = std::max(peak, v);
+  }
+  float head_peak = 0;
+  for (size_t i = 0; i < tail; ++i) {
+    head_peak = std::max(head_peak, r[i]);
+  }
+  ASSERT_GT(peak, head_peak) << "the peak is not in the last pixels";
+  const float threshold =
+      static_cast<float>(options.relative_threshold) * peak;
+  const float head_threshold =
+      static_cast<float>(options.relative_threshold) * head_peak;
+
+  HarrisOptions low = options;
+  low.relative_threshold = 1e-4;
+  std::vector<InterestPoint> expected;
+  size_t between = 0;
+  for (const InterestPoint& p : DetectInterestPoints(f, low)) {
+    if (p.response >= threshold) {
+      expected.push_back(p);
+    } else {
+      between += p.response >= head_threshold;
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  ASSERT_GT(between, 0u) << "no point tells the two thresholds apart";
+
+  const std::vector<InterestPoint> points = DetectInterestPoints(f, options);
+  ASSERT_EQ(points.size(), expected.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(points[i].x, expected[i].x);
+    EXPECT_EQ(points[i].y, expected[i].y);
+    EXPECT_EQ(points[i].response, expected[i].response);
+  }
 }
 
 TEST(HarrisResponseTest, CornerResponseExceedsEdgeResponse) {

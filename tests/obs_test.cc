@@ -21,7 +21,6 @@
 #include "core/searcher.h"
 #include "core/synthetic_db.h"
 #include "core/vafile.h"
-#include "obs/interval_reporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/sharded_searcher.h"
@@ -289,185 +288,6 @@ TEST(SnapshotTest, JsonIsStructurallyWellFormed) {
   registry.GetCounter("test.wf_counter")->Increment();
   registry.GetHistogram("test.wf_hist")->Record(123.0);
   ExpectBalancedJson(registry.Snapshot().ToJson());
-  registry.Reset();
-}
-
-TEST(IntervalReporterTest, DeltasAreExactUnderConcurrentWriters) {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.Reset();
-  Counter* counter = registry.GetCounter("test.ir_concurrent");
-  Histogram* histogram =
-      registry.GetHistogram("test.ir_hist", {1.0, 10.0, 100.0});
-
-  IntervalReporter::Options options;
-  options.prefix_filter = "test.ir_";
-  options.sink = [](const std::string&) {};  // swallow output
-  IntervalReporter reporter(options);  // baseline: zero
-
-  constexpr int kThreads = 4;
-  constexpr uint64_t kPerThread = 200000;
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([counter, histogram] {
-      for (uint64_t i = 0; i < kPerThread; ++i) {
-        counter->Increment();
-        histogram->Record(5.0);
-      }
-    });
-  }
-
-  // Tick concurrently with the writers; counters and bucket counts are
-  // monotone, so the interval deltas must sum exactly to the final totals
-  // regardless of how the snapshots interleave with the writes.
-  uint64_t counter_sum = 0;
-  uint64_t hist_sum = 0;
-  auto accumulate = [&](const IntervalDelta& delta) {
-    for (const auto& c : delta.counters) {
-      if (c.name == "test.ir_concurrent") {
-        counter_sum += c.delta;
-      }
-    }
-    for (const auto& h : delta.histograms) {
-      if (h.name == "test.ir_hist") {
-        hist_sum += h.delta_count;
-      }
-    }
-  };
-  for (int i = 0; i < 50; ++i) {
-    accumulate(reporter.Tick());
-  }
-  for (auto& writer : writers) {
-    writer.join();
-  }
-  accumulate(reporter.Tick());  // the closing tick collects the remainder
-
-  const uint64_t total = static_cast<uint64_t>(kThreads) * kPerThread;
-  EXPECT_EQ(counter_sum, total);
-  EXPECT_EQ(hist_sum, total);
-  EXPECT_EQ(counter->Value(), total);
-  registry.Reset();
-}
-
-TEST(IntervalReporterTest, RatesUseTheProvidedInterval) {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.Reset();
-  Counter* counter = registry.GetCounter("test.ir_rate");
-  IntervalReporter::Options options;
-  options.prefix_filter = "test.ir_rate";
-  options.sink = [](const std::string&) {};
-  IntervalReporter reporter(options);
-
-  counter->Increment(500);
-  const IntervalDelta delta = reporter.Tick(/*interval_seconds=*/2.0);
-  ASSERT_EQ(delta.counters.size(), 1u);
-  EXPECT_EQ(delta.counters[0].delta, 500u);
-  EXPECT_DOUBLE_EQ(delta.counters[0].rate_per_sec, 250.0);
-  EXPECT_DOUBLE_EQ(delta.interval_seconds, 2.0);
-  registry.Reset();
-}
-
-TEST(IntervalReporterTest, SkipIdleOmitsUnchangedMetricsAndFilterApplies) {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.Reset();
-  Counter* hot = registry.GetCounter("test.ir_hot");
-  registry.GetCounter("test.ir_cold")->Increment(9);   // pre-baseline
-  registry.GetCounter("other.ir_excluded")->Increment(9);
-
-  IntervalReporter::Options options;
-  options.prefix_filter = "test.ir_";
-  options.sink = [](const std::string&) {};
-  IntervalReporter reporter(options);  // baseline includes the 9s
-
-  hot->Increment(3);
-  registry.GetCounter("other.ir_excluded")->Increment(3);
-  const IntervalDelta delta = reporter.Tick(1.0);
-  ASSERT_EQ(delta.counters.size(), 1u);  // cold idle, other.* filtered
-  EXPECT_EQ(delta.counters[0].name, "test.ir_hot");
-  EXPECT_EQ(delta.counters[0].delta, 3u);
-  registry.Reset();
-}
-
-TEST(IntervalReporterTest, IntervalPercentilesComeFromDeltaWindow) {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.Reset();
-  Histogram* histogram =
-      registry.GetHistogram("test.ir_window", {1.0, 2.0, 4.0});
-  IntervalReporter::Options options;
-  options.prefix_filter = "test.ir_window";
-  options.sink = [](const std::string&) {};
-
-  // First interval: slow samples. Second: fast ones. The second report
-  // must reflect only the second window, not the lifetime distribution.
-  for (int i = 0; i < 100; ++i) {
-    histogram->Record(3.0);
-  }
-  IntervalReporter reporter(options);
-  const IntervalDelta first = reporter.Tick(1.0);
-  ASSERT_TRUE(first.histograms.empty());  // recorded before the baseline
-
-  for (int i = 0; i < 100; ++i) {
-    histogram->Record(3.0);
-  }
-  const IntervalDelta second = reporter.Tick(1.0);
-  ASSERT_EQ(second.histograms.size(), 1u);
-  EXPECT_EQ(second.histograms[0].delta_count, 100u);
-  EXPECT_DOUBLE_EQ(second.histograms[0].interval_mean, 3.0);
-  EXPECT_GT(second.histograms[0].p50, 2.0);  // inside bucket (2, 4]
-
-  for (int i = 0; i < 100; ++i) {
-    histogram->Record(0.5);
-  }
-  const IntervalDelta third = reporter.Tick(1.0);
-  ASSERT_EQ(third.histograms.size(), 1u);
-  EXPECT_EQ(third.histograms[0].delta_count, 100u);
-  EXPECT_DOUBLE_EQ(third.histograms[0].interval_mean, 0.5);
-  EXPECT_LE(third.histograms[0].p50, 1.0);  // window is all-fast now
-  registry.Reset();
-}
-
-TEST(IntervalReporterTest, JsonlIsWellFormedAndTickSequenceAdvances) {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.Reset();
-  Counter* counter = registry.GetCounter("test.ir_jsonl");
-  IntervalReporter::Options options;
-  options.prefix_filter = "test.ir_jsonl";
-  std::vector<std::string> lines;
-  options.sink = [&lines](const std::string& s) { lines.push_back(s); };
-  IntervalReporter reporter(options);
-
-  counter->Increment(2);
-  const IntervalDelta first = reporter.Tick(1.0);
-  counter->Increment(2);
-  const IntervalDelta second = reporter.Tick(1.0);
-  EXPECT_EQ(first.sequence + 1, second.sequence);
-  ASSERT_EQ(lines.size(), 2u);
-  for (const std::string& line : lines) {
-    ExpectBalancedJson(line);
-    EXPECT_NE(line.find("\"test.ir_jsonl\""), std::string::npos);
-  }
-  registry.Reset();
-}
-
-TEST(IntervalReporterTest, BackgroundThreadStartStopIsClean) {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.Reset();
-  Counter* counter = registry.GetCounter("test.ir_bg");
-  IntervalReporter::Options options;
-  options.interval_ms = 5;
-  options.prefix_filter = "test.ir_bg";
-  std::atomic<int> reports{0};
-  options.sink = [&reports](const std::string&) { ++reports; };
-  IntervalReporter reporter(options);
-  reporter.Start();
-  for (int i = 0; i < 40; ++i) {
-    counter->Increment();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  reporter.Stop();
-  const int observed = reports.load();
-  EXPECT_GT(observed, 0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  EXPECT_EQ(reports.load(), observed);  // nothing emitted after Stop
   registry.Reset();
 }
 

@@ -20,9 +20,7 @@
 #include "core/synthetic_db.h"
 #include "obs/metrics.h"
 #include "service/cancel_token.h"
-#include "service/loadgen.h"
 #include "service/query_service.h"
-#include "service/slow_batch_log.h"
 #include "service/selection_cache.h"
 #include "service/sharded_searcher.h"
 #include "util/rng.h"
@@ -604,82 +602,6 @@ TEST_F(QueryServiceTest, StageBreakdownSumsToExecute) {
   registry.Reset();
 }
 
-TEST_F(QueryServiceTest, SlowBatchLogCapturesStalledBatch) {
-  QueryServiceOptions options;
-  options.num_workers = 1;
-  options.start_paused = true;  // the stall: queue wait >> threshold
-  options.slow_batch_threshold_ms = 5.0;
-  options.slow_log_capacity = 4;
-  options.query = TestQueryOptions();
-  QueryService service(searcher_.get(), &model_, options);
-  ASSERT_NE(service.slow_log(), nullptr);
-  EXPECT_DOUBLE_EQ(service.slow_log()->CurrentThresholdMs(), 5.0);
-
-  auto ticket = service.Submit(MakeQueries(4, 92));
-  ASSERT_TRUE(ticket.ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  service.Resume();
-  const BatchResult& result = (*ticket)->Wait();
-  ASSERT_TRUE(result.status.ok());
-
-  const SlowBatchLog& log = *service.slow_log();
-  ASSERT_GE(log.captured(), 1u);
-  const std::vector<SlowBatchExemplar> exemplars = log.Exemplars();
-  ASSERT_FALSE(exemplars.empty());
-  const SlowBatchExemplar& exemplar = exemplars.back();
-  EXPECT_GE(exemplar.total_ms, 5.0);
-  EXPECT_GE(exemplar.queue_wait_ms, 5.0);  // the stall was in the queue
-  EXPECT_EQ(exemplar.queries, 4u);
-  EXPECT_EQ(exemplar.queries_executed, 4u);
-  EXPECT_EQ(exemplar.status, "OK");
-  ASSERT_GE(exemplar.spans.size(), 5u);
-  for (const obs::TraceEvent& span : exemplar.spans) {
-    EXPECT_LE(span.start_ns, span.end_ns);
-  }
-
-  const std::string json = log.ToChromeJson();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"service.batch\""), std::string::npos);
-  EXPECT_NE(json.find("\"service.stage_queue\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"M\""), std::string::npos);
-}
-
-TEST_F(QueryServiceTest, SlowBatchRingEvictsOldestAndFastBatchesSkip) {
-  QueryServiceOptions options;
-  options.num_workers = 1;
-  options.slow_batch_threshold_ms = 0.0001;  // everything is "slow"
-  options.slow_log_capacity = 2;
-  options.query = TestQueryOptions();
-  QueryService service(searcher_.get(), &model_, options);
-  for (int i = 0; i < 5; ++i) {
-    auto ticket = service.Submit(MakeQueries(2, 93 + i));
-    ASSERT_TRUE(ticket.ok());
-    (*ticket)->Wait();
-  }
-  const SlowBatchLog& log = *service.slow_log();
-  EXPECT_EQ(log.captured(), 5u);
-  const auto exemplars = log.Exemplars();
-  ASSERT_EQ(exemplars.size(), 2u);  // ring kept only the newest two
-  EXPECT_LT(exemplars[0].batch_ordinal, exemplars[1].batch_ordinal);
-  EXPECT_EQ(exemplars[1].batch_ordinal, 5u);
-
-  // A generous fixed threshold captures nothing, and a negative one
-  // disables the log entirely.
-  QueryServiceOptions quiet = options;
-  quiet.slow_batch_threshold_ms = 60000;
-  QueryService quiet_service(searcher_.get(), &model_, quiet);
-  auto ticket = quiet_service.Submit(MakeQueries(2, 99));
-  ASSERT_TRUE(ticket.ok());
-  (*ticket)->Wait();
-  EXPECT_EQ(quiet_service.slow_log()->captured(), 0u);
-
-  QueryServiceOptions disabled = options;
-  disabled.slow_batch_threshold_ms = -1;
-  QueryService disabled_service(searcher_.get(), &model_, disabled);
-  EXPECT_EQ(disabled_service.slow_log(), nullptr);
-}
-
 // The queued/executing split of deadline_expirations, plus the contract
 // that expired batches still report both latency halves.
 TEST_F(QueryServiceTest, DeadlineCounterSplitsQueuedFromExecuting) {
@@ -980,23 +902,31 @@ TEST_F(QueryServiceTest, ConcurrentProducersCompleteEveryBatchOnce) {
 
 // One admission queue, drained in submission order: on a paused
 // one-worker service, batches complete in the order they were submitted.
-// The slow-batch log captures every batch (a threshold below any latency)
-// with its completion ordinal, and batch i carries i + 1 queries, so the
-// log reads back the completion order.
+// A batch starts executing at its submission time plus its queue wait.
+// The submission time lies between the clock readings taken just before
+// and just after Submit, so each ticket bounds the interval its batch ran
+// in. One worker runs one batch at a time: in submission order, the latest
+// possible start of each batch is no earlier than the earliest possible
+// end of the batch before it. A worker that ran a later batch first would
+// end it before the earlier batch started, and fail the check.
 TEST_F(QueryServiceTest, BatchesCompleteInSubmissionOrder) {
+  using Clock = std::chrono::steady_clock;
   constexpr size_t kBatches = 6;
   QueryServiceOptions options;
   options.num_workers = 1;
   options.start_paused = true;
-  options.slow_batch_threshold_ms = 1e-9;
-  options.slow_log_capacity = kBatches;
   options.query = TestQueryOptions();
   QueryService service(searcher_.get(), &model_, options);
 
   std::vector<BatchTicket> tickets;
+  std::vector<Clock::time_point> before_submit;
+  std::vector<Clock::time_point> after_submit;
   for (size_t i = 0; i < kBatches; ++i) {
-    auto ticket =
-        service.Submit(MakeQueries(static_cast<int>(i + 1), 500 + i));
+    std::vector<fp::Fingerprint> queries =
+        MakeQueries(static_cast<int>(i + 1), 500 + i);
+    before_submit.push_back(Clock::now());
+    auto ticket = service.Submit(std::move(queries));
+    after_submit.push_back(Clock::now());
     ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
     tickets.push_back(*ticket);
   }
@@ -1010,47 +940,22 @@ TEST_F(QueryServiceTest, BatchesCompleteInSubmissionOrder) {
     }
   }
 
-  ASSERT_NE(service.slow_log(), nullptr);
-  const auto exemplars = service.slow_log()->Exemplars();
-  ASSERT_EQ(exemplars.size(), kBatches);
-  for (size_t k = 0; k < kBatches; ++k) {
-    EXPECT_EQ(exemplars[k].batch_ordinal, k + 1);
-    EXPECT_EQ(exemplars[k].queries, k + 1) << "completion " << k;
+  // Milliseconds since the first clock reading.
+  const auto ms = [&](Clock::time_point t) {
+    return std::chrono::duration<double, std::milli>(t - before_submit[0])
+        .count();
+  };
+  for (size_t i = 1; i < kBatches; ++i) {
+    const BatchResult& previous = tickets[i - 1]->Wait();
+    const BatchResult& current = tickets[i]->Wait();
+    const double previous_earliest_end = ms(before_submit[i - 1]) +
+                                         previous.queue_wait_ms +
+                                         previous.execute_ms;
+    const double current_latest_start =
+        ms(after_submit[i]) + current.queue_wait_ms;
+    EXPECT_GE(current_latest_start, previous_earliest_end)
+        << "batch " << i << " ran before batch " << i - 1;
   }
-}
-
-// Closed-loop backpressure is accounted for, not hidden: with a queue depth
-// of 1 under 8 clients, the report carries the rejects, the retry count and
-// the wall time spent in retry pauses, and that time lives inside the e2e
-// samples by construction.
-TEST_F(QueryServiceTest, ClosedLoopLoadGenReportsBackpressureRetries) {
-  QueryServiceOptions service_options;
-  service_options.num_workers = 1;
-  service_options.max_queue_depth = 1;  // force rejects under 8 clients
-  service_options.query = TestQueryOptions();
-  QueryService service(searcher_.get(), &model_, service_options);
-
-  LoadGenOptions load;
-  load.mode = LoadMode::kClosedLoop;
-  load.base_clients = 8;
-  load.ramp = {1.0};
-  load.phase_seconds = 0.5;
-  load.seed = 7;
-  const auto pool = MakeQueries(64, 550);
-  const LoadGenReport report = RunLoadGen(service, pool, model_, load);
-
-  ASSERT_EQ(report.phases.size(), 1u);
-  const PhaseReport& phase = report.phases[0];
-  EXPECT_GT(phase.completed_ok, 0u);
-  EXPECT_GT(phase.rejected, 0u);
-  EXPECT_EQ(phase.rejected, phase.offered - phase.accepted);
-  EXPECT_GT(phase.retries, 0u);
-  EXPECT_GT(phase.retry_wait_ms, 0.0);
-  EXPECT_GT(phase.e2e.samples, 0u);
-
-  const std::string json = report.ToJson();
-  EXPECT_NE(json.find("\"retries\""), std::string::npos);
-  EXPECT_NE(json.find("\"retry_wait_ms\""), std::string::npos);
 }
 
 }  // namespace

@@ -768,6 +768,50 @@ TEST(ComputeVotesThresholdTest, KeepsATightRunStraddlingABucketEdge) {
   }
 }
 
+TEST(ComputeVotesThresholdTest, KeepsAFullSpanRunAroundAHalfFrameOffset) {
+  // The offsets within a tolerance of a real offset b span up to
+  // floor(2 tol) + 1 consecutive values, one more than 2 floor(tol) + 1
+  // when b sits near a half frame and the tolerance's fraction is at least
+  // one half. Id 9 has one candidate at each of floor(2 tol) + 1
+  // consecutive offsets; the IRLS refinement puts b within a hair of their
+  // half-frame centre, so every candidate is within tol of it and nsim is
+  // floor(2 tol) + 1 at that threshold, at every phase of the prefilter's
+  // buckets. A prefilter span of floor(2 tol) or 2 floor(tol) + 1 drops
+  // id 9 and fails this test. The span floor(2 tol) + 2 in ComputeVotes is
+  // one more than this bound: floor(2 tol) + 1 passes here too, and no
+  // window can tell the two apart, since a whole or half frame between the
+  // two end offsets is exact in double and rounding never crosses it.
+  for (const double tolerance : {1.75, 3.75}) {
+    const int t = static_cast<int>(std::floor(2 * tolerance)) + 1;
+    VoteOptions options;
+    options.tolerance = tolerance;
+    options.refine_offset = true;
+    for (const int64_t base : {int64_t{-6400}, int64_t{6400}}) {
+      for (int64_t phase = 0; phase < 32; ++phase) {
+        SCOPED_TRACE(::testing::Message() << "tolerance " << tolerance
+                                          << " base " << base << " phase "
+                                          << phase);
+        Rng rng(static_cast<uint64_t>(phase + 1));
+        std::vector<CandidateEntry> entries;
+        for (int j = 0; j < t; ++j) {
+          CandidateEntry entry;
+          entry.candidate_time_code = 20000 + 25 * static_cast<uint32_t>(j);
+          entry.matches.push_back(PairAt(
+              9, entry.candidate_time_code, base + phase + j, &rng));
+          entries.push_back(entry);
+        }
+        const std::vector<Vote> votes = ComputeVotes(entries, options, t);
+        ASSERT_EQ(votes.size(), 1u);
+        EXPECT_EQ(votes[0].id, 9u);
+        EXPECT_EQ(votes[0].nsim, t);
+        EXPECT_NEAR(votes[0].offset,
+                    static_cast<double>(base + phase) + 0.5 * (t - 1), 0.01);
+        ExpectThresholdedSubset(ComputeVotes(entries, options, 0), votes, t);
+      }
+    }
+  }
+}
+
 TEST(ComputeVotesThresholdTest, SketchCollisionsKeepTheAnswerExact) {
   // 30,000 ids with t - 1 candidates each at one offset: no id can reach t.
   // The 90,000 pairs land in a sketch of about six cells per match, so

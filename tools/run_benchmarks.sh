@@ -40,14 +40,6 @@
 # run (honouring S3VCD_SCAN_KERNEL), so archived numbers are attributable
 # to the hardware and kernel that produced them.
 #
-# Finally drives the query service through the loadgen ramp (calibrated
-# open loop over a 200k-record database) and writes BENCH_service.json:
-# per-phase offered vs goodput, reject/deadline-miss rates, e2e latency
-# percentiles and the mean per-stage breakdown, plus the knee summary
-# (goodput at saturation over calibrated capacity). The slow-batch
-# exemplar trace of the run lands next to the build as
-# bench_service_slowlog.json (Chrome trace format).
-#
 # Also runs the equal-recall ANN harness (bench/ann_equal_recall: the
 # vamana graph backend's beam width swept until it matches the exact S3
 # range query's match set at recall 0.95 / 0.99 / 1.0 on the same
@@ -55,17 +47,19 @@
 # the full sweep plus the matched-recall operating points with latency,
 # throughput and the speedup over the exact baseline.
 #
-# Usage: tools/run_benchmarks.sh [build-dir [scan-json [filter-json [service-json [store-json [ann-json [extract-json]]]]]]]
+# The query service's latency and capacity are measured by the serve_1m
+# workload of bench/e2e (bench/e2e/run.sh), not here.
+#
+# Usage: tools/run_benchmarks.sh [build-dir [scan-json [filter-json [store-json [ann-json [extract-json]]]]]]
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-${repo_root}/build}"
 out_json="${2:-${repo_root}/BENCH_scan.json}"
 filter_json="${3:-${repo_root}/BENCH_filter.json}"
-service_json="${4:-${repo_root}/BENCH_service.json}"
-store_json="${5:-${repo_root}/BENCH_store.json}"
-ann_json="${6:-${repo_root}/BENCH_ann.json}"
-extract_json="${7:-${repo_root}/BENCH_extract.json}"
+store_json="${4:-${repo_root}/BENCH_store.json}"
+ann_json="${5:-${repo_root}/BENCH_ann.json}"
+extract_json="${6:-${repo_root}/BENCH_extract.json}"
 
 if [[ ! -x "${build_dir}/bench/micro_benchmarks" ]]; then
   cmake -S "${repo_root}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
@@ -74,8 +68,8 @@ fi
 
 # Host fingerprint shared by every BENCH file. The scan kernel is not
 # derived here: each stanza reads the one the library dispatched to from
-# its own run (the micro benchmarks' "scan_kernel" context, the loadgen
-# report, the ANN harness's host block).
+# its own run (the micro benchmarks' "scan_kernel" context, the ANN
+# harness's host block).
 S3VCD_BENCH_HOST="$(python3 - <<'PY'
 import json
 import os
@@ -498,95 +492,6 @@ for key, entry in rows.items():
 PY
 
 echo "Wrote ${extract_json}"
-
-if [[ ! -x "${build_dir}/tools/s3vcd_tool" ]]; then
-  cmake --build "${build_dir}" --target s3vcd_tool -j"$(nproc)"
-fi
-
-service_db="${build_dir}/bench_service.s3db"
-if [[ ! -f "${service_db}" ]]; then
-  "${build_dir}/tools/s3vcd_tool" build --output "${service_db}" \
-    --videos 4 --frames 150 --distractors 200000 --seed 93 >&2
-fi
-
-service_raw="$(mktemp)"
-trap 'rm -f "${raw_json}" "${filter_raw}" "${store_raw}" "${extract_raw}" "${service_raw}"' EXIT
-
-# The continuity benchmark (same shape since the loadgen landed):
-# calibrated open-loop Poisson ramp with per-phase latency attribution and
-# the knee summary.
-"${build_dir}/tools/s3vcd_tool" loadgen --db "${service_db}" \
-  --mode open --ramp 0.5,1,2,4 --phase-s 3 \
-  --calibrate-s 2 --clients 4 --mix-stat 0.6 --mix-range 0.2 \
-  --mix-batch 0.2 --batch 8 --shards 4 --workers 2 --queue-depth 32 \
-  --seed 93 --json-out "${service_raw}" \
-  --slow-log-out "${build_dir}/bench_service_slowlog.json" >&2
-
-python3 - "${service_raw}" "${service_json}" <<'PY'
-import json
-import os
-import sys
-
-raw_path, out_path = sys.argv[1], sys.argv[2]
-with open(raw_path) as f:
-    raw = json.load(f)
-
-host = dict(json.loads(os.environ["S3VCD_BENCH_HOST"]),
-            selected_scan_kernel=raw.get("scan_kernel"))
-
-phases = raw.get("phases", [])
-ramp = [p for p in phases if not p.get("calibration")]
-calibration = next((p for p in phases if p.get("calibration")), None)
-
-# The knee summary: sustained goodput at the heaviest offered phase over
-# the calibrated 1x capacity. Well below 1.0 x multiplier means the
-# service sheds the excess through admission rejects, not latency.
-base_qps = raw.get("base_qps", 0.0)
-knee = None
-if ramp and base_qps > 0:
-    heaviest = max(ramp, key=lambda p: p.get("offered_qps", 0.0))
-    knee = {
-        "calibrated_base_qps": base_qps,
-        "heaviest_multiplier": heaviest.get("multiplier"),
-        "heaviest_offered_qps": heaviest.get("offered_qps"),
-        "goodput_at_heaviest_qps": heaviest.get("goodput_qps"),
-        "reject_rate_at_heaviest": heaviest.get("reject_rate"),
-        "goodput_over_capacity":
-            heaviest.get("goodput_qps", 0.0) / base_qps,
-    }
-
-result = {
-    "benchmark": "s3vcd_tool loadgen",
-    "description": ("query service under a calibrated open-loop Poisson "
-                    "ramp over a 200k-record database: per-phase offered "
-                    "vs goodput, reject rate, e2e latency percentiles "
-                    "(coordinated-omission safe) and mean per-stage "
-                    "breakdown"),
-    "mode": raw.get("mode"),
-    "host": host,
-    "scan_kernel": raw.get("scan_kernel"),
-    "codec": raw.get("codec"),
-    "base_qps": base_qps,
-    "seed": raw.get("seed"),
-    "calibration": calibration,
-    "phases": ramp,
-    "knee": knee,
-}
-with open(out_path, "w") as f:
-    json.dump(result, f, indent=2)
-    f.write("\n")
-for p in ramp:
-    lat = p.get("latency_ms", {})
-    print(f"x{p.get('multiplier', 0):<4} offered {p.get('offered_qps', 0.0):9.0f}/s  "
-          f"goodput {p.get('goodput_qps', 0.0):9.0f}/s  "
-          f"reject {100 * p.get('reject_rate', 0.0):5.1f}%  "
-          f"p50 {lat.get('p50', 0.0):7.3f} ms  p99 {lat.get('p99', 0.0):7.3f} ms")
-if knee:
-    print(f"knee: goodput at x{knee['heaviest_multiplier']} offered = "
-          f"{100 * knee['goodput_over_capacity']:.1f}% of calibrated capacity")
-PY
-
-echo "Wrote ${service_json}"
 
 # Equal-recall ANN harness: the vamana graph backend and the p-stable LSH
 # baseline against the exact S3 range query on the same 200k-record

@@ -14,29 +14,11 @@
 //   s3vcd_tool monitor     --db DB [--backend NAME] [--stream-frames F]
 //                          [--alpha A] [--sigma S] [--threshold T] [--seed S]
 //                          [--metrics-out FILE] [--trace-out FILE]
-//   s3vcd_tool loadgen     --db DB [--mode open|closed] [--base-qps Q]
-//                          [--clients K] [--think-ms T] [--ramp CSV]
-//                          [--phase-s S] [--calibrate-s S] [--batch N]
-//                          [--mix-stat W] [--mix-range W] [--mix-batch W]
-//                          [--epsilon E] [--deadline-ms D] [--seed S]
-//                          [--query-pool N] [--backend NAME] [--shards K]
-//                          [--policy range|hash] [--workers W]
-//                          [--threads T] [--queue-depth Q]
-//                          [--cache-capacity C] [--alpha A] [--sigma S]
-//                          [--depth P] [--report-interval-ms I]
-//                          [--report-format text|jsonl] [--json-out FILE]
-//                          [--slow-log-out FILE] [--slow-threshold-ms T]
-//                          [--smoke 1]
-//                          [--metrics-out FILE] [--trace-out FILE]
 //
 // `build` synthesizes a reference corpus (the library normally ingests real
 // video; the tool uses the synthetic generator so it is runnable anywhere),
-// `query` replays distorted self-queries with timing, `monitor` embeds a
-// copy of one reference video in a synthetic stream and watches it, and
-// `loadgen` drives the sharded batch query service (ShardedSearcher +
-// QueryService) through a closed- or open-loop load ramp and reports
-// goodput, reject rate and latency percentiles per phase
-// (docs/query_service.md has the saturation methodology).
+// `query` replays distorted self-queries with timing, and `monitor` embeds a
+// copy of one reference video in a synthetic stream and watches it.
 //
 // Flags accept both `--flag value` and `--flag=value`; unknown flags, and
 // numeric flags whose value is not a whole finite number (or is negative
@@ -50,7 +32,7 @@
 // ingests the database into D on first use and reopens D from its manifest
 // on every later run (the .s3db is then only the query-sampling corpus);
 // `compact --store-dir D` runs the store's tiered compaction to a steady
-// state. See docs/segment_format.md. On query/monitor/loadgen,
+// state. See docs/segment_format.md. On query/monitor,
 // `--metrics-out FILE` dumps a JSON snapshot of the global metrics registry
 // covering the run and `--trace-out FILE` records Chrome trace-event JSON
 // (load it in chrome://tracing). `--pseudo-disk R` (R in [0, 20])
@@ -84,17 +66,12 @@
 #include "fingerprint/extractor.h"
 #include "fingerprint/fingerprint.h"
 #include "media/synthetic.h"
-#include "obs/interval_reporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "service/loadgen.h"
-#include "service/query_service.h"
-#include "service/sharded_searcher.h"
 #include "store/make_searcher.h"
 #include "store/segment_store.h"
 #include "util/math.h"
 #include "util/rng.h"
-#include "util/table.h"
 #include "util/timer.h"
 
 namespace s3vcd::tool {
@@ -184,10 +161,8 @@ enum class FlagType {
   kText,
   kInt,          ///< an integer
   kCount,        ///< an integer >= 0; the command casts it to an unsigned type
-  kDepth,        ///< a partition depth, an integer in [1, D]
-  kTunedDepth,   ///< kDepth, or 0 to auto-tune it
+  kTunedDepth,   ///< a partition depth in [1, D], or 0 to auto-tune it
   kSectionDepth, ///< a pseudo-disk section depth, an integer in [0, D]
-  kReal,         ///< a finite number
   kPositive,     ///< a finite number > 0
   kProbability,  ///< a number in (0, 1)
 };
@@ -268,63 +243,6 @@ const std::vector<CommandSpec>& Commands() {
          FlagType::kCount},
         {"metrics-out", "write a metrics JSON snapshot to FILE"},
         {"trace-out", "write Chrome trace-event JSON to FILE"}}},
-      {"loadgen",
-       "drive the query service through a load ramp and report latency",
-       {{"db", "database path (required)"},
-        {"mode", "load mode: open | closed (default open)"},
-        {"base-qps", "open-loop 1x rate, batches/s; 0 = calibrate",
-         FlagType::kReal},
-        {"clients", "closed-loop 1x concurrent clients (default 4)",
-         FlagType::kInt},
-        {"think-ms", "closed-loop per-client think time (default 0)",
-         FlagType::kReal},
-        {"ramp", "phase multipliers, csv (default 0.5,1,2,4)"},
-        {"phase-s", "seconds per ramp phase (default 5)", FlagType::kReal},
-        {"calibrate-s", "calibration run length (default 2)", FlagType::kReal},
-        {"batch", "queries per stat-batch request (default 8)",
-         FlagType::kCount},
-        {"mix-stat", "weight of 1-query stat batches (default 0.6)",
-         FlagType::kReal},
-        {"mix-range", "weight of 1-query range batches (default 0.2)",
-         FlagType::kReal},
-        {"mix-batch", "weight of multi-query stat batches (default 0.2)",
-         FlagType::kReal},
-        {"epsilon", "range radius; 0 = equal-expectation (default 0)",
-         FlagType::kReal},
-        {"deadline-ms", "per-batch deadline; 0 = none (default 0)",
-         FlagType::kReal},
-        {"seed", "deterministic seed (default 42)", FlagType::kCount},
-        {"query-pool", "distinct query fingerprints (default 512)",
-         FlagType::kCount},
-        {"backend", "per-shard searcher backend (default s3)"},
-        {"graph-degree", "vamana backend: graph out-degree bound R "
-                         "(default 32)", FlagType::kInt},
-        {"beam-width", "vamana backend: query beam width L (default 64)",
-         FlagType::kInt},
-        {"shards", "number of index shards K (default 4)", FlagType::kInt},
-        {"policy", "sharding policy: range | hash (default range)"},
-        {"workers", "service worker threads (default 2)", FlagType::kInt},
-        {"threads", "fan-out threads per batch (default 1)", FlagType::kInt},
-        {"queue-depth", "admission queue bound, in batches (default 32)",
-         FlagType::kCount},
-        {"cache-capacity", "selection cache entries; 0 = off (default 4096)",
-         FlagType::kCount},
-        {"alpha", "statistical expectation (default 0.8)",
-         FlagType::kProbability},
-        {"sigma", "distortion model sigma (default 15)", FlagType::kPositive},
-        {"depth", "partition depth p in [1, 20] (default 12)",
-         FlagType::kDepth},
-        {"report-interval-ms", "live interval reporter period; 0 = off",
-         FlagType::kInt},
-        {"report-format", "interval report format: text | jsonl"},
-        {"json-out", "write the machine-readable report to FILE"},
-        {"slow-log-out", "write slow-batch Chrome trace to FILE"},
-        {"slow-threshold-ms", "slow-batch trigger; 0 = rolling p99",
-         FlagType::kReal},
-        {"smoke", "1 = tiny sub-second-phase ramp preset for CI smoke",
-         FlagType::kInt},
-        {"metrics-out", "write a metrics JSON snapshot to FILE"},
-        {"trace-out", "write Chrome trace-event JSON to FILE"}}},
   };
   return *commands;
 }
@@ -349,7 +267,7 @@ void PrintCommandUsage(const CommandSpec& command) {
 
 // Rejects flags the command does not declare, and numeric flags whose
 // value does not parse as the declared type or lies outside its range: a
-// typo like --sigm, a --queue-depth of -1 silently turning into a wrapped
+// typo like --sigm, a --distractors of -1 silently turning into a wrapped
 // unsigned, or an --alpha of 1.5 aborting deep inside the filter is
 // exactly the failure mode an operational tool must not have.
 bool RejectBadFlags(const CommandSpec& command, const Flags& flags) {
@@ -369,11 +287,9 @@ bool RejectBadFlags(const CommandSpec& command, const Flags& flags) {
     }
     const FlagType type = spec->type;
     const bool integral = type == FlagType::kInt || type == FlagType::kCount ||
-                          type == FlagType::kDepth ||
                           type == FlagType::kTunedDepth ||
                           type == FlagType::kSectionDepth;
-    const bool real = type == FlagType::kReal ||
-                      type == FlagType::kPositive ||
+    const bool real = type == FlagType::kPositive ||
                       type == FlagType::kProbability;
     static_assert(fp::kDims == 20, "the depth messages below say 20");
     int64_t int_value = 0;
@@ -385,9 +301,6 @@ bool RejectBadFlags(const CommandSpec& command, const Flags& flags) {
       expected = "a finite number";
     } else if (type == FlagType::kCount && int_value < 0) {
       expected = "an integer >= 0";
-    } else if (type == FlagType::kDepth &&
-               (int_value < 1 || int_value > fp::kDims)) {
-      expected = "an integer in [1, 20]";
     } else if (type == FlagType::kTunedDepth &&
                (int_value < 0 || int_value > fp::kDims)) {
       expected = "0 (auto-tune) or an integer in [1, 20]";
@@ -971,221 +884,6 @@ int CmdMonitor(const Flags& flags) {
   return reports > 0 ? 0 : 1;
 }
 
-// Drives the sharded batch query service through a calibrated load ramp:
-// loads the DB, builds a ShardedSearcher with K shards, starts a
-// QueryService, then hands it to service::RunLoadGen (closed- or
-// open-loop, mixed stat/range/batch workload) and prints one row per ramp
-// phase — offered vs goodput, reject and deadline-miss rates, exact e2e
-// percentiles and the mean per-stage breakdown. The machine-readable
-// report (--json-out) is what tools/run_benchmarks.sh publishes as
-// BENCH_service.json.
-int CmdLoadgen(const Flags& flags) {
-  const std::string backend = flags.Get("backend", "s3");
-  if (!ValidateBackend("loadgen", backend)) {
-    return 2;
-  }
-  const std::string mode_name = flags.Get("mode", "open");
-  service::LoadGenOptions load;
-  if (mode_name == "open") {
-    load.mode = service::LoadMode::kOpenLoop;
-  } else if (mode_name == "closed") {
-    load.mode = service::LoadMode::kClosedLoop;
-  } else {
-    std::fprintf(stderr, "loadgen: --mode must be open or closed\n");
-    return 2;
-  }
-  const std::string policy_name = flags.Get("policy", "range");
-  service::ShardedSearcherOptions sharding;
-  sharding.num_shards = static_cast<int>(flags.GetInt("shards", 4));
-  sharding.backend = backend;
-  ApplyVamanaFlags(flags, &sharding.config);
-  if (policy_name == "range") {
-    sharding.policy = service::ShardingPolicy::kHilbertRange;
-  } else if (policy_name == "hash") {
-    sharding.policy = service::ShardingPolicy::kRefIdHash;
-  } else {
-    std::fprintf(stderr, "loadgen: --policy must be range or hash\n");
-    return 2;
-  }
-
-  // The smoke preset shrinks every timing knob so the whole ramp fits in
-  // a ctest budget; explicit flags still override it.
-  const bool smoke = flags.GetInt("smoke", 0) != 0;
-  load.base_qps = flags.GetDouble("base-qps", 0);
-  load.base_clients =
-      static_cast<int>(flags.GetInt("clients", smoke ? 2 : 4));
-  load.think_ms = flags.GetDouble("think-ms", 0);
-  load.phase_seconds = flags.GetDouble("phase-s", smoke ? 0.5 : 5.0);
-  load.calibrate_seconds =
-      flags.GetDouble("calibrate-s", smoke ? 0.5 : 2.0);
-  load.batch_size = static_cast<size_t>(flags.GetInt("batch", 8));
-  load.mix.stat_single = flags.GetDouble("mix-stat", 0.6);
-  load.mix.range_single = flags.GetDouble("mix-range", 0.2);
-  load.mix.stat_batch = flags.GetDouble("mix-batch", 0.2);
-  load.epsilon = flags.GetDouble("epsilon", 0);
-  load.deadline_ms = flags.GetDouble("deadline-ms", 0);
-  load.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const std::string ramp_csv =
-      flags.Get("ramp", smoke ? "0.5,2" : "0.5,1,2,4");
-  load.ramp.clear();
-  for (size_t pos = 0; pos < ramp_csv.size();) {
-    const size_t comma = ramp_csv.find(',', pos);
-    const std::string token = ramp_csv.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    double multiplier = 0;
-    if (!ParseReal(token, &multiplier) || multiplier <= 0) {
-      std::fprintf(stderr,
-                   "bad value '%s' for flag --ramp of command loadgen: "
-                   "expected comma-separated finite multipliers > 0\n",
-                   ramp_csv.c_str());
-      return 2;
-    }
-    load.ramp.push_back(multiplier);
-    if (comma == std::string::npos) {
-      break;
-    }
-    pos = comma + 1;
-  }
-  if (load.ramp.empty()) {
-    std::fprintf(stderr, "loadgen: --ramp needs at least one multiplier\n");
-    return 2;
-  }
-
-  const std::string path = flags.Get("db", "");
-  auto db = core::FingerprintDatabase::LoadFromFile(path);
-  if (!db.ok()) {
-    std::fprintf(stderr, "loadgen failed: %s\n",
-                 db.status().ToString().c_str());
-    return 1;
-  }
-  const double alpha = flags.GetDouble("alpha", 0.8);
-  const double sigma = flags.GetDouble("sigma", 15.0);
-  const core::GaussianDistortionModel model(sigma);
-
-  // Sample the query pool (distorted self-queries) before the sharded
-  // searcher consumes the database.
-  const size_t db_size = db->size();
-  const size_t pool_size = std::max<int64_t>(
-      1, flags.GetInt("query-pool", smoke ? 64 : 512));
-  Rng rng(load.seed);
-  std::vector<fp::Fingerprint> query_pool;
-  query_pool.reserve(pool_size);
-  for (size_t i = 0; i < pool_size; ++i) {
-    const auto& record = db->record(static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(db_size) - 1)));
-    query_pool.push_back(
-        core::DistortFingerprint(record.descriptor, sigma, &rng));
-  }
-
-  auto sharded = service::ShardedSearcher::Build(std::move(*db), sharding);
-  if (!sharded.ok()) {
-    std::fprintf(stderr, "loadgen failed: %s\n",
-                 sharded.status().ToString().c_str());
-    return 1;
-  }
-  service::QueryServiceOptions options;
-  options.num_workers = static_cast<int>(flags.GetInt("workers", 2));
-  options.threads_per_batch = static_cast<int>(flags.GetInt("threads", 1));
-  options.max_queue_depth =
-      static_cast<size_t>(flags.GetInt("queue-depth", 32));
-  options.cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache-capacity", 4096));
-  options.query.filter.alpha = alpha;
-  options.query.filter.depth = static_cast<int>(flags.GetInt("depth", 12));
-  options.slow_batch_threshold_ms = flags.GetDouble("slow-threshold-ms", 0);
-
-  std::printf("loadgen: %zu records, %d shards (%s, backend=%s), "
-              "%d workers x %d threads, queue depth %zu, mode=%s\n",
-              db_size, sharded->num_shards(), policy_name.c_str(),
-              backend.c_str(), options.num_workers,
-              options.threads_per_batch, options.max_queue_depth,
-              mode_name.c_str());
-
-  ObsOutputs obs_out(flags);
-  obs_out.Begin();
-  service::QueryService query_service(&*sharded, &model, options);
-
-  std::unique_ptr<obs::IntervalReporter> reporter;
-  const int report_interval_ms =
-      static_cast<int>(flags.GetInt("report-interval-ms", 0));
-  if (report_interval_ms > 0) {
-    obs::IntervalReporter::Options reporter_options;
-    reporter_options.interval_ms = report_interval_ms;
-    reporter_options.prefix_filter = "service.";
-    reporter_options.format =
-        flags.Get("report-format", "text") == "jsonl"
-            ? obs::IntervalReporter::Format::kJsonl
-            : obs::IntervalReporter::Format::kText;
-    reporter = std::make_unique<obs::IntervalReporter>(reporter_options);
-    reporter->Start();
-  }
-
-  const service::LoadGenReport report =
-      service::RunLoadGen(query_service, query_pool, model, load);
-
-  if (reporter != nullptr) {
-    reporter->Stop();
-  }
-  query_service.Shutdown();
-
-  Table table({"phase", "mult", "offered/s", "goodput/s", "reject%",
-               "miss%", "p50 ms", "p95 ms", "p99 ms", "p99.9 ms",
-               "max ms"});
-  for (size_t i = 0; i < report.phases.size(); ++i) {
-    const service::PhaseReport& p = report.phases[i];
-    table.AddRow()
-        .Add(p.calibration ? "cal" : std::to_string(i).c_str())
-        .Add(p.multiplier, 3)
-        .Add(p.offered_qps, 4)
-        .Add(p.goodput_qps, 4)
-        .Add(100 * p.reject_rate, 3)
-        .Add(100 * p.deadline_miss_rate, 3)
-        .Add(p.e2e.p50_ms, 4)
-        .Add(p.e2e.p95_ms, 4)
-        .Add(p.e2e.p99_ms, 4)
-        .Add(p.e2e.p999_ms, 4)
-        .Add(p.e2e.max_ms, 4);
-  }
-  std::fputs(table.ToText().c_str(), stdout);
-
-  uint64_t completed = 0;
-  for (const service::PhaseReport& p : report.phases) {
-    completed += p.completed_ok;
-  }
-  const service::SelectionCache* cache = query_service.cache();
-  std::printf("loadgen completed %zu phases (%" PRIu64 " batches OK, "
-              "base %.1f qps); cache hit rate %.1f%%\n",
-              report.phases.size(), completed, report.base_qps,
-              cache != nullptr ? cache->HitRate() * 100 : 0.0);
-
-  int rc = 0;
-  const std::string json_path = flags.Get("json-out", "");
-  if (!json_path.empty()) {
-    if (WriteTextFile(json_path, report.ToJson())) {
-      std::printf("wrote loadgen report to %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write loadgen report to %s\n",
-                   json_path.c_str());
-      rc = 1;
-    }
-  }
-  const std::string slow_log_path = flags.Get("slow-log-out", "");
-  if (!slow_log_path.empty()) {
-    const service::SlowBatchLog* slow_log = query_service.slow_log();
-    if (slow_log == nullptr ||
-        !slow_log->WriteChromeJsonFile(slow_log_path)) {
-      std::fprintf(stderr, "failed to write slow-batch log to %s\n",
-                   slow_log_path.c_str());
-      rc = 1;
-    } else {
-      std::printf("wrote slow-batch log to %s (%" PRIu64 " captured)\n",
-                  slow_log_path.c_str(), slow_log->captured());
-    }
-  }
-  const int obs_rc = obs_out.Finish();
-  return rc != 0 ? rc : obs_rc;
-}
-
 int Usage() {
   std::fprintf(stderr, "usage: s3vcd_tool <command> [--flag value]...\n\n");
   for (const CommandSpec& command : Commands()) {
@@ -1248,10 +946,7 @@ int Main(int argc, char** argv) {
   if (command_name == "compact") {
     return CmdCompact(flags);
   }
-  if (command_name == "monitor") {
-    return CmdMonitor(flags);
-  }
-  return CmdLoadgen(flags);
+  return CmdMonitor(flags);
 }
 
 }  // namespace
