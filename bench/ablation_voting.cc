@@ -68,6 +68,8 @@ int Main() {
   for (const Variant& variant : variants) {
     cbcd::DetectorOptions options;
     options.query.filter.alpha = 0.85;
+    // The paper's statistical query: no copy radius.
+    options.query.refinement = core::RefinementMode::kAll;
     options.query.filter.depth = 16;
     options.vote = variant.options;
     options.nsim_threshold = 0;  // examine raw votes

@@ -128,6 +128,19 @@ std::vector<TransformSweep> PaperTransformSweeps() {
   };
 }
 
+std::vector<NamedTransform> CopyTransformSuite() {
+  return {
+      {"shift 10%", media::TransformChain::VerticalShift(10)},
+      {"resize 0.9", media::TransformChain::Resize(0.9)},
+      {"gamma 1.3", media::TransformChain::Gamma(1.3)},
+      {"contrast 1.4", media::TransformChain::Contrast(1.4)},
+      {"noise 8", media::TransformChain::Noise(8)},
+      {"mpeg q4", media::TransformChain::MpegQuantize(4)},
+      {"logo 0.2", media::TransformChain::LogoOverlay(0.2)},
+      {"pip 0.8", media::TransformChain::PictureInPicture(0.8)},
+  };
+}
+
 bool ClipDetected(const std::vector<cbcd::Detection>& detections,
                   uint32_t expected_id, double expected_offset,
                   double frame_tolerance) {

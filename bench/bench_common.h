@@ -80,6 +80,16 @@ struct TransformSweep {
 };
 std::vector<TransformSweep> PaperTransformSweeps();
 
+/// The copy transform suite a detector must survive: the five Figure 4
+/// families plus MPEG-style DCT quantization, a logo overlay and
+/// picture-in-picture, at the moderate strengths the bench/e2e stream
+/// embeds its copies with.
+struct NamedTransform {
+  std::string name;
+  media::TransformChain chain;
+};
+std::vector<NamedTransform> CopyTransformSuite();
+
 /// Good-detection criterion of Section V-C, evaluated per candidate clip:
 /// some detection carries the right id with a temporal offset within
 /// `frame_tolerance` of the true offset.

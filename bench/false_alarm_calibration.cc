@@ -28,6 +28,8 @@ int Main() {
 
   cbcd::DetectorOptions options;
   options.query.filter.alpha = 0.85;
+  // The paper's statistical query: no copy radius.
+  options.query.refinement = core::RefinementMode::kAll;
   options.query.filter.depth = 16;
   options.nsim_threshold = 0;  // collect raw votes; threshold applied below
   const cbcd::CopyDetector detector(corpus.index.get(), &model, options);

@@ -79,6 +79,8 @@ int Main() {
   // Monitor the stream.
   cbcd::DetectorOptions options;
   options.query.filter.alpha = 0.80;
+  // The paper's statistical query: no copy radius.
+  options.query.refinement = core::RefinementMode::kAll;
   options.query.filter.depth =
       std::max(12, Log2Exact(NextPowerOfTwo(corpus.index->database().size())) - 3);
   options.vote.use_spatial_coherence = true;  // short refs: see DESIGN.md

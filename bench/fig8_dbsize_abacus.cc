@@ -87,6 +87,8 @@ int Main() {
     const auto index = RebuildIndexWithSize(corpus, size, size);
     cbcd::DetectorOptions options;
     options.query.filter.alpha = kAlpha;
+    // The paper's statistical query: no copy radius.
+    options.query.refinement = core::RefinementMode::kAll;
     // Partition depth follows the DB size, as the paper's response-time
     // tuner would pick (p ~ log2 of the record count).
     options.query.filter.depth =

@@ -65,6 +65,8 @@ int Main() {
   {
     cbcd::DetectorOptions probe;
     probe.query.filter.alpha = kAlphas.front();
+    // The paper's statistical query: no copy radius.
+    probe.query.refinement = core::RefinementMode::kAll;
     probe.query.filter.depth = kDepth;
     probe.nsim_threshold = 0;
     const cbcd::CopyDetector detector(&index, &model, probe);
@@ -85,6 +87,8 @@ int Main() {
   for (double alpha : kAlphas) {
     cbcd::DetectorOptions options;
     options.query.filter.alpha = alpha;
+    // The paper's statistical query: no copy radius.
+    options.query.refinement = core::RefinementMode::kAll;
     options.query.filter.depth = kDepth;
     options.nsim_threshold = threshold;
     const cbcd::CopyDetector detector(&index, &model, options);

@@ -13,10 +13,27 @@
 
 namespace s3vcd::cbcd {
 
+/// The copy radius rho, in sigma units of the detector's distortion model
+/// (an extension of the paper; DESIGN.md "Copy radius"). It is the smallest
+/// radius on a half-sigma grid at which a copy's best voting window keeps
+/// nsim >= 8 with probability at least 1 - 1e-3 on every transformation of
+/// the copy suite: P[Bin(n, q(rho)) >= 8] >= 1 - 1e-3, with q(r) the
+/// per-pair retention P[||Delta S|| <= r sigma] of the selected pairs and
+/// n the smallest nsim a copy reaches without a radius. Picture-in-picture
+/// binds it (q(9) = 0.85, n = 15). Derived offline by
+/// bench/derive_copy_radius; the run is in EXPERIMENTS.md.
+inline constexpr double kCopyRadiusSigmas = 9.0;
+
 /// Options of the end-to-end copy detector.
 struct DetectorOptions {
-  /// Statistical query parameters (alpha, depth, ...).
-  core::QueryOptions query;
+  /// Statistical query parameters (alpha, depth, ...). The detector keeps
+  /// only the matches within kCopyRadiusSigmas model-normalized units of
+  /// the query; set `refinement` to kAll for the paper's unfiltered
+  /// statistical query.
+  core::QueryOptions query{
+      .filter = {},
+      .refinement = core::RefinementMode::kNormalizedRadiusFilter,
+      .radius = kCopyRadiusSigmas};
   VoteOptions vote;
   /// Decision threshold on the similarity measure nsim: identifiers with
   /// fewer temporally coherent votes are not reported. The paper sets it

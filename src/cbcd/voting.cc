@@ -201,14 +201,19 @@ std::vector<Vote> ComputeVotes(const std::vector<CandidateEntry>& entries,
   const double saturation = c * c / 6.0;
 
   // Pass 0, prefilter (min_nsim > 1). A candidate counts toward nsim only
-  // through a pair whose integer offset o satisfies |o - b| <= tolerance,
-  // up to a rounding error far below a frame, for the one real offset b of
-  // the id: those offsets lie in `span` = floor(2 tolerance) + 2
-  // consecutive values, which bounds nsim by the pairs they hold. Ids whose
-  // bound stays below min_nsim are never voted; every other id keeps all
-  // its matches, so its vote is the one an unfiltered call computes. The
-  // bound does not apply to a NaN or unbounded tolerance.
-  const double span = std::floor(2 * options.tolerance) + 2;
+  // through a pair whose integer offset o has a computed residual
+  // |o - b| <= tolerance, for the one real offset b of the id: those
+  // offsets lie in `span` = floor(2 tolerance) + 1 consecutive values,
+  // which bounds nsim by the pairs they hold. Rounding cannot widen the
+  // run: for two offsets floor(2 tolerance) + 1 apart, the whole or half
+  // frame midway between them is exact in double (time codes stay below
+  // 2^52) and rounding is monotone, so whichever side of it b falls on,
+  // the far offset's computed residual is at least
+  // (floor(2 tolerance) + 1) / 2 > tolerance. Ids whose bound stays below
+  // min_nsim are never voted; every other id keeps all its matches, so its
+  // vote is the one an unfiltered call computes. The bound does not apply
+  // to a NaN or unbounded tolerance.
+  const double span = std::floor(2 * options.tolerance) + 1;
   const bool pruned = min_nsim > 1 && span < 0x1p40;
   const int64_t span_values =
       pruned ? static_cast<int64_t>(std::max(span, 1.0)) : 0;

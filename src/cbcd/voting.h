@@ -66,7 +66,7 @@ struct Vote {
 ///
 /// With `min_nsim` > 1, ids that cannot reach it are never voted: nsim(id)
 /// is at most the number of the id's (candidate, match) pairs whose integer
-/// offsets fall in floor(2 tolerance) + 2 consecutive values. A saturating
+/// offsets fall in floor(2 tolerance) + 1 consecutive values. A saturating
 /// sketch of those counts drops most such ids before the regroup, and the
 /// exact count drops the rest before their offset search (DESIGN.md §4).
 std::vector<Vote> ComputeVotes(const std::vector<CandidateEntry>& entries,

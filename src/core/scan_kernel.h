@@ -65,19 +65,33 @@ bool ScanKernelAvailable(ScanKernelKind kind);
 /// threads.
 ScanKernelKind SetScanKernelForTest(ScanKernelKind kind);
 
-/// Parameters of one refinement pass. For kNormalizedRadiusFilter the
-/// constructor precomputes the per-component 1/scale_j^2 weight table, so
-/// the scan evaluates the normalized distance in a single pass (no
-/// unnormalized distance is computed in that mode).
+/// Parameters of one refinement pass. kNormalizedRadiusFilter on an
+/// isotropic model (every ComponentScale(j) equal to one sigma) lowers to
+/// kRadiusFilter at radius * sigma, so it runs the dispatched integer
+/// kernel against (radius sigma)^2 and keeps exactly the records that
+/// kRadiusFilter at that radius keeps. On an anisotropic model the
+/// constructor precomputes the per-component 1/scale_j^2 weight table
+/// instead, so the scan evaluates the normalized distance in a single pass
+/// (no unnormalized distance is computed in that mode).
 struct RefineSpec {
   /// `model` is only required for kNormalizedRadiusFilter.
   RefineSpec(RefinementMode mode, double radius, const DistortionModel* model)
       : mode(mode), radius_sq(radius * radius), model(model) {
-    if (mode == RefinementMode::kNormalizedRadiusFilter && model != nullptr) {
-      for (int j = 0; j < fp::kDims; ++j) {
-        const double scale = model->ComponentScale(j);
-        inv_scale_sq[j] = 1.0 / (scale * scale);
-      }
+    if (mode != RefinementMode::kNormalizedRadiusFilter || model == nullptr) {
+      return;
+    }
+    const double sigma = model->ComponentScale(0);
+    bool isotropic = true;
+    for (int j = 0; j < fp::kDims; ++j) {
+      const double scale = model->ComponentScale(j);
+      isotropic = isotropic && scale == sigma;
+      inv_scale_sq[j] = 1.0 / (scale * scale);
+    }
+    if (isotropic) {
+      const double byte_radius = radius * sigma;
+      this->mode = RefinementMode::kRadiusFilter;
+      radius_sq = byte_radius * byte_radius;
+      inv_scale_sq.fill(0);
     }
   }
 
@@ -113,12 +127,14 @@ inline uint32_t SquaredDistanceU32(const uint8_t* a, const uint8_t* b) {
 /// appends a Match on acceptance. Returns whether the record was kept.
 ///
 /// Match.distance semantics (the definitive statement, pinned by
-/// tests/scan_kernel_test.cc): in kAll and kRadiusFilter modes it is the
-/// Euclidean byte-space distance sqrt(sum_j (q_j - x_j)^2); in
-/// kNormalizedRadiusFilter mode it is the model-normalized distance
+/// tests/scan_kernel_test.cc): in kAll and kRadiusFilter modes, and in
+/// kNormalizedRadiusFilter mode on an isotropic model (which RefineSpec
+/// lowers to kRadiusFilter), it is the Euclidean byte-space distance
+/// sqrt(sum_j (q_j - x_j)^2); in kNormalizedRadiusFilter mode on an
+/// anisotropic model it is the model-normalized distance
 /// sqrt(sum_j ((q_j - x_j) / scale_j)^2) — the one distance that mode
 /// computes and tests against the radius (in sigma units). The
-/// unnormalized distance is not computed in normalized mode.
+/// unnormalized distance is not computed in that mode.
 ///
 /// On a quantized view, x_j is the *decoded* record (the same values every
 /// fused kernel reconstructs) and the radius is inflated by the codec's

@@ -21,10 +21,12 @@ enum class RefinementMode {
   kAll,
   /// Extension: additionally require distance <= radius.
   kRadiusFilter,
-  /// Extension for anisotropic models: require the model-normalized
-  /// distance sqrt(sum_j ((q_j - x_j) / scale_j)^2) <= radius, with
-  /// scale_j = DistortionModel::ComponentScale(j). The isotropic special
-  /// case reduces to kRadiusFilter with radius * sigma.
+  /// Extension: require the model-normalized distance
+  /// sqrt(sum_j ((q_j - x_j) / scale_j)^2) <= radius, with
+  /// scale_j = DistortionModel::ComponentScale(j): a radius in sigma units.
+  /// The CBCD detector's default (cbcd::kCopyRadiusSigmas). On an
+  /// isotropic model RefineSpec lowers it to kRadiusFilter at
+  /// radius * sigma, which runs the integer SIMD kernels.
   kNormalizedRadiusFilter,
 };
 
@@ -32,7 +34,8 @@ enum class RefinementMode {
 struct QueryOptions {
   FilterOptions filter;
   RefinementMode refinement = RefinementMode::kAll;
-  /// Radius for kRadiusFilter, in byte-space distance units.
+  /// Radius for kRadiusFilter, in byte-space distance units; for
+  /// kNormalizedRadiusFilter, in sigma units of the distortion model.
   double radius = 0;
 };
 

@@ -6,8 +6,10 @@
 
 #include "core/scan_kernel.h"
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -91,12 +93,41 @@ TEST(ScanKernelDispatchTest, SetScanKernelForTestRoundTrips) {
   EXPECT_EQ(ActiveScanKernel(), initial);
 }
 
+// Scale 5 on every component but the last, which has scale 10: an
+// anisotropic model, so normalized mode keeps its scalar weighted path.
+PerComponentGaussianModel AnisotropicModel() {
+  std::array<double, fp::kDims> sigmas;
+  sigmas.fill(5.0);
+  sigmas[fp::kDims - 1] = 10.0;
+  return PerComponentGaussianModel(sigmas);
+}
+
 TEST(RefineSpecTest, NormalizedModePrecomputesInverseSquaredScales) {
-  const GaussianDistortionModel model(5.0);
+  const PerComponentGaussianModel model = AnisotropicModel();
   const RefineSpec spec(RefinementMode::kNormalizedRadiusFilter, 4.0, &model);
+  EXPECT_EQ(spec.mode, RefinementMode::kNormalizedRadiusFilter);
   EXPECT_DOUBLE_EQ(spec.radius_sq, 16.0);
-  for (int j = 0; j < fp::kDims; ++j) {
+  for (int j = 0; j + 1 < fp::kDims; ++j) {
     EXPECT_DOUBLE_EQ(spec.inv_scale_sq[j], 1.0 / 25.0) << "component " << j;
+  }
+  EXPECT_DOUBLE_EQ(spec.inv_scale_sq[fp::kDims - 1], 1.0 / 100.0);
+}
+
+// On an isotropic model the normalized filter at rho is the byte-space
+// filter at rho * sigma, spec for spec: same mode, same squared radius, no
+// weight table.
+TEST(RefineSpecTest, IsotropicNormalizedModeLowersToRadiusFilter) {
+  for (const double sigma : {5.0, 12.0, 15.0}) {
+    const GaussianDistortionModel model(sigma);
+    const RefineSpec lowered(RefinementMode::kNormalizedRadiusFilter, 9.0,
+                             &model);
+    const RefineSpec byte_space(RefinementMode::kRadiusFilter, 9.0 * sigma,
+                                nullptr);
+    EXPECT_EQ(lowered.mode, RefinementMode::kRadiusFilter) << sigma;
+    EXPECT_EQ(lowered.radius_sq, byte_space.radius_sq) << sigma;
+    for (int j = 0; j < fp::kDims; ++j) {
+      EXPECT_EQ(lowered.inv_scale_sq[j], 0.0) << sigma << " component " << j;
+    }
   }
 }
 
@@ -108,8 +139,8 @@ TEST(RefineSpecTest, IntegerModesLeaveWeightTableUntouched) {
 }
 
 // Pins the normalized-mode Match.distance semantics documented on
-// RefineRecord: the model-normalized distance in sigma units, NOT the
-// Euclidean byte-space distance.
+// RefineRecord: on an anisotropic model, the model-normalized distance in
+// sigma units, NOT the Euclidean byte-space distance.
 TEST(RefineRecordTest, NormalizedModeReportsNormalizedDistance) {
   DescriptorBlock block;
   fp::Fingerprint record;
@@ -118,7 +149,7 @@ TEST(RefineRecordTest, NormalizedModeReportsNormalizedDistance) {
 
   fp::Fingerprint query;
   query.fill(0);
-  const GaussianDistortionModel model(5.0);
+  const PerComponentGaussianModel model = AnisotropicModel();
   const RefineSpec spec(RefinementMode::kNormalizedRadiusFilter,
                         /*radius=*/10.0, &model);
 
@@ -126,9 +157,9 @@ TEST(RefineRecordTest, NormalizedModeReportsNormalizedDistance) {
   ASSERT_TRUE(RefineRecord(query, block, 0, spec, &result));
   ASSERT_EQ(result.matches.size(), 1u);
   EXPECT_EQ(result.stats.records_scanned, 1u);
-  // sum_j ((10 - 0) / 5)^2 = 20 * 4 = 80.
+  // 19 * ((10 - 0) / 5)^2 + ((10 - 0) / 10)^2 = 76 + 1 = 77.
   EXPECT_FLOAT_EQ(result.matches[0].distance,
-                  static_cast<float>(std::sqrt(80.0)));
+                  static_cast<float>(std::sqrt(77.0)));
   // The Euclidean distance sqrt(20 * 100) = sqrt(2000) is not what this
   // mode reports.
   EXPECT_NE(result.matches[0].distance,
@@ -144,8 +175,8 @@ TEST(RefineRecordTest, NormalizedModeRejectsOutsideSigmaRadius) {
   block.Append(record, 1, 1, 0.0f, 0.0f);
   fp::Fingerprint query;
   query.fill(0);
-  const GaussianDistortionModel model(5.0);
-  // Normalized distance is sqrt(80) ~ 8.94 sigma; radius 8 rejects it.
+  const PerComponentGaussianModel model = AnisotropicModel();
+  // Normalized distance is sqrt(77) ~ 8.77 sigma; radius 8 rejects it.
   const RefineSpec spec(RefinementMode::kNormalizedRadiusFilter, 8.0, &model);
   QueryResult result;
   EXPECT_FALSE(RefineRecord(query, block, 0, spec, &result));
@@ -213,6 +244,7 @@ TEST(ScanRecordsTest, MatchesRefineRecordLoopInEveryMode) {
   const fp::Fingerprint query = UniformRandomFingerprint(&rng);
   const DescriptorBlock block = MakeTestBlock(query, 3001, &rng);
   const GaussianDistortionModel model(20.0);
+  const PerComponentGaussianModel anisotropic = AnisotropicModel();
   const struct {
     RefinementMode mode;
     double radius;
@@ -221,6 +253,7 @@ TEST(ScanRecordsTest, MatchesRefineRecordLoopInEveryMode) {
       {RefinementMode::kAll, 0.0, nullptr},
       {RefinementMode::kRadiusFilter, 90.0, nullptr},
       {RefinementMode::kNormalizedRadiusFilter, 4.5, &model},
+      {RefinementMode::kNormalizedRadiusFilter, 18.0, &anisotropic},
   };
   for (const auto& c : cases) {
     const RefineSpec spec(c.mode, c.radius, c.model);
@@ -254,6 +287,7 @@ TEST(ScanRecordsTest, SimdKernelsMatchScalarBitwise) {
   const fp::Fingerprint query = UniformRandomFingerprint(&rng);
   const DescriptorBlock block = MakeTestBlock(query, 5003, &rng);
   const GaussianDistortionModel model(20.0);
+  const PerComponentGaussianModel anisotropic = AnisotropicModel();
   const struct {
     RefinementMode mode;
     double radius;
@@ -262,6 +296,7 @@ TEST(ScanRecordsTest, SimdKernelsMatchScalarBitwise) {
       {RefinementMode::kAll, 0.0, nullptr},
       {RefinementMode::kRadiusFilter, 90.0, nullptr},
       {RefinementMode::kNormalizedRadiusFilter, 4.5, &model},
+      {RefinementMode::kNormalizedRadiusFilter, 18.0, &anisotropic},
   };
   for (const auto& c : cases) {
     const RefineSpec spec(c.mode, c.radius, c.model);
@@ -280,6 +315,171 @@ TEST(ScanRecordsTest, SimdKernelsMatchScalarBitwise) {
       ScanRecords(query, block, 0, block.size(), spec, &simd);
       ExpectSameResults(scalar, simd, ScanKernelName(kind));
     }
+  }
+}
+
+// --- The copy radius: normalized filter on isotropic models -------------
+
+constexpr double kRho = 9.0;     // the detector's copy radius, in sigmas
+constexpr double kSigma = 15.0;  // the monitoring model: rho sigma = 135
+
+// MakeTestBlock plus two records around the radius: one at squared
+// distance exactly (rho sigma)^2 = 135^2 = 81^2 + 108^2, and one a unit
+// past it.
+DescriptorBlock MakeBoundaryBlock(const fp::Fingerprint& query, Rng* rng) {
+  DescriptorBlock block = MakeTestBlock(query, 4001, rng);
+  for (const int extra : {0, 1}) {
+    fp::Fingerprint d;
+    d.fill(128);
+    d[0] = static_cast<uint8_t>(128 - 81);
+    d[1] = static_cast<uint8_t>(128 - 108);
+    d[2] = static_cast<uint8_t>(128 + extra);
+    block.Append(d, 900 + extra, 7, 0.0f, 0.0f);
+  }
+  return block;
+}
+
+fp::Fingerprint MidQuery() {
+  fp::Fingerprint q;
+  q.fill(128);
+  return q;
+}
+
+// The normalized filter at rho on an isotropic model returns exactly the
+// match set of kRadiusFilter at rho sigma (ids, time codes, bit-equal
+// distances, positions, scan counts) on every kernel, the record at
+// (rho sigma)^2 included and the one a unit past it excluded.
+TEST(CopyRadiusTest, IsotropicNormalizedFilterEqualsRadiusFilterOnEveryKernel) {
+  Rng rng(21);
+  const fp::Fingerprint query = MidQuery();
+  DescriptorBlock block = MakeBoundaryBlock(query, &rng);
+  for (int i = 0; i < 300; ++i) {  // near the radius on both sides
+    block.Append(DistortFingerprint(query, 30.0, &rng), 1000 + i, i, 0, 0);
+  }
+  const GaussianDistortionModel model(kSigma);
+  const RefineSpec normalized(RefinementMode::kNormalizedRadiusFilter, kRho,
+                              &model);
+  const RefineSpec byte_space(RefinementMode::kRadiusFilter, kRho * kSigma,
+                              nullptr);
+  for (ScanKernelKind kind : {ScanKernelKind::kScalar, ScanKernelKind::kSse2,
+                              ScanKernelKind::kAvx2}) {
+    if (!ScanKernelAvailable(kind)) {
+      continue;
+    }
+    ScopedKernel guard(kind);
+    QueryResult got;
+    ScanRecords(query, block, 0, block.size(), normalized, &got);
+    QueryResult want;
+    ScanRecords(query, block, 0, block.size(), byte_space, &want);
+    ExpectSameResults(got, want, ScanKernelName(kind));
+    QueryResult per_record;
+    for (size_t i = 0; i < block.size(); ++i) {
+      RefineRecord(query, block, i, normalized, &per_record);
+    }
+    ExpectSameResults(got, per_record, ScanKernelName(kind));
+    size_t at_radius = 0;
+    size_t past_radius = 0;
+    size_t near = 0;
+    for (const Match& m : got.matches) {
+      at_radius += m.id == 900 ? 1 : 0;
+      past_radius += m.id == 901 ? 1 : 0;
+      near += m.id >= 1000 ? 1 : 0;
+    }
+    EXPECT_EQ(at_radius, 1u) << ScanKernelName(kind);
+    EXPECT_EQ(past_radius, 0u) << ScanKernelName(kind);
+    EXPECT_GT(near, 0u) << ScanKernelName(kind);
+    EXPECT_LT(near, 300u) << ScanKernelName(kind);
+  }
+}
+
+// On an lvq4 view the lowered filter keeps every record the exact view
+// keeps, and nothing farther than rho sigma plus twice the codec's trained
+// error bound (one bound inflates the radius, the other separates the
+// decoded record from the exact one).
+TEST(CopyRadiusTest, Lvq4ViewIsASupersetWithinTheTrainedBound) {
+  Rng rng(22);
+  const fp::Fingerprint query = MidQuery();
+  DescriptorBlock block = MakeBoundaryBlock(query, &rng);
+  for (int i = 0; i < 2000; ++i) {
+    block.Append(DistortFingerprint(query, 30.0, &rng), 1000 + i, i, 0, 0);
+  }
+  const CodedDescriptorBlock coded =
+      CodedDescriptorBlock::Encode(DescriptorCodecKind::kLvq4, block);
+  const GaussianDistortionModel model(kSigma);
+  const RefineSpec spec(RefinementMode::kNormalizedRadiusFilter, kRho, &model);
+  const double bound = kRho * kSigma + 2 * coded.codec().max_error;
+  for (ScanKernelKind kind : {ScanKernelKind::kScalar, ScanKernelKind::kSse2,
+                              ScanKernelKind::kAvx2}) {
+    if (!ScanKernelAvailable(kind)) {
+      continue;
+    }
+    ScopedKernel guard(kind);
+    QueryResult exact;
+    ScanRecords(query, block, 0, block.size(), spec, &exact);
+    QueryResult quant;
+    ScanRecords(query, coded.View(), 0, coded.size(), spec, &quant);
+    std::set<std::pair<uint32_t, uint32_t>> quant_keys;
+    for (const Match& m : quant.matches) {
+      quant_keys.emplace(m.id, m.time_code);
+    }
+    for (const Match& m : exact.matches) {
+      EXPECT_EQ(quant_keys.count({m.id, m.time_code}), 1u)
+          << ScanKernelName(kind) << " id " << m.id;
+    }
+    EXPECT_GE(quant.matches.size(), exact.matches.size());
+    for (size_t i = 0; i < block.size(); ++i) {
+      if (quant_keys.count({block.id(i), block.time_code(i)}) == 0) {
+        continue;
+      }
+      EXPECT_LE(std::sqrt(static_cast<double>(SquaredDistanceU32(
+                    query.data(), block.descriptor(i)))),
+                bound)
+          << ScanKernelName(kind) << " record " << i;
+    }
+  }
+}
+
+// An anisotropic model keeps the scalar weighted path: every kernel agrees
+// with a per-record sum_j (q_j - x_j)^2 / scale_j^2 <= rho^2.
+TEST(CopyRadiusTest, AnisotropicModelAgreesWithTheScalarReference) {
+  Rng rng(23);
+  const fp::Fingerprint query = MidQuery();
+  DescriptorBlock block = MakeBoundaryBlock(query, &rng);
+  for (int i = 0; i < 1000; ++i) {
+    block.Append(DistortFingerprint(query, 20.0, &rng), 1000 + i, i, 0, 0);
+  }
+  const PerComponentGaussianModel model = AnisotropicModel();
+  const double rho = 20.0;
+  const RefineSpec spec(RefinementMode::kNormalizedRadiusFilter, rho, &model);
+  ASSERT_EQ(spec.mode, RefinementMode::kNormalizedRadiusFilter);
+  std::vector<uint32_t> want;
+  for (size_t i = 0; i < block.size(); ++i) {
+    double sum = 0;
+    for (int j = 0; j < fp::kDims; ++j) {
+      const double diff = static_cast<double>(query[j]) -
+                          static_cast<double>(block.descriptor(i)[j]);
+      const double scale = model.ComponentScale(j);
+      sum += diff * diff * (1.0 / (scale * scale));
+    }
+    if (sum <= rho * rho) {
+      want.push_back(block.id(i));
+    }
+  }
+  ASSERT_GT(want.size(), 0u);
+  ASSERT_LT(want.size(), block.size());
+  for (ScanKernelKind kind : {ScanKernelKind::kScalar, ScanKernelKind::kSse2,
+                              ScanKernelKind::kAvx2}) {
+    if (!ScanKernelAvailable(kind)) {
+      continue;
+    }
+    ScopedKernel guard(kind);
+    QueryResult got;
+    ScanRecords(query, block, 0, block.size(), spec, &got);
+    std::vector<uint32_t> ids;
+    for (const Match& m : got.matches) {
+      ids.push_back(m.id);
+    }
+    EXPECT_EQ(ids, want) << ScanKernelName(kind);
   }
 }
 

@@ -168,6 +168,8 @@ class PrunedVoteTest : public StreamMonitorTest {
     DetectorOptions options;
     options.query.filter.alpha = 0.9;
     options.query.filter.depth = 20;
+    // The unfiltered vote: every distractor of V_alpha reaches it.
+    options.query.refinement = core::RefinementMode::kAll;
     options.nsim_threshold = kThreshold;
     detector_ = std::make_unique<CopyDetector>(index_.get(), &model_,
                                                options);

@@ -777,10 +777,10 @@ TEST(ComputeVotesThresholdTest, KeepsAFullSpanRunAroundAHalfFrameOffset) {
   // half-frame centre, so every candidate is within tol of it and nsim is
   // floor(2 tol) + 1 at that threshold, at every phase of the prefilter's
   // buckets. A prefilter span of floor(2 tol) or 2 floor(tol) + 1 drops
-  // id 9 and fails this test. The span floor(2 tol) + 2 in ComputeVotes is
-  // one more than this bound: floor(2 tol) + 1 passes here too, and no
-  // window can tell the two apart, since a whole or half frame between the
-  // two end offsets is exact in double and rounding never crosses it.
+  // id 9 and fails this test. The span floor(2 tol) + 1 in ComputeVotes is
+  // exactly this bound: a wider span passes here too, and no window can
+  // need one, since a whole or half frame between the two end offsets is
+  // exact in double and rounding never crosses it.
   for (const double tolerance : {1.75, 3.75}) {
     const int t = static_cast<int>(std::floor(2 * tolerance)) + 1;
     VoteOptions options;

@@ -15,10 +15,11 @@
 # under AddressSanitizer (-DS3VCD_SANITIZE=address) with leak detection:
 # the segment store and codec readers parse untrusted lengths and offsets,
 # the memtable merges runs in place, and the service hands batches between
-# producer and worker threads through shared tickets. The voting, detector
-# and stream-monitor tests join this leg and the UBSan one: the offset
-# sweep indexes its pairs with a two-pointer window and per-candidate
-# scratch arrays. So do the extraction tests (filters, Harris, descriptor,
+# producer and worker threads through shared tickets. The voting, detector,
+# stream-monitor and detection-quality tests join this leg and the UBSan
+# one: the offset sweep indexes its pairs with a two-pointer window and
+# per-candidate scratch arrays, and the detection-quality stream drives the
+# whole pipeline, copy radius included. So do the extraction tests (filters, Harris, descriptor,
 # extractor and their bit-parity suite): the blur reads padded rows and
 # clamped row pointers, and the jet samples clamped pixel neighbourhoods.
 # The block-selection tests (filter, filter_table with its differential,
@@ -79,17 +80,17 @@ cmake -S "${repo_root}" -B "${asan_dir}" \
 cmake --build "${asan_dir}" --target obs_test service_test store_test \
   segment_parity_test memtable_test backend_parity_test \
   descriptor_codec_test scan_kernel_test voting_test cbcd_test \
-  stream_monitor_test harris_test descriptor_test media_filters_test \
-  extractor_test extraction_parity_test filter_test filter_table_test \
-  query_property_test block_tree_test zorder_test index_test \
-  sorted_run_test format_mutation_test pseudo_disk_test db_fuzz_test \
-  external_builder_test -j"$(nproc)"
+  stream_monitor_test detection_quality_test harris_test descriptor_test \
+  media_filters_test extractor_test extraction_parity_test filter_test \
+  filter_table_test query_property_test block_tree_test zorder_test \
+  index_test sorted_run_test format_mutation_test pseudo_disk_test \
+  db_fuzz_test external_builder_test -j"$(nproc)"
 
 (
   cd "${asan_dir}"
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
     ctest --output-on-failure \
-    -R '^(obs_test|service_test|store_test|segment_parity_test|memtable_test|backend_parity_test|descriptor_codec_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|sorted_run_test|format_mutation_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
+    -R '^(obs_test|service_test|store_test|segment_parity_test|memtable_test|backend_parity_test|descriptor_codec_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|voting_test|cbcd_test|stream_monitor_test|detection_quality_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|sorted_run_test|format_mutation_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
 )
 echo "ASan run passed."
 
@@ -104,7 +105,7 @@ cmake -S "${repo_root}" -B "${ubsan_dir}" \
 cmake --build "${ubsan_dir}" --target obs_test scan_kernel_test store_test \
   segment_parity_test memtable_test descriptor_codec_test service_test \
   backend_parity_test voting_test cbcd_test stream_monitor_test \
-  harris_test descriptor_test media_filters_test extractor_test \
+  detection_quality_test harris_test descriptor_test media_filters_test extractor_test \
   extraction_parity_test filter_test filter_table_test query_property_test \
   block_tree_test zorder_test index_test sorted_run_test \
   format_mutation_test pseudo_disk_test db_fuzz_test external_builder_test \
@@ -114,6 +115,6 @@ cmake --build "${ubsan_dir}" --target obs_test scan_kernel_test store_test \
   cd "${ubsan_dir}"
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --output-on-failure \
-    -R '^(obs_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|memtable_test|descriptor_codec_test|service_test|backend_parity_test|voting_test|cbcd_test|stream_monitor_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|sorted_run_test|format_mutation_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
+    -R '^(obs_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|memtable_test|descriptor_codec_test|service_test|backend_parity_test|voting_test|cbcd_test|stream_monitor_test|detection_quality_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|sorted_run_test|format_mutation_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
 )
 echo "UBSan run passed."
