@@ -5,9 +5,7 @@
 // eps=90 match set, and each operating point is reported with its recall,
 // per-query latency and throughput next to the exact baseline's — the
 // honest form of an ANN claim (a fast graph at recall 0.6 is not a
-// result). Runs once per descriptor codec (exact 20 B/rec and lvq4
-// 10 B/rec, the quantized store through the fused gather kernels). The
-// p-stable LSH baseline runs over the same corpus, queries and eps on a
+// result). The p-stable LSH baseline runs over the same corpus, queries and eps on a
 // small grid of (tables, hashes per table, bucket width); its operating
 // point for a target recall is the fastest grid point that meets it.
 //
@@ -26,7 +24,6 @@
 
 #include "bench_common.h"
 #include "core/database.h"
-#include "core/descriptor_codec.h"
 #include "core/index.h"
 #include "core/lsh.h"
 #include "core/scan_kernel.h"
@@ -73,10 +70,8 @@ struct LshRow {
   double mean_records_scanned = 0;
 };
 
-struct CodecRun {
-  std::string codec;
+struct VamanaRun {
   double build_seconds = 0;
-  double bytes_per_record = 0;
   uint64_t graph_bytes = 0;
   std::vector<SweepRow> sweep;
 };
@@ -180,26 +175,17 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  const char* codecs[] = {"exact", "lvq4"};
-  std::vector<CodecRun> runs;
-  for (const char* codec_name : codecs) {
-    CodecRun run;
-    run.codec = codec_name;
+  VamanaRun run;
+  {
     core::VamanaOptions options;
     options.graph_degree = graph_degree;
-    if (!core::DescriptorCodecFromName(codec_name, &options.codec)) {
-      std::fprintf(stderr, "unknown codec %s\n", codec_name);
-      return 1;
-    }
     watch.Reset();
     const core::VamanaIndex vamana(records, options);
     run.build_seconds = watch.ElapsedMillis() / 1e3;
-    run.bytes_per_record =
-        static_cast<double>(core::DescriptorCodeBytes(options.codec));
     run.graph_bytes =
         static_cast<uint64_t>(vamana.degree_bound()) * num_records * 4;
-    std::printf("vamana[%s]: degree %u built in %.2f s (%.1f MiB total)\n",
-                codec_name, vamana.degree_bound(), run.build_seconds,
+    std::printf("vamana: degree %u built in %.2f s (%.1f MiB total)\n",
+                vamana.degree_bound(), run.build_seconds,
                 vamana.ApproxBytes() / 1048576.0);
 
     for (const int beam : kBeams) {
@@ -228,7 +214,6 @@ int Main(int argc, char** argv) {
       run.sweep.push_back(row);
       if (row.recall >= 1.0) break;  // wider beams only get slower
     }
-    runs.push_back(std::move(run));
   }
 
   std::vector<LshRow> lsh_rows;
@@ -276,35 +261,37 @@ int Main(int argc, char** argv) {
     return best;
   };
 
+  // The first (narrowest) swept beam meeting `target`, or null.
+  const auto vamana_point = [&](double target) -> const SweepRow* {
+    for (const auto& row : run.sweep) {
+      if (row.recall >= target) {
+        return &row;
+      }
+    }
+    return nullptr;
+  };
+
   // Operating points: the first (narrowest) swept beam meeting each
   // target recall — the number an equal-recall comparison is allowed to
   // quote — and the fastest LSH grid point meeting it. `setting` is the
   // beam width, or tables x hashes / bucket width for LSH.
   Table table({"method", "target", "setting", "recall", "latency_us", "qps",
                "speedup_vs_s3"});
-  for (const auto& run : runs) {
-    for (const double target : kRecallTargets) {
-      const SweepRow* point = nullptr;
-      for (const auto& row : run.sweep) {
-        if (row.recall >= target) {
-          point = &row;
-          break;
-        }
-      }
-      if (point == nullptr) {
-        table.AddRow().Add("vamana/" + run.codec).Add(target, 2).Add(
-            "-").Add("-").Add("-").Add("-").Add("-");
-        continue;
-      }
-      table.AddRow()
-          .Add("vamana/" + run.codec)
-          .Add(target, 2)
-          .Add(point->beam)
-          .Add(point->recall, 4)
-          .Add(point->mean_latency_us, 1)
-          .Add(point->qps, 0)
-          .Add(s3_latency_us / point->mean_latency_us, 2);
+  for (const double target : kRecallTargets) {
+    const SweepRow* point = vamana_point(target);
+    if (point == nullptr) {
+      table.AddRow().Add("vamana").Add(target, 2).Add("-").Add("-").Add(
+          "-").Add("-").Add("-");
+      continue;
     }
+    table.AddRow()
+        .Add("vamana")
+        .Add(target, 2)
+        .Add(point->beam)
+        .Add(point->recall, 4)
+        .Add(point->mean_latency_us, 1)
+        .Add(point->qps, 0)
+        .Add(s3_latency_us / point->mean_latency_us, 2);
   }
   for (const double target : kRecallTargets) {
     const LshRow* point = lsh_point(target);
@@ -359,57 +346,43 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "    \"backend\": \"s3\",\n");
     std::fprintf(f, "    \"mean_latency_us\": %.3f\n", s3_latency_us);
     std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"codecs\": {\n");
-    for (size_t c = 0; c < runs.size(); ++c) {
-      const CodecRun& run = runs[c];
-      std::fprintf(f, "    \"%s\": {\n", run.codec.c_str());
-      std::fprintf(f, "      \"bytes_per_record\": %.1f,\n",
-                   run.bytes_per_record);
-      std::fprintf(f, "      \"build_seconds\": %.3f,\n", run.build_seconds);
-      std::fprintf(f, "      \"graph_bytes\": %llu,\n",
-                   static_cast<unsigned long long>(run.graph_bytes));
-      std::fprintf(f, "      \"sweep\": [\n");
-      for (size_t i = 0; i < run.sweep.size(); ++i) {
-        const SweepRow& row = run.sweep[i];
-        std::fprintf(f,
-                     "        {\"beam\": %d, \"recall\": %.4f, "
-                     "\"mean_latency_us\": %.3f, \"qps\": %.1f, "
-                     "\"mean_nodes_visited\": %.1f, "
-                     "\"mean_records_scanned\": %.1f}%s\n",
-                     row.beam, row.recall, row.mean_latency_us, row.qps,
-                     row.mean_nodes_visited, row.mean_records_scanned,
-                     i + 1 < run.sweep.size() ? "," : "");
-      }
-      std::fprintf(f, "      ],\n");
-      std::fprintf(f, "      \"operating_points\": [\n");
-      bool first = true;
-      for (const double target : kRecallTargets) {
-        const SweepRow* point = nullptr;
-        for (const auto& row : run.sweep) {
-          if (row.recall >= target) {
-            point = &row;
-            break;
-          }
-        }
-        if (!first) std::fprintf(f, ",\n");
-        first = false;
-        if (point == nullptr) {
-          std::fprintf(f,
-                       "        {\"target_recall\": %.2f, \"met\": false}",
-                       target);
-        } else {
-          std::fprintf(
-              f,
-              "        {\"target_recall\": %.2f, \"met\": true, "
-              "\"beam\": %d, \"recall\": %.4f, \"mean_latency_us\": %.3f, "
-              "\"qps\": %.1f, \"speedup_vs_exact\": %.2f}",
-              target, point->beam, point->recall, point->mean_latency_us,
-              point->qps, s3_latency_us / point->mean_latency_us);
-        }
-      }
-      std::fprintf(f, "\n      ]\n");
-      std::fprintf(f, "    }%s\n", c + 1 < runs.size() ? "," : "");
+    std::fprintf(f, "  \"vamana\": {\n");
+    std::fprintf(f, "    \"bytes_per_record\": %d,\n", fp::kDims);
+    std::fprintf(f, "    \"build_seconds\": %.3f,\n", run.build_seconds);
+    std::fprintf(f, "    \"graph_bytes\": %llu,\n",
+                 static_cast<unsigned long long>(run.graph_bytes));
+    std::fprintf(f, "    \"sweep\": [\n");
+    for (size_t i = 0; i < run.sweep.size(); ++i) {
+      const SweepRow& row = run.sweep[i];
+      std::fprintf(f,
+                   "      {\"beam\": %d, \"recall\": %.4f, "
+                   "\"mean_latency_us\": %.3f, \"qps\": %.1f, "
+                   "\"mean_nodes_visited\": %.1f, "
+                   "\"mean_records_scanned\": %.1f}%s\n",
+                   row.beam, row.recall, row.mean_latency_us, row.qps,
+                   row.mean_nodes_visited, row.mean_records_scanned,
+                   i + 1 < run.sweep.size() ? "," : "");
     }
+    std::fprintf(f, "    ],\n");
+    std::fprintf(f, "    \"operating_points\": [\n");
+    for (size_t t = 0; t < std::size(kRecallTargets); ++t) {
+      const double target = kRecallTargets[t];
+      const SweepRow* point = vamana_point(target);
+      if (point == nullptr) {
+        std::fprintf(f, "      {\"target_recall\": %.2f, \"met\": false}",
+                     target);
+      } else {
+        std::fprintf(
+            f,
+            "      {\"target_recall\": %.2f, \"met\": true, "
+            "\"beam\": %d, \"recall\": %.4f, \"mean_latency_us\": %.3f, "
+            "\"qps\": %.1f, \"speedup_vs_exact\": %.2f}",
+            target, point->beam, point->recall, point->mean_latency_us,
+            point->qps, s3_latency_us / point->mean_latency_us);
+      }
+      std::fprintf(f, "%s\n", t + 1 < std::size(kRecallTargets) ? "," : "");
+    }
+    std::fprintf(f, "    ]\n");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"lsh\": {\n");
     std::fprintf(f, "    \"sweep\": [\n");

@@ -176,20 +176,14 @@ void EmitMetricsBlockAtExit() {
 void EmitMetricsBlock(const std::string& name,
                       const std::string& annotation) {
   const std::string json = obs::MetricsRegistry::Global().Snapshot().ToJson();
-  // Every block carries the refine-kernel and descriptor-codec choice so
-  // perf numbers are attributable to the scalar/SSE2/AVX2/AVX-512 path and
-  // the descriptor encoding that produced them. Benches that sweep codecs
-  // put "codec=<name>" in their own annotation; "codec=exact" is the
-  // default for everything else.
+  // Every block carries the refine-kernel choice so perf numbers are
+  // attributable to the scalar/SSE2/AVX2 path that produced them.
   std::string full = annotation;
   if (!full.empty()) {
     full += ' ';
   }
   full += "scan_kernel=";
   full += core::ActiveScanKernelName();
-  if (annotation.find("codec=") == std::string::npos) {
-    full += " codec=exact";
-  }
   std::printf("# METRICS %s %s\n%s\n# END METRICS\n", name.c_str(),
               full.c_str(), json.c_str());
   std::fflush(stdout);

@@ -12,13 +12,11 @@
 
 #include <array>
 #include <filesystem>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "cbcd/voting.h"
 #include "core/database.h"
-#include "core/descriptor_codec.h"
 #include "core/distortion_model.h"
 #include "core/filter.h"
 #include "core/index.h"
@@ -217,107 +215,39 @@ void BM_RefineScan(benchmark::State& state) {
 }
 BENCHMARK(BM_RefineScan)->Arg(0)->Arg(1)->Arg(2);
 
-// Fused decode+distance refinement over a quantized copy of the shared
-// corpus: the same kRadiusFilter sweep as BM_RefineScan, but the
-// descriptors are stored through the lvq4 codec (10 B/rec) and the
-// kernels decode inside the distance loop. Range(0) =
-// DescriptorCodecKind, range(1) = ScanKernelKind (SSE2 is not a row: it
-// runs the scalar fused loop). The
-// bytes_per_record and recall counters (recall of the exact match set
-// under the codec's inflated radius — 1.0 by the superset guarantee)
-// land in BENCH_scan.json next to the exact rows, which is where the
-// "2x fewer descriptor bytes at recall >= 0.99" claim is published.
-void BM_CodedRefineScan(benchmark::State& state) {
-  const auto codec_kind =
-      static_cast<core::DescriptorCodecKind>(state.range(0));
-  const auto kind = static_cast<core::ScanKernelKind>(state.range(1));
-  if (!core::ScanKernelAvailable(kind)) {
-    state.SkipWithError("kernel unavailable on this CPU");
-    return;
-  }
-  core::S3Index* index = SharedIndex();
-  const core::DescriptorBlock& block = index->database().block();
-  const core::CodedDescriptorBlock coded =
-      core::CodedDescriptorBlock::Encode(codec_kind, block);
-  Rng rng(9);  // same query stream as BM_RefineScan, for comparability
-  const fp::Fingerprint q = core::UniformRandomFingerprint(&rng);
-  const core::RefineSpec spec(core::RefinementMode::kRadiusFilter,
-                              /*radius=*/90.0, /*model=*/nullptr);
-  core::QueryResult exact;
-  core::ScanRecords(q, block, 0, block.size(), spec, &exact);
-  const core::ScanKernelKind previous = core::SetScanKernelForTest(kind);
-  core::QueryResult coded_result;
-  for (auto _ : state) {
-    core::QueryResult result;
-    core::ScanRecords(q, coded.View(), 0, coded.size(), spec, &result);
-    benchmark::DoNotOptimize(result.stats.records_scanned);
-    coded_result = std::move(result);
-  }
-  core::SetScanKernelForTest(previous);
-  size_t recovered = 0;
-  for (const auto& m : exact.matches) {
-    for (const auto& c : coded_result.matches) {
-      if (c.id == m.id && c.time_code == m.time_code) {
-        ++recovered;
-        break;
-      }
-    }
-  }
-  state.counters["bytes_per_record"] =
-      static_cast<double>(coded.codec().code_bytes());
-  state.counters["recall"] =
-      exact.matches.empty()
-          ? 1.0
-          : static_cast<double>(recovered) / exact.matches.size();
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(coded.size()));
-  state.SetLabel(std::string("coded:") + coded.codec().name() + ":" +
-                 core::ScanKernelName(kind));
-}
-BENCHMARK(BM_CodedRefineScan)->ArgsProduct({{2}, {0, 2}});
-
 // The same refinement sweep served straight off an on-disk segment (the
 // segment backend's phase-2 path): the shared corpus is written once as a
 // .s3seg file and the kernels run over its mapped (or resident) columns
-// through the DescriptorView. Labels ("segment:<mode>[:lvq4]:<kernel>")
-// feed tools/run_benchmarks.sh, which emits BENCH_store.json; comparing
-// against the in-memory BM_RefineScan / BM_CodedRefineScan row of the
-// same kernel shows what serving from the store costs. The sweep runs on
-// the default kernel and its label names it, so that comparison is like
-// with like.
-// range(0) selects mmap vs resident serving; range(1) selects the
-// descriptor codec the segment file is written with (lvq4 segments
-// exercise the fused decode kernels straight off the store and halve the
-// mapped descriptor column).
+// through the DescriptorView. Labels ("segment:<mode>:<kernel>") feed
+// tools/run_benchmarks.sh, which emits BENCH_store.json; comparing against
+// the in-memory BM_RefineScan row of the same kernel shows what serving
+// from the store costs. The sweep runs on the default kernel and its label
+// names it, so that comparison is like with like.
+// Arg selects mmap (1) vs resident (0) serving.
 void BM_SegmentScan(benchmark::State& state) {
-  const auto codec_kind =
-      static_cast<core::DescriptorCodecKind>(state.range(1));
-  static auto* const segment_paths = new std::map<int, std::string>();
-  std::string& segment_path = (*segment_paths)[static_cast<int>(codec_kind)];
-  if (segment_path.empty()) {
+  static auto* const segment_path = new std::string();
+  if (segment_path->empty()) {
     core::S3Index* index = SharedIndex();
     const core::FingerprintDatabase& db = index->database();
     std::string path =
         (std::filesystem::temp_directory_path() /
-         ("s3vcd_bench_segment_" + std::to_string(::getpid()) + "_" +
-          core::DescriptorCodecName(codec_kind) + ".s3seg"))
+         ("s3vcd_bench_segment_" + std::to_string(::getpid()) + ".s3seg"))
             .string();
     store::SegmentWriteOptions write_options;
     write_options.sync = false;
-    write_options.codec = codec_kind;
     const Status status = store::WriteSegmentFile(
         path, /*segment_id=*/1, db.block(), db.codes(), write_options);
     if (status.ok()) {
-      segment_path = path;
+      *segment_path = path;
     }
   }
-  if (segment_path.empty()) {
+  if (segment_path->empty()) {
     state.SkipWithError("failed to write benchmark segment");
     return;
   }
   store::SegmentReadOptions read_options;
   read_options.use_mmap = state.range(0) != 0;
-  auto reader = store::SegmentReader::Open(segment_path, read_options);
+  auto reader = store::SegmentReader::Open(*segment_path, read_options);
   if (!reader.ok()) {
     state.SkipWithError(reader.status().ToString().c_str());
     return;
@@ -335,51 +265,36 @@ void BM_SegmentScan(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(view.size()));
-  state.counters["bytes_per_record"] =
-      static_cast<double>((*reader)->descriptor_code_bytes());
-  // Quantized legs add the codec; every leg ends with the kernel, so
-  // run_benchmarks.sh can key the rows and pick the matching memory row.
-  std::string label = std::string("segment:") +
-                      ((*reader)->mapped() ? "mmap:" : "resident:");
-  if (codec_kind != core::DescriptorCodecKind::kExactU8) {
-    label.append(core::DescriptorCodecName(codec_kind)).append(":");
-  }
-  label.append(core::ScanKernelName(kind));
-  state.SetLabel(label);
+  // The label ends with the kernel, so run_benchmarks.sh can pick the
+  // matching memory row.
+  state.SetLabel(std::string("segment:") +
+                 ((*reader)->mapped() ? "mmap:" : "resident:") +
+                 core::ScanKernelName(kind));
 }
-BENCHMARK(BM_SegmentScan)->ArgsProduct({{0, 1}, {0, 2}});
+BENCHMARK(BM_SegmentScan)->Arg(0)->Arg(1);
 
 // The graph-traversal distance path head to head: one GatherScorer::Score
 // call over K gathered candidate indices (the beam search's per-hop batch)
 // vs the naive loop that scores the same K records one at a time through
-// SquaredDistanceU32 (decoding each record first on quantized views).
-// Both legs walk the same precomputed random index sets over the shared
-// 200k-record corpus, so the cache behaviour of a gather is represented.
-// range(0) = DescriptorCodecKind, range(1) = ScanKernelKind for the
-// batched leg or -1 for the looped reference (coded views have no SSE2
-// row: SSE2 dispatches the scalar fused loop). Labels
-// ("gather:<codec>:batched:<kernel>" / "gather:<codec>:looped") feed
-// tools/run_benchmarks.sh, which folds them into BENCH_scan.json —
-// acceptance for the vamana backend requires batched to beat looped.
+// SquaredDistanceU32. Both legs walk the same precomputed random index
+// sets over the shared 200k-record corpus, so the cache behaviour of a
+// gather is represented. Arg = ScanKernelKind for the batched leg or -1
+// for the looped reference. Labels ("gather:batched:<kernel>" /
+// "gather:looped") feed tools/run_benchmarks.sh, which folds them into
+// BENCH_scan.json — acceptance for the vamana backend requires batched to
+// beat looped.
 void BM_BatchedDistance(benchmark::State& state) {
   constexpr size_t kGatherK = 32;
-  const auto codec_kind =
-      static_cast<core::DescriptorCodecKind>(state.range(0));
-  const bool batched = state.range(1) >= 0;
+  const bool batched = state.range(0) >= 0;
   const auto kind = static_cast<core::ScanKernelKind>(
-      batched ? state.range(1) : 0);
+      batched ? state.range(0) : 0);
   if (batched && !core::ScanKernelAvailable(kind)) {
     state.SkipWithError("kernel unavailable on this CPU");
     return;
   }
   core::S3Index* index = SharedIndex();
   const core::DescriptorBlock& block = index->database().block();
-  core::CodedDescriptorBlock coded;
-  core::DescriptorView view = block.View();
-  if (codec_kind != core::DescriptorCodecKind::kExactU8) {
-    coded = core::CodedDescriptorBlock::Encode(codec_kind, block);
-    view = coded.View();
-  }
+  const core::DescriptorView view = block.View();
   Rng rng(14);
   const fp::Fingerprint q = core::UniformRandomFingerprint(&rng);
   // 64 random index sets of K records each, cycled per iteration so the
@@ -401,16 +316,6 @@ void BM_BatchedDistance(benchmark::State& state) {
       benchmark::DoNotOptimize(out[0]);
     }
     core::SetScanKernelForTest(previous);
-  } else if (view.codec != nullptr && !view.codec->is_exact()) {
-    uint8_t decoded[fp::kDims];
-    for (auto _ : state) {
-      const auto& ids = id_sets[i++ % id_sets.size()];
-      for (size_t j = 0; j < kGatherK; ++j) {
-        core::DecodeDescriptor(*view.codec, view.descriptor(ids[j]), decoded);
-        out[j] = core::SquaredDistanceU32(q.data(), decoded);
-      }
-      benchmark::DoNotOptimize(out[0]);
-    }
   } else {
     for (auto _ : state) {
       const auto& ids = id_sets[i++ % id_sets.size()];
@@ -422,14 +327,11 @@ void BM_BatchedDistance(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kGatherK));
-  std::string label = std::string("gather:") +
-                      core::DescriptorCodecName(codec_kind) + ":";
-  label += batched ? std::string("batched:") + core::ScanKernelName(kind)
-                   : "looped";
-  state.SetLabel(label);
+  state.SetLabel(batched ? std::string("gather:batched:") +
+                              core::ScanKernelName(kind)
+                        : std::string("gather:looped"));
 }
-BENCHMARK(BM_BatchedDistance)->ArgsProduct({{0}, {-1, 0, 1, 2}});
-BENCHMARK(BM_BatchedDistance)->ArgsProduct({{2}, {-1, 0, 2}});
+BENCHMARK(BM_BatchedDistance)->Arg(-1)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SequentialScan(benchmark::State& state) {
   core::S3Index* index = SharedIndex();

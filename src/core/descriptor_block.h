@@ -11,41 +11,26 @@
 
 namespace s3vcd::core {
 
-struct DescriptorCodec;  // core/descriptor_codec.h
-
 /// Non-owning view of a structure-of-arrays record store: raw pointers to
 /// the packed descriptor bytes and the parallel id/time/x/y columns. The
 /// refinement kernels (core/scan_kernel) operate on views, so the same
 /// SIMD scan runs over a resident DescriptorBlock and over columns mapped
 /// straight out of an on-disk segment (src/store/) without copying. The
 /// pointed-to arrays must outlive the view and hold `count` entries each.
-///
-/// The descriptor column is *coded*: `codec` names the representation and
-/// `desc_bytes` its per-record width. The defaults (nullptr codec,
-/// fp::kDims bytes) mean the historical packed exact u8 layout, so every
-/// aggregate-initialized view stays exact; quantized owners (coded blocks,
-/// LVQ segments) fill both fields and the scan kernels fuse the decode —
-/// see core/descriptor_codec.h.
 struct DescriptorView {
-  const uint8_t* descriptors = nullptr;  ///< count * desc_bytes packed bytes
+  const uint8_t* descriptors = nullptr;  ///< count * fp::kDims packed bytes
   const uint32_t* ids = nullptr;
   const uint32_t* time_codes = nullptr;
   const float* xs = nullptr;
   const float* ys = nullptr;
   size_t count = 0;
-  /// Bytes per stored descriptor record (codec code bytes; fp::kDims for
-  /// the exact layout).
-  size_t desc_bytes = fp::kDims;
-  /// Codec of the descriptor column. nullptr (or an exact codec) means the
-  /// bytes are exact u8 descriptors.
-  const DescriptorCodec* codec = nullptr;
 
   size_t size() const { return count; }
   bool empty() const { return count == 0; }
 
-  /// First byte of record i's (coded) descriptor.
+  /// First byte of record i's descriptor.
   const uint8_t* descriptor(size_t i) const {
-    return descriptors + i * desc_bytes;
+    return descriptors + i * fp::kDims;
   }
   uint32_t id(size_t i) const { return ids[i]; }
   uint32_t time_code(size_t i) const { return time_codes[i]; }

@@ -98,7 +98,6 @@ QueryResult KnnQuery(const S3Index& index, const fp::Fingerprint& query,
       for (size_t i = first; i < last; ++i) {
         const FingerprintRecord& rec = db.record(i);
         ++result.stats.records_scanned;
-        result.stats.descriptor_bytes_scanned += fp::kDims;
         const double dist =
             std::sqrt(fp::SquaredDistance(query, rec.descriptor));
         if (dist < kth_dist()) {

@@ -49,11 +49,6 @@ struct QueryStats {
   uint64_t blocks_selected = 0;   ///< card(B_alpha)
   uint64_t ranges_scanned = 0;    ///< merged contiguous curve sections
   uint64_t records_scanned = 0;   ///< fingerprints touched by refinement
-  /// Stored descriptor bytes the refinement actually read: records_scanned
-  /// weighted by each surface's per-record code width (20 exact, 10 lvq4 —
-  /// see core/descriptor_codec.h). The headline metric of quantized codecs:
-  /// on a quantized segment it is half the exact figure for the same scan.
-  uint64_t descriptor_bytes_scanned = 0;
   uint64_t nodes_visited = 0;     ///< selection work (BlockSelection)
   double probability_mass = 0;    ///< achieved expectation of the region
 };

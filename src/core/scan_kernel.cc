@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "core/descriptor_codec.h"
 #include "core/scan_kernel_internal.h"
 #include "util/logging.h"
 
@@ -20,13 +19,8 @@ namespace s3vcd::core {
 
 namespace {
 
-using internal::kCodedRecordBytes;
-using internal::MakeQuantQuery;
-using internal::QuantQuery;
 using internal::SqDistBatchFn;
 using internal::SqDistBatchScalar;
-using internal::SqDistCodedBatchFn;
-using internal::SqDistCodedBatchScalar;
 
 // Strip width of the blocked kernel: distances for kScanStrip records are
 // computed into a stack buffer before the mode test touches them, keeping
@@ -150,112 +144,6 @@ __attribute__((target("avx2"))) void SqDistGatherAvx2(
   }
 }
 
-// ---- Fused decode + distance kernels (quantized views) ----
-
-// Expands 10 packed nibble bytes (two axes per byte, even axis in the low
-// nibble — the lvq4 layout of core/descriptor_codec.cc) into 20 u8 codes:
-// bytes 0..7 become axes 0..15, bytes 8..9 become axes 16..19 (upper
-// output bytes zero). Pure SSE2.
-inline void ExpandNibbles(const uint8_t* p, __m128i* codes016,
-                          __m128i* codes_tail) {
-  const __m128i mask = _mm_set1_epi8(0x0F);
-  const __m128i b = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-  uint16_t tail_bits;
-  std::memcpy(&tail_bits, p + 8, 2);
-  const __m128i t = _mm_cvtsi32_si128(tail_bits);
-  *codes016 = _mm_unpacklo_epi8(_mm_and_si128(b, mask),
-                                _mm_and_si128(_mm_srli_epi16(b, 4), mask));
-  *codes_tail = _mm_unpacklo_epi8(_mm_and_si128(t, mask),
-                                  _mm_and_si128(_mm_srli_epi16(t, 4), mask));
-}
-
-// The quantized query/codec tables widened to u16 vectors: lanes [0,16) in
-// ymm registers, lanes [16,20) in xmms (upper four lanes zero, which makes
-// the padding lanes decode to 0 and contribute nothing).
-struct QuantU16 {
-  __m256i q016, s016, l016;
-  __m128i qt, st, lt;
-};
-
-__attribute__((target("avx2"))) inline __m128i LoadU16x4(const uint16_t* p) {
-  return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-}
-
-__attribute__((target("avx2"))) inline QuantU16 WidenQuant(
-    const QuantQuery& q) {
-  QuantU16 w;
-  w.q016 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q.query));
-  w.s016 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q.step16));
-  w.l016 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q.lo));
-  w.qt = LoadU16x4(q.query + 16);
-  w.st = LoadU16x4(q.step16 + 16);
-  w.lt = LoadU16x4(q.lo + 16);
-  return w;
-}
-
-// v = min(255, lo + ((c * step16 + 128) >> 8)) in u16 lanes — exactly the
-// scalar decode formula. All intermediates fit u16: c*step16 <= 65280 (the
-// training step ceiling guarantees it), +128 <= 65408.
-__attribute__((target("avx2"))) inline __m256i DecodeU16x16(__m256i c,
-                                                            __m256i step,
-                                                            __m256i lo) {
-  const __m256i prod = _mm256_add_epi16(_mm256_mullo_epi16(c, step),
-                                        _mm256_set1_epi16(128));
-  const __m256i v = _mm256_add_epi16(_mm256_srli_epi16(prod, 8), lo);
-  return _mm256_min_epu16(v, _mm256_set1_epi16(255));
-}
-
-__attribute__((target("avx2"))) inline __m128i DecodeU16x4(__m128i c,
-                                                           __m128i step,
-                                                           __m128i lo) {
-  const __m128i prod =
-      _mm_add_epi16(_mm_mullo_epi16(c, step), _mm_set1_epi16(128));
-  const __m128i v = _mm_add_epi16(_mm_srli_epi16(prod, 8), lo);
-  return _mm_min_epu16(v, _mm_set1_epi16(255));
-}
-
-// One lvq4 record of the AVX2 fused kernel.
-__attribute__((target("avx2"))) inline uint32_t SqDistCodedOneAvx2(
-    const uint8_t* p, const QuantU16& w) {
-  __m128i c8, t8;
-  ExpandNibbles(p, &c8, &t8);
-  const __m256i diff = _mm256_sub_epi16(
-      DecodeU16x16(_mm256_cvtepu8_epi16(c8), w.s016, w.l016), w.q016);
-  const __m256i acc = _mm256_madd_epi16(diff, diff);
-  const __m128i dt =
-      _mm_sub_epi16(DecodeU16x4(_mm_cvtepu8_epi16(t8), w.st, w.lt), w.qt);
-  __m128i sum = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                              _mm256_extracti128_si256(acc, 1));
-  sum = _mm_add_epi32(sum, _mm_madd_epi16(dt, dt));
-  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(1, 0, 3, 2)));
-  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(2, 3, 0, 1)));
-  return static_cast<uint32_t>(_mm_cvtsi128_si32(sum));
-}
-
-__attribute__((target("avx2"))) void SqDistCodedBatchAvx2(
-    const uint8_t* codes, size_t n, const QuantQuery& q, uint32_t* out) {
-  const QuantU16 w = WidenQuant(q);
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = SqDistCodedOneAvx2(codes + i * kCodedRecordBytes, w);
-  }
-}
-
-__attribute__((target("avx2"))) void SqDistCodedGatherAvx2(
-    const uint8_t* codes, const uint32_t* indices, size_t k,
-    const QuantQuery& q, uint32_t* out) {
-  const QuantU16 w = WidenQuant(q);
-  for (size_t i = 0; i < k; ++i) {
-    if (i + kGatherPrefetchAhead < k) {
-      __builtin_prefetch(
-          codes + static_cast<size_t>(indices[i + kGatherPrefetchAhead]) *
-                      kCodedRecordBytes,
-          0, 3);
-    }
-    out[i] = SqDistCodedOneAvx2(
-        codes + static_cast<size_t>(indices[i]) * kCodedRecordBytes, w);
-  }
-}
-
 #endif  // S3VCD_X86
 
 SqDistBatchFn KernelFn(ScanKernelKind kind) {
@@ -276,17 +164,6 @@ SqDistBatchFn KernelFn(ScanKernelKind kind) {
   return &SqDistBatchScalar;
 }
 
-SqDistCodedBatchFn CodedKernelFn(ScanKernelKind kind) {
-#ifdef S3VCD_X86
-  if (kind == ScanKernelKind::kAvx2) {
-    return &SqDistCodedBatchAvx2;
-  }
-#endif
-  // Scalar and SSE2 share the reference fused loop: the nibble/decode
-  // shuffle work leaves no profitable pure-SSE2 variant.
-  return &SqDistCodedBatchScalar;
-}
-
 internal::SqDistGatherFn GatherKernelFn(ScanKernelKind kind) {
   switch (kind) {
     case ScanKernelKind::kScalar:
@@ -303,15 +180,6 @@ internal::SqDistGatherFn GatherKernelFn(ScanKernelKind kind) {
 #endif
   }
   return &internal::SqDistGatherScalar;
-}
-
-internal::SqDistCodedGatherFn CodedGatherKernelFn(ScanKernelKind kind) {
-#ifdef S3VCD_X86
-  if (kind == ScanKernelKind::kAvx2) {
-    return &SqDistCodedGatherAvx2;
-  }
-#endif
-  return &internal::SqDistCodedGatherScalar;
 }
 
 // The measured-fastest kernel this CPU/build can run: AVX2 when present,
@@ -367,16 +235,8 @@ std::atomic<int>& ActiveKernelSlot() {
 }  // namespace
 
 GatherScorer::GatherScorer(const uint8_t* query, const DescriptorView& view)
-    : descriptors_(view.descriptors),
-      desc_bytes_(view.desc_bytes),
-      coded_(view.codec != nullptr && !view.codec->is_exact()) {
-  if (coded_) {
-    quant_ = MakeQuantQuery(query, *view.codec);
-    coded_fn_ = CodedGatherKernelFn(ActiveScanKernel());
-  } else {
-    std::memcpy(query_, query, fp::kDims);
-    exact_fn_ = GatherKernelFn(ActiveScanKernel());
-  }
+    : descriptors_(view.descriptors), fn_(GatherKernelFn(ActiveScanKernel())) {
+  std::memcpy(query_, query, fp::kDims);
 }
 
 void GatherScorer::Score(const uint32_t* indices, size_t k,
@@ -384,11 +244,7 @@ void GatherScorer::Score(const uint32_t* indices, size_t k,
   if (k == 0) {
     return;
   }
-  if (coded_) {
-    coded_fn_(descriptors_, indices, k, quant_, out);
-  } else {
-    exact_fn_(descriptors_, indices, k, query_, out);
-  }
+  fn_(descriptors_, indices, k, query_, out);
 }
 
 const char* ScanKernelName(ScanKernelKind kind) {
@@ -445,31 +301,14 @@ void ScanRecords(const fp::Fingerprint& query, const DescriptorView& block,
     return;
   }
   result->stats.records_scanned += last - first;
-  result->stats.descriptor_bytes_scanned += (last - first) * block.desc_bytes;
-  const bool coded = block.codec != nullptr && !block.codec->is_exact();
   if (spec.mode == RefinementMode::kNormalizedRadiusFilter) {
     // Normalized mode stays on the single shared scalar definition so all
     // backends and kernels agree bitwise (see NormalizedSquaredDistance);
-    // the weight table already makes it a single pass per record. A coded
-    // view decodes per record and inflates the radius by the codec's
-    // normalized reconstruction error bound.
-    double radius_sq = spec.radius_sq;
-    if (coded) {
-      const double r =
-          std::sqrt(spec.radius_sq) +
-          block.codec->NormalizedMaxError(spec.inv_scale_sq.data());
-      radius_sq = r * r;
-    }
-    uint8_t decoded[fp::kDims];
+    // the weight table already makes it a single pass per record.
     for (size_t i = first; i < last; ++i) {
-      const uint8_t* record = block.descriptor(i);
-      if (coded) {
-        DecodeDescriptor(*block.codec, record, decoded);
-        record = decoded;
-      }
       const double dist_sq = NormalizedSquaredDistance(
-          query.data(), record, spec.inv_scale_sq.data());
-      if (dist_sq > radius_sq) {
+          query.data(), block.descriptor(i), spec.inv_scale_sq.data());
+      if (dist_sq > spec.radius_sq) {
         continue;
       }
       result->matches.push_back({block.id(i), block.time_code(i),
@@ -478,32 +317,16 @@ void ScanRecords(const fp::Fingerprint& query, const DescriptorView& block,
     }
     return;
   }
-  // Integer path: blocked strips of distances, then the mode test. Coded
-  // views run the fused decode+distance kernels against an error-inflated
-  // radius, making the quantized match set a superset of the exact one.
-  const SqDistBatchFn batch = coded ? nullptr : KernelFn(ActiveScanKernel());
-  const SqDistCodedBatchFn coded_batch =
-      coded ? CodedKernelFn(ActiveScanKernel()) : nullptr;
-  QuantQuery quant;
-  double radius_sq = spec.radius_sq;
-  if (coded) {
-    quant = MakeQuantQuery(query.data(), *block.codec);
-    if (spec.mode == RefinementMode::kRadiusFilter) {
-      const double r = std::sqrt(spec.radius_sq) + block.codec->max_error;
-      radius_sq = r * r;
-    }
-  }
+  // Integer path: blocked strips of distances, then the mode test.
+  const SqDistBatchFn batch = KernelFn(ActiveScanKernel());
   uint32_t dist_sq[kScanStrip];
   for (size_t strip = first; strip < last; strip += kScanStrip) {
     const size_t count = std::min(kScanStrip, last - strip);
-    if (coded) {
-      coded_batch(block.descriptor(strip), count, quant, dist_sq);
-    } else {
-      batch(block.descriptor(strip), count, query.data(), dist_sq);
-    }
+    batch(block.descriptor(strip), count, query.data(), dist_sq);
     for (size_t k = 0; k < count; ++k) {
       const double d_sq = static_cast<double>(dist_sq[k]);
-      if (spec.mode == RefinementMode::kRadiusFilter && d_sq > radius_sq) {
+      if (spec.mode == RefinementMode::kRadiusFilter &&
+          d_sq > spec.radius_sq) {
         continue;
       }
       const size_t i = strip + k;

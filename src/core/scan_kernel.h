@@ -7,7 +7,6 @@
 #include <cstdint>
 
 #include "core/descriptor_block.h"
-#include "core/descriptor_codec.h"
 #include "core/record.h"
 #include "core/scan_kernel_internal.h"
 #include "core/searcher.h"
@@ -32,11 +31,7 @@ namespace s3vcd::core {
 /// its place only by speed. The default is the measured-fastest kernel the
 /// CPU supports, not the widest ISA: AVX2 where present (it outran the
 /// retired AVX-512 kernels on every BENCH_scan path), SSE2 on other
-/// x86-64 hosts, scalar elsewhere. When the view carries the lvq4 codec
-/// (core/descriptor_codec.h) the kernels fuse the integer decode into the
-/// distance accumulation and inflate radius tests by the codec's
-/// reconstruction error bound, so the quantized match set is a superset of
-/// the exact one.
+/// x86-64 hosts, scalar elsewhere.
 ///
 /// Environment override:
 ///   S3VCD_SCAN_KERNEL=scalar|sse2|avx2  pin a specific kernel. An unknown
@@ -122,9 +117,9 @@ inline uint32_t SquaredDistanceU32(const uint8_t* a, const uint8_t* b) {
 }
 
 /// Refines one candidate record of a block (LSH candidate verification,
-/// VA-file phase 2, dynamic-index insert buffer): bumps records_scanned
-/// and descriptor_bytes_scanned, applies the mode's distance test, and
-/// appends a Match on acceptance. Returns whether the record was kept.
+/// VA-file phase 2): bumps records_scanned, applies the mode's distance
+/// test, and appends a Match on acceptance. Returns whether the record was
+/// kept.
 ///
 /// Match.distance semantics (the definitive statement, pinned by
 /// tests/scan_kernel_test.cc): in kAll and kRadiusFilter modes, and in
@@ -135,32 +130,11 @@ inline uint32_t SquaredDistanceU32(const uint8_t* a, const uint8_t* b) {
 /// sqrt(sum_j ((q_j - x_j) / scale_j)^2) — the one distance that mode
 /// computes and tests against the radius (in sigma units). The
 /// unnormalized distance is not computed in that mode.
-///
-/// On a quantized view, x_j is the *decoded* record (the same values every
-/// fused kernel reconstructs) and the radius is inflated by the codec's
-/// reconstruction error bound, so no record the exact representation would
-/// accept is dropped; exact surfaces (memtable, in-memory backends, exact
-/// segments) re-rank those candidates by construction.
 inline bool RefineRecord(const fp::Fingerprint& query,
                          const DescriptorView& block, size_t i,
                          const RefineSpec& spec, QueryResult* result) {
   ++result->stats.records_scanned;
-  result->stats.descriptor_bytes_scanned += block.desc_bytes;
   const uint8_t* record = block.descriptor(i);
-  double radius_sq = spec.radius_sq;
-  uint8_t decoded[fp::kDims];
-  if (block.codec != nullptr && !block.codec->is_exact()) {
-    DecodeDescriptor(*block.codec, record, decoded);
-    record = decoded;
-    if (spec.mode != RefinementMode::kAll) {
-      const double err =
-          spec.mode == RefinementMode::kNormalizedRadiusFilter
-              ? block.codec->NormalizedMaxError(spec.inv_scale_sq.data())
-              : block.codec->max_error;
-      const double r = std::sqrt(spec.radius_sq) + err;
-      radius_sq = r * r;
-    }
-  }
   double dist_sq;
   if (spec.mode == RefinementMode::kNormalizedRadiusFilter) {
     dist_sq = NormalizedSquaredDistance(query.data(), record,
@@ -168,7 +142,7 @@ inline bool RefineRecord(const fp::Fingerprint& query,
   } else {
     dist_sq = static_cast<double>(SquaredDistanceU32(query.data(), record));
   }
-  if (spec.mode != RefinementMode::kAll && dist_sq > radius_sq) {
+  if (spec.mode != RefinementMode::kAll && dist_sq > spec.radius_sq) {
     return false;
   }
   result->matches.push_back({block.id(i), block.time_code(i),
@@ -201,12 +175,11 @@ inline void ScanRecords(const fp::Fingerprint& query,
 }
 
 /// One-query scorer for *gathered* candidate sets — the graph-traversal
-/// counterpart of ScanRecords. Construction widens the query (and, on a
-/// quantized view, the codec tables) once and resolves the dispatched
-/// kernel; each Score() call then computes the exact integer squared
-/// byte-space distances of K arbitrary record indices in a single kernel
-/// call (scalar/SSE2/AVX2 variants, decode fused for lvq4 views, software
-/// prefetch of the descriptor lines a few gathers ahead).
+/// counterpart of ScanRecords. Construction copies the query and resolves
+/// the dispatched kernel; each Score() call then computes the exact integer
+/// squared byte-space distances of K arbitrary record indices in a single
+/// kernel call (scalar/SSE2/AVX2 variants, software prefetch of the
+/// descriptor lines a few gathers ahead).
 /// The distances are the same integers the strip kernels produce — bitwise
 /// identical across every variant (pinned by tests/scan_kernel_test.cc).
 /// The view's arrays must outlive the scorer; a scorer is cheap enough to
@@ -219,7 +192,7 @@ class GatherScorer {
   GatherScorer(const fp::Fingerprint& query, const DescriptorView& view)
       : GatherScorer(query.data(), view) {}
 
-  /// out[i] = squared distance of the query to (decoded) record
+  /// out[i] = squared distance of the query to record
   /// indices[i]. Indices may repeat and arrive in any order; every index
   /// must be < view.count.
   void Score(const uint32_t* indices, size_t k, uint32_t* out) const;
@@ -229,20 +202,13 @@ class GatherScorer {
   /// being consumed.
   void Prefetch(uint32_t index) const {
     __builtin_prefetch(
-        descriptors_ + static_cast<size_t>(index) * desc_bytes_, 0, 3);
+        descriptors_ + static_cast<size_t>(index) * fp::kDims, 0, 3);
   }
-
-  /// Bytes per stored (coded) record of the underlying view.
-  size_t desc_bytes() const { return desc_bytes_; }
 
  private:
   const uint8_t* descriptors_;
-  size_t desc_bytes_;
-  bool coded_;
-  internal::QuantQuery quant_{};        // quantized views only
-  uint8_t query_[fp::kDims];            // exact views only
-  internal::SqDistGatherFn exact_fn_ = nullptr;
-  internal::SqDistCodedGatherFn coded_fn_ = nullptr;
+  internal::SqDistGatherFn fn_;
+  uint8_t query_[fp::kDims];
 };
 
 }  // namespace s3vcd::core

@@ -32,9 +32,6 @@ obs::Counter* const g_ranges_scanned =
     obs::MetricsRegistry::Global().GetCounter("index.ranges_scanned");
 obs::Counter* const g_records_scanned =
     obs::MetricsRegistry::Global().GetCounter("index.records_scanned");
-obs::Counter* const g_descriptor_bytes_scanned =
-    obs::MetricsRegistry::Global().GetCounter(
-        "index.descriptor_bytes_scanned");
 obs::Counter* const g_matches =
     obs::MetricsRegistry::Global().GetCounter("index.matches");
 obs::Counter* const g_refine_rejected =
@@ -107,7 +104,6 @@ void RecordQueryMetrics(QueryKind kind, const QueryStats& stats,
   g_nodes_visited->Increment(stats.nodes_visited);
   g_ranges_scanned->Increment(stats.ranges_scanned);
   g_records_scanned->Increment(stats.records_scanned);
-  g_descriptor_bytes_scanned->Increment(stats.descriptor_bytes_scanned);
   g_matches->Increment(hits);
   g_refine_rejected->Increment(stats.records_scanned - hits);
   g_selection_ns->Increment(stats.selection_ns);

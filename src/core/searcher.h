@@ -2,7 +2,6 @@
 #define S3VCD_CORE_SEARCHER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/database.h"
@@ -81,16 +80,6 @@ const char* ActiveScanKernelName();
 struct SearcherStats {
   /// Total searchable records (static part + any insert buffer).
   uint64_t records = 0;
-  /// Descriptor codec(s) the backend stores records under ("exact"
-  /// everywhere except quantized segment stores, which report the codecs
-  /// actually present — '+'-joined when mixed mid-migration, e.g.
-  /// "exact+lvq4"; see core/descriptor_codec.h).
-  std::string codec = "exact";
-  /// Worst-case L2 distance perturbation the codec can introduce (max over
-  /// the backend's trained codecs of DescriptorCodec::max_error; 0 when
-  /// everything is exact). By the triangle inequality a reported match
-  /// distance is within this of the exact one.
-  double codec_max_error = 0;
 };
 
 /// The uniform interface over every served search structure: the paper's

@@ -185,7 +185,6 @@ QueryResult VAFile::KnnQuery(const fp::Fingerprint& query, int k) const {
       break;
     }
     ++result.stats.records_scanned;
-    result.stats.descriptor_bytes_scanned += fp::kDims;
     const size_t idx = cand.index;
     const float dist = static_cast<float>(std::sqrt(static_cast<double>(
         SquaredDistanceU32(query.data(), block_.descriptor(idx)))));

@@ -33,6 +33,10 @@ namespace {
 
 constexpr uint32_t kGraphMagic = 0x53335647;  // "S3VG"
 constexpr uint32_t kGraphVersion = 1;
+// The blob's codec word. Graphs are built over the exact descriptor bytes
+// only, so it is always 0; any other value is a mismatch and the graph is
+// rebuilt.
+constexpr uint32_t kGraphCodecExact = 0;
 
 // Batch width of the parallel build. A fixed constant (not derived from
 // the thread count) so batch boundaries — and hence the graph — are
@@ -67,14 +71,6 @@ VamanaIndex::VamanaIndex(std::vector<FingerprintRecord> records,
   // pairs with the record set that produced it.
   digest_ = Crc32(block_.descriptors(), n * fp::kDims,
                   static_cast<uint32_t>(n));
-  if (options_.codec == DescriptorCodecKind::kExactU8) {
-    view_ = block_.View();
-  } else {
-    coded_ = CodedDescriptorBlock::Encode(options_.codec, block_);
-    view_ = coded_.View();
-    max_error_ = coded_.codec().max_error;
-    block_ = DescriptorBlock();  // the coded columns are the storage now
-  }
   degree_bound_ =
       n > 1 ? static_cast<uint32_t>(std::min<size_t>(
                   static_cast<size_t>(options_.graph_degree), n - 1))
@@ -102,7 +98,7 @@ VamanaIndex::VamanaIndex(std::vector<FingerprintRecord> records,
 }
 
 std::vector<uint32_t> VamanaIndex::Neighbors(uint32_t node) const {
-  S3VCD_CHECK(node < view_.count);
+  S3VCD_CHECK(node < block_.size());
   const uint32_t* row =
       adj_.data() + static_cast<size_t>(node) * degree_bound_;
   return std::vector<uint32_t>(row, row + degree_[node]);
@@ -115,7 +111,7 @@ uint64_t VamanaIndex::BeamSearch(const uint8_t* query_bytes, int beam,
                                  bool collect_visited,
                                  VamanaScratch* scratch,
                                  OnScored&& on_scored) const {
-  const size_t n = view_.count;
+  const size_t n = block_.size();
   if (n == 0) {
     return 0;
   }
@@ -134,7 +130,7 @@ uint64_t VamanaIndex::BeamSearch(const uint8_t* query_bytes, int beam,
     scratch->visited.clear();
   }
   const size_t cap = beam < 1 ? 1 : static_cast<size_t>(beam);
-  const GatherScorer scorer(query_bytes, view_);
+  const GatherScorer scorer(query_bytes, block_.View());
 
   const auto insert = [&pool, cap](uint32_t dist_sq, uint32_t id) {
     if (pool.size() == cap) {
@@ -258,7 +254,7 @@ void VamanaIndex::RobustPrune(uint32_t p, double alpha, const uint8_t* base,
 }
 
 void VamanaIndex::Build() {
-  const size_t n = view_.count;
+  const size_t n = block_.size();
   degree_.assign(n, 0);
   adj_.assign(n * degree_bound_, 0);
   medoid_ = 0;
@@ -266,21 +262,7 @@ void VamanaIndex::Build() {
     return;
   }
 
-  // Exact-domain bytes of every record, build-time only: decoded once for
-  // quantized storage (so build distances equal the query-time decoded
-  // distances), aliased for exact storage.
-  std::vector<uint8_t> decoded;
-  const uint8_t* base;
-  if (view_.codec != nullptr && !view_.codec->is_exact()) {
-    decoded.resize(n * fp::kDims);
-    for (size_t i = 0; i < n; ++i) {
-      DecodeDescriptor(*view_.codec, view_.descriptor(i),
-                       decoded.data() + i * fp::kDims);
-    }
-    base = decoded.data();
-  } else {
-    base = view_.descriptors;
-  }
+  const uint8_t* base = block_.descriptors();
 
   // Entry point: the record nearest the component-wise centroid (the
   // cheap deterministic stand-in for the exact medoid).
@@ -441,15 +423,11 @@ void VamanaIndex::Build() {
 QueryResult VamanaIndex::RangeQueryImpl(const fp::Fingerprint& query,
                                         double epsilon, int beam) const {
   QueryResult result;
-  if (view_.count == 0) {
+  if (block_.empty()) {
     return result;
   }
   Stopwatch watch;
-  // Same inflation convention as the refine kernels: on a quantized store
-  // the radius grows by the codec's reconstruction bound, so no record the
-  // exact representation would accept is dropped by quantization (misses
-  // can only come from the graph traversal itself).
-  const double r = std::max(0.0, epsilon) + max_error_;
+  const double r = std::max(0.0, epsilon);
   const double radius_sq = r * r;
   VamanaScratch* scratch = ThreadLocalVamanaScratch();
   uint64_t scored = 0;
@@ -461,12 +439,11 @@ QueryResult VamanaIndex::RangeQueryImpl(const fp::Fingerprint& query,
         if (d_sq > radius_sq) {
           return;
         }
-        result.matches.push_back({view_.id(id), view_.time_code(id),
+        result.matches.push_back({block_.id(id), block_.time_code(id),
                                   static_cast<float>(std::sqrt(d_sq)),
-                                  view_.x(id), view_.y(id)});
+                                  block_.x(id), block_.y(id)});
       });
   result.stats.records_scanned = scored;
-  result.stats.descriptor_bytes_scanned = scored * view_.desc_bytes;
   result.stats.nodes_visited = expansions;
   result.stats.refine_ns = watch.ElapsedNanos();
   return result;
@@ -486,23 +463,13 @@ QueryResult VamanaIndex::BallQuery(const fp::Fingerprint& query,
 
 SearcherStats VamanaIndex::Stats() const {
   SearcherStats stats;
-  stats.records = view_.count;
-  stats.codec =
-      view_.codec != nullptr ? view_.codec->name() : "exact";
-  stats.codec_max_error = max_error_;
+  stats.records = block_.size();
   return stats;
 }
 
 uint64_t VamanaIndex::ApproxBytes() const {
-  uint64_t bytes = adj_.size() * sizeof(uint32_t) +
-                   degree_.size() * sizeof(uint32_t);
-  if (view_.codec != nullptr && !view_.codec->is_exact()) {
-    bytes += coded_.coded_descriptor_bytes() +
-             coded_.size() * (2 * sizeof(uint32_t) + 2 * sizeof(float));
-  } else {
-    bytes += block_.MemoryBytes();
-  }
-  return bytes;
+  return adj_.size() * sizeof(uint32_t) +
+         degree_.size() * sizeof(uint32_t) + block_.MemoryBytes();
 }
 
 // ---- Graph blob --------------------------------------------------------
@@ -513,7 +480,7 @@ Status VamanaIndex::SaveGraph(const std::string& path) const {
   S3VCD_RETURN_IF_ERROR(writer.WriteU32(kGraphMagic));
   S3VCD_RETURN_IF_ERROR(writer.WriteU32(kGraphVersion));
   S3VCD_RETURN_IF_ERROR(writer.WriteU32(fp::kDims));
-  S3VCD_RETURN_IF_ERROR(writer.WriteU64(view_.count));
+  S3VCD_RETURN_IF_ERROR(writer.WriteU64(block_.size()));
   S3VCD_RETURN_IF_ERROR(writer.WriteU32(degree_bound_));
   S3VCD_RETURN_IF_ERROR(writer.WriteU32(medoid_));
   S3VCD_RETURN_IF_ERROR(
@@ -522,8 +489,7 @@ Status VamanaIndex::SaveGraph(const std::string& path) const {
       writer.WriteU32(static_cast<uint32_t>(options_.build_beam)));
   S3VCD_RETURN_IF_ERROR(writer.WriteDouble(options_.alpha));
   S3VCD_RETURN_IF_ERROR(writer.WriteU64(options_.seed));
-  S3VCD_RETURN_IF_ERROR(
-      writer.WriteU32(static_cast<uint32_t>(options_.codec)));
+  S3VCD_RETURN_IF_ERROR(writer.WriteU32(kGraphCodecExact));
   S3VCD_RETURN_IF_ERROR(writer.WriteU32(digest_));
   S3VCD_RETURN_IF_ERROR(
       writer.WriteBytes(degree_.data(), degree_.size() * sizeof(uint32_t)));
@@ -562,12 +528,12 @@ Status VamanaIndex::LoadGraph(const std::string& path) {
   S3VCD_RETURN_IF_ERROR(reader.ReadU64(&seed));
   S3VCD_RETURN_IF_ERROR(reader.ReadU32(&codec));
   S3VCD_RETURN_IF_ERROR(reader.ReadU32(&digest));
-  if (dims != static_cast<uint32_t>(fp::kDims) || count != view_.count ||
+  if (dims != static_cast<uint32_t>(fp::kDims) || count != block_.size() ||
       bound != degree_bound_ ||
       graph_degree != static_cast<uint32_t>(options_.graph_degree) ||
       build_beam != static_cast<uint32_t>(options_.build_beam) ||
       alpha != options_.alpha || seed != options_.seed ||
-      codec != static_cast<uint32_t>(options_.codec) ||
+      codec != kGraphCodecExact ||
       digest != digest_) {
     return Status::FailedPrecondition(
         "vamana graph blob does not match the records/options");

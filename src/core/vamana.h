@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/descriptor_block.h"
-#include "core/descriptor_codec.h"
 #include "core/record.h"
 #include "core/searcher.h"
 #include "fingerprint/fingerprint.h"
@@ -38,10 +37,6 @@ struct VamanaOptions {
   /// Build fan-out width (0 = hardware concurrency), run on the shared
   /// ThreadPool via ParallelFor.
   int build_threads = 0;
-  /// Vector-storage codec: quantized codecs back the graph with a
-  /// CodedDescriptorBlock and the beam search scores through the fused
-  /// decode gather kernels (see core/descriptor_codec.h).
-  DescriptorCodecKind codec = DescriptorCodecKind::kExactU8;
   /// Optional graph blob path: loaded when header + record digest match
   /// the current records and options, (re)written after a build, so
   /// rebuilds are not paid per process. Empty = build in memory each time.
@@ -77,14 +72,14 @@ VamanaScratch* ThreadLocalVamanaScratch();
 /// the benchmarked operating points lives in BENCH_ann.json and is floored
 /// by tests/backend_parity_test.cc (like the LSH baseline). StatQuery is
 /// answered as a range query at the equal-expectation radius; matches are
-/// always exact-distance filtered (no false positives beyond the codec's
-/// documented reconstruction bound), only misses are possible.
+/// always exact-distance filtered (no false positives), only misses are
+/// possible.
 class VamanaIndex : public Searcher {
  public:
   VamanaIndex(std::vector<FingerprintRecord> records,
               const VamanaOptions& options);
 
-  size_t size() const { return view_.count; }
+  size_t size() const { return block_.size(); }
   const VamanaOptions& options() const { return options_; }
   uint32_t medoid() const { return medoid_; }
   /// Effective degree bound (min(graph_degree, n - 1)).
@@ -137,10 +132,7 @@ class VamanaIndex : public Searcher {
                    std::vector<uint32_t>* out) const;
 
   VamanaOptions options_;
-  DescriptorBlock block_;        ///< exact storage (exact codec only)
-  CodedDescriptorBlock coded_;   ///< quantized storage (lvq codecs)
-  DescriptorView view_;          ///< into block_ or coded_
-  double max_error_ = 0;         ///< codec reconstruction bound
+  DescriptorBlock block_;        ///< the records
   uint32_t digest_ = 0;          ///< CRC of the input records (blob check)
   uint32_t degree_bound_ = 0;
   uint32_t medoid_ = 0;

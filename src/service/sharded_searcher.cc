@@ -218,7 +218,6 @@ core::QueryResult Merge(const BatchSpec& spec, QueryRun* run) {
     stats.nodes_visited += partial.stats.nodes_visited;
     stats.ranges_scanned += partial.stats.ranges_scanned;
     stats.records_scanned += partial.stats.records_scanned;
-    stats.descriptor_bytes_scanned += partial.stats.descriptor_bytes_scanned;
     stats.probability_mass =
         std::max(stats.probability_mass, partial.stats.probability_mass);
   }

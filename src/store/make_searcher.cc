@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/descriptor_codec.h"
 #include "core/index.h"
 #include "core/vamana.h"
 #include "store/segment_searcher.h"
@@ -34,12 +33,6 @@ class SeqScanSearcher final : public core::Searcher {
  private:
   core::FingerprintDatabase db_;
 };
-
-Status UnknownCodec(std::string_view backend, const std::string& codec) {
-  return Status::InvalidArgument(
-      "unknown " + std::string(backend) + " codec '" + codec +
-      "' (expected " + core::DescriptorCodecNamesCsv() + ")");
-}
 
 }  // namespace
 
@@ -71,10 +64,6 @@ Result<std::unique_ptr<core::Searcher>> MakeSearcher(
   if (name == "segment") {
     SegmentSearcherOptions options;
     options.store_dir = config.segment_store_dir;
-    if (!core::DescriptorCodecFromName(config.segment_codec,
-                                       &options.store.codec)) {
-      return UnknownCodec(name, config.segment_codec);
-    }
     S3VCD_ASSIGN_OR_RETURN(std::unique_ptr<SegmentSearcher> searcher,
                            SegmentSearcher::Open(std::move(db), options));
     return std::unique_ptr<core::Searcher>(std::move(searcher));
@@ -83,9 +72,6 @@ Result<std::unique_ptr<core::Searcher>> MakeSearcher(
   options.graph_degree = config.vamana_graph_degree;
   options.beam_width = config.vamana_beam_width;
   options.graph_path = config.vamana_graph_path;
-  if (!core::DescriptorCodecFromName(config.vamana_codec, &options.codec)) {
-    return UnknownCodec(name, config.vamana_codec);
-  }
   std::vector<core::FingerprintRecord> records;
   records.reserve(db.size());
   for (size_t i = 0; i < db.size(); ++i) {

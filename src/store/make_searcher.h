@@ -26,16 +26,11 @@ struct SearcherConfig {
   /// segment: store directory (empty = ephemeral temp dir). See
   /// docs/segment_format.md.
   std::string segment_store_dir;
-  /// segment: descriptor codec newly written segments are encoded with
-  /// ("exact", "lvq4" — see core/descriptor_codec.h). Existing
-  /// segments keep whatever codec they were written with.
-  std::string segment_codec = "exact";
-  /// vamana: graph out-degree bound R, query beam L, storage codec and
-  /// optional graph blob path — see core/vamana.h and the knob table in
+  /// vamana: graph out-degree bound R, query beam L and optional graph
+  /// blob path — see core/vamana.h and the knob table in
   /// docs/tuning.md.
   int vamana_graph_degree = 32;
   int vamana_beam_width = 64;
-  std::string vamana_codec = "exact";
   std::string vamana_graph_path;
 };
 
@@ -44,9 +39,8 @@ struct SearcherConfig {
 /// segment, seqscan, vamana".
 Status CheckSearcherBackend(std::string_view name);
 
-/// Constructs backend `name` over `db` (consumed). An unknown name, an
-/// unknown codec or a store that fails to open returns the error instead
-/// of a searcher.
+/// Constructs backend `name` over `db` (consumed). An unknown name or a
+/// store that fails to open returns the error instead of a searcher.
 Result<std::unique_ptr<core::Searcher>> MakeSearcher(
     std::string_view name, core::FingerprintDatabase db,
     const SearcherConfig& config = {});

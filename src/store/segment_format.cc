@@ -39,29 +39,22 @@ struct SectionLayout {
   uint32_t crc = 0;
 };
 
-/// Required byte length of section `s` for `n` records under `kind`.
-/// Sections 0-5 are per-record columns (the descriptor column's width is
-/// the codec's code bytes); section 6 is the fixed-size codec-params blob,
-/// present exactly when the codec is quantized. These lengths are what the
-/// reader re-derives and checks, so a segment whose header codec tag does
-/// not match its actual payload widths fails validation structurally.
-uint64_t SectionLength(uint32_t s, uint64_t n,
-                       core::DescriptorCodecKind kind) {
+/// Required byte length of section `s` for `n` records. Sections 0-5 are
+/// per-record columns; section 6, the codec-params blob of the retired
+/// quantized codecs, is always empty. These lengths are what the reader
+/// re-derives and checks.
+uint64_t SectionLength(uint32_t s, uint64_t n) {
   switch (s) {
     case 0:
       return n * sizeof(uint32_t);
     case 1:
-      return n * core::DescriptorCodeBytes(kind);
+      return n * fp::kDims;
     case 2:
     case 3:
       return n * sizeof(uint32_t);
     case 4:
     case 5:
       return n * sizeof(float);
-    case 6:
-      return kind == core::DescriptorCodecKind::kExactU8
-                 ? 0
-                 : core::kDescriptorCodecParamsBytes;
   }
   return 0;
 }
@@ -88,17 +81,11 @@ Status WriteSegmentFileImpl(const std::string& path, uint64_t segment_id,
     return Status::InvalidArgument("segment records must be code-sorted");
   }
 
-  // Train the codec on the block being written; quantized parameters are
-  // per-segment (spills and compactions re-train on their merged input).
-  const core::DescriptorCodec codec = core::TrainDescriptorCodec(
-      options.codec, block.descriptors(), block.size());
-  const size_t code_bytes = codec.code_bytes();
-
   SectionLayout sections[kNumSections];
   uint64_t offset = kSegmentHeaderBytes;
   for (uint32_t s = 0; s < kNumSections; ++s) {
     sections[s].offset = offset;
-    sections[s].length = SectionLength(s, n, options.codec);
+    sections[s].length = SectionLength(s, n);
     offset = Align64(offset + sections[s].length);
   }
   const uint64_t footer_offset = offset;
@@ -110,7 +97,7 @@ Status WriteSegmentFileImpl(const std::string& path, uint64_t segment_id,
   PutU32(header + 0, kSegmentMagic);
   PutU32(header + 4, kSegmentVersion);
   PutU32(header + 8, static_cast<uint32_t>(fp::kDims));
-  header[kHeaderCodecOff] = static_cast<uint8_t>(options.codec);
+  // The codec tag at kHeaderCodecOff stays 0: the exact descriptor bytes.
   PutU64(header + kHeaderCountOff, n);
   PutU64(header + 24, segment_id);
   PutU32(header + kHeaderCrcOff, Crc32(header, kHeaderCrcOff));
@@ -118,51 +105,14 @@ Status WriteSegmentFileImpl(const std::string& path, uint64_t segment_id,
 
   const core::DescriptorView view = block.View();
 
-  // Section 0: the code column.
-  S3VCD_RETURN_IF_ERROR(PadTo(&writer, sections[0].offset));
-  sections[0].crc = Crc32(codes.data(), sections[0].length);
-  S3VCD_RETURN_IF_ERROR(writer.WriteBytes(codes.data(), sections[0].length));
-
-  // Section 1: the descriptor column — written straight from the block on
-  // the exact codec, encoded in chunks otherwise.
-  S3VCD_RETURN_IF_ERROR(PadTo(&writer, sections[1].offset));
-  if (codec.is_exact()) {
-    sections[1].crc = Crc32(view.descriptors, sections[1].length);
-    S3VCD_RETURN_IF_ERROR(
-        writer.WriteBytes(view.descriptors, sections[1].length));
-  } else {
-    constexpr size_t kChunkRecords = 512;
-    std::vector<uint8_t> chunk(kChunkRecords * code_bytes);
-    uint32_t crc = 0;
-    for (size_t i = 0; i < n; i += kChunkRecords) {
-      const size_t count = std::min<size_t>(kChunkRecords, n - i);
-      for (size_t k = 0; k < count; ++k) {
-        core::EncodeDescriptor(codec, block.descriptor(i + k),
-                               chunk.data() + k * code_bytes);
-      }
-      crc = Crc32(chunk.data(), count * code_bytes, crc);
-      S3VCD_RETURN_IF_ERROR(
-          writer.WriteBytes(chunk.data(), count * code_bytes));
-    }
-    sections[1].crc = crc;
-  }
-
-  // Sections 2-5: the remaining SoA columns are contiguous already.
-  const void* columns[6] = {nullptr, nullptr,  view.ids,
+  // Sections 0-5: the code column, then the SoA columns, each contiguous
+  // already. Section 6 (codec params) is empty.
+  const void* columns[6] = {codes.data(), view.descriptors, view.ids,
                             view.time_codes, view.xs, view.ys};
-  for (uint32_t s = 2; s < 6; ++s) {
+  for (uint32_t s = 0; s < 6; ++s) {
     S3VCD_RETURN_IF_ERROR(PadTo(&writer, sections[s].offset));
     sections[s].crc = Crc32(columns[s], sections[s].length);
     S3VCD_RETURN_IF_ERROR(writer.WriteBytes(columns[s], sections[s].length));
-  }
-
-  // Section 6: trained codec parameters (quantized segments only).
-  S3VCD_RETURN_IF_ERROR(PadTo(&writer, sections[6].offset));
-  if (!codec.is_exact()) {
-    uint8_t params[core::kDescriptorCodecParamsBytes];
-    core::SerializeCodecParams(codec, params);
-    sections[6].crc = Crc32(params, sizeof(params));
-    S3VCD_RETURN_IF_ERROR(writer.WriteBytes(params, sizeof(params)));
   }
 
   S3VCD_RETURN_IF_ERROR(PadTo(&writer, footer_offset));
@@ -280,12 +230,9 @@ Status SegmentReader::Init(const std::string& path,
   }
   count_ = GetU64(header + kHeaderCountOff);
   segment_id_ = GetU64(header + 24);
-  // Known tags are exact (0) and lvq4 (2); tag 1, the retired 8-bit codec,
-  // is refused like any other unknown tag.
-  const auto codec_kind =
-      static_cast<core::DescriptorCodecKind>(header[kHeaderCodecOff]);
-  if (codec_kind != core::DescriptorCodecKind::kExactU8 &&
-      codec_kind != core::DescriptorCodecKind::kLvq4) {
+  // The one known tag is 0, the exact descriptor bytes. Tags 1 and 2, the
+  // retired 8-bit and lvq4 codecs, are refused like any other unknown tag.
+  if (header[kHeaderCodecOff] != 0) {
     return Status::Corruption("segment descriptor codec tag unknown: " +
                               path);
   }
@@ -301,13 +248,11 @@ Status SegmentReader::Init(const std::string& path,
     sections[s].offset = GetU64(e + 0);
     sections[s].length = GetU64(e + 8);
     sections[s].crc = GetU32(e + 16);
-    // Re-derived from the header's count and codec tag: a segment whose
-    // tag was flipped to a different codec (even with resealed checksums)
-    // fails here, because the descriptor/params payloads have the wrong
-    // byte widths for the claimed codec.
-    if (sections[s].length != SectionLength(s, count_, codec_kind)) {
-      return Status::Corruption("segment section length inconsistent with "
-                                "record count and codec: " + path);
+    // Re-derived from the header's count: every column holds count_
+    // records and the codec-params section is empty.
+    if (sections[s].length != SectionLength(s, count_)) {
+      return Status::Corruption(
+          "segment section length inconsistent with record count: " + path);
     }
     if (sections[s].offset % kSectionAlign != 0 ||
         sections[s].offset < prev_end || sections[s].offset > footer_offset ||
@@ -324,10 +269,6 @@ Status SegmentReader::Init(const std::string& path,
                                 " checksum mismatch: " + path);
     }
   }
-  if (!core::DeserializeCodecParams(codec_kind, data + sections[6].offset,
-                                    &codec_)) {
-    return Status::Corruption("segment codec parameters invalid: " + path);
-  }
 
   codes_ = reinterpret_cast<const uint32_t*>(data + sections[0].offset);
   descriptors_ = data + sections[1].offset;
@@ -337,8 +278,8 @@ Status SegmentReader::Init(const std::string& path,
   ys_ = reinterpret_cast<const float*>(data + sections[5].offset);
 
   // One pass over the codes: each in range and in order (the prefix table
-  // is built as they are checked) and, on exact segments, the OrthantCode
-  // of its descriptor. Then the footer's min/max must agree.
+  // is built as they are checked) and the OrthantCode of its descriptor.
+  // Then the footer's min/max must agree.
   table_ = core::PrefixTable(core::PrefixTable::RunDepth(count_));
   fp::Fingerprint descriptor;
   for (uint64_t i = 0; i < count_; ++i) {
@@ -346,12 +287,10 @@ Status SegmentReader::Init(const std::string& path,
       return Status::Corruption("segment codes out of order or range: " +
                                 path);
     }
-    if (codec_.is_exact()) {
-      std::memcpy(descriptor.data(), descriptors_ + i * fp::kDims, fp::kDims);
-      if (codes_[i] != core::OrthantCode(descriptor)) {
-        return Status::Corruption(
-            "segment code disagrees with its descriptor: " + path);
-      }
+    std::memcpy(descriptor.data(), descriptors_ + i * fp::kDims, fp::kDims);
+    if (codes_[i] != core::OrthantCode(descriptor)) {
+      return Status::Corruption(
+          "segment code disagrees with its descriptor: " + path);
     }
   }
   table_.Finish();
@@ -365,8 +304,7 @@ Status SegmentReader::Init(const std::string& path,
 
 core::FingerprintRecord SegmentReader::Record(size_t i) const {
   core::FingerprintRecord r;
-  core::DecodeDescriptor(codec_, descriptors_ + i * codec_.code_bytes(),
-                         r.descriptor.data());
+  std::memcpy(r.descriptor.data(), descriptors_ + i * fp::kDims, fp::kDims);
   r.id = ids_[i];
   r.time_code = time_codes_[i];
   r.x = xs_[i];

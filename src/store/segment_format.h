@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/descriptor_block.h"
-#include "core/descriptor_codec.h"
 #include "core/record.h"
 #include "core/sorted_run.h"
 #include "fingerprint/fingerprint.h"
@@ -26,17 +25,17 @@ namespace s3vcd::store {
 /// serving format written and compacted by SegmentStore.
 ///
 /// Layout summary (every section 64-byte aligned, lengths in the footer):
-///   [0, 64)    header: magic, version, dims, descriptor codec tag, count,
+///   [0, 64)    header: magic, version, dims, codec tag (always 0), count,
 ///              segment id, CRC
-///   sections   orthant codes (4 B/rec) | coded descriptors (codec code
-///              bytes/rec) | ids | times | xs | ys | codec params (0 B
-///              exact, 96 B quantized)
+///   sections   orthant codes (4 B/rec) | descriptors (20 B/rec) | ids |
+///              times | xs | ys | codec params (always empty)
 ///   [end-196, end)  footer: section table with per-section CRCs, min/max
 ///                   code, footer offset, footer CRC, trailing magic
 inline constexpr uint32_t kSegmentMagic = 0x53335347;  // "S3SG"
 /// Version 3 replaced the 32-byte curve keys with 4-byte orthant codes and
 /// dropped the curve order; version 2 added the descriptor codec tag and
-/// the codec-params section. Older versions are rejected.
+/// the codec-params section, which now only ever hold 0 and nothing. Older
+/// versions are rejected.
 inline constexpr uint32_t kSegmentVersion = 3;
 /// Alignment of every section start (and of the header block), so mapped
 /// column pointers satisfy the alignment of their element types.
@@ -49,8 +48,9 @@ inline constexpr uint32_t kNumSections = 7;
 static_assert(std::endian::native == std::endian::little);
 /// Header field offsets (byte-level spec: docs/segment_format.md). The
 /// codec tag sits inside the CRC-covered prefix, so flipping it without
-/// resealing the header is caught as a checksum mismatch — and a resealed
-/// flip still fails the descriptor/params section length checks.
+/// resealing the header is caught as a checksum mismatch; a resealed flip
+/// is refused because every tag but 0 (exact bytes) is unknown — tags 1
+/// and 2 named the retired 8-bit and lvq4 codecs.
 inline constexpr size_t kHeaderCodecOff = 12;
 inline constexpr size_t kHeaderCountOff = 16;
 inline constexpr size_t kHeaderCrcOff = 32;
@@ -69,10 +69,6 @@ struct SegmentWriteOptions {
   /// fsync the segment file before returning (the caller still owns
   /// durability of the *name* via rename + directory sync).
   bool sync = true;
-  /// Descriptor codec the segment is encoded with. Quantized codecs train
-  /// their per-axis parameters on the block being written and store them
-  /// in the codec-params section.
-  core::DescriptorCodecKind codec = core::DescriptorCodecKind::kExactU8;
 };
 
 /// Writes one complete segment file at `path` from a sorted record block
@@ -95,11 +91,9 @@ struct SegmentReadOptions {
 /// thread-safe; the object owns the mapping (or the resident copy) and
 /// releases it on destruction. Open() performs the full corruption screen
 /// of docs/segment_format.md — any structural violation, CRC mismatch,
-/// code-order violation or (on exact segments) code that is not the
-/// OrthantCode of its descriptor returns kCorruption and constructs
-/// nothing, so a reader either sees the entire segment or none of it.
-/// Quantized segments cannot recompute a code: a decoded descriptor may
-/// cross byte 128, so their codes are checked for order and range only.
+/// code-order violation or code that is not the OrthantCode of its
+/// descriptor returns kCorruption and constructs nothing, so a reader
+/// either sees the entire segment or none of it.
 class SegmentReader {
  public:
   static Result<std::shared_ptr<SegmentReader>> Open(
@@ -121,13 +115,6 @@ class SegmentReader {
   /// Bytes of process-resident copy (0 when mapped).
   uint64_t resident_bytes() const { return mapped() ? 0 : resident_.size(); }
 
-  /// Descriptor codec the segment's descriptor column is encoded with
-  /// (parameters deserialized from the codec-params section at open).
-  const core::DescriptorCodec& codec() const { return codec_; }
-  core::DescriptorCodecKind codec_kind() const { return codec_.kind; }
-  /// Stored bytes per descriptor record (codec code bytes).
-  size_t descriptor_code_bytes() const { return codec_.code_bytes(); }
-
   /// The code column, mapped as u32.
   const uint32_t* codes() const { return codes_; }
   /// The segment as a sorted run; Open's code-order check builds its table.
@@ -135,21 +122,13 @@ class SegmentReader {
     return core::SortedRun(View(), codes_, &table_);
   }
 
-  /// The SoA columns as a view the scan kernels consume directly. On a
-  /// quantized segment the view carries the codec, which routes scans
-  /// through the fused decode kernels (see core/scan_kernel.h).
+  /// The SoA columns as a view the scan kernels consume directly.
   core::DescriptorView View() const {
-    core::DescriptorView view{descriptors_, ids_, time_codes_, xs_, ys_,
-                              static_cast<size_t>(count_)};
-    view.desc_bytes = codec_.code_bytes();
-    if (!codec_.is_exact()) {
-      view.codec = &codec_;
-    }
-    return view;
+    return {descriptors_, ids_, time_codes_, xs_, ys_,
+            static_cast<size_t>(count_)};
   }
 
   /// Record i in array-of-structs form (merges, tools; not the scan path).
-  /// Decoded through the codec on quantized segments.
   core::FingerprintRecord Record(size_t i) const;
 
  private:
@@ -160,7 +139,6 @@ class SegmentReader {
   uint64_t segment_id_ = 0;
   uint64_t count_ = 0;
   uint64_t file_bytes_ = 0;
-  core::DescriptorCodec codec_;  ///< identity codec on exact segments
 
   /// Backing bytes: either a shared read-only mapping or a resident copy.
   void* map_base_ = nullptr;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -117,26 +116,6 @@ void SegmentSearcher::ScanSelection(const fp::Fingerprint& query,
 core::SearcherStats SegmentSearcher::Stats() const {
   core::SearcherStats stats;
   stats.records = store_->total_records() + memtable_.size();
-  // Report what the store actually holds, not the write-option codec: a
-  // reopened quantized store serves quantized segments no matter what new
-  // segments would be encoded with. Mixed stores (mid-migration) list
-  // every codec present, e.g. "exact+lvq4"; an empty store reports the
-  // codec its first spill will use.
-  std::set<core::DescriptorCodecKind> kinds;
-  for (const auto& segment : store_->view()->segments) {
-    kinds.insert(segment->codec_kind());
-    stats.codec_max_error =
-        std::max(stats.codec_max_error, segment->codec().max_error);
-  }
-  if (kinds.empty()) {
-    stats.codec = core::DescriptorCodecName(store_->options().codec);
-  } else {
-    stats.codec.clear();
-    for (const auto kind : kinds) {
-      if (!stats.codec.empty()) stats.codec += '+';
-      stats.codec += core::DescriptorCodecName(kind);
-    }
-  }
   return stats;
 }
 
@@ -145,10 +124,7 @@ uint64_t SegmentSearcher::ApproxBytes() const {
   for (const auto& segment : store_->view()->segments) {
     // Mapped segments count their full file: a scan touches every column
     // page, so that is the working-set contribution for capacity planning.
-    // Quantized segments store their descriptor column at the codec's code
-    // width, so both the mapped and the resident figures here are the
-    // codec-compressed footprint, not a decoded size. The prefix table is
-    // resident either way.
+    // The prefix table is resident either way.
     bytes += (segment->mapped() ? segment->file_bytes()
                                 : segment->resident_bytes()) +
              segment->run().table()->MemoryBytes();

@@ -20,7 +20,7 @@ struct SegmentSearcherOptions {
   std::string store_dir;
   /// Memtable records that trigger a spill into a new segment.
   size_t spill_threshold = 64 * 1024;
-  /// Store tuning (fan-in, mmap, sync, codec). tier_base_records is
+  /// Store tuning (fan-in, mmap, sync). tier_base_records is
   /// overwritten with spill_threshold so fresh spills land in tier 0.
   SegmentStoreOptions store;
 };

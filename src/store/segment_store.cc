@@ -295,7 +295,7 @@ Status SegmentStore::AppendSegment(const core::DescriptorBlock& block,
   const std::string path = SegmentPath(id);
   const std::string tmp = path + ".tmp";
   S3VCD_RETURN_IF_ERROR(WriteSegmentFile(
-      tmp, id, block, codes, {options_.sync_writes, options_.codec}));
+      tmp, id, block, codes, {options_.sync_writes}));
   S3VCD_RETURN_IF_ERROR(RenameFile(tmp, path));
 
   const SegmentReadOptions read_options{options_.use_mmap};
@@ -422,7 +422,7 @@ Status SegmentStore::Compact(bool* merged) {
   const std::string path = SegmentPath(id);
   const std::string tmp = path + ".tmp";
   S3VCD_RETURN_IF_ERROR(WriteSegmentFile(
-      tmp, id, block, codes, {options_.sync_writes, options_.codec}));
+      tmp, id, block, codes, {options_.sync_writes}));
   S3VCD_RETURN_IF_ERROR(RenameFile(tmp, path));
 
   if (fail_before_manifest_swap_) {

@@ -29,11 +29,6 @@ struct SegmentStoreOptions {
   /// fsync segment files and manifests before installing them. Turning
   /// this off trades crash durability for ingest speed (tests).
   bool sync_writes = true;
-  /// Descriptor codec newly written segments (spills and compaction
-  /// outputs) are encoded with. Existing segments keep the codec recorded
-  /// in their headers, so a store may legitimately hold mixed codecs while
-  /// compaction migrates it. See core/descriptor_codec.h.
-  core::DescriptorCodecKind codec = core::DescriptorCodecKind::kExactU8;
 };
 
 /// A durable, crash-consistent collection of immutable segments under one

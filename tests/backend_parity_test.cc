@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -35,6 +36,7 @@
 #include "service/sharded_searcher.h"
 #include "store/make_searcher.h"
 #include "store/segment_searcher.h"
+#include "util/io.h"
 #include "util/math.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -498,43 +500,32 @@ TEST(VamanaIndexTest, CorruptGraphBlobTriggersRebuild) {
   std::remove(path.c_str());
 }
 
-// Quantized storage keeps the subset property: matches are distances to
-// decoded records filtered at the inflated radius, so any id the vamana
-// graph returns on an lvq store must be a true epsilon-or-inflation
-// answer; recall stays bounded as on the exact store.
-TEST(VamanaIndexTest, QuantizedStoreKeepsRecallBound) {
+// Graphs are built over the exact descriptor bytes only, so the blob's
+// codec word (byte 52) must be 0. A blob carrying 2, the tag of the
+// retired lvq4 codec, is a mismatch even with its checksum resealed, and
+// the index rebuilds.
+TEST(VamanaIndexTest, GraphBlobWithNonzeroCodecWordTriggersRebuild) {
   const FingerprintDatabase db = MakeDatabase();
-  const std::vector<fp::Fingerprint> queries = MakeQueries(db);
-  const double epsilon = TestEpsilon();
-  const auto seqscan = MakeBackend("seqscan");
+  const std::string path = ::testing::TempDir() + "/vamana_codec.s3vg";
+  std::remove(path.c_str());
   VamanaOptions options;
-  options.codec = DescriptorCodecKind::kLvq4;
-  const VamanaIndex vamana(RecordsOf(db), options);
-  EXPECT_EQ(std::string(vamana.Stats().codec), "lvq4");
-  EXPECT_GT(vamana.Stats().codec_max_error, 0.0);
-
-  size_t exact_total = 0;
-  size_t found = 0;
-  for (const fp::Fingerprint& q : queries) {
-    const IdTimeSet expected = Ids(seqscan->RangeQuery(q, epsilon, kDepth));
-    // The inflated radius admits decoded records slightly beyond epsilon;
-    // the superset bound is epsilon + 2 * max_error on original records.
-    const IdTimeSet inflated = Ids(seqscan->RangeQuery(
-        q, epsilon + 2.0 * vamana.Stats().codec_max_error, kDepth));
-    const IdTimeSet approx = Ids(vamana.RangeQuery(q, epsilon, kDepth));
-    for (const auto& id : approx) {
-      EXPECT_TRUE(inflated.count(id) > 0)
-          << "vamana/lvq4 returned an id outside the inflated ball";
-    }
-    exact_total += expected.size();
-    for (const auto& id : expected) {
-      found += approx.count(id) > 0 ? 1 : 0;
-    }
-  }
-  ASSERT_GT(exact_total, 0u);
-  const double recall =
-      static_cast<double>(found) / static_cast<double>(exact_total);
-  EXPECT_GE(recall, 0.9) << "vamana/lvq4 recall collapsed";
+  options.graph_degree = 8;
+  options.build_beam = 16;
+  options.graph_path = path;
+  { const VamanaIndex built(RecordsOf(db), options); }
+  ASSERT_TRUE(VamanaIndex(RecordsOf(db), options).loaded_from_blob());
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  ASSERT_GT(bytes->size(), 60u);
+  (*bytes)[52] = 2;
+  const uint32_t crc = Crc32(bytes->data(), bytes->size() - 4);
+  std::memcpy(bytes->data() + bytes->size() - 4, &crc, 4);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes->data(), 1, bytes->size(), f), bytes->size());
+  std::fclose(f);
+  EXPECT_FALSE(VamanaIndex(RecordsOf(db), options).loaded_from_blob());
+  std::remove(path.c_str());
 }
 
 // The sharded service degrades gracefully over vamana exactly as over

@@ -538,8 +538,6 @@ TEST(QueryMetricsParityTest, CountersMatchQueryStats) {
       totals.nodes_visited += result.stats.nodes_visited;
       totals.ranges_scanned += result.stats.ranges_scanned;
       totals.records_scanned += result.stats.records_scanned;
-      totals.descriptor_bytes_scanned +=
-          result.stats.descriptor_bytes_scanned;
       total_matches += result.matches.size();
     }
     const MetricsSnapshot snapshot = registry.Snapshot();
@@ -551,7 +549,6 @@ TEST(QueryMetricsParityTest, CountersMatchQueryStats) {
           << counter;
     }
     EXPECT_GT(totals.records_scanned, 0u);
-    EXPECT_GT(totals.descriptor_bytes_scanned, 0u);
     EXPECT_EQ(snapshot.CounterOr0("index.blocks_selected"),
               totals.blocks_selected);
     EXPECT_EQ(snapshot.CounterOr0("index.nodes_visited"),
@@ -560,8 +557,6 @@ TEST(QueryMetricsParityTest, CountersMatchQueryStats) {
               totals.ranges_scanned);
     EXPECT_EQ(snapshot.CounterOr0("index.records_scanned"),
               totals.records_scanned);
-    EXPECT_EQ(snapshot.CounterOr0("index.descriptor_bytes_scanned"),
-              totals.descriptor_bytes_scanned);
     EXPECT_EQ(snapshot.CounterOr0("index.matches"), total_matches);
     nodes_visited[c.name] = snapshot.CounterOr0("index.nodes_visited");
   }

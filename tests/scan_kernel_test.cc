@@ -9,7 +9,6 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "core/descriptor_block.h"
-#include "core/descriptor_codec.h"
 #include "core/distortion_model.h"
 #include "core/synthetic_db.h"
 #include "fingerprint/fingerprint.h"
@@ -392,53 +390,6 @@ TEST(CopyRadiusTest, IsotropicNormalizedFilterEqualsRadiusFilterOnEveryKernel) {
   }
 }
 
-// On an lvq4 view the lowered filter keeps every record the exact view
-// keeps, and nothing farther than rho sigma plus twice the codec's trained
-// error bound (one bound inflates the radius, the other separates the
-// decoded record from the exact one).
-TEST(CopyRadiusTest, Lvq4ViewIsASupersetWithinTheTrainedBound) {
-  Rng rng(22);
-  const fp::Fingerprint query = MidQuery();
-  DescriptorBlock block = MakeBoundaryBlock(query, &rng);
-  for (int i = 0; i < 2000; ++i) {
-    block.Append(DistortFingerprint(query, 30.0, &rng), 1000 + i, i, 0, 0);
-  }
-  const CodedDescriptorBlock coded =
-      CodedDescriptorBlock::Encode(DescriptorCodecKind::kLvq4, block);
-  const GaussianDistortionModel model(kSigma);
-  const RefineSpec spec(RefinementMode::kNormalizedRadiusFilter, kRho, &model);
-  const double bound = kRho * kSigma + 2 * coded.codec().max_error;
-  for (ScanKernelKind kind : {ScanKernelKind::kScalar, ScanKernelKind::kSse2,
-                              ScanKernelKind::kAvx2}) {
-    if (!ScanKernelAvailable(kind)) {
-      continue;
-    }
-    ScopedKernel guard(kind);
-    QueryResult exact;
-    ScanRecords(query, block, 0, block.size(), spec, &exact);
-    QueryResult quant;
-    ScanRecords(query, coded.View(), 0, coded.size(), spec, &quant);
-    std::set<std::pair<uint32_t, uint32_t>> quant_keys;
-    for (const Match& m : quant.matches) {
-      quant_keys.emplace(m.id, m.time_code);
-    }
-    for (const Match& m : exact.matches) {
-      EXPECT_EQ(quant_keys.count({m.id, m.time_code}), 1u)
-          << ScanKernelName(kind) << " id " << m.id;
-    }
-    EXPECT_GE(quant.matches.size(), exact.matches.size());
-    for (size_t i = 0; i < block.size(); ++i) {
-      if (quant_keys.count({block.id(i), block.time_code(i)}) == 0) {
-        continue;
-      }
-      EXPECT_LE(std::sqrt(static_cast<double>(SquaredDistanceU32(
-                    query.data(), block.descriptor(i)))),
-                bound)
-          << ScanKernelName(kind) << " record " << i;
-    }
-  }
-}
-
 // An anisotropic model keeps the scalar weighted path: every kernel agrees
 // with a per-record sum_j (q_j - x_j)^2 / scale_j^2 <= rho^2.
 TEST(CopyRadiusTest, AnisotropicModelAgreesWithTheScalarReference) {
@@ -526,7 +477,6 @@ TEST(GatherScorerTest, ExactViewMatchesSquaredDistanceU32Bitwise) {
     }
     ScopedKernel guard(kind);
     const GatherScorer scorer(query, view);
-    EXPECT_EQ(scorer.desc_bytes(), static_cast<size_t>(fp::kDims));
     for (const auto& ids : sets) {
       std::vector<uint32_t> out(ids.size() + 1, 0xDEADBEEFu);
       scorer.Score(ids.data(), ids.size(), out.data());
@@ -537,39 +487,6 @@ TEST(GatherScorerTest, ExactViewMatchesSquaredDistanceU32Bitwise) {
       }
       // One-past-the-end must be untouched (k distances, no overwrite).
       EXPECT_EQ(out[ids.size()], 0xDEADBEEFu) << ScanKernelName(kind);
-    }
-  }
-}
-
-// On lvq4 views every kernel returns the exact integer distance to the
-// *decoded* record — bitwise identical to decoding with DecodeDescriptor
-// and running SquaredDistanceU32, and identical across scalar/SSE2/AVX2.
-TEST(GatherScorerTest, CodedViewsMatchDecodedReferenceBitwise) {
-  Rng rng(17);
-  const fp::Fingerprint query = UniformRandomFingerprint(&rng);
-  const DescriptorBlock block = MakeTestBlock(query, 1999, &rng);
-  const CodedDescriptorBlock coded =
-      CodedDescriptorBlock::Encode(DescriptorCodecKind::kLvq4, block);
-  const DescriptorView view = coded.View();
-  const auto sets = MakeIndexSets(coded.size(), &rng);
-  for (ScanKernelKind kind :
-       {ScanKernelKind::kScalar, ScanKernelKind::kSse2,
-        ScanKernelKind::kAvx2}) {
-    if (!ScanKernelAvailable(kind)) {
-      continue;
-    }
-    ScopedKernel guard(kind);
-    const GatherScorer scorer(query, view);
-    EXPECT_EQ(scorer.desc_bytes(), coded.codec().code_bytes());
-    for (const auto& ids : sets) {
-      std::vector<uint32_t> out(ids.size());
-      scorer.Score(ids.data(), ids.size(), out.data());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        uint8_t decoded[fp::kDims];
-        DecodeDescriptor(coded.codec(), view.descriptor(ids[i]), decoded);
-        ASSERT_EQ(out[i], SquaredDistanceU32(query.data(), decoded))
-            << ScanKernelName(kind) << " index " << ids[i];
-      }
     }
   }
 }

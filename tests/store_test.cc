@@ -137,49 +137,6 @@ TEST(SegmentFormatTest, RoundtripMappedAndResident) {
   }
 }
 
-TEST(SegmentFormatTest, QuantizedRoundtripDecodesWithinCodecErrorBounds) {
-  TempDir dir("quantized");
-  core::DescriptorBlock block;
-  std::vector<uint32_t> codes;
-  MakeSortedRun(500, 17, 3, &block, &codes);
-  const std::string path = dir.path() + "/seg-lvq4.s3seg";
-  SegmentWriteOptions write_options;
-  write_options.codec = core::DescriptorCodecKind::kLvq4;
-  ASSERT_TRUE(
-      WriteSegmentFile(path, 7, block, codes, write_options).ok());
-
-  auto reader = SegmentReader::Open(path);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  const SegmentReader& seg = **reader;
-  EXPECT_EQ(seg.codec_kind(), core::DescriptorCodecKind::kLvq4);
-  // The 4-bit codec is the 2x byte reduction the quantized store buys.
-  EXPECT_EQ(seg.descriptor_code_bytes() * 2, fp::kDims);
-  const core::DescriptorCodec& codec = seg.codec();
-  // Wide random u8 axes are lossy under 4-bit codes.
-  EXPECT_GT(codec.max_error, 0.0);
-  // The scan view routes through the fused decode kernels: narrow rows
-  // plus the trained codec.
-  const core::DescriptorView view = seg.View();
-  EXPECT_EQ(view.desc_bytes, seg.descriptor_code_bytes());
-  ASSERT_NE(view.codec, nullptr);
-  EXPECT_EQ(view.codec->kind, core::DescriptorCodecKind::kLvq4);
-  // Every record decodes within the codec's exhaustively computed per-axis
-  // error bound; metadata roundtrips exactly.
-  ASSERT_EQ(seg.size(), block.size());
-  for (size_t i = 0; i < seg.size(); ++i) {
-    const core::FingerprintRecord got = seg.Record(i);
-    const core::FingerprintRecord want = block.Record(i);
-    EXPECT_EQ(got.id, want.id);
-    EXPECT_EQ(got.time_code, want.time_code);
-    for (size_t j = 0; j < fp::kDims; ++j) {
-      EXPECT_LE(std::abs(static_cast<int>(got.descriptor[j]) -
-                         static_cast<int>(want.descriptor[j])),
-                static_cast<int>(codec.axis_error[j]))
-          << "record " << i << " axis " << j;
-    }
-  }
-}
-
 TEST(SegmentFormatTest, WriterRejectsUnsortedCodesAndLeavesNoFile) {
   TempDir dir("unsorted");
   const std::string path = dir.path() + "/seg-1.s3seg";
@@ -199,18 +156,10 @@ class SegmentCorruptionTest : public ::testing::Test {
   void SetUp() override {
     dir_ = std::make_unique<TempDir>("corruption");
     path_ = dir_->path() + "/seg-1.s3seg";
-    WriteWithCodec(core::DescriptorCodecKind::kExactU8);
-  }
-
-  /// Rewrites the segment under `codec` and re-slurps it (the codec rows
-  /// of the matrix need a quantized file to tamper with).
-  void WriteWithCodec(core::DescriptorCodecKind codec) {
     core::DescriptorBlock block;
     std::vector<uint32_t> codes;
     MakeSortedRun(300, 13, 1, &block, &codes);
-    SegmentWriteOptions options;
-    options.codec = codec;
-    ASSERT_TRUE(WriteSegmentFile(path_, 1, block, codes, options).ok());
+    ASSERT_TRUE(WriteSegmentFile(path_, 1, block, codes).ok());
     bytes_ = Slurp(path_);
     ASSERT_GE(bytes_.size(), kSegmentHeaderBytes + kSegmentFooterBytes);
   }
@@ -384,14 +333,13 @@ TEST_F(SegmentCorruptionTest, SectionOffsetWrappingPastTheEnd) {
   ExpectCorrupt("section offset wrapping past the end");
 }
 
-// --- Codec rows of the corruption matrix: a segment written with one
-// codec must refuse to decode as another. ---
+// --- Codec rows of the corruption matrix: the header's codec tag must be
+// 0 (exact bytes) and the codec-params section empty. ---
 
 TEST_F(SegmentCorruptionTest, CodecTagFlipWithoutResealFailsHeaderChecksum) {
   // The codec tag lives inside the CRC-covered header prefix, so a bare
   // flip is caught as a checksum mismatch before any decode is attempted.
-  bytes_[kHeaderCodecOff] =
-      static_cast<uint8_t>(core::DescriptorCodecKind::kLvq4);
+  bytes_[kHeaderCodecOff] = 2;
   ExpectCorrupt("codec tag flip without header reseal");
 }
 
@@ -399,17 +347,6 @@ TEST_F(SegmentCorruptionTest, UnknownCodecTagIsRejected) {
   bytes_[kHeaderCodecOff] = 99;
   ResealHeader();
   ExpectCorrupt("unknown codec tag");
-}
-
-TEST_F(SegmentCorruptionTest, ExactSegmentRefusesToDecodeAsLvq4) {
-  // Even with a correctly resealed header, the descriptor section length
-  // (300 * 20 B) no longer matches the claimed codec's 10 B rows, and the
-  // codec-params section is missing: structural rejection, not garbage
-  // decodes.
-  bytes_[kHeaderCodecOff] =
-      static_cast<uint8_t>(core::DescriptorCodecKind::kLvq4);
-  ResealHeader();
-  ExpectCorrupt("exact segment relabeled lvq4");
 }
 
 TEST_F(SegmentCorruptionTest, RetiredLvq8CodecTagIsRejected) {
@@ -421,63 +358,23 @@ TEST_F(SegmentCorruptionTest, RetiredLvq8CodecTagIsRejected) {
   ExpectCorrupt("retired codec tag 1");
 }
 
-TEST_F(SegmentCorruptionTest, QuantizedSegmentRefusesToDecodeAsExact) {
-  // lvq4 rows are 10 B, so relabelled exact the descriptor section length
-  // (300 * 10 B) no longer matches the claimed 20 B rows.
-  WriteWithCodec(core::DescriptorCodecKind::kLvq4);
-  bytes_[kHeaderCodecOff] =
-      static_cast<uint8_t>(core::DescriptorCodecKind::kExactU8);
+TEST_F(SegmentCorruptionTest, RetiredLvq4CodecTagIsRejected) {
+  // Tag 2 belonged to the retired 4-bit codec (lvq4). Like tag 1 it is
+  // refused as an unknown tag, even with a resealed header: a store written
+  // under lvq4 must be compacted to exact by a build that still reads it.
+  bytes_[kHeaderCodecOff] = 2;
   ResealHeader();
-  ExpectCorrupt("lvq4 segment relabeled exact");
+  ExpectCorrupt("retired codec tag 2");
 }
 
 TEST_F(SegmentCorruptionTest, ExactSegmentClaimingCodecParamsIsRejected) {
   // The params-section length check on its own: an exact segment whose
-  // resealed section table claims a 96 B params section (0 B expected).
-  uint64_t params_length = core::kDescriptorCodecParamsBytes;
+  // resealed section table claims a 96 B params section (0 B expected),
+  // the size the retired lvq4 codec's parameters took.
+  uint64_t params_length = 96;
   std::memcpy(footer() + 4 + 6 * 24 + 8, &params_length, 8);
   ResealFooter();
   ExpectCorrupt("exact segment with a params section");
-}
-
-TEST_F(SegmentCorruptionTest, QuantizedSegmentRefusesOtherQuantizedCodec) {
-  // An lvq4 segment whose params blob claims another code width (maxcode
-  // 255, 8-bit codes), with the section CRC and footer resealed: the
-  // params must not decode as lvq4.
-  WriteWithCodec(core::DescriptorCodecKind::kLvq4);
-  uint64_t params_offset = 0, params_length = 0;
-  std::memcpy(&params_offset, footer() + 4 + 6 * 24, 8);
-  std::memcpy(&params_length, footer() + 4 + 6 * 24 + 8, 8);
-  ASSERT_EQ(params_length, core::kDescriptorCodecParamsBytes);
-  bytes_[params_offset + 4 * fp::kDims] = 255;
-  const uint32_t crc = Crc32(bytes_.data() + params_offset, params_length);
-  std::memcpy(footer() + 4 + 6 * 24 + 16, &crc, 4);
-  ResealFooter();
-  ExpectCorrupt("lvq4 segment with 8-bit codec params");
-}
-
-TEST_F(SegmentCorruptionTest, CorruptCodecParamsAreRejected) {
-  // Zero out the trained parameters of a quantized segment (step16 == 0 is
-  // structurally invalid) and reseal the section CRC and footer, so the
-  // params validation itself fires rather than a checksum.
-  WriteWithCodec(core::DescriptorCodecKind::kLvq4);
-  uint64_t params_offset = 0, params_length = 0;
-  std::memcpy(&params_offset, footer() + 4 + 6 * 24, 8);
-  std::memcpy(&params_length, footer() + 4 + 6 * 24 + 8, 8);
-  ASSERT_EQ(params_length, core::kDescriptorCodecParamsBytes);
-  std::memset(bytes_.data() + params_offset, 0, params_length);
-  const uint32_t crc = Crc32(bytes_.data() + params_offset, params_length);
-  std::memcpy(footer() + 4 + 6 * 24 + 16, &crc, 4);
-  ResealFooter();
-  ExpectCorrupt("zeroed codec params");
-}
-
-TEST_F(SegmentCorruptionTest, FlippedCodecParamsByteFailsSectionChecksum) {
-  WriteWithCodec(core::DescriptorCodecKind::kLvq4);
-  uint64_t params_offset = 0;
-  std::memcpy(&params_offset, footer() + 4 + 6 * 24, 8);
-  bytes_[params_offset + 3] ^= 0x20;
-  ExpectCorrupt("codec params bit flip");
 }
 
 // ---------------------------------------------------------------------------
@@ -494,55 +391,6 @@ SegmentStoreOptions FastStoreOptions() {
 
 Result<std::unique_ptr<SegmentStore>> OpenStore(const std::string& dir) {
   return SegmentStore::Open(dir, FastStoreOptions());
-}
-
-TEST(SegmentStoreTest, MixedCodecsCoexistAndCompactionMigrates) {
-  TempDir dir("codecstore");
-  core::DescriptorBlock block;
-  std::vector<uint32_t> codes;
-  std::multiset<std::pair<uint32_t, uint32_t>> want;  // (id, time_code)
-  {
-    // Two segments under the default exact codec.
-    auto store = OpenStore(dir.path());
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    for (int run = 0; run < 2; ++run) {
-      MakeSortedRun(300, 40 + run, static_cast<uint32_t>(run), &block, &codes);
-      ASSERT_TRUE((*store)->AppendSegment(block, codes).ok());
-    }
-  }
-  // Reopen with lvq4: existing segments keep their recorded codec; new
-  // appends and compaction outputs use the store's codec.
-  SegmentStoreOptions options = FastStoreOptions();
-  options.tier_fanin = 3;
-  options.codec = core::DescriptorCodecKind::kLvq4;
-  auto store = SegmentStore::Open(dir.path(), options);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  MakeSortedRun(300, 42, 2, &block, &codes);
-  ASSERT_TRUE((*store)->AppendSegment(block, codes).ok());
-  std::multiset<core::DescriptorCodecKind> kinds;
-  for (const auto& segment : (*store)->view()->segments) {
-    kinds.insert(segment->codec_kind());
-  }
-  EXPECT_EQ(kinds.count(core::DescriptorCodecKind::kExactU8), 2u);
-  EXPECT_EQ(kinds.count(core::DescriptorCodecKind::kLvq4), 1u);
-  for (const auto& segment : (*store)->view()->segments) {
-    for (size_t i = 0; i < segment->size(); ++i) {
-      const core::FingerprintRecord r = segment->Record(i);
-      want.insert({r.id, r.time_code});
-    }
-  }
-  // Compaction merges all three into one segment re-encoded as lvq4 — the
-  // migration path for a store changing codecs.
-  ASSERT_TRUE((*store)->CompactAll().ok());
-  ASSERT_EQ((*store)->num_segments(), 1u);
-  const auto& merged = (*store)->view()->segments.front();
-  EXPECT_EQ(merged->codec_kind(), core::DescriptorCodecKind::kLvq4);
-  std::multiset<std::pair<uint32_t, uint32_t>> got;
-  for (size_t i = 0; i < merged->size(); ++i) {
-    const core::FingerprintRecord r = merged->Record(i);
-    got.insert({r.id, r.time_code});
-  }
-  EXPECT_EQ(got, want);
 }
 
 TEST(SegmentStoreTest, AppendReopenPreservesEverything) {

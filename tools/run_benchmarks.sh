@@ -5,14 +5,11 @@
 # kernel (scalar / sse2 / avx2) plus the SIMD-over-scalar speedup. The
 # scalar leg is a genuinely scalar loop (its TU is built with
 # auto-vectorization off), so the speedup is kernel work, not compiler
-# luck. The quantized stanza (BM_CodedRefineScan) adds the lvq4
-# descriptor codec: records/sec through the fused decode+distance
-# kernels, bytes per stored descriptor, the byte reduction over the exact
-# 20-byte layout, and the recall of the exact match set. The gather stanza
-# (BM_BatchedDistance) adds the graph-traversal distance path: one
-# GatherScorer::Score call over 32 gathered candidates per kernel vs the
-# naive one-record-at-a-time loop, per codec — the batched-over-looped
-# speedup is the perf claim behind the vamana beam search.
+# luck. The gather stanza (BM_BatchedDistance) adds the graph-traversal
+# distance path: one GatherScorer::Score call over 32 gathered candidates
+# per kernel vs the naive one-record-at-a-time loop — the
+# batched-over-looped speedup is the perf claim behind the vamana beam
+# search.
 #
 # Also runs the block-selection micro benchmarks (BM_SelectStatistical /
 # BM_SelectRange over the same corpus's filter) and writes BENCH_filter.json:
@@ -21,11 +18,10 @@
 #
 # Also runs the segment-store scan benchmark (BM_SegmentScan: the same
 # full-corpus refine sweep served off an on-disk .s3seg segment, mapped
-# and resident, written with each descriptor codec, on the default
-# kernel) and writes BENCH_store.json: records/sec per read mode, each
-# mode's ratio to the in-memory sweep of the same kernel from the scan run
-# above, the mmap-over-resident ratio, and a quantized stanza with the
-# per-codec throughput and stored descriptor bytes.
+# and resident, on the default kernel) and writes BENCH_store.json:
+# records/sec per read mode, each mode's ratio to the in-memory sweep of
+# the same kernel from the scan run above, and the mmap-over-resident
+# ratio.
 #
 # Also runs the extraction micro benchmarks (BM_GaussianBlur at sigma 1,
 # 1.5 and 2, BM_DetectInterestPoints, BM_ExtractClip over a 250-frame 96x80
@@ -43,7 +39,7 @@
 # Also runs the equal-recall ANN harness (bench/ann_equal_recall: the
 # vamana graph backend's beam width swept until it matches the exact S3
 # range query's match set at recall 0.95 / 0.99 / 1.0 on the same
-# 200k-record corpus, per descriptor codec) and writes BENCH_ann.json:
+# 200k-record corpus) and writes BENCH_ann.json:
 # the full sweep plus the matched-recall operating points with latency,
 # throughput and the speedup over the exact baseline.
 #
@@ -100,7 +96,7 @@ raw_json="$(mktemp)"
 trap 'rm -f "${raw_json}"' EXIT
 
 "${build_dir}/bench/micro_benchmarks" \
-  --benchmark_filter='^BM_RefineScan|^BM_CodedRefineScan|^BM_BatchedDistance' \
+  --benchmark_filter='^BM_RefineScan|^BM_BatchedDistance' \
   --benchmark_format=json \
   --benchmark_out="${raw_json}" \
   --benchmark_out_format=json >&2
@@ -117,10 +113,8 @@ with open(raw_path) as f:
 host = dict(json.loads(os.environ["S3VCD_BENCH_HOST"]),
             selected_scan_kernel=raw.get("context", {}).get("scan_kernel"))
 
-EXACT_BYTES = 20.0
 kernels = {}
-quantized = {}
-gather = {}
+gather = {"looped": None, "batched": {}}
 for b in raw.get("benchmarks", []):
     if b.get("run_type") != "iteration" or "error_occurred" in b:
         continue
@@ -128,34 +122,17 @@ for b in raw.get("benchmarks", []):
     if not label:
         continue
     if label.startswith("gather:"):
-        # "gather:<codec>:batched:<kernel>" / "gather:<codec>:looped"
-        # from BM_BatchedDistance (32 gathered candidates per call).
+        # "gather:batched:<kernel>" / "gather:looped" from
+        # BM_BatchedDistance (32 gathered candidates per call).
         parts = label.split(":")
-        codec = parts[1]
-        entry = gather.setdefault(codec, {"looped": None, "batched": {}})
         row = {
             "candidates_per_second": b.get("items_per_second", 0.0),
             "ns_per_batch": b.get("real_time", 0.0),
         }
-        if parts[2] == "looped":
-            entry["looped"] = row
+        if parts[1] == "looped":
+            gather["looped"] = row
         else:
-            entry["batched"][parts[3]] = row
-    elif label.startswith("coded:"):
-        # "coded:<codec>:<kernel>" from BM_CodedRefineScan.
-        _, codec, kernel = label.split(":")
-        bytes_per_record = b.get("bytes_per_record", EXACT_BYTES)
-        quantized.setdefault(codec, {
-            "bytes_per_record": bytes_per_record,
-            "descriptor_byte_reduction": EXACT_BYTES / bytes_per_record,
-            "recall_of_exact_matches": b.get("recall", 0.0),
-            "kernels": {},
-        })["kernels"][kernel] = {
-            "records_per_second": b.get("items_per_second", 0.0),
-            "ns_per_sweep": b.get("real_time", 0.0),
-        }
-        quantized[codec]["recall_of_exact_matches"] = min(
-            quantized[codec]["recall_of_exact_matches"], b.get("recall", 0.0))
+            gather["batched"][parts[2]] = row
     else:
         kernels[label] = {
             "records_per_second": b.get("items_per_second", 0.0),
@@ -170,35 +147,23 @@ for name, entry in kernels.items():
         best_simd = entry["records_per_second"]
         best_simd_name = name
 
-for codec, entry in quantized.items():
-    best = max((k["records_per_second"] for k in entry["kernels"].values()),
-               default=0.0)
-    entry["best_records_per_second"] = best
-    entry["fraction_of_exact_best"] = (
-        best / best_simd if best_simd > 0 else None)
-
-for codec, entry in gather.items():
-    best_name, best_rps = None, 0.0
-    for name, row in entry["batched"].items():
-        if row["candidates_per_second"] > best_rps:
-            best_rps = row["candidates_per_second"]
-            best_name = name
-    looped = (entry["looped"] or {}).get("candidates_per_second", 0.0)
-    entry["best_batched_kernel"] = best_name
-    entry["batched_over_looped"] = (
-        best_rps / looped if looped > 0 else None)
+best_name, best_rps = None, 0.0
+for name, row in gather["batched"].items():
+    if row["candidates_per_second"] > best_rps:
+        best_rps = row["candidates_per_second"]
+        best_name = name
+looped = (gather["looped"] or {}).get("candidates_per_second", 0.0)
+gather["best_batched_kernel"] = best_name
+gather["batched_over_looped"] = best_rps / looped if looped > 0 else None
 
 result = {
-    "benchmark": "BM_RefineScan / BM_CodedRefineScan",
+    "benchmark": "BM_RefineScan / BM_BatchedDistance",
     "description": ("seqscan refine sweep over 200000 records, "
                     "kRadiusFilter mode, records/sec per scan kernel; "
-                    "'quantized' covers the lvq4 descriptor codec "
-                    "through the fused decode+distance kernels (recall is "
-                    "of the exact-codec match set, measured on the same "
-                    "corpus and query); 'gather' is the graph-traversal "
-                    "distance path (BM_BatchedDistance): one "
-                    "GatherScorer::Score call over 32 gathered candidates "
-                    "per kernel vs the one-record-at-a-time loop"),
+                    "'gather' is the graph-traversal distance path "
+                    "(BM_BatchedDistance): one GatherScorer::Score call "
+                    "over 32 gathered candidates per kernel vs the "
+                    "one-record-at-a-time loop"),
     "backend": "seqscan",
     "sweep_records": 200000,
     "host": host,
@@ -206,7 +171,6 @@ result = {
     "best_simd_kernel": best_simd_name,
     "simd_speedup_over_scalar":
         (best_simd / scalar) if scalar > 0 else None,
-    "quantized": quantized,
     "gather": gather,
     "context": raw.get("context", {}),
 }
@@ -217,18 +181,9 @@ print(json.dumps(result["kernels"], indent=2))
 speedup = result["simd_speedup_over_scalar"]
 if speedup is not None:
     print(f"SIMD speedup over scalar: {speedup:.2f}x ({best_simd_name})")
-for codec in sorted(quantized):
-    entry = quantized[codec]
-    print(f"{codec}: {entry['descriptor_byte_reduction']:.1f}x fewer "
-          f"descriptor bytes, recall "
-          f"{entry['recall_of_exact_matches']:.3f}, best "
-          f"{entry['best_records_per_second'] / 1e6:.1f} Mrec/s")
-for codec in sorted(gather):
-    entry = gather[codec]
-    ratio = entry["batched_over_looped"]
-    if ratio is not None:
-        print(f"gather {codec}: batched ({entry['best_batched_kernel']}) "
-              f"{ratio:.2f}x over looped")
+ratio = gather["batched_over_looped"]
+if ratio is not None:
+    print(f"gather: batched ({best_name}) {ratio:.2f}x over looped")
 PY
 
 echo "Wrote ${out_json}"
@@ -311,37 +266,24 @@ with open(raw_path) as f:
 host = dict(json.loads(os.environ["S3VCD_BENCH_HOST"]),
             selected_scan_kernel=raw.get("context", {}).get("scan_kernel"))
 
-# Labels: "segment:<mode>:<kernel>" for the exact codec,
-# "segment:<mode>:<codec>:<kernel>" for the quantized ones.
-EXACT_BYTES = 20.0
+# Labels: "segment:<mode>:<kernel>".
 modes = {}
-quantized = {}
 for b in raw.get("benchmarks", []):
     if b.get("run_type") != "iteration" or "error_occurred" in b:
         continue
     label = b.get("label", "")
     if not label.startswith("segment:"):
         continue
-    parts = label.split(":")
-    entry = {
-        "kernel": parts[-1],
+    _, mode, kernel = label.split(":")
+    modes[mode] = {
+        "kernel": kernel,
         "records_per_second": b.get("items_per_second", 0.0),
         "ns_per_sweep": b.get("real_time", 0.0),
     }
-    if len(parts) == 3:
-        modes[parts[1]] = entry
-    else:
-        mode, codec = parts[1], parts[2]
-        bytes_per_record = b.get("bytes_per_record", EXACT_BYTES)
-        quantized.setdefault(codec, {
-            "bytes_per_record": bytes_per_record,
-            "descriptor_byte_reduction": EXACT_BYTES / bytes_per_record,
-            "modes": {},
-        })["modes"][mode] = entry
 
-# Ratio to the in-memory sweep of the same corpus on the same kernel and
-# codec (BM_RefineScan / BM_CodedRefineScan, written just before this
-# stanza), so the ratio is the cost of serving from the store alone.
+# Ratio to the in-memory sweep of the same corpus on the same kernel
+# (BM_RefineScan, written just before this stanza), so the ratio is the
+# cost of serving from the store alone.
 try:
     with open(scan_path) as f:
         scan = json.load(f)
@@ -349,20 +291,15 @@ except (OSError, json.JSONDecodeError):
     scan = {}
 
 
-def memory_rps(kernels, kernel):
-    return kernels.get(kernel, {}).get("records_per_second", 0.0)
+def memory_rps(kernel):
+    return (scan.get("kernels", {}).get(kernel, {})
+            .get("records_per_second", 0.0))
 
 
 for entry in modes.values():
-    rps = memory_rps(scan.get("kernels", {}), entry["kernel"])
+    rps = memory_rps(entry["kernel"])
     entry["fraction_of_memory_sweep"] = (
         entry["records_per_second"] / rps if rps > 0 else None)
-for codec, q in quantized.items():
-    kernels = scan.get("quantized", {}).get(codec, {}).get("kernels", {})
-    for entry in q["modes"].values():
-        rps = memory_rps(kernels, entry["kernel"])
-        entry["fraction_of_memory_sweep"] = (
-            entry["records_per_second"] / rps if rps > 0 else None)
 mmap_rps = modes.get("mmap", {}).get("records_per_second", 0.0)
 resident_rps = modes.get("resident", {}).get("records_per_second", 0.0)
 
@@ -372,17 +309,12 @@ result = {
                     "segment, kRadiusFilter mode, records/sec per read "
                     "mode (mmap vs resident copy) on the default kernel; "
                     "fraction_of_memory_sweep compares against the "
-                    "in-memory sweep of the same kernel and codec; "
-                    "'quantized' covers segments written with the "
-                    "lvq4 descriptor codec, scanned through the "
-                    "fused decode kernels straight off the store"),
+                    "in-memory sweep of the same kernel"),
     "sweep_records": 200000,
     "host": host,
     "modes": modes,
-    "quantized": quantized,
     "memory_sweep_records_per_second":
-        memory_rps(scan.get("kernels", {}), host["selected_scan_kernel"])
-        or None,
+        memory_rps(host["selected_scan_kernel"]) or None,
     "mmap_over_resident":
         (mmap_rps / resident_rps) if resident_rps > 0 else None,
     "context": raw.get("context", {}),
@@ -394,12 +326,6 @@ print(json.dumps(result["modes"], indent=2))
 ratio = result["mmap_over_resident"]
 if ratio is not None:
     print(f"mmap over resident: {ratio:.2f}x")
-for codec in sorted(quantized):
-    entry = quantized[codec]
-    best = max((m["records_per_second"] for m in entry["modes"].values()),
-               default=0.0)
-    print(f"{codec} segment: {entry['descriptor_byte_reduction']:.1f}x "
-          f"fewer stored descriptor bytes, best {best / 1e6:.1f} Mrec/s")
 PY
 
 echo "Wrote ${store_json}"

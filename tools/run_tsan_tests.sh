@@ -3,9 +3,9 @@
 # them. The obs metrics/trace layer, the thread pool and the sharded query
 # service (admission queue, worker fan-out, selection cache, concurrent
 # producers completing batches) are the code most exposed to data races;
-# this is the gate described in docs/observability.md. The descriptor-codec
-# and scan-kernel tests ride along so the quantized decode kernels run
-# under the gate too. So do the extraction tests (extractor and extraction
+# this is the gate described in docs/observability.md. The scan-kernel
+# tests ride along so the dispatched kernels run under the gate too. So do
+# the extraction tests (extractor and extraction
 # parity): FingerprintExtractor::Extract runs on several threads at once
 # (the benchmark extracts its catalogue that way) and reuses its Harris
 # working memory across key-frames, which must stay private to each call;
@@ -13,7 +13,7 @@
 #
 # A second leg rebuilds the byte-reader, kernel, memtable and service tests
 # under AddressSanitizer (-DS3VCD_SANITIZE=address) with leak detection:
-# the segment store and codec readers parse untrusted lengths and offsets,
+# the segment store reader parses untrusted lengths and offsets,
 # the memtable merges runs in place, and the service hands batches between
 # producer and worker threads through shared tickets. The voting, detector,
 # stream-monitor and detection-quality tests join this leg and the UBSan
@@ -41,9 +41,9 @@
 # tasks write per-(query, shard) slots the merge reads after the pool
 # drains.
 #
-# A third leg rebuilds the kernel/codec/store tests under
-# UndefinedBehaviorSanitizer (-DS3VCD_SANITIZE=undefined): the fused
-# decode kernels lean on unsigned wraparound and per-function ISA targets,
+# A third leg rebuilds the kernel/store tests under
+# UndefinedBehaviorSanitizer (-DS3VCD_SANITIZE=undefined): the scan
+# kernels lean on per-function ISA targets and unaligned column loads,
 # exactly the code UBSan is good at auditing. The service tests join this
 # leg too (deadline arithmetic), as does the backend parity suite, whose
 # vamana legs drive the gather kernels and the graph blob reader (bounds
@@ -63,14 +63,14 @@ cmake -S "${repo_root}" -B "${build_dir}" \
   -DS3VCD_SANITIZE=thread
 cmake --build "${build_dir}" --target obs_test parallel_test service_test \
   backend_parity_test scan_kernel_test filter_table_test store_test \
-  segment_parity_test memtable_test descriptor_codec_test extractor_test \
+  segment_parity_test memtable_test extractor_test \
   extraction_parity_test -j"$(nproc)"
 
 (
   cd "${build_dir}"
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure \
-    -R '^(obs_test|parallel_test|service_test|backend_parity_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|filter_table_test|store_test|segment_parity_test|memtable_test|descriptor_codec_test|extractor_test|extraction_parity_test)$'
+    -R '^(obs_test|parallel_test|service_test|backend_parity_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|filter_table_test|store_test|segment_parity_test|memtable_test|extractor_test|extraction_parity_test)$'
 )
 echo "TSan run passed."
 
@@ -79,7 +79,7 @@ cmake -S "${repo_root}" -B "${asan_dir}" \
   -DS3VCD_SANITIZE=address
 cmake --build "${asan_dir}" --target obs_test service_test store_test \
   segment_parity_test memtable_test backend_parity_test \
-  descriptor_codec_test scan_kernel_test voting_test cbcd_test \
+  scan_kernel_test voting_test cbcd_test \
   stream_monitor_test detection_quality_test harris_test descriptor_test \
   media_filters_test extractor_test extraction_parity_test filter_test \
   filter_table_test query_property_test block_tree_test zorder_test \
@@ -90,7 +90,7 @@ cmake --build "${asan_dir}" --target obs_test service_test store_test \
   cd "${asan_dir}"
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
     ctest --output-on-failure \
-    -R '^(obs_test|service_test|store_test|segment_parity_test|memtable_test|backend_parity_test|descriptor_codec_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|voting_test|cbcd_test|stream_monitor_test|detection_quality_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|sorted_run_test|format_mutation_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
+    -R '^(obs_test|service_test|store_test|segment_parity_test|memtable_test|backend_parity_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|voting_test|cbcd_test|stream_monitor_test|detection_quality_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|sorted_run_test|format_mutation_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
 )
 echo "ASan run passed."
 
@@ -103,7 +103,7 @@ cmake -S "${repo_root}" -B "${ubsan_dir}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DS3VCD_SANITIZE=undefined
 cmake --build "${ubsan_dir}" --target obs_test scan_kernel_test store_test \
-  segment_parity_test memtable_test descriptor_codec_test service_test \
+  segment_parity_test memtable_test service_test \
   backend_parity_test voting_test cbcd_test stream_monitor_test \
   detection_quality_test harris_test descriptor_test media_filters_test extractor_test \
   extraction_parity_test filter_test filter_table_test query_property_test \
@@ -115,6 +115,6 @@ cmake --build "${ubsan_dir}" --target obs_test scan_kernel_test store_test \
   cd "${ubsan_dir}"
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --output-on-failure \
-    -R '^(obs_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|memtable_test|descriptor_codec_test|service_test|backend_parity_test|voting_test|cbcd_test|stream_monitor_test|detection_quality_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|sorted_run_test|format_mutation_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
+    -R '^(obs_test|scan_kernel_test|scan_kernel_test_retired_avx512|scan_kernel_test_forced_scalar|store_test|segment_parity_test|memtable_test|service_test|backend_parity_test|voting_test|cbcd_test|stream_monitor_test|detection_quality_test|harris_test|descriptor_test|media_filters_test|extractor_test|extraction_parity_test|filter_test|filter_table_test|query_property_test|block_tree_test|zorder_test|index_test|sorted_run_test|format_mutation_test|pseudo_disk_test|db_fuzz_test|external_builder_test)$'
 )
 echo "UBSan run passed."

@@ -8,9 +8,8 @@
 //   s3vcd_tool query       --db DB [--backend NAME] [--alpha A] [--sigma S]
 //                          [--depth P] [--count N] [--seed S]
 //                          [--pseudo-disk R] [--store-dir DIR]
-//                          [--codec exact|lvq4]
 //                          [--metrics-out FILE] [--trace-out FILE]
-//   s3vcd_tool compact     --store-dir DIR [--codec exact|lvq4]
+//   s3vcd_tool compact     --store-dir DIR
 //   s3vcd_tool monitor     --db DB [--backend NAME] [--stream-frames F]
 //                          [--alpha A] [--sigma S] [--threshold T] [--seed S]
 //                          [--metrics-out FILE] [--trace-out FILE]
@@ -54,7 +53,6 @@
 
 #include "cbcd/detector.h"
 #include "core/database.h"
-#include "core/descriptor_codec.h"
 #include "core/distortion_model.h"
 #include "core/external_builder.h"
 #include "core/index.h"
@@ -216,8 +214,6 @@ const std::vector<CommandSpec>& Commands() {
         {"pseudo-disk", "also replay via pseudo-disk with 2^R sections, "
                         "R in [0, 20]", FlagType::kSectionDepth},
         {"store-dir", "segment backend: persistent store directory"},
-        {"codec", "segment/vamana backends: descriptor codec "
-                  "(exact, lvq4; default exact)"},
         {"graph-degree", "vamana backend: graph out-degree bound R "
                          "(default 32)", FlagType::kInt},
         {"beam-width", "vamana backend: query beam width L (default 64)",
@@ -226,9 +222,7 @@ const std::vector<CommandSpec>& Commands() {
         {"trace-out", "write Chrome trace-event JSON to FILE"}}},
       {"compact",
        "compact a persistent segment store to a steady state",
-       {{"store-dir", "segment store directory (required)"},
-        {"codec", "re-encode compaction output with this descriptor codec "
-                  "(exact, lvq4; default exact)"}}},
+       {{"store-dir", "segment store directory (required)"}}},
       {"monitor",
        "watch a synthetic stream with an embedded copy",
        {{"db", "database path (required)"},
@@ -559,13 +553,6 @@ int CmdQuery(const Flags& flags) {
   if (!ValidateBackend("query", backend)) {
     return 2;
   }
-  const std::string codec = flags.Get("codec", "exact");
-  core::DescriptorCodecKind codec_kind;
-  if (!core::DescriptorCodecFromName(codec, &codec_kind)) {
-    std::fprintf(stderr, "query: unknown --codec '%s' (expected %s)\n",
-                 codec.c_str(), core::DescriptorCodecNamesCsv().c_str());
-    return 2;
-  }
   const std::string path = flags.Get("db", "");
   auto db = core::FingerprintDatabase::LoadFromFile(path);
   if (!db.ok()) {
@@ -611,8 +598,6 @@ int CmdQuery(const Flags& flags) {
   // corpus above). A fresh --store-dir ingests the database once.
   store::SearcherConfig config;
   config.segment_store_dir = flags.Get("store-dir", "");
-  config.segment_codec = codec;
-  config.vamana_codec = config.segment_codec;
   ApplyVamanaFlags(flags, &config);
   if (backend == "vamana") {
     // Persist the built graph next to the database so repeat runs load it
@@ -658,10 +643,8 @@ int CmdQuery(const Flags& flags) {
   ObsOutputs obs_out(flags);
   obs_out.Begin();
   // Retrieval check: the target's match distance must show up (nearly)
-  // exactly. Quantized backends report distances computed on decoded
-  // descriptors, which sit within codec_max_error of the exact ones, so
-  // the tolerance widens by that bound.
-  const double hit_tolerance = 1e-3 + index.Stats().codec_max_error;
+  // exactly.
+  const double hit_tolerance = 1e-3;
   int hits = 0;
   uint64_t matches = 0;
   core::QueryStats totals;
@@ -687,10 +670,10 @@ int CmdQuery(const Flags& flags) {
   }
   std::printf(
       "%d self-queries (backend=%s alpha=%.2f sigma=%.1f p=%d "
-      "scan_kernel=%s codec=%s): retrieval %.1f%%, avg %.3f ms, avg %.0f "
+      "scan_kernel=%s): retrieval %.1f%%, avg %.3f ms, avg %.0f "
       "results\n",
       count, backend.c_str(), alpha, sigma, depth,
-      core::ActiveScanKernelName(), index.Stats().codec.c_str(),
+      core::ActiveScanKernelName(),
       100.0 * hits / count, watch.ElapsedMillis() / count,
       static_cast<double>(matches) / count);
   std::printf(
@@ -765,21 +748,12 @@ int CmdCompact(const Flags& flags) {
     std::fprintf(stderr, "compact: --store-dir is required\n");
     return 2;
   }
-  // Compaction re-encodes merged runs, so --codec migrates a store to a
-  // new descriptor codec (segments not touched by a merge keep theirs).
-  store::SegmentStoreOptions store_options;
-  const std::string codec_name = flags.Get("codec", "exact");
-  if (!core::DescriptorCodecFromName(codec_name, &store_options.codec)) {
-    std::fprintf(stderr, "compact: unknown --codec '%s' (expected %s)\n",
-                 codec_name.c_str(), core::DescriptorCodecNamesCsv().c_str());
-    return 2;
-  }
   if (!std::filesystem::exists(store_dir + "/CURRENT")) {
     std::fprintf(stderr, "compact failed: no segment store in %s\n",
                  store_dir.c_str());
     return 1;
   }
-  auto store = store::SegmentStore::Open(store_dir, store_options);
+  auto store = store::SegmentStore::Open(store_dir);
   if (!store.ok()) {
     std::fprintf(stderr, "compact failed: %s\n",
                  store.status().ToString().c_str());
